@@ -10,15 +10,13 @@ GO ?= go
 # crash, mixed, stale, dupcreate, lostwave, corrupt). CI runs a short
 # fixed-seed matrix; longer local sweeps:
 #   make sim SIM_PROFILE=mixed SIM_SEEDS=1:1000
-# Anti-entropy teeth (ISSUE 9) — the lostwave curse without vectors:
-#   go run ./cmd/airesim -profile lostwave -novectors -seeds 1:20 -expect-fail
 SIM_SEEDS ?= 1:20
 SIM_PROFILE ?= mixed
 # SIM_SHARDS splits every faulted service N ways behind the key-hash
 # router (ISSUE 10); the convergence oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-json bench5 bench5-scale bench-obs fmt fmt-fix vet lint ci sim sim-sched durability fuzz-wal
+.PHONY: all build test race bench bench-smoke bench-json bench5 bench5-scale bench-obs fmt fmt-fix vet lint ci sim sim-sched durability fuzz-wal
 
 all: build
 
@@ -35,6 +33,14 @@ race:
 # catches rot, not regressions). Full runs: go test -bench . -benchmem
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# The benchmark under bench/ is a nested module (its own go.mod), so the
+# root `go build ./...` / `go test ./...` never compile it. This is what
+# proves it still builds and passes against the tree — run it whenever
+# exported API of internal/* changes.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Machine-readable repair-scaling trajectory (ISSUE 4): indexed vs
 # pre-index repair walk as unrelated traffic grows. CI uploads the JSON as
@@ -120,4 +126,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-obs
+ci: fmt vet lint build test race bench bench-smoke bench-obs

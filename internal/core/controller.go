@@ -155,29 +155,11 @@ type Config struct {
 	// Clock supplies the time used for backoff scheduling (nil means
 	// time.Now). Tests inject a fake clock for deterministic backoff.
 	Clock func() time.Time
-	// DisableDedupInbox turns off the peer-side exactly-once inbox
-	// (internal/deliver): incoming repair deliveries are then handled
-	// at-least-once, as the original protocol did. Exists so tests and the
-	// simulator can demonstrate the stale-redelivery and duplicate-create
-	// hazards the inbox closes.
-	DisableDedupInbox bool
-	// InboxCap bounds the dedup inbox's per-origin entry count (0 means
-	// deliver.DefaultCap). Deliveries evicted from the bound stay covered
-	// by a per-origin watermark.
-	InboxCap int
 	// Sched is the concurrency substrate the background pump runs on (nil
 	// means real goroutines — sched.Goroutines()). The deterministic
 	// simulator injects internal/dsched here so pump workers, backoff
 	// sleeps, and shutdown interleave under a seeded schedule.
 	Sched sched.Scheduler
-	// FaultUngatedReconcile (fault injection, tests only): reconcile
-	// delivery outcomes without the per-message generation gate,
-	// reintroducing the pre-PR-1 race where a message superseded while a
-	// delivery of its old content was in flight is reconciled as if the
-	// old content were still the queued one — the superseding repair is
-	// silently dropped. Exists so the deterministic scheduler can prove it
-	// rediscovers the historical bug; never set it outside tests.
-	FaultUngatedReconcile bool
 	// Obs, when non-nil, attaches the repair-plane observability registry
 	// (internal/obs): the controller publishes counters, latency
 	// histograms, and wave-trace spans into it. Leave nil to disable:
@@ -186,26 +168,6 @@ type Config struct {
 	// context is protocol state minted and persisted unconditionally —
 	// an obs-on run takes byte-identical schedules to an obs-off run.
 	Obs *obs.Registry
-	// FaultSplitRepairCommit (fault injection, tests only): commit a
-	// repair's WAL entry without its queue effects and inbox outcome,
-	// reintroducing the historical split-entry windows — a crash after the
-	// repair entry but before the standalone q-set/in-commit entries
-	// recovers a repaired service whose downstream messages were lost, or
-	// (crashing between the queue effects and the inbox commit) re-applies
-	// the redelivered repair and double-queues its downstream messages.
-	// Exists so the double-queue regression test can prove the atomic
-	// entry closes the window; never set it outside tests.
-	FaultSplitRepairCommit bool
-	// VersionVectors enables the anti-entropy sequence-announcement layer
-	// (vectors.go): every stamped repair-plane carrier piggybacks the
-	// sender's acked prefix and frontier for the destination peer
-	// (wire.HdrAckedSeq / wire.HdrFrontierSeq), the dedup inbox switches to
-	// exact vector-mode classification and compacts acked prefixes, and
-	// sequence gaps are NACKed back to the sender for immediate re-offer
-	// instead of waiting out delivery backoff. Default off: with vectors
-	// disabled no new headers are stamped, no new yield points fire, and
-	// existing scheduler digests stay byte-identical.
-	VersionVectors bool
 	// Topology, when non-nil, is the shared key→shard map for every
 	// service in the deployment (shard.go). A controller with a topology
 	// resolves repair carriers bound for a sharded peer to the owning
@@ -213,8 +175,7 @@ type Config struct {
 	// it is itself a shard — refuses carriers addressed to a sibling.
 	// Must be set before recovery so WAL replay rebuilds version vectors
 	// under the same per-(peer, shard) keys the live path uses. Default
-	// nil: no shard resolution, no new headers, no new yield points, and
-	// existing scheduler digests stay byte-identical.
+	// nil: no shard resolution, no shard header, no shard yield points.
 	Topology *ShardTopology
 	// StrictIndexes verifies vdb/repairlog secondary-index coherence at
 	// the start of every repair wave (the carried ROADMAP
@@ -324,7 +285,7 @@ type Controller struct {
 	nextID int
 	peers  map[string]*peerState // per-peer delivery health, guarded by qmu
 	// vectors is the sender-side version-vector state per destination peer
-	// (vectors.go); nil unless Cfg.VersionVectors. Guarded by qmu.
+	// (vectors.go). Guarded by qmu.
 	vectors map[string]*peerVector
 	// liveCalls counts in-flight live (non-repair) outbound calls per peer;
 	// admission control trickles repair delivery to peers that are actively
@@ -358,8 +319,12 @@ type Controller struct {
 	mailboxes map[string][]string // polling client -> undelivered tokens
 
 	// dedup is the peer-side exactly-once inbox for incoming repair
-	// deliveries (internal/deliver); gated by Cfg.DisableDedupInbox.
+	// deliveries (internal/deliver).
 	dedup *deliver.Inbox
+
+	// faults are the installed fault-injection hooks (faults.go); the zero
+	// value outside tests and the simulator.
+	faults Faults
 
 	inmu  sync.Mutex
 	inbox []queuedAction
@@ -396,18 +361,15 @@ func NewController(app App, net Caller, cfg Config) *Controller {
 		Engine:    &warp.Engine{Svc: svc, Cfg: cfg.Engine},
 		tokens:    make(map[string]tokenEntry),
 		mailboxes: make(map[string][]string),
-		dedup:     deliver.NewInbox(cfg.InboxCap),
+		dedup:     deliver.NewInbox(),
 		peers:     make(map[string]*peerState),
+		vectors:   make(map[string]*peerVector),
 		liveCalls: make(map[string]int),
 		sd:        cfg.Sched,
 		topo:      cfg.Topology,
 	}
 	if c.sd == nil {
 		c.sd = sched.Goroutines()
-	}
-	if cfg.VersionVectors {
-		c.vectors = make(map[string]*peerVector)
-		c.dedup.EnableVectors()
 	}
 	c.met = newCtrlMetrics(cfg.Obs, app.Name())
 	c.qcond = sync.NewCond(&c.qmu)
@@ -444,10 +406,10 @@ func traceFromCarrier(req wire.Request) traceCtx {
 // HandleWire implements transport.Handler: repair API paths are handled by
 // the controller itself; everything else is normal application traffic.
 // Repair-plane carriers run two protocol preambles first: the body
-// checksum (a corrupted payload is refused loudly, not misapplied) and —
-// in version-vector mode — the announced-vector observation, whose gap
-// verdict is NACKed on the response so the sender can re-offer the lost
-// delivery without waiting out backoff.
+// checksum (a corrupted payload is refused loudly, not misapplied) and the
+// announced-vector observation, which refuses a malformed or missing
+// announcement outright and whose gap verdict is NACKed on the response so
+// the sender can re-offer the lost delivery without waiting out backoff.
 func (c *Controller) HandleWire(from string, req wire.Request) wire.Response {
 	var resp wire.Response
 	switch req.Path {
@@ -463,7 +425,10 @@ func (c *Controller) HandleWire(from string, req wire.Request) wire.Response {
 		if bad := c.verifyCarrierBody(req); bad != nil {
 			return *bad
 		}
-		nack, missing := c.observeCarrierVector(from, req)
+		nack, missing, bad := c.observeCarrierVector(from, req)
+		if bad != nil {
+			return *bad
+		}
 		if req.Path == "/aire/repair" {
 			resp = c.handleRepair(from, req)
 		} else {
@@ -835,7 +800,7 @@ func (c *Controller) applyActions(actions []warp.Action) (*warp.Result, error) {
 // re-acknowledged; messages queued exactly once) or none of it did (the
 // redelivery re-applies cleanly). The historical split-entry behavior — the
 // documented double-queue/lost-cascade crash windows — is preserved behind
-// Config.FaultSplitRepairCommit for the regression test.
+// Faults.SplitRepairCommit for the regression test.
 func (c *Controller) applyActionsGated(actions []warp.Action, gate *deliveryGate, tc traceCtx) (*warp.Result, error) {
 	// No incoming wave context: this repair originates a cascade. The wave
 	// is minted unconditionally (obs-on and obs-off runs must consume the
@@ -844,7 +809,7 @@ func (c *Controller) applyActionsGated(actions []warp.Action, gate *deliveryGate
 	if tc.wave == "" {
 		tc = traceCtx{wave: c.Svc.IDs.Wave(), hop: 0}
 	}
-	if c.Cfg.FaultSplitRepairCommit {
+	if c.faults.SplitRepairCommit {
 		// Historical ordering: repair entry, then standalone q-set entries,
 		// with the gate left for the caller to commit afterwards.
 		c.Svc.Mu.Lock()
@@ -1091,8 +1056,8 @@ func (c *Controller) ProcessIncoming() (*warp.Result, error) {
 	// actions drained) without the downstream messages it produced. The
 	// historical split — queue effects as separate entries after the batch
 	// commit, i.e. the documented lost-cascade crash window — is preserved
-	// behind Config.FaultSplitRepairCommit for the regression test.
-	enqueued := !c.Cfg.FaultSplitRepairCommit
+	// behind Faults.SplitRepairCommit for the regression test.
+	enqueued := !c.faults.SplitRepairCommit
 	if enqueued {
 		c.enqueueJoin(res.Msgs, true, tc)
 	}
@@ -1176,8 +1141,9 @@ func (c *Controller) BlastRadius(reqID string) []string {
 // (§9). Repairs naming garbage-collected requests are afterwards refused
 // with status 410 and the requesting peer notifies its administrator. The
 // dedup inbox is collected with the same horizon: entries for deliveries
-// applied before it are dropped, their sequence covered by the per-origin
-// watermark so late duplicates stay deduplicated.
+// applied before it are dropped, and later arrivals at or below the highest
+// dropped sequence are refused as forgotten (410) unless the sender's acked
+// prefix already vouches for them.
 func (c *Controller) GC(beforeTS int64) {
 	c.Svc.Mu.Lock()
 	c.walBegin("gc")

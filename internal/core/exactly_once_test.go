@@ -5,13 +5,16 @@ import (
 	"sync"
 	"testing"
 
+	"aire/internal/deliver"
 	"aire/internal/transport"
 	"aire/internal/warp"
 	"aire/internal/wire"
 )
 
 // carrier builds a repair-plane carrier request the way the pump's
-// deliverRepairCall does, with explicit exactly-once delivery identity.
+// deliverRepairCall does, with explicit exactly-once delivery identity and
+// the version vector a sender holding just this delivery would announce
+// (acked prefix one short of it, frontier at it).
 func carrier(kind warp.OutKind, targetID string, payload wire.Request, origin, deliveryID string, gen uint64) wire.Request {
 	req := wire.NewRequest("POST", "/aire/repair")
 	req.Header[wire.HdrRepair] = string(kind)
@@ -26,6 +29,10 @@ func carrier(kind warp.OutKind, targetID string, payload wire.Request, origin, d
 	req.Header[wire.HdrDeliveryID] = deliveryID
 	req.Header[wire.HdrGeneration] = fmt.Sprintf("%d", gen)
 	req.Header[wire.HdrOrigin] = origin
+	if seq := deliver.Seq(deliveryID); seq > 0 {
+		req.Header[wire.HdrAckedSeq] = fmt.Sprintf("%d", seq-1)
+		req.Header[wire.HdrFrontierSeq] = fmt.Sprintf("%d", seq)
+	}
 	return req
 }
 
@@ -68,9 +75,8 @@ func TestDuplicateCreateReturnsOriginalID(t *testing.T) {
 	// And the hazard is real: with the inbox disabled, the same
 	// re-delivery mints a second synthetic request.
 	tb2 := newTestbed()
-	cfg := DefaultConfig()
-	cfg.DisableDedupInbox = true
-	b2 := tb2.add(&kvApp{name: "b"}, cfg)
+	b2 := tb2.add(&kvApp{name: "b"}, DefaultConfig())
+	b2.InjectFaults(Faults{DisableDedup: true})
 	if _, err := tb2.bus.Call("a", "b", create.Clone()); err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +158,7 @@ func TestStaleGenerationDiscarded(t *testing.T) {
 	// Hazard demonstration: with the inbox disabled, the delayed old
 	// content regresses the peer.
 	tb2 := newTestbed()
-	cfg := DefaultConfig()
-	cfg.DisableDedupInbox = true
-	tb2.add(&kvApp{name: "b"}, cfg)
+	tb2.add(&kvApp{name: "b"}, DefaultConfig()).InjectFaults(Faults{DisableDedup: true})
 	put2 := tb2.call("b", wire.NewRequest("POST", "/put").WithForm("key", "k", "val", "evil"))
 	target2 := put2.Header[wire.HdrRequestID]
 	n2 := carrier(warp.OutReplace, target2,

@@ -1,0 +1,38 @@
+package core
+
+// Faults are fault-injection hooks for tests and the simulator. Each one
+// re-opens a hazard that a protocol defense closes, so a test can prove the
+// defense is load-bearing (and that the harness rediscovers the historical
+// bug). They are deliberately not part of Config and not re-exported by the
+// aire facade: nothing a deployment configures can switch a defense off.
+type Faults struct {
+	// DisableDedup turns off the peer-side exactly-once inbox
+	// (internal/deliver): incoming repair deliveries are handled
+	// at-least-once, as the original protocol did, demonstrating the
+	// stale-redelivery and duplicate-create hazards the inbox closes.
+	DisableDedup bool
+	// UngatedReconcile reconciles delivery outcomes without the
+	// per-message generation gate, reintroducing the pre-PR-1 race where a
+	// message superseded while a delivery of its old content was in flight
+	// is reconciled as if the old content were still the queued one — the
+	// superseding repair is silently dropped.
+	UngatedReconcile bool
+	// SplitRepairCommit commits a repair's WAL entry without its queue
+	// effects and inbox outcome, reintroducing the historical split-entry
+	// windows — a crash after the repair entry but before the standalone
+	// q-set/in-commit entries recovers a repaired service whose downstream
+	// messages were lost, or (crashing between the queue effects and the
+	// inbox commit) re-applies the redelivered repair and double-queues its
+	// downstream messages.
+	SplitRepairCommit bool
+	// SuppressReoffer stops the sender stamping wire.HdrReoffer on
+	// anti-entropy recovery attempts (gap NACK or backoff horizon), so a
+	// wholly-lost delivery is only ever retried the ordinary way — the
+	// stall the re-offer path exists to break.
+	SuppressReoffer bool
+}
+
+// InjectFaults installs fault hooks on the controller. Call it before the
+// controller handles traffic or is recovered from durable state (WAL replay
+// consults the hooks too).
+func (c *Controller) InjectFaults(f Faults) { c.faults = f }

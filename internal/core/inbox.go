@@ -40,7 +40,7 @@ type deliveryGate struct {
 // repair handler finishes. Carriers without delivery identity — legacy
 // senders, locally issued calls — are never gated.
 func (c *Controller) gateDelivery(from string, req wire.Request) (deliveryGate, *wire.Response) {
-	if c.Cfg.DisableDedupInbox {
+	if c.faults.DisableDedup {
 		return deliveryGate{}, nil
 	}
 	id := req.Header[wire.HdrDeliveryID]

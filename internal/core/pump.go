@@ -421,9 +421,8 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		}
 		heldAttempts := 0
 
-		// Gap NACKs get their own labeled decision point — but only in
-		// vector mode, so vectors-off runs take byte-identical schedules.
-		if snap.nacked && c.vectors != nil {
+		// Gap NACKs get their own labeled decision point.
+		if snap.nacked {
 			c.sd.YieldNamed("vv-reoffer") // schedule point: peer NACKed a gap
 		}
 
@@ -436,7 +435,7 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		// content must still go out, so the entry stays queued whatever
 		// happened to the old one — and its reset LastErr is preserved.
 		live := p.queued
-		fresh := live && (p.Gen == cl.gens[i] || c.Cfg.FaultUngatedReconcile)
+		fresh := live && (p.Gen == cl.gens[i] || c.faults.UngatedReconcile)
 		if live {
 			// Tokens are per-response and deliberately reused across
 			// attempts and content revisions.
@@ -609,7 +608,7 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 					continue
 				}
 				p.inflight = false
-				if p.Gen != cl.gens[j] && !c.Cfg.FaultUngatedReconcile {
+				if p.Gen != cl.gens[j] && !c.faults.UngatedReconcile {
 					continue
 				}
 				p.Attempts++

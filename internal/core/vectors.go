@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -10,11 +11,11 @@ import (
 	"aire/internal/wire"
 )
 
-// This file is the sender side of the anti-entropy version-vector layer
-// (Config.VersionVectors; the receive side lives in deliver.Inbox's
-// vector mode). Every delivery ID the controller mints carries a sequence
-// from the service's shared monotonic counter ("svc-dlv-N"), so for each
-// destination peer the controller can announce, on every stamped carrier:
+// This file is the controller's half of the anti-entropy version-vector
+// layer (the dedup memory itself is deliver.Inbox). Every delivery ID the
+// controller mints carries a sequence from the service's shared monotonic
+// counter ("svc-dlv-N"), so for each destination peer the controller can
+// announce, on every stamped carrier:
 //
 //   - Aire-Acked-Seq: the highest sequence S such that every delivery this
 //     service ever addressed to the peer with sequence <= S has been
@@ -25,8 +26,8 @@ import (
 //   - Aire-Frontier-Seq: the highest sequence ever addressed to the peer.
 //
 // The receiver compacts dedup-inbox entries at or below the acked prefix
-// (they can never be asked about again) and classifies post-eviction
-// arrivals exactly; it detects gaps — a wholly-lost delivery none of whose
+// (they can never be asked about again) and classifies arrivals with no
+// entry exactly; it detects gaps — a wholly-lost delivery none of whose
 // retries ever arrived — against the announced vector and answers with
 // Aire-Nack-Seq on the response. A NACK makes the sender clear the peer's
 // backoff window and stamp Aire-Reoffer on subsequent attempts: the
@@ -60,9 +61,6 @@ type peerVector struct {
 // Idempotent (out is a set), so WAL replay's q-set upserts are safe.
 // Caller holds qmu.
 func (c *Controller) vvIssueLocked(peer, deliveryID string) {
-	if c.vectors == nil {
-		return
-	}
 	seq := deliver.Seq(deliveryID)
 	if seq == 0 {
 		return
@@ -82,9 +80,6 @@ func (c *Controller) vvIssueLocked(peer, deliveryID string) {
 // (delivered, gone, or dropped), advancing the peer's acked prefix.
 // Caller holds qmu.
 func (c *Controller) vvResolveLocked(peer, deliveryID string) {
-	if c.vectors == nil {
-		return
-	}
 	seq := deliver.Seq(deliveryID)
 	if seq == 0 {
 		return
@@ -109,15 +104,20 @@ func (c *Controller) vvResolveLocked(peer, deliveryID string) {
 // of the per-peer FIFO blocks the later carriers whose announcements would
 // have revealed its gap, so no NACK can arrive to trigger the fast path.
 func (c *Controller) vvAnnouncement(peer string) (acked, frontier uint64, reoffer, ok bool) {
-	if c.vectors == nil {
-		return 0, 0, false, false
-	}
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	pv := c.vectors[peer]
 	if pv == nil || pv.frontier == 0 {
 		return 0, 0, false, false
 	}
+	acked, reoffer = c.vvStateLocked(peer, pv)
+	return acked, pv.frontier, reoffer && !c.faults.SuppressReoffer, true
+}
+
+// vvStateLocked derives what the next carrier to peer announces: the acked
+// prefix (min(outstanding)-1, or the frontier when nothing is outstanding)
+// and whether it is stamped a re-offer. Caller holds qmu.
+func (c *Controller) vvStateLocked(peer string, pv *peerVector) (acked uint64, reoffer bool) {
 	acked = pv.frontier
 	for seq := range pv.out {
 		if seq <= acked {
@@ -125,12 +125,10 @@ func (c *Controller) vvAnnouncement(peer string) (acked, frontier uint64, reoffe
 		}
 	}
 	reoffer = pv.reoffer
-	if !reoffer {
-		if ps := c.peers[peer]; ps != nil && ps.failures >= c.Cfg.MaxAttempts {
-			reoffer = true
-		}
+	if ps := c.peers[peer]; !reoffer && ps != nil && ps.failures >= c.Cfg.MaxAttempts {
+		reoffer = true
 	}
-	return acked, pv.frontier, reoffer, true
+	return acked, reoffer
 }
 
 // vvNackLocked reacts to a peer's gap NACK: the peer proved it is alive
@@ -138,9 +136,6 @@ func (c *Controller) vvAnnouncement(peer string) (acked, frontier uint64, reoffe
 // delay recovery. Clear the window, mark the vector for re-offer stamping,
 // and nudge the pump. Caller holds qmu.
 func (c *Controller) vvNackLocked(peer string) {
-	if c.vectors == nil {
-		return
-	}
 	pv := c.vectors[peer]
 	if pv == nil {
 		return
@@ -160,9 +155,6 @@ func (c *Controller) vvNackLocked(peer string) {
 // another way), so subsequent carriers go back to normal stamping. Caller
 // holds qmu.
 func (c *Controller) vvClearReofferLocked(peer string) {
-	if c.vectors == nil {
-		return
-	}
 	if pv := c.vectors[peer]; pv != nil {
 		pv.reoffer = false
 	}
@@ -193,24 +185,38 @@ func (c *Controller) verifyCarrierBody(req wire.Request) *wire.Response {
 // (WAL-logged so recovery never regresses below a compaction), and gap
 // detection. Returns whether the receiver should NACK, and the first
 // sequence it believes is missing (forensic; presence is the signal).
-func (c *Controller) observeCarrierVector(from string, req wire.Request) (nack bool, missing uint64) {
-	if !c.Cfg.VersionVectors || c.Cfg.DisableDedupInbox {
-		return false, 0
-	}
-	ackedHdr := req.Header[wire.HdrAckedSeq]
-	if ackedHdr == "" {
-		return false, 0
+//
+// The announcement is untrusted outside input and is what classification
+// rests on, so it is validated before anything is observed or persisted: a
+// carrier whose delivery ID carries a sequence but which announces nothing,
+// an announcement that does not parse, and one whose acked prefix exceeds
+// its frontier are all refused with 400 (bad non-nil).
+func (c *Controller) observeCarrierVector(from string, req wire.Request) (nack bool, missing uint64, bad *wire.Response) {
+	if c.faults.DisableDedup {
+		return false, 0, nil
 	}
 	origin := from
 	if origin == "" {
 		origin = req.Header[wire.HdrOrigin]
 	}
 	if origin == "" {
-		return false, 0
+		return false, 0, nil
 	}
-	acked, _ := strconv.ParseUint(ackedHdr, 10, 64)
-	frontier, _ := strconv.ParseUint(req.Header[wire.HdrFrontierSeq], 10, 64)
-	curSeq := deliver.Seq(req.Header[wire.HdrDeliveryID])
+	id := req.Header[wire.HdrDeliveryID]
+	curSeq := deliver.Seq(id)
+	ackedHdr, frontierHdr := req.Header[wire.HdrAckedSeq], req.Header[wire.HdrFrontierSeq]
+	if ackedHdr == "" && frontierHdr == "" {
+		if curSeq == 0 {
+			return false, 0, nil // locally issued or sequence-less: nothing to observe
+		}
+		return false, 0, c.refuseVector(req, id, "identified delivery carries no "+wire.HdrAckedSeq+"/"+wire.HdrFrontierSeq+" announcement")
+	}
+	acked, errA := strconv.ParseUint(ackedHdr, 10, 64)
+	frontier, errF := strconv.ParseUint(frontierHdr, 10, 64)
+	if errA != nil || errF != nil || acked > frontier {
+		return false, 0, c.refuseVector(req, id, fmt.Sprintf("malformed version vector (%s=%q %s=%q)",
+			wire.HdrAckedSeq, ackedHdr, wire.HdrFrontierSeq, frontierHdr))
+	}
 	vo := c.dedup.ObserveVector(origin, acked, frontier, curSeq)
 	if vo.Compacted > 0 {
 		c.met.vvCompacted.Add(int64(vo.Compacted))
@@ -221,9 +227,17 @@ func (c *Controller) observeCarrierVector(from string, req wire.Request) (nack b
 	if vo.Gap {
 		c.met.vvGapNacks.Inc()
 		c.spanVVGap(req, origin, vo.Acked+1)
-		return true, vo.Acked + 1
+		return true, vo.Acked + 1, nil
 	}
-	return false, 0
+	return false, 0, nil
+}
+
+// refuseVector answers a carrier whose version-vector announcement cannot
+// be trusted: 400, nothing observed, nothing logged to the WAL.
+func (c *Controller) refuseVector(req wire.Request, id, why string) *wire.Response {
+	c.spanInboxVerdict(req, id, "malformed")
+	resp := wire.NewResponse(400, "aire: "+why)
+	return &resp
 }
 
 // spanVVGap records one gap-detection span, correlated to the carrier's
@@ -265,11 +279,8 @@ type PeerVectorDump struct {
 }
 
 // VectorDump snapshots the sender-side version vectors for every peer,
-// sorted by peer name. Nil when Config.VersionVectors is off.
+// sorted by peer name.
 func (c *Controller) VectorDump() []PeerVectorDump {
-	if c.vectors == nil {
-		return nil
-	}
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	names := make([]string, 0, len(c.vectors))
@@ -280,16 +291,7 @@ func (c *Controller) VectorDump() []PeerVectorDump {
 	out := make([]PeerVectorDump, 0, len(names))
 	for _, name := range names {
 		pv := c.vectors[name]
-		acked := pv.frontier
-		for seq := range pv.out {
-			if seq <= acked {
-				acked = seq - 1
-			}
-		}
-		reoffer := pv.reoffer
-		if ps := c.peers[name]; !reoffer && ps != nil && ps.failures >= c.Cfg.MaxAttempts {
-			reoffer = true
-		}
+		acked, reoffer := c.vvStateLocked(name, pv)
 		out = append(out, PeerVectorDump{
 			Peer: name, Acked: acked, Frontier: pv.frontier,
 			Outstanding: len(pv.out), Reoffer: reoffer,

@@ -480,7 +480,7 @@ func (c *Controller) walQueueRemove(msgID string) {
 // exactly-once.
 func (c *Controller) walBatchAccept(b BatchedAction) {
 	g := deliveryGate{}
-	if b.Origin != "" && b.ID != "" && !c.Cfg.DisableDedupInbox {
+	if b.Origin != "" && b.ID != "" && !c.faults.DisableDedup {
 		switch d, _ := c.dedup.Begin(b.Origin, b.ID, b.Gen, b.Once); d {
 		case deliver.Apply:
 			g = deliveryGate{c: c, active: true, origin: b.Origin, id: b.ID, gen: b.Gen, once: b.Once}

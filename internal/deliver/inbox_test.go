@@ -21,7 +21,7 @@ func TestSeq(t *testing.T) {
 }
 
 func TestBeginDuplicateAndStale(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 
 	// First arrival applies.
 	if d, _ := ib.Begin("a", "a-dlv-1", 0, false); d != Apply {
@@ -50,7 +50,7 @@ func TestBeginDuplicateAndStale(t *testing.T) {
 }
 
 func TestOriginsAreIndependent(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 	if d, _ := ib.Begin("a", "a-dlv-1", 0, false); d != Apply {
 		t.Fatal("origin a first arrival should apply")
 	}
@@ -62,7 +62,7 @@ func TestOriginsAreIndependent(t *testing.T) {
 }
 
 func TestRollbackForgetsReservation(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 	if d, _ := ib.Begin("a", "a-dlv-1", 0, false); d != Apply {
 		t.Fatal("first arrival should apply")
 	}
@@ -74,7 +74,7 @@ func TestRollbackForgetsReservation(t *testing.T) {
 }
 
 func TestRollbackRestoresCommittedState(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 	ib.Begin("a", "a-dlv-1", 0, false)
 	ib.Commit("a", "a-dlv-1", 0, "out0", 10)
 	// Newer generation reserved, then its apply fails.
@@ -88,27 +88,8 @@ func TestRollbackRestoresCommittedState(t *testing.T) {
 	}
 }
 
-func TestEvictionWatermarkCoversOldDeliveries(t *testing.T) {
-	ib := NewInbox(2)
-	for i := 1; i <= 4; i++ {
-		id := "a-dlv-" + string(rune('0'+i))
-		if d, _ := ib.Begin("a", id, 0, false); d != Apply {
-			t.Fatalf("delivery %d should apply", i)
-		}
-		ib.Commit("a", id, 0, "", int64(i))
-	}
-	if got := ib.Len(); got != 2 {
-		t.Fatalf("inbox holds %d entries, want 2 (cap)", got)
-	}
-	// Deliveries 1 and 2 were evicted; their sequences sit below the
-	// watermark, so a late duplicate is still re-acked, not re-applied.
-	if d, _ := ib.Begin("a", "a-dlv-1", 0, false); d != Duplicate {
-		t.Fatal("evicted delivery re-applied: watermark did not cover it")
-	}
-}
-
 func TestInFlightDeliveryAnsweredRetryably(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 	if d, _ := ib.Begin("a", "a-dlv-1", 0, false); d != Apply {
 		t.Fatal("first arrival should apply")
 	}
@@ -125,7 +106,7 @@ func TestInFlightDeliveryAnsweredRetryably(t *testing.T) {
 }
 
 func TestOnceOnlyDeliveryIgnoresGenerationBumps(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 	// A create applies and commits (the synthetic request is minted).
 	ib.Begin("a", "a-dlv-1", 0, true)
 	ib.Commit("a", "a-dlv-1", 0, "b-req-5", 10)
@@ -137,22 +118,8 @@ func TestOnceOnlyDeliveryIgnoresGenerationBumps(t *testing.T) {
 	}
 }
 
-func TestEvictionWatermarkDoesNotSwallowNewerGenerations(t *testing.T) {
-	ib := NewInbox(1)
-	ib.Begin("a", "a-dlv-1", 0, false)
-	ib.Commit("a", "a-dlv-1", 0, "", 1)
-	ib.Begin("a", "a-dlv-2", 0, false)
-	ib.Commit("a", "a-dlv-2", 0, "", 2) // evicts dlv-1
-	// dlv-1's content was superseded after its entry was evicted: the
-	// bumped generation carries content that never landed, so the
-	// watermark must not swallow it.
-	if d, _ := ib.Begin("a", "a-dlv-1", 1, false); d != Apply {
-		t.Fatal("superseding content of an evicted delivery was dropped as duplicate")
-	}
-}
-
 func TestGCRefusesPreHorizonDeliveries(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 	// Deliveries 1 and 3 are applied; 2 never arrives (held at the
 	// sender awaiting Retry). 4 is applied after the horizon.
 	ib.Begin("a", "a-dlv-1", 0, false)
@@ -184,7 +151,7 @@ func TestGCRefusesPreHorizonDeliveries(t *testing.T) {
 }
 
 func TestDumpRestoreRoundTrip(t *testing.T) {
-	ib := NewInbox(0)
+	ib := NewInbox()
 	ib.Begin("a", "a-dlv-1", 2, false)
 	ib.Commit("a", "a-dlv-1", 2, "b-req-9", 100)
 	ib.Begin("c", "c-dlv-5", 0, false)
@@ -194,7 +161,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	ib.Begin("a", "a-dlv-2", 0, false)
 
 	dump := ib.Dump()
-	fresh := NewInbox(0)
+	fresh := NewInbox()
 	fresh.Restore(dump)
 
 	if d, o := fresh.Begin("a", "a-dlv-1", 2, false); d != Duplicate || o != "b-req-9" {
@@ -212,22 +179,32 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		t.Fatal("pending reservation leaked into the dump as applied")
 	}
 
-	// Dump is deterministic (origins sorted, entries in LRU order).
+	// Dump is deterministic (origins sorted, entries by sequence).
 	if !reflect.DeepEqual(dump, ib.Dump()) {
 		t.Fatal("two dumps of the same inbox differ")
 	}
 }
 
-func TestDumpPreservesWatermark(t *testing.T) {
-	ib := NewInbox(1)
+// TestRestoreUnderReservation: a reservation re-established before the dump
+// is loaded (persist.Apply re-reserves a snapshot's accepted batch first)
+// survives Restore, and the dumped entry becomes its rollback state.
+func TestRestoreUnderReservation(t *testing.T) {
+	ib := NewInbox()
 	ib.Begin("a", "a-dlv-1", 0, false)
-	ib.Commit("a", "a-dlv-1", 0, "", 1)
-	ib.Begin("a", "a-dlv-2", 0, false)
-	ib.Commit("a", "a-dlv-2", 0, "", 2) // evicts dlv-1
+	ib.Commit("a", "a-dlv-1", 0, "out0", 10)
+	ib.Begin("a", "a-dlv-1", 3, false) // newer generation accepted, not applied
+	dump := ib.Dump()
 
-	fresh := NewInbox(1)
-	fresh.Restore(ib.Dump())
-	if d, _ := fresh.Begin("a", "a-dlv-1", 0, false); d != Duplicate {
-		t.Fatal("watermark lost across dump/restore")
+	fresh := NewInbox()
+	if d, _ := fresh.Begin("a", "a-dlv-1", 3, false); d != Apply {
+		t.Fatalf("re-reserving on an empty inbox: got %v, want Apply", d)
+	}
+	fresh.Restore(dump)
+	if d, _ := fresh.Begin("a", "a-dlv-1", 3, false); d != InFlight {
+		t.Fatalf("Restore clobbered the reservation: got %v, want InFlight", d)
+	}
+	fresh.Rollback("a", "a-dlv-1", 3)
+	if d, o := fresh.Begin("a", "a-dlv-1", 0, false); d != Duplicate || o != "out0" {
+		t.Fatalf("after rollback: %v %q, want duplicate out0 (the dumped state)", d, o)
 	}
 }

@@ -5,17 +5,50 @@ import (
 	"testing"
 )
 
-// Unit tests for the inbox's version-vector mode (ObserveVector): ack
+// Unit tests for the inbox's version vectors (ObserveVector): ack
 // compaction, gap detection, idempotent replay (the in-vv WAL op re-feeds
-// observations on recovery), persistence of the vector fields, and the
-// eviction-suspension memory contract.
+// observations on recovery), persistence of the vector fields, the
+// zero-misread classification of never-seen deliveries, and the memory
+// contract (entries live until the sender's prefix covers them).
+
+// fill commits n fresh deliveries from origin with ascending sequences
+// starting at seq, returning the next unused sequence.
+func fill(t *testing.T, ib *Inbox, origin string, seq uint64, n int) uint64 {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%s-dlv-%d", origin, seq)
+		if d, _ := ib.Begin(origin, id, 0, false); d != Apply {
+			t.Fatalf("fill %s: got %v, want Apply", id, d)
+		}
+		ib.Commit(origin, id, 0, "ok", int64(seq))
+		seq++
+	}
+	return seq
+}
+
+// announceAndFill commits n deliveries the way the controller's HandleWire
+// does: each carrier first feeds the sender's vector through ObserveVector —
+// acked pinned where the sender's contiguous prefix stops, frontier at the
+// carrier's own sequence — then applies. Returns the next unused sequence.
+func announceAndFill(t *testing.T, ib *Inbox, origin string, acked, seq uint64, n int) uint64 {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%s-dlv-%d", origin, seq)
+		ib.ObserveVector(origin, acked, seq, seq)
+		if d, _ := ib.Begin(origin, id, 0, false); d != Apply {
+			t.Fatalf("announceAndFill %s: got %v, want Apply", id, d)
+		}
+		ib.Commit(origin, id, 0, "ok", int64(seq))
+		seq++
+	}
+	return seq
+}
 
 // TestObserveVectorCompaction: advancing the acked prefix releases every
 // committed entry it covers — and only those — while the counts and Len
 // agree.
 func TestObserveVectorCompaction(t *testing.T) {
-	ib := NewInbox(0)
-	ib.EnableVectors()
+	ib := NewInbox()
 	fill(t, ib, "s0", 1, 6) // seqs 1..6 committed
 	obs := ib.ObserveVector("s0", 4, 6, 0)
 	if obs.Compacted != 4 {
@@ -39,8 +72,7 @@ func TestObserveVectorCompaction(t *testing.T) {
 // prefix covers it — compacting a reservation would let a racing second
 // copy re-apply.
 func TestObserveVectorPendingNotCompacted(t *testing.T) {
-	ib := NewInbox(0)
-	ib.EnableVectors()
+	ib := NewInbox()
 	if d, _ := ib.Begin("s0", "s0-dlv-1", 0, false); d != Apply {
 		t.Fatal("setup: not Apply")
 	}
@@ -57,8 +89,7 @@ func TestObserveVectorPendingNotCompacted(t *testing.T) {
 // stopping more than one short of the carrier's own sequence, and a
 // frontier beyond everything seen; and the quiet cases in between.
 func TestObserveVectorGapRules(t *testing.T) {
-	ib := NewInbox(0)
-	ib.EnableVectors()
+	ib := NewInbox()
 	// Contiguous arrival: carrier seq 1, nothing acked yet — no gap (the
 	// prefix stops exactly one short: this very carrier).
 	if obs := ib.ObserveVector("s0", 0, 1, 1); obs.Gap {
@@ -87,8 +118,7 @@ func TestObserveVectorGapRules(t *testing.T) {
 // replaying an observation (the WAL recovery path re-feeds in-vv ops) is a
 // no-op: no advance, nothing more to compact, no regression of the prefix.
 func TestObserveVectorIdempotentReplay(t *testing.T) {
-	ib := NewInbox(0)
-	ib.EnableVectors()
+	ib := NewInbox()
 	fill(t, ib, "s0", 1, 3)
 	first := ib.ObserveVector("s0", 3, 3, 0)
 	if !first.Advanced || first.Compacted != 3 {
@@ -108,13 +138,11 @@ func TestObserveVectorIdempotentReplay(t *testing.T) {
 // durable as the compaction it justified — a restored inbox classifies a
 // compacted delivery's ghost as Duplicate, not Apply.
 func TestVectorFieldsSurviveRestart(t *testing.T) {
-	ib := NewInbox(0)
-	ib.EnableVectors()
+	ib := NewInbox()
 	fill(t, ib, "s0", 1, 4)
 	ib.ObserveVector("s0", 4, 4, 0) // compacts all four
 
-	restored := NewInbox(0)
-	restored.EnableVectors()
+	restored := NewInbox()
 	restored.Restore(ib.Dump())
 	if d, _ := restored.Begin("s0", "s0-dlv-2", 0, false); d != Duplicate {
 		t.Fatalf("ghost of a compacted delivery after restore: got %v, want Duplicate", d)
@@ -125,15 +153,84 @@ func TestVectorFieldsSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestAnnouncingOriginMemoryContract: announcing origins suspend LRU
-// eviction (nothing unacked is ever forgotten), may transiently exceed the
-// cap by the sender's unacked window, and shrink back the moment the
-// prefix advances — the high-water mark records the excursion.
+// TestNeverSeenDeliveryZeroMisread is the zero-residual claim: a delivery
+// dropped in the network before its first Begin leaves the inbox no
+// evidence it exists, yet its eventual retry is never misread. The sender's announced acked prefix
+// stops below the unseen sequence for as long as it stays unresolved, so
+// however many later deliveries commit, the retry is classified exactly —
+// Apply before it ever lands, Duplicate for any ghost after the prefix
+// finally covers it.
+func TestNeverSeenDeliveryZeroMisread(t *testing.T) {
+	const later = 32
+	unseen := "s0-dlv-100" // dropped in the network; the inbox never saw it
+
+	// Seq 100 is outstanding on the sender's side, so every later carrier
+	// announces acked=99 — nothing above the prefix is released, and the
+	// late first arrival applies.
+	ib := NewInbox()
+	next := announceAndFill(t, ib, "s0", 99, 101, later)
+	if ib.Len() != later {
+		t.Fatalf("Len()=%d with the prefix pinned at 99, want %d (nothing unacked is released)", ib.Len(), later)
+	}
+	if d, _ := ib.Begin("s0", unseen, 0, false); d != Apply {
+		t.Fatalf("a never-seen delivery's retry after %d interleaved deliveries: got %v, want Apply (zero residual)", later, d)
+	}
+	ib.Commit("s0", unseen, 0, "ok", 100)
+
+	// The sender consumes the outcome and finally advances its prefix over
+	// everything: entries compact away, and a network-duplicated ghost of
+	// the recovered delivery is classified from the prefix — Duplicate,
+	// exactly, with no entry left to consult.
+	obs := ib.ObserveVector("s0", next-1, next-1, 0)
+	if obs.Compacted == 0 || ib.Len() != 0 {
+		t.Fatalf("acked prefix over everything compacted %d entries, %d left; want all gone", obs.Compacted, ib.Len())
+	}
+	if d, _ := ib.Begin("s0", unseen, 0, false); d != Duplicate {
+		t.Fatalf("ghost of an acked delivery after compaction: got %v, want Duplicate", d)
+	}
+
+	// A generation-bumped retry above the acked prefix is never swallowed:
+	// the prefix vouches only for sequences at or below it.
+	if d, _ := ib.Begin("s0", fmt.Sprintf("s0-dlv-%d", next), 1, false); d != Apply {
+		t.Fatalf("gen-1 arrival above the prefix: got %v, want Apply", d)
+	}
+}
+
+// TestCrashMidApplyReappliesAfterRestore: a delivery whose apply is in
+// flight at capture time (reserved, nothing ever committed) is not part of
+// the dump — the crash interrupted the apply, so after restore its retry
+// must re-apply, however many higher sequences committed around it. The
+// sender still holds it, so the restored acked prefix stops below it. The
+// same holds for an apply that failed and was rolled back before the dump.
+func TestCrashMidApplyReappliesAfterRestore(t *testing.T) {
+	ib := NewInbox()
+	announceAndFill(t, ib, "s0", 98, 101, 16) // seqs 99 and 100 unresolved
+	rolledBack, inflight := "s0-dlv-99", "s0-dlv-100"
+	if d, _ := ib.Begin("s0", rolledBack, 0, false); d != Apply {
+		t.Fatal("setup: first arrival of seq 99 not Apply")
+	}
+	ib.Rollback("s0", rolledBack, 0)
+	if d, _ := ib.Begin("s0", inflight, 1, false); d != Apply {
+		t.Fatal("setup: in-flight delivery not Apply")
+	}
+	// Crash here: seq 100 reserved, never Committed or Rolled back.
+	restored := NewInbox()
+	restored.Restore(ib.Dump())
+	for _, id := range []string{rolledBack, inflight} {
+		if d, _ := restored.Begin("s0", id, 0, false); d != Apply {
+			t.Fatalf("retry of never-applied %s after restore: got %v, want Apply", id, d)
+		}
+	}
+}
+
+// TestAnnouncingOriginMemoryContract: nothing unacked is ever forgotten —
+// the inbox holds exactly the sender's unacknowledged window — and it
+// shrinks back the moment the prefix advances; the high-water mark records
+// the excursion.
 func TestAnnouncingOriginMemoryContract(t *testing.T) {
-	const cap = 4
-	ib := NewInbox(cap)
-	ib.EnableVectors()
-	for seq := uint64(1); seq <= 3*cap; seq++ {
+	const window = 12
+	ib := NewInbox()
+	for seq := uint64(1); seq <= window; seq++ {
 		id := fmt.Sprintf("s0-dlv-%d", seq)
 		ib.ObserveVector("s0", 0, seq, seq) // sender resolves nothing yet
 		if d, _ := ib.Begin("s0", id, 0, false); d != Apply {
@@ -141,19 +238,14 @@ func TestAnnouncingOriginMemoryContract(t *testing.T) {
 		}
 		ib.Commit("s0", id, 0, "ok", int64(seq))
 	}
-	if ib.Len() != 3*cap {
-		t.Fatalf("announcing origin evicted: Len()=%d, want %d (eviction suspended)", ib.Len(), 3*cap)
+	if ib.Len() != window {
+		t.Fatalf("Len()=%d, want the unacked window %d", ib.Len(), window)
 	}
-	ib.ObserveVector("s0", 3*cap, 3*cap, 0)
+	ib.ObserveVector("s0", window, window, 0)
 	if ib.Len() != 0 {
 		t.Fatalf("Len()=%d after full ack, want 0", ib.Len())
 	}
-	if hw := ib.HighWater(); hw != 3*cap {
-		t.Fatalf("HighWater()=%d, want %d", hw, 3*cap)
-	}
-	// A vectors-off origin in the same inbox still obeys the LRU cap.
-	fill(t, ib, "legacy", 1, 3*cap)
-	if ib.Len() != cap {
-		t.Fatalf("never-announcing origin: Len()=%d, want cap %d", ib.Len(), cap)
+	if hw := ib.HighWater(); hw != window {
+		t.Fatalf("HighWater()=%d, want %d", hw, window)
 	}
 }

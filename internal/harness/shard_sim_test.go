@@ -7,9 +7,15 @@ import (
 
 // TestShardN1DigestsPinned pins the unsharded path: with Shards unset (0)
 // or 1, the full StateDigest — state lines, fault trace, scheduler steps,
-// scheduler trace — must stay byte-identical to the digests these
-// seed/profile combinations produced before the shard layer existed. Any
-// drift here means the shard refactor perturbed the legacy code path.
+// scheduler trace — must stay byte-identical to the digests pinned below.
+// Any drift here means a change perturbed the delivery path's schedule.
+//
+// Digest epoch: ISSUE 13 (version vectors became unconditional). The
+// lostwave and crash pins predate the shard layer and carried over
+// unchanged — lostwave already ran the vector layer, and this crash seed's
+// trace does not depend on it; the two mixed pins were re-pinned in that
+// PR, once, because every carrier now announces its vector (NACKs clear
+// backoff windows, and under -sched add the vv-reoffer yield point).
 func TestShardN1DigestsPinned(t *testing.T) {
 	cases := []struct {
 		prof  string
@@ -17,8 +23,8 @@ func TestShardN1DigestsPinned(t *testing.T) {
 		sched bool
 		want  uint64
 	}{
-		{"mixed", 7, false, 12698960661654645967},
-		{"mixed", 7, true, 10563102858143445799},
+		{"mixed", 7, false, 9846801934082458047},
+		{"mixed", 7, true, 3232967748548286238},
 		{"lostwave", 3, false, 7605751958774188957},
 		{"lostwave", 3, true, 5345738023838111687},
 		{"crash", 5, false, 11845775653790173362},
@@ -37,7 +43,7 @@ func TestShardN1DigestsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.StateDigest != tc.want {
-				t.Errorf("%s s%d sched=%v shards=%d: digest %d, want pre-shard digest %d",
+				t.Errorf("%s s%d sched=%v shards=%d: digest %d, want pinned digest %d",
 					tc.prof, tc.seed, tc.sched, shards, res.StateDigest, tc.want)
 			}
 		}

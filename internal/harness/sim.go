@@ -78,25 +78,10 @@ type SimConfig struct {
 	// inbox re-acknowledges it.
 	Creates int
 	// DisableDedup turns off every service's exactly-once dedup inbox
-	// (core.Config.DisableDedupInbox), restoring the at-least-once
+	// (core.Faults.DisableDedup), restoring the at-least-once
 	// behavior. Hazard-demonstration tests use it to show the stale and
 	// dupcreate profiles genuinely fire their fault.
 	DisableDedup bool
-	// VersionVectors turns on the anti-entropy version-vector layer
-	// (core.Config.VersionVectors): every pump carrier piggybacks the
-	// sender's acknowledged prefix and frontier for its (origin, peer)
-	// pair, the receive-side dedup inbox compacts acknowledged entries and
-	// classifies post-eviction arrivals exactly, and a wholly-lost
-	// delivery is recovered through the gap-NACK / re-offer path instead
-	// of waiting out (or outliving) the backoff schedule. The lostwave
-	// profile sets it; run that profile with it off to watch convergence
-	// genuinely stall.
-	VersionVectors bool
-	// InboxCap bounds the dedup inbox's per-origin entry count
-	// (core.Config.InboxCap; 0 keeps the core default). The anti-entropy
-	// tests shrink it to a handful of entries to prove that acked-prefix
-	// compaction — not LRU headroom — is what keeps exactly-once exact.
-	InboxCap int
 	// LinearScan runs every repair engine with the retained pre-index
 	// full-timeline walk (warp.Config.LinearScan). The index-equivalence
 	// tests run each seed both ways and require identical results.
@@ -149,6 +134,12 @@ type SimConfig struct {
 	// delivered. Regression tests set it to prove the deterministic
 	// scheduler rediscovers the race on a fixed seed.
 	faultUngatedReconcile bool
+	// suppressReoffer stops every sender stamping Aire-Reoffer
+	// (core.Faults.SuppressReoffer): gaps are still NACKed and retried, but
+	// nothing marks the retry as recovery traffic. The lostwave teeth test
+	// sets it to prove convergence under that profile is the re-offer
+	// path's doing.
+	suppressReoffer bool
 	// inspect, when non-nil, is called with the attacked world after it
 	// quiesces (before the golden run), with no requests in flight; the
 	// equivalence tests use it to cross-check the secondary indexes
@@ -235,8 +226,8 @@ type SimResult struct {
 	SchedTrace []string
 	// InboxHighWater is the largest per-origin dedup-inbox entry count any
 	// service's final incarnation reached — the memory bound the vector
-	// compaction tests assert on. Deterministic per seed, but kept out of
-	// StateDigest so pre-vector digests stay byte-identical.
+	// compaction tests assert on. Deterministic per seed; not part of
+	// StateDigest.
 	InboxHighWater int
 	// OracleDigest fingerprints ONLY the converged per-service state (the
 	// union of shard states under a sharded run), excluding the fault and
@@ -383,9 +374,12 @@ type simWorld struct {
 	sim   *simnet.Net // nil in the golden world
 	clock *simnet.Clock
 	ccfg  core.Config
-	apps  map[string]*simApp
-	ctrls map[string]*core.Controller
-	order []string
+	// faults are installed on every controller the world stands up,
+	// crash-restarted incarnations included.
+	faults core.Faults
+	apps   map[string]*simApp
+	ctrls  map[string]*core.Controller
+	order  []string
 
 	// Sharding (SimConfig.Shards > 1; attacked world only). order keeps
 	// the base service names; cnames lists every controller (shard) name
@@ -494,9 +488,8 @@ func buildSimWorld(cfg SimConfig, faulted bool) *simWorld {
 	ccfg := core.DefaultConfig()
 	ccfg.Backoff = core.Backoff{Base: simBackoffBase, Max: simBackoffMax, Factor: 2}
 	ccfg.Clock = w.clock.Now
-	ccfg.DisableDedupInbox = cfg.DisableDedup
-	ccfg.VersionVectors = cfg.VersionVectors
-	ccfg.InboxCap = cfg.InboxCap
+	w.faults = core.Faults{DisableDedup: cfg.DisableDedup, SuppressReoffer: cfg.suppressReoffer,
+		UngatedReconcile: cfg.faultUngatedReconcile}
 	ccfg.Engine.LinearScan = cfg.LinearScan
 	if faulted && cfg.Obs {
 		w.obs = obs.New(obs.DefaultRingCap)
@@ -528,7 +521,6 @@ func buildSimWorld(cfg SimConfig, faulted bool) *simWorld {
 		w.sched = dsched.New(cfg.Seed*3+2, w.clock)
 		ccfg.Sched = w.sched
 		ccfg.PumpInterval = simPulseStep
-		ccfg.FaultUngatedReconcile = cfg.faultUngatedReconcile
 		w.rootCtx, w.rootCancel = context.WithCancel(context.Background())
 		w.pumpCancel = map[string]context.CancelFunc{}
 		w.killCrashes = cfg.killCrashes
@@ -604,6 +596,7 @@ func (w *simWorld) applyLocal(base string, a warp.Action) (*warp.Result, error) 
 // the named service.
 func (w *simWorld) addController(name string) *core.Controller {
 	c := core.NewController(w.apps[name], w.net, w.ccfg)
+	c.InjectFaults(w.faults)
 	c.Svc.TimeSource = func() int64 { return simFrozenTime }
 	w.bus.Register(name, c)
 	w.ctrls[name] = c
@@ -1405,14 +1398,13 @@ var simProfiles = map[string]SimConfig{
 	// lostwave: a cursed delivery and ALL of its retries vanish silently
 	// for the rest of the run (LostTicks 0) — backoff-driven redelivery is
 	// structurally useless, because every attempt re-enters the same hole.
-	// Only a carrier stamped Aire-Reoffer lifts the curse, and only the
-	// version-vector layer ever stamps it (a receiver gap NACK, or the
-	// sender's own backoff-horizon escalation), so the profile runs with
-	// VersionVectors on. Run with -novectors to watch convergence
-	// genuinely stall past the backoff horizon.
+	// Only a carrier stamped Aire-Reoffer lifts the curse — the
+	// version-vector layer's anti-entropy path (a receiver gap NACK, or the
+	// sender's own backoff-horizon escalation). With re-offer stamping
+	// suppressed convergence genuinely stalls past the backoff horizon
+	// (TestLostWaveStallsWithoutReoffer).
 	"lostwave": {Services: 3, Topology: "chain", Repairs: 5, Rerepairs: 3, Creates: 2,
-		VersionVectors: true,
-		Faults:         simnet.FaultPlan{Lost: 0.1, DropResponse: 0.1}},
+		Faults: simnet.FaultPlan{Lost: 0.1, DropResponse: 0.1}},
 	// corrupt: repair-plane bodies arrive with a byte flipped in flight.
 	// The always-on carrier checksum (Aire-Body-Sum) refuses the delivery
 	// loudly (503) instead of applying garbage; the sender backs off and

@@ -124,7 +124,7 @@ func genRaceConfig(seed int64) SimConfig {
 
 // TestSchedFindsGenReconcileRace: the deterministic scheduler rediscovers
 // the PR-1 Held/Attempts/generation reconcile race when the fix is
-// disabled (Config.FaultUngatedReconcile), on a fixed seed, within a
+// disabled (core.Faults.UngatedReconcile), on a fixed seed, within a
 // bounded number of steps — and the failing schedule replays exactly. The
 // serial Flush-driven simulator can never observe this bug (claim,
 // deliver, and reconcile are atomic with respect to the workload there),

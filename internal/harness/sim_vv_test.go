@@ -6,9 +6,10 @@ package harness
 // window. The lostwave profile's curse (simnet.FaultPlan.Lost with
 // LostTicks 0) silently discards a delivery and every one of its retries
 // for the whole run, so backoff-driven redelivery is structurally useless:
-// only a carrier stamped Aire-Reoffer — which only the vector layer ever
-// stamps — gets through. That is the fault class the paper's at-least-once
-// retry argument is silent about, and the one these tests pin down.
+// only a carrier stamped Aire-Reoffer — the vector layer's anti-entropy
+// recovery traffic — gets through. That is the fault class the paper's
+// at-least-once retry argument is silent about, and the one these tests pin
+// down.
 
 import (
 	"reflect"
@@ -16,27 +17,27 @@ import (
 	"testing"
 )
 
-// lostwaveConfig is the lostwave profile with the vector layer switchable.
-func lostwaveConfig(t *testing.T, seed int64, vectors bool) SimConfig {
+// lostwaveConfig is the lostwave profile with re-offer stamping switchable.
+func lostwaveConfig(t *testing.T, seed int64, reoffer bool) SimConfig {
 	t.Helper()
 	cfg, err := SimProfileConfig("lostwave")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = seed
-	cfg.VersionVectors = vectors
+	cfg.suppressReoffer = !reoffer
 	return cfg
 }
 
-// TestLostWaveStallsWithoutVectors is the teeth check: with the vector
-// layer off, the lostwave curse genuinely defeats convergence — the run
-// fails to quiesce within MaxRounds even though every round elapses the
-// full backoff schedule (each idle round advances the virtual clock past
-// Backoff.Max, so ~100 rounds is far beyond the backoff horizon). The
-// identical schedule replays verbatim, and flipping vectors back on makes
-// the same seed converge — proving the recovery is the vector layer's
-// NACK/re-offer path, not luck.
-func TestLostWaveStallsWithoutVectors(t *testing.T) {
+// TestLostWaveStallsWithoutReoffer is the teeth check: with re-offer
+// stamping suppressed (core.Faults.SuppressReoffer), the lostwave curse
+// genuinely defeats convergence — the run fails to quiesce within
+// MaxRounds even though every round elapses the full backoff schedule
+// (each idle round advances the virtual clock past Backoff.Max, so ~100
+// rounds is far beyond the backoff horizon). The identical schedule
+// replays verbatim, and turning the hook off makes the same seed converge
+// — proving the recovery is the NACK/re-offer path, not luck.
+func TestLostWaveStallsWithoutReoffer(t *testing.T) {
 	const seed = 1
 	cfg := lostwaveConfig(t, seed, false)
 	res, err := RunSim(cfg)
@@ -44,7 +45,7 @@ func TestLostWaveStallsWithoutVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Passed {
-		t.Fatalf("seed %d converged with vectors off; the lostwave curse has lost its teeth", seed)
+		t.Fatalf("seed %d converged with re-offers suppressed; the lostwave curse has lost its teeth", seed)
 	}
 	stalled := false
 	for _, f := range res.Failures {
@@ -55,7 +56,7 @@ func TestLostWaveStallsWithoutVectors(t *testing.T) {
 	if !stalled {
 		t.Fatalf("seed %d failed, but not by stalling past the backoff horizon: %v", seed, res.Failures)
 	}
-	t.Logf("vectors-off stall demonstrated (replay: go run ./cmd/airesim -profile lostwave -novectors -seeds %d -v): %v", seed, res.Failures[0])
+	t.Logf("no-reoffer stall demonstrated: %v", res.Failures[0])
 
 	again, err := RunSim(cfg)
 	if err != nil {
@@ -70,18 +71,17 @@ func TestLostWaveStallsWithoutVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !fixed.Passed {
-		t.Fatalf("seed %d fails even with vectors on: %v", seed, fixed.Failures)
+		t.Fatalf("seed %d fails even with re-offers on: %v", seed, fixed.Failures)
 	}
 	if fixed.Rounds >= res.Rounds {
-		t.Fatalf("vectors-on run quiesced in %d rounds, no better than the stalled run's %d", fixed.Rounds, res.Rounds)
+		t.Fatalf("re-offering run quiesced in %d rounds, no better than the stalled run's %d", fixed.Rounds, res.Rounds)
 	}
 }
 
-// TestLostWaveRecoversEverySeed: vectors-on lostwave converges across the
-// full 20-seed band, serial and scheduled — the wholly-lost delivery is
-// recovered in bounded simulated time on every seed where the vectors-off
-// sweep (see the teeth check above, and `airesim -novectors -expect-fail`)
-// demonstrably stalls.
+// TestLostWaveRecoversEverySeed: lostwave converges across the full
+// 20-seed band, serial and scheduled — the wholly-lost delivery is
+// recovered in bounded simulated time, where the same profile without
+// re-offers (the teeth check above) demonstrably stalls.
 func TestLostWaveRecoversEverySeed(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		runSeed(t, "lostwave", seed)
@@ -89,23 +89,20 @@ func TestLostWaveRecoversEverySeed(t *testing.T) {
 	}
 }
 
-// TestTinyInboxExactlyOnce: exactly-once must survive an InboxCap of 4 —
-// a per-origin dedup window far smaller than the delivery traffic — with
-// vectors on, across seeds 1–20 of both the lostwave and crash profiles,
-// serial and scheduled. Acked-prefix compaction is what holds the line:
-// the sender's announcements release entries the peer can never be asked
-// about again, entries for unresolved deliveries are never evicted, and
-// post-eviction arrivals are classified from the vector instead of the
-// watermark heuristic the LRU used to fall back on. The high-water
-// assertion is the memory half of the claim: the inbox never balloons to
-// compensate (announced origins suspend LRU eviction, so without
-// compaction it would).
+// TestTinyInboxExactlyOnce: exactly-once holds on a dedup inbox that stays
+// tiny — a handful of entries, far fewer than the deliveries these
+// profiles push through each origin — across seeds 1–20 of both the
+// lostwave and crash profiles, serial and scheduled. Acked-prefix
+// compaction is what bounds it: the sender's announcements release
+// entries the peer can never be asked about again, and entries for
+// unresolved deliveries are never dropped, so the inbox holds only the
+// sender's unacknowledged window. The high-water assertion is that bound,
+// stated directly: nothing but compaction ever releases an entry, so
+// without it the inbox would grow with run length.
 func TestTinyInboxExactlyOnce(t *testing.T) {
-	const cap = 4
-	// Far below the per-origin delivery counts these profiles generate and
-	// a small multiple of the cap: outstanding (unacked) deliveries are
-	// bounded by in-flight claims, not by run length.
-	const highWaterBound = 3 * cap
+	// Outstanding (unacked) deliveries are bounded by in-flight claims, not
+	// by run length.
+	const highWaterBound = 12
 	for _, profile := range []string{"lostwave", "crash"} {
 		profile := profile
 		t.Run(profile, func(t *testing.T) {
@@ -116,15 +113,13 @@ func TestTinyInboxExactlyOnce(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg.Seed = seed
-					cfg.VersionVectors = true
-					cfg.InboxCap = cap
 					cfg.ScheduledPump = sched
 					res, err := RunSim(cfg)
 					if err != nil {
 						t.Fatalf("seed %d sched=%v: %v", seed, sched, err)
 					}
 					if !res.Passed {
-						t.Errorf("seed %d sched=%v: exactly-once broke at InboxCap=%d: %v", seed, sched, cap, res.Failures)
+						t.Errorf("seed %d sched=%v: exactly-once broke: %v", seed, sched, res.Failures)
 					}
 					if res.InboxHighWater > highWaterBound {
 						t.Errorf("seed %d sched=%v: inbox high-water %d exceeds %d; compaction is not bounding memory", seed, sched, res.InboxHighWater, highWaterBound)
@@ -148,7 +143,7 @@ func TestTinyInboxExactlyOnce(t *testing.T) {
 func TestKillInsideClaimWindow(t *testing.T) {
 	base := SimConfig{
 		Services: 3, Topology: "chain", Repairs: 5, Rerepairs: 2, Creates: 2,
-		CrashRate: 0.15, ScheduledPump: true, VersionVectors: true,
+		CrashRate: 0.15, ScheduledPump: true,
 		WAL: true, WALFsync: "every", WALPowerLoss: true,
 		killCrashes: true,
 	}
@@ -181,10 +176,10 @@ func TestKillInsideClaimWindow(t *testing.T) {
 	t.Logf("killed %d pump tasks and %d in-claim-window workers across 12 seeds, all converged", pumpKills, workerKills)
 }
 
-// TestVVSchedDigestDeterminism: a vectors-on scheduled run is a pure
+// TestVVSchedDigestDeterminism: a scheduled lostwave run is a pure
 // function of its seed, and the obs registry is digest-neutral over the
-// new instrumentation (gap spans, vv counters) exactly as it is over the
-// old. The obs run must also show the anti-entropy machinery actually
+// vector instrumentation (gap spans, vv counters) exactly as it is over
+// the rest. The obs run must also show the anti-entropy machinery actually
 // firing — compactions always, and across the seed band at least one gap
 // NACK answered with a sender re-offer (the fast path; the slow
 // backoff-horizon escalation is covered by every lostwave recovery).
@@ -199,7 +194,7 @@ func TestVVSchedDigestDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: %v / %v", seed, err1, err2)
 		}
 		if r1.StateDigest != r2.StateDigest || !reflect.DeepEqual(r1.SchedTrace, r2.SchedTrace) {
-			t.Fatalf("seed %d: vectors-on scheduled run is not deterministic", seed)
+			t.Fatalf("seed %d: scheduled lostwave run is not deterministic", seed)
 		}
 		obsCfg := cfg
 		obsCfg.Obs = true
@@ -208,7 +203,7 @@ func TestVVSchedDigestDeterminism(t *testing.T) {
 			t.Fatalf("seed %d (obs): %v", seed, err)
 		}
 		if ro.StateDigest != r1.StateDigest || ro.SchedSteps != r1.SchedSteps {
-			t.Errorf("seed %d: obs changed the vectors-on digest (%x vs %x) or steps (%d vs %d)",
+			t.Errorf("seed %d: obs changed the digest (%x vs %x) or steps (%d vs %d)",
 				seed, ro.StateDigest, r1.StateDigest, ro.SchedSteps, r1.SchedSteps)
 		}
 		for name, v := range ro.ObsMetrics.Counters {

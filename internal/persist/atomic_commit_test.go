@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aire/internal/core"
+	"aire/internal/deliver"
 	"aire/internal/harness"
 	"aire/internal/persist"
 	"aire/internal/transport"
@@ -64,6 +65,10 @@ func createCarrier(payload wire.Request, origin, deliveryID string) wire.Request
 	req.Header[wire.HdrDeliveryID] = deliveryID
 	req.Header[wire.HdrGeneration] = "0"
 	req.Header[wire.HdrOrigin] = origin
+	// What a sender holding just this delivery announces.
+	seq := deliver.Seq(deliveryID)
+	req.Header[wire.HdrAckedSeq] = fmt.Sprint(seq - 1)
+	req.Header[wire.HdrFrontierSeq] = fmt.Sprint(seq)
 	return req
 }
 
@@ -79,8 +84,8 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 	dir := t.TempDir()
 	bus := transport.NewBus()
 	cfg := core.DefaultConfig()
-	cfg.FaultSplitRepairCommit = split
 	b := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, cfg)
+	b.InjectFaults(core.Faults{SplitRepairCommit: split})
 	bus.Register("b", b)
 	cc := core.NewController(&harness.KVApp{ServiceName: "c"}, bus, core.DefaultConfig())
 	bus.Register("c", cc)
@@ -105,6 +110,7 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 	}
 	truncateWALAfter(t, dir, keep)
 	b2 := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, cfg)
+	b2.InjectFaults(core.Faults{SplitRepairCommit: split})
 	w2, err := persist.Recover(b2, dir, wal.Options{Policy: wal.FsyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +134,15 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 
 // TestAtomicRepairCommitSurvivesAnyCrashPoint sweeps every WAL entry
 // boundary of a gated direct-apply create delivery: with the repair
-// mutations, queue effects, and inbox commit folded into one atomic entry,
-// no crash point followed by the sender's redelivery can mint a duplicate
+// mutations, queue effects, and inbox commit folded into one atomic entry
+// (preceded only by the carrier's vector observation, an idempotent
+// monotonic advance that commits nothing about the delivery itself), no
+// crash point followed by the sender's redelivery can mint a duplicate
 // record at the receiver or double-queue the cascade downstream.
 func TestAtomicRepairCommitSurvivesAnyCrashPoint(t *testing.T) {
 	_, _, appended := runDirectCreateCrash(t, false, 0)
-	if appended != 1 {
-		t.Fatalf("gated create delivery appended %d entries, want 1 atomic entry", appended)
+	if appended != 2 {
+		t.Fatalf("gated create delivery appended %d entries, want 2 (in-vv observation, then 1 atomic entry)", appended)
 	}
 	for keep := uint64(0); keep <= appended; keep++ {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
@@ -149,7 +157,7 @@ func TestAtomicRepairCommitSurvivesAnyCrashPoint(t *testing.T) {
 // TestSplitRepairCommitDoubleQueues pins the pre-fix hazard this PR closes:
 // with the historical split commit (repair entry, then standalone queue
 // entries, then a standalone inbox commit — reintroduced via
-// Config.FaultSplitRepairCommit), there is a crash boundary where the
+// Faults.SplitRepairCommit), there is a crash boundary where the
 // repair and its queued cascade are durable but the inbox commit is not.
 // The sender's redelivery then re-applies the create — a duplicate record
 // at the receiver AND a double-queued cascade downstream.
@@ -193,8 +201,8 @@ func runBatchCancelCrash(t *testing.T, split bool, keep uint64) (cVal string, ap
 	bus.Register("a", a)
 	bcfg := core.DefaultConfig()
 	bcfg.BatchIncoming = true
-	bcfg.FaultSplitRepairCommit = split
 	b := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, bcfg)
+	b.InjectFaults(core.Faults{SplitRepairCommit: split})
 	bus.Register("b", b)
 	cc := core.NewController(&harness.KVApp{ServiceName: "c"}, bus, core.DefaultConfig())
 	bus.Register("c", cc)
@@ -237,6 +245,7 @@ func runBatchCancelCrash(t *testing.T, split bool, keep uint64) (cVal string, ap
 	}
 	truncateWALAfter(t, dir, accepted+keep)
 	b2 := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, bcfg)
+	b2.InjectFaults(core.Faults{SplitRepairCommit: split})
 	w2, err := persist.Recover(b2, dir, wal.Options{Policy: wal.FsyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)

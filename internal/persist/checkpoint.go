@@ -98,12 +98,13 @@ func LatestCheckpoint(dir string) (*Checkpoint, error) {
 		return nil, err
 	}
 	path := filepath.Join(dir, names[len(names)-1])
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	if err := decodeStrict(f, &cp); err != nil {
 		return nil, fmt.Errorf("persist: decode checkpoint %s: %w", path, err)
 	}
 	if cp.Snap == nil {

@@ -93,9 +93,14 @@ func Apply(c *core.Controller, s *Snapshot) error {
 	}
 	c.Svc.Clock.Observe(s.ClockNow)
 	c.Svc.IDs.SetCounter(s.IDCounter)
+	// The batch before the inbox: the snapshot's accepted-but-unapplied
+	// actions are authoritative (an atomic cut), and batch-incoming
+	// acknowledges at accept time, so their deliveries may already sit
+	// inside the dumped acked prefix — re-reserving them against an empty
+	// inbox keeps them from being misread as prefix-vouched duplicates.
+	c.ImportBatch(s.Batch)
 	c.ImportInbox(s.Inbox)
 	c.ImportQueue(s.Queue)
-	c.ImportBatch(s.Batch)
 	return nil
 }
 
@@ -108,10 +113,22 @@ func (s *Snapshot) Write(w io.Writer) error {
 // Read parses a snapshot from r.
 func Read(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	if err := decodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
 	return &s, nil
+}
+
+// decodeStrict decodes durable state, refusing any field this binary does
+// not know. Dropping an unknown field silently would lose state without a
+// word — a snapshot written before the dedup inbox's digest epoch that
+// carries an eviction "watermark" or "holes" would restore with that dedup
+// memory gone — so such a file fails recovery with an error naming the
+// field instead.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // SaveFile captures a controller's state into path (atomically via a

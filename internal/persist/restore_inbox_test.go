@@ -150,3 +150,62 @@ func TestRestoreInboxDedupsRedelivery(t *testing.T) {
 		t.Fatalf("without the persisted inbox the redelivery should re-apply (RepairsRun=%d, want 1)", got)
 	}
 }
+
+// TestRestoreKeepsAcceptedBatchInsideAckedPrefix: in batch-incoming mode a
+// delivery is acknowledged (202) when accepted, not when applied, so the
+// sender's announced acked prefix legitimately runs ahead of this inbox's
+// own commits. A snapshot taken in that window holds the accepted action
+// only in the batch — pending reservations are not part of the inbox dump
+// — and restoring it must re-reserve the delivery, not misread it as a
+// duplicate the prefix already vouches for (which would drop the repair).
+func TestRestoreKeepsAcceptedBatchInsideAckedPrefix(t *testing.T) {
+	bus := transport.NewBus()
+	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
+	bus.Register("a", a)
+	bcfg := core.DefaultConfig()
+	bcfg.BatchIncoming = true
+	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
+	bus.Register("b", b)
+
+	mustCall := func(svc string, req wire.Request) wire.Response {
+		t.Helper()
+		resp, err := bus.Call("", svc, req)
+		if err != nil || !resp.OK() {
+			t.Fatalf("%s %s: %v %+v", req.Method, req.Path, err, resp)
+		}
+		return resp
+	}
+	get := func(key string) string {
+		return string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", key)).Body)
+	}
+	// Two attacks, repaired one after the other: the second repair's
+	// carrier announces an acked prefix covering the first delivery, which
+	// b has accepted but not yet applied.
+	for _, key := range []string{"x", "y"} {
+		mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", key, "val", "good"))
+		attack := mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", key, "val", "evil"))
+		if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]}); err != nil {
+			t.Fatal(err)
+		}
+		a.Flush()
+	}
+	if got := b.InboxLen(); got != 2 {
+		t.Fatalf("b accepted %d batched actions, want 2", got)
+	}
+
+	// Crash-restart b from a snapshot, then apply the recovered batch.
+	b2 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
+	if err := persist.Apply(b2, persist.Capture(b)); err != nil {
+		t.Fatal(err)
+	}
+	bus.Register("b", b2)
+	if got := b2.InboxLen(); got != 2 {
+		t.Fatalf("restored incoming batch = %d actions, want 2", got)
+	}
+	if _, err := b2.ProcessIncoming(); err != nil {
+		t.Fatal(err)
+	}
+	if x, y := get("x"), get("y"); x != "good" || y != "good" {
+		t.Fatalf("after restored batch apply: x=%q y=%q, want both repaired to %q", x, y, "good")
+	}
+}

@@ -64,7 +64,7 @@ type FaultPlan struct {
 	// get through" from genuine lost-delivery detection.
 	Lost float64
 	// LostTicks bounds a curse's lifetime in Ticks; 0 curses the delivery
-	// for the whole run, which is what the vectors-off teeth check uses to
+	// for the whole run, which is what the no-reoffer teeth check uses to
 	// prove convergence stalls without anti-entropy.
 	LostTicks int
 	// Corrupt delivers the call with one body byte flipped (calls with

@@ -63,8 +63,7 @@ import (
 //     delivery sequence for this peer: every delivery it ever stamped for
 //     this peer with a sequence at or below it has reached a terminal
 //     outcome. The receiver may drop its dedup entries for that prefix and
-//     classify any arrival at or below it as a duplicate — exactly, with no
-//     watermark heuristic.
+//     classify any arrival at or below it as a duplicate — exactly.
 //   - Aire-Frontier-Seq announces the highest delivery sequence the sender
 //     has stamped for this peer, letting the receiver notice outstanding
 //     deliveries it has never seen.
