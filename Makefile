@@ -16,7 +16,7 @@ SIM_PROFILE ?= mixed
 # router (ISSUE 10); the convergence oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-json bench5 bench5-scale bench-obs fmt fmt-fix vet lint ci sim sim-sched durability fuzz-wal
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched durability fuzz-wal
 
 all: build
 
@@ -29,8 +29,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bench smoke: compile and run every benchmark once (no timing fidelity —
-# catches rot, not regressions). Full runs: go test -bench . -benchmem
+# Rot check of the package micro-benchmarks (vdb, repairlog, warp,
+# BenchmarkObsOverhead): compile and run each once. No timing fidelity —
+# performance claims cite bench/ (see bench-suite), never these.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
@@ -42,28 +43,15 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# Machine-readable repair-scaling trajectory (ISSUE 4): indexed vs
-# pre-index repair walk as unrelated traffic grows. CI uploads the JSON as
-# a build artifact; regenerate the committed copy with this target.
-bench-json:
-	$(GO) run ./cmd/airebench -table bench4 -out BENCH_4.json
-
-# Repair-plane-under-load measurement (ISSUE 7): closed-loop mixed
-# workload (paced mirror puts + periodic repair cascades) over the real
-# HTTP adapter with adaptive batching and admission control. CI runs a
-# short non-gating pass and uploads the JSON; regenerate the committed
-# copy with this target.
-BENCH5_DUR ?= 5s
-bench5:
-	$(GO) run ./cmd/airebench -table bench5 -dur $(BENCH5_DUR) -out BENCH_5.json
-
-# Hub shard-scaling table (ISSUE 10): the bench5 workload re-run unpaced
-# once per shard count, with -opdelay modeling the blocking backend work
-# held under each shard's service lock (so lock serialization — the thing
-# sharding removes — is what the table measures, not the host's cores).
-# Regenerates the committed BENCH_5.json.
-bench5-scale:
-	$(GO) run ./cmd/airebench -table bench5 -dur $(BENCH5_DUR) -rps -1 -clients 16 -shards 1,2,4 -opdelay 2ms -wal -out BENCH_5.json
+# The repo benchmark (bench/, BENCHMARK.json): six seeded workloads, three
+# repetitions each, then a comparison against the committed baseline
+# (exit 1 on a regression beyond a metric's bound). CI runs this
+# non-gating — shared runners are too noisy to fail a build on — and
+# uploads the result file so the trajectory exists outside developers'
+# laptops.
+bench-suite:
+	bash bench/run.sh -seed 1 -reps 3 -out bench/out/result.json
+	bash bench/run.sh -compare bench/baseline.json bench/out/result.json
 
 # Observability overhead gate (ISSUE 8): the allocation ceiling — with no
 # registry configured every instrumentation site must degenerate to a nil

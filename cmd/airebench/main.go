@@ -1,330 +1,62 @@
-// Command airebench regenerates the paper's evaluation tables:
+// Command airebench regenerates the paper's deterministic evaluation
+// tables — the ones that state facts, not timings:
 //
-//	airebench -table 3            # Table 3: API survey
-//	airebench -table 4 [-n -seed] # Table 4: normal-operation overhead
-//	airebench -table 5 [-users -posts]  # Table 5: repair performance
-//	airebench -table porting      # §7.3: server-side porting effort
-//	airebench -table bench4 [-iters -out BENCH_4.json]
-//	                              # ISSUE 4: O(affected) repair scaling,
-//	                              # indexed vs pre-index walk, optionally
-//	                              # written as machine-readable JSON
-//	airebench -table bench5 [-dur -rps -peers -out BENCH_5.json]
-//	                              # ISSUE 7: repair-plane under load —
-//	                              # closed-loop mixed workload over real
-//	                              # HTTP with adaptive batching + admission
-//	airebench -table bench5 -shards 1,2,4 -rps -1 -opdelay 2ms [-wal]
-//	                              # ISSUE 10: hub shard-scaling table —
-//	                              # one unpaced run per shard count, max
-//	                              # closed-loop throughput vs shard count
+//	airebench -table 3        # Table 3: API survey
+//	airebench -table porting  # §7.3: server-side porting effort
 //	airebench -table all
+//
+// Everything that prints a time or a rate (Tables 4 and 5, repair
+// convergence) is the benchmark under bench/: bash bench/run.sh.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
-	"aire/internal/core"
 	"aire/internal/harness"
 )
 
 func main() {
-	table := flag.String("table", "all", "table to regenerate: 3, 4, 5, porting, sweep, bench4, all")
-	n := flag.Int("n", 2000, "requests per Table 4 workload")
-	seed := flag.Int("seed", 500, "questions pre-seeded for Table 4")
-	users := flag.Int("users", 100, "legitimate users for Table 5")
-	posts := flag.Int("posts", 5, "posts per user for Table 5")
-	iters := flag.Int("iters", 200, "timed repair passes per bench4 point")
-	out := flag.String("out", "", "write bench4/bench5 results as JSON to this file")
-	dur := flag.Duration("dur", 5*time.Second, "paced-load duration for bench5")
-	rps := flag.Int("rps", 300, "target mirror-traffic rate for bench5 (negative = unpaced: max closed-loop throughput)")
-	peers := flag.Int("peers", 3, "mirror peers behind the bench5 hub")
-	clients := flag.Int("clients", 0, "closed-loop client count for bench5 (0 = default)")
-	shards := flag.String("shards", "1", "comma-separated hub shard counts for bench5; more than one value emits the shard-scaling table (one run per count)")
-	walOn := flag.Bool("wal", false, "attach a write-ahead log to the bench5 hub (one per shard when sharded)")
-	opDelay := flag.Duration("opdelay", 0, "blocking backend work per bench5 hub put, spent under the per-shard service lock (models a database round trip; makes lock serialization measurable on small hosts)")
-	waves := flag.String("waves", "", "write the bench5 run's /aire/debug/waves dump as JSON to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process exit, so the smoke test can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("airebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "all", "table to regenerate: 3, porting, all")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	switch *table {
 	case "3":
-		table3()
-	case "4":
-		table4(*n, *seed)
-	case "5":
-		table5(*users, *posts)
+		table3(stdout)
 	case "porting":
-		porting()
-	case "sweep":
-		sweep(*posts)
-	case "bench4":
-		bench4(os.Stdout, *iters, *out)
-	case "bench5":
-		shardCounts, err := parseShards(*shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "airebench:", err)
-			os.Exit(2)
-		}
-		bench5(os.Stdout, *dur, *rps, *peers, *clients, shardCounts, *walOn, *opDelay, *out, *waves)
+		porting(stdout)
 	case "all":
-		table3()
-		fmt.Println()
-		table4(*n, *seed)
-		fmt.Println()
-		table5(*users, *posts)
-		fmt.Println()
-		porting()
+		table3(stdout)
+		fmt.Fprintln(stdout)
+		porting(stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown table %q\n", *table)
+		return 2
 	}
+	return 0
 }
 
-// bench4Doc is the schema of BENCH_4.json: the machine-readable repair
-// scaling trajectory for ISSUE 4 (O(affected) local repair).
-type bench4Doc struct {
-	Issue       int                    `json:"issue"`
-	Description string                 `json:"description"`
-	GeneratedBy string                 `json:"generated_by"`
-	Readers     int                    `json:"affected_readers"`
-	Iters       int                    `json:"iters_per_point"`
-	Points      []harness.ScalingPoint `json:"points"`
+func table3(w io.Writer) {
+	fmt.Fprintln(w, "== Table 3: kinds of interfaces provided by popular web service APIs ==")
+	fmt.Fprint(w, harness.FormatAPISurvey())
 }
 
-func bench4(w io.Writer, iters int, out string) {
-	const readers = 10
-	sizes := []int{0, 500, 2000}
-	fmt.Fprintln(w, "== ISSUE 4: repair scaling with unaffected traffic (indexed vs pre-index walk) ==")
-	points, err := harness.MeasureRepairScaling(sizes, readers, iters)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(w, "%-12s %10s %14s %14s %9s %10s %12s %13s\n",
-		"unaffected", "log-size", "indexed", "linear", "speedup", "repaired", "db-idx-bytes", "log-idx-bytes")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-12d %10d %11d ns %11d ns %8.1fx %10d %12d %13d\n",
-			p.Unaffected, p.LogRecords, p.IndexedNs, p.LinearNs, p.Speedup, p.Repaired, p.DBIndexBytes, p.LogIndexBytes)
-	}
-	fmt.Fprintln(w, "(claim: indexed repair time stays roughly flat as unrelated traffic grows; the pre-index walk grows linearly)")
-	fmt.Fprintln(w, "(db-idx/log-idx: approximate secondary-index memory — the speedup's storage price, excluded from Table 4's paper-mirroring accounting)")
-	if out == "" {
-		return
-	}
-	doc := bench4Doc{
-		Issue:       4,
-		Description: "Repair cost with a fixed affected slice (1 attacked put + readers) as unrelated log/store size grows. indexed = inverted-dependency-index walk (default engine), linear = retained pre-index full-timeline walk.",
-		GeneratedBy: "go run ./cmd/airebench -table bench4 -out BENCH_4.json",
-		Readers:     readers,
-		Iters:       iters,
-		Points:      points,
-	}
-	writeJSON(out, doc)
-}
-
-// bench5Doc is the schema of BENCH_5.json: the repair-plane-under-load
-// measurements for ISSUE 7, and (when more than one shard count was
-// requested) the ISSUE 10 hub shard-scaling table. Result stays the
-// single-configuration field earlier tooling reads; Scaling holds one
-// entry per shard count, in the order run.
-type bench5Doc struct {
-	Issue       int                   `json:"issue"`
-	Description string                `json:"description"`
-	GeneratedBy string                `json:"generated_by"`
-	Result      *harness.LoadResult   `json:"result"`
-	Scaling     []*harness.LoadResult `json:"scaling,omitempty"`
-}
-
-// parseShards accepts a comma-separated list of shard counts ("1,2,4").
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad shard count %q (want a positive integer)", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		out = []int{1}
-	}
-	return out, nil
-}
-
-// writeJSON writes v to path as indented JSON.
-func writeJSON(path string, v any) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-func bench5(w io.Writer, dur time.Duration, rps, peers, clients int, shardCounts []int, walOn bool, opDelay time.Duration, out, wavesOut string) {
-	if len(shardCounts) > 1 {
-		fmt.Fprintln(w, "== ISSUE 10: hub shard scaling (closed-loop mixed workload over real HTTP, one run per shard count) ==")
-	} else {
-		fmt.Fprintln(w, "== ISSUE 7: repair-plane under load (closed-loop mixed workload over real HTTP) ==")
-	}
-	results := make([]*harness.LoadResult, 0, len(shardCounts))
-	for _, n := range shardCounts {
-		res, err := harness.RunLoad(harness.LoadConfig{
-			Peers:       peers,
-			Clients:     clients,
-			TargetRPS:   rps,
-			Duration:    dur,
-			RepairEvery: 20,
-			Shards:      n,
-			WAL:         walOn,
-			OpDelay:     opDelay,
-			BatchPolicy: core.DefaultAdaptiveBatch(),
-			Admission:   core.DefaultAdmission(),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		results = append(results, res)
-		if len(shardCounts) == 1 {
-			fmt.Fprint(w, harness.FormatLoad(res))
-			fmt.Fprintln(w, "(mirror = client-visible paced puts; repair = delete-cascade carrier sojourn from the obs span ring; adaptive batching + admission control on)")
-		}
-	}
-	if len(shardCounts) > 1 {
-		fmt.Fprintf(w, "%-7s %12s %10s %12s %12s %8s\n",
-			"shards", "mirror-rps", "puts", "mirror-p50", "mirror-p99", "errors")
-		for _, res := range results {
-			var mirror harness.LoadClass
-			for _, c := range res.Classes {
-				if c.Name == "mirror" {
-					mirror = c
-				}
-			}
-			fmt.Fprintf(w, "%-7d %12.1f %10d %10.2fms %10.2fms %8d\n",
-				res.Shards, mirror.RPS, mirror.Count, mirror.P50Ms, mirror.P99Ms, res.Errors)
-		}
-		fmt.Fprintln(w, "(claim: the hub put path serializes on one service lock — -opdelay is the modeled backend work held under it — so N shards = N independent locks/stores/logs and unpaced closed-loop throughput rises with shard count)")
-	}
-	last := results[len(results)-1]
-	if wavesOut != "" {
-		// The same document /aire/debug/waves serves — the non-gating CI
-		// artifact, so a CI run's repair cascades can be inspected later.
-		writeJSON(wavesOut, last.Waves)
-	}
-	if out == "" {
-		return
-	}
-	doc := bench5Doc{
-		Issue:       7,
-		Description: "Closed-loop mixed load against a mirroring hub over the real HTTP adapter: paced mirror puts (client round-trip latency) plus periodic repair cascades (queue sojourn of delete carriers, sourced from the observability span ring), with the pooled HTTP client, adaptive batch sizing, and sender-side admission control enabled.",
-		GeneratedBy: fmt.Sprintf("go run ./cmd/airebench -table bench5 -dur %s -rps %d -peers %d -out BENCH_5.json", dur, rps, peers),
-		Result:      results[0],
-	}
-	if len(shardCounts) > 1 {
-		doc.Issue = 10
-		doc.Description = "Hub shard-scaling table: the ISSUE 7 closed-loop workload re-run once per hub shard count. Negative -rps runs unpaced (max closed-loop throughput) and -opdelay models blocking backend work under the per-shard service lock, so the table isolates the hub's service-lock serialization: N shards behind the key-hash router mean N independent locks, stores, repair logs, and (with -wal) WALs."
-		doc.GeneratedBy = fmt.Sprintf("go run ./cmd/airebench -table bench5 -dur %s -rps %d -peers %d -clients %d -shards %s -opdelay %s -out BENCH_5.json",
-			dur, rps, peers, clients, shardList(shardCounts), opDelay)
-		if walOn {
-			doc.GeneratedBy += " -wal"
-		}
-		doc.Scaling = results
-	}
-	writeJSON(out, doc)
-}
-
-// shardList re-renders a shard-count slice as the -shards flag value.
-func shardList(counts []int) string {
-	parts := make([]string, len(counts))
-	for i, n := range counts {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
-}
-
-func table3() {
-	fmt.Println("== Table 3: kinds of interfaces provided by popular web service APIs ==")
-	fmt.Print(harness.FormatAPISurvey())
-}
-
-func table4(n, seed int) {
-	fmt.Printf("== Table 4: Aire overheads (n=%d requests, %d questions seeded) ==\n", n, seed)
-	fmt.Printf("%-8s %14s %14s %10s %12s %12s\n",
-		"Workload", "No Aire", "Aire", "Overhead", "Log KB/req", "DB KB/req")
-	for _, wl := range []string{"read", "write"} {
-		row, err := harness.MeasureOverhead(wl, n, seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-8s %10.0f req/s %10.0f req/s %9.1f%% %12.2f %12.2f\n",
-			row.Workload, row.BaseThroughput, row.AireThroughput, row.OverheadPct,
-			row.LogKBPerReq, row.DBKBPerReq)
-	}
-	fmt.Println("(paper: reading 21.58 -> 17.58 req/s (19%), 5.52 KB/req; writing 23.26 -> 16.20 req/s (30%), 8.87+0.37 KB/req)")
-}
-
-func table5(users, posts int) {
-	fmt.Printf("== Table 5: Aire repair performance (%d users x %d posts + attack) ==\n", users, posts)
-	res, err := harness.MeasureRepair(users, posts, core.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-22s", "")
-	for _, r := range res.Rows {
-		fmt.Printf(" %14s", r.Service)
-	}
-	fmt.Println()
-	fmt.Printf("%-22s", "Repaired requests")
-	for _, r := range res.Rows {
-		fmt.Printf(" %7d / %4d", r.RepairedRequests, r.TotalRequests)
-	}
-	fmt.Println()
-	fmt.Printf("%-22s", "Repaired model ops")
-	for _, r := range res.Rows {
-		fmt.Printf(" %6d / %5d", r.RepairedModelOps, r.TotalModelOps)
-	}
-	fmt.Println()
-	fmt.Printf("%-22s", "Repair messages sent")
-	for _, r := range res.Rows {
-		fmt.Printf(" %14d", r.MsgsSent)
-	}
-	fmt.Println()
-	fmt.Printf("%-22s", "Local repair time")
-	for _, r := range res.Rows {
-		fmt.Printf(" %14s", r.RepairTime.Round(1000))
-	}
-	fmt.Println()
-	fmt.Printf("Normal execution time (attack + all traffic): %v\n", res.NormalExecTime)
-	fmt.Println("(paper: Askbot 105/2196 requests, 5444/88818 model ops, 1 msg, 84.06s repair vs 177.58s normal)")
-}
-
-func sweep(posts int) {
-	fmt.Println("== repair-time scaling: Askbot attack, growing user counts ==")
-	points, err := harness.SweepRepair([]int{10, 25, 50, 100, 200}, posts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(harness.FormatSweep(points))
-	fmt.Println("(repair cost tracks the affected slice — ~1 question-list view per user — not total log size)")
-}
-
-func porting() {
-	fmt.Println("== §7.3: server-side porting effort in this reproduction ==")
-	fmt.Printf("%-34s %s\n", "Change", "Lines of Go")
+func porting(w io.Writer) {
+	fmt.Fprintln(w, "== §7.3: server-side porting effort in this reproduction ==")
+	fmt.Fprintf(w, "%-34s %s\n", "Change", "Lines of Go")
 	for _, row := range harness.PortingEffort() {
-		fmt.Printf("%-34s %d\n", row.What, row.Lines)
+		fmt.Fprintf(w, "%-34s %d\n", row.What, row.Lines)
 	}
-	fmt.Println("(paper: authorize policy 55 lines; notify/retry support 26 lines; version trees 44 lines)")
+	fmt.Fprintln(w, "(paper: authorize policy 55 lines; notify/retry support 26 lines; version trees 44 lines)")
 }

@@ -107,6 +107,19 @@ func TestAskbotAttackRepairCounts(t *testing.T) {
 	if dp.RepairsRun == 0 {
 		t.Fatal("dpaste never ran repair")
 	}
+	// Selective re-execution on every service: strictly fewer requests
+	// repaired than logged.
+	for name, ctrl := range s.TB.Ctrls {
+		repaired, total, _, _ := ctrl.RepairCounts()
+		if total == 0 || repaired >= total {
+			t.Fatalf("%s: repair not selective (%d/%d)", name, repaired, total)
+		}
+	}
+	// Repair messages flowed oauth -> askbot (replace_response) and
+	// askbot -> dpaste (delete).
+	if o, a := s.OAuth.Stats().MsgsDelivered, s.Askbot.Stats().MsgsDelivered; o == 0 || a == 0 {
+		t.Fatalf("expected repair messages from oauth (%d) and askbot (%d)", o, a)
+	}
 }
 
 // TestAskbotPartialRepairOfflineDpaste reproduces §7.2: with Dpaste

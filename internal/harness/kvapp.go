@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"time"
-
 	"aire/internal/core"
 	"aire/internal/orm"
 	"aire/internal/web"
@@ -20,12 +18,6 @@ type KVApp struct {
 	// Mirrors also receive a copy of every write (the fan-out topology:
 	// one hub propagating to N peers).
 	Mirrors []string
-	// PutDelay models blocking backend work (a database round trip) per
-	// write, spent inside the handler — i.e. while the service lock is
-	// held, like the real services the paper instruments. Benchmarks use
-	// it to make per-service serialization visible on hosts whose CPU
-	// count would otherwise hide it.
-	PutDelay time.Duration
 }
 
 // mirrors returns every peer that receives write copies.
@@ -47,9 +39,6 @@ func (a *KVApp) Authorize(ac core.AuthzRequest) bool { return true }
 func (a *KVApp) Register(svc *web.Service) {
 	svc.Schema.Register("kv")
 	svc.Router.Handle("POST", "/put", func(c *web.Ctx) wire.Response {
-		if a.PutDelay > 0 {
-			time.Sleep(a.PutDelay)
-		}
 		if err := c.DB.Put("kv", c.Form("key"), orm.Fields("val", c.Form("val"))); err != nil {
 			return c.Error(500, err.Error())
 		}

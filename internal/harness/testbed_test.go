@@ -50,20 +50,6 @@ func TestFreezeTime(t *testing.T) {
 	}
 }
 
-func TestSweepRepairSmoke(t *testing.T) {
-	points, err := SweepRepair([]int{3, 6}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 || points[1].TotalRequests <= points[0].TotalRequests {
-		t.Fatalf("sweep = %+v", points)
-	}
-	out := FormatSweep(points)
-	if !strings.Contains(out, "users") || !strings.Contains(out, "repair time") {
-		t.Fatalf("sweep rendering: %q", out)
-	}
-}
-
 func TestPortingEffortCountsRealCode(t *testing.T) {
 	rows := PortingEffort()
 	if len(rows) == 0 {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"aire/internal/apps/askbot"
 	"aire/internal/apps/dpaste"
@@ -106,131 +105,4 @@ func (b *AskbotBench) Read() error {
 		return fmt.Errorf("read: %d %s", resp.Status, resp.Body)
 	}
 	return nil
-}
-
-// OverheadRow is one row of Table 4.
-type OverheadRow struct {
-	Workload       string
-	BaseThroughput float64 // req/s without Aire
-	AireThroughput float64 // req/s with Aire
-	OverheadPct    float64
-	LogKBPerReq    float64 // compressed repair log per request
-	DBKBPerReq     float64 // database version storage per request
-}
-
-// MeasureOverhead reproduces Table 4: it runs `n` requests of the workload
-// ("read" or "write") against both deployments and reports throughput and
-// per-request storage. Pre-populates `seed` questions so reads scan real
-// data.
-func MeasureOverhead(workload string, n, seed int) (OverheadRow, error) {
-	row := OverheadRow{Workload: workload}
-	for _, withAire := range []bool{false, true} {
-		b, err := NewAskbotBench(withAire)
-		if err != nil {
-			return row, err
-		}
-		for i := 0; i < seed; i++ {
-			if err := b.Write(); err != nil {
-				return row, err
-			}
-		}
-		var op func() error
-		if workload == "read" {
-			op = b.Read
-		} else {
-			op = b.Write
-		}
-		logBefore, dbBefore, reqBefore := int64(0), int64(0), int64(0)
-		if withAire {
-			logBefore = b.Ctrl.Svc.Log.AppBytes()
-			dbBefore = b.Ctrl.Svc.Store.VersionBytes()
-			reqBefore = b.Ctrl.Svc.Log.Samples()
-		}
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err := op(); err != nil {
-				return row, err
-			}
-		}
-		elapsed := time.Since(start).Seconds()
-		tput := float64(n) / elapsed
-		if withAire {
-			row.AireThroughput = tput
-			reqs := b.Ctrl.Svc.Log.Samples() - reqBefore
-			if reqs > 0 {
-				row.LogKBPerReq = float64(b.Ctrl.Svc.Log.AppBytes()-logBefore) / float64(reqs) / 1024
-				row.DBKBPerReq = float64(b.Ctrl.Svc.Store.VersionBytes()-dbBefore) / float64(reqs) / 1024
-			}
-		} else {
-			row.BaseThroughput = tput
-		}
-	}
-	if row.BaseThroughput > 0 {
-		row.OverheadPct = 100 * (1 - row.AireThroughput/row.BaseThroughput)
-	}
-	return row, nil
-}
-
-// RepairPerf is one service's row of Table 5.
-type RepairPerf struct {
-	Service          string
-	RepairedRequests int
-	TotalRequests    int
-	RepairedModelOps int
-	TotalModelOps    int
-	MsgsSent         int64
-	RepairTime       time.Duration
-}
-
-// Table5Result aggregates the Table 5 experiment.
-type Table5Result struct {
-	Rows           []RepairPerf
-	NormalExecTime time.Duration
-}
-
-// MeasureRepair reproduces Table 5: the Askbot attack with `users`
-// legitimate users each posting `posts` questions, then repair, reporting
-// per-service repaired/total counts, messages sent, and times.
-func MeasureRepair(users, posts int, cfg core.Config) (*Table5Result, error) {
-	s, err := NewAskbotScenario(users, cfg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	// Users exist before the vulnerability is introduced, as in the paper;
-	// their signups are independent of the attack.
-	if err := s.PreRegister(users); err != nil {
-		return nil, err
-	}
-	if err := s.RunAttack(); err != nil {
-		return nil, err
-	}
-	if err := s.RunLegitTraffic(users, posts); err != nil {
-		return nil, err
-	}
-	normal := time.Since(start)
-
-	// Repair, capturing per-service repair results. The initial delete on
-	// OAuth is explicit; downstream repairs happen inside Settle, so we
-	// read per-service counters afterwards.
-	if err := s.Repair(); err != nil {
-		return nil, err
-	}
-	if problems := s.Verify(); len(problems) > 0 {
-		return nil, fmt.Errorf("repair incomplete: %v", problems)
-	}
-
-	res := &Table5Result{NormalExecTime: normal}
-	for _, name := range []string{"askbot", "oauth", "dpaste"} {
-		ctrl := s.TB.Ctrls[name]
-		st := ctrl.Stats()
-		perf := RepairPerf{
-			Service:    name,
-			MsgsSent:   st.MsgsDelivered,
-			RepairTime: ctrl.RepairDuration(),
-		}
-		perf.RepairedRequests, perf.TotalRequests, perf.RepairedModelOps, perf.TotalModelOps = ctrl.RepairCounts()
-		res.Rows = append(res.Rows, perf)
-	}
-	return res, nil
 }

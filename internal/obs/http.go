@@ -62,8 +62,7 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// WavesDump is the JSON document served by /aire/debug/waves and
-// uploaded as the bench5 CI artifact.
+// WavesDump is the JSON document served by /aire/debug/waves.
 type WavesDump struct {
 	// TotalSpans counts spans ever recorded (ring may have dropped some).
 	TotalSpans int64 `json:"total_spans"`

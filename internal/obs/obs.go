@@ -109,10 +109,9 @@ func (g *Gauge) Value() int64 {
 const histBuckets = 22
 
 // Histogram is a lock-free latency histogram with exponential
-// (power-of-two microsecond) buckets. It accumulates forever; windowed
-// views are taken by diffing two Snapshots (see Snapshot.DeltaFrom),
-// which is how the bench5 report and the debug handler render
-// per-interval rates without resetting live state.
+// (power-of-two microsecond) buckets. It accumulates forever; live
+// state is never reset, so a windowed view is the difference of two
+// Snapshots taken by the reader.
 type Histogram struct {
 	name    string
 	count   atomic.Int64
@@ -196,20 +195,6 @@ func (s HistSnapshot) QuantileNS(q float64) int64 {
 		seen += n
 	}
 	return s.MaxNS
-}
-
-// DeltaFrom returns the windowed histogram s minus an earlier snapshot
-// prev: the samples observed between the two snapshots.
-func (s HistSnapshot) DeltaFrom(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{
-		Count: s.Count - prev.Count,
-		SumNS: s.SumNS - prev.SumNS,
-		MaxNS: s.MaxNS, // max is cumulative; the window max is not tracked
-	}
-	for i := range s.Buckets {
-		d.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
-	}
-	return d
 }
 
 func (h *Histogram) snapshot() HistSnapshot {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,8 +42,18 @@ func wireHeaderKey(k string) string {
 	return k
 }
 
+// maxRequestBytes caps the body NewHTTPHandler reads from one request,
+// form-encoded or opaque. The largest legitimate body is a repair
+// carrier's encoded wire.Request; anything bigger is refused with 413
+// before the controller sees it.
+const maxRequestBytes = 8 << 20
+
 // NewHTTPHandler exposes a wire Handler as an http.Handler, folding query
-// string and form body into wire.Request.Form.
+// string and form body into wire.Request.Form. A request the adapter
+// cannot read in full — malformed query or form encoding, a body that
+// fails mid-read, a body over maxRequestBytes — is answered 400 (413 when
+// oversized) and never dispatched: a half-read request would reach the
+// controller with silently missing fields.
 func NewHTTPHandler(h Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req := wire.NewRequest(r.Method, r.URL.Path)
@@ -51,19 +62,27 @@ func NewHTTPHandler(h Handler) http.Handler {
 				req.Header[wireHeaderKey(http.CanonicalHeaderKey(k))] = vs[0]
 			}
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 		// ParseForm folds the query string plus (for urlencoded posts) the
 		// body into r.Form; an opaque body (e.g. the encoded request inside
 		// a repair call) is preserved separately.
 		ct := r.Header.Get("Content-Type")
-		if err := r.ParseForm(); err == nil {
-			for k, vs := range r.Form {
-				if len(vs) > 0 {
-					req.Form[k] = vs[0]
-				}
+		if err := r.ParseForm(); err != nil {
+			refuseUnreadable(w, err)
+			return
+		}
+		for k, vs := range r.Form {
+			if len(vs) > 0 {
+				req.Form[k] = vs[0]
 			}
 		}
-		if r.Body != nil && !strings.HasPrefix(ct, "application/x-www-form-urlencoded") {
-			if body, err := io.ReadAll(r.Body); err == nil && len(body) > 0 {
+		if !strings.HasPrefix(ct, "application/x-www-form-urlencoded") {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				refuseUnreadable(w, err)
+				return
+			}
+			if len(body) > 0 {
 				req.Body = body
 			}
 		}
@@ -75,6 +94,17 @@ func NewHTTPHandler(h Handler) http.Handler {
 		w.WriteHeader(resp.Status)
 		w.Write(resp.Body)
 	})
+}
+
+// refuseUnreadable answers a request whose query, form or body could not
+// be read: 413 when the body exceeded maxRequestBytes, 400 otherwise.
+func refuseUnreadable(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "aire: unreadable request: "+err.Error(), status)
 }
 
 // Connection-pooling and timeout defaults for the adapter's HTTP client.
@@ -97,30 +127,18 @@ const (
 // HTTPCaller delivers wire requests over real HTTP. It implements the same
 // Call contract as Bus for use by the controller's outgoing queues.
 //
-// Client construction composes rather than overrides: the effective client
-// is built once, on first use, from the caller-supplied Client (if any)
-// with gaps filled from the knobs below and then the package defaults. A
-// caller-supplied Client with its own Transport or Timeout keeps them; a
-// bare &http.Client{} gets the pooled transport AND the default timeout
-// (previously a caller-supplied client silently dropped both the timeout
-// and all pooling). The supplied Client value is never mutated.
+// The effective client is built once, on first use, from the
+// caller-supplied Client (if any) with a zero Timeout or nil Transport
+// filled from the package defaults above. A supplied Client with its own
+// Transport or Timeout keeps them; the supplied value is never mutated.
 type HTTPCaller struct {
 	// BaseURLs maps service names to base URLs, e.g. "askbot" ->
 	// "http://127.0.0.1:8031".
 	BaseURLs map[string]string
-	// Client, when non-nil, seeds the effective client; zero fields are
-	// filled in from the knobs below. When nil, the adapter builds a pooled
+	// Client, when non-nil, seeds the effective client — the deployment
+	// seam for TLS credentials. When nil, the adapter builds a pooled
 	// default client.
 	Client *http.Client
-	// Timeout bounds one delivery attempt (DefaultHTTPTimeout if zero).
-	// Ignored when the supplied Client already carries its own Timeout.
-	Timeout time.Duration
-	// MaxIdleConnsPerHost, MaxIdleConns, and IdleConnTimeout tune the
-	// pooled transport the adapter builds (package defaults if zero).
-	// Ignored when the supplied Client already carries its own Transport.
-	MaxIdleConnsPerHost int
-	MaxIdleConns        int
-	IdleConnTimeout     time.Duration
 	// Obs, when non-nil, counts wire calls and errors and observes call
 	// latency ("transport.http.calls" / ".errors" / ".call_ns"). Handles
 	// resolve once, alongside the client; nil keeps Call uninstrumented.
@@ -142,25 +160,13 @@ func (c *HTTPCaller) httpClient() *http.Client {
 			cl = *c.Client // shallow copy: fill gaps without mutating the caller's client
 		}
 		if cl.Timeout == 0 {
-			cl.Timeout = c.Timeout
-			if cl.Timeout == 0 {
-				cl.Timeout = DefaultHTTPTimeout
-			}
+			cl.Timeout = DefaultHTTPTimeout
 		}
 		if cl.Transport == nil {
 			t := http.DefaultTransport.(*http.Transport).Clone()
-			t.MaxIdleConnsPerHost = c.MaxIdleConnsPerHost
-			if t.MaxIdleConnsPerHost == 0 {
-				t.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
-			}
-			t.MaxIdleConns = c.MaxIdleConns
-			if t.MaxIdleConns == 0 {
-				t.MaxIdleConns = DefaultMaxIdleConns
-			}
-			t.IdleConnTimeout = c.IdleConnTimeout
-			if t.IdleConnTimeout == 0 {
-				t.IdleConnTimeout = DefaultIdleConnTimeout
-			}
+			t.MaxIdleConnsPerHost = DefaultMaxIdleConnsPerHost
+			t.MaxIdleConns = DefaultMaxIdleConns
+			t.IdleConnTimeout = DefaultIdleConnTimeout
 			cl.Transport = t
 		}
 		c.client = &cl

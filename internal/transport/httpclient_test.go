@@ -33,12 +33,11 @@ func TestHTTPClientDefaultIsPooled(t *testing.T) {
 	}
 }
 
-// A caller-supplied Client without Transport tuning composes with the
-// pooling knobs and default timeout instead of dropping them (the old path
-// used such a client verbatim: no pooling, no timeout).
+// A caller-supplied bare Client is copied, never mutated, and gets the
+// pooled transport and default timeout instead of running without either.
 func TestHTTPClientComposesWithSuppliedClient(t *testing.T) {
 	supplied := &http.Client{}
-	c := &HTTPCaller{Client: supplied, MaxIdleConnsPerHost: 7}
+	c := &HTTPCaller{Client: supplied}
 	cl := c.httpClient()
 	if cl == supplied {
 		t.Fatal("effective client must be a copy, not the caller's value")
@@ -50,34 +49,20 @@ func TestHTTPClientComposesWithSuppliedClient(t *testing.T) {
 		t.Fatalf("Timeout = %v, want default %v", cl.Timeout, DefaultHTTPTimeout)
 	}
 	tr := cl.Transport.(*http.Transport)
-	if tr.MaxIdleConnsPerHost != 7 {
-		t.Fatalf("MaxIdleConnsPerHost = %d, want knob value 7", tr.MaxIdleConnsPerHost)
-	}
-	if tr.MaxIdleConns != DefaultMaxIdleConns {
-		t.Fatalf("MaxIdleConns = %d, want default %d", tr.MaxIdleConns, DefaultMaxIdleConns)
+	if tr.MaxIdleConnsPerHost != DefaultMaxIdleConnsPerHost {
+		t.Fatalf("MaxIdleConnsPerHost = %d, want default %d", tr.MaxIdleConnsPerHost, DefaultMaxIdleConnsPerHost)
 	}
 }
 
 // A supplied Client that already carries a Timeout or Transport keeps them.
 func TestHTTPClientSuppliedFieldsWin(t *testing.T) {
 	own := &http.Transport{MaxIdleConnsPerHost: 3}
-	c := &HTTPCaller{
-		Client:  &http.Client{Timeout: 250 * time.Millisecond, Transport: own},
-		Timeout: 9 * time.Second, // ignored: the client has its own
-	}
+	c := &HTTPCaller{Client: &http.Client{Timeout: 250 * time.Millisecond, Transport: own}}
 	cl := c.httpClient()
 	if cl.Timeout != 250*time.Millisecond {
 		t.Fatalf("Timeout = %v, want the client's own 250ms", cl.Timeout)
 	}
 	if cl.Transport != own {
 		t.Fatal("caller's Transport must be kept verbatim")
-	}
-}
-
-// The Timeout knob applies when no client is supplied.
-func TestHTTPClientTimeoutKnob(t *testing.T) {
-	c := &HTTPCaller{Timeout: 1 * time.Second}
-	if got := c.httpClient().Timeout; got != 1*time.Second {
-		t.Fatalf("Timeout = %v, want 1s", got)
 	}
 }

@@ -1,9 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"aire/internal/wire"
 )
@@ -121,6 +126,51 @@ func TestHTTPAdapterDeliveryHeaders(t *testing.T) {
 	}
 	if resp.Header[wire.HdrDeliveryID] != "a-dlv-7" {
 		t.Fatal("delivery headers lost in response canonicalization")
+	}
+}
+
+// TestHTTPHandlerRefusesUnreadableRequests: a request the adapter cannot
+// read in full is answered 400 (413 when over the byte cap) and never
+// reaches the wire handler — dispatching it would hand the controller a
+// request with silently missing form fields or an empty body.
+func TestHTTPHandlerRefusesUnreadableRequests(t *testing.T) {
+	const form = "application/x-www-form-urlencoded"
+	cases := []struct {
+		name        string
+		target      string
+		contentType string
+		body        io.Reader
+		want        int
+	}{
+		{"bad escape in query", "/put?key=%zz", "", nil, http.StatusBadRequest},
+		{"bad escape in form body", "/put", form, strings.NewReader("key=%zz"), http.StatusBadRequest},
+		{"opaque body fails mid-read", "/aire/repair", "application/json",
+			io.MultiReader(strings.NewReader(`{"method":`), iotest.ErrReader(io.ErrUnexpectedEOF)), http.StatusBadRequest},
+		{"oversized opaque body", "/aire/repair", "application/json",
+			bytes.NewReader(make([]byte, maxRequestBytes+1)), http.StatusRequestEntityTooLarge},
+		{"oversized form body", "/put", form,
+			strings.NewReader("val=" + strings.Repeat("x", maxRequestBytes)), http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0
+			h := NewHTTPHandler(HandlerFunc(func(string, wire.Request) wire.Response {
+				calls++
+				return wire.NewResponse(200, "ok")
+			}))
+			r := httptest.NewRequest("POST", tc.target, tc.body)
+			if tc.contentType != "" {
+				r.Header.Set("Content-Type", tc.contentType)
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			if w.Code != tc.want {
+				t.Fatalf("status = %d, want %d (body %q)", w.Code, tc.want, w.Body)
+			}
+			if calls != 0 {
+				t.Fatalf("wire handler invoked %d times on an unreadable request", calls)
+			}
+		})
 	}
 }
 
