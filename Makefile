@@ -7,16 +7,19 @@ GO ?= go
 # Fault-injection simulation sweep (internal/simnet + cmd/airesim).
 # SIM_SEEDS is "lo:hi" (inclusive) or "3,7,19"; SIM_PROFILE is one of
 # `go run ./cmd/airesim -profiles` (drop, duplicate, delay, partition,
-# crash, mixed, stale, dupcreate, lostwave, corrupt). CI runs a short
-# fixed-seed matrix; longer local sweeps:
+# crash, fsynclag, mixed, stale, dupcreate, lostwave, corrupt). Every crash
+# recovers from the on-disk WAL; crash and fsynclag are the durability
+# cells. CI runs a short fixed-seed matrix; longer local sweeps:
 #   make sim SIM_PROFILE=mixed SIM_SEEDS=1:1000
+# Watch the crash profile's teeth (fsync=none loses the unsynced tail):
+#   go run ./cmd/airesim -profile crash -seeds 1:20 -fsync none
 SIM_SEEDS ?= 1:20
 SIM_PROFILE ?= mixed
 # SIM_SHARDS splits every faulted service N ways behind the key-hash
 # router (ISSUE 10); the convergence oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched durability fuzz-wal
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal
 
 all: build
 
@@ -72,15 +75,6 @@ fmt-fix:
 
 sim:
 	$(GO) run ./cmd/airesim -profile $(SIM_PROFILE) -seeds $(SIM_SEEDS) -shards $(SIM_SHARDS)
-
-# Crash-durability gate (ISSUE 6): WAL-backed profiles where every crash
-# discards in-memory state and recovers from checkpoint + WAL replay.
-# fsync=every + power loss must lose nothing; fsync=interval + process
-# kill must still converge. Watch the gate's teeth with:
-#   go run ./cmd/airesim -profile crash -seeds 1:20 -fsync none
-durability:
-	$(GO) run -race ./cmd/airesim -profile crash -seeds $(SIM_SEEDS)
-	$(GO) run -race ./cmd/airesim -profile fsynclag -seeds $(SIM_SEEDS)
 
 # WAL corruption + replay fuzzing smoke: deterministic corruption table
 # (bit flips, truncations, zeroed CRCs, garbage appends) plus a short

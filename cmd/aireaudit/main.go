@@ -1,84 +1,114 @@
-// Command aireaudit inspects a persisted Aire service snapshot (written by
-// aire/internal/persist) and answers the administrator questions of §2:
-// what did a suspect request influence, and what could have influenced an
+// Command aireaudit inspects an Aire service's durable state — the data
+// directory aireserve (or any persist.Recover caller) keeps, e.g.
+// aireserve-data/a — and answers the administrator questions of §2: what
+// did a suspect request influence, and what could have influenced an
 // observed corruption?
 //
-//	aireaudit -snapshot a.snap -blast <request-id>    # transitive effects
-//	aireaudit -snapshot a.snap -trace <request-id>    # transitive causes
-//	aireaudit -snapshot a.snap -dot > deps.dot        # Graphviz export
-//	aireaudit -snapshot a.snap -list                  # timeline listing
+//	aireaudit -dir aireserve-data/a -blast <request-id>   # transitive effects
+//	aireaudit -dir aireserve-data/a -trace <request-id>   # transitive causes
+//	aireaudit -dir aireserve-data/a -dot > deps.dot       # Graphviz export
+//	aireaudit -dir aireserve-data/a -list                 # timeline listing
+//
+// The repair log is rebuilt exactly as recovery would (latest checkpoint,
+// then the WAL tail) into a throwaway controller; the directory is only
+// read, never modified, so it is safe to audit a live service's data.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"path/filepath"
 
 	"aire/internal/audit"
+	"aire/internal/core"
 	"aire/internal/persist"
-	"aire/internal/repairlog"
+	"aire/internal/web"
 )
 
 func main() {
-	snapshot := flag.String("snapshot", "", "path to a persisted service snapshot (required)")
-	blast := flag.String("blast", "", "print the blast radius of this request ID")
-	trace := flag.String("trace", "", "print the ancestors of this request ID")
-	dot := flag.Bool("dot", false, "emit the dependency graph as Graphviz DOT")
-	list := flag.Bool("list", false, "list the request timeline")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *snapshot == "" {
-		flag.Usage()
-		os.Exit(2)
+// run is main without the process exit, so the smoke test can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aireaudit", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", "", "a service's durable state directory: WAL segments + checkpoints (required)")
+	blast := fs.String("blast", "", "print the blast radius of this request ID")
+	trace := fs.String("trace", "", "print the ancestors of this request ID")
+	dot := fs.Bool("dot", false, "emit the dependency graph as Graphviz DOT")
+	list := fs.Bool("list", false, "list the request timeline")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	f, err := os.Open(*snapshot)
+	if *dir == "" || (*blast == "" && *trace == "" && !*dot && !*list) {
+		fs.Usage()
+		return 2
+	}
+	c, err := load(*dir)
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	snap, err := persist.Read(f)
-	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "aireaudit:", err)
+		return 1
 	}
 
-	// Rebuild just the log; audit needs nothing else.
-	lg := repairlog.New(false)
-	for _, r := range snap.Records {
-		if err := lg.Append(r); err != nil {
-			log.Fatal(err)
-		}
-	}
-	g := audit.Build(lg)
-	fmt.Fprintf(os.Stderr, "aireaudit: service %q, %d requests, %d dependency edges\n",
-		snap.Service, len(g.Requests), len(g.Edges))
-
+	g := audit.Build(c.Svc.Log)
+	fmt.Fprintf(stderr, "aireaudit: service %q, %d requests, %d dependency edges\n",
+		c.Svc.Name, len(g.Requests), len(g.Edges))
 	switch {
 	case *blast != "":
 		ids := g.Descendants(*blast)
-		fmt.Printf("blast radius of %s: %d request(s)/call(s)\n", *blast, len(ids))
+		fmt.Fprintf(stdout, "blast radius of %s: %d request(s)/call(s)\n", *blast, len(ids))
 		for _, id := range ids {
-			fmt.Println(" ", id)
+			fmt.Fprintln(stdout, " ", id)
 		}
 	case *trace != "":
 		ids := g.Ancestors(*trace)
-		fmt.Printf("ancestors of %s: %d request(s)\n", *trace, len(ids))
+		fmt.Fprintf(stdout, "ancestors of %s: %d request(s)\n", *trace, len(ids))
 		for _, id := range ids {
-			fmt.Println(" ", id)
+			fmt.Fprintln(stdout, " ", id)
 		}
 	case *dot:
-		highlight := map[string]bool{}
-		fmt.Print(g.DOT(highlight))
+		fmt.Fprint(stdout, g.DOT(nil))
 	case *list:
-		for _, r := range snap.Records {
+		for _, r := range c.Svc.Log.All() {
 			status := ""
 			if r.Skipped {
 				status = " [cancelled]"
 			}
-			fmt.Printf("%-20s ts=%-12d %-5s %-30s -> %d%s\n", r.ID, r.TS, r.Req.Method, r.Req.Path, r.Resp.Status, status)
+			fmt.Fprintf(stdout, "%-20s ts=%-12d %-5s %-30s -> %d%s\n", r.ID, r.TS, r.Req.Method, r.Req.Path, r.Resp.Status, status)
 		}
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
+	return 0
 }
+
+// load rebuilds the service's state from dir read-only (persist.Load). The
+// service is named by its latest checkpoint, or by the directory when no
+// checkpoint exists yet (aireserve names each service's directory after it).
+func load(dir string) (*core.Controller, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, err
+	}
+	name := filepath.Base(dir)
+	cp, err := persist.LatestCheckpoint(dir)
+	if err != nil {
+		return nil, err
+	}
+	if cp != nil {
+		name = cp.Snap.Service
+	}
+	c := core.NewController(auditApp(name), nil, core.DefaultConfig())
+	if err := persist.Load(c, dir); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// auditApp stands in for the audited application: replay needs only the
+// service's name, never its routes or policy.
+type auditApp string
+
+func (a auditApp) Name() string                   { return string(a) }
+func (auditApp) Register(*web.Service)            {}
+func (auditApp) Authorize(core.AuthzRequest) bool { return false }

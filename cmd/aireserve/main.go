@@ -74,10 +74,15 @@ func main() {
 	interval := flag.Duration("pump-interval", 100*time.Millisecond, "pacing of background pump passes")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry delay for unreachable peers (0 = park after max attempts)")
 	backoffMax := flag.Duration("backoff-max", 5*time.Second, "cap on the exponential retry delay")
-	waldir := flag.String("waldir", "aireserve-data", `durable state directory (per-service WAL + checkpoints); "" disables durability`)
+	waldir := flag.String("waldir", "aireserve-data", "durable state directory (per-service WAL + checkpoints; required)")
 	fsync := flag.String("fsync", "every", "WAL fsync policy: every, interval, none")
 	cpEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often each service checkpoints and truncates its WAL")
 	flag.Parse()
+	if *waldir == "" {
+		fmt.Fprintln(os.Stderr, "aireserve: -waldir must name a directory: durable state is not optional")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	reg := obs.New(obs.DefaultRingCap)
 	cfg := aire.DefaultConfig()
@@ -103,29 +108,27 @@ func main() {
 	// restarted aireserve resumes with its repair logs, versioned stores,
 	// outgoing queues, and dedup inboxes intact, then checkpoints in the
 	// background so the WAL stays bounded.
-	if *waldir != "" {
-		pol, err := wal.ParsePolicy(*fsync)
-		if err != nil {
-			log.Fatalf("aire: %v", err)
-		}
-		for _, s := range []struct {
-			name string
-			ctrl *aire.Controller
-		}{{"a", ctrlA}, {"b", ctrlB}} {
-			dir := filepath.Join(*waldir, s.name)
-			w, err := persist.Recover(s.ctrl, dir, wal.Options{Policy: pol})
-			if err != nil {
-				log.Fatalf("aire: recover %s from %s: %v", s.name, dir, err)
-			}
-			name := s.name
-			stopCp := persist.StartCheckpointer(ctx, s.ctrl, w, dir, *cpEvery, func(err error) {
-				log.Printf("aire: checkpoint %s: %v", name, err)
-			})
-			defer stopCp()
-			defer w.Close()
-		}
-		fmt.Printf("aire: durable state in %s (fsync=%s, checkpoint every %v)\n", *waldir, pol, *cpEvery)
+	pol, err := wal.ParsePolicy(*fsync)
+	if err != nil {
+		log.Fatalf("aire: %v", err)
 	}
+	for _, s := range []struct {
+		name string
+		ctrl *aire.Controller
+	}{{"a", ctrlA}, {"b", ctrlB}} {
+		dir := filepath.Join(*waldir, s.name)
+		w, err := persist.Recover(s.ctrl, dir, wal.Options{Policy: pol})
+		if err != nil {
+			log.Fatalf("aire: recover %s from %s: %v", s.name, dir, err)
+		}
+		name := s.name
+		stopCp := persist.StartCheckpointer(ctx, s.ctrl, w, dir, *cpEvery, func(err error) {
+			log.Printf("aire: checkpoint %s: %v", name, err)
+		})
+		defer stopCp()
+		defer w.Close()
+	}
+	fmt.Printf("aire: durable state in %s (fsync=%s, checkpoint every %v)\n", *waldir, pol, *cpEvery)
 
 	ctrls := map[string]*aire.Controller{"a": ctrlA, "b": ctrlB}
 	go func() {

@@ -18,15 +18,15 @@
 // seed prints its scheduler step count; replaying the seed replays the
 // schedule verbatim.
 //
-// The crash and fsynclag profiles are the crash-durability gate: their
-// services run on an on-disk write-ahead log (internal/wal) and every crash
-// discards in-memory state, recovering from checkpoint + WAL replay. Under
-// crash (fsync=every + power loss) zero committed state may be lost; run
-// with -fsync none to watch the unsynced tail genuinely disappear.
+// Every service of the faulted world runs on an on-disk write-ahead log
+// (internal/wal), and every crash discards in-memory state, recovering from
+// checkpoint + WAL replay. A crash is a process kill (buffered appends
+// survive) except under the crash profile, where it is a power loss with
+// fsync=every: zero committed state may be lost there; run with -fsync none
+// to watch the unsynced tail genuinely disappear.
 //
 // CI runs a short fixed-seed matrix per fault profile (the `sim` job
-// serial, the `sched` job under -sched, the `durability` job over the
-// crash/fsynclag profiles); longer local sweeps:
+// serial, the `sched` job under -sched); longer local sweeps:
 //
 //	make sim SIM_PROFILE=mixed SIM_SEEDS=1:500
 //	make sim-sched SIM_PROFILE=mixed SIM_SEEDS=1:500
@@ -57,7 +57,7 @@ func main() {
 		repairs   = flag.Int("repairs", 0, "attacked puts per run (0 = profile default)")
 		sched     = flag.Bool("sched", false, "run repair delivery on the background pump under the deterministic scheduler (internal/dsched): seeded task interleavings instead of the serial Flush loop")
 		shards    = flag.Int("shards", 0, "shard every faulted service N ways behind a key-hash router (per-shard store/log/pump/WAL); the convergence oracle is shard-count-invariant (0/1 = unsharded)")
-		fsync     = flag.String("fsync", "", `override the WAL fsync policy of WAL-backed profiles (crash, fsynclag): "every", "interval", "none" (empty = profile default; "none" demonstrates tail loss)`)
+		fsync     = flag.String("fsync", "", `override the profile's WAL fsync policy: "every", "interval", "none" (empty = profile default; "none" under -profile crash demonstrates tail loss)`)
 		nodedup   = flag.Bool("nodedup", false, "disable the peer-side exactly-once dedup inbox (demonstrates the stale/dupcreate hazards)")
 		expectF   = flag.Bool("expect-fail", false, "invert the verdict: exit 0 only if at least one seed FAILS the oracle (teeth checks: proves a disabled defense genuinely loses its property)")
 		verbose   = flag.Bool("v", false, "print the fault schedule of failing seeds")
@@ -98,10 +98,6 @@ func main() {
 	base.ScheduledPump = *sched
 	base.Shards = *shards
 	if *fsync != "" {
-		if !base.WAL {
-			fmt.Fprintf(os.Stderr, "airesim: -fsync only applies to WAL-backed profiles (crash, fsynclag); %s is not\n", *profile)
-			os.Exit(2)
-		}
 		base.WALFsync = *fsync
 	}
 

@@ -177,14 +177,6 @@ type Config struct {
 	// under the same per-(peer, shard) keys the live path uses. Default
 	// nil: no shard resolution, no shard header, no shard yield points.
 	Topology *ShardTopology
-	// StrictIndexes verifies vdb/repairlog secondary-index coherence at
-	// the start of every repair wave (the carried ROADMAP
-	// coherence-at-repair-start debt): a corrupted or stale index fails
-	// the repair loudly instead of silently walking the wrong slice.
-	// Pure reads under Svc.Mu — no yields, no IDs, no rng — so scheduler
-	// digests are unchanged either way. Default off; the simulation
-	// harness turns it on.
-	StrictIndexes bool
 }
 
 // DefaultConfig returns the configuration used throughout the experiments.
@@ -870,7 +862,7 @@ func (c *Controller) applyActionsGated(actions []warp.Action, gate *deliveryGate
 }
 
 // checkIndexesLocked is the repair-wave-start coherence guard: when
-// Config.StrictIndexes is set it cross-checks the store's and the repair
+// Faults.StrictIndexes is set it cross-checks the store's and the repair
 // log's secondary indexes against their primary state and refuses to start
 // the wave on any divergence. The indexes drive which records a repair
 // visits (the inverted-dependency walk) and which call a replace_response
@@ -879,7 +871,7 @@ func (c *Controller) applyActionsGated(actions []warp.Action, gate *deliveryGate
 // reads — no yields, no IDs, no rng, no WAL traffic — so runs with the
 // guard on and off execute identical schedules. Caller holds Svc.Mu.
 func (c *Controller) checkIndexesLocked() error {
-	if !c.Cfg.StrictIndexes {
+	if !c.faults.StrictIndexes {
 		return nil
 	}
 	if err := c.Svc.Store.VerifyIndexes(); err != nil {
@@ -984,7 +976,7 @@ func (c *Controller) enqueueIncoming(action warp.Action, gate *deliveryGate, tc 
 // outcome for creates — or roll back if the batch fails, so the senders'
 // redeliveries are re-applied rather than falsely acknowledged.
 func (c *Controller) ProcessIncoming() (*warp.Result, error) {
-	if c.Cfg.StrictIndexes {
+	if c.faults.StrictIndexes {
 		// Check before draining the inbox: on failure the accepted batch
 		// stays pending (and WAL-persisted), so nothing is silently lost
 		// behind the loud error.

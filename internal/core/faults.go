@@ -1,10 +1,11 @@
 package core
 
-// Faults are fault-injection hooks for tests and the simulator. Each one
-// re-opens a hazard that a protocol defense closes, so a test can prove the
-// defense is load-bearing (and that the harness rediscovers the historical
-// bug). They are deliberately not part of Config and not re-exported by the
-// aire facade: nothing a deployment configures can switch a defense off.
+// Faults are fault-injection and checking hooks for tests and the
+// simulator. Most re-open a hazard that a protocol defense closes, so a
+// test can prove the defense is load-bearing (and that the harness
+// rediscovers the historical bug); StrictIndexes adds a check instead. They
+// are deliberately not part of Config and not re-exported by the aire
+// facade: nothing a deployment configures can switch a defense off.
 type Faults struct {
 	// DisableDedup turns off the peer-side exactly-once inbox
 	// (internal/deliver): incoming repair deliveries are handled
@@ -30,6 +31,12 @@ type Faults struct {
 	// wholly-lost delivery is only ever retried the ordinary way — the
 	// stall the re-offer path exists to break.
 	SuppressReoffer bool
+	// StrictIndexes verifies vdb/repairlog secondary-index coherence at
+	// the start of every repair wave: a corrupted or stale index fails the
+	// repair loudly instead of silently walking the wrong slice. Pure reads
+	// under Svc.Mu — no yields, no IDs, no rng — so scheduler digests are
+	// unchanged either way. The simulation harness turns it on.
+	StrictIndexes bool
 }
 
 // InjectFaults installs fault hooks on the controller. Call it before the

@@ -176,13 +176,10 @@ func (g deliveryGate) rollbackEmit(join bool) {
 	}
 }
 
-// ExportInbox returns the dedup inbox state for persistence: restoring it
-// alongside the repair log keeps the exactly-once guarantee across
-// crash-restart (a redelivery the crashed incarnation already applied is
-// still re-acknowledged, not re-applied).
-func (c *Controller) ExportInbox() []deliver.OriginDump { return c.dedup.Dump() }
-
-// ImportInbox restores a persisted dedup inbox.
+// ImportInbox restores a persisted dedup inbox (AtomicExport.Inbox):
+// restoring it alongside the repair log keeps the exactly-once guarantee
+// across crash-restart (a redelivery the crashed incarnation already
+// applied is still re-acknowledged, not re-applied).
 func (c *Controller) ImportInbox(dump []deliver.OriginDump) { c.dedup.Restore(dump) }
 
 // InboxLenDedup reports how many delivery entries the dedup inbox holds

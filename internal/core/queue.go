@@ -216,11 +216,6 @@ func (c *Controller) Drop(msgID string) error {
 	return fmt.Errorf("core: no pending message %s", msgID)
 }
 
-// ExportQueue returns the outgoing queue for persistence.
-func (c *Controller) ExportQueue() []PendingMsg {
-	return c.Pending()
-}
-
 // ImportQueue restores a persisted outgoing queue (appended to any current
 // contents, re-collapsed by message identity).
 func (c *Controller) ImportQueue(msgs []PendingMsg) {

@@ -9,16 +9,17 @@ import (
 	"aire/internal/wire"
 )
 
-func strictCfg() Config {
-	cfg := DefaultConfig()
-	cfg.StrictIndexes = true
-	return cfg
+// addStrict adds a kv service with the StrictIndexes hook installed.
+func addStrict(tb *testbed) *Controller {
+	c := tb.add(&kvApp{name: "store"}, DefaultConfig())
+	c.InjectFaults(Faults{StrictIndexes: true})
+	return c
 }
 
 // With coherent indexes the guard is invisible: repair runs normally.
 func TestStrictIndexesPassesOnHealthyState(t *testing.T) {
 	tb := newTestbed()
-	c := tb.add(&kvApp{name: "store"}, strictCfg())
+	c := addStrict(tb)
 	tb.call("store", put("x", "good"))
 	attack := tb.call("store", put("x", "evil"))
 	if _, err := c.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]}); err != nil {
@@ -32,7 +33,7 @@ func TestStrictIndexesPassesOnHealthyState(t *testing.T) {
 // A drifted store index fails the wave loudly before any record is touched.
 func TestStrictIndexesGuardFiresOnStoreCorruption(t *testing.T) {
 	tb := newTestbed()
-	c := tb.add(&kvApp{name: "store"}, strictCfg())
+	c := addStrict(tb)
 	tb.call("store", put("x", "good"))
 	attack := tb.call("store", put("x", "evil"))
 
@@ -54,7 +55,7 @@ func TestStrictIndexesGuardFiresOnStoreCorruption(t *testing.T) {
 // A drifted repair-log index fails the wave the same way.
 func TestStrictIndexesGuardFiresOnLogCorruption(t *testing.T) {
 	tb := newTestbed()
-	c := tb.add(&kvApp{name: "store"}, strictCfg())
+	c := addStrict(tb)
 	tb.call("store", put("x", "good"))
 	attack := tb.call("store", put("x", "evil"))
 
@@ -71,7 +72,7 @@ func TestStrictIndexesGuardFiresOnLogCorruption(t *testing.T) {
 // ProcessIncoming — the batch-mode wave entry point — runs the same guard.
 func TestStrictIndexesGuardFiresOnProcessIncoming(t *testing.T) {
 	tb := newTestbed()
-	c := tb.add(&kvApp{name: "store"}, strictCfg())
+	c := addStrict(tb)
 	tb.call("store", put("x", "good"))
 
 	c.Svc.Store.DropIndexEntryForTest(vdb.Key{Model: "kv", ID: "x"})
@@ -82,7 +83,8 @@ func TestStrictIndexesGuardFiresOnProcessIncoming(t *testing.T) {
 	}
 }
 
-// Off by default: the same corruption goes unnoticed without StrictIndexes,
+// Off by default (the zero Faults): the same corruption goes unnoticed
+// without StrictIndexes,
 // proving the guard (not some other path) is what fires above.
 func TestStrictIndexesOffByDefault(t *testing.T) {
 	tb := newTestbed()

@@ -34,7 +34,7 @@ func TestUntrustedVectorHeadersRefused(t *testing.T) {
 	if resp, err := tb.bus.Call("a", "b", create("a-dlv-1")); err != nil || !resp.OK() {
 		t.Fatalf("well-formed create: %v %+v", err, resp)
 	}
-	wantSeq, wantInbox, wantLog := w.Seq(), b.ExportInbox(), b.Svc.Log.Len()
+	wantSeq, wantInbox, wantLog := w.Seq(), b.ExportAtomic().Inbox, b.Svc.Log.Len()
 
 	cases := []struct {
 		name            string
@@ -66,7 +66,7 @@ func TestUntrustedVectorHeadersRefused(t *testing.T) {
 			if got := w.Seq(); got != wantSeq {
 				t.Fatalf("refused carrier appended %d WAL entries", got-wantSeq)
 			}
-			if got := b.ExportInbox(); !reflect.DeepEqual(got, wantInbox) {
+			if got := b.ExportAtomic().Inbox; !reflect.DeepEqual(got, wantInbox) {
 				t.Fatalf("refused carrier changed the dedup inbox:\n got %+v\nwant %+v", got, wantInbox)
 			}
 			if got := b.Svc.Log.Len(); got != wantLog {

@@ -2,50 +2,12 @@ package harness
 
 import "testing"
 
-// This file is the crash-durability gate (ROADMAP item 1): the crash
-// profile's recoveries rebuild services purely from the on-disk WAL
-// (checkpoint + replay, with the unsynced tail power-lossed away), and the
-// oracle requires zero committed state lost across a seed batch. The
-// fsync=none run proves the gate has teeth — without the fsync the same
-// schedules genuinely lose their tails.
-
-// TestWALRecoveryEquivalence: for every seed, the WAL-backed crash run must
-// (a) pass the convergence oracle and (b) produce exactly the StateDigest
-// of the same schedule run with the legacy in-memory snapshot handoff —
-// recovery from genuinely persisted bytes is observationally identical to a
-// restore that by construction cannot lose anything. CI's durability job
-// sweeps more seeds through the same profile via cmd/airesim.
-func TestWALRecoveryEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		walCfg, err := SimProfileConfig("crash")
-		if err != nil {
-			t.Fatal(err)
-		}
-		walCfg.Seed = seed
-		walRes, err := RunSim(walCfg)
-		if err != nil {
-			t.Fatalf("seed %d (wal): harness error (reproduce: go run ./cmd/airesim -profile crash -seeds %d -v): %v", seed, seed, err)
-		}
-		if !walRes.Passed {
-			t.Errorf("seed %d (wal) lost committed state (reproduce: go run ./cmd/airesim -profile crash -seeds %d -v): %v",
-				seed, seed, walRes.Failures)
-			continue
-		}
-		if walRes.CrashCount == 0 {
-			continue // nothing to compare; the seed batch as a whole crashes plenty
-		}
-		memCfg := walCfg
-		memCfg.WAL, memCfg.WALFsync, memCfg.WALPowerLoss = false, "", false
-		memRes, err := RunSim(memCfg)
-		if err != nil {
-			t.Fatalf("seed %d (snapshot): harness error: %v", seed, err)
-		}
-		if walRes.StateDigest != memRes.StateDigest {
-			t.Errorf("seed %d: WAL recovery digest %x != snapshot-handoff digest %x — recovery altered observable state",
-				seed, walRes.StateDigest, memRes.StateDigest)
-		}
-	}
-}
+// Crash-durability regressions. Every simulated crash rebuilds a service
+// purely from the on-disk WAL (checkpoint + replay); the crash profile
+// power-losses the unsynced tail away, and its seed sweeps in the sim and
+// sched matrices (cmd/airesim) require zero committed state lost. The
+// fsync=none run here proves that gate has teeth — without the fsync the
+// same schedules genuinely lose their tails.
 
 // TestWALFsyncNoneLosesTail demonstrates the hazard the fsync gate closes:
 // the same crash schedules run with fsync=none must lose committed state on
@@ -70,7 +32,7 @@ func TestWALFsyncNoneLosesTail(t *testing.T) {
 	if lost == 0 {
 		t.Fatal("fsync=none lost nothing across seeds 1..20 — the crash profile no longer exercises the durability boundary")
 	}
-	t.Logf("fsync=none lost committed state on %d/20 seeds (fsync=every loses it on 0/20: TestWALRecoveryEquivalence)", lost)
+	t.Logf("fsync=none lost committed state on %d/20 seeds (fsync=every loses it on 0/20: airesim -profile crash)", lost)
 }
 
 // TestWALCrashUnderScheduledPump runs the WAL-backed crash profile with

@@ -46,8 +46,8 @@ func TestSchedObsDigestInvariant(t *testing.T) {
 		}
 	}
 	// mixed covers partitions + crashes + every wire fault across the full
-	// seed range; crash additionally runs the WAL latency hooks and the
-	// crash-recovery registry re-attach under power loss.
+	// seed range; crash additionally runs the crash-recovery registry
+	// re-attach under power loss.
 	t.Run("mixed", func(t *testing.T) { check(t, "mixed", 1, 20) })
 	t.Run("crash", func(t *testing.T) { check(t, "crash", 1, 5) })
 }

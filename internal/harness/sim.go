@@ -49,8 +49,8 @@ type SimConfig struct {
 	Services int
 	// Shards partitions every attacked-world service into N shard
 	// controllers — each with its own store, repair log, dedup inbox,
-	// pump, and (under WAL) its own log and recovery — behind a
-	// core.ShardedController router registered under the base name.
+	// pump, WAL and recovery — behind a core.ShardedController router
+	// registered under the base name.
 	// 0 or 1 is the unsharded legacy path, byte-identical to the
 	// pre-shard harness (same digests, same schedules). The golden world
 	// always runs unsharded: the oracle then states that converged state
@@ -121,7 +121,7 @@ type SimConfig struct {
 	// racing claims — while remaining a pure function of the seed.
 	ScheduledPump bool
 	// killCrashes makes every crash event a scheduler task kill instead of
-	// a graceful pump shutdown (ScheduledPump + WAL only): the crashed
+	// a graceful pump shutdown (ScheduledPump only): the crashed
 	// service's pump and delivery-worker tasks are killed at whatever
 	// yield point they are parked — mid-pass, claims in flight, deferred
 	// cleanup never run — and the service is rebuilt purely from durable
@@ -151,21 +151,18 @@ type SimConfig struct {
 	// random bipartition of the services, healed a few steps later).
 	PartitionRate float64
 	// CrashRate is the per-step probability of crash-restarting a random
-	// service: its controller is torn down and rebuilt from an
-	// internal/persist snapshot mid-repair.
+	// service mid-repair. Every attacked-world service runs on an on-disk
+	// write-ahead log (internal/wal); a crash discards the controller AND
+	// its in-memory state and rebuilds it from checkpoint + WAL replay
+	// (persist.Recover). Every other crash of a given service also writes a
+	// checkpoint and truncates the replayed segments, so later recoveries
+	// exercise the snapshot-plus-tail path, not just pure replay.
 	CrashRate float64
-	// WAL backs every attacked-world service with an on-disk write-ahead
-	// log (internal/wal). Crash events then discard the controller AND its
-	// in-memory state, rebuilding it from checkpoint + WAL replay
-	// (persist.Recover) instead of the in-memory snapshot handoff. Every
-	// other crash of a given service also writes a checkpoint and truncates
-	// the replayed segments, so later recoveries exercise the
-	// snapshot-plus-tail path, not just pure replay.
-	WAL bool
 	// WALFsync is the fsync policy ("every", "interval", "none"; default
-	// "every"). Under "every" a power-loss crash loses no committed state;
-	// under "none" the whole unsynced tail is lost — the fsync-lag
-	// durability tests assert both.
+	// "none": a process kill keeps buffered appends, so only WALPowerLoss
+	// interacts with the sync schedule). Under "every" a power-loss crash
+	// loses no committed state; under "none" the whole unsynced tail is
+	// lost — the fsync-lag durability tests assert both.
 	WALFsync string
 	// WALInterval is the commit count between fsyncs under "interval".
 	WALInterval int
@@ -174,9 +171,6 @@ type SimConfig struct {
 	// the crash is a process kill — buffered appends survive the way the
 	// OS page cache outlives a dead process.
 	WALPowerLoss bool
-	// WALDir overrides the WAL base directory (default: a fresh temp
-	// directory, removed when the run ends).
-	WALDir string
 	// MaxRounds bounds the post-workload quiesce loop.
 	MaxRounds int
 }
@@ -196,6 +190,9 @@ func (cfg SimConfig) withDefaults() SimConfig {
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 100
+	}
+	if cfg.WALFsync == "" {
+		cfg.WALFsync = "none"
 	}
 	return cfg
 }
@@ -409,66 +406,28 @@ type simWorld struct {
 	pumpCancel  map[string]context.CancelFunc
 	killCrashes bool
 
-	// WAL mode (SimConfig.WAL; attacked world only).
+	// Durable state (attacked world only): a temp directory, removed when
+	// the run ends, holding one WAL+checkpoint directory per controller.
 	walBase      string
-	walOwned     bool // we created walBase and must remove it
 	walOpts      wal.Options
 	walPowerLoss bool
-	walDirs      map[string]string
 	walWriters   map[string]*wal.Writer
 	walCrashes   map[string]int
 }
 
-// enableWAL puts every service of the (already built) world on an on-disk
-// write-ahead log: each controller gets a WAL directory and an attached
-// writer via persist.Recover (a no-op recovery on the empty directory).
-func (w *simWorld) enableWAL(cfg SimConfig) error {
-	base := cfg.WALDir
-	if base == "" {
-		d, err := os.MkdirTemp("", "airesim-wal-")
-		if err != nil {
-			return fmt.Errorf("sim: wal dir: %w", err)
-		}
-		base = d
-		w.walOwned = true
-	}
-	w.walBase = base
-	pol := wal.FsyncEveryCommit
-	if cfg.WALFsync != "" {
-		p, err := wal.ParsePolicy(cfg.WALFsync)
-		if err != nil {
-			return err
-		}
-		pol = p
-	}
-	w.walOpts = wal.Options{Policy: pol, Interval: cfg.WALInterval}
-	w.walPowerLoss = cfg.WALPowerLoss
-	w.walDirs = map[string]string{}
-	w.walWriters = map[string]*wal.Writer{}
-	w.walCrashes = map[string]int{}
-	for _, name := range w.cnames {
-		dir := filepath.Join(base, name)
-		w.walDirs[name] = dir
-		wr, err := persist.Recover(w.ctrls[name], dir, w.walOpts)
-		if err != nil {
-			return fmt.Errorf("sim: wal init %s: %w", name, err)
-		}
-		w.walWriters[name] = wr
-	}
-	return nil
-}
-
-// closeWAL closes every writer and removes the temp directory (if owned).
+// closeWAL closes every writer and removes the temp directory.
 func (w *simWorld) closeWAL() {
 	for _, wr := range w.walWriters {
 		wr.Close()
 	}
-	if w.walOwned && w.walBase != "" {
-		os.RemoveAll(w.walBase)
-	}
+	os.RemoveAll(w.walBase)
 }
 
-func buildSimWorld(cfg SimConfig, faulted bool) *simWorld {
+// buildSimWorld stands up the services. The attacked (faulted) world puts
+// every controller on an on-disk write-ahead log under a fresh temp
+// directory, attached via persist.Recover (a no-op recovery on the empty
+// directory); the caller must closeWAL it.
+func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 	w := &simWorld{
 		bus:     transport.NewBus(),
 		clock:   simnet.NewClock(simClockStart),
@@ -513,7 +472,7 @@ func buildSimWorld(cfg SimConfig, faulted bool) *simWorld {
 	if faulted {
 		// Every attacked run verifies vdb/repairlog index coherence at
 		// repair-wave start (pure reads under the lock — digest-neutral).
-		ccfg.StrictIndexes = true
+		w.faults.StrictIndexes = true
 	}
 	if faulted && cfg.ScheduledPump {
 		// A third seed stream drives the task schedule; the pump paces on
@@ -558,7 +517,29 @@ func buildSimWorld(cfg SimConfig, faulted bool) *simWorld {
 			w.routers[name] = r
 		}
 	}
-	return w
+	if !faulted {
+		return w, nil
+	}
+	pol, err := wal.ParsePolicy(cfg.WALFsync)
+	if err != nil {
+		return nil, err
+	}
+	w.walOpts = wal.Options{Policy: pol, Interval: cfg.WALInterval}
+	w.walPowerLoss = cfg.WALPowerLoss
+	if w.walBase, err = os.MkdirTemp("", "airesim-wal-"); err != nil {
+		return nil, fmt.Errorf("sim: wal dir: %w", err)
+	}
+	w.walWriters = map[string]*wal.Writer{}
+	w.walCrashes = map[string]int{}
+	for _, name := range w.cnames {
+		wr, err := persist.Recover(w.ctrls[name], filepath.Join(w.walBase, name), w.walOpts)
+		if err != nil {
+			w.closeWAL()
+			return nil, fmt.Errorf("sim: wal init %s: %w", name, err)
+		}
+		w.walWriters[name] = wr
+	}
+	return w, nil
 }
 
 // shardName is the controller name of base's i-th shard ("s0#1"; the base
@@ -657,22 +638,16 @@ func (w *simWorld) killService(name string) {
 	}
 }
 
-// crashRestart simulates a crash. Without WAL mode the controller is
-// discarded and rebuilt from a persist snapshot of its live state (the
-// legacy handoff, which by construction cannot lose anything). In WAL mode
-// the live state is genuinely thrown away: the crash is a power failure
-// (the WAL's unsynced tail is truncated) or a process kill (buffered
-// appends survive), and the fresh controller is rebuilt purely from disk —
-// latest checkpoint plus WAL replay. Under ScheduledPump the pump is torn
-// down first and restarted on the rebuilt controller, so the crash point
-// sits between delivery passes.
-// crashRestart takes a base service name: a crash fells the whole host,
-// so under sharding every shard of the service goes down and comes back
-// together. Teardown and bookkeeping are serial (they touch the bus, the
-// scheduler, and the world's maps); only the disk recovery itself runs in
-// parallel across shards (persist.RecoverShards — pure replay, no
-// scheduler involvement), which is exactly the startup-parallelism claim
-// the shard layer makes.
+// crashRestart simulates a crash of a base service: a crash fells the
+// whole host, so every shard goes down and comes back together. The live
+// state is genuinely thrown away — the crash is a power failure (the WAL's
+// unsynced tail is truncated) or a process kill (buffered appends survive)
+// — and each fresh controller is rebuilt purely from disk: latest
+// checkpoint plus WAL replay. Teardown and bookkeeping are serial (they
+// touch the bus, the scheduler, and the world's maps); only the recovery
+// itself runs in parallel across shards (persist.RecoverShards — pure
+// replay, no scheduler involvement). Under ScheduledPump the pump is torn
+// down first and restarted on the rebuilt controller.
 func (w *simWorld) crashRestart(base string) error {
 	names := w.shardNames(base)
 	if w.sched != nil {
@@ -684,57 +659,37 @@ func (w *simWorld) crashRestart(base string) error {
 			}
 		}
 	}
-	if w.walWriters != nil {
-		fresh := make([]*core.Controller, len(names))
-		dirs := make([]string, len(names))
-		for i, name := range names {
-			if err := w.ctrls[name].WALError(); err != nil {
-				return fmt.Errorf("sim: %s had a wal append error before its crash: %w", name, err)
-			}
-			old := w.ctrls[name].DetachWAL()
-			if w.walPowerLoss {
-				if _, err := old.CrashLose(); err != nil {
-					return fmt.Errorf("sim: power-loss crash %s: %w", name, err)
-				}
-			} else if err := old.Close(); err != nil {
-				return fmt.Errorf("sim: crash %s: %w", name, err)
-			}
-			fresh[i] = w.addController(name)
-			dirs[i] = w.walDirs[name]
+	fresh := make([]*core.Controller, len(names))
+	dirs := make([]string, len(names))
+	for i, name := range names {
+		if err := w.ctrls[name].WALError(); err != nil {
+			return fmt.Errorf("sim: %s had a wal append error before its crash: %w", name, err)
 		}
-		var writers []*wal.Writer
-		if len(names) > 1 {
-			ws, err := persist.RecoverShards(fresh, dirs, w.walOpts)
-			if err != nil {
-				return fmt.Errorf("sim: wal recovery %s: %w", base, err)
+		old := w.ctrls[name].DetachWAL()
+		if w.walPowerLoss {
+			if _, err := old.CrashLose(); err != nil {
+				return fmt.Errorf("sim: power-loss crash %s: %w", name, err)
 			}
-			writers = ws
-		} else {
-			wr, err := persist.Recover(fresh[0], dirs[0], w.walOpts)
-			if err != nil {
-				return fmt.Errorf("sim: wal recovery %s: %w", names[0], err)
-			}
-			writers = []*wal.Writer{wr}
+		} else if err := old.Close(); err != nil {
+			return fmt.Errorf("sim: crash %s: %w", name, err)
 		}
-		for i, name := range names {
-			w.walWriters[name] = writers[i]
-			w.walCrashes[name]++
-			// Every other crash of a service, the recovered incarnation
-			// compacts: checkpoint, truncate replayed segments, delete the
-			// superseded checkpoint — so its NEXT crash recovers from
-			// snapshot + tail rather than pure replay.
-			if w.walCrashes[name]%2 == 0 {
-				if _, err := persist.CheckpointAndTruncate(fresh[i], writers[i], w.walDirs[name]); err != nil {
-					return fmt.Errorf("sim: checkpoint %s: %w", name, err)
-				}
-			}
-		}
-	} else {
-		for _, name := range names {
-			snap := persist.Capture(w.ctrls[name])
-			fresh := w.addController(name)
-			if err := persist.Apply(fresh, snap); err != nil {
-				return fmt.Errorf("sim: restore %s: %w", name, err)
+		fresh[i] = w.addController(name)
+		dirs[i] = filepath.Join(w.walBase, name)
+	}
+	writers, err := persist.RecoverShards(fresh, dirs, w.walOpts)
+	if err != nil {
+		return fmt.Errorf("sim: wal recovery %s: %w", base, err)
+	}
+	for i, name := range names {
+		w.walWriters[name] = writers[i]
+		w.walCrashes[name]++
+		// Every other crash of a service, the recovered incarnation
+		// compacts: checkpoint, truncate replayed segments, delete the
+		// superseded checkpoint — so its NEXT crash recovers from
+		// snapshot + tail rather than pure replay.
+		if w.walCrashes[name]%2 == 0 {
+			if _, err := persist.CheckpointAndTruncate(fresh[i], writers[i], dirs[i]); err != nil {
+				return fmt.Errorf("sim: checkpoint %s: %w", name, err)
 			}
 		}
 	}
@@ -1206,13 +1161,11 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	events, ops, creates := buildSchedule(cfg)
 
 	res := &SimResult{Seed: cfg.Seed, Ops: cfg.Ops}
-	w := buildSimWorld(cfg, true)
-	if cfg.WAL {
-		if err := w.enableWAL(cfg); err != nil {
-			return nil, err
-		}
-		defer w.closeWAL()
+	w, err := buildSimWorld(cfg, true)
+	if err != nil {
+		return nil, err
 	}
+	defer w.closeWAL()
 	ids := map[int]string{}
 	cancelled := map[int]bool{}
 	replaced := map[int]string{}
@@ -1291,7 +1244,10 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	for _, cr := range creates {
 		createAt[cr.step] = append(createAt[cr.step], cr)
 	}
-	g := buildSimWorld(cfg, false)
+	g, err := buildSimWorld(cfg, false)
+	if err != nil {
+		return nil, err
+	}
 	for i, op := range ops {
 		if v, ok := replaced[i]; ok {
 			op.val = v
@@ -1370,13 +1326,13 @@ var simProfiles = map[string]SimConfig{
 	// nothing is unsynced, so zero committed state may be lost. Run with
 	// -fsync none to watch the tail genuinely disappear.
 	"crash": {Services: 3, Topology: "chain", CrashRate: 0.12,
-		WAL: true, WALFsync: "every", WALPowerLoss: true},
+		WALFsync: "every", WALPowerLoss: true},
 	// fsynclag: deferred fsync (every 4th commit) under process crashes —
 	// the fsync-lag fault class. A process kill keeps buffered appends (the
 	// page cache outlives the process), so recovery still loses nothing;
 	// only power loss (the crash profile) interacts with the sync schedule.
 	"fsynclag": {Services: 3, Topology: "chain", CrashRate: 0.15,
-		WAL: true, WALFsync: "interval", WALInterval: 4,
+		WALFsync: "interval", WALInterval: 4,
 		Faults: simnet.FaultPlan{Drop: 0.1, DropResponse: 0.1}},
 	"mixed": {Services: 4, Topology: "fanout", PartitionRate: 0.08, CrashRate: 0.05,
 		Faults: simnet.FaultPlan{Drop: 0.15, DropResponse: 0.1, Duplicate: 0.1, Delay: 0.15}},

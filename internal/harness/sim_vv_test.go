@@ -144,7 +144,7 @@ func TestKillInsideClaimWindow(t *testing.T) {
 	base := SimConfig{
 		Services: 3, Topology: "chain", Repairs: 5, Rerepairs: 2, Creates: 2,
 		CrashRate: 0.15, ScheduledPump: true,
-		WAL: true, WALFsync: "every", WALPowerLoss: true,
+		WALFsync: "every", WALPowerLoss: true,
 		killCrashes: true,
 	}
 	workerKills, pumpKills := 0, 0

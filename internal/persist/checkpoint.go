@@ -193,38 +193,49 @@ func CheckpointAndTruncate(c *core.Controller, w *wal.Writer, dir string) (uint6
 	return upTo, nil
 }
 
-// Recover rebuilds a freshly constructed controller from dir: it loads the
-// latest checkpoint (if any), replays the WAL tail from the checkpoint's
-// covered sequence, and opens the WAL for appending, attaching it to the
-// controller. A torn final record — a commit interrupted mid-write — is
-// tolerated and truncated; any other corruption is returned loudly (the
-// error wraps wal.ErrCorrupt) rather than silently dropping committed
-// state. Call before serving traffic.
-func Recover(c *core.Controller, dir string, opts wal.Options) (*wal.Writer, error) {
+// Load rebuilds a freshly constructed controller from dir without
+// modifying the directory: it loads the latest checkpoint (if any) and
+// replays the WAL tail from the checkpoint's covered sequence. A torn final
+// record — a commit interrupted mid-write — is tolerated (and left in
+// place); any other corruption is returned loudly (the error wraps
+// wal.ErrCorrupt) rather than silently dropping committed state. Recover
+// is Load plus opening the WAL for appending; an auditor inspecting a
+// service's directory calls Load alone.
+func Load(c *core.Controller, dir string) error {
 	cp, err := LatestCheckpoint(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var from uint64
 	if cp != nil {
 		if err := Apply(c, cp.Snap); err != nil {
-			return nil, err
+			return err
 		}
 		from = cp.UpToSeq
 	}
 	last, _, err := wal.Replay(dir, from, c.ApplyWALEntry)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	attachWALObs(c, &opts)
 	if cp != nil && last < cp.UpToSeq {
 		// The checkpoint covers sequences the log no longer reaches.
 		// WriteCheckpoint forces the log durable before claiming coverage,
 		// so this means durably committed entries went missing; resuming
 		// anyway would hand out sequences the next recovery's replay-from-
 		// UpToSeq silently skips.
-		return nil, fmt.Errorf("persist: %w: checkpoint covers wal seq %d but the log ends at %d", wal.ErrCorrupt, cp.UpToSeq, last)
+		return fmt.Errorf("persist: %w: checkpoint covers wal seq %d but the log ends at %d", wal.ErrCorrupt, cp.UpToSeq, last)
 	}
+	return nil
+}
+
+// Recover rebuilds a freshly constructed controller from dir (Load), then
+// opens the WAL for appending — truncating a torn final record — and
+// attaches it to the controller. Call before serving traffic.
+func Recover(c *core.Controller, dir string, opts wal.Options) (*wal.Writer, error) {
+	if err := Load(c, dir); err != nil {
+		return nil, err
+	}
+	attachWALObs(c, &opts)
 	w, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err

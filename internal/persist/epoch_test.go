@@ -18,12 +18,13 @@ import (
 // Durable state written before the dedup inbox's digest epoch (ISSUE 13:
 // version vectors became the only inbox; the eviction watermark and the
 // never-applied holes left deliver.OriginDump). The literals below are what
-// the parent binary wrote for service "b" after applying one cancel repair
-// delivered by "a" as a-dlv-6: preEpochSnapshot with the inbox under its
-// capacity (no eviction ever happened — the common case at the old default
-// cap of 4096), preEpochInboxEvicted the same origin after evictions.
+// the pre-epoch binary checkpointed for service "b" after applying one
+// cancel repair delivered by "a" as a-dlv-6: preEpochCheckpoint with the
+// inbox under its capacity (no eviction ever happened — the common case at
+// the old default cap of 4096), preEpochInboxEvicted the same origin after
+// evictions.
 const (
-	preEpochSnapshot = `{"service":"b","clock_now":2097152,"id_counter":2,` +
+	preEpochCheckpoint = `{"up_to_seq":0,"snapshot":{"service":"b","clock_now":2097152,"id_counter":2,` +
 		`"records":[` +
 		`{"id":"b-req-1","ts":1048576,"from":"a","client_resp_id":"a-resp-2","notifier_url":"aire://a/aire/notify",` +
 		`"req":{"method":"POST","path":"/put","header":{"Aire-Notifier-URL":"aire://a/aire/notify","Aire-Response-Id":"a-resp-2"},"form":{"key":"x","val":"good"}},` +
@@ -32,18 +33,25 @@ const (
 		`"req":{"method":"POST","path":"/put","header":{"Aire-Notifier-URL":"aire://a/aire/notify","Aire-Response-Id":"a-resp-4"},"form":{"key":"x","val":"evil"}},` +
 		`"resp":{"status":410,"body":"cmVxdWVzdCBjYW5jZWxsZWQgYnkgcmVwYWly"},"skipped":true,"repair_gen":1}],` +
 		`"objects":[{"key":{"Model":"kv","ID":"x"},"versions":[{"TS":1048576,"ReqID":"b-req-1","Deleted":false,"Immutable":false,"Fields":{"val":"good"}}]}],` +
-		`"inbox":[` + preEpochInbox + `]}`
+		`"inbox":[` + preEpochInbox + `]}}`
 	preEpochInbox        = `{"origin":"a","entries":[{"id":"a-dlv-6","gen":0,"ts":2097152}],"max_seen":6}`
 	preEpochInboxEvicted = `{"origin":"a","watermark":5,"entries":[{"id":"a-dlv-6","gen":0,"ts":2097152}],"holes":[3],"max_seen":6}`
 )
 
-// TestPreEpochStateLoadsOrIsRefused: a pre-epoch snapshot or checkpoint
-// that never evicted still loads — and still deduplicates the delivery it
-// remembers — while one carrying a watermark or holes is refused with an
-// error naming the field, never silently downgraded to a smaller dedup
-// memory.
+// TestPreEpochStateLoadsOrIsRefused: a pre-epoch checkpoint that never
+// evicted still loads — and still deduplicates the delivery it remembers —
+// while one carrying a watermark or holes is refused with an error naming
+// the field, never silently downgraded to a smaller dedup memory.
 func TestPreEpochStateLoadsOrIsRefused(t *testing.T) {
-	evicted := strings.Replace(preEpochSnapshot, preEpochInbox, preEpochInboxEvicted, 1)
+	evicted := strings.Replace(preEpochCheckpoint, preEpochInbox, preEpochInboxEvicted, 1)
+	holesOnly := strings.Replace(evicted, `"watermark":5,`, "", 1)
+	write := func(checkpoint string) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, persist.CheckpointName(0)), []byte(checkpoint), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
 	newB := func() (*transport.Bus, *core.Controller) {
 		bus := transport.NewBus()
 		b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
@@ -63,34 +71,28 @@ func TestPreEpochStateLoadsOrIsRefused(t *testing.T) {
 		return resp
 	}
 
-	t.Run("snapshot", func(t *testing.T) {
-		snap, err := persist.Read(strings.NewReader(preEpochSnapshot))
+	t.Run("LatestCheckpoint", func(t *testing.T) {
+		cp, err := persist.LatestCheckpoint(write(preEpochCheckpoint))
 		if err != nil {
-			t.Fatalf("pre-epoch snapshot without eviction state must load: %v", err)
+			t.Fatalf("pre-epoch checkpoint without eviction state must load: %v", err)
 		}
 		bus, b := newB()
-		if err := persist.Apply(b, snap); err != nil {
+		if err := persist.Apply(b, cp.Snap); err != nil {
 			t.Fatal(err)
 		}
 		if resp := redeliver(bus); !resp.OK() || b.Stats().DupDeliveries != 1 {
 			t.Fatalf("restored pre-epoch inbox did not deduplicate a-dlv-6: %+v (dups=%d)", resp, b.Stats().DupDeliveries)
 		}
-		if _, err := persist.Read(strings.NewReader(evicted)); err == nil || !strings.Contains(err.Error(), `"watermark"`) {
-			t.Fatalf("pre-epoch snapshot with a watermark: err = %v, want a refusal naming the field", err)
+		for field, checkpoint := range map[string]string{"watermark": evicted, "holes": holesOnly} {
+			if _, err := persist.LatestCheckpoint(write(checkpoint)); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+				t.Fatalf("pre-epoch checkpoint with %s: err = %v, want a refusal naming the field", field, err)
+			}
 		}
 	})
 
 	t.Run("checkpoint", func(t *testing.T) {
-		write := func(snapshot string) string {
-			dir := t.TempDir()
-			body := `{"up_to_seq":0,"snapshot":` + snapshot + `}`
-			if err := os.WriteFile(filepath.Join(dir, persist.CheckpointName(0)), []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return dir
-		}
 		bus, b := newB()
-		w, err := persist.Recover(b, write(preEpochSnapshot), wal.Options{Policy: wal.FsyncEveryCommit})
+		w, err := persist.Recover(b, write(preEpochCheckpoint), wal.Options{Policy: wal.FsyncEveryCommit})
 		if err != nil {
 			t.Fatalf("pre-epoch checkpoint without eviction state must recover: %v", err)
 		}

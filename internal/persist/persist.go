@@ -4,16 +4,16 @@
 // the ability to repair its past (§2.2) or to deliver queued repair
 // messages to peers that were offline (§3.2).
 //
-// The snapshot format is a single JSON document. Production deployments
-// would write it incrementally; snapshotting is sufficient for this
-// reproduction and for crash-restart testing.
+// Durable state lives in one place: a service directory of write-ahead log
+// segments (internal/wal) plus checkpoints (checkpoint.go), each checkpoint
+// a JSON Snapshot paired with the WAL sequence it covers. A Snapshot is
+// never written on its own.
 package persist
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"aire/internal/core"
 	"aire/internal/deliver"
@@ -104,21 +104,6 @@ func Apply(c *core.Controller, s *Snapshot) error {
 	return nil
 }
 
-// Write serializes a snapshot to w as JSON.
-func (s *Snapshot) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
-}
-
-// Read parses a snapshot from r.
-func Read(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := decodeStrict(r, &s); err != nil {
-		return nil, fmt.Errorf("persist: decode snapshot: %w", err)
-	}
-	return &s, nil
-}
-
 // decodeStrict decodes durable state, refusing any field this binary does
 // not know. Dropping an unknown field silently would lose state without a
 // word — a snapshot written before the dedup inbox's digest epoch that
@@ -129,38 +114,4 @@ func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
-}
-
-// SaveFile captures a controller's state into path (atomically via a
-// temporary file).
-func SaveFile(c *core.Controller, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := Capture(c).Write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile restores a controller's state from path.
-func LoadFile(c *core.Controller, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	s, err := Read(f)
-	if err != nil {
-		return err
-	}
-	return Apply(c, s)
 }

@@ -1,24 +1,58 @@
 package persist_test
 
 import (
-	"bytes"
-	"path/filepath"
 	"testing"
 
 	"aire/internal/core"
 	"aire/internal/harness"
 	"aire/internal/persist"
+	"aire/internal/wal"
 	"aire/internal/warp"
 	"aire/internal/wire"
 )
 
+// attachWAL starts c durable the way a service boots: persist.Recover of a
+// fresh, empty directory.
+func attachWAL(t *testing.T, c *core.Controller) (string, *wal.Writer) {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := persist.Recover(c, dir, wal.Options{Policy: wal.FsyncEveryCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return dir, w
+}
+
+// restart checkpoints c (CheckpointAndTruncate), discards it as a crash
+// would — every commit already fsynced — and recovers fresh, a new
+// controller for the same app, from the directory alone.
+func restart(t *testing.T, c *core.Controller, w *wal.Writer, dir string, fresh *core.Controller) *wal.Writer {
+	t.Helper()
+	if _, err := persist.CheckpointAndTruncate(c, w, dir); err != nil {
+		t.Fatal(err)
+	}
+	c.DetachWAL()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := persist.Recover(fresh, dir, wal.Options{Policy: wal.FsyncEveryCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w2.Close() })
+	return w2
+}
+
 // buildState runs traffic on a mirrored pair and takes a (queued) repair:
 // a writes to b, b goes offline, a repairs locally with a pending delete.
-func buildState(t *testing.T) (*harness.Testbed, *core.Controller, string) {
+// a runs on a WAL in dir.
+func buildState(t *testing.T) (tb *harness.Testbed, a *core.Controller, w *wal.Writer, dir string) {
 	t.Helper()
-	tb := harness.NewTestbed()
-	a := tb.Add(&harness.KVApp{ServiceName: "a", Mirror: "b"}, core.DefaultConfig())
+	tb = harness.NewTestbed()
+	a = tb.Add(&harness.KVApp{ServiceName: "a", Mirror: "b"}, core.DefaultConfig())
 	tb.Add(&harness.KVApp{ServiceName: "b"}, core.DefaultConfig())
+	dir, w = attachWAL(t, a)
 
 	tb.MustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "good"))
 	attack := tb.MustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "evil"))
@@ -28,20 +62,25 @@ func buildState(t *testing.T) (*harness.Testbed, *core.Controller, string) {
 		t.Fatal(err)
 	}
 	a.Flush()
-	return tb, a, attack.Header[wire.HdrRequestID]
+	return tb, a, w, dir
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	_, a, _ := buildState(t)
-	snap := persist.Capture(a)
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := persist.Read(&buf)
+// TestCheckpointRoundTrip: a checkpoint — the one on-disk snapshot format —
+// reads back the state it captured and the WAL sequence it covers.
+func TestCheckpointRoundTrip(t *testing.T) {
+	_, a, w, dir := buildState(t)
+	upTo, err := persist.WriteCheckpoint(a, w, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp, err := persist.LatestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.UpToSeq != upTo || upTo != w.Seq() {
+		t.Fatalf("checkpoint covers seq %d, WriteCheckpoint said %d, wal at %d", cp.UpToSeq, upTo, w.Seq())
+	}
+	snap, got := persist.Capture(a), cp.Snap
 	if got.Service != "a" {
 		t.Fatalf("service = %q", got.Service)
 	}
@@ -55,20 +94,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRestartPreservesQueuedRepair is the headline durability property: a
-// service restarts from its snapshot and still delivers the repair message
-// that was queued for an offline peer.
+// service restarts from its checkpoint and still delivers the repair
+// message that was queued for an offline peer.
 func TestRestartPreservesQueuedRepair(t *testing.T) {
-	tb, a, _ := buildState(t)
-	path := filepath.Join(t.TempDir(), "a.snap")
-	if err := persist.SaveFile(a, path); err != nil {
-		t.Fatal(err)
-	}
+	tb, a, w, dir := buildState(t)
 
 	// "Restart": a fresh controller for the same app, same bus.
 	a2 := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, tb.Bus, core.DefaultConfig())
-	if err := persist.LoadFile(a2, path); err != nil {
-		t.Fatal(err)
-	}
+	restart(t, a, w, dir, a2)
 	tb.Bus.Register("a", a2) // replaces the old instance
 	tb.Ctrls["a"] = a2
 
@@ -97,17 +130,12 @@ func TestRestartPreservesQueuedRepair(t *testing.T) {
 func TestRestartRemainsRepairable(t *testing.T) {
 	tb := harness.NewTestbed()
 	a := tb.Add(&harness.KVApp{ServiceName: "a"}, core.DefaultConfig())
+	dir, w := attachWAL(t, a)
 	good := tb.MustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "k", "val", "v1"))
 	tb.MustCall("a", wire.NewRequest("GET", "/get").WithForm("key", "k"))
 
-	path := filepath.Join(t.TempDir(), "a.snap")
-	if err := persist.SaveFile(a, path); err != nil {
-		t.Fatal(err)
-	}
 	a2 := core.NewController(&harness.KVApp{ServiceName: "a"}, tb.Bus, core.DefaultConfig())
-	if err := persist.LoadFile(a2, path); err != nil {
-		t.Fatal(err)
-	}
+	restart(t, a, w, dir, a2)
 	tb.Bus.Register("a", a2)
 	tb.Ctrls["a"] = a2
 
@@ -130,7 +158,7 @@ func TestRestartRemainsRepairable(t *testing.T) {
 }
 
 func TestApplyGuards(t *testing.T) {
-	_, a, _ := buildState(t)
+	_, a, _, _ := buildState(t)
 	snap := persist.Capture(a)
 
 	wrong := core.NewController(&harness.KVApp{ServiceName: "other"}, harness.NewTestbed().Bus, core.DefaultConfig())

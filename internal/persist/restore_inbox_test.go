@@ -1,8 +1,6 @@
 package persist_test
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -61,8 +59,8 @@ func (cr *carrierRecorder) last(t *testing.T) wire.Request {
 
 // TestRestoreInboxDedupsRedelivery is the receive side of the crash-restart
 // durability story (the counterpart of TestRestoreResumesPumpExactlyOnce):
-// a peer applies a repair whose response is lost, crash-restarts from an
-// internal/persist snapshot mid-redelivery, and the sender's retry must be
+// a peer applies a repair whose response is lost, crash-restarts from its
+// checkpoint mid-redelivery, and the sender's retry must be
 // re-acknowledged from the restored dedup inbox — not re-applied.
 func TestRestoreInboxDedupsRedelivery(t *testing.T) {
 	bus := transport.NewBus()
@@ -72,6 +70,7 @@ func TestRestoreInboxDedupsRedelivery(t *testing.T) {
 	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
 	rec := &carrierRecorder{inner: b}
 	bus.Register("b", rec)
+	dir, w := attachWAL(t, b)
 
 	mustCall := func(svc string, req wire.Request) wire.Response {
 		t.Helper()
@@ -97,16 +96,10 @@ func TestRestoreInboxDedupsRedelivery(t *testing.T) {
 		t.Fatalf("a's queue = %d, want 1 (response was lost)", a.QueueLen())
 	}
 
-	// b crashes mid-redelivery: snapshot to disk, discard, restore fresh.
-	path := filepath.Join(t.TempDir(), "b.snap")
-	if err := persist.SaveFile(b, path); err != nil {
-		t.Fatal(err)
-	}
+	// b crashes mid-redelivery: checkpoint, discard, recover fresh.
 	b2 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
+	restart(t, b, w, dir, b2)
 	bus.Register("b", b2)
-	if err := persist.LoadFile(b2, path); err != nil {
-		t.Fatal(err)
-	}
 
 	// The sender retries. The restored inbox must re-acknowledge the
 	// delivery without re-applying the repair.
@@ -125,18 +118,14 @@ func TestRestoreInboxDedupsRedelivery(t *testing.T) {
 		t.Fatalf("b after restore = %q, want %q", got, "good")
 	}
 
-	// Control: strip the inbox from the same snapshot and the identical
+	// Control: strip the inbox from the same checkpoint and the identical
 	// redelivery re-applies — the persisted inbox is what carries
 	// exactly-once across the crash.
-	sf, err := os.Open(path)
+	cp, err := persist.LatestCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sf.Close()
-	f, err := persist.Read(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := cp.Snap
 	f.Inbox = nil
 	b3 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
 	if err := persist.Apply(b3, f); err != nil {

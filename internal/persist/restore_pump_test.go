@@ -2,7 +2,6 @@ package persist_test
 
 import (
 	"context"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -42,10 +41,11 @@ func (rc *repairCounter) count() int {
 
 // TestRestoreResumesPumpExactlyOnce is the crash-restart half of §3.2's
 // durability story, as the simulator exercises it: a controller is
-// snapshotted with a non-empty outgoing queue while its peer is mid-backoff,
-// restored into a fresh controller, and the background pump must resume
-// delivery on its own — the queued repair message arrives exactly once
-// (no duplication from the restore, no loss from the backoff state).
+// checkpointed with a non-empty outgoing queue while its peer is
+// mid-backoff, recovered into a fresh controller, and the background pump
+// must resume delivery on its own — the queued repair message arrives
+// exactly once (no duplication from the restore, no loss from the backoff
+// state).
 func TestRestoreResumesPumpExactlyOnce(t *testing.T) {
 	clock := simnet.NewClock(1000)
 	cfg := core.DefaultConfig()
@@ -58,6 +58,7 @@ func TestRestoreResumesPumpExactlyOnce(t *testing.T) {
 	bus := transport.NewBus()
 	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, cfg)
 	bus.Register("a", a)
+	dir, w := attachWAL(t, a)
 	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
 	counter := &repairCounter{inner: b}
 	bus.Register("b", counter)
@@ -89,31 +90,28 @@ func TestRestoreResumesPumpExactlyOnce(t *testing.T) {
 		t.Fatalf("queue = %d, want 1", a.QueueLen())
 	}
 
-	// Crash: snapshot to disk, discard the controller, restore into a
-	// fresh one whose pump is already running — Apply's queue import must
-	// wake it (no manual Flush from here on).
-	path := filepath.Join(t.TempDir(), "a.snap")
-	if err := persist.SaveFile(a, path); err != nil {
-		t.Fatal(err)
-	}
+	// Crash: checkpoint, discard the controller, recover a fresh one and
+	// start its pump — it must find the recovered queue on its own (no
+	// manual Flush from here on).
 	if snap := persist.Capture(a); len(snap.Queue) != 1 {
 		t.Fatalf("snapshot queue = %d, want 1 (message lost at capture)", len(snap.Queue))
 	}
+	a2 := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, cfg)
+	restart(t, a, w, dir, a2)
 
 	bus.SetOffline("b", false)
-	a2 := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, cfg)
 	bus.Register("a", a2)
 	if err := a2.StartPump(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer a2.StopPump()
-	if err := persist.LoadFile(a2, path); err != nil {
-		t.Fatal(err)
-	}
 
 	if !a2.WaitQueueEmpty(5 * time.Second) {
 		t.Fatalf("restored pump did not deliver the queued repair: %d left, pending=%+v", a2.QueueLen(), a2.Pending())
 	}
+	// The entry leaves the queue before the worker counts the delivery;
+	// stopping the pump waits for the worker to finish reconciling.
+	a2.StopPump()
 	// Exactly once: the offline-era attempts never reached b's handler, and
 	// the restore must not have duplicated the message.
 	if got := counter.count(); got != 1 {

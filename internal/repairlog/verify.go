@@ -8,7 +8,7 @@
 // record and a missing one skips an affected record entirely.
 // VerifyIndexes recomputes every index's claim from the primary timeline
 // and reports the first divergence; the controller runs it at repair-wave
-// start when Config.StrictIndexes is set.
+// start when core.Faults.StrictIndexes is set.
 package repairlog
 
 import (

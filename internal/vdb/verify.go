@@ -5,8 +5,9 @@
 // silently return wrong answers long after the bug that drifted them.
 // VerifyIndexes makes that contract checkable: it recomputes what the
 // indexes claim from the primary state and reports the first divergence.
-// The controller runs it at repair-wave start when Config.StrictIndexes is
-// set, turning a latent index bug into an immediate loud failure.
+// The controller runs it at repair-wave start when
+// core.Faults.StrictIndexes is set, turning a latent index bug into an
+// immediate loud failure.
 package vdb
 
 import (
