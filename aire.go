@@ -109,9 +109,6 @@ type (
 	// PeerVectorDump is one peer's sender-side anti-entropy vector state
 	// (Controller.VectorDump).
 	PeerVectorDump = core.PeerVectorDump
-	// Backoff is the exponential retry schedule the repair pump applies to
-	// unreachable peers (zero value: legacy park-after-MaxAttempts).
-	Backoff = core.Backoff
 	// ShardTopology is the deterministic key→shard map shared by every
 	// sender and shard of a horizontally partitioned service
 	// (Config.Topology).
@@ -134,12 +131,6 @@ func NewBus() *Bus { return transport.NewBus() }
 // DefaultConfig returns the controller configuration used in the paper
 // reproduction experiments.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultBackoff returns the exponential backoff schedule used by the
-// production repair pump (50ms doubling to a 5s cap). Assign it to
-// Config.Backoff to keep repair messages to unreachable peers live and
-// retried on a schedule instead of parked after Config.MaxAttempts.
-func DefaultBackoff() Backoff { return core.DefaultBackoff() }
 
 // NewService builds the Aire runtime for app, delivering outgoing calls and
 // repair messages over net. The caller must still register the returned
@@ -188,38 +179,15 @@ func CreateInPast(req Request, beforeID, afterID string) Action {
 
 // Settle drives the repair pump of all given controllers synchronously
 // until the system quiesces or maxRounds passes elapse, returning the
-// number of productive rounds. Each round runs one deterministic pump pass
-// per controller (Controller.Flush — per-peer batches delivered in queue
-// order) plus incoming-queue processing. Use it in tests and demos; a
-// production deployment instead pumps queues continuously in the background
-// with StartPumps (or Controller.StartPump), which delivers to distinct
-// peers concurrently and retries unreachable peers with backoff.
-//
-// Settle returns at the first round that makes no progress. With
-// Config.Backoff enabled, a round also skips peers inside their retry
-// window, so Settle can return while such messages are still queued; drive
-// controllers with StartPumps (or keep calling Flush as real time passes)
-// to drain them. Backoff-enabled configs are meant for the background
-// pump.
-func Settle(maxRounds int, ctrls ...*Controller) int {
-	rounds := 0
-	for i := 0; i < maxRounds; i++ {
-		progressed := false
-		for _, c := range ctrls {
-			if d, _ := c.Flush(); d > 0 {
-				progressed = true
-			}
-			if r, _ := c.ProcessIncoming(); r != nil {
-				progressed = true
-			}
-		}
-		if !progressed {
-			return rounds
-		}
-		rounds++
-	}
-	return rounds
-}
+// number of productive rounds. Each round runs one deterministic pass per
+// controller (Controller.Flush — every deliverable message, in queue
+// order, regardless of any peer's retry window) plus incoming-queue
+// processing; it returns at the first round that makes no progress. Use it
+// in tests and demos; a production deployment instead pumps queues
+// continuously in the background with StartPumps (or Controller.StartPump),
+// which delivers to distinct peers concurrently and retries unreachable
+// peers with exponential backoff.
+func Settle(maxRounds int, ctrls ...*Controller) int { return core.Settle(maxRounds, ctrls...) }
 
 // StartPumps starts the background repair pump of every given controller
 // and returns a stop function that shuts them all down again (waiting for

@@ -72,8 +72,6 @@ func main() {
 	workers := flag.Int("pump-workers", 4, "concurrent per-peer repair deliveries")
 	batch := flag.Int("batch", 16, "max repair messages batched to one peer per pass")
 	interval := flag.Duration("pump-interval", 100*time.Millisecond, "pacing of background pump passes")
-	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry delay for unreachable peers (0 = park after max attempts)")
-	backoffMax := flag.Duration("backoff-max", 5*time.Second, "cap on the exponential retry delay")
 	waldir := flag.String("waldir", "aireserve-data", "durable state directory (per-service WAL + checkpoints; required)")
 	fsync := flag.String("fsync", "every", "WAL fsync policy: every, interval, none")
 	cpEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often each service checkpoints and truncates its WAL")
@@ -90,9 +88,6 @@ func main() {
 	cfg.PumpWorkers = *workers
 	cfg.BatchSize = *batch
 	cfg.PumpInterval = *interval
-	if *backoff > 0 {
-		cfg.Backoff = aire.Backoff{Base: *backoff, Max: *backoffMax, Factor: 2}
-	}
 
 	caller := &transport.HTTPCaller{BaseURLs: map[string]string{
 		"a": "http://" + *addrA,
@@ -125,8 +120,10 @@ func main() {
 		stopCp := persist.StartCheckpointer(ctx, s.ctrl, w, dir, *cpEvery, func(err error) {
 			log.Printf("aire: checkpoint %s: %v", name, err)
 		})
-		defer stopCp()
+		// Defers run LIFO: register the close first so the checkpointer
+		// (which may be mid-checkpoint) stops before its writer closes.
 		defer w.Close()
+		defer stopCp()
 	}
 	fmt.Printf("aire: durable state in %s (fsync=%s, checkpoint every %v)\n", *waldir, pol, *cpEvery)
 
@@ -145,8 +142,8 @@ func main() {
 
 	fmt.Printf("aire: service a (mirrors to b) on http://%s\n", *addrA)
 	fmt.Printf("aire: service b on http://%s\n", *addrB)
-	fmt.Printf("aire: background repair pumps running (workers=%d batch=%d interval=%v backoff=%v)\n",
-		*workers, *batch, *interval, *backoff)
+	fmt.Printf("aire: background repair pumps running (workers=%d batch=%d interval=%v)\n",
+		*workers, *batch, *interval)
 	fmt.Println("aire: try POST /put?key=x&val=hello on a, then GET /get?key=x on b,")
 	fmt.Println("aire: then POST /aire/repair with Aire-Repair: delete + Aire-Request-Id headers")
 	fmt.Println("aire: observability at /aire/debug/metrics, /aire/debug/waves and /aire/debug/vectors on either service")

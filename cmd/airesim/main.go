@@ -39,48 +39,69 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
 	"aire/internal/harness"
+	"aire/internal/wal"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process exit, so the smoke test can drive it.
+// Exit codes: 0 the sweep met its verdict, 1 it did not (or a seed could
+// not run at all), 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("airesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile   = flag.String("profile", "mixed", "fault profile: "+strings.Join(harness.SimProfileNames(), ", "))
-		seeds     = flag.String("seeds", "1:20", `seeds to run: "lo:hi" (inclusive) or "3,7,19"`)
-		ops       = flag.Int("ops", 0, "workload steps per run (0 = profile default)")
-		services  = flag.Int("services", 0, "number of services (0 = profile default)")
-		topology  = flag.String("topology", "", `"chain" or "fanout" (empty = profile default)`)
-		repairs   = flag.Int("repairs", 0, "attacked puts per run (0 = profile default)")
-		sched     = flag.Bool("sched", false, "run repair delivery on the background pump under the deterministic scheduler (internal/dsched): seeded task interleavings instead of the serial Flush loop")
-		shards    = flag.Int("shards", 0, "shard every faulted service N ways behind a key-hash router (per-shard store/log/pump/WAL); the convergence oracle is shard-count-invariant (0/1 = unsharded)")
-		fsync     = flag.String("fsync", "", `override the profile's WAL fsync policy: "every", "interval", "none" (empty = profile default; "none" under -profile crash demonstrates tail loss)`)
-		nodedup   = flag.Bool("nodedup", false, "disable the peer-side exactly-once dedup inbox (demonstrates the stale/dupcreate hazards)")
-		expectF   = flag.Bool("expect-fail", false, "invert the verdict: exit 0 only if at least one seed FAILS the oracle (teeth checks: proves a disabled defense genuinely loses its property)")
-		verbose   = flag.Bool("v", false, "print the fault schedule of failing seeds")
-		listProfs = flag.Bool("profiles", false, "list fault profiles and exit")
+		profile   = fs.String("profile", "mixed", "fault profile: "+strings.Join(harness.SimProfileNames(), ", "))
+		seeds     = fs.String("seeds", "1:20", `seeds to run: "lo:hi" (inclusive) or "3,7,19"`)
+		ops       = fs.Int("ops", 0, "workload steps per run (0 = profile default)")
+		services  = fs.Int("services", 0, "number of services (0 = profile default)")
+		topology  = fs.String("topology", "", `"chain" or "fanout" (empty = profile default)`)
+		repairs   = fs.Int("repairs", 0, "attacked puts per run (0 = profile default)")
+		sched     = fs.Bool("sched", false, "run repair delivery on the background pump under the deterministic scheduler (internal/dsched): seeded task interleavings instead of the serial Flush loop")
+		shards    = fs.Int("shards", 0, "shard every faulted service N ways behind a key-hash router (per-shard store/log/pump/WAL); the convergence oracle is shard-count-invariant (0/1 = unsharded)")
+		fsync     = fs.String("fsync", "", `override the profile's WAL fsync policy: "every", "interval", "none" (empty = profile default; "none" under -profile crash demonstrates tail loss)`)
+		nodedup   = fs.Bool("nodedup", false, "disable the peer-side exactly-once dedup inbox (demonstrates the stale/dupcreate hazards)")
+		expectF   = fs.Bool("expect-fail", false, "invert the verdict: exit 0 only if at least one seed FAILS the oracle and none errors (teeth checks: proves a disabled defense genuinely loses its property)")
+		verbose   = fs.Bool("v", false, "print the fault schedule of failing seeds")
+		listProfs = fs.Bool("profiles", false, "list fault profiles and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *listProfs {
 		for _, name := range harness.SimProfileNames() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "airesim:", err)
+		return 2
+	}
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "airesim:", err)
-		os.Exit(2)
+		return usage(err)
 	}
 	base, err := harness.SimProfileConfig(*profile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "airesim:", err)
-		os.Exit(2)
+		return usage(err)
+	}
+	if *fsync != "" {
+		if _, err := wal.ParsePolicy(*fsync); err != nil {
+			return usage(err)
+		}
+		base.WALFsync = *fsync
 	}
 	if *ops > 0 {
 		base.Ops = *ops
@@ -97,18 +118,15 @@ func main() {
 	base.DisableDedup = *nodedup
 	base.ScheduledPump = *sched
 	base.Shards = *shards
-	if *fsync != "" {
-		base.WALFsync = *fsync
-	}
 
-	failed := 0
+	failed, errored := 0, 0
 	for _, seed := range seedList {
 		cfg := base
 		cfg.Seed = seed
 		res, err := harness.RunSim(cfg)
 		if err != nil {
-			fmt.Printf("seed %-6d ERROR  %v\n", seed, err)
-			failed++
+			fmt.Fprintf(stdout, "seed %-6d ERROR  %v\n", seed, err)
+			errored++
 			continue
 		}
 		steps := ""
@@ -116,24 +134,24 @@ func main() {
 			steps = fmt.Sprintf(" steps=%d", res.SchedSteps)
 		}
 		if res.Passed {
-			fmt.Printf("seed %-6d PASS   repairs=%d crashes=%d partitions=%d rounds=%d%s faults=%s\n",
+			fmt.Fprintf(stdout, "seed %-6d PASS   repairs=%d crashes=%d partitions=%d rounds=%d%s faults=%s\n",
 				seed, res.RepairCount, res.CrashCount, res.PartitionCount, res.Rounds, steps, faultSummary(res.FaultCounts))
 			continue
 		}
 		failed++
 		// A failing seed names everything a replay needs: the seed itself
 		// and (under -sched) the scheduler step count of the found schedule.
-		fmt.Printf("seed %-6d FAIL   repairs=%d crashes=%d partitions=%d rounds=%d%s faults=%s\n",
+		fmt.Fprintf(stdout, "seed %-6d FAIL   repairs=%d crashes=%d partitions=%d rounds=%d%s faults=%s\n",
 			seed, res.RepairCount, res.CrashCount, res.PartitionCount, res.Rounds, steps, faultSummary(res.FaultCounts))
 		for _, f := range res.Failures {
-			fmt.Printf("             %s\n", f)
+			fmt.Fprintf(stdout, "             %s\n", f)
 		}
 		if *verbose {
 			for _, line := range res.Trace {
-				fmt.Printf("             | %s\n", line)
+				fmt.Fprintf(stdout, "             | %s\n", line)
 			}
 			for _, line := range res.SchedTrace {
-				fmt.Printf("             > %s\n", line)
+				fmt.Fprintf(stdout, "             > %s\n", line)
 			}
 		}
 	}
@@ -149,19 +167,25 @@ func main() {
 	}
 	if *expectF {
 		// Teeth mode: the sweep exists to prove a hazard fires. All-pass
-		// means the disabled defense was not actually load-bearing.
-		if failed == 0 {
-			fmt.Printf("airesim: expected failures but all %d seeds passed (profile %s%s) — the hazard has lost its teeth\n", len(seedList), *profile, schedFlag)
-			os.Exit(1)
+		// means the disabled defense was not actually load-bearing, and a
+		// seed that errored proves nothing about the oracle either way.
+		if errored > 0 {
+			fmt.Fprintf(stdout, "airesim: %d/%d seeds errored (profile %s%s) — an expected failure must come from the oracle\n", errored, len(seedList), *profile, schedFlag)
+			return 1
 		}
-		fmt.Printf("airesim: %d/%d seeds failed as expected (profile %s%s)\n", failed, len(seedList), *profile, schedFlag)
-		return
+		if failed == 0 {
+			fmt.Fprintf(stdout, "airesim: expected failures but all %d seeds passed (profile %s%s) — the hazard has lost its teeth\n", len(seedList), *profile, schedFlag)
+			return 1
+		}
+		fmt.Fprintf(stdout, "airesim: %d/%d seeds failed as expected (profile %s%s)\n", failed, len(seedList), *profile, schedFlag)
+		return 0
 	}
-	if failed > 0 {
-		fmt.Printf("airesim: %d/%d seeds failed (profile %s); rerun one with%s -seeds <seed> -v\n", failed, len(seedList), *profile, schedFlag)
-		os.Exit(1)
+	if failed+errored > 0 {
+		fmt.Fprintf(stdout, "airesim: %d/%d seeds failed (profile %s); rerun one with%s -seeds <seed> -v\n", failed+errored, len(seedList), *profile, schedFlag)
+		return 1
 	}
-	fmt.Printf("airesim: %d seeds passed (profile %s%s)\n", len(seedList), *profile, schedFlag)
+	fmt.Fprintf(stdout, "airesim: %d seeds passed (profile %s%s)\n", len(seedList), *profile, schedFlag)
+	return 0
 }
 
 // parseSeeds accepts "lo:hi" (inclusive range) or a comma-separated list.

@@ -78,10 +78,11 @@ func TestNeverOnlinePeerNotifiesAdmin(t *testing.T) {
 	if !unreachable {
 		t.Fatalf("administrator not notified of unreachable peer: %+v", a.Notifications())
 	}
-	// The message is held, not lost.
+	// The message is still queued for the peer's return, not lost and not
+	// parked: the outage is charged to the peer, not to the message.
 	pend := a.Pending()
-	if len(pend) != 1 || !pend[0].Held {
-		t.Fatalf("message should be held for retry: %+v", pend)
+	if len(pend) != 1 || pend[0].Held || pend[0].Attempts != 0 || pend[0].LastErr == "" {
+		t.Fatalf("message should stay queued with its last error: %+v", pend)
 	}
 	// Notifier interface variant received it too.
 	if len(app.notes) == 0 {

@@ -113,9 +113,10 @@ type Caller interface {
 type Config struct {
 	// Engine configures the local repair engine.
 	Engine warp.Config
-	// MaxAttempts is how many failed delivery attempts a queued repair
-	// message endures before it is parked and the application notified
-	// (it can still be revived with Retry).
+	// MaxAttempts is how many times a reachable peer may reject one queued
+	// repair message before it is parked and the application notified (it
+	// can still be revived with Retry), and how many consecutive transport
+	// failures make a backing-off peer "unreachable" to the administrator.
 	MaxAttempts int
 	// BatchIncoming, when true, queues incoming repair requests and applies
 	// them together on ProcessIncoming (§3.2: "Aire also aggregates
@@ -144,14 +145,6 @@ type Config struct {
 	// PumpInterval paces the background pump's periodic passes — the ones
 	// that retry peers whose backoff delay has elapsed (0 means a default).
 	PumpInterval time.Duration
-	// Backoff, when enabled, retries unreachable peers on an exponential
-	// schedule instead of parking their messages after MaxAttempts. The
-	// zero value keeps the legacy park-and-Retry behavior. Backoff is a
-	// background-pump feature: synchronous Flush/Settle passes also honor
-	// the schedule, skipping peers whose retry window has not elapsed, so
-	// serial deployments that enable Backoff must keep flushing past a
-	// no-progress pass (or run StartPump) to drain those peers.
-	Backoff Backoff
 	// Clock supplies the time used for backoff scheduling (nil means
 	// time.Now). Tests inject a fake clock for deterministic backoff.
 	Clock func() time.Time
@@ -197,10 +190,12 @@ type PendingMsg struct {
 	DeliveryID string `json:"delivery_id,omitempty"`
 	// Msg is the repair operation to deliver.
 	Msg warp.OutMsg
-	// Attempts counts failed delivery attempts.
+	// Attempts counts the times a reachable peer rejected this message;
+	// transport failures are charged to the peer's backoff, not here.
 	Attempts int
-	// Held marks a message parked after repeated failure or an
-	// authorization error; only Retry revives it.
+	// Held marks a parked message: the peer refused it as unauthorized, or
+	// a reachable peer rejected it MaxAttempts times. An unreachable peer
+	// never parks a message. Only Retry revives it.
 	Held bool
 	// LastErr describes the most recent failure.
 	LastErr string

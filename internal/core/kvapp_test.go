@@ -103,6 +103,7 @@ func (a *kvApp) Register(svc *web.Service) {
 type testbed struct {
 	bus   *transport.Bus
 	ctrls map[string]*Controller
+	order []*Controller // insertion order, for settle
 }
 
 func newTestbed() *testbed {
@@ -112,28 +113,13 @@ func newTestbed() *testbed {
 func (tb *testbed) add(app App, cfg Config) *Controller {
 	c := NewController(app, tb.bus, cfg)
 	tb.ctrls[app.Name()] = c
+	tb.order = append(tb.order, c)
 	tb.bus.Register(app.Name(), c)
 	return c
 }
 
-// settle pumps every controller's outgoing queue until the system is
-// quiescent (no deliverable messages remain) or maxRounds passes elapse.
-func (tb *testbed) settle(maxRounds int) {
-	for i := 0; i < maxRounds; i++ {
-		progressed := false
-		for _, c := range tb.ctrls {
-			if d, _ := c.Flush(); d > 0 {
-				progressed = true
-			}
-			if r, _ := c.ProcessIncoming(); r != nil {
-				progressed = true
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
-}
+// settle runs Settle over every controller in insertion order.
+func (tb *testbed) settle(maxRounds int) { Settle(maxRounds, tb.order...) }
 
 // call sends an external-client request (no Aire headers, unauthenticated).
 func (tb *testbed) call(svc string, req wire.Request) wire.Response {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"aire/internal/obs"
@@ -30,67 +29,37 @@ import (
 //     content was superseded mid-flight simply stays queued for another
 //     pass.
 //
-//   - Backoff. With Config.Backoff enabled, an unreachable peer is retried
-//     on an exponential schedule read from an injectable clock instead of
-//     parking its messages after MaxAttempts. Messages stay live; the
-//     administrator is still notified once per outage.
+//   - Backoff. An unreachable peer is retried on a fixed exponential
+//     schedule read from an injectable clock. Its messages stay live —
+//     a transport failure never charges a message's Attempts or parks it
+//     — and the administrator is notified once per outage.
 //
-// Flush runs exactly one synchronous pass, delivering batches serially in
-// queue order — deterministic, for tests and Settle. StartPump runs passes
-// continuously with a bounded worker pool, fanning batches out to distinct
-// peers concurrently.
+// A background pump pass honors every pump policy: batch size, batch
+// policy, admission, and the retry window. Flush is "deliver now": one
+// synchronous pass that ignores them all, delivering every deliverable
+// message in queue order — deterministic, for tests and Settle. StartPump
+// runs passes continuously with a bounded worker pool, fanning batches
+// out to distinct peers concurrently.
 
-// Backoff configures the exponential retry schedule for unreachable peers.
-// The zero value disables backoff, restoring the legacy behavior: each
-// message is attempted every pass and parked (Held) after
-// Config.MaxAttempts failures.
-type Backoff struct {
-	// Base is the delay after a peer's first failed delivery. Base > 0
-	// enables backoff.
-	Base time.Duration
-	// Max caps the delay (0 means no cap).
-	Max time.Duration
-	// Factor multiplies the delay after each consecutive failure
-	// (values < 1 are treated as 2).
-	Factor float64
-}
+// The retry schedule for unreachable peers: the delay after a peer's n-th
+// consecutive transport failure is backoffBase·2^(n-1), capped at
+// BackoffMax. Waiting out BackoffMax of clock time therefore elapses any
+// peer's retry window.
+const (
+	backoffBase = 50 * time.Millisecond
+	BackoffMax  = 5 * time.Second
+)
 
-// Enabled reports whether backoff gating is active.
-func (b Backoff) Enabled() bool { return b.Base > 0 }
-
-// Delay returns the retry delay after n consecutive failures (n >= 1).
-func (b Backoff) Delay(n int) time.Duration {
-	if !b.Enabled() || n < 1 {
+// backoffDelay returns the retry delay after n consecutive failures.
+func backoffDelay(n int) time.Duration {
+	if n < 1 {
 		return 0
 	}
-	f := b.Factor
-	if f < 1 {
-		f = 2
+	d := backoffBase
+	for i := 1; i < n && d < BackoffMax; i++ {
+		d *= 2
 	}
-	d := float64(b.Base)
-	for i := 1; i < n; i++ {
-		d *= f
-		if b.Max > 0 && d >= float64(b.Max) {
-			return b.Max
-		}
-		if d >= float64(math.MaxInt64) {
-			// Uncapped schedules must not overflow time.Duration into a
-			// negative delay that would disable the gate.
-			return time.Duration(math.MaxInt64)
-		}
-	}
-	if b.Max > 0 && d > float64(b.Max) {
-		return b.Max
-	}
-	return time.Duration(d)
-}
-
-// DefaultBackoff returns the backoff schedule used by the production pump:
-// 50ms doubling to a 5s cap. Pair it with StartPump — synchronous
-// Settle/Flush loops honor the retry windows and may quiesce early while a
-// peer backs off (see Settle's doc).
-func DefaultBackoff() Backoff {
-	return Backoff{Base: 50 * time.Millisecond, Max: 5 * time.Second, Factor: 2}
+	return min(d, BackoffMax)
 }
 
 // Pump tuning defaults (Config fields left zero).
@@ -248,17 +217,18 @@ func (c *Controller) batchLimits(backlogs map[string][2]int) map[string]int {
 // claimBatches partitions the deliverable queue by peer and claims up to a
 // per-peer limit of messages, preserving queue (FIFO) order within each
 // batch. The limit for a peer is perPeer[peer] when present, else limit
-// (0 = unbounded). Held messages, messages already in flight, peers with a
-// batch in flight, and peers still backing off are skipped. With admit set
-// (background pump passes only), the admission budgets also apply: peers
-// with live outbound calls in flight are capped at Admission.Burst, and a
-// new cascade-class batch is skipped entirely while the cascade worker
-// budget is exhausted and response-class messages are waiting. Batches are
-// returned in queue order of their first message.
-func (c *Controller) claimBatches(limit int, perPeer map[string]int, admit bool) []*claimedBatch {
+// (0 = unbounded). Held messages, messages already in flight, and peers
+// with a batch in flight are skipped. A pump pass (background pumps only;
+// Flush passes false) also applies the pump policies: peers still inside
+// their retry window are skipped, peers with live outbound calls in flight
+// are capped at Admission.Burst, and a new cascade-class batch is skipped
+// entirely while the cascade worker budget is exhausted and response-class
+// messages are waiting. Batches are returned in queue order of their first
+// message.
+func (c *Controller) claimBatches(limit int, perPeer map[string]int, pumpPass bool) []*claimedBatch {
 	now := c.now()
 	adm := c.Cfg.Admission
-	admit = admit && adm.Enabled()
+	admit := pumpPass && adm.Enabled()
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	// The MaxShare budget only bites while user-visible (response-class)
@@ -290,7 +260,7 @@ func (c *Controller) claimBatches(limit int, perPeer map[string]int, admit bool)
 				ps = &peerState{}
 				c.peers[peer] = ps
 			}
-			if ps.inflight || (c.Cfg.Backoff.Enabled() && now.Before(ps.nextTry)) {
+			if ps.inflight || (pumpPass && now.Before(ps.nextTry)) {
 				skipPeer[peer] = true
 				continue
 			}
@@ -384,17 +354,14 @@ func (c *Controller) compactLocked() {
 // deliverBatch delivers one claimed batch in FIFO order and reconciles each
 // outcome. A peer-level failure (transport error: the peer is unreachable,
 // so later messages would only repeat it) aborts the remainder of the batch
-// and either advances the peer's backoff schedule or, with backoff
-// disabled, charges a failed attempt to every remaining claimed message,
-// parking those that exhaust MaxAttempts. A message-level failure (the peer
-// answered, but with an unexpected status for this one message) charges
-// only that message and the batch continues — one poisoned message must not
-// block the peer's queue. Returns how many messages were delivered and
-// removed.
+// and advances the peer's backoff schedule; the remaining messages stay
+// live and uncharged. A message-level failure (the peer answered, but with
+// an unexpected status for this one message) charges only that message and
+// the batch continues — one poisoned message must not block the peer's
+// queue. Returns how many messages were delivered and removed.
 func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 	var notes []Notification
-	var heldMsgs []PendingMsg // parked in the final reconcile; emitted unlocked
-	removed := 0              // dead entries this batch left in the queue slice
+	removed := 0 // dead entries this batch left in the queue slice
 	failedAt := -1
 	var failErr string
 
@@ -573,56 +540,30 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 	}
 	ps := c.peers[cl.peer]
 	if failedAt >= 0 {
+		// Unreachable peers back off; their messages stay live. The outage
+		// is tracked per peer (ps.failures), not charged to each message's
+		// Attempts — otherwise a long outage would exhaust every message's
+		// MaxAttempts budget and the first message-level failure after
+		// recovery would park it instantly.
 		ps.failures++
-		if c.Cfg.Backoff.Enabled() {
-			// Unreachable peers back off; their messages stay live. The
-			// outage is tracked per peer (ps.failures), not charged to each
-			// message's Attempts — otherwise a long outage would exhaust
-			// every message's MaxAttempts budget and the first message-level
-			// failure after recovery would park it instantly.
-			ps.nextTry = c.now().Add(c.Cfg.Backoff.Delay(ps.failures))
-			for j := failedAt; j < len(cl.ptrs); j++ {
-				p := cl.ptrs[j]
-				if !p.queued {
-					continue
-				}
-				p.inflight = false
-				if p.Gen == cl.gens[j] {
-					p.LastErr = failErr
-					c.walEmitQSetLocked(p)
-				}
+		ps.nextTry = c.now().Add(backoffDelay(ps.failures))
+		for j := failedAt; j < len(cl.ptrs); j++ {
+			p := cl.ptrs[j]
+			if !p.queued {
+				continue
 			}
-			if ps.failures >= c.Cfg.MaxAttempts && !ps.notified {
-				ps.notified = true
-				notes = append(notes, Notification{
-					Kind: "unreachable", Target: cl.peer, RepairType: string(cl.snap[failedAt].Msg.Kind),
-					Detail: fmt.Sprintf("peer unreachable after %d attempts; retrying with backoff: %s", ps.failures, failErr),
-				})
-			}
-		} else {
-			// Legacy behavior: every remaining claimed message is charged a
-			// failed attempt and parked once it exhausts MaxAttempts.
-			for j := failedAt; j < len(cl.ptrs); j++ {
-				p := cl.ptrs[j]
-				if !p.queued {
-					continue
-				}
-				p.inflight = false
-				if p.Gen != cl.gens[j] && !c.faults.UngatedReconcile {
-					continue
-				}
-				p.Attempts++
+			p.inflight = false
+			if p.Gen == cl.gens[j] {
 				p.LastErr = failErr
-				if p.Attempts >= c.Cfg.MaxAttempts {
-					p.Held = true
-					heldMsgs = append(heldMsgs, *p)
-					notes = append(notes, Notification{
-						MsgID: p.MsgID, Kind: "unreachable", Target: p.Msg.Target, RepairType: string(p.Msg.Kind),
-						Detail: fmt.Sprintf("peer unreachable after %d attempts; message held for Retry: %s", p.Attempts, failErr),
-					})
-				}
 				c.walEmitQSetLocked(p)
 			}
+		}
+		if ps.failures >= c.Cfg.MaxAttempts && !ps.notified {
+			ps.notified = true
+			notes = append(notes, Notification{
+				Kind: "unreachable", Target: cl.peer, RepairType: string(cl.snap[failedAt].Msg.Kind),
+				Detail: fmt.Sprintf("peer unreachable after %d attempts; retrying with backoff: %s", ps.failures, failErr),
+			})
 		}
 		ps.inflight = false
 		// Backoff state is only meaningful while the peer still has
@@ -651,9 +592,6 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 	}
 	c.qmu.Unlock()
 
-	for _, h := range heldMsgs {
-		c.emit(EvMsgHeld, h.MsgID, "%s to %s held: unreachable after %d attempts", h.Msg.Kind, h.Msg.Target, h.Attempts)
-	}
 	for _, n := range notes {
 		c.notify(n)
 	}
@@ -692,25 +630,47 @@ func (c *Controller) WaitQueueEmpty(timeout time.Duration) bool {
 	return c.qlive == 0
 }
 
-// Flush attempts one synchronous delivery pass over the outgoing queue and
-// reports how many messages were delivered and how many remain. Batches are
-// delivered serially in queue order, so Flush (and Settle on top of it) is
-// deterministic; the background pump started with StartPump runs the same
-// passes with batches to distinct peers in flight concurrently. Messages to
-// unavailable peers stay queued (§3: asynchronous repair); messages refused
-// as unauthorized or permanently unavailable are parked or dropped with an
-// application notification. With Config.Backoff enabled, peers inside
-// their retry window are skipped — delivered can be 0 while remaining > 0;
-// such messages drain on a later pass (or pump tick) once the window
-// elapses.
+// Flush delivers now: one synchronous pass over the outgoing queue that
+// attempts every deliverable (not Held, not in flight) message, reporting
+// how many were delivered and how many remain. It ignores every pump
+// policy — BatchSize, BatchPolicy, Admission, and the retry window of a
+// backing-off peer — so each Flush makes one attempt per unreachable peer.
+// Batches are delivered serially in queue order, so Flush (and Settle on
+// top of it) is deterministic. Messages to unavailable peers stay queued
+// (§3: asynchronous repair); messages refused as unauthorized or
+// permanently unavailable are parked or dropped with an application
+// notification.
 func (c *Controller) Flush() (delivered, remaining int) {
-	// Unbounded claim: one Flush attempts every deliverable message, as the
-	// legacy serial Flush did; BatchSize, BatchPolicy, and Admission only
-	// shape the background pump.
 	for _, cl := range c.claimBatches(0, nil, false) {
 		delivered += c.deliverBatch(cl)
 	}
 	return delivered, c.QueueLen()
+}
+
+// Settle drives the given controllers synchronously until the system
+// quiesces or maxRounds rounds elapse, returning the number of productive
+// rounds. Each round runs, per controller in the given order, one Flush
+// and one ProcessIncoming; Settle returns at the first round that makes no
+// progress. Because Flush ignores retry windows, a peer that comes back
+// online is delivered to on the next round — Settle never stops early
+// because a reachable peer is still backing off.
+func Settle(maxRounds int, ctrls ...*Controller) int {
+	rounds := 0
+	for ; rounds < maxRounds; rounds++ {
+		progressed := false
+		for _, c := range ctrls {
+			if d, _ := c.Flush(); d > 0 {
+				progressed = true
+			}
+			if r, _ := c.ProcessIncoming(); r != nil {
+				progressed = true
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+	return rounds
 }
 
 // releaseBatches hands claimed-but-undispatched batches back to the queue:

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -117,31 +118,29 @@ func TestPumpPerPeerFIFO(t *testing.T) {
 	}
 }
 
-// TestBackoffSchedule checks Backoff.Delay's exponential shape and cap.
+// TestBackoffSchedule checks the fixed retry schedule: 50ms doubling to a
+// 5s cap, with no overflow however long the outage lasts.
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 500 * time.Millisecond, Factor: 2}
-	want := []time.Duration{0, 100, 200, 400, 500, 500} // ms, index = failures
+	want := []time.Duration{0, 50, 100, 200, 400, 800, 1600, 3200, 5000, 5000} // ms, index = failures
 	for n, ms := range want {
-		if got := b.Delay(n); got != ms*time.Millisecond {
-			t.Errorf("Delay(%d) = %v, want %v", n, got, ms*time.Millisecond)
+		if got := backoffDelay(n); got != ms*time.Millisecond {
+			t.Errorf("delay after %d failures = %v, want %v", n, got, ms*time.Millisecond)
 		}
 	}
-	if (Backoff{}).Enabled() {
-		t.Error("zero Backoff must be disabled")
-	}
-	if d := (Backoff{Base: time.Second}).Delay(3); d != 4*time.Second {
-		t.Errorf("default factor should be 2: got %v", d)
+	for _, n := range []int{64, 1 << 20, math.MaxInt} {
+		if got := backoffDelay(n); got != BackoffMax {
+			t.Errorf("delay after %d failures = %v, want the %v cap", n, got, BackoffMax)
+		}
 	}
 }
 
-// TestBackoffGatesDeliveryAttempts: with backoff enabled and a fake clock,
-// delivery attempts to an unreachable peer follow the exponential schedule
-// exactly, messages are never parked, and the administrator is notified
-// once per outage.
+// TestBackoffGatesDeliveryAttempts: on a fake clock, background pump passes
+// to an unreachable peer follow the backoff schedule exactly, messages are
+// never parked, and the administrator is notified once per outage. A Flush
+// ignores the retry window: each one makes exactly one attempt.
 func TestBackoffGatesDeliveryAttempts(t *testing.T) {
 	fc := newFakeClock()
 	cfg := DefaultConfig()
-	cfg.Backoff = Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2}
 	cfg.Clock = fc.Now
 
 	tb := newTestbed()
@@ -157,36 +156,44 @@ func TestBackoffGatesDeliveryAttempts(t *testing.T) {
 
 	attempts := func() int64 { _, drops := tb.bus.Stats(); return drops }
 	base := attempts()
-
-	a.Flush() // attempt 1 fails; peer backs off 100ms
-	if got := attempts() - base; got != 1 {
-		t.Fatalf("first flush made %d attempts, want 1", got)
+	pumpPass := func() {
+		for _, cl := range claimPass(a) {
+			a.deliverBatch(cl)
+		}
 	}
-	a.Flush() // clock unchanged: gated, no attempt
-	a.Flush()
-	if got := attempts() - base; got != 1 {
-		t.Fatalf("backoff did not gate retries: %d attempts", got)
-	}
-
-	fc.Advance(100 * time.Millisecond)
-	a.Flush() // attempt 2; delay doubles to 200ms
-	if got := attempts() - base; got != 2 {
-		t.Fatalf("after Base elapsed: %d attempts, want 2", got)
-	}
-	fc.Advance(100 * time.Millisecond)
-	a.Flush() // only 100ms of the 200ms delay elapsed: gated
-	if got := attempts() - base; got != 2 {
-		t.Fatalf("doubled delay not respected: %d attempts", got)
-	}
-	fc.Advance(100 * time.Millisecond)
-	a.Flush() // attempt 3
-	if got := attempts() - base; got != 3 {
-		t.Fatalf("after doubled delay: %d attempts, want 3", got)
+	expect := func(want int64, what string) {
+		t.Helper()
+		if got := attempts() - base; got != want {
+			t.Fatalf("%s: %d attempts, want %d", what, got, want)
+		}
 	}
 
-	// Backoff replaces park-after-MaxAttempts: the message is still live,
-	// and the outage is charged to the peer, not to the message's own
-	// Attempts budget (which is reserved for message-level failures).
+	pumpPass() // attempt 1 fails; peer backs off 50ms
+	expect(1, "first pass")
+	pumpPass() // clock unchanged: gated, no attempt
+	pumpPass()
+	expect(1, "passes inside the window")
+
+	fc.Advance(50 * time.Millisecond)
+	pumpPass() // attempt 2; delay doubles to 100ms
+	expect(2, "after the base delay elapsed")
+	fc.Advance(50 * time.Millisecond)
+	pumpPass() // only 50ms of the 100ms delay elapsed: gated
+	expect(2, "inside the doubled delay")
+	fc.Advance(50 * time.Millisecond)
+	pumpPass() // attempt 3
+	expect(3, "after the doubled delay")
+
+	// Flush delivers now: one attempt each, window or not, and the clock
+	// never moves.
+	for i := int64(1); i <= 3; i++ {
+		a.Flush()
+		expect(3+i, "Flush inside a retry window")
+	}
+
+	// The message is still live, and the outage is charged to the peer, not
+	// to the message's own Attempts budget (which is reserved for
+	// message-level failures).
 	pend := a.Pending()
 	if len(pend) != 1 || pend[0].Held {
 		t.Fatalf("message must stay live under backoff: %+v", pend)
@@ -205,11 +212,11 @@ func TestBackoffGatesDeliveryAttempts(t *testing.T) {
 		t.Fatalf("unreachable notifications = %d, want 1", unreachable)
 	}
 
-	// Recovery: peer returns, next scheduled attempt delivers and resets
-	// the peer's backoff state.
+	// Recovery: peer returns, the next pass after the window delivers and
+	// resets the peer's backoff state.
 	tb.bus.SetOffline("b", false)
-	fc.Advance(time.Second)
-	a.Flush()
+	fc.Advance(BackoffMax)
+	pumpPass()
 	tb.settle(10)
 	if a.QueueLen() != 0 {
 		t.Fatalf("queue should drain after recovery: %d left", a.QueueLen())
@@ -219,11 +226,11 @@ func TestBackoffGatesDeliveryAttempts(t *testing.T) {
 	}
 }
 
-// TestBatchChargesAllMessagesOnUnreachable: with backoff disabled (legacy
-// mode), one failed batch charges an attempt to every claimed message for
-// that peer, so they reach MaxAttempts — and park — together, exactly as
-// when each was attempted individually, without paying one timeout each.
-func TestBatchChargesAllMessagesOnUnreachable(t *testing.T) {
+// TestUnreachableBatchOneCallPerPass: a failed batch aborts at its first
+// transport failure, so an unreachable peer costs one call per pass, not
+// one per queued message — and none of the messages is charged an attempt
+// or parked.
+func TestUnreachableBatchOneCallPerPass(t *testing.T) {
 	tb := newTestbed()
 	a := tb.add(&kvApp{name: "a", mirror: "b"}, DefaultConfig())
 	tb.add(&kvApp{name: "b"}, DefaultConfig())
@@ -243,19 +250,18 @@ func TestBatchChargesAllMessagesOnUnreachable(t *testing.T) {
 	if n := a.QueueLen(); n != 3 {
 		t.Fatalf("queue = %d, want 3", n)
 	}
-	for i := 0; i < DefaultConfig().MaxAttempts; i++ {
+	const passes = 5
+	for i := 0; i < passes; i++ {
 		a.Flush()
 	}
 	for _, p := range a.Pending() {
-		if !p.Held || p.Attempts != DefaultConfig().MaxAttempts {
-			t.Fatalf("all batch messages should park together: %+v", p)
+		if p.Held || p.Attempts != 0 {
+			t.Fatalf("an unreachable peer must not charge or park its messages: %+v", p)
 		}
 	}
-	// One bus-level attempt per pass (batch aborts on first failure), not
-	// one per message.
 	_, drops := tb.bus.Stats()
-	if drops != int64(DefaultConfig().MaxAttempts) {
-		t.Fatalf("bus saw %d failed calls, want %d (one per pass)", drops, DefaultConfig().MaxAttempts)
+	if drops != passes {
+		t.Fatalf("bus saw %d failed calls, want %d (one per pass)", drops, passes)
 	}
 }
 
@@ -279,9 +285,7 @@ func (p *poisonPeer) HandleWire(from string, req wire.Request) wire.Response {
 // unreachable (no backoff, no batch-wide attempt charges).
 func TestMessageSpecificFailureDoesNotBlockBatch(t *testing.T) {
 	tb := newTestbed()
-	cfg := DefaultConfig()
-	cfg.Backoff = Backoff{Base: time.Millisecond} // backoff enabled: must not trigger
-	hub := tb.add(&kvApp{name: "hub"}, cfg)
+	hub := tb.add(&kvApp{name: "hub"}, DefaultConfig())
 	peer := &poisonPeer{}
 	tb.bus.Register("sink", peer)
 
@@ -302,9 +306,12 @@ func TestMessageSpecificFailureDoesNotBlockBatch(t *testing.T) {
 		t.Fatalf("poisoned message should be parked alone after MaxAttempts: %+v", pend)
 	}
 	// The peer answered every time, so it must not be backing off: a fresh
-	// message delivers on the next pass with no clock advance.
+	// message delivers on the next pump pass (which, unlike Flush, honors
+	// retry windows) with no clock advance.
 	hub.enqueue([]warp.OutMsg{createMsg("sink", 3)}, traceCtx{})
-	hub.Flush()
+	for _, cl := range claimPass(hub) {
+		hub.deliverBatch(cl)
+	}
 	if got := peer.recorded(); len(got) != 3 || got[2] != "3" {
 		t.Fatalf("reachable peer wrongly backed off after message-level failures: %v", got)
 	}

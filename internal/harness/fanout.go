@@ -167,11 +167,7 @@ func (s *FanoutScenario) SettleUntilReachableRepaired(maxRounds int) (time.Durat
 // StartPumps starts the background pump on every controller in the testbed,
 // returning a stop function.
 func (tb *Testbed) StartPumps(ctx context.Context) (stop func(), err error) {
-	ctrls := make([]*core.Controller, 0, len(tb.order))
-	for _, name := range tb.order {
-		ctrls = append(ctrls, tb.Ctrls[name])
-	}
-	return core.StartPumps(ctx, ctrls...)
+	return core.StartPumps(ctx, tb.controllers()...)
 }
 
 // SetLatency injects per-call delivery latency for the named service.

@@ -9,13 +9,12 @@ import (
 )
 
 // pumpCfg is a hub configuration tuned for the fan-out tests: concurrent
-// delivery, short backoff, fast background passes.
+// delivery, fast background passes.
 func pumpCfg() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.PumpWorkers = 4
 	cfg.BatchSize = 8
 	cfg.PumpInterval = time.Millisecond
-	cfg.Backoff = core.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2}
 	return cfg
 }
 
@@ -54,13 +53,13 @@ func TestFanoutPumpDeliversAroundStalledPeer(t *testing.T) {
 		t.Errorf("reachable repair took %v, not concurrent with the %v stall", elapsed, stallLatency)
 	}
 	// The stalled peer's message is still live — queued, not parked — since
-	// backoff replaces park-after-MaxAttempts.
+	// an unreachable peer never parks a message.
 	if s.Hub.QueueLen() == 0 {
 		t.Fatal("stalled peer's repair message should remain queued")
 	}
 	for _, p := range s.Hub.Pending() {
 		if p.Held {
-			t.Fatalf("backoff mode must not park messages: %+v", p)
+			t.Fatalf("an unreachable peer must not park messages: %+v", p)
 		}
 	}
 }

@@ -295,8 +295,6 @@ const (
 	simFrozenTime   = int64(1_380_000_000)
 	simClockStart   = int64(1_700_000_000)
 	simPulseStep    = 25 * time.Millisecond
-	simBackoffBase  = 50 * time.Millisecond
-	simBackoffMax   = 400 * time.Millisecond
 	simPartitionMin = 2 // partition duration in steps
 	simPartitionVar = 4
 )
@@ -445,7 +443,6 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 		w.net = w.bus
 	}
 	ccfg := core.DefaultConfig()
-	ccfg.Backoff = core.Backoff{Base: simBackoffBase, Max: simBackoffMax, Factor: 2}
 	ccfg.Clock = w.clock.Now
 	w.faults = core.Faults{DisableDedup: cfg.DisableDedup, SuppressReoffer: cfg.suppressReoffer,
 		UngatedReconcile: cfg.faultUngatedReconcile}
@@ -1131,7 +1128,7 @@ func (w *simWorld) runScheduled(cfg SimConfig, events []simEvent, ops []simOp, c
 				quiesced = true
 				break
 			}
-			w.clock.Advance(simBackoffMax)
+			w.clock.Advance(core.BackoffMax) // elapse every retry window
 		}
 	}
 	if !quiesced {
@@ -1184,8 +1181,8 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		}
 
 		// Quiesce: heal the fabric and pump until nothing moves and nothing
-		// is queued or held in flight. Backoff windows are elapsed by
-		// advancing the simulated clock, never by waiting.
+		// is queued or held in flight. Flush ignores retry windows, so no
+		// clock advance beyond the pulse step is needed.
 		w.sim.Heal()
 		last := w.progressTally(cfg.narrowQuiesce)
 		quiesced := false
@@ -1200,7 +1197,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 					quiesced = true
 					break
 				}
-				w.clock.Advance(simBackoffMax)
 			}
 		}
 		if !quiesced {

@@ -32,9 +32,9 @@ func lostwaveConfig(t *testing.T, seed int64, reoffer bool) SimConfig {
 // TestLostWaveStallsWithoutReoffer is the teeth check: with re-offer
 // stamping suppressed (core.Faults.SuppressReoffer), the lostwave curse
 // genuinely defeats convergence — the run fails to quiesce within
-// MaxRounds even though every round elapses the full backoff schedule
-// (each idle round advances the virtual clock past Backoff.Max, so ~100
-// rounds is far beyond the backoff horizon). The identical schedule
+// MaxRounds even though every round retries every queued carrier (the
+// serial driver's Flush ignores retry windows, so ~100 rounds is far
+// beyond the backoff horizon). The identical schedule
 // replays verbatim, and turning the hook off makes the same seed converge
 // — proving the recovery is the NACK/re-offer path, not luck.
 func TestLostWaveStallsWithoutReoffer(t *testing.T) {

@@ -235,7 +235,6 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	ccfg.Sched = sd
 	ccfg.Clock = clock.Now
 	ccfg.PumpInterval = simPulseStep
-	ccfg.Backoff = core.Backoff{Base: simBackoffBase, Max: simBackoffMax, Factor: 2}
 	ccfg.PumpWorkers = cfg.Workers
 	ccfg.BatchPolicy = cfg.BatchPolicy
 	ccfg.Admission = cfg.Admission
@@ -294,7 +293,7 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 		cur := hub.Stats().MsgsDelivered + hub.Stats().MsgsFailed + int64(sim.HeldCount())
 		if cur == last {
 			// Backed-off peers: elapse the retry windows.
-			clock.Advance(simBackoffMax)
+			clock.Advance(core.BackoffMax)
 		}
 		last = cur
 	}
@@ -365,6 +364,9 @@ func runStormSerial(cfg StormConfig) (*StormResult, error) {
 	if !hub.WaitQueueEmpty(60 * time.Second) {
 		return nil, fmt.Errorf("storm: %d messages still queued after 60s", hub.QueueLen())
 	}
+	// The last entry leaves the queue before its worker emits
+	// EvMsgDelivered; stopping the pump waits for every worker to finish.
+	hub.StopPump()
 	sink.finish(res)
 	return res, nil
 }

@@ -53,29 +53,18 @@ func (tb *Testbed) MustCall(svc string, req wire.Request) wire.Response {
 	return resp
 }
 
-// Settle pumps all outgoing repair queues (in deterministic service order)
-// until the system is quiescent or maxRounds passes elapse; it returns the
-// number of rounds that made progress.
-func (tb *Testbed) Settle(maxRounds int) int {
-	rounds := 0
-	for i := 0; i < maxRounds; i++ {
-		progressed := false
-		for _, name := range tb.order {
-			c := tb.Ctrls[name]
-			if d, _ := c.Flush(); d > 0 {
-				progressed = true
-			}
-			if r, _ := c.ProcessIncoming(); r != nil {
-				progressed = true
-			}
-		}
-		if !progressed {
-			return rounds
-		}
-		rounds++
+// controllers lists the services' controllers in the order they were added.
+func (tb *Testbed) controllers() []*core.Controller {
+	ctrls := make([]*core.Controller, len(tb.order))
+	for i, name := range tb.order {
+		ctrls[i] = tb.Ctrls[name]
 	}
-	return rounds
+	return ctrls
 }
+
+// Settle runs core.Settle over every service in the order they were added;
+// it returns the number of rounds that made progress.
+func (tb *Testbed) Settle(maxRounds int) int { return core.Settle(maxRounds, tb.controllers()...) }
 
 // SetOffline toggles a service's availability (§7.2 experiments).
 func (tb *Testbed) SetOffline(svc string, off bool) { tb.Bus.SetOffline(svc, off) }
