@@ -108,4 +108,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-smoke bench-obs
+ci: fmt vet lint build test race bench bench-smoke fuzz-wal bench-obs

@@ -10,7 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"aire/internal/core"
@@ -18,42 +18,52 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "all", "scenario to run: askbot, acl, worldwritable, sync, partial, all")
-	users := flag.Int("users", 10, "number of legitimate users (askbot scenario)")
-	flag.Parse()
-
-	run := func(name string, fn func() error) {
-		fmt.Printf("==== scenario: %s ====\n", name)
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Println()
-	}
-
-	switch *scenario {
-	case "askbot":
-		run("askbot", func() error { return askbotDemo(*users) })
-	case "acl":
-		run("acl", aclDemo)
-	case "worldwritable":
-		run("worldwritable", worldWritableDemo)
-	case "sync":
-		run("sync", syncDemo)
-	case "partial":
-		run("partial", partialDemo)
-	case "all":
-		run("askbot (Figure 4)", func() error { return askbotDemo(*users) })
-		run("acl / lax permissions (Figure 5)", aclDemo)
-		run("worldwritable directory", worldWritableDemo)
-		run("corrupt data sync", syncDemo)
-		run("partial repair (offline peer)", partialDemo)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func askbotDemo(users int) error {
+// run is main without the process exit, so the smoke test can drive it.
+// Exit codes: 0 every scenario recovered, 1 a scenario failed, 2 usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("airedemo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "all", "scenario to run: askbot, acl, worldwritable, sync, partial, all")
+	users := fs.Int("users", 10, "number of legitimate users (askbot scenario)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	demos := []struct {
+		key, title string
+		fn         func(io.Writer) error
+	}{
+		{"askbot", "askbot (Figure 4)", func(w io.Writer) error { return askbotDemo(w, *users) }},
+		{"acl", "acl / lax permissions (Figure 5)", aclDemo},
+		{"worldwritable", "worldwritable directory", worldWritableDemo},
+		{"sync", "corrupt data sync", syncDemo},
+		{"partial", "partial repair (offline peer)", partialDemo},
+	}
+	ran := false
+	for _, d := range demos {
+		if *scenario != "all" && *scenario != d.key {
+			continue
+		}
+		ran = true
+		fmt.Fprintf(stdout, "==== scenario: %s ====\n", d.title)
+		if err := d.fn(stdout); err != nil {
+			fmt.Fprintf(stderr, "airedemo: %s: %v\n", d.key, err)
+			return 1
+		}
+		fmt.Fprintln(stdout)
+	}
+	if !ran {
+		fmt.Fprintf(stderr, "unknown scenario %q\n", *scenario)
+		return 2
+	}
+	return 0
+}
+
+func askbotDemo(w io.Writer, users int) error {
 	s, err := harness.NewAskbotScenario(users, core.DefaultConfig())
 	if err != nil {
 		return err
@@ -64,7 +74,7 @@ func askbotDemo(users int) error {
 	if err := s.RunLegitTraffic(users, 3); err != nil {
 		return err
 	}
-	fmt.Printf("attack: misconfig %s; attacker posted %s; crosspost %s\n",
+	fmt.Fprintf(w, "attack: misconfig %s; attacker posted %s; crosspost %s\n",
 		s.ConfigReqID, s.AttackQuestionID, s.AttackPasteID)
 	if err := s.Repair(); err != nil {
 		return err
@@ -75,14 +85,14 @@ func askbotDemo(users int) error {
 	for _, svc := range []string{"oauth", "askbot", "dpaste"} {
 		ctrl := s.TB.Ctrls[svc]
 		rr, tr, ro, to := ctrl.RepairCounts()
-		fmt.Printf("  %-7s repaired %4d/%4d requests, %5d/%6d model ops, repair time %v\n",
+		fmt.Fprintf(w, "  %-7s repaired %4d/%4d requests, %5d/%6d model ops, repair time %v\n",
 			svc, rr, tr, ro, to, ctrl.RepairDuration())
 	}
-	fmt.Println("attack fully undone; legitimate state preserved")
+	fmt.Fprintln(w, "attack fully undone; legitimate state preserved")
 	return nil
 }
 
-func sheetDemo(withSync bool, attack func(*harness.SheetScenario) error) error {
+func sheetDemo(w io.Writer, withSync bool, attack func(*harness.SheetScenario) error) error {
 	s := harness.NewSheetScenario(withSync, core.DefaultConfig())
 	s.RunLegitTraffic()
 	if err := attack(s); err != nil {
@@ -97,25 +107,25 @@ func sheetDemo(withSync bool, attack func(*harness.SheetScenario) error) error {
 	for _, svc := range []string{"dir", "sheetA", "sheetB"} {
 		ctrl := s.TB.Ctrls[svc]
 		rr, tr, _, _ := ctrl.RepairCounts()
-		fmt.Printf("  %-7s repaired %d/%d requests\n", svc, rr, tr)
+		fmt.Fprintf(w, "  %-7s repaired %d/%d requests\n", svc, rr, tr)
 	}
-	fmt.Println("attack fully undone; legitimate state preserved")
+	fmt.Fprintln(w, "attack fully undone; legitimate state preserved")
 	return nil
 }
 
-func aclDemo() error {
-	return sheetDemo(false, func(s *harness.SheetScenario) error { return s.RunLaxPermissionAttack() })
+func aclDemo(w io.Writer) error {
+	return sheetDemo(w, false, func(s *harness.SheetScenario) error { return s.RunLaxPermissionAttack() })
 }
 
-func worldWritableDemo() error {
-	return sheetDemo(false, func(s *harness.SheetScenario) error { return s.RunWorldWritableAttack() })
+func worldWritableDemo(w io.Writer) error {
+	return sheetDemo(w, false, func(s *harness.SheetScenario) error { return s.RunWorldWritableAttack() })
 }
 
-func syncDemo() error {
-	return sheetDemo(true, func(s *harness.SheetScenario) error { return s.RunCorruptSyncAttack() })
+func syncDemo(w io.Writer) error {
+	return sheetDemo(w, true, func(s *harness.SheetScenario) error { return s.RunCorruptSyncAttack() })
 }
 
-func partialDemo() error {
+func partialDemo(w io.Writer) error {
 	s := harness.NewSheetScenario(false, core.DefaultConfig())
 	s.RunLegitTraffic()
 	if err := s.RunLaxPermissionAttack(); err != nil {
@@ -125,12 +135,12 @@ func partialDemo() error {
 	if err := s.Repair(); err != nil {
 		return err
 	}
-	fmt.Printf("  B offline: A repaired immediately, %d message(s) queued\n", s.TB.QueuedMessages())
+	fmt.Fprintf(w, "  B offline: A repaired immediately, %d message(s) queued\n", s.TB.QueuedMessages())
 	s.TB.SetOffline("sheetB", false)
 	s.TB.Settle(20)
 	if problems := s.Verify(); len(problems) > 0 {
 		return fmt.Errorf("verify: %v", problems)
 	}
-	fmt.Println("  B online: queued repair delivered; all services clean")
+	fmt.Fprintln(w, "  B online: queued repair delivered; all services clean")
 	return nil
 }

@@ -11,7 +11,7 @@
 //	# repair: delete the put on A using the Aire-Request-Id header it returned
 //	curl -XPOST http://localhost:8031/aire/repair \
 //	     -H 'Aire-Repair: delete' -H "Aire-Request-Id: $ID"
-//	curl 'http://localhost:8032/get?key=x'                    # gone within -pump-interval
+//	curl 'http://localhost:8032/get?key=x'                    # gone after a pump pass
 //
 // Outgoing repair queues are pumped continuously in the background (§3):
 // each service's pump delivers to distinct peers concurrently, batches
@@ -24,7 +24,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,86 +68,110 @@ func withDebug(reg *obs.Registry, ctrls map[string]*aire.Controller, h http.Hand
 }
 
 func main() {
-	addrA := flag.String("a", "127.0.0.1:8031", "listen address for service a")
-	addrB := flag.String("b", "127.0.0.1:8032", "listen address for service b")
-	workers := flag.Int("pump-workers", 4, "concurrent per-peer repair deliveries")
-	batch := flag.Int("batch", 16, "max repair messages batched to one peer per pass")
-	interval := flag.Duration("pump-interval", 100*time.Millisecond, "pacing of background pump passes")
-	waldir := flag.String("waldir", "aireserve-data", "durable state directory (per-service WAL + checkpoints; required)")
-	fsync := flag.String("fsync", "every", "WAL fsync policy: every, interval, none")
-	cpEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often each service checkpoints and truncates its WAL")
-	flag.Parse()
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	cancel()
+	os.Exit(code)
+}
+
+// run is main without the process exit, so the smoke test can drive it: it
+// serves until ctx is cancelled. Exit codes: 0 clean shutdown, 1 the
+// testbed failed to start or serve, 2 usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aireserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addrA := fs.String("a", "127.0.0.1:8031", "listen address for service a")
+	addrB := fs.String("b", "127.0.0.1:8032", "listen address for service b")
+	waldir := fs.String("waldir", "aireserve-data", "durable state directory (per-service WAL + checkpoints; required)")
+	fsync := fs.String("fsync", "every", "WAL fsync policy: every, interval, none")
+	cpEvery := fs.Duration("checkpoint-interval", 30*time.Second, "how often each service checkpoints and truncates its WAL")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *waldir == "" {
-		fmt.Fprintln(os.Stderr, "aireserve: -waldir must name a directory: durable state is not optional")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "aireserve: -waldir must name a directory: durable state is not optional")
+		fs.Usage()
+		return 2
+	}
+	pol, err := wal.ParsePolicy(*fsync)
+	if err != nil {
+		fmt.Fprintln(stderr, "aireserve:", err)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "aireserve:", err)
+		return 1
+	}
+
+	// Bind both listeners before any WAL opens, so a busy port fails with
+	// nothing to undo; the caller's URLs come from the bound addresses, so
+	// ":0" works.
+	names := []string{"a", "b"}
+	lns := map[string]net.Listener{}
+	urls := map[string]string{}
+	for i, addr := range []string{*addrA, *addrB} {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return fail(err)
+		}
+		defer ln.Close()
+		lns[names[i]], urls[names[i]] = ln, "http://"+ln.Addr().String()
 	}
 
 	reg := obs.New(obs.DefaultRingCap)
 	cfg := aire.DefaultConfig()
 	cfg.Obs = reg
-	cfg.PumpWorkers = *workers
-	cfg.BatchSize = *batch
-	cfg.PumpInterval = *interval
-
-	caller := &transport.HTTPCaller{BaseURLs: map[string]string{
-		"a": "http://" + *addrA,
-		"b": "http://" + *addrB,
-	}, Obs: reg}
-	ctrlA := aire.NewServiceWithConfig(&harness.KVApp{ServiceName: "a", Mirror: "b"}, caller, cfg)
-	ctrlB := aire.NewServiceWithConfig(&harness.KVApp{ServiceName: "b"}, caller, cfg)
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
+	caller := &transport.HTTPCaller{BaseURLs: urls, Obs: reg}
+	ctrls := map[string]*aire.Controller{
+		"a": aire.NewServiceWithConfig(&harness.KVApp{ServiceName: "a", Mirror: "b"}, caller, cfg),
+		"b": aire.NewServiceWithConfig(&harness.KVApp{ServiceName: "b"}, caller, cfg),
+	}
 
 	// Recover durable state (and attach the WAL) before serving traffic: a
 	// restarted aireserve resumes with its repair logs, versioned stores,
 	// outgoing queues, and dedup inboxes intact, then checkpoints in the
 	// background so the WAL stays bounded.
-	pol, err := wal.ParsePolicy(*fsync)
-	if err != nil {
-		log.Fatalf("aire: %v", err)
-	}
-	for _, s := range []struct {
-		name string
-		ctrl *aire.Controller
-	}{{"a", ctrlA}, {"b", ctrlB}} {
-		dir := filepath.Join(*waldir, s.name)
-		w, err := persist.Recover(s.ctrl, dir, wal.Options{Policy: pol})
+	for _, name := range names {
+		dir := filepath.Join(*waldir, name)
+		w, err := persist.Recover(ctrls[name], dir, wal.Options{Policy: pol})
 		if err != nil {
-			log.Fatalf("aire: recover %s from %s: %v", s.name, dir, err)
+			return fail(fmt.Errorf("recover %s from %s: %w", name, dir, err))
 		}
-		name := s.name
-		stopCp := persist.StartCheckpointer(ctx, s.ctrl, w, dir, *cpEvery, func(err error) {
-			log.Printf("aire: checkpoint %s: %v", name, err)
+		stopCp := persist.StartCheckpointer(ctx, ctrls[name], w, dir, *cpEvery, func(err error) {
+			fmt.Fprintf(stderr, "aireserve: checkpoint %s: %v\n", name, err)
 		})
 		// Defers run LIFO: register the close first so the checkpointer
 		// (which may be mid-checkpoint) stops before its writer closes.
 		defer w.Close()
 		defer stopCp()
 	}
-	fmt.Printf("aire: durable state in %s (fsync=%s, checkpoint every %v)\n", *waldir, pol, *cpEvery)
+	fmt.Fprintf(stdout, "aire: durable state in %s (fsync=%s, checkpoint every %v)\n", *waldir, pol, *cpEvery)
 
-	ctrls := map[string]*aire.Controller{"a": ctrlA, "b": ctrlB}
-	go func() {
-		log.Fatal(http.ListenAndServe(*addrA, withDebug(reg, ctrls, transport.NewHTTPHandler(ctrlA))))
-	}()
-	go func() {
-		log.Fatal(http.ListenAndServe(*addrB, withDebug(reg, ctrls, transport.NewHTTPHandler(ctrlB))))
-	}()
-	stopPumps, err := aire.StartPumps(ctx, ctrlA, ctrlB)
+	// Servers shut down after the pumps drain (the pumps deliver through
+	// them) and before the WALs close (their handlers append to them).
+	serveErr := make(chan error, len(names))
+	for _, name := range names {
+		srv := &http.Server{Handler: withDebug(reg, ctrls, transport.NewHTTPHandler(ctrls[name]))}
+		go func() { serveErr <- srv.Serve(lns[name]) }()
+		defer srv.Shutdown(context.WithoutCancel(ctx))
+	}
+	stopPumps, err := aire.StartPumps(ctx, ctrls["a"], ctrls["b"])
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	defer stopPumps()
 
-	fmt.Printf("aire: service a (mirrors to b) on http://%s\n", *addrA)
-	fmt.Printf("aire: service b on http://%s\n", *addrB)
-	fmt.Printf("aire: background repair pumps running (workers=%d batch=%d interval=%v)\n",
-		*workers, *batch, *interval)
-	fmt.Println("aire: try POST /put?key=x&val=hello on a, then GET /get?key=x on b,")
-	fmt.Println("aire: then POST /aire/repair with Aire-Repair: delete + Aire-Request-Id headers")
-	fmt.Println("aire: observability at /aire/debug/metrics, /aire/debug/waves and /aire/debug/vectors on either service")
-	<-ctx.Done()
-	fmt.Println("aire: shutting down, draining repair pumps")
+	fmt.Fprintf(stdout, "aire: service a (mirrors to b) on %s\n", urls["a"])
+	fmt.Fprintf(stdout, "aire: service b on %s\n", urls["b"])
+	fmt.Fprintln(stdout, "aire: background repair pumps running")
+	fmt.Fprintln(stdout, "aire: try POST /put?key=x&val=hello on a, then GET /get?key=x on b,")
+	fmt.Fprintln(stdout, "aire: then POST /aire/repair with Aire-Repair: delete + Aire-Request-Id headers")
+	fmt.Fprintln(stdout, "aire: observability at /aire/debug/metrics, /aire/debug/waves and /aire/debug/vectors on either service")
+	select {
+	case <-ctx.Done():
+		fmt.Fprintln(stdout, "aire: shutting down, draining repair pumps")
+		return 0
+	case err := <-serveErr:
+		return fail(err)
+	}
 }

@@ -127,20 +127,17 @@ type Config struct {
 	// concurrently (0 means a small default). Batches to the same peer are
 	// never concurrent: per-peer FIFO order is preserved.
 	PumpWorkers int
-	// BatchSize caps how many consecutive messages to one peer a single
-	// background pump pass carries (0 means a default). Flush is not
-	// capped: one synchronous pass attempts every deliverable message.
-	BatchSize int
-	// BatchPolicy, when non-nil, sizes each peer's claim adaptively from
-	// its backlog (see AdaptiveBatch) instead of the fixed BatchSize. The
-	// background pump snapshots per-peer backlogs, asks the policy for a
-	// limit per peer at a dedicated scheduler decision point
-	// ("batch-policy"), and claims under those limits. Flush ignores it.
-	BatchPolicy BatchPolicy
+	// BatchPolicy sizes each peer's claim from its backlog (the zero value
+	// means limits in [1, 64]). Every background pump pass snapshots
+	// per-peer backlogs, asks the policy for a limit per peer at a
+	// dedicated scheduler decision point ("batch-policy"), and claims
+	// under those limits. Flush ignores it: one synchronous pass attempts
+	// every deliverable message.
+	BatchPolicy AdaptiveBatch
 	// Admission bounds the share of pump capacity repair cascades may
 	// consume so a repair storm cannot starve user-visible traffic (see
-	// Admission). The zero value disables admission control. Flush ignores
-	// it.
+	// Admission; zero fields take DefaultAdmission's values). Flush
+	// ignores it.
 	Admission Admission
 	// PumpInterval paces the background pump's periodic passes — the ones
 	// that retry peers whose backoff delay has elapsed (0 means a default).

@@ -31,6 +31,10 @@ type Faults struct {
 	// wholly-lost delivery is only ever retried the ordinary way — the
 	// stall the re-offer path exists to break.
 	SuppressReoffer bool
+	// NoAdmission claims background pump passes without admission control
+	// (Admission's budgets), so a test can show a repair storm starving
+	// the mirror plane — the hazard admission exists to prevent.
+	NoAdmission bool
 	// StrictIndexes verifies vdb/repairlog secondary-index coherence at
 	// the start of every repair wave: a corrupted or stale index fails the
 	// repair loudly instead of silently walking the wrong slice. Pure reads

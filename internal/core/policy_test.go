@@ -63,11 +63,7 @@ func respMsg(host string, n int) warp.OutMsg {
 // claimPass runs the decision sequence a background pump pass runs —
 // backlog snapshot, policy limits, claim — and returns the claimed batches.
 func claimPass(c *Controller) []*claimedBatch {
-	var limits map[string]int
-	if c.Cfg.BatchPolicy != nil {
-		limits = c.batchLimits(c.peerBacklogs())
-	}
-	return c.claimBatches(c.batchSize(), limits, true)
+	return c.claimBatches(c.batchLimits(c.peerBacklogs()), true)
 }
 
 // TestBatchPolicyGrowsAndShrinks drives claim passes by hand: under a deep
@@ -115,16 +111,37 @@ func TestBatchPolicyGrowsAndShrinks(t *testing.T) {
 	c.releaseBatches(batches)
 }
 
-// TestAdmissionReservesResponseWorkers: with MaxShare = 0.5 of 2 workers,
-// one pass may put at most one cascade-class batch in flight while a
-// response-class message waits — the second cascade peer is skipped, the
-// response batch is claimed. Once nothing response-class is queued, the
-// budget stops biting.
+// TestBatchPolicyFloorForUnsnapshottedPeer: a peer whose first message
+// arrived after the pass's backlog snapshot has no computed limit, so its
+// claim takes the policy floor rather than an unbounded batch.
+func TestBatchPolicyFloorForUnsnapshottedPeer(t *testing.T) {
+	tb := newTestbed()
+	cfg := DefaultConfig()
+	cfg.BatchPolicy = AdaptiveBatch{Min: 2, Max: 8}
+	c := tb.add(&kvApp{name: "a"}, cfg)
+
+	limits := c.batchLimits(c.peerBacklogs()) // empty queue: no peer snapshotted
+	var msgs []warp.OutMsg
+	for i := 0; i < 5; i++ {
+		msgs = append(msgs, cascadeMsg("b", i))
+	}
+	c.enqueue(msgs, traceCtx{})
+	batches := c.claimBatches(limits, true)
+	if len(batches) != 1 || len(batches[0].ptrs) != 2 {
+		t.Fatalf("claim for an unsnapshotted peer = %d batches, want 1 batch of 2 (the floor)", len(batches))
+	}
+	c.releaseBatches(batches)
+}
+
+// TestAdmissionReservesResponseWorkers: with the default MaxShare (0.75)
+// of 2 workers, one pass may put at most one cascade-class batch in flight
+// while a response-class message waits — the second cascade peer is
+// skipped, the response batch is claimed. Once nothing response-class is
+// queued, the budget stops biting.
 func TestAdmissionReservesResponseWorkers(t *testing.T) {
 	tb := newTestbed()
 	cfg := DefaultConfig()
 	cfg.PumpWorkers = 2
-	cfg.Admission = Admission{MaxShare: 0.5}
 	c := tb.add(&kvApp{name: "a"}, cfg)
 
 	c.enqueue([]warp.OutMsg{cascadeMsg("p1", 0), cascadeMsg("p2", 0), respMsg("client", 0)}, traceCtx{})
@@ -170,12 +187,12 @@ func TestAdmissionReservesResponseWorkers(t *testing.T) {
 }
 
 // TestAdmissionBurstTrickle: a peer this service has a live outbound call
-// in flight to gets repair delivery in Burst-sized sips; the serial Flush
-// path ignores the budget entirely.
+// in flight to gets repair delivery in Burst-sized sips (default 1); the
+// serial Flush path ignores the budget entirely.
 func TestAdmissionBurstTrickle(t *testing.T) {
 	tb := newTestbed()
 	cfg := DefaultConfig()
-	cfg.Admission = Admission{Burst: 2}
+	cfg.BatchPolicy = AdaptiveBatch{Min: 5, Max: 5} // fixed batches: only admission caps the claim
 	c := tb.add(&kvApp{name: "a"}, cfg)
 
 	var msgs []warp.OutMsg
@@ -185,15 +202,15 @@ func TestAdmissionBurstTrickle(t *testing.T) {
 	c.enqueue(msgs, traceCtx{})
 
 	c.beginLiveCall("p1")
-	batches := c.claimBatches(0, nil, true)
-	if len(batches) != 1 || len(batches[0].ptrs) != 2 {
-		t.Fatalf("claim while p1 serves live traffic = %d msgs, want Burst=2", len(batches[0].ptrs))
+	batches := claimPass(c)
+	if len(batches) != 1 || len(batches[0].ptrs) != 1 {
+		t.Fatalf("claim while p1 serves live traffic = %d msgs, want Burst=1", len(batches[0].ptrs))
 	}
 	c.releaseBatches(batches)
 
-	// Flush's claim (admit=false) is exempt: synchronous passes stay
+	// Flush's claim (pumpPass=false) is exempt: synchronous passes stay
 	// deterministic and unbounded.
-	batches = c.claimBatches(0, nil, false)
+	batches = c.claimBatches(nil, false)
 	if len(batches) != 1 || len(batches[0].ptrs) != 5 {
 		t.Fatalf("flush-style claim = %d msgs, want all 5 (admission ignored)", len(batches[0].ptrs))
 	}
@@ -201,7 +218,7 @@ func TestAdmissionBurstTrickle(t *testing.T) {
 	c.endLiveCall("p1")
 
 	// Live call ended: the budget no longer applies.
-	batches = c.claimBatches(0, nil, true)
+	batches = claimPass(c)
 	if len(batches) != 1 || len(batches[0].ptrs) != 5 {
 		t.Fatalf("claim after live call ended = %d msgs, want all 5", len(batches[0].ptrs))
 	}

@@ -34,8 +34,8 @@ import (
 //     a transport failure never charges a message's Attempts or parks it
 //     — and the administrator is notified once per outage.
 //
-// A background pump pass honors every pump policy: batch size, batch
-// policy, admission, and the retry window. Flush is "deliver now": one
+// A background pump pass honors every pump policy: the adaptive batch
+// limits, admission, and the retry window. Flush is "deliver now": one
 // synchronous pass that ignores them all, delivering every deliverable
 // message in queue order — deterministic, for tests and Settle. StartPump
 // runs passes continuously with a bounded worker pool, fanning batches
@@ -65,7 +65,6 @@ func backoffDelay(n int) time.Duration {
 // Pump tuning defaults (Config fields left zero).
 const (
 	defaultPumpWorkers  = 4
-	defaultBatchSize    = 16
 	defaultPumpInterval = 25 * time.Millisecond
 )
 
@@ -74,13 +73,6 @@ func (c *Controller) pumpWorkers() int {
 		return c.Cfg.PumpWorkers
 	}
 	return defaultPumpWorkers
-}
-
-func (c *Controller) batchSize() int {
-	if c.Cfg.BatchSize > 0 {
-		return c.Cfg.BatchSize
-	}
-	return defaultBatchSize
 }
 
 func (c *Controller) pumpInterval() time.Duration {
@@ -149,21 +141,14 @@ type claimedBatch struct {
 
 // beginLiveCall / endLiveCall bracket one live (non-repair) outbound call
 // to a peer; admission control reads the count at claim time to trickle
-// repair delivery to peers that are actively serving live traffic. No-ops
-// unless admission is enabled, keeping the live hot path lock-free.
+// repair delivery to peers that are actively serving live traffic.
 func (c *Controller) beginLiveCall(peer string) {
-	if !c.Cfg.Admission.Enabled() {
-		return
-	}
 	c.qmu.Lock()
 	c.liveCalls[peer]++
 	c.qmu.Unlock()
 }
 
 func (c *Controller) endLiveCall(peer string) {
-	if !c.Cfg.Admission.Enabled() {
-		return
-	}
 	c.qmu.Lock()
 	if c.liveCalls[peer]--; c.liveCalls[peer] <= 0 {
 		delete(c.liveCalls, peer)
@@ -199,42 +184,43 @@ func (c *Controller) peerBacklogs() map[string][2]int {
 	return m
 }
 
-// batchLimits asks the configured batch policy for a per-peer claim limit.
-// Called with no locks held — the limits are advisory caps applied at claim
-// time, not a reservation.
+// batchLimits asks the batch policy for a per-peer claim limit. Called
+// with no locks held — the limits are advisory caps applied at claim time,
+// not a reservation.
 func (c *Controller) batchLimits(backlogs map[string][2]int) map[string]int {
-	pol := c.Cfg.BatchPolicy
-	if pol == nil {
-		return nil
-	}
 	limits := make(map[string]int, len(backlogs))
 	for peer, v := range backlogs {
-		limits[peer] = pol.Limit(v[0], v[1])
+		limits[peer] = c.Cfg.BatchPolicy.Limit(v[0], v[1])
 	}
 	return limits
 }
 
-// claimBatches partitions the deliverable queue by peer and claims up to a
-// per-peer limit of messages, preserving queue (FIFO) order within each
-// batch. The limit for a peer is perPeer[peer] when present, else limit
-// (0 = unbounded). Held messages, messages already in flight, and peers
-// with a batch in flight are skipped. A pump pass (background pumps only;
-// Flush passes false) also applies the pump policies: peers still inside
-// their retry window are skipped, peers with live outbound calls in flight
-// are capped at Admission.Burst, and a new cascade-class batch is skipped
+// claimBatches partitions the deliverable queue by peer and claims
+// messages, preserving queue (FIFO) order within each batch. Held
+// messages, messages already in flight, and peers with a batch in flight
+// are skipped. Flush passes pumpPass=false and nil limits: every peer's
+// claim is unbounded. A pump pass applies the pump policies: a peer claims
+// up to limits[peer], or the batch policy's floor when the peer is missing
+// from the snapshot the limits came from (its first message arrived after
+// it); peers still inside their retry window are skipped; and, unless
+// Faults.NoAdmission is set, peers with live outbound calls in flight are
+// capped at Admission.Burst and a new cascade-class batch is skipped
 // entirely while the cascade worker budget is exhausted and response-class
 // messages are waiting. Batches are returned in queue order of their first
 // message.
-func (c *Controller) claimBatches(limit int, perPeer map[string]int, pumpPass bool) []*claimedBatch {
+func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claimedBatch {
 	now := c.now()
-	adm := c.Cfg.Admission
-	admit := pumpPass && adm.Enabled()
+	adm := c.Cfg.Admission.withDefaults()
+	admit := pumpPass && !c.faults.NoAdmission
+	// At least one worker may always carry cascades, so they make progress.
+	maxCascade := max(int(adm.MaxShare*float64(c.pumpWorkers())), 1)
+	floor, _ := c.Cfg.BatchPolicy.bounds()
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	// The MaxShare budget only bites while user-visible (response-class)
 	// messages are actually waiting; one pre-pass answers that.
 	respWaiting := false
-	if admit && adm.MaxShare > 0 {
+	if admit {
 		for _, p := range c.queue {
 			if p.queued && !p.Held && !p.inflight && p.Msg.Kind == warp.OutReplaceResponse {
 				respWaiting = true
@@ -265,20 +251,23 @@ func (c *Controller) claimBatches(limit int, perPeer map[string]int, pumpPass bo
 				continue
 			}
 			cascade := p.Msg.Kind != warp.OutReplaceResponse
-			if admit && cascade && respWaiting && c.cascadeInflight >= adm.maxCascade(c.pumpWorkers()) {
+			if admit && cascade && respWaiting && c.cascadeInflight >= maxCascade {
 				// Cascade budget exhausted while responses wait: leave this
 				// peer for a later pass so the reserved workers stay free
 				// for the user-visible plane.
 				skipPeer[peer] = true
 				continue
 			}
-			l := limit
-			if pl, ok := perPeer[peer]; ok {
-				l = pl
+			l := 0 // Flush: unbounded
+			if pumpPass {
+				l = floor
+				if pl, ok := limits[peer]; ok {
+					l = pl
+				}
 			}
-			if admit && adm.Burst > 0 && c.liveCalls[peer] > 0 && (l <= 0 || l > adm.Burst) {
+			if admit && c.liveCalls[peer] > 0 {
 				// The peer is serving our live traffic right now: trickle.
-				l = adm.Burst
+				l = min(l, adm.Burst)
 			}
 			ps.inflight = true
 			ps.limit = l
@@ -539,6 +528,7 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		c.cascadeInflight--
 	}
 	ps := c.peers[cl.peer]
+	ps.inflight = false
 	if failedAt >= 0 {
 		// Unreachable peers back off; their messages stay live. The outage
 		// is tracked per peer (ps.failures), not charged to each message's
@@ -565,30 +555,23 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 				Detail: fmt.Sprintf("peer unreachable after %d attempts; retrying with backoff: %s", ps.failures, failErr),
 			})
 		}
-		ps.inflight = false
-		// Backoff state is only meaningful while the peer still has
-		// messages; if everything it had was dropped or terminated, drop
-		// the bookkeeping too.
-		if !c.peerHasQueuedLocked(cl.peer) {
-			delete(c.peers, cl.peer)
-		}
 	} else {
-		// The peer is healthy and its batch reconciled. While it still has
-		// backlog, keep the entry (cleared to health) so the adaptive batch
-		// limit carries into the next claim; once drained, drop it — the
-		// zero state is equivalent to no entry, so per-peer bookkeeping
-		// (e.g. one-shot poll:// clients) cannot accumulate forever, and the
-		// batch limit resets to the policy's idle floor.
-		ps.inflight = false
+		// The peer is healthy and its batch reconciled: clear it to health.
 		ps.failures = 0
 		ps.nextTry = time.Time{}
 		ps.notified = false
 		// A fully healthy reconcile means any gap the peer NACKed has been
 		// re-offered; stop stamping the recovery mark.
 		c.vvClearReofferLocked(cl.peer)
-		if !c.peerHasQueuedLocked(cl.peer) {
-			delete(c.peers, cl.peer)
-		}
+	}
+	// Delivery state is only meaningful while the peer still has messages.
+	// While it does, the entry carries backoff and the adaptive batch limit
+	// into the next claim; once drained (delivered, dropped or terminated)
+	// drop it — the zero state is equivalent to no entry, so per-peer
+	// bookkeeping (e.g. one-shot poll:// clients) cannot accumulate
+	// forever, and the batch limit resets to the policy's idle floor.
+	if !c.peerHasQueuedLocked(cl.peer) {
+		delete(c.peers, cl.peer)
 	}
 	c.qmu.Unlock()
 
@@ -633,15 +616,15 @@ func (c *Controller) WaitQueueEmpty(timeout time.Duration) bool {
 // Flush delivers now: one synchronous pass over the outgoing queue that
 // attempts every deliverable (not Held, not in flight) message, reporting
 // how many were delivered and how many remain. It ignores every pump
-// policy — BatchSize, BatchPolicy, Admission, and the retry window of a
-// backing-off peer — so each Flush makes one attempt per unreachable peer.
+// policy — BatchPolicy, Admission, and the retry window of a backing-off
+// peer — so each Flush makes one attempt per unreachable peer.
 // Batches are delivered serially in queue order, so Flush (and Settle on
 // top of it) is deterministic. Messages to unavailable peers stay queued
 // (§3: asynchronous repair); messages refused as unauthorized or
 // permanently unavailable are parked or dropped with an application
 // notification.
 func (c *Controller) Flush() (delivered, remaining int) {
-	for _, cl := range c.claimBatches(0, nil, false) {
+	for _, cl := range c.claimBatches(nil, false) {
 		delivered += c.deliverBatch(cl)
 	}
 	return delivered, c.QueueLen()
@@ -813,16 +796,11 @@ func (c *Controller) pumpLoop(ctx context.Context, done chan struct{}, pacer sch
 		// interleave enqueues, supersedes, and other pumps between the
 		// snapshot and the claim that acts on it — the limits are advisory
 		// caps, so any such race is benign.
-		var limits map[string]int
-		if c.Cfg.BatchPolicy != nil {
-			backlogs := c.peerBacklogs()
-			c.sd.YieldNamed("batch-policy") // schedule point: batch sizes decided
-			limits = c.batchLimits(backlogs)
-		}
-		if c.Cfg.Admission.Enabled() {
-			c.sd.YieldNamed("admission") // schedule point: admission caps about to apply
-		}
-		batches := c.claimBatches(c.batchSize(), limits, true)
+		backlogs := c.peerBacklogs()
+		c.sd.YieldNamed("batch-policy") // schedule point: batch sizes decided
+		limits := c.batchLimits(backlogs)
+		c.sd.YieldNamed("admission") // schedule point: admission caps about to apply
+		batches := c.claimBatches(limits, true)
 		for i, cl := range batches {
 			if !sem.Acquire(ctx) {
 				// Shutting down with every worker busy: hand the remaining

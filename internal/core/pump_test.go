@@ -78,7 +78,7 @@ func TestPumpPerPeerFIFO(t *testing.T) {
 	tb := newTestbed()
 	cfg := DefaultConfig()
 	cfg.PumpWorkers = 8
-	cfg.BatchSize = 3 // force several batches per peer
+	cfg.BatchPolicy = AdaptiveBatch{Min: 3, Max: 3} // force several batches per peer
 	cfg.PumpInterval = time.Millisecond
 	hub := tb.add(&kvApp{name: "hub"}, cfg)
 

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"strings"
-	"time"
 
 	"aire/internal/sched"
 	"aire/internal/warp"
@@ -180,9 +178,9 @@ func (c *Controller) peerDest(m warp.OutMsg) string {
 // the service's transport name and dispatches to the shard controllers,
 // which are additionally registered under their own qualified names so
 // repair-plane peers can address them directly. It implements the same
-// transport.Handler contract a Controller does, plus aggregate forms of
-// the surfaces harnesses and operators drive (Flush, ProcessIncoming,
-// ApplyLocal, pumps, stats).
+// transport.Handler contract a Controller does, plus ApplyLocal routed by
+// the IDs each action names. Everything else — Flush, ProcessIncoming,
+// pumps, stats — is driven on the shard controllers themselves.
 type ShardedController struct {
 	// Base is the service's unqualified name (the router's transport name).
 	Base string
@@ -217,13 +215,6 @@ func NewShardedController(base string, topo *ShardTopology, shards []*Controller
 	}
 	return s
 }
-
-// Controllers returns the shard controllers in index order. The slice is
-// shared: callers must not mutate it.
-func (s *ShardedController) Controllers() []*Controller { return s.shards }
-
-// Shard returns the i-th shard controller.
-func (s *ShardedController) Shard(i int) *Controller { return s.shards[i] }
 
 // SetShard replaces the i-th shard controller (crash-restart: the harness
 // rebuilds a shard from disk and swaps it in). Not safe concurrently with
@@ -348,111 +339,4 @@ func (s *ShardedController) ApplyLocal(actions ...warp.Action) (*warp.Result, er
 		merged.Notices = append(merged.Notices, res.Notices...)
 	}
 	return merged, nil
-}
-
-// Flush runs one synchronous delivery pass per shard and sums the counts.
-func (s *ShardedController) Flush() (delivered, remaining int) {
-	for _, c := range s.shards {
-		d, r := c.Flush()
-		delivered += d
-		remaining += r
-	}
-	return delivered, remaining
-}
-
-// ProcessIncoming applies every shard's batched incoming repairs. The
-// merged result is nil only if every shard's inbox was empty; the first
-// error aborts (remaining shards keep their batches for the next sweep).
-func (s *ShardedController) ProcessIncoming() (*warp.Result, error) {
-	var merged *warp.Result
-	for _, c := range s.shards {
-		res, err := c.ProcessIncoming()
-		if err != nil {
-			return merged, err
-		}
-		if res == nil {
-			continue
-		}
-		if merged == nil {
-			merged = &warp.Result{}
-		}
-		merged.RepairedRequests += res.RepairedRequests
-		merged.TotalRequests += res.TotalRequests
-		merged.RepairedModelOps += res.RepairedModelOps
-		merged.TotalModelOps += res.TotalModelOps
-		merged.Duration += res.Duration
-		merged.CreatedIDs = append(merged.CreatedIDs, res.CreatedIDs...)
-		merged.Notices = append(merged.Notices, res.Notices...)
-	}
-	return merged, nil
-}
-
-// QueueLen sums the shards' outgoing queues.
-func (s *ShardedController) QueueLen() int {
-	n := 0
-	for _, c := range s.shards {
-		n += c.QueueLen()
-	}
-	return n
-}
-
-// InboxLen sums the shards' incoming batch queues.
-func (s *ShardedController) InboxLen() int {
-	n := 0
-	for _, c := range s.shards {
-		n += c.InboxLen()
-	}
-	return n
-}
-
-// WaitQueueEmpty waits for every shard's queue to drain within the shared
-// timeout.
-func (s *ShardedController) WaitQueueEmpty(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for _, c := range s.shards {
-		left := time.Until(deadline)
-		if left <= 0 || !c.WaitQueueEmpty(left) {
-			return false
-		}
-	}
-	return true
-}
-
-// StartPump starts every shard's background pump (stopping the ones
-// already started if any fails).
-func (s *ShardedController) StartPump(ctx context.Context) error {
-	for i, c := range s.shards {
-		if err := c.StartPump(ctx); err != nil {
-			for _, started := range s.shards[:i] {
-				started.StopPump()
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// StopPump stops every shard's background pump.
-func (s *ShardedController) StopPump() {
-	for _, c := range s.shards {
-		c.StopPump()
-	}
-}
-
-// Stats sums the shards' counters.
-func (s *ShardedController) Stats() Stats {
-	var t Stats
-	for _, c := range s.shards {
-		st := c.Stats()
-		t.Requests += st.Requests
-		t.RepairsRun += st.RepairsRun
-		t.MsgsQueued += st.MsgsQueued
-		t.MsgsDelivered += st.MsgsDelivered
-		t.MsgsFailed += st.MsgsFailed
-		t.DupDeliveries += st.DupDeliveries
-		t.StaleDeliveries += st.StaleDeliveries
-		t.InboxCommits += st.InboxCommits
-		t.BatchApplies += st.BatchApplies
-	}
-	return t
 }

@@ -13,7 +13,7 @@ import (
 func pumpCfg() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.PumpWorkers = 4
-	cfg.BatchSize = 8
+	cfg.BatchPolicy = core.AdaptiveBatch{Min: 8, Max: 8}
 	cfg.PumpInterval = time.Millisecond
 	return cfg
 }

@@ -22,6 +22,13 @@ import (
 // every pulse instead of waiting out its window, so the two serial pins
 // whose seeds hit an unreachable peer — mixed s7 and lostwave s3 — were
 // re-pinned once. crash s5 and both -sched pins are unchanged.
+//
+// Digest epoch: one pump configuration (adaptive batching and admission
+// control on every background pump pass). Each -sched pump pass now
+// snapshots backlogs and passes the batch-policy and admission yield
+// points, and claims under adaptive limits instead of a fixed 16, so both
+// -sched pins were re-pinned once. The serial pins cannot move: Flush
+// ignores both policies.
 func TestShardN1DigestsPinned(t *testing.T) {
 	cases := []struct {
 		prof  string
@@ -29,10 +36,10 @@ func TestShardN1DigestsPinned(t *testing.T) {
 		sched bool
 		want  uint64
 	}{
-		{"mixed", 7, false, 4230896071947487493}, // retry-policy epoch
-		{"mixed", 7, true, 3232967748548286238},
+		{"mixed", 7, false, 4230896071947487493},    // retry-policy epoch
+		{"mixed", 7, true, 16783221775672905244},    // pump-configuration epoch
 		{"lostwave", 3, false, 7387920397046088603}, // retry-policy epoch
-		{"lostwave", 3, true, 5345738023838111687},
+		{"lostwave", 3, true, 14589083095378285},    // pump-configuration epoch
 		{"crash", 5, false, 11845775653790173362},
 	}
 	for _, tc := range cases {

@@ -51,9 +51,9 @@ type StormConfig struct {
 	// Workers sizes the pump's delivery pool. Starvation needs fewer
 	// workers than busy peers, so the default is 2.
 	Workers int
-	// BatchPolicy and Admission configure the pump under test.
-	BatchPolicy core.BatchPolicy
-	Admission   core.Admission
+	// noAdmission switches admission control off (core.Faults.NoAdmission)
+	// so the teeth test can prove bounded mirror latency is its doing.
+	noAdmission bool
 	// Sched selects deterministic-scheduler mode.
 	Sched bool
 	// Faults is the simnet fault plan (scheduled mode only).
@@ -236,9 +236,8 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	ccfg.Clock = clock.Now
 	ccfg.PumpInterval = simPulseStep
 	ccfg.PumpWorkers = cfg.Workers
-	ccfg.BatchPolicy = cfg.BatchPolicy
-	ccfg.Admission = cfg.Admission
 	hub := core.NewController(&KVApp{ServiceName: "hub"}, sim, ccfg)
+	hub.InjectFaults(core.Faults{NoAdmission: cfg.noAdmission})
 	bus.Register("hub", hub)
 	for p := 0; p < cfg.Peers; p++ {
 		bus.Register(fmt.Sprintf("peer%d", p), &stormPeer{sched: sd, cost: cfg.PeerCost})
@@ -319,9 +318,8 @@ func runStormSerial(cfg StormConfig) (*StormResult, error) {
 	ccfg := core.DefaultConfig()
 	ccfg.PumpInterval = time.Millisecond
 	ccfg.PumpWorkers = cfg.Workers
-	ccfg.BatchPolicy = cfg.BatchPolicy
-	ccfg.Admission = cfg.Admission
 	hub := core.NewController(&KVApp{ServiceName: "hub"}, bus, ccfg)
+	hub.InjectFaults(core.Faults{NoAdmission: cfg.noAdmission})
 	bus.Register("hub", hub)
 	for p := 0; p < cfg.Peers; p++ {
 		bus.Register(fmt.Sprintf("peer%d", p), &stormPeer{delay: cfg.PeerDelay})

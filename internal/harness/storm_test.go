@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"aire/internal/core"
 	"aire/internal/simnet"
 )
 
@@ -14,7 +13,7 @@ import (
 var stormFaults = simnet.FaultPlan{Drop: 0.05, Duplicate: 0.03}
 
 func stormSchedConfig(seed int64, admission bool) StormConfig {
-	cfg := StormConfig{
+	return StormConfig{
 		Seed:        seed,
 		Peers:       4,
 		Backlog:     30,
@@ -22,12 +21,8 @@ func stormSchedConfig(seed int64, admission bool) StormConfig {
 		PeerCost:    6,
 		Sched:       true,
 		Faults:      stormFaults,
-		BatchPolicy: core.DefaultAdaptiveBatch(),
+		noAdmission: !admission,
 	}
-	if admission {
-		cfg.Admission = core.DefaultAdmission()
-	}
-	return cfg
 }
 
 // TestStormAdmissionBoundsMirrorLatency is the starvation regression: with
@@ -57,8 +52,9 @@ func TestStormAdmissionBoundsMirrorLatency(t *testing.T) {
 }
 
 // TestStormNoAdmissionDegradesMirror is the teeth check: the same storm
-// with admission off must visibly degrade mirror latency relative to the
-// admission-on run — otherwise the bound above tests nothing.
+// with admission switched off (core.Faults.NoAdmission) must visibly
+// degrade mirror latency relative to the admission-on run — otherwise the
+// bound above tests nothing.
 func TestStormNoAdmissionDegradesMirror(t *testing.T) {
 	var worse int
 	for seed := int64(1); seed <= 5; seed++ {
@@ -80,32 +76,31 @@ func TestStormNoAdmissionDegradesMirror(t *testing.T) {
 	}
 }
 
-// TestStormSchedTraceYieldLabels checks the dsched yield-point discipline:
-// the pump's new decision points surface as named entries in the schedule
-// trace when the policies are configured, and stay absent (so existing
-// seed digests are untouched) when they are not.
-func TestStormSchedTraceYieldLabels(t *testing.T) {
-	res, err := RunStorm(stormSchedConfig(7, true))
+// TestPumpPolicyYieldLabels checks that every background pump pass runs
+// the pump policies: their decision points surface as named entries in the
+// schedule trace of the storm and of a plain -sched sim run, which
+// configures neither policy.
+func TestPumpPolicyYieldLabels(t *testing.T) {
+	storm, err := RunStorm(stormSchedConfig(7, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := strings.Join(res.SchedTrace, "\n")
-	for _, label := range []string{"@batch-policy", "@admission"} {
-		if !strings.Contains(trace, label) {
-			t.Errorf("schedule trace has no %q yield point (policies configured)", label)
-		}
-	}
-
-	plain := stormSchedConfig(7, false)
-	plain.BatchPolicy = nil
-	res, err = RunStorm(plain)
+	cfg, err := SimProfileConfig("mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace = strings.Join(res.SchedTrace, "\n")
-	for _, label := range []string{"@batch-policy", "@admission"} {
-		if strings.Contains(trace, label) {
-			t.Errorf("schedule trace contains %q although the policy is off", label)
+	cfg.Seed = 7
+	cfg.ScheduledPump = true
+	sim, err := RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run, tr := range map[string][]string{"storm": storm.SchedTrace, "sim mixed s7": sim.SchedTrace} {
+		trace := strings.Join(tr, "\n")
+		for _, label := range []string{"@batch-policy", "@admission"} {
+			if !strings.Contains(trace, label) {
+				t.Errorf("%s schedule trace has no %q yield point", run, label)
+			}
 		}
 	}
 }
@@ -115,8 +110,6 @@ func TestStormSchedTraceYieldLabels(t *testing.T) {
 func TestStormSerialDelivers(t *testing.T) {
 	res, err := RunStorm(StormConfig{
 		Seed: 1, Peers: 3, Backlog: 15, Responses: 8,
-		BatchPolicy: core.DefaultAdaptiveBatch(),
-		Admission:   core.DefaultAdmission(),
 	})
 	if err != nil {
 		t.Fatal(err)

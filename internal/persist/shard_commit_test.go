@@ -124,13 +124,12 @@ func runCrossShardBatchCrash(t *testing.T, keep [2]uint64) (vals [2]string, appe
 		accepted[i] = writers[i].Seq()
 	}
 
-	// Phase 2: the router applies the pending batch shard by shard, each on
-	// its own WAL.
-	router := core.NewShardedController("b", topo, shards)
-	if _, err := router.ProcessIncoming(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range shards {
+	// Phase 2: each shard applies its half of the pending batch on its own
+	// WAL.
+	for i, s := range shards {
+		if _, err := s.ProcessIncoming(); err != nil {
+			t.Fatal(err)
+		}
 		appended[i] = writers[i].Seq() - accepted[i]
 		if keep[i] > appended[i] {
 			t.Fatalf("crash point %d past shard %d's %d entries", keep[i], i, appended[i])
@@ -159,16 +158,13 @@ func runCrossShardBatchCrash(t *testing.T, keep [2]uint64) (vals [2]string, appe
 			w.Close()
 		}
 	}()
-	router2 := core.NewShardedController("b", topo, fresh)
-	bus.Register("b", router2)
-	if _, err := router2.ProcessIncoming(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if d, _ := router2.Flush(); d == 0 {
-			break
+	bus.Register("b", core.NewShardedController("b", topo, fresh))
+	for _, s := range fresh {
+		if _, err := s.ProcessIncoming(); err != nil {
+			t.Fatal(err)
 		}
 	}
+	core.Settle(10, fresh...)
 	vals[0] = string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", k0)).Body)
 	vals[1] = string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", k1)).Body)
 	return vals, appended
