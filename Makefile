@@ -19,7 +19,7 @@ SIM_PROFILE ?= mixed
 # router (ISSUE 10); the convergence oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame
 
 all: build
 
@@ -83,6 +83,14 @@ sim:
 fuzz-wal:
 	$(GO) test -run TestWALCorruption -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
+# Repair-frame decoder fuzzing smoke: the frame codec's unit table plus a
+# short coverage-guided run over mutated frame bodies (no panic, never more
+# carriers than the bound, round-trips what EncodeFrame writes). Longer
+# local runs:
+#   go test -fuzz FuzzFrameDecode -fuzztime 5m ./internal/wire
+fuzz-frame:
+	$(GO) test -run 'TestFrame|TestDecodeFrame|TestPackFrames' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/wire
+
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker
 # interleavings, seed-reproducible. A failing seed prints its step count;
@@ -108,4 +116,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-smoke fuzz-wal bench-obs
+ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame bench-obs

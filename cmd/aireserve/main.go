@@ -76,6 +76,16 @@ func main() {
 
 // run is main without the process exit, so the smoke test can drive it: it
 // serves until ctx is cancelled. Exit codes: 0 clean shutdown, 1 the
+// HTTP server timeouts: a client that stalls mid-request, or never sends
+// one, loses its connection instead of holding it, while a frame-sized
+// repair request still has time to arrive and be answered.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 90 * time.Second
+)
+
 // testbed failed to start or serve, 2 usage error.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aireserve", flag.ContinueOnError)
@@ -151,7 +161,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// them) and before the WALs close (their handlers append to them).
 	serveErr := make(chan error, len(names))
 	for _, name := range names {
-		srv := &http.Server{Handler: withDebug(reg, ctrls, transport.NewHTTPHandler(ctrls[name]))}
+		srv := &http.Server{
+			Handler:           withDebug(reg, ctrls, transport.NewHTTPHandler(ctrls[name])),
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+			WriteTimeout:      writeTimeout,
+			IdleTimeout:       idleTimeout,
+		}
 		go func() { serveErr <- srv.Serve(lns[name]) }()
 		defer srv.Shutdown(context.WithoutCancel(ctx))
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,6 +78,22 @@ func TestRunServesAndRepairs(t *testing.T) {
 			urlA, urlB = m[1], m[2]
 		}
 	}
+
+	// A client that sends a partial request line and stalls is disconnected
+	// within the header timeout.
+	conn, err := net.Dial("tcp", strings.TrimPrefix(urlA, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("GET /get?key=x HTT")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 3*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client still connected after %v: %v", time.Since(start), err)
+	}
+	conn.Close()
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	defer client.CloseIdleConnections()

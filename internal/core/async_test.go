@@ -226,15 +226,13 @@ func TestGCMakesRepairPermanentlyUnavailable(t *testing.T) {
 	}
 }
 
-func TestBatchIncomingAggregation(t *testing.T) {
-	// §3.2: incoming repair messages can be aggregated and applied as one
-	// local repair.
-	cfg := DefaultConfig()
+// TestFrameAggregatesIncomingRepairs: §3.2 — incoming repair messages are
+// aggregated and applied as one local repair. Two cancels claimed together
+// reach the peer as one frame, which runs one warp pass.
+func TestFrameAggregatesIncomingRepairs(t *testing.T) {
 	tb := newTestbed()
 	a := tb.add(&kvApp{name: "a", mirror: "b"}, DefaultConfig())
-	bCfg := cfg
-	bCfg.BatchIncoming = true
-	b := tb.add(&kvApp{name: "b"}, bCfg)
+	b := tb.add(&kvApp{name: "b"}, DefaultConfig())
 
 	at1 := tb.call("a", put("x", "e1"))
 	at2 := tb.call("a", put("y", "e2"))
@@ -242,25 +240,17 @@ func TestBatchIncomingAggregation(t *testing.T) {
 
 	a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: at1.Header[wire.HdrRequestID]})
 	a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: at2.Header[wire.HdrRequestID]})
-	a.Flush()
-
-	if b.InboxLen() != 2 {
-		t.Fatalf("inbox = %d, want 2", b.InboxLen())
+	before := b.Stats().RepairsRun
+	if d, _ := a.Flush(); d != 2 {
+		t.Fatalf("flush delivered %d, want 2", d)
 	}
-	// Nothing applied yet.
-	if got := string(tb.call("b", get("x")).Body); got != "e1" {
-		t.Fatalf("b applied early: %q", got)
+	if got := b.Stats().RepairsRun - before; got != 1 {
+		t.Fatalf("the frame ran %d local repairs at b, want 1", got)
 	}
-	res, err := b.ProcessIncoming()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both cancelled puts plus the probing get(x) above.
-	if res == nil || res.RepairedRequests != 3 {
-		t.Fatalf("batched repair result: %+v", res)
-	}
-	if resp := tb.call("b", get("x")); resp.Status != 404 {
-		t.Fatal("batched repair did not apply")
+	for _, k := range []string{"x", "y"} {
+		if resp := tb.call("b", get(k)); resp.Status != 404 {
+			t.Fatalf("aggregated repair did not cancel %s: %d %s", k, resp.Status, resp.Body)
+		}
 	}
 }
 

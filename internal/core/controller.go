@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -28,6 +27,7 @@ import (
 	"aire/internal/repairlog"
 	"aire/internal/sched"
 	"aire/internal/transport"
+	"aire/internal/wal"
 	"aire/internal/warp"
 	"aire/internal/web"
 	"aire/internal/wire"
@@ -118,11 +118,6 @@ type Config struct {
 	// can still be revived with Retry), and how many consecutive transport
 	// failures make a backing-off peer "unreachable" to the administrator.
 	MaxAttempts int
-	// BatchIncoming, when true, queues incoming repair requests and applies
-	// them together on ProcessIncoming (§3.2: "Aire also aggregates
-	// incoming repair messages in an incoming queue"). When false, each
-	// incoming repair is applied immediately.
-	BatchIncoming bool
 	// PumpWorkers bounds how many peers the background pump delivers to
 	// concurrently (0 means a small default). Batches to the same peer are
 	// never concurrent: per-peer FIFO order is preserved.
@@ -214,10 +209,6 @@ type PendingMsg struct {
 	// token is the response-repair token minted for a replace_response
 	// (reused across delivery attempts).
 	token string
-	// nacked records that this attempt's response carried a gap NACK
-	// (wire.HdrNackSeq). Set only on a delivery pass's private snapshot,
-	// read at reconcile; never persisted.
-	nacked bool
 	// inflight marks a message claimed by a delivery pass; guarded by qmu.
 	inflight bool
 	// queued marks a live queue entry (cleared on delivery and Drop), so
@@ -244,9 +235,6 @@ type Stats struct {
 	// sees a fault class that applies repairs without producing local
 	// delivery outcomes (the carried ROADMAP quiesce-widening debt).
 	InboxCommits int64
-	// BatchApplies counts ProcessIncoming batches applied (batch-incoming
-	// mode): receive-side progress that precedes any delivery outcome.
-	BatchApplies int64
 }
 
 type tokenEntry struct {
@@ -310,10 +298,6 @@ type Controller struct {
 	// value outside tests and the simulator.
 	faults Faults
 
-	inmu  sync.Mutex
-	inbox []queuedAction
-	inseq uint64 // accept sequence of the newest inbox entry ever; guarded by inmu
-
 	nmu           sync.Mutex
 	notifications []Notification
 
@@ -368,7 +352,7 @@ func (c *Controller) Obs() *obs.Registry { return c.Cfg.Obs }
 // traceCtx is the repair-wave trace context an apply runs under: the wave
 // ID minted at the cascade's origin and the hop depth this apply
 // represents (origin = hop 0). The zero value means "no incoming context";
-// applyActionsGated then mints a fresh wave. Trace context is protocol
+// commitRepair then mints a fresh wave. Trace context is protocol
 // state, not an obs feature: it is parsed, minted, stamped, and persisted
 // unconditionally, so instrumented and uninstrumented runs consume
 // identical ID sequences and take byte-identical schedules.
@@ -389,49 +373,18 @@ func traceFromCarrier(req wire.Request) traceCtx {
 
 // HandleWire implements transport.Handler: repair API paths are handled by
 // the controller itself; everything else is normal application traffic.
-// Repair-plane carriers run two protocol preambles first: the body
-// checksum (a corrupted payload is refused loudly, not misapplied) and the
-// announced-vector observation, which refuses a malformed or missing
-// announcement outright and whose gap verdict is NACKed on the response so
-// the sender can re-offer the lost delivery without waiting out backoff.
+// Repair-plane carriers — a frame, or a lone /aire/repair or /aire/notify
+// carrier as the n = 1 frame — take the one receive path (receive).
 func (c *Controller) HandleWire(from string, req wire.Request) wire.Response {
-	var resp wire.Response
 	switch req.Path {
-	case "/aire/repair", "/aire/notify":
-		// A carrier stamped for a sibling shard must never be absorbed
-		// here: its delivery ID would commit into the wrong shard's dedup
-		// inbox and the real destination would never see the repair. Fail
-		// loudly and retryably so a (buggy) misroute surfaces instead of
-		// converging to a wrong world.
-		if want := req.Header[wire.HdrShard]; want != "" && want != c.Svc.Name {
-			return wire.NewResponse(500, "aire: carrier addressed to shard "+want+" delivered to "+c.Svc.Name)
-		}
-		if bad := c.verifyCarrierBody(req); bad != nil {
-			return *bad
-		}
-		nack, missing, bad := c.observeCarrierVector(from, req)
-		if bad != nil {
-			return *bad
-		}
-		if req.Path == "/aire/repair" {
-			resp = c.handleRepair(from, req)
-		} else {
-			resp = c.handleNotify(from, req)
-		}
-		if nack {
-			if resp.Header == nil {
-				resp.Header = map[string]string{}
-			}
-			resp.Header[wire.HdrNackSeq] = strconv.FormatUint(missing, 10)
-		}
+	case wire.FramePath, "/aire/repair", "/aire/notify":
+		return c.receive(from, req)
 	case "/aire/fetch_repair":
-		resp = c.handleFetchRepair(from, req)
+		return c.handleFetchRepair(from, req)
 	case "/aire/poll":
-		resp = c.handlePoll(from, req)
-	default:
-		resp = c.handleNormal(from, req)
+		return c.handlePoll(from, req)
 	}
-	return resp
+	return c.handleNormal(from, req)
 }
 
 var _ transport.Handler = (*Controller)(nil)
@@ -501,228 +454,6 @@ func (c *Controller) outboundNormal(seq int, target string, req wire.Request) (w
 	return resp.Clone(), call
 }
 
-// handleRepair services the repair API of Table 1 (replace, delete, create
-// arrive here; replace_response uses the notify/fetch handshake). Carriers
-// naming their delivery (wire.HdrDeliveryID) pass through the exactly-once
-// dedup inbox first: duplicates and superseded generations are acknowledged
-// without touching the log — in particular, a re-delivered create returns
-// the originally minted request ID instead of minting a second one.
-func (c *Controller) handleRepair(from string, req wire.Request) wire.Response {
-	gate, acked := c.gateDelivery(from, req)
-	if acked != nil {
-		return *acked
-	}
-	resp := c.applyRepairRequest(from, req, &gate)
-	if resp.OK() {
-		gate.commit(resp.Header[wire.HdrRequestID])
-	} else {
-		gate.rollback()
-	}
-	return resp
-}
-
-// applyRepairRequest is handleRepair's at-least-once body: authorize and
-// apply one replace/delete/create carrier. In batch-incoming mode the gate
-// travels with the queued action (ProcessIncoming commits it at apply
-// time) and is deactivated here, so the caller's commit-on-202 is a no-op.
-func (c *Controller) applyRepairRequest(from string, req wire.Request, gate *deliveryGate) wire.Response {
-	op := warp.OutKind(req.Header[wire.HdrRepair])
-	targetID := req.Header[wire.HdrRequestID]
-	tc := traceFromCarrier(req)
-
-	var action warp.Action
-	var ac AuthzRequest
-	ac.Kind = op
-	ac.From = from
-	ac.Carrier = req
-
-	// Svc.Mu is held from the log lookup through Authorize: local repair
-	// mutates log records and rolls the store back under this lock, and
-	// repair messages arrive concurrently with it once the peer pumps in
-	// the background — the policy must not observe a mid-repair store.
-	c.Svc.Mu.Lock()
-	ac.Now = orm.Snapshot(c.Svc.Store, c.Svc.Schema, c.Svc.Clock.Now())
-
-	switch op {
-	case warp.OutReplace, warp.OutDelete:
-		rec, ok := c.Svc.Log.Get(targetID)
-		if !ok {
-			gc := c.Svc.Log.GCBefore()
-			c.Svc.Mu.Unlock()
-			if gc > 0 {
-				return wire.NewResponse(410, "aire: request log garbage-collected; repair permanently unavailable")
-			}
-			return wire.NewResponse(404, "aire: no such request "+targetID)
-		}
-		ac.Original = rec.Req.Clone()
-		ac.OriginalResp = rec.Resp.Clone()
-		ac.OriginalFrom = rec.From
-		ac.Snapshot = orm.Snapshot(c.Svc.Store, c.Svc.Schema, rec.TS)
-		if op == warp.OutDelete {
-			action = warp.Action{Kind: warp.CancelReq, ReqID: targetID}
-		} else {
-			newReq, err := wire.DecodeRequest(req.Body)
-			if err != nil {
-				c.Svc.Mu.Unlock()
-				return wire.NewResponse(400, "aire: bad replace payload: "+err.Error())
-			}
-			ac.Repaired = newReq
-			action = warp.Action{
-				Kind: warp.ReplaceReq, ReqID: targetID, NewReq: newReq,
-				From: from, ClientRespID: req.Header[wire.HdrResponseID], NotifierURL: req.Header[wire.HdrNotifierURL],
-			}
-		}
-
-	case warp.OutCreate:
-		newReq, err := wire.DecodeRequest(req.Body)
-		if err != nil {
-			c.Svc.Mu.Unlock()
-			return wire.NewResponse(400, "aire: bad create payload: "+err.Error())
-		}
-		ac.Repaired = newReq
-		ac.Snapshot = orm.Snapshot(c.Svc.Store, c.Svc.Schema, c.Svc.Clock.Now())
-		action = warp.Action{
-			Kind: warp.CreateReq, NewReq: newReq,
-			BeforeID: req.Form["before_id"], AfterID: req.Form["after_id"],
-			From: from, ClientRespID: req.Header[wire.HdrResponseID], NotifierURL: req.Header[wire.HdrNotifierURL],
-		}
-
-	default:
-		c.Svc.Mu.Unlock()
-		return wire.NewResponse(400, "aire: unknown repair operation "+string(op))
-	}
-
-	// Access control is the application's decision (§4).
-	authorized := c.AppImpl.Authorize(ac)
-	c.Svc.Mu.Unlock()
-	if !authorized {
-		c.emit(EvRepairDenied, targetID, "%s from %q denied by policy", op, from)
-		return wire.NewResponse(403, "aire: repair not authorized")
-	}
-
-	if c.Cfg.BatchIncoming {
-		c.enqueueIncoming(action, gate, tc)
-		return wire.NewResponse(202, "aire: repair queued")
-	}
-
-	res, err := c.applyActionsGated([]warp.Action{action}, gate, tc)
-	if err != nil {
-		if errors.Is(err, warp.ErrGarbageCollected) {
-			return wire.NewResponse(410, "aire: "+err.Error())
-		}
-		return wire.NewResponse(400, "aire: "+err.Error())
-	}
-
-	resp := wire.NewResponse(200, fmt.Sprintf("aire: repaired %d/%d requests", res.RepairedRequests, res.TotalRequests))
-	// Tell the sender which local request the repair settled on: for create
-	// that is the freshly minted request ID; for replace/delete the
-	// existing one. The sender records it for future repairs.
-	if len(res.CreatedIDs) > 0 {
-		resp.Header[wire.HdrRequestID] = res.CreatedIDs[0]
-	} else {
-		resp.Header[wire.HdrRequestID] = targetID
-	}
-	return resp
-}
-
-// handleNotify receives a response-repair token (§3.1): the client fetches
-// the actual replace_response from the server named in the token delivery,
-// authenticating the server in the process (on the bus, by name resolution;
-// over TLS, by certificate). Notify deliveries carry delivery identity like
-// repair calls do, so a re-delivered notify whose acknowledgment was lost
-// is re-acked without re-fetching or re-applying.
-func (c *Controller) handleNotify(from string, req wire.Request) wire.Response {
-	gate, acked := c.gateDelivery(from, req)
-	if acked != nil {
-		return *acked
-	}
-	resp := c.applyNotify(from, req, &gate)
-	if resp.OK() {
-		gate.commit("")
-	} else {
-		gate.rollback()
-	}
-	return resp
-}
-
-// applyNotify is handleNotify's at-least-once body: fetch the corrected
-// response named by the token and apply it. See applyRepairRequest for the
-// gate's batch-incoming hand-off.
-func (c *Controller) applyNotify(from string, req wire.Request, gate *deliveryGate) wire.Response {
-	token := req.Form["token"]
-	server := req.Form["server"]
-	if token == "" || server == "" {
-		return wire.NewResponse(400, "aire: notify requires token and server")
-	}
-	fetch := wire.NewRequest("POST", "/aire/fetch_repair").WithForm("token", token)
-	fresp, err := c.Net.Call(c.Svc.Name, server, fetch)
-	if err != nil {
-		return wire.NewResponse(503, "aire: cannot fetch repair from "+server)
-	}
-	if !fresp.OK() {
-		return wire.NewResponse(502, "aire: fetch_repair failed: "+string(fresp.Body))
-	}
-	var payload respRepairPayload
-	if err := json.Unmarshal(fresp.Body, &payload); err != nil {
-		return wire.NewResponse(502, "aire: bad fetch_repair payload")
-	}
-
-	newResp, err := wire.DecodeResponse(payload.Resp)
-	if err != nil {
-		return wire.NewResponse(400, "aire: bad replace_response body")
-	}
-	// Svc.Mu is held from the log lookup through Authorize: see
-	// handleRepair — local repair mutates records and the store under this
-	// lock, concurrently with incoming notify deliveries. The lookup
-	// itself is an O(1) probe of the log's response-ID index, so holding
-	// the service lock here no longer costs a full log scan per delivery.
-	c.Svc.Mu.Lock()
-	rec, i, ok := c.Svc.Log.FindByCallRespID(payload.RespID)
-	if !ok {
-		c.Svc.Mu.Unlock()
-		return wire.NewResponse(404, "aire: unknown response "+payload.RespID)
-	}
-	// The server may only repair responses it itself produced. Call
-	// records name the peer by its unqualified service name, while a
-	// sharded producer notifies under its shard-qualified name — any
-	// shard of the recorded target is the same producing service.
-	if rec.Calls[i].Target != server && rec.Calls[i].Target != ShardBaseName(server) {
-		c.Svc.Mu.Unlock()
-		return wire.NewResponse(403, "aire: response "+payload.RespID+" was not produced by "+server)
-	}
-	ac := AuthzRequest{
-		Kind:         warp.OutReplaceResponse,
-		From:         server,
-		Original:     rec.Calls[i].Req.Clone(),
-		OriginalResp: rec.Calls[i].Resp.Clone(),
-		RepairedResp: newResp,
-		Carrier:      req,
-		Snapshot:     orm.Snapshot(c.Svc.Store, c.Svc.Schema, rec.TS),
-		Now:          orm.Snapshot(c.Svc.Store, c.Svc.Schema, c.Svc.Clock.Now()),
-	}
-	authorized := c.AppImpl.Authorize(ac)
-	c.Svc.Mu.Unlock()
-	if !authorized {
-		return wire.NewResponse(403, "aire: replace_response not authorized")
-	}
-
-	action := warp.Action{
-		Kind: warp.ReplaceCallResp, RespID: payload.RespID,
-		NewResp: newResp, RemoteReqID: payload.RemoteReqID,
-	}
-	// The notify carrier, not the fetched payload, carries the wave
-	// context: the token handshake is one hop of the wave.
-	tc := traceFromCarrier(req)
-	if c.Cfg.BatchIncoming {
-		c.enqueueIncoming(action, gate, tc)
-		return wire.NewResponse(202, "aire: repair queued")
-	}
-	if _, err := c.applyActionsGated([]warp.Action{action}, nil, tc); err != nil {
-		return wire.NewResponse(400, "aire: "+err.Error())
-	}
-	return wire.NewResponse(200, "aire: response repaired")
-}
-
 type respRepairPayload struct {
 	RespID      string `json:"resp_id"`
 	RemoteReqID string `json:"remote_req_id"`
@@ -770,22 +501,28 @@ func (c *Controller) handlePoll(from string, req wire.Request) wire.Response {
 
 // applyActions runs local repair and queues the resulting repair messages.
 // The repair's store/log mutations and its queue effects commit as ONE WAL
-// entry (see applyActionsGated), so a crash-recovered service never holds
-// the repaired state without the downstream messages it produced.
+// entry (see commitRepair), so a crash-recovered service never holds the
+// repaired state without the downstream messages it produced.
 func (c *Controller) applyActions(actions []warp.Action) (*warp.Result, error) {
-	return c.applyActionsGated(actions, nil, traceCtx{})
+	return c.commitRepair(actions, traceCtx{}, nil, nil, nil)
 }
 
-// applyActionsGated runs local repair with everything the repair implies —
-// the store/log mutations, the q-set ops of the downstream messages it
-// queues, and (when a delivery gate is supplied) the gate's exactly-once
-// inbox outcome — folded into ONE WAL entry. Replay is then all-or-nothing:
-// either the delivery fully happened (inbox committed, so a redelivery is
-// re-acknowledged; messages queued exactly once) or none of it did (the
-// redelivery re-applies cleanly). The historical split-entry behavior — the
-// documented double-queue/lost-cascade crash windows — is preserved behind
-// Faults.SplitRepairCommit for the regression test.
-func (c *Controller) applyActionsGated(actions []warp.Action, gate *deliveryGate, tc traceCtx) (*warp.Result, error) {
+// commitRepair runs actions as ONE local repair with everything the repair
+// implies — the store/log mutations and the q-set ops of the downstream
+// messages it queues — folded into ONE WAL entry, together with what the
+// receive path adds: pre (the frame's vector observation, logged whatever
+// happens) and the inbox outcomes commit records while the entry is still
+// open. keep, when non-nil, is consulted under the lock for every action
+// and drops the ones it rejects from the run (a frame's carrier that Phase
+// 0 would refuse is refused alone instead of refusing the whole frame).
+// Replay is then all-or-nothing: either the repair fully happened (inbox
+// committed, so a redelivery is re-acknowledged; messages queued exactly
+// once) or none of it did (the redelivery re-applies cleanly). The
+// historical split-entry behavior — the repair's entry, then standalone
+// queue and inbox entries, with their documented double-queue and
+// lost-cascade crash windows — is preserved behind Faults.SplitRepairCommit
+// for the regression tests.
+func (c *Controller) commitRepair(actions []warp.Action, tc traceCtx, pre []wal.Op, keep func(int) bool, commit func(res *warp.Result, join bool)) (*warp.Result, error) {
 	// No incoming wave context: this repair originates a cascade. The wave
 	// is minted unconditionally (obs-on and obs-off runs must consume the
 	// same ID sequence) from the persisted counter, so it stays unique
@@ -793,63 +530,51 @@ func (c *Controller) applyActionsGated(actions []warp.Action, gate *deliveryGate
 	if tc.wave == "" {
 		tc = traceCtx{wave: c.Svc.IDs.Wave(), hop: 0}
 	}
-	if c.faults.SplitRepairCommit {
-		// Historical ordering: repair entry, then standalone q-set entries,
-		// with the gate left for the caller to commit afterwards.
-		c.Svc.Mu.Lock()
-		if err := c.checkIndexesLocked(); err != nil {
-			c.Svc.Mu.Unlock()
-			return nil, err
-		}
-		c.walBegin("repair")
-		res, err := c.Engine.Repair(actions)
-		c.walCommit()
-		c.Svc.Mu.Unlock()
-		c.walSettle()
-		if err != nil {
-			return nil, err
-		}
-		c.finishRepair(actions, res, false, tc)
-		return res, nil
+	split := c.faults.SplitRepairCommit
+	if split {
+		c.walAppend("inbox", pre)
+		pre = nil
 	}
 	c.Svc.Mu.Lock()
-	if err := c.checkIndexesLocked(); err != nil {
-		// The gate (if any) stays active: the caller's rollback-on-error
-		// answers the sender retryably, exactly as if the repair never ran.
-		c.Svc.Mu.Unlock()
-		return nil, err
-	}
 	c.walBegin("repair")
-	res, err := c.Engine.Repair(actions)
-	if err != nil {
-		if gate != nil {
-			// Take ownership of the gate (the caller's rollback-on-error
-			// becomes a no-op) so its outcome lands inside this entry.
-			gate.rollbackEmit(true)
-			gate.active = false
-		}
-		c.walCommit()
-		c.Svc.Mu.Unlock()
-		c.walSettle()
-		return nil, err
+	for _, op := range pre {
+		c.walEmit("inbox", op, true)
 	}
-	// Queue effects join the open batch (qmu nests inside Svc.Mu), then the
-	// gate's inbox commit — with the minted request ID as the outcome for
-	// creates — lands in the same entry. Ownership of the gate transfers
-	// here: the caller's commit-on-OK becomes a no-op.
-	c.enqueueJoin(res.Msgs, true, tc)
-	if gate != nil {
-		outcome := ""
-		if len(res.CreatedIDs) > 0 {
-			outcome = res.CreatedIDs[0]
+	var res *warp.Result
+	// A failed index check leaves every action unrun: the caller answers
+	// the senders retryably, exactly as if the repair never started.
+	err := c.checkIndexesLocked()
+	if err == nil {
+		if keep != nil {
+			run := actions[:0:0]
+			for i, a := range actions {
+				if keep(i) {
+					run = append(run, a)
+				}
+			}
+			actions = run
 		}
-		gate.commitEmit(outcome, true)
-		gate.active = false
+		res, err = c.Engine.Repair(actions)
+	}
+	if res != nil && !split {
+		// Queue effects join the open batch (qmu nests inside Svc.Mu), then
+		// the inbox outcomes — with the minted request IDs for creates —
+		// land in the same entry.
+		c.enqueueJoin(res.Msgs, true, tc)
+		if commit != nil {
+			commit(res, true)
+		}
 	}
 	c.walCommit()
 	c.Svc.Mu.Unlock()
 	c.walSettle()
-	c.finishRepair(actions, res, true, tc)
+	if err != nil {
+		return nil, err
+	}
+	c.finishRepair(actions, res, !split, tc)
+	if split && commit != nil {
+		commit(res, false)
+	}
 	return res, nil
 }
 
@@ -921,147 +646,6 @@ func (c *Controller) finishRepair(actions []warp.Action, res *warp.Result, enque
 // intrusion (§2: "asks Aire to cancel the attacker's request").
 func (c *Controller) ApplyLocal(actions ...warp.Action) (*warp.Result, error) {
 	return c.applyActions(actions)
-}
-
-// queuedAction is one batched incoming repair action plus the delivery
-// gate that admitted it: the gate's reservation is held until the batch
-// applies, so a redelivery in the meantime is answered retryably instead
-// of being acked for an apply that has not happened. With a WAL attached,
-// acceptance is logged (batch-accept) and persisted snapshots carry the
-// pending batch, so the 202 ack no longer races a crash: accepted actions
-// are recovered and applied by the next ProcessIncoming.
-type queuedAction struct {
-	// seq is the accept sequence (Controller.inseq at admission): the
-	// entry's durable identity, matched by replayed batch-drain watermarks.
-	seq    uint64
-	action warp.Action
-	gate   deliveryGate
-	// wave / hop are the accepted carrier's trace context, persisted with
-	// the batch-accept op so a recovered batch keeps its wave identity.
-	wave string
-	hop  int
-}
-
-// enqueueIncoming stashes an admitted action in the incoming batch queue,
-// taking ownership of its delivery gate (the caller's commit/rollback
-// become no-ops). The acceptance is WAL-logged inside the same critical
-// section, so accepted actions survive a crash before ProcessIncoming —
-// closing the batch-mode durability window the 202 ack used to open.
-func (c *Controller) enqueueIncoming(action warp.Action, gate *deliveryGate, tc traceCtx) {
-	c.inmu.Lock()
-	c.inseq++
-	seq := c.inseq
-	c.inbox = append(c.inbox, queuedAction{seq: seq, action: action, gate: *gate, wave: tc.wave, hop: tc.hop})
-	if c.walAttached() {
-		c.walEmit("batch", mustOp("batch-accept", batchAcceptOp{
-			Seq: seq, Action: action, Origin: gate.origin, ID: gate.id, Gen: gate.gen, Once: gate.once,
-			Wave: tc.wave, Hop: tc.hop,
-		}), false)
-	}
-	c.inmu.Unlock()
-	gate.active = false
-}
-
-// ProcessIncoming applies all batched incoming repair actions as one local
-// repair (§3.2) and returns the result (nil if the inbox was empty). The
-// actions' delivery gates commit here — with the minted request ID as the
-// outcome for creates — or roll back if the batch fails, so the senders'
-// redeliveries are re-applied rather than falsely acknowledged.
-func (c *Controller) ProcessIncoming() (*warp.Result, error) {
-	if c.faults.StrictIndexes {
-		// Check before draining the inbox: on failure the accepted batch
-		// stays pending (and WAL-persisted), so nothing is silently lost
-		// behind the loud error.
-		c.Svc.Mu.Lock()
-		err := c.checkIndexesLocked()
-		c.Svc.Mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.inmu.Lock()
-	queued := c.inbox
-	c.inbox = nil
-	c.inmu.Unlock()
-	if len(queued) == 0 {
-		return nil, nil
-	}
-	actions := make([]warp.Action, len(queued))
-	drainIDs := make([]string, 0, len(queued))
-	// The batch applies under the deepest trace context among its actions
-	// (the conservative choice: the batch's emitted messages belong to the
-	// deepest wave that fed it; a batch mixing waves attributes the whole
-	// apply to that one). A batch with no traced action originates a wave.
-	var tc traceCtx
-	for i, q := range queued {
-		actions[i] = q.action
-		if q.gate.id != "" {
-			drainIDs = append(drainIDs, q.gate.id)
-		}
-		if q.wave != "" && (tc.wave == "" || q.hop > tc.hop) {
-			tc = traceCtx{wave: q.wave, hop: q.hop}
-		}
-	}
-	if tc.wave == "" {
-		tc = traceCtx{wave: c.Svc.IDs.Wave(), hop: 0}
-	}
-	// Accept seqs ascend in inbox order, so the last entry's seq is the
-	// drain watermark: replay removes entries at or below it and nothing
-	// accepted afterwards.
-	drainUpTo := queued[len(queued)-1].seq
-	// The whole batch — the repair's mutations, the gates' inbox outcomes,
-	// and the drain of the accepted actions — commits as ONE WAL entry, so
-	// a recovered service has either the applied batch or the still-pending
-	// accepted actions, never half of each.
-	c.Svc.Mu.Lock()
-	c.walBegin("batch")
-	res, err := c.Engine.Repair(actions)
-	if err != nil {
-		for _, q := range queued {
-			q.gate.rollbackEmit(true)
-		}
-		c.walEmit("batch", mustOp("batch-drain", batchDrainOp{UpToSeq: drainUpTo, N: len(queued), IDs: drainIDs}), true)
-		c.walCommit()
-		c.Svc.Mu.Unlock()
-		c.walSettle()
-		return nil, err
-	}
-	created := 0
-	for _, q := range queued {
-		outcome := ""
-		if q.action.Kind == warp.CreateReq && created < len(res.CreatedIDs) {
-			outcome = res.CreatedIDs[created]
-			created++
-		}
-		q.gate.commitEmit(outcome, true)
-	}
-	// The queue effects of the batch's repair join the same entry: a
-	// recovered service must not hold the applied batch (inbox committed,
-	// actions drained) without the downstream messages it produced. The
-	// historical split — queue effects as separate entries after the batch
-	// commit, i.e. the documented lost-cascade crash window — is preserved
-	// behind Faults.SplitRepairCommit for the regression test.
-	enqueued := !c.faults.SplitRepairCommit
-	if enqueued {
-		c.enqueueJoin(res.Msgs, true, tc)
-	}
-	c.walEmit("batch", mustOp("batch-drain", batchDrainOp{UpToSeq: drainUpTo, N: len(queued), IDs: drainIDs}), true)
-	c.walCommit()
-	c.Svc.Mu.Unlock()
-	c.walSettle()
-	c.smu.Lock()
-	c.stats.BatchApplies++
-	c.smu.Unlock()
-	c.met.batchApplies.Inc()
-	c.finishRepair(actions, res, enqueued, tc)
-	return res, nil
-}
-
-// InboxLen reports how many incoming repair actions are waiting (batch mode).
-func (c *Controller) InboxLen() int {
-	c.inmu.Lock()
-	defer c.inmu.Unlock()
-	return len(c.inbox)
 }
 
 // notify records a notification and forwards it to the application if it

@@ -200,39 +200,26 @@ func TestFailedApplyRollsBackReservation(t *testing.T) {
 	}
 }
 
-// TestBatchIncomingGateCommitsAtApplyTime: with Config.BatchIncoming, a
-// 202-accepted delivery is not yet applied — a redelivery before
-// ProcessIncoming must be answered retryably (not acked for an apply that
-// has not happened), and after the batch applies, a duplicate create is
-// re-acked with the minted request ID.
-func TestBatchIncomingGateCommitsAtApplyTime(t *testing.T) {
+// TestFrameAcksCreateAfterApply: a frame is answered only after its apply,
+// so the create's answer already names the minted request ID, and a
+// redelivered frame is re-acknowledged with that same ID instead of minting
+// a second request.
+func TestFrameAcksCreateAfterApply(t *testing.T) {
 	tb := newTestbed()
-	cfg := DefaultConfig()
-	cfg.BatchIncoming = true
-	b := tb.add(&kvApp{name: "b"}, cfg)
+	b := tb.add(&kvApp{name: "b"}, DefaultConfig())
 
 	create := carrier(warp.OutCreate, "",
 		wire.NewRequest("POST", "/put").WithForm("key", "k", "val", "v1"),
 		"a", "a-dlv-1", 0)
-
-	if resp, err := tb.bus.Call("a", "b", create); err != nil || resp.Status != 202 {
-		t.Fatalf("batched create: %v %+v", err, resp)
+	frame := frameOf("a", create)
+	first := frameReply(t, tb, "b", frame, 1)[0]
+	minted := first.Header[wire.HdrRequestID]
+	if !first.OK() || minted == "" || b.Svc.Log.Len() != 1 {
+		t.Fatalf("framed create: %+v (log %d)", first, b.Svc.Log.Len())
 	}
-	// Redelivery while the batch is pending: retryable, not acknowledged.
-	if resp, err := tb.bus.Call("a", "b", create.Clone()); err != nil || resp.Status != 503 {
-		t.Fatalf("redelivery before apply = %v %+v, want 503 (in flight)", err, resp)
-	}
-
-	res, err := b.ProcessIncoming()
-	if err != nil || len(res.CreatedIDs) != 1 {
-		t.Fatalf("batch apply: %v %+v", err, res)
-	}
-	resp, err := tb.bus.Call("a", "b", create.Clone())
-	if err != nil || !resp.OK() {
-		t.Fatalf("redelivery after apply: %v %+v", err, resp)
-	}
-	if got := resp.Header[wire.HdrRequestID]; got != res.CreatedIDs[0] {
-		t.Fatalf("duplicate create re-ack = %q, want the minted ID %q", got, res.CreatedIDs[0])
+	again := frameReply(t, tb, "b", frame, 1)[0]
+	if !again.OK() || again.Header[wire.HdrRequestID] != minted {
+		t.Fatalf("redelivered frame: %+v, want an ack naming %q", again, minted)
 	}
 	if got := b.Svc.Log.Len(); got != 1 {
 		t.Fatalf("log has %d records, want 1 (no double mint)", got)
@@ -250,11 +237,9 @@ func TestPumpStampsDeliveryHeaders(t *testing.T) {
 	var mu sync.Mutex
 	var seen []wire.Request
 	tb.bus.Register("b", transport.HandlerFunc(func(from string, req wire.Request) wire.Response {
-		if req.Path == "/aire/repair" {
-			mu.Lock()
-			seen = append(seen, req.Clone())
-			mu.Unlock()
-		}
+		mu.Lock()
+		seen = append(seen, frameCarriers(req)...)
+		mu.Unlock()
 		return b.HandleWire(from, req)
 	}))
 

@@ -28,7 +28,6 @@ type ctrlMetrics struct {
 	inboxBusy     *obs.Counter
 	inboxGone     *obs.Counter
 	inboxCommits  *obs.Counter // exactly-once outcomes committed
-	batchApplies  *obs.Counter // ProcessIncoming batches applied
 
 	vvGapNacks     *obs.Counter // receive-side gap detections NACKed to the sender
 	vvReoffers     *obs.Counter // sender re-offer activations from peer NACKs
@@ -60,7 +59,6 @@ func newCtrlMetrics(reg *obs.Registry, svc string) ctrlMetrics {
 		inboxBusy:     reg.Counter(p + "inbox_in_flight"),
 		inboxGone:     reg.Counter(p + "inbox_forgotten"),
 		inboxCommits:  reg.Counter(p + "inbox_commits"),
-		batchApplies:  reg.Counter(p + "batch_applies"),
 
 		vvGapNacks:     reg.Counter(p + "vv_gap_nacks"),
 		vvReoffers:     reg.Counter(p + "vv_reoffers"),

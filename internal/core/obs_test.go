@@ -21,9 +21,11 @@ type headerTap struct {
 
 func (h *headerTap) Call(from, to string, req wire.Request) (wire.Response, error) {
 	h.mu.Lock()
-	for k := range req.Header {
-		if strings.HasPrefix(k, "Aire-") {
-			h.headers[k] = true
+	for _, r := range append([]wire.Request{req}, frameCarriers(req)...) {
+		for k := range r.Header {
+			if strings.HasPrefix(k, "Aire-") {
+				h.headers[k] = true
+			}
 		}
 	}
 	h.mu.Unlock()

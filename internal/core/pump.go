@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"aire/internal/obs"
+	"aire/internal/repairlog"
 	"aire/internal/sched"
 	"aire/internal/transport"
 	"aire/internal/warp"
+	"aire/internal/wire"
 )
 
 // This file implements the repair pump: the delivery engine behind the
@@ -21,9 +23,10 @@ import (
 //     worker (the paper's per-service ordering requirement); batches to
 //     distinct peers are independent and may run concurrently.
 //
-//   - Claim/reconcile. A delivery pass claims messages under qmu, delivers
-//     against private snapshots with no locks held, and reconciles each
-//     outcome under qmu. Retry, Drop, and queue collapsing may run at any
+//   - Claim/reconcile. A delivery pass claims messages under qmu, sends the
+//     peer's claim as one frame (wire.FramePath) built from private
+//     snapshots with no locks held, and reconciles the frame's outcomes in
+//     one critical section with one WAL entry. Retry, Drop, and queue collapsing may run at any
 //     point in between: each PendingMsg carries a generation counter, and a
 //     reconcile only applies to the generation it claimed — a message whose
 //     content was superseded mid-flight simply stays queued for another
@@ -131,6 +134,10 @@ type claimedBatch struct {
 	ptrs []*PendingMsg // live queue entries (reconciled under qmu)
 	snap []PendingMsg  // private copies delivered without locks
 	gens []uint64      // generation of each entry at claim time
+	// st and learned are each claimed message's delivery outcome and the
+	// request ID its answer named, filled in by deliverBatch.
+	st      []deliverStatus
+	learned []string
 	// limit is the batch's claim cap (0 = unbounded), resolved per peer.
 	limit int
 	// cascade marks a cascade-class batch (first message is a repair
@@ -286,13 +293,6 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 		cl.snap = append(cl.snap, *p)
 		cl.gens = append(cl.gens, p.Gen)
 	}
-	for _, cl := range order {
-		ids := make([]string, len(cl.ptrs))
-		for i, p := range cl.ptrs {
-			ids[i] = p.MsgID
-		}
-		c.walEmitClaimLocked(cl.peer, ids)
-	}
 	if c.met.reg != nil {
 		claimNS := c.now().UnixNano()
 		for _, cl := range order {
@@ -340,182 +340,54 @@ func (c *Controller) compactLocked() {
 	c.queue = kept
 }
 
-// deliverBatch delivers one claimed batch in FIFO order and reconciles each
-// outcome. A peer-level failure (transport error: the peer is unreachable,
-// so later messages would only repeat it) aborts the remainder of the batch
-// and advances the peer's backoff schedule; the remaining messages stay
-// live and uncharged. A message-level failure (the peer answered, but with
-// an unexpected status for this one message) charges only that message and
-// the batch continues — one poisoned message must not block the peer's
-// queue. Returns how many messages were delivered and removed.
+// deliverBatch delivers one claimed batch as frames and reconciles each
+// frame's outcomes. A pump pass's claim is bounded by its adaptive limit
+// and travels as one frame; Flush claims without a limit, so
+// wire.PackFrames splits its claim into frames that never exceed the
+// decoder's carrier bound or the body cap. Each frame is one POST
+// wire.FramePath, reconciled in one critical section with one WAL entry
+// (reconcileFrame). A peer-level failure — a transport error, an unreadable
+// reply, or a carrier the peer answered as unavailable — backs the peer off
+// once for the whole batch; those messages, and any frame not yet sent,
+// stay live and uncharged. A message-level failure (the peer answered, but
+// refused that one carrier) charges only that message — one poisoned
+// message must not block the peer's queue. Returns how many messages were
+// delivered and removed.
 func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
+	cl.st = make([]deliverStatus, len(cl.ptrs))
+	cl.learned = make([]string, len(cl.ptrs))
+	// Build every carrier first; a message that needs no wire call settles
+	// here and reconciles with the first frame.
+	var members, sent []int
+	var carriers []wire.Request
+	for i := range cl.snap {
+		req, st, send := c.carrierFor(&cl.snap[i])
+		cl.st[i] = st
+		if send {
+			sent = append(sent, i)
+			carriers = append(carriers, req)
+		} else {
+			members = append(members, i)
+		}
+	}
+	bodies, counts := wire.PackFrames(carriers)
 	var notes []Notification
-	removed := 0 // dead entries this batch left in the queue slice
-	failedAt := -1
-	var failErr string
-
-	for i := range cl.ptrs {
-		c.sd.Yield()       // schedule point: about to deliver one claimed message
-		snap := cl.snap[i] // private copy; deliver mutates LastErr/token
-		// Span window around the wire call; pure clock reads either side,
-		// no yields — instrumentation must not add schedule points.
-		var dlvStart int64
-		if c.met.reg != nil {
-			dlvStart = c.now().UnixNano()
+	removed, failAt := 0, -1
+	for k := 0; k == 0 || k < len(bodies); k++ {
+		nacked := false
+		if k < len(bodies) {
+			frame := sent[:counts[k]]
+			sent = sent[counts[k]:]
+			nacked = c.deliverFrame(cl, bodies[k], frame)
+			members = append(members, frame...)
 		}
-		st := c.deliver(&snap)
-		if c.met.reg != nil {
-			dlvEnd := c.now().UnixNano()
-			c.met.deliverNS.ObserveNS(dlvEnd - dlvStart)
-			if snap.TraceID != "" {
-				c.met.ring.Record(obs.Span{
-					Wave: snap.TraceID, Hop: snap.TraceHop, Service: c.Svc.Name,
-					Kind: obs.SpanDeliver, Subject: snap.DeliveryID, Peer: cl.peer,
-					StartNS: dlvStart, EndNS: dlvEnd,
-				})
-			}
-		}
-		heldAttempts := 0
-
-		// Gap NACKs get their own labeled decision point.
-		if snap.nacked {
-			c.sd.YieldNamed("vv-reoffer") // schedule point: peer NACKed a gap
-		}
-
-		c.sd.Yield() // schedule point: delivered, not yet reconciled
-		c.qmu.Lock()
-		p := cl.ptrs[i]
-		// p.queued: still a live entry (it may have been Dropped since it
-		// was claimed). fresh: the delivered content is still the queued
-		// content. If a collapse or Retry replaced it mid-flight, the new
-		// content must still go out, so the entry stays queued whatever
-		// happened to the old one — and its reset LastErr is preserved.
-		live := p.queued
-		fresh := live && (p.Gen == cl.gens[i] || c.faults.UngatedReconcile)
-		if live {
-			// Tokens are per-response and deliberately reused across
-			// attempts and content revisions.
-			p.token = snap.token
-		}
-		if fresh {
-			p.LastErr = snap.LastErr
-		}
-		switch st {
-		case deliverOK:
-			if fresh {
-				p.queued = false
-				c.queueShrunkLocked()
-				c.vvResolveLocked(cl.peer, p.DeliveryID)
-				c.walEmitQDelLocked(p.MsgID)
-				removed++
-				delivered++
-			} else if live {
-				p.inflight = false
-			}
-		case deliverGone:
-			if fresh {
-				p.queued = false
-				c.queueShrunkLocked()
-				c.vvResolveLocked(cl.peer, p.DeliveryID)
-				c.walEmitQDelLocked(p.MsgID)
-				removed++
-			} else if live {
-				p.inflight = false
-			}
-		case deliverDenied:
-			if live {
-				if fresh {
-					p.Held = true
-					c.walEmitQSetLocked(p)
-				}
-				p.inflight = false
-			}
-		case deliverRetryMsg:
-			// The peer is up but rejected this one message; charge it alone
-			// and keep the batch going.
-			if live {
-				if fresh {
-					p.Attempts++
-					if p.Attempts >= c.Cfg.MaxAttempts {
-						p.Held = true
-						heldAttempts = p.Attempts
-					}
-					c.walEmitQSetLocked(p)
-				}
-				p.inflight = false
-			}
-		case deliverRetry:
-			failedAt = i
-			failErr = snap.LastErr
-		}
-		if snap.nacked {
-			// The peer answered with a gap NACK: it is alive and missing a
-			// delivery we still hold. Clear its backoff window and mark the
-			// vector for re-offer stamping so the next pass (woken below)
-			// re-delivers immediately instead of waiting out the schedule.
-			c.vvNackLocked(cl.peer)
-		}
-		c.qmu.Unlock()
-
-		// Reconcile span: the moment the claimed outcome was applied to the
-		// queue entry. Subject stays the DeliveryID so obs.Waves can pair it
-		// with the enqueue span for per-hop latency.
-		if c.met.reg != nil && snap.TraceID != "" {
-			recNS := c.now().UnixNano()
-			c.met.ring.Record(obs.Span{
-				Wave: snap.TraceID, Hop: snap.TraceHop, Service: c.Svc.Name,
-				Kind: obs.SpanReconcile, Subject: snap.DeliveryID, Peer: cl.peer,
-				StartNS: recNS, EndNS: recNS,
-			})
-		}
-
-		switch st {
-		case deliverOK:
-			// Stale (superseded-in-flight) deliveries stay queued and land
-			// again; count only the fresh one so stats match queue
-			// accounting and the delivered return value.
-			if fresh {
-				c.smu.Lock()
-				c.stats.MsgsDelivered++
-				c.smu.Unlock()
-				c.met.msgsDelivered.Inc()
-				c.emit(EvMsgDelivered, snap.MsgID, "%s delivered to %s", snap.Msg.Kind, snap.Msg.Target)
-			}
-		case deliverGone:
-			// Superseded-in-flight content stays queued for redelivery —
-			// only a fresh outcome is terminal and worth reporting.
-			if fresh {
-				c.smu.Lock()
-				c.stats.MsgsFailed++
-				c.smu.Unlock()
-				c.met.msgsFailed.Inc()
-				notes = append(notes, Notification{
-					MsgID: snap.MsgID, Kind: "gone", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
-					Detail: "peer reports the request's logs were garbage-collected; repair is permanently unavailable: " + snap.LastErr,
-				})
-			}
-		case deliverDenied:
-			if fresh {
-				c.emit(EvMsgHeld, snap.MsgID, "%s to %s held: unauthorized", snap.Msg.Kind, snap.Msg.Target)
-				notes = append(notes, Notification{
-					MsgID: snap.MsgID, Kind: "unauthorized", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
-					Detail: "peer rejected repair message as unauthorized; refresh credentials and Retry: " + snap.LastErr,
-				})
-			}
-		case deliverRetryMsg:
-			if heldAttempts > 0 {
-				// The peer is up; it rejected this one message. Distinct
-				// from "unreachable" so the administrator debugs the
-				// message, not connectivity.
-				c.emit(EvMsgHeld, snap.MsgID, "%s to %s held: rejected after %d attempts", snap.Msg.Kind, snap.Msg.Target, heldAttempts)
-				notes = append(notes, Notification{
-					MsgID: snap.MsgID, Kind: "rejected", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
-					Detail: fmt.Sprintf("peer rejected this message %d times; message held for Retry: %s", heldAttempts, snap.LastErr),
-				})
-			}
-		}
-		if st == deliverRetry {
-			break
+		c.sd.YieldNamed("frame-reconcile") // schedule point: frame answered, not yet reconciled
+		d, r, f, n := c.reconcileFrame(cl, members, nacked)
+		delivered, removed, notes = delivered+d, removed+r, append(notes, n...)
+		members = nil
+		if f >= 0 {
+			failAt = f
+			break // the peer is unavailable: later frames would only repeat it
 		}
 	}
 
@@ -527,9 +399,12 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 	if cl.cascade {
 		c.cascadeInflight--
 	}
+	for _, p := range cl.ptrs {
+		p.inflight = false // frames never sent go back uncharged
+	}
 	ps := c.peers[cl.peer]
 	ps.inflight = false
-	if failedAt >= 0 {
+	if failAt >= 0 {
 		// Unreachable peers back off; their messages stay live. The outage
 		// is tracked per peer (ps.failures), not charged to each message's
 		// Attempts — otherwise a long outage would exhaust every message's
@@ -537,22 +412,12 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		// recovery would park it instantly.
 		ps.failures++
 		ps.nextTry = c.now().Add(backoffDelay(ps.failures))
-		for j := failedAt; j < len(cl.ptrs); j++ {
-			p := cl.ptrs[j]
-			if !p.queued {
-				continue
-			}
-			p.inflight = false
-			if p.Gen == cl.gens[j] {
-				p.LastErr = failErr
-				c.walEmitQSetLocked(p)
-			}
-		}
 		if ps.failures >= c.Cfg.MaxAttempts && !ps.notified {
 			ps.notified = true
+			failed := &cl.snap[failAt]
 			notes = append(notes, Notification{
-				Kind: "unreachable", Target: cl.peer, RepairType: string(cl.snap[failedAt].Msg.Kind),
-				Detail: fmt.Sprintf("peer unreachable after %d attempts; retrying with backoff: %s", ps.failures, failErr),
+				Kind: "unreachable", Target: cl.peer, RepairType: string(failed.Msg.Kind),
+				Detail: fmt.Sprintf("peer unreachable after %d attempts; retrying with backoff: %s", ps.failures, failed.LastErr),
 			})
 		}
 	} else {
@@ -579,6 +444,212 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		c.notify(n)
 	}
 	return delivered
+}
+
+// deliverFrame sends one frame of claimed messages to the batch's peer and
+// records each carried message's status (and failure detail on its
+// snapshot) and the request ID its answer named. Returns whether the peer
+// NACKed a gap.
+func (c *Controller) deliverFrame(cl *claimedBatch, body []byte, frame []int) (nacked bool) {
+	c.sd.YieldNamed("frame-send") // schedule point: a claimed frame is about to go out
+	// Span window around the wire call; pure clock reads either side, no
+	// yields — instrumentation must not add schedule points.
+	var start int64
+	if c.met.reg != nil {
+		start = c.now().UnixNano()
+	}
+	resps, nacked, err := c.sendFrame(cl.peer, body, len(frame))
+	if c.met.reg != nil {
+		end := c.now().UnixNano()
+		c.met.deliverNS.ObserveNS(end - start)
+		for _, i := range frame {
+			if s := &cl.snap[i]; s.TraceID != "" {
+				c.met.ring.Record(obs.Span{
+					Wave: s.TraceID, Hop: s.TraceHop, Service: c.Svc.Name,
+					Kind: obs.SpanDeliver, Subject: s.DeliveryID, Peer: cl.peer,
+					StartNS: start, EndNS: end,
+				})
+			}
+		}
+	}
+	for j, i := range frame {
+		if err != nil {
+			cl.snap[i].LastErr = err.Error()
+			cl.st[i] = deliverRetry
+			continue
+		}
+		cl.st[i] = replyStatus(&cl.snap[i], resps[j])
+		cl.learned[i] = resps[j].Header[wire.HdrRequestID]
+	}
+	// Gap NACKs get their own labeled decision point.
+	if nacked {
+		c.sd.YieldNamed("vv-reoffer") // schedule point: peer NACKed a gap
+	}
+	return nacked
+}
+
+// reconcileFrame applies the outcomes of the given claimed messages — one
+// frame's carriers, plus with the first frame the messages settled without
+// a wire call — to their queue entries in one critical section, logged as
+// ONE WAL entry: the request IDs the peer assigned (learned into the local
+// call records), the q-del of every message delivered or gone, and the
+// q-set of every message charged, held, or left with a fresh error. Svc.Mu
+// is held for the learned IDs (local repair mutates log records in place
+// under it) and qmu nests inside it; the entry's fsync runs after both are
+// released. An outcome applies only to the generation it claimed: a message
+// whose content was superseded mid-flight (collapse or Retry) stays queued,
+// its reset LastErr preserved, so the newer content still goes out. Returns
+// the messages delivered and removed, the first one whose peer was
+// unavailable (-1 if none), and the notifications owed.
+func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool) (delivered, removed, failAt int, notes []Notification) {
+	failAt = -1
+	fresh := make([]bool, len(members))
+	held := make([]int, len(members)) // Attempts at which a message was parked
+	c.Svc.Mu.Lock()
+	c.walBegin("reconcile")
+	c.learnRequestIDsLocked(cl, members)
+	c.qmu.Lock()
+	for j, i := range members {
+		p, snap := cl.ptrs[i], &cl.snap[i]
+		// live: still a queue entry (it may have been Dropped since it was
+		// claimed). fresh: the delivered content is still the queued one.
+		live := p.queued
+		f := live && (p.Gen == cl.gens[i] || c.faults.UngatedReconcile)
+		fresh[j] = f
+		if live {
+			// Tokens are per-response and deliberately reused across
+			// attempts and content revisions.
+			p.token = snap.token
+			p.inflight = false
+		}
+		if f {
+			p.LastErr = snap.LastErr
+		}
+		switch cl.st[i] {
+		case deliverOK, deliverGone:
+			if f {
+				p.queued = false
+				c.queueShrunkLocked()
+				c.vvResolveLocked(cl.peer, p.DeliveryID)
+				c.walEmitQDelLocked(p.MsgID, true)
+				removed++
+				if cl.st[i] == deliverOK {
+					delivered++
+				}
+			}
+		case deliverDenied:
+			if f {
+				p.Held = true
+				c.walEmitQSetJoinLocked(p, true)
+			}
+		case deliverRetryMsg:
+			// The peer is up but rejected this one message: charge it alone.
+			if f {
+				p.Attempts++
+				if p.Attempts >= c.Cfg.MaxAttempts {
+					p.Held = true
+					held[j] = p.Attempts
+				}
+				c.walEmitQSetJoinLocked(p, true)
+			}
+		case deliverRetry:
+			// The peer is unavailable: the outage is charged to its backoff
+			// (deliverBatch), never to the message's Attempts.
+			if failAt < 0 {
+				failAt = i
+			}
+			if f {
+				c.walEmitQSetJoinLocked(p, true)
+			}
+		}
+	}
+	if nacked {
+		// The peer answered with a gap NACK: it is alive and missing a
+		// delivery we still hold. Clear its backoff window and mark the
+		// vector for re-offer stamping so the next pass (woken here)
+		// re-delivers immediately instead of waiting out the schedule.
+		c.vvNackLocked(cl.peer)
+	}
+	c.qmu.Unlock()
+	c.walCommit()
+	c.Svc.Mu.Unlock()
+	c.walSettle()
+
+	for j, i := range members {
+		snap := &cl.snap[i]
+		// Reconcile span: the moment the claimed outcome was applied to the
+		// queue entry. Subject stays the DeliveryID so obs.Waves can pair it
+		// with the enqueue span for per-hop latency.
+		if c.met.reg != nil && snap.TraceID != "" {
+			recNS := c.now().UnixNano()
+			c.met.ring.Record(obs.Span{
+				Wave: snap.TraceID, Hop: snap.TraceHop, Service: c.Svc.Name,
+				Kind: obs.SpanReconcile, Subject: snap.DeliveryID, Peer: cl.peer,
+				StartNS: recNS, EndNS: recNS,
+			})
+		}
+		// Superseded-in-flight content stays queued and goes out again:
+		// only a fresh outcome is counted and reported, so stats match
+		// queue accounting and the delivered count.
+		if !fresh[j] {
+			continue
+		}
+		switch cl.st[i] {
+		case deliverOK:
+			c.smu.Lock()
+			c.stats.MsgsDelivered++
+			c.smu.Unlock()
+			c.met.msgsDelivered.Inc()
+			c.emit(EvMsgDelivered, snap.MsgID, "%s delivered to %s", snap.Msg.Kind, snap.Msg.Target)
+		case deliverGone:
+			c.smu.Lock()
+			c.stats.MsgsFailed++
+			c.smu.Unlock()
+			c.met.msgsFailed.Inc()
+			notes = append(notes, Notification{
+				MsgID: snap.MsgID, Kind: "gone", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
+				Detail: "peer reports the request's logs were garbage-collected; repair is permanently unavailable: " + snap.LastErr,
+			})
+		case deliverDenied:
+			c.emit(EvMsgHeld, snap.MsgID, "%s to %s held: unauthorized", snap.Msg.Kind, snap.Msg.Target)
+			notes = append(notes, Notification{
+				MsgID: snap.MsgID, Kind: "unauthorized", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
+				Detail: "peer rejected repair message as unauthorized; refresh credentials and Retry: " + snap.LastErr,
+			})
+		case deliverRetryMsg:
+			if held[j] > 0 {
+				// The peer is up; it rejected this one message. Distinct
+				// from "unreachable" so the administrator debugs the
+				// message, not connectivity.
+				c.emit(EvMsgHeld, snap.MsgID, "%s to %s held: rejected after %d attempts", snap.Msg.Kind, snap.Msg.Target, held[j])
+				notes = append(notes, Notification{
+					MsgID: snap.MsgID, Kind: "rejected", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
+					Detail: fmt.Sprintf("peer rejected this message %d times; message held for Retry: %s", held[j], snap.LastErr),
+				})
+			}
+		}
+	}
+	return delivered, removed, failAt, notes
+}
+
+// learnRequestIDsLocked records the peer-assigned request IDs that
+// delivered replace/create carriers were answered with, so future repairs
+// can name the repaired or created request. The response-ID lookup is an
+// O(1) index probe, and Update keeps the log's call indexes coherent with
+// the learned ID. Caller holds Svc.Mu with the reconcile's WAL batch open.
+func (c *Controller) learnRequestIDsLocked(cl *claimedBatch, members []int) {
+	for _, i := range members {
+		m := &cl.snap[i].Msg
+		if cl.st[i] != deliverOK || m.CallRespID == "" || cl.learned[i] == "" {
+			continue
+		}
+		if rec, k, ok := c.Svc.Log.FindByCallRespID(m.CallRespID); ok {
+			id := cl.learned[i]
+			_ = c.Svc.Log.Update(rec.ID, func(r *repairlog.Record) {
+				r.Calls[k].RemoteReqID = id
+			})
+		}
+	}
 }
 
 // queueShrunkLocked records one live entry leaving the queue and wakes
@@ -632,9 +703,8 @@ func (c *Controller) Flush() (delivered, remaining int) {
 
 // Settle drives the given controllers synchronously until the system
 // quiesces or maxRounds rounds elapse, returning the number of productive
-// rounds. Each round runs, per controller in the given order, one Flush
-// and one ProcessIncoming; Settle returns at the first round that makes no
-// progress. Because Flush ignores retry windows, a peer that comes back
+// rounds. Each round runs one Flush per controller in the given order;
+// Settle returns at the first round that delivers nothing. Because Flush ignores retry windows, a peer that comes back
 // online is delivered to on the next round — Settle never stops early
 // because a reachable peer is still backing off.
 func Settle(maxRounds int, ctrls ...*Controller) int {
@@ -643,9 +713,6 @@ func Settle(maxRounds int, ctrls ...*Controller) int {
 		progressed := false
 		for _, c := range ctrls {
 			if d, _ := c.Flush(); d > 0 {
-				progressed = true
-			}
-			if r, _ := c.ProcessIncoming(); r != nil {
 				progressed = true
 			}
 		}
@@ -692,8 +759,7 @@ func (c *Controller) wakePump() {
 // the outgoing queue continuously — on every enqueue, Retry, and at
 // PumpInterval for backoff retries — fanning deliveries to distinct peers
 // out over PumpWorkers concurrent workers while preserving per-peer FIFO
-// order. With Config.BatchIncoming set, the pump also applies the incoming
-// queue each pass (§3.2). The pump runs until ctx is cancelled or StopPump
+// order; each claimed batch goes out as frames (deliverBatch). The pump runs until ctx is cancelled or StopPump
 // is called; either way the controller can StartPump again afterwards. It
 // returns an error if the pump is already running.
 func (c *Controller) StartPump(ctx context.Context) error {
@@ -818,9 +884,6 @@ func (c *Controller) pumpLoop(ctx context.Context, done chan struct{}, pacer sch
 				// loop so that peer's next FIFO batch goes out promptly.
 				c.wakePump()
 			})
-		}
-		if c.Cfg.BatchIncoming {
-			c.ProcessIncoming()
 		}
 		if !pacer.Wait(ctx) {
 			return

@@ -21,8 +21,9 @@ func TestPumpSlowPeerDoesNotBlockOthers(t *testing.T) {
 	const hang = 600 * time.Millisecond
 
 	bus := transport.NewBus()
+	ack := func(wire.Request) wire.Response { return wire.NewResponse(200, "ok") }
 	ok := transport.HandlerFunc(func(from string, req wire.Request) wire.Response {
-		return wire.NewResponse(200, "ok")
+		return wire.HandleFrame(req, ack)
 	})
 	fastArrived := make(chan struct{}, 1)
 	bus.Register("slow", ok)
@@ -31,7 +32,7 @@ func TestPumpSlowPeerDoesNotBlockOthers(t *testing.T) {
 		case fastArrived <- struct{}{}:
 		default:
 		}
-		return wire.NewResponse(200, "ok")
+		return wire.HandleFrame(req, ack)
 	}))
 	bus.SetLatency("slow", hang)
 
@@ -80,11 +81,9 @@ func TestRetryLiveMessageAppliesUpdatedHeaders(t *testing.T) {
 	var mu sync.Mutex
 	var carriers []wire.Request
 	tb.bus.Register("b", transport.HandlerFunc(func(from string, req wire.Request) wire.Response {
-		if req.Path == "/aire/repair" {
-			mu.Lock()
-			carriers = append(carriers, req.Clone())
-			mu.Unlock()
-		}
+		mu.Lock()
+		carriers = append(carriers, frameCarriers(req)...)
+		mu.Unlock()
 		return b.HandleWire(from, req)
 	}))
 

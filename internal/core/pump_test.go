@@ -41,6 +41,10 @@ type orderRecorder struct {
 }
 
 func (r *orderRecorder) HandleWire(from string, req wire.Request) wire.Response {
+	return wire.HandleFrame(req, r.carrier)
+}
+
+func (r *orderRecorder) carrier(req wire.Request) wire.Response {
 	if req.Path != "/aire/repair" {
 		return wire.NewResponse(404, "not a repair call")
 	}
@@ -272,10 +276,12 @@ type poisonPeer struct {
 }
 
 func (p *poisonPeer) HandleWire(from string, req wire.Request) wire.Response {
-	if in, err := wire.DecodeRequest(req.Body); err == nil && in.Form["seq"] == "poison" {
-		return wire.NewResponse(500, "handler exploded")
-	}
-	return p.orderRecorder.HandleWire(from, req)
+	return wire.HandleFrame(req, func(c wire.Request) wire.Response {
+		if in, err := wire.DecodeRequest(c.Body); err == nil && in.Form["seq"] == "poison" {
+			return wire.NewResponse(500, "handler exploded")
+		}
+		return p.carrier(c)
+	})
 }
 
 // TestMessageSpecificFailureDoesNotBlockBatch: a reachable peer that keeps

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"aire/internal/obs"
-	"aire/internal/repairlog"
 	"aire/internal/transport"
 	"aire/internal/warp"
 	"aire/internal/wire"
@@ -25,7 +24,7 @@ func (c *Controller) enqueue(msgs []warp.OutMsg, tc traceCtx) {
 // enqueueJoin is enqueue with control over WAL batching: with join set the
 // q-set ops fold into the caller's open WAL batch instead of landing as
 // standalone entries, making the enqueue atomic with whatever the caller is
-// committing (a repair's mutations, a batch's inbox outcomes). Only callers
+// committing (a repair's mutations, a frame's inbox outcomes). Only callers
 // holding Svc.Mu with a batch open may pass join=true — a standalone
 // caller's join would race another goroutine's open batch.
 func (c *Controller) enqueueJoin(msgs []warp.OutMsg, join bool, tc traceCtx) {
@@ -202,7 +201,7 @@ func (c *Controller) Drop(msgID string) error {
 			p.queued = false
 			c.queueShrunkLocked()
 			c.vvResolveLocked(c.peerDest(p.Msg), p.DeliveryID)
-			c.walEmitQDelLocked(p.MsgID)
+			c.walEmitQDelLocked(p.MsgID, false)
 			// Dropping a peer's last message leaves no delivery pass to
 			// clean up its backoff bookkeeping — do it here.
 			if peer := c.peerDest(p.Msg); !c.peerHasQueuedLocked(peer) {
@@ -265,10 +264,12 @@ func (c *Controller) ImportQueue(msgs []PendingMsg) {
 	c.wakePump()
 }
 
-// parkForPolling places a response-repair token in the named client's
-// mailbox. The token itself is the fetch capability (bearer semantics),
-// since an unauthenticated polling client has no transport identity.
-func (c *Controller) parkForPolling(p *PendingMsg, clientID string) deliverStatus {
+// mintResponseToken stores a replace_response's corrected response under
+// the message's token — minted once, reused across delivery attempts and
+// content revisions — for the audience allowed to fetch it; an empty
+// audience makes the token a bearer capability (a polling client has no
+// transport identity).
+func (c *Controller) mintResponseToken(p *PendingMsg, audience string) error {
 	m := &p.Msg
 	if p.token == "" {
 		p.token = c.Svc.IDs.Token()
@@ -279,25 +280,33 @@ func (c *Controller) parkForPolling(p *PendingMsg, clientID string) deliverStatu
 		Resp:        m.Resp.Encode(),
 	})
 	if err != nil {
+		return err
+	}
+	c.tokmu.Lock()
+	c.tokens[p.token] = tokenEntry{audience: audience, payload: payload}
+	c.tokmu.Unlock()
+	return nil
+}
+
+// parkForPolling places a response-repair token in the named client's
+// mailbox. The token itself is the fetch capability (bearer semantics),
+// since an unauthenticated polling client has no transport identity.
+func (c *Controller) parkForPolling(p *PendingMsg, clientID string) deliverStatus {
+	if err := c.mintResponseToken(p, ""); err != nil {
 		p.LastErr = err.Error()
 		return deliverGone
 	}
 	c.tokmu.Lock()
-	c.tokens[p.token] = tokenEntry{payload: payload} // empty audience = bearer
+	defer c.tokmu.Unlock()
 	// The token is reused across delivery attempts (a superseded-in-flight
 	// message is redelivered with the same token); don't hand the client a
 	// duplicate it would fail to fetch twice.
-	parked := false
 	for _, t := range c.mailboxes[clientID] {
 		if t == p.token {
-			parked = true
-			break
+			return deliverOK
 		}
 	}
-	if !parked {
-		c.mailboxes[clientID] = append(c.mailboxes[clientID], p.token)
-	}
-	c.tokmu.Unlock()
+	c.mailboxes[clientID] = append(c.mailboxes[clientID], p.token)
 	return deliverOK
 }
 
@@ -305,29 +314,73 @@ type deliverStatus int
 
 const (
 	deliverOK deliverStatus = iota
-	// deliverRetry: the peer itself is unreachable (transport failure).
-	// Delivery of everything else bound for that peer would fail the same
-	// way, so the pump aborts the peer's batch and backs the peer off.
+	// deliverRetry: the peer itself is unavailable (transport failure, or an
+	// answer that means the peer is down or busy). Everything else bound for
+	// it would fail the same way, so the pump backs the peer off; the
+	// message stays live and uncharged.
 	deliverRetry
 	// deliverRetryMsg: the peer answered but failed this one message (an
-	// unexpected status). Only this message is charged; the rest of the
-	// batch still goes out.
+	// unexpected status). Only this message is charged; the rest of its
+	// frame is unaffected.
 	deliverRetryMsg
 	deliverDenied
 	deliverGone
 )
 
-// deliver attempts one repair message.
-func (c *Controller) deliver(p *PendingMsg) deliverStatus {
+// carrierFor builds the repair-plane carrier for one claimed message — the
+// encoding §3.1 describes: the operation in the Aire-Repair header, the
+// repaired request in the body, and for replace_response only a token the
+// notified service fetches the corrected response with (§3.1's two-step
+// handshake). A message that needs no wire call settles here instead (send
+// false): a browser-style client with a poll:// notifier URL cannot accept
+// inbound connections, so its token is parked in a mailbox it polls, and a
+// message that cannot be addressed is gone. p is the delivery pass's
+// private snapshot.
+func (c *Controller) carrierFor(p *PendingMsg) (req wire.Request, st deliverStatus, send bool) {
 	m := &p.Msg
 	switch m.Kind {
 	case warp.OutReplace, warp.OutDelete, warp.OutCreate:
-		return c.deliverRepairCall(p)
+		req = wire.NewRequest("POST", "/aire/repair")
+		req.Header[wire.HdrRepair] = string(m.Kind)
+		if m.RemoteReqID != "" {
+			req.Header[wire.HdrRequestID] = m.RemoteReqID
+		}
+		if m.Kind != warp.OutDelete {
+			req.Header[wire.HdrResponseID] = m.RespID
+			req.Header[wire.HdrNotifierURL] = transport.NotifierURL(c.Svc.Name)
+			req.Body = m.Req.Encode()
+		}
+		if m.Kind == warp.OutCreate {
+			req.Form["before_id"] = m.BeforeID
+			req.Form["after_id"] = m.AfterID
+		}
+		// Credentials ride on the repaired request's own headers; for delete
+		// (which has no payload) copy them onto the carrier so the peer's
+		// authorize can check the issuing principal (§4).
+		for k, v := range m.Req.Header {
+			if !wire.IsAireHeader(k) {
+				req.Header[k] = v
+			}
+		}
 	case warp.OutReplaceResponse:
-		return c.deliverReplaceResponse(p)
+		if clientID, ok := transport.ParsePollNotifierURL(m.NotifierURL); ok {
+			return req, c.parkForPolling(p, clientID), false
+		}
+		audience, path, err := transport.ParseNotifierURL(m.NotifierURL)
+		if err == nil {
+			err = c.mintResponseToken(p, audience)
+		}
+		if err != nil {
+			p.LastErr = err.Error()
+			return req, deliverGone, false
+		}
+		req = wire.NewRequest("POST", path).WithForm("token", p.token, "server", c.Svc.Name)
+	default:
+		p.LastErr = "unknown repair kind " + string(m.Kind)
+		return req, deliverGone, false
 	}
-	p.LastErr = "unknown repair kind " + string(m.Kind)
-	return deliverGone
+	c.stampDelivery(req, p)
+	return req, deliverOK, true
 }
 
 // stampDelivery adds the exactly-once session headers to a repair-plane
@@ -335,29 +388,14 @@ func (c *Controller) deliver(p *PendingMsg) deliverStatus {
 // generation claimed for this attempt, so the peer's dedup inbox can
 // re-acknowledge duplicates and discard delayed superseded content. p is
 // the delivery pass's private snapshot, so p.Gen is the claimed generation.
+// What is said once per frame — the version vector, the body checksum, the
+// destination shard — rides on the frame (sendFrame).
 func (c *Controller) stampDelivery(req wire.Request, p *PendingMsg) {
 	// Trace context is stamped even on hand-built entries: it is
 	// observability-only, so it never needs the delivery-identity gate.
 	if p.TraceID != "" {
 		req.Header[wire.HdrTraceID] = p.TraceID
 		req.Header[wire.HdrTraceHop] = strconv.Itoa(p.TraceHop)
-	}
-	// The body checksum guards every carrier with a payload (not just
-	// identified deliveries): a corrupted body must be refused loudly
-	// whatever else the carrier claims about itself.
-	if len(req.Body) > 0 {
-		req.Header[wire.HdrBodySum] = wire.BodySum(req.Body)
-	}
-	// The version vector is announced per attempt, not per claim: serial
-	// reconcile-per-message advances the acked prefix between deliveries of
-	// one batch, so stamping at send time keeps the announcement as fresh
-	// as possible and minimizes spurious gap NACKs.
-	if acked, frontier, reoffer, ok := c.vvAnnouncement(c.peerDest(p.Msg)); ok {
-		req.Header[wire.HdrAckedSeq] = strconv.FormatUint(acked, 10)
-		req.Header[wire.HdrFrontierSeq] = strconv.FormatUint(frontier, 10)
-		if reoffer {
-			req.Header[wire.HdrReoffer] = "1"
-		}
 	}
 	if p.DeliveryID == "" {
 		return // hand-built entry (tests, legacy snapshots): deliver ungated
@@ -367,81 +405,60 @@ func (c *Controller) stampDelivery(req wire.Request, p *PendingMsg) {
 	req.Header[wire.HdrOrigin] = c.Svc.Name
 }
 
-// deliverRepairCall sends replace/delete/create through the peer's repair
-// API. The repaired request itself is encoded in the body, the operation in
-// the Aire-Repair header — the encoding §3.1 describes.
-func (c *Controller) deliverRepairCall(p *PendingMsg) deliverStatus {
-	m := &p.Msg
-	req := wire.NewRequest("POST", "/aire/repair")
-	req.Header[wire.HdrRepair] = string(m.Kind)
-	if m.RemoteReqID != "" {
-		req.Header[wire.HdrRequestID] = m.RemoteReqID
-	}
-	if m.Kind != warp.OutDelete {
-		req.Header[wire.HdrResponseID] = m.RespID
-		req.Header[wire.HdrNotifierURL] = transport.NotifierURL(c.Svc.Name)
-		req.Body = m.Req.Encode()
-	}
-	if m.Kind == warp.OutCreate {
-		req.Form["before_id"] = m.BeforeID
-		req.Form["after_id"] = m.AfterID
-	}
-	// Credentials ride on the repaired request's own headers; for delete
-	// (which has no payload) copy them onto the carrier so the peer's
-	// authorize can check the issuing principal (§4).
-	for k, v := range m.Req.Header {
-		if !wire.IsAireHeader(k) {
-			req.Header[k] = v
+// sendFrame POSTs one frame body to peer and returns one answer per
+// carrier. The frame-level headers are stamped here, once: the version
+// vector for this (peer, shard) — announced per frame, so it is as fresh as
+// the last reconcile — the end-to-end body checksum (a corrupted frame is
+// refused loudly, never misapplied), and for a sharded peer the destination
+// shard, so a router can dispatch without re-deriving it and a shard can
+// refuse a misrouted frame. err reports the peer unreachable: a transport
+// failure, or a reply that does not answer every carrier. A refusal of the
+// frame as a whole (any status but 200) answers every carrier with it.
+func (c *Controller) sendFrame(peer string, body []byte, n int) (resps []wire.Response, nacked bool, err error) {
+	req := wire.NewRequest("POST", wire.FramePath)
+	req.Body = body
+	req.Header[wire.HdrBodySum] = wire.BodySum(body)
+	req.Header[wire.HdrOrigin] = c.Svc.Name
+	if acked, frontier, reoffer, ok := c.vvAnnouncement(peer); ok {
+		req.Header[wire.HdrAckedSeq] = strconv.FormatUint(acked, 10)
+		req.Header[wire.HdrFrontierSeq] = strconv.FormatUint(frontier, 10)
+		if reoffer {
+			req.Header[wire.HdrReoffer] = "1"
 		}
 	}
-	c.stampDelivery(req, p)
-
-	dest := m.Target
 	if c.topo != nil {
-		// Resolve the owning shard of a sharded peer and address the
-		// carrier to it directly (the shard is registered under its own
-		// qualified name). The destination is also stamped on the wire so
-		// a router can dispatch without re-deriving it and a shard can
-		// refuse a misrouted carrier. The resolution window is a named
-		// schedule point so seeded runs cover interleavings between
-		// claim and send; gated on the topology, so unsharded
-		// deployments keep byte-identical digests.
-		dest = c.peerDest(p.Msg)
-		if dest != m.Target {
-			req.Header[wire.HdrShard] = dest
+		if ShardBaseName(peer) != peer {
+			req.Header[wire.HdrShard] = peer
 		}
+		// The shard resolution window is a named schedule point so seeded
+		// runs cover interleavings between claim and send; gated on the
+		// topology, so unsharded deployments see no shard yield points.
 		c.sd.YieldNamed("shard-gate")
 	}
-	resp, err := c.Net.Call(c.Svc.Name, dest, req)
+	resp, err := c.Net.Call(c.Svc.Name, peer, req)
 	if err != nil {
-		p.LastErr = err.Error()
-		return deliverRetry
+		return nil, false, err
 	}
 	// A gap NACK can ride any response, whatever its status: the peer
 	// detected a missing delivery against our announced vector and wants an
-	// immediate re-offer. Recorded on the snapshot; reconciled by the pump.
-	if resp.Header[wire.HdrNackSeq] != "" {
-		p.nacked = true
+	// immediate re-offer.
+	nacked = resp.Header[wire.HdrNackSeq] != ""
+	if resp.Status != 200 {
+		resps = make([]wire.Response, n)
+		for i := range resps {
+			resps[i] = resp
+		}
+		return resps, nacked, nil
 	}
+	resps, err = wire.DecodeFrameReply(resp.Body, n)
+	return resps, nacked, err
+}
+
+// replyStatus maps the peer's answer to one carrier onto its delivery
+// status, recording the failure detail on the snapshot.
+func replyStatus(p *PendingMsg, resp wire.Response) deliverStatus {
 	switch {
 	case resp.OK():
-		// Learn the peer-assigned request ID for the repaired/created
-		// request so future repairs can name it. Svc.Mu serializes this
-		// against local repair, which mutates log records in place under
-		// that lock — the pump delivers concurrently with repair. The
-		// response-ID lookup is an O(1) index probe, and Update keeps the
-		// log's call indexes coherent with the learned ID.
-		if m.CallRespID != "" {
-			if newID := resp.Header[wire.HdrRequestID]; newID != "" {
-				c.Svc.Mu.Lock()
-				if rec, i, ok := c.Svc.Log.FindByCallRespID(m.CallRespID); ok {
-					_ = c.Svc.Log.Update(rec.ID, func(r *repairlog.Record) {
-						r.Calls[i].RemoteReqID = newID
-					})
-				}
-				c.Svc.Mu.Unlock()
-			}
-		}
 		return deliverOK
 	case resp.Status == 401 || resp.Status == 403:
 		p.LastErr = string(resp.Body)
@@ -449,79 +466,22 @@ func (c *Controller) deliverRepairCall(p *PendingMsg) deliverStatus {
 	case resp.Status == 410:
 		p.LastErr = string(resp.Body)
 		return deliverGone
-	default:
-		p.LastErr = fmt.Sprintf("peer returned %d: %s", resp.Status, resp.Body)
-		if unavailableStatus(resp.Status) {
-			return deliverRetry
-		}
-		return deliverRetryMsg
 	}
+	p.LastErr = fmt.Sprintf("peer returned %d: %s", resp.Status, resp.Body)
+	if unavailableStatus(resp.Status) {
+		return deliverRetry
+	}
+	return deliverRetryMsg
 }
 
 // unavailableStatus reports statuses that mean the peer itself is down even
-// though something answered — a gateway fronting a dead service, or a
-// timeout placeholder. They get peer-level (backoff) treatment like a
-// transport error, not message-level blame.
+// though something answered — a gateway fronting a dead service, a busy
+// inbox, or a timeout placeholder. They get peer-level (backoff) treatment
+// like a transport error, not message-level blame.
 func unavailableStatus(status int) bool {
 	switch status {
 	case 502, 503, 504, wire.StatusTimeout:
 		return true
 	}
 	return false
-}
-
-// deliverReplaceResponse runs the two-step token handshake of §3.1: mint a
-// token naming the corrected response, send only the token to the client's
-// notifier URL, and let the client fetch (and authenticate) the payload.
-// Browser-style clients with poll:// notifier URLs cannot accept inbound
-// connections; their tokens are parked in a mailbox they poll.
-func (c *Controller) deliverReplaceResponse(p *PendingMsg) deliverStatus {
-	m := &p.Msg
-	if clientID, ok := transport.ParsePollNotifierURL(m.NotifierURL); ok {
-		return c.parkForPolling(p, clientID)
-	}
-	audience, path, err := transport.ParseNotifierURL(m.NotifierURL)
-	if err != nil {
-		p.LastErr = err.Error()
-		return deliverGone
-	}
-	if p.token == "" {
-		p.token = c.Svc.IDs.Token()
-	}
-	payload, err := json.Marshal(respRepairPayload{
-		RespID:      m.RespID,
-		RemoteReqID: m.LocalReqID,
-		Resp:        m.Resp.Encode(),
-	})
-	if err != nil {
-		p.LastErr = err.Error()
-		return deliverGone
-	}
-	c.tokmu.Lock()
-	c.tokens[p.token] = tokenEntry{audience: audience, payload: payload}
-	c.tokmu.Unlock()
-
-	req := wire.NewRequest("POST", path).WithForm("token", p.token, "server", c.Svc.Name)
-	c.stampDelivery(req, p)
-	resp, err := c.Net.Call(c.Svc.Name, audience, req)
-	if err != nil {
-		p.LastErr = err.Error()
-		return deliverRetry
-	}
-	if resp.Header[wire.HdrNackSeq] != "" {
-		p.nacked = true // gap NACK: see deliverRepairCall
-	}
-	switch {
-	case resp.OK():
-		return deliverOK
-	case resp.Status == 401 || resp.Status == 403:
-		p.LastErr = string(resp.Body)
-		return deliverDenied
-	default:
-		p.LastErr = fmt.Sprintf("notifier returned %d: %s", resp.Status, resp.Body)
-		if unavailableStatus(resp.Status) {
-			return deliverRetry
-		}
-		return deliverRetryMsg
-	}
 }

@@ -15,11 +15,11 @@ import (
 // service partitioned by key into N shard instances, each a full Controller
 // with its own versioned store, repair log, dedup inbox, pump partition
 // set, and — when durability is on — its own wal.Writer and independent
-// checkpoint/recovery. There is deliberately NO cross-shard log ordering:
-// the only thing that orders a cross-shard repair batch is the existing
-// two-phase gate (batch-accept per shard, then ProcessIncoming's atomic
-// apply+drain), exactly the machinery that already orders cross-*service*
-// batches.
+// checkpoint/recovery. There is deliberately NO cross-shard log ordering: a
+// sender's claim is per (peer, shard), so a cross-shard repair wave reaches
+// each shard as that shard's own frame, applied and acknowledged in one
+// atomic entry on that shard's log — exactly the machinery that already
+// orders cross-*service* repair.
 //
 // Routing has two planes:
 //
@@ -179,8 +179,8 @@ func (c *Controller) peerDest(m warp.OutMsg) string {
 // which are additionally registered under their own qualified names so
 // repair-plane peers can address them directly. It implements the same
 // transport.Handler contract a Controller does, plus ApplyLocal routed by
-// the IDs each action names. Everything else — Flush, ProcessIncoming,
-// pumps, stats — is driven on the shard controllers themselves.
+// the IDs each action names. Everything else — Flush, pumps, stats — is
+// driven on the shard controllers themselves.
 type ShardedController struct {
 	// Base is the service's unqualified name (the router's transport name).
 	Base string
@@ -241,6 +241,12 @@ func (s *ShardedController) HandleWire(from string, req wire.Request) wire.Respo
 	}
 	if req.Path == "/aire/poll" {
 		return s.handlePollFanout(from, req)
+	}
+	if req.Path == wire.FramePath && s.byName[req.Header[wire.HdrShard]] == nil {
+		// A frame is one shard's batch, and a shard-aware sender names the
+		// shard; the router cannot split a frame without dropping its
+		// vector announcement, so it refuses loudly instead of guessing.
+		return wire.NewResponse(400, "aire: frame for sharded service "+s.Base+" names no shard")
 	}
 	return s.route(req).HandleWire(from, req)
 }

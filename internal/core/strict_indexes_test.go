@@ -69,17 +69,22 @@ func TestStrictIndexesGuardFiresOnLogCorruption(t *testing.T) {
 	}
 }
 
-// ProcessIncoming — the batch-mode wave entry point — runs the same guard.
-func TestStrictIndexesGuardFiresOnProcessIncoming(t *testing.T) {
+// An incoming frame's apply runs the same guard: every carrier is refused
+// (and may be redelivered), and nothing is applied.
+func TestStrictIndexesGuardFiresOnFrameApply(t *testing.T) {
 	tb := newTestbed()
 	c := addStrict(tb)
 	tb.call("store", put("x", "good"))
+	attack := tb.call("store", put("x", "evil"))
 
 	c.Svc.Store.DropIndexEntryForTest(vdb.Key{Model: "kv", ID: "x"})
-	if _, err := c.ProcessIncoming(); err == nil {
-		t.Fatal("batch apply ran over a corrupted store index")
-	} else if !strings.Contains(err.Error(), "store index incoherent") {
-		t.Fatalf("unexpected error: %v", err)
+	del := carrier(warp.OutDelete, attack.Header[wire.HdrRequestID], wire.Request{}, "a", "a-dlv-1", 0)
+	resp := frameReply(t, tb, "store", frameOf("a", del), 1)[0]
+	if resp.Status != 400 || !strings.Contains(string(resp.Body), "store index incoherent") {
+		t.Fatalf("frame applied over a corrupted store index: %d %s", resp.Status, resp.Body)
+	}
+	if got := string(tb.call("store", get("x")).Body); got != "evil" {
+		t.Fatalf("refused frame still changed state: x = %q", got)
 	}
 }
 

@@ -39,19 +39,29 @@ func TestUntrustedVectorHeadersRefused(t *testing.T) {
 	cases := []struct {
 		name            string
 		acked, frontier string // "" deletes the header
+		gen             string // "" keeps the well-formed generation
 	}{
-		{"garbage acked", "abc", "2"},
-		{"garbage frontier", "1", "0x2"},
-		{"negative acked", "-1", "2"},
-		{"overflowing frontier", "1", "18446744073709551616"},
-		{"acked beyond frontier", "7", "2"},
-		{"acked without frontier", "1", ""},
-		{"frontier without acked", "", "2"},
-		{"no announcement on an identified carrier", "", ""},
+		{"garbage acked", "abc", "2", ""},
+		{"garbage frontier", "1", "0x2", ""},
+		{"negative acked", "-1", "2", ""},
+		{"overflowing frontier", "1", "18446744073709551616", ""},
+		{"acked beyond frontier", "7", "2", ""},
+		{"acked without frontier", "1", "", ""},
+		{"frontier without acked", "", "2", ""},
+		{"no announcement on an identified carrier", "", "", ""},
+		// A generation that does not parse must not be read as 0 (acked as
+		// stale under any committed entry) nor, overflowing, as MaxUint64
+		// (pinning the entry against every later generation).
+		{"garbage generation", "1", "2", "x1"},
+		{"negative generation", "1", "2", "-3"},
+		{"overflowing generation", "1", "2", "18446744073709551616"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			req := create("a-dlv-2")
+			if tc.gen != "" {
+				req.Header[wire.HdrGeneration] = tc.gen
+			}
 			for hdr, v := range map[string]string{wire.HdrAckedSeq: tc.acked, wire.HdrFrontierSeq: tc.frontier} {
 				if v == "" {
 					delete(req.Header, hdr)

@@ -8,6 +8,7 @@ import (
 
 	"aire/internal/deliver"
 	"aire/internal/obs"
+	"aire/internal/wal"
 	"aire/internal/wire"
 )
 
@@ -162,8 +163,8 @@ func (c *Controller) vvClearReofferLocked(peer string) {
 
 // ---- receive side ----------------------------------------------------------
 
-// verifyCarrierBody checks a carrier's body checksum (wire.HdrBodySum,
-// stamped by stampDelivery on every repair-plane carrier with a payload).
+// verifyCarrierBody checks a frame's body checksum (wire.HdrBodySum, stamped
+// by sendFrame on every frame; a lone carrier may carry one too).
 // A mismatch means the body was corrupted in flight; the delivery is
 // refused loudly and retryably (503 → the sender backs the peer off and a
 // retry re-sends clean bytes) instead of being silently misapplied.
@@ -180,56 +181,70 @@ func (c *Controller) verifyCarrierBody(req wire.Request) *wire.Response {
 	return &resp
 }
 
-// observeCarrierVector feeds a carrier's announced version vector into the
-// dedup inbox: compaction of the acked prefix, monotonic vector advance
-// (WAL-logged so recovery never regresses below a compaction), and gap
-// detection. Returns whether the receiver should NACK, and the first
-// sequence it believes is missing (forensic; presence is the signal).
+// observeCarrierVector feeds a frame's announced version vector into the
+// dedup inbox, once per frame: compaction of the acked prefix, monotonic
+// vector advance, and gap detection against the span of sequences the frame
+// carries. The advance is returned as an in-vv op for the frame's WAL entry
+// (recovery must never regress below a compaction), and a gap as the first
+// sequence believed missing (0: no NACK) — never one the frame carries.
+// Carriers already refused are left out: nothing about them is observed.
 //
 // The announcement is untrusted outside input and is what classification
 // rests on, so it is validated before anything is observed or persisted: a
-// carrier whose delivery ID carries a sequence but which announces nothing,
-// an announcement that does not parse, and one whose acked prefix exceeds
-// its frontier are all refused with 400 (bad non-nil).
-func (c *Controller) observeCarrierVector(from string, req wire.Request) (nack bool, missing uint64, bad *wire.Response) {
+// frame carrying an identified delivery but announcing nothing, an
+// announcement that does not parse, and one whose acked prefix exceeds its
+// frontier are all refused with 400 (bad non-nil).
+func (c *Controller) observeCarrierVector(from string, outer wire.Request, cs []inCarrier) (missing uint64, vv []wal.Op, bad *wire.Response) {
 	if c.faults.DisableDedup {
-		return false, 0, nil
+		return 0, nil, nil
 	}
 	origin := from
 	if origin == "" {
-		origin = req.Header[wire.HdrOrigin]
+		origin = outer.Header[wire.HdrOrigin]
 	}
-	if origin == "" {
-		return false, 0, nil
-	}
-	id := req.Header[wire.HdrDeliveryID]
-	curSeq := deliver.Seq(id)
-	ackedHdr, frontierHdr := req.Header[wire.HdrAckedSeq], req.Header[wire.HdrFrontierSeq]
-	if ackedHdr == "" && frontierHdr == "" {
-		if curSeq == 0 {
-			return false, 0, nil // locally issued or sequence-less: nothing to observe
+	var lo, hi uint64
+	live, id := false, ""
+	for i := range cs {
+		if cs[i].resp != nil {
+			continue
 		}
-		return false, 0, c.refuseVector(req, id, "identified delivery carries no "+wire.HdrAckedSeq+"/"+wire.HdrFrontierSeq+" announcement")
+		live = true
+		if s := deliver.Seq(cs[i].req.Header[wire.HdrDeliveryID]); s > 0 {
+			if lo == 0 || s < lo {
+				lo, id = s, cs[i].req.Header[wire.HdrDeliveryID]
+			}
+			hi = max(hi, s)
+		}
+	}
+	if origin == "" || !live {
+		return 0, nil, nil
+	}
+	ackedHdr, frontierHdr := outer.Header[wire.HdrAckedSeq], outer.Header[wire.HdrFrontierSeq]
+	if ackedHdr == "" && frontierHdr == "" {
+		if lo == 0 {
+			return 0, nil, nil // locally issued or sequence-less: nothing to observe
+		}
+		return 0, nil, c.refuseVector(outer, id, "identified delivery carries no "+wire.HdrAckedSeq+"/"+wire.HdrFrontierSeq+" announcement")
 	}
 	acked, errA := strconv.ParseUint(ackedHdr, 10, 64)
 	frontier, errF := strconv.ParseUint(frontierHdr, 10, 64)
 	if errA != nil || errF != nil || acked > frontier {
-		return false, 0, c.refuseVector(req, id, fmt.Sprintf("malformed version vector (%s=%q %s=%q)",
+		return 0, nil, c.refuseVector(outer, id, fmt.Sprintf("malformed version vector (%s=%q %s=%q)",
 			wire.HdrAckedSeq, ackedHdr, wire.HdrFrontierSeq, frontierHdr))
 	}
-	vo := c.dedup.ObserveVector(origin, acked, frontier, curSeq)
+	vo := c.dedup.ObserveVector(origin, acked, frontier, lo, hi)
 	if vo.Compacted > 0 {
 		c.met.vvCompacted.Add(int64(vo.Compacted))
 	}
 	if vo.Advanced && c.walAttached() {
-		c.walEmit("inbox", mustOp("in-vv", inVVOp{Origin: origin, Acked: acked, Frontier: frontier}), false)
+		vv = []wal.Op{mustOp("in-vv", inVVOp{Origin: origin, Acked: acked, Frontier: frontier})}
 	}
 	if vo.Gap {
 		c.met.vvGapNacks.Inc()
-		c.spanVVGap(req, origin, vo.Acked+1)
-		return true, vo.Acked + 1, nil
+		c.spanVVGap(outer, origin, vo.Missing)
+		return vo.Missing, vv, nil
 	}
-	return false, 0, nil
+	return 0, vv, nil
 }
 
 // refuseVector answers a carrier whose version-vector announcement cannot
@@ -246,14 +261,10 @@ func (c *Controller) spanVVGap(req wire.Request, origin string, missing uint64) 
 	if c.met.reg == nil {
 		return
 	}
-	wave := req.Header[wire.HdrTraceID]
-	hop := 0
-	if wave != "" {
-		hop, _ = strconv.Atoi(req.Header[wire.HdrTraceHop])
-	}
+	tc := traceFromCarrier(req)
 	now := c.now().UnixNano()
 	c.met.ring.Record(obs.Span{
-		Wave: wave, Hop: hop, Service: c.Svc.Name,
+		Wave: tc.wave, Hop: tc.hop, Service: c.Svc.Name,
 		Kind: obs.SpanInbox, Subject: "gap-nack", Peer: origin + "#" + strconv.FormatUint(missing, 10),
 		StartNS: now, EndNS: now,
 	})

@@ -9,21 +9,19 @@ import (
 	"aire/internal/repairlog"
 	"aire/internal/vdb"
 	"aire/internal/wal"
-	"aire/internal/warp"
 )
 
 // This file wires the controller to the write-ahead log (internal/wal).
 //
 // Commit batching: mutations made while the service lock (Svc.Mu) is held —
-// request execution, local repair, batched incoming repair, GC — are
-// buffered between walBegin and walCommit and land as ONE framed WAL entry,
-// so replay applies the whole commit or none of it (this is what makes a
-// half-applied warp batch impossible after recovery). Mutations outside the
-// service lock — outgoing-queue transitions under qmu, dedup-inbox
-// transitions under the inbox's own lock — are appended as standalone
-// single-op entries at the moment they happen, inside the same critical
-// section that performs them, so WAL order matches mutation order per
-// domain.
+// request execution, local repair (an incoming frame's included), a
+// delivered frame's reconcile, GC — are buffered between walBegin and
+// walCommit and land as ONE framed WAL entry, so replay applies the whole
+// commit or none of it (this is what makes a half-applied frame impossible
+// after recovery). Mutations outside the service lock — Retry, Drop and
+// standalone enqueues under qmu — are appended as standalone single-op
+// entries at the moment they happen, inside the same critical section that
+// performs them, so WAL order matches mutation order per domain.
 
 // walState is the controller's WAL attachment. mu guards every field; it is
 // a leaf lock (nothing is acquired while holding it).
@@ -215,11 +213,6 @@ type qDelOp struct {
 	MsgID string `json:"msg_id"`
 }
 
-type qClaimOp struct {
-	Peer   string   `json:"peer"`
-	MsgIDs []string `json:"msg_ids"`
-}
-
 type inboxOp struct {
 	Origin  string `json:"origin"`
 	ID      string `json:"id"`
@@ -245,32 +238,6 @@ type inVVOp struct {
 	Frontier uint64 `json:"frontier,omitempty"`
 }
 
-type batchAcceptOp struct {
-	// Seq is the action's accept sequence (Controller.inseq): a monotone
-	// per-controller counter that names inbox entries exactly, including
-	// gate-less ones, so a replayed drain can match what it drained.
-	Seq    uint64      `json:"seq"`
-	Action warp.Action `json:"action"`
-	Origin string      `json:"origin,omitempty"`
-	ID     string      `json:"id,omitempty"`
-	Gen    uint64      `json:"gen,omitempty"`
-	Once   bool        `json:"once,omitempty"`
-	// Wave / Hop persist the accepted carrier's trace context so a
-	// recovered batch keeps its wave identity (observability-only).
-	Wave string `json:"wave,omitempty"`
-	Hop  int    `json:"hop,omitempty"`
-}
-
-type batchDrainOp struct {
-	// UpToSeq is the drain watermark: every inbox entry with accept seq at
-	// or below it was applied by this commit. Replay removes exactly those
-	// entries — never later accepts that a racing checkpoint snapshot may
-	// already contain. N and IDs are forensic.
-	UpToSeq uint64   `json:"up_to_seq"`
-	N       int      `json:"n"`
-	IDs     []string `json:"ids,omitempty"`
-}
-
 // walEmitQSetLocked logs a queue entry's current state. Caller holds qmu.
 func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
 	c.walEmitQSetJoinLocked(p, false)
@@ -286,22 +253,14 @@ func (c *Controller) walEmitQSetJoinLocked(p *PendingMsg, join bool) {
 	c.walEmit("queue", mustOp("q-set", qSetOp{Msg: *p, NextID: c.nextID}), join)
 }
 
-// walEmitQDelLocked logs a queue entry's removal. Caller holds qmu.
-func (c *Controller) walEmitQDelLocked(msgID string) {
+// walEmitQDelLocked logs a queue entry's removal, folded into the caller's
+// open WAL batch when join is set (see walEmitQSetJoinLocked). Caller holds
+// qmu.
+func (c *Controller) walEmitQDelLocked(msgID string, join bool) {
 	if !c.walAttached() {
 		return
 	}
-	c.walEmit("queue", mustOp("q-del", qDelOp{MsgID: msgID}), false)
-}
-
-// walEmitClaimLocked logs a delivery claim (informational: claims are
-// in-memory leases and replay ignores them, but the acks that follow are
-// only meaningful against the claim record). Caller holds qmu.
-func (c *Controller) walEmitClaimLocked(peer string, ids []string) {
-	if !c.walAttached() || len(ids) == 0 {
-		return
-	}
-	c.walEmit("queue", mustOp("q-claim", qClaimOp{Peer: peer, MsgIDs: ids}), false)
+	c.walEmit("queue", mustOp("q-del", qDelOp{MsgID: msgID}), join)
 }
 
 // ---- recovery -------------------------------------------------------------
@@ -357,8 +316,11 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		}
 		c.walQueueRemove(o.MsgID)
 		return nil
-	case "q-claim":
-		return nil // in-memory lease; nothing to restore
+	case "q-claim", "in-rollback":
+		// Carry no state: a claim is an in-memory lease, and an inbox
+		// reservation is never logged, so neither is its release. WALs
+		// written before these ops were retired still replay.
+		return nil
 	case "in-commit":
 		var o inboxOp
 		if err := json.Unmarshal(op.Data, &o); err != nil {
@@ -370,16 +332,6 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 			// op) already holds the reservation; Commit only needs the entry
 			// and a matching generation.
 			c.dedup.Commit(o.Origin, o.ID, o.Gen, o.Outcome, o.TS)
-		}
-		return nil
-	case "in-rollback":
-		var o inboxOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
-		switch d, _ := c.dedup.Begin(o.Origin, o.ID, o.Gen, o.Once); d {
-		case deliver.Apply, deliver.InFlight:
-			c.dedup.Rollback(o.Origin, o.ID, o.Gen)
 		}
 		return nil
 	case "in-gc":
@@ -394,34 +346,7 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		if err := json.Unmarshal(op.Data, &o); err != nil {
 			return err
 		}
-		c.dedup.ObserveVector(o.Origin, o.Acked, o.Frontier, 0)
-		return nil
-	case "batch-accept":
-		var o batchAcceptOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
-		c.walBatchAccept(BatchedAction{Seq: o.Seq, Action: o.Action, Origin: o.Origin, ID: o.ID, Gen: o.Gen, Once: o.Once, Wave: o.Wave, Hop: o.Hop})
-		return nil
-	case "batch-drain":
-		var o batchDrainOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
-		// Drain by watermark, not by count: in the checkpoint-overlap
-		// window the restored inbox may hold only entries accepted AFTER
-		// this drain (the drained ones never made it into the snapshot),
-		// and dropping a prefix by count would discard those survivors
-		// while their dedup reservations stay stuck in-flight.
-		c.inmu.Lock()
-		kept := c.inbox[:0]
-		for _, q := range c.inbox {
-			if q.seq > o.UpToSeq {
-				kept = append(kept, q)
-			}
-		}
-		c.inbox = kept
-		c.inmu.Unlock()
+		c.dedup.ObserveVector(o.Origin, o.Acked, o.Frontier, 0, 0)
 		return nil
 	}
 	return fmt.Errorf("unknown wal op kind %q", op.Kind)
@@ -473,59 +398,7 @@ func (c *Controller) walQueueRemove(msgID string) {
 	}
 }
 
-// walBatchAccept re-queues a replayed accepted-but-undrained incoming
-// action, re-reserving its delivery in the dedup inbox. Deliveries the
-// inbox already remembers as applied (the batch was drained and committed
-// later in the log, or before the checkpoint) are dropped, preserving
-// exactly-once.
-func (c *Controller) walBatchAccept(b BatchedAction) {
-	g := deliveryGate{}
-	if b.Origin != "" && b.ID != "" && !c.faults.DisableDedup {
-		switch d, _ := c.dedup.Begin(b.Origin, b.ID, b.Gen, b.Once); d {
-		case deliver.Apply:
-			g = deliveryGate{c: c, active: true, origin: b.Origin, id: b.ID, gen: b.Gen, once: b.Once}
-		case deliver.InFlight:
-			// The reservation (and the queued action) came in with the
-			// checkpoint snapshot; this is overlap replay.
-			return
-		default:
-			// Duplicate/Stale/Forgotten: the action already ran to a
-			// conclusion; re-queuing would double-apply it.
-			return
-		}
-	}
-	c.inmu.Lock()
-	seq := b.Seq
-	if seq == 0 {
-		// Snapshot written before accept seqs existed: assign a fresh one.
-		c.inseq++
-		seq = c.inseq
-	} else if seq > c.inseq {
-		c.inseq = seq
-	}
-	c.inbox = append(c.inbox, queuedAction{seq: seq, action: b.Action, gate: g, wave: b.Wave, hop: b.Hop})
-	c.inmu.Unlock()
-}
-
 // ---- atomic export (persist.Capture's backing store) ----------------------
-
-// BatchedAction is a persisted accepted-but-unapplied incoming repair
-// action (batch-incoming mode) plus its delivery identity, so restore can
-// re-reserve the delivery and ProcessIncoming can commit it exactly once.
-type BatchedAction struct {
-	// Seq is the accept sequence assigned when the action entered the
-	// inbox; replayed batch-drain entries use it as their watermark.
-	Seq    uint64      `json:"seq,omitempty"`
-	Action warp.Action `json:"action"`
-	Origin string      `json:"origin,omitempty"`
-	ID     string      `json:"id,omitempty"`
-	Gen    uint64      `json:"gen,omitempty"`
-	Once   bool        `json:"once,omitempty"`
-	// Wave / Hop carry the accepted carrier's trace context
-	// (observability-only; see PendingMsg.TraceID).
-	Wave string `json:"wave,omitempty"`
-	Hop  int    `json:"hop,omitempty"`
-}
 
 // AtomicExport is a consistent cut of every durable controller domain,
 // captured under all the relevant locks at once.
@@ -537,12 +410,11 @@ type AtomicExport struct {
 	Objects   []vdb.ObjectDump
 	Queue     []PendingMsg
 	Inbox     []deliver.OriginDump
-	Batch     []BatchedAction
 }
 
-// ExportAtomic captures the repair log, store, outgoing queue, dedup inbox,
-// and accepted incoming batch in ONE critical section (Svc.Mu, then qmu,
-// then inmu — the established acquisition order). Unlike capturing each
+// ExportAtomic captures the repair log, store, outgoing queue, and dedup
+// inbox in ONE critical section (Svc.Mu, then qmu — the established
+// acquisition order). Unlike capturing each
 // domain separately, a pump delivery cannot reconcile a message away
 // between the log capture and the queue capture, so the cut is consistent:
 // this is what persist.Capture builds its snapshot from.
@@ -551,8 +423,6 @@ func (c *Controller) ExportAtomic() AtomicExport {
 	defer c.Svc.Mu.Unlock()
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
-	c.inmu.Lock()
-	defer c.inmu.Unlock()
 
 	ex := AtomicExport{
 		ClockNow:  c.Svc.Clock.Now(),
@@ -570,19 +440,5 @@ func (c *Controller) ExportAtomic() AtomicExport {
 			ex.Queue = append(ex.Queue, *p)
 		}
 	}
-	for _, q := range c.inbox {
-		ex.Batch = append(ex.Batch, BatchedAction{
-			Seq: q.seq, Action: q.action, Origin: q.gate.origin, ID: q.gate.id, Gen: q.gate.gen, Once: q.gate.once,
-			Wave: q.wave, Hop: q.hop,
-		})
-	}
 	return ex
-}
-
-// ImportBatch restores persisted accepted-batch actions, re-reserving
-// their deliveries in the (already restored) dedup inbox.
-func (c *Controller) ImportBatch(batch []BatchedAction) {
-	for _, b := range batch {
-		c.walBatchAccept(b)
-	}
 }

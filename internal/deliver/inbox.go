@@ -24,9 +24,9 @@
 //
 // What bounds the inbox, and what makes post-compaction classification
 // exact, is the sender's announced version vector. Delivery IDs carry the
-// sender's monotonic sequence number, and every identified carrier
-// piggybacks the sender's highest contiguous acknowledged sequence for this
-// receiver (wire.HdrAckedSeq) and its stamped frontier (wire.HdrFrontierSeq),
+// sender's monotonic sequence number, and every frame of identified
+// carriers piggybacks the sender's highest contiguous acknowledged sequence
+// for this receiver (wire.HdrAckedSeq) and its stamped frontier (wire.HdrFrontierSeq),
 // fed in through ObserveVector. The sender only advances the prefix after
 // consuming this inbox's outcome for every delivery inside it, so an arrival
 // at or below the acked prefix is a duplicate by definition and everything
@@ -163,32 +163,38 @@ type VectorObservation struct {
 	// Advanced reports that the stored acked/frontier for the origin moved,
 	// i.e. the observation carries durable information worth logging.
 	Advanced bool
-	// Acked and MaxSeen echo the origin's state after the observation (the
-	// NACK response header value and debug surfaces use them).
+	// Missing is, with Gap, the first sequence believed missing — never one
+	// the observed frame carries itself (forensic: the NACK's presence is
+	// the signal).
+	Missing uint64
+	// Acked and MaxSeen echo the origin's state after the observation
+	// (debug surfaces use them).
 	Acked   uint64
 	MaxSeen uint64
 }
 
-// ObserveVector ingests the version vector announced on one carrier from
+// ObserveVector ingests the version vector announced on one frame from
 // origin: acked is the sender's highest contiguous acknowledged sequence for
 // this receiver, frontier the highest sequence it has stamped for us, and
-// curSeq the carrier's own delivery sequence (0 for sequence-less carriers
-// such as notifies). Both stored values are monotonic maxima, so replaying
-// an observation is idempotent. Entries covered by the acked prefix are
-// compacted away — the sender only advances the prefix after consuming this
-// inbox's terminal outcome, so they can never be asked about again except by
-// a network-duplicated ghost, which the prefix itself classifies.
+// lo..hi the span of delivery sequences the frame carries (0, 0 for a frame
+// of sequence-less carriers such as notifies; lo = hi for a lone carrier).
+// Both stored values are monotonic maxima, so replaying an observation is
+// idempotent. Entries covered by the acked prefix are compacted away — the
+// sender only advances the prefix after consuming this inbox's terminal
+// outcome, so they can never be asked about again except by a
+// network-duplicated ghost, which the prefix itself classifies.
 //
 // Gap detection is advisory and err-on-NACK: a false positive only causes
 // the sender to re-offer messages it was already holding, which delivery
 // dedup absorbs. Two signals are used: (1) the sender's contiguous acked
-// prefix stops more than one sequence short of the carrier's own — since the
-// sender assigns sequences from a shared counter, acked < curSeq-1 proves an
+// prefix stops more than one sequence short of the frame's lowest — since
+// the sender assigns sequences from a shared counter, acked < lo-1 proves an
 // older delivery for this receiver is still outstanding (possibly in flight,
-// possibly lost); (2) the announced frontier is beyond both the acked prefix
-// and anything this inbox has ever committed, so a newest delivery has never
-// arrived.
-func (ib *Inbox) ObserveVector(origin string, acked, frontier, curSeq uint64) VectorObservation {
+// possibly lost); (2) the announced frontier is beyond the acked prefix, the
+// frame's highest sequence, and anything this inbox has ever committed, so a
+// newest delivery has never arrived. Either way the sequence reported
+// missing lies outside lo..hi.
+func (ib *Inbox) ObserveVector(origin string, acked, frontier, lo, hi uint64) VectorObservation {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	o := ib.origins[origin]
@@ -211,15 +217,12 @@ func (ib *Inbox) ObserveVector(origin string, acked, frontier, curSeq uint64) Ve
 			obs.Compacted++
 		}
 	}
-	effSeen := o.maxSeen
-	if curSeq > effSeen {
-		effSeen = curSeq
-	}
-	if curSeq > 0 && o.acked+1 < curSeq {
-		obs.Gap = true
-	}
-	if o.frontier > effSeen && o.frontier > o.acked {
-		obs.Gap = true
+	effSeen := max(o.maxSeen, hi)
+	switch {
+	case lo > 0 && o.acked+1 < lo:
+		obs.Gap, obs.Missing = true, o.acked+1
+	case o.frontier > effSeen && o.frontier > o.acked:
+		obs.Gap, obs.Missing = true, max(o.acked, effSeen)+1
 	}
 	obs.Acked, obs.MaxSeen = o.acked, o.maxSeen
 	return obs
@@ -470,11 +473,7 @@ func (ib *Inbox) Dump() []OriginDump {
 	return out
 }
 
-// Restore loads a persisted dump. The inbox must be empty except for
-// reservations re-established from an authoritative source ahead of the dump
-// (persist.Apply re-reserves the snapshot's accepted-but-unapplied batch
-// first, because their deliveries may already sit inside the dumped acked
-// prefix); for those the dumped entry becomes the rollback state.
+// Restore loads a persisted dump into an empty inbox.
 func (ib *Inbox) Restore(dump []OriginDump) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
@@ -490,11 +489,7 @@ func (ib *Inbox) Restore(dump []OriginDump) {
 		o.maxSeen = max(o.maxSeen, d.MaxSeen)
 		for _, de := range d.Entries {
 			seq := Seq(de.ID)
-			if e := o.entries[de.ID]; e != nil && e.pending {
-				e.prevOK, e.prevGen, e.prevOutcome, e.prevTS = true, de.Gen, de.Outcome, de.TS
-			} else {
-				o.entries[de.ID] = &entry{id: de.ID, seq: seq, gen: de.Gen, outcome: de.Outcome, ts: de.TS}
-			}
+			o.entries[de.ID] = &entry{id: de.ID, seq: seq, gen: de.Gen, outcome: de.Outcome, ts: de.TS}
 			o.maxSeen = max(o.maxSeen, seq)
 		}
 		ib.noteHighLocked()

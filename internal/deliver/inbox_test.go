@@ -184,27 +184,3 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		t.Fatal("two dumps of the same inbox differ")
 	}
 }
-
-// TestRestoreUnderReservation: a reservation re-established before the dump
-// is loaded (persist.Apply re-reserves a snapshot's accepted batch first)
-// survives Restore, and the dumped entry becomes its rollback state.
-func TestRestoreUnderReservation(t *testing.T) {
-	ib := NewInbox()
-	ib.Begin("a", "a-dlv-1", 0, false)
-	ib.Commit("a", "a-dlv-1", 0, "out0", 10)
-	ib.Begin("a", "a-dlv-1", 3, false) // newer generation accepted, not applied
-	dump := ib.Dump()
-
-	fresh := NewInbox()
-	if d, _ := fresh.Begin("a", "a-dlv-1", 3, false); d != Apply {
-		t.Fatalf("re-reserving on an empty inbox: got %v, want Apply", d)
-	}
-	fresh.Restore(dump)
-	if d, _ := fresh.Begin("a", "a-dlv-1", 3, false); d != InFlight {
-		t.Fatalf("Restore clobbered the reservation: got %v, want InFlight", d)
-	}
-	fresh.Rollback("a", "a-dlv-1", 3)
-	if d, o := fresh.Begin("a", "a-dlv-1", 0, false); d != Duplicate || o != "out0" {
-		t.Fatalf("after rollback: %v %q, want duplicate out0 (the dumped state)", d, o)
-	}
-}

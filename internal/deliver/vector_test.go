@@ -34,7 +34,7 @@ func announceAndFill(t *testing.T, ib *Inbox, origin string, acked, seq uint64, 
 	t.Helper()
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s-dlv-%d", origin, seq)
-		ib.ObserveVector(origin, acked, seq, seq)
+		ib.ObserveVector(origin, acked, seq, seq, seq)
 		if d, _ := ib.Begin(origin, id, 0, false); d != Apply {
 			t.Fatalf("announceAndFill %s: got %v, want Apply", id, d)
 		}
@@ -50,7 +50,7 @@ func announceAndFill(t *testing.T, ib *Inbox, origin string, acked, seq uint64, 
 func TestObserveVectorCompaction(t *testing.T) {
 	ib := NewInbox()
 	fill(t, ib, "s0", 1, 6) // seqs 1..6 committed
-	obs := ib.ObserveVector("s0", 4, 6, 0)
+	obs := ib.ObserveVector("s0", 4, 6, 0, 0)
 	if obs.Compacted != 4 {
 		t.Fatalf("acked=4 compacted %d entries, want 4", obs.Compacted)
 	}
@@ -76,7 +76,7 @@ func TestObserveVectorPendingNotCompacted(t *testing.T) {
 	if d, _ := ib.Begin("s0", "s0-dlv-1", 0, false); d != Apply {
 		t.Fatal("setup: not Apply")
 	}
-	obs := ib.ObserveVector("s0", 1, 1, 0)
+	obs := ib.ObserveVector("s0", 1, 1, 0, 0)
 	if obs.Compacted != 0 || ib.Len() != 1 {
 		t.Fatalf("pending entry compacted (n=%d len=%d)", obs.Compacted, ib.Len())
 	}
@@ -92,25 +92,44 @@ func TestObserveVectorGapRules(t *testing.T) {
 	ib := NewInbox()
 	// Contiguous arrival: carrier seq 1, nothing acked yet — no gap (the
 	// prefix stops exactly one short: this very carrier).
-	if obs := ib.ObserveVector("s0", 0, 1, 1); obs.Gap {
+	if obs := ib.ObserveVector("s0", 0, 1, 1, 1); obs.Gap {
 		t.Fatal("contiguous first carrier flagged a gap")
 	}
 	fill(t, ib, "s0", 1, 1)
 	// Carrier seq 3 announcing acked=1: seq 2 is outstanding somewhere —
 	// in flight or lost — so the receiver NACKs (err-on-NACK is safe).
-	if obs := ib.ObserveVector("s0", 1, 3, 3); !obs.Gap {
+	if obs := ib.ObserveVector("s0", 1, 3, 3, 3); !obs.Gap {
 		t.Fatal("acked+1 < curSeq did not flag a gap")
 	}
 	// A sequence-less carrier (curSeq 0, e.g. a notify) announcing a
 	// frontier beyond everything committed: the newest delivery never
 	// arrived here.
-	if obs := ib.ObserveVector("s0", 1, 9, 0); !obs.Gap {
+	if obs := ib.ObserveVector("s0", 1, 9, 0, 0); !obs.Gap {
 		t.Fatal("frontier beyond maxSeen did not flag a gap")
 	}
 	// Frontier covered by the acked prefix: everything it stamped was
 	// resolved; nothing to chase.
-	if obs := ib.ObserveVector("s0", 9, 9, 0); obs.Gap {
+	if obs := ib.ObserveVector("s0", 9, 9, 0, 0); obs.Gap {
 		t.Fatal("fully acked frontier flagged a gap")
+	}
+}
+
+// TestObserveVectorFrameSpan: a frame is observed against the whole span of
+// sequences it carries, so a gap is NACKed only for a sequence outside it.
+func TestObserveVectorFrameSpan(t *testing.T) {
+	ib := NewInbox()
+	// The frame carries 5..7, the sender's whole backlog: acked stops one
+	// short of the lowest, the frontier is the highest — no gap.
+	if obs := ib.ObserveVector("s0", 4, 7, 5, 7); obs.Gap {
+		t.Fatalf("a frame carrying the sender's whole backlog was NACKed (missing %d)", obs.Missing)
+	}
+	// Something newer than the frame was stamped for us and never seen.
+	if obs := ib.ObserveVector("s0", 4, 9, 5, 7); !obs.Gap || obs.Missing <= 7 {
+		t.Fatalf("frontier beyond the frame: %+v, want a gap above 7", obs)
+	}
+	// Something older than the frame is outstanding.
+	if obs := ib.ObserveVector("s0", 4, 9, 8, 9); !obs.Gap || obs.Missing != 5 {
+		t.Fatalf("prefix short of the frame: %+v, want a gap at 5", obs)
 	}
 }
 
@@ -120,15 +139,15 @@ func TestObserveVectorGapRules(t *testing.T) {
 func TestObserveVectorIdempotentReplay(t *testing.T) {
 	ib := NewInbox()
 	fill(t, ib, "s0", 1, 3)
-	first := ib.ObserveVector("s0", 3, 3, 0)
+	first := ib.ObserveVector("s0", 3, 3, 0, 0)
 	if !first.Advanced || first.Compacted != 3 {
 		t.Fatalf("first observation: %+v", first)
 	}
-	replay := ib.ObserveVector("s0", 3, 3, 0)
+	replay := ib.ObserveVector("s0", 3, 3, 0, 0)
 	if replay.Advanced || replay.Compacted != 0 {
 		t.Fatalf("replayed observation was not a no-op: %+v", replay)
 	}
-	stale := ib.ObserveVector("s0", 1, 1, 0)
+	stale := ib.ObserveVector("s0", 1, 1, 0, 0)
 	if stale.Advanced || stale.Acked != 3 {
 		t.Fatalf("older observation regressed the prefix: %+v", stale)
 	}
@@ -140,7 +159,7 @@ func TestObserveVectorIdempotentReplay(t *testing.T) {
 func TestVectorFieldsSurviveRestart(t *testing.T) {
 	ib := NewInbox()
 	fill(t, ib, "s0", 1, 4)
-	ib.ObserveVector("s0", 4, 4, 0) // compacts all four
+	ib.ObserveVector("s0", 4, 4, 0, 0) // compacts all four
 
 	restored := NewInbox()
 	restored.Restore(ib.Dump())
@@ -148,7 +167,7 @@ func TestVectorFieldsSurviveRestart(t *testing.T) {
 		t.Fatalf("ghost of a compacted delivery after restore: got %v, want Duplicate", d)
 	}
 	// The restored frontier keeps gap detection armed.
-	if obs := restored.ObserveVector("s0", 4, 9, 9); !obs.Gap {
+	if obs := restored.ObserveVector("s0", 4, 9, 9, 9); !obs.Gap {
 		t.Fatal("restored inbox lost gap detection (acked=4, carrier seq 9)")
 	}
 }
@@ -181,7 +200,7 @@ func TestNeverSeenDeliveryZeroMisread(t *testing.T) {
 	// everything: entries compact away, and a network-duplicated ghost of
 	// the recovered delivery is classified from the prefix — Duplicate,
 	// exactly, with no entry left to consult.
-	obs := ib.ObserveVector("s0", next-1, next-1, 0)
+	obs := ib.ObserveVector("s0", next-1, next-1, 0, 0)
 	if obs.Compacted == 0 || ib.Len() != 0 {
 		t.Fatalf("acked prefix over everything compacted %d entries, %d left; want all gone", obs.Compacted, ib.Len())
 	}
@@ -232,7 +251,7 @@ func TestAnnouncingOriginMemoryContract(t *testing.T) {
 	ib := NewInbox()
 	for seq := uint64(1); seq <= window; seq++ {
 		id := fmt.Sprintf("s0-dlv-%d", seq)
-		ib.ObserveVector("s0", 0, seq, seq) // sender resolves nothing yet
+		ib.ObserveVector("s0", 0, seq, seq, seq) // sender resolves nothing yet
 		if d, _ := ib.Begin("s0", id, 0, false); d != Apply {
 			t.Fatalf("%s: got %v, want Apply", id, d)
 		}
@@ -241,7 +260,7 @@ func TestAnnouncingOriginMemoryContract(t *testing.T) {
 	if ib.Len() != window {
 		t.Fatalf("Len()=%d, want the unacked window %d", ib.Len(), window)
 	}
-	ib.ObserveVector("s0", window, window, 0)
+	ib.ObserveVector("s0", window, window, 0, 0)
 	if ib.Len() != 0 {
 		t.Fatalf("Len()=%d after full ack, want 0", ib.Len())
 	}

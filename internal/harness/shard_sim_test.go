@@ -29,6 +29,12 @@ import (
 // points, and claims under adaptive limits instead of a fixed 16, so both
 // -sched pins were re-pinned once. The serial pins cannot move: Flush
 // ignores both policies.
+//
+// Digest epoch: one receive path (every claimed batch travels as one frame,
+// applied in one warp run and reconciled in one WAL entry). Fewer calls
+// consume fewer fault draws and the frame send/reconcile are new named
+// yield points, so the four mixed and lostwave pins were re-pinned once;
+// crash s5 is unchanged — its serial run's fault plan draws nothing.
 func TestShardN1DigestsPinned(t *testing.T) {
 	cases := []struct {
 		prof  string
@@ -36,10 +42,10 @@ func TestShardN1DigestsPinned(t *testing.T) {
 		sched bool
 		want  uint64
 	}{
-		{"mixed", 7, false, 4230896071947487493},    // retry-policy epoch
-		{"mixed", 7, true, 16783221775672905244},    // pump-configuration epoch
-		{"lostwave", 3, false, 7387920397046088603}, // retry-policy epoch
-		{"lostwave", 3, true, 14589083095378285},    // pump-configuration epoch
+		{"mixed", 7, false, 4179769600832532253},    // frame epoch
+		{"mixed", 7, true, 12728266466959857409},    // frame epoch
+		{"lostwave", 3, false, 1559703763253707506}, // frame epoch
+		{"lostwave", 3, true, 14200747821239182462}, // frame epoch
 		{"crash", 5, false, 11845775653790173362},
 	}
 	for _, tc := range cases {

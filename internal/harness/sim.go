@@ -94,22 +94,6 @@ type SimConfig struct {
 	// Instrumentation is digest-neutral: a ScheduledPump seed produces
 	// byte-identical SchedTrace/StateDigest with Obs on or off.
 	Obs bool
-	// BatchIncoming runs every attacked-world service in batch-incoming
-	// mode (core.Config.BatchIncoming): repair deliveries are accepted
-	// into the incoming inbox and applied later by ProcessIncoming, which
-	// the driver sweeps every BatchEvery-th pulse. Repair then makes
-	// progress that no terminal delivery outcome reflects — the fault
-	// class the widened quiesce progress signal exists for.
-	BatchIncoming bool
-	// BatchEvery is the pulse period of the ProcessIncoming sweep
-	// (default 2).
-	BatchEvery int
-	// narrowQuiesce restores the pre-observability quiesce signal:
-	// progress is terminal delivery outcomes only, and the done-check
-	// ignores accepted-but-unapplied batches. The quiesce regression test
-	// sets it to prove a batch-incoming run genuinely needs the widened
-	// signal.
-	narrowQuiesce bool
 	// ScheduledPump runs the attacked world's repair delivery on the real
 	// background pump (core.StartPump) instead of the serial Flush loop,
 	// with every pump loop, delivery worker, and the workload itself
@@ -392,11 +376,6 @@ type simWorld struct {
 	// crash and after its recovery land in one ring.
 	obs *obs.Registry
 
-	// Batch-incoming mode (SimConfig.BatchIncoming; attacked world only).
-	batchEvery int
-	pulses     int
-	batchErr   error
-
 	// Scheduled-pump mode (SimConfig.ScheduledPump; attacked world only).
 	sched       *dsched.Sched
 	rootCtx     context.Context
@@ -450,13 +429,6 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 	if faulted && cfg.Obs {
 		w.obs = obs.New(obs.DefaultRingCap)
 		ccfg.Obs = w.obs
-	}
-	if faulted && cfg.BatchIncoming {
-		ccfg.BatchIncoming = true
-		w.batchEvery = cfg.BatchEvery
-		if w.batchEvery <= 0 {
-			w.batchEvery = 2
-		}
 	}
 	if faulted && cfg.Shards > 1 {
 		w.shards = cfg.Shards
@@ -741,41 +713,10 @@ func (w *simWorld) pulse() int {
 		d, _ := w.ctrls[name].Flush()
 		progress += d
 	}
-	if w.batchEvery > 0 {
-		w.pulses++
-		if w.pulses%w.batchEvery == 0 {
-			w.sweepBatches()
-		}
-	}
 	if w.sim != nil {
 		progress += w.sim.Tick()
 	}
 	return progress
-}
-
-// sweepBatches runs ProcessIncoming on every service holding accepted
-// incoming repair actions (BatchIncoming mode). The first failure is
-// remembered and surfaced as an oracle failure — a batch that cannot
-// apply is lost repair even if the in-memory state happens to converge.
-func (w *simWorld) sweepBatches() {
-	for _, name := range w.cnames {
-		if w.ctrls[name].InboxLen() == 0 {
-			continue
-		}
-		if _, err := w.ctrls[name].ProcessIncoming(); err != nil && w.batchErr == nil {
-			w.batchErr = fmt.Errorf("%s: %w", name, err)
-		}
-	}
-}
-
-// inboxPending counts accepted-but-unapplied incoming repair actions
-// across all services.
-func (w *simWorld) inboxPending() int {
-	n := 0
-	for _, name := range w.cnames {
-		n += w.ctrls[name].InboxLen()
-	}
-	return n
 }
 
 func (w *simWorld) queued() int {
@@ -1047,22 +988,16 @@ func (w *simWorld) applyEvent(ev simEvent, ops []simOp, creates []simCreate, res
 	return nil
 }
 
-// progressTally sums the quiesce progress signal across all services. The
-// widened (default) form counts receive-side work — exactly-once inbox
-// commits and ProcessIncoming batch applies — alongside terminal delivery
-// outcomes, because batch-incoming repair makes progress no delivery
-// outcome reflects (the historical delivery-only signal quiesced with
-// accepted batches still unapplied). A backoff retry that fails again
-// still moves nothing and still does not count. narrow restores the old
-// delivery-only signal for the quiesce-widening regression test.
-func (w *simWorld) progressTally(narrow bool) int64 {
+// progressTally sums the quiesce progress signal across all services:
+// terminal delivery outcomes plus receive-side exactly-once inbox commits,
+// which move even when the delivery outcome never reaches the sender (a
+// lost response). A backoff retry that fails again moves nothing and does
+// not count.
+func (w *simWorld) progressTally() int64 {
 	var n int64
 	for _, name := range w.cnames {
 		st := w.ctrls[name].Stats()
-		n += st.MsgsDelivered + st.MsgsFailed
-		if !narrow {
-			n += st.InboxCommits + st.BatchApplies
-		}
+		n += st.MsgsDelivered + st.MsgsFailed + st.InboxCommits
 	}
 	return n
 }
@@ -1109,22 +1044,18 @@ func (w *simWorld) runScheduled(cfg SimConfig, events []simEvent, ops []simOp, c
 	// virtual time until deliveries stop moving and nothing is queued or
 	// held in the network.
 	w.sim.Heal()
-	last := w.progressTally(cfg.narrowQuiesce)
+	last := w.progressTally()
 	quiesced := false
 	for ; res.Rounds < cfg.MaxRounds; res.Rounds++ {
 		w.sched.RunUntilIdle()
 		ticked := w.sim.Tick()
 		w.sched.RunUntilIdle()
-		if w.batchEvery > 0 {
-			w.sweepBatches()
-			w.sched.RunUntilIdle()
-		}
-		cur := w.progressTally(cfg.narrowQuiesce)
+		cur := w.progressTally()
 		progress := int(cur-last) + ticked
 		last = cur
 		w.clock.Advance(simPulseStep)
 		if progress == 0 {
-			if w.queued() == 0 && w.sim.HeldCount() == 0 && (cfg.narrowQuiesce || w.inboxPending() == 0) {
+			if w.queued() == 0 && w.sim.HeldCount() == 0 {
 				quiesced = true
 				break
 			}
@@ -1184,16 +1115,16 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		// is queued or held in flight. Flush ignores retry windows, so no
 		// clock advance beyond the pulse step is needed.
 		w.sim.Heal()
-		last := w.progressTally(cfg.narrowQuiesce)
+		last := w.progressTally()
 		quiesced := false
 		for ; res.Rounds < cfg.MaxRounds; res.Rounds++ {
 			moved := w.pulse()
-			cur := w.progressTally(cfg.narrowQuiesce)
+			cur := w.progressTally()
 			progress := moved + int(cur-last)
 			last = cur
 			w.clock.Advance(simPulseStep)
 			if progress == 0 {
-				if w.queued() == 0 && w.sim.HeldCount() == 0 && (cfg.narrowQuiesce || w.inboxPending() == 0) {
+				if w.queued() == 0 && w.sim.HeldCount() == 0 {
 					quiesced = true
 					break
 				}
@@ -1213,9 +1144,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		if err := w.ctrls[name].WALError(); err != nil {
 			res.Failures = append(res.Failures, fmt.Sprintf("%s: wal append error: %v", name, err))
 		}
-	}
-	if w.batchErr != nil {
-		res.Failures = append(res.Failures, fmt.Sprintf("batch apply error: %v", w.batchErr))
 	}
 	for _, name := range w.cnames {
 		if hw := w.ctrls[name].InboxHighWater(); hw > res.InboxHighWater {

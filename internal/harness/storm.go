@@ -108,9 +108,9 @@ type StormResult struct {
 	SchedTrace []string
 }
 
-// stormPeer acknowledges every repair-plane delivery, charging a
-// configurable cost (yield points or wall-clock sleep) per call — a peer
-// that is up but slow.
+// stormPeer acknowledges every repair-plane carrier, framed or not,
+// charging a configurable cost (yield points or wall-clock sleep) per
+// carrier — a peer that is up but slow.
 type stormPeer struct {
 	sched interface{ Yield() }
 	cost  int
@@ -118,14 +118,16 @@ type stormPeer struct {
 }
 
 func (p *stormPeer) HandleWire(from string, req wire.Request) wire.Response {
-	if p.sched != nil {
-		for i := 0; i < p.cost; i++ {
-			p.sched.Yield()
+	return wire.HandleFrame(req, func(wire.Request) wire.Response {
+		if p.sched != nil {
+			for i := 0; i < p.cost; i++ {
+				p.sched.Yield()
+			}
+		} else if p.delay > 0 {
+			time.Sleep(p.delay)
 		}
-	} else if p.delay > 0 {
-		time.Sleep(p.delay)
-	}
-	return wire.NewResponse(200, "ok")
+		return wire.NewResponse(200, "ok")
+	})
 }
 
 // stormSink correlates EvMsgQueued/EvMsgDelivered by message ID and

@@ -9,8 +9,11 @@ import (
 
 // stormFaults is the fault plan the starvation regression runs under:
 // enough loss and duplication that backoff and redelivery paths are
-// exercised, not so much that runs stall.
-var stormFaults = simnet.FaultPlan{Drop: 0.05, Duplicate: 0.03}
+// exercised — and that the cascade outlives the mirror injections, which a
+// frame per claimed batch would otherwise drain in a pass or two — not so
+// much that runs stall. A frame carries a whole claim, so the storm makes
+// far fewer calls than carriers and each call's drop rate is set higher.
+var stormFaults = simnet.FaultPlan{Drop: 0.2, Duplicate: 0.03}
 
 func stormSchedConfig(seed int64, admission bool) StormConfig {
 	return StormConfig{
@@ -77,9 +80,9 @@ func TestStormNoAdmissionDegradesMirror(t *testing.T) {
 }
 
 // TestPumpPolicyYieldLabels checks that every background pump pass runs
-// the pump policies: their decision points surface as named entries in the
-// schedule trace of the storm and of a plain -sched sim run, which
-// configures neither policy.
+// the pump policies and sends and reconciles claims as frames: their
+// decision points surface as named entries in the schedule trace of the
+// storm and of a plain -sched sim run, which configures neither policy.
 func TestPumpPolicyYieldLabels(t *testing.T) {
 	storm, err := RunStorm(stormSchedConfig(7, true))
 	if err != nil {
@@ -97,7 +100,7 @@ func TestPumpPolicyYieldLabels(t *testing.T) {
 	}
 	for run, tr := range map[string][]string{"storm": storm.SchedTrace, "sim mixed s7": sim.SchedTrace} {
 		trace := strings.Join(tr, "\n")
-		for _, label := range []string{"@batch-policy", "@admission"} {
+		for _, label := range []string{"@batch-policy", "@admission", "@frame-send", "@frame-reconcile"} {
 			if !strings.Contains(trace, label) {
 				t.Errorf("%s schedule trace has no %q yield point", run, label)
 			}

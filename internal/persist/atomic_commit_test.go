@@ -135,14 +135,13 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 // TestAtomicRepairCommitSurvivesAnyCrashPoint sweeps every WAL entry
 // boundary of a gated direct-apply create delivery: with the repair
 // mutations, queue effects, and inbox commit folded into one atomic entry
-// (preceded only by the carrier's vector observation, an idempotent
-// monotonic advance that commits nothing about the delivery itself), no
+// (the carrier's vector observation included), no
 // crash point followed by the sender's redelivery can mint a duplicate
 // record at the receiver or double-queue the cascade downstream.
 func TestAtomicRepairCommitSurvivesAnyCrashPoint(t *testing.T) {
 	_, _, appended := runDirectCreateCrash(t, false, 0)
-	if appended != 2 {
-		t.Fatalf("gated create delivery appended %d entries, want 2 (in-vv observation, then 1 atomic entry)", appended)
+	if appended != 1 {
+		t.Fatalf("gated create delivery appended %d entries, want 1 atomic entry", appended)
 	}
 	for keep := uint64(0); keep <= appended; keep++ {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
@@ -186,26 +185,28 @@ func TestSplitRepairCommitDoubleQueues(t *testing.T) {
 	}
 }
 
-// runBatchCancelCrash drives the batch-incoming variant: an upstream "a"
-// repairs an attack write that was mirrored a→b→c, b (BatchIncoming, WAL)
-// accepts the repair delivery, applies it via ProcessIncoming, and crashes
-// at entry boundary `keep` within ProcessIncoming's entries. After
-// recovery b re-runs ProcessIncoming (in case the accepted batch is still
-// pending) and drains. Returns c's observed value for the repaired key —
-// "good" iff the cascade survived — and ProcessIncoming's entry count.
-func runBatchCancelCrash(t *testing.T, split bool, keep uint64) (cVal string, appended uint64) {
+// runFrameCancelCrash drives a frame through a crash at the receiver. An
+// upstream "a" repairs two attack writes mirrored a→b→c in one wave; its
+// two carriers to b travel as one frame, which b (on a WAL) applies — and
+// whose answer is lost, so a still holds both messages. b then crashes at
+// WAL entry boundary keep within the frame's apply, recovers, receives a's
+// redelivery of the identical frame, and drains its own cascade to c.
+// Returns c's values for the two keys ("good" iff the cascade survived),
+// how many entries the frame's apply appended, and the recovered b's stats.
+func runFrameCancelCrash(t *testing.T, split bool, keep uint64) (cVals [2]string, appended uint64, st core.Stats) {
 	t.Helper()
 	dir := t.TempDir()
 	bus := transport.NewBus()
-	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
+	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, &lossyCaller{bus: bus, lose: 1}, core.DefaultConfig())
 	bus.Register("a", a)
-	bcfg := core.DefaultConfig()
-	bcfg.BatchIncoming = true
-	b := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, bcfg)
-	b.InjectFaults(core.Faults{SplitRepairCommit: split})
-	bus.Register("b", b)
-	cc := core.NewController(&harness.KVApp{ServiceName: "c"}, bus, core.DefaultConfig())
-	bus.Register("c", cc)
+	newB := func() *core.Controller {
+		b := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, core.DefaultConfig())
+		b.InjectFaults(core.Faults{SplitRepairCommit: split})
+		bus.Register("b", b)
+		return b
+	}
+	b := newB()
+	bus.Register("c", core.NewController(&harness.KVApp{ServiceName: "c"}, bus, core.DefaultConfig()))
 	w, err := persist.Recover(b, dir, wal.Options{Policy: wal.FsyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)
@@ -219,94 +220,181 @@ func runBatchCancelCrash(t *testing.T, split bool, keep uint64) (cVal string, ap
 		}
 		return resp
 	}
-	mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "good"))
-	attack := mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "evil"))
-
-	// Repair at a; b accepts the delivery into its incoming batch (202).
-	if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]}); err != nil {
+	keys := []string{"x", "y"}
+	var cancels []warp.Action
+	for _, k := range keys {
+		mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", k, "val", "good"))
+		attack := mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", k, "val", "evil"))
+		cancels = append(cancels, warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]})
+	}
+	if _, err := a.ApplyLocal(cancels...); err != nil {
 		t.Fatal(err)
 	}
+	before := w.Seq()
 	a.Flush()
-	if b.InboxLen() == 0 {
-		t.Fatal("b did not accept the repair into its batch")
+	appended = w.Seq() - before
+	if a.QueueLen() != 2 {
+		t.Fatalf("a holds %d messages, want 2 (the frame's answer was lost)", a.QueueLen())
 	}
-	accepted := w.Seq()
-	if _, err := b.ProcessIncoming(); err != nil {
-		t.Fatal(err)
-	}
-	appended = w.Seq() - accepted
 	if keep > appended {
-		t.Fatalf("crash point %d past ProcessIncoming's %d entries", keep, appended)
+		t.Fatalf("crash point %d past the frame's %d entries", keep, appended)
 	}
 
-	// Power loss `keep` entries into the batch apply, then recovery.
+	// Power loss keep entries into the frame's apply, then recovery.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	truncateWALAfter(t, dir, accepted+keep)
-	b2 := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, bcfg)
-	b2.InjectFaults(core.Faults{SplitRepairCommit: split})
+	truncateWALAfter(t, dir, before+keep)
+	b2 := newB()
 	w2, err := persist.Recover(b2, dir, wal.Options{Policy: wal.FsyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	bus.Register("b", b2)
 
-	// a saw the 202 and reconciled, so nothing upstream retries: b2 must
-	// make the cascade whole from its own durable state.
-	if _, err := b2.ProcessIncoming(); err != nil {
-		t.Fatal(err)
-	}
+	// a never saw an answer, so it redelivers the identical frame; then b2
+	// drains the cascade it recovered or re-derived.
+	a.Flush()
 	for i := 0; i < 10; i++ {
 		if d, _ := b2.Flush(); d == 0 {
 			break
 		}
 	}
-	resp := mustCall("c", wire.NewRequest("GET", "/get").WithForm("key", "x"))
-	return string(resp.Body), appended
+	for i, k := range keys {
+		cVals[i] = string(mustCall("c", wire.NewRequest("GET", "/get").WithForm("key", k)).Body)
+	}
+	return cVals, appended, b2.Stats()
 }
 
-// TestAtomicBatchCommitSurvivesAnyCrashPoint sweeps every crash boundary
-// of ProcessIncoming's WAL commit: with the batch's repair mutations,
-// inbox commits, drain watermark, AND queue effects in one atomic entry,
-// the cascade to the downstream mirror survives a crash at any boundary —
-// either the batch never applied (the accepted actions are still pending
-// and re-apply) or it applied with its outgoing messages durably queued.
+// TestAtomicBatchCommitSurvivesAnyCrashPoint sweeps every WAL entry
+// boundary of a frame's apply at the receiver: with the repair's mutations,
+// every carrier's inbox outcome, the vector advance, AND the queue effects
+// in one atomic entry, the frame never half-applies — either nothing of it
+// survived the crash and the sender's redelivery applies it whole, or all of
+// it did and the redelivery is re-acknowledged — and the cascade to the
+// downstream mirror survives every boundary.
 func TestAtomicBatchCommitSurvivesAnyCrashPoint(t *testing.T) {
-	_, appended := runBatchCancelCrash(t, false, 0)
+	_, appended, _ := runFrameCancelCrash(t, false, 0)
 	if appended != 1 {
-		t.Fatalf("batch apply appended %d entries, want 1 atomic entry", appended)
+		t.Fatalf("frame apply appended %d entries, want 1 atomic entry", appended)
 	}
 	for keep := uint64(0); keep <= appended; keep++ {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
-			cVal, _ := runBatchCancelCrash(t, false, keep)
-			if cVal != "good" {
-				t.Fatalf("crash at boundary %d lost the repair cascade: c has %q, want %q", keep, cVal, "good")
+			cVals, _, st := runFrameCancelCrash(t, false, keep)
+			if cVals != [2]string{"good", "good"} {
+				t.Fatalf("crash at boundary %d lost the repair cascade: c has %v", keep, cVals)
+			}
+			want := core.Stats{RepairsRun: 1} // nothing survived: the redelivery applies
+			if keep == appended {
+				want = core.Stats{DupDeliveries: 2} // all survived: re-acknowledged
+			}
+			if st.RepairsRun != want.RepairsRun || st.DupDeliveries != want.DupDeliveries {
+				t.Fatalf("crash at boundary %d: redelivery ran %d repairs with %d duplicates, want %d and %d",
+					keep, st.RepairsRun, st.DupDeliveries, want.RepairsRun, want.DupDeliveries)
 			}
 		})
 	}
 }
 
-// TestSplitBatchCommitLosesCascade pins the other half of the pre-fix
-// hazard: with queue effects written as standalone entries after the batch
-// commit, there is a crash boundary where the inbox is committed and
-// drained (so nothing will ever retry) but the cascade messages were never
-// durably queued — the downstream mirror keeps the attack value forever.
+// TestSplitBatchCommitLosesCascade pins the hazard the atomic entry closes:
+// with the historical split commit (the repair's entry, then standalone
+// queue entries, then standalone inbox outcomes — Faults.SplitRepairCommit)
+// there is a crash boundary where the frame's repairs are durable but its
+// cascade and inbox outcomes are not. The redelivered cancels then re-apply
+// as no-ops — the cancelled records no longer hold the calls to cascade —
+// so the downstream mirror keeps the attack value forever.
 func TestSplitBatchCommitLosesCascade(t *testing.T) {
-	_, appended := runBatchCancelCrash(t, true, 0)
+	_, appended, _ := runFrameCancelCrash(t, true, 0)
 	if appended < 2 {
-		t.Fatalf("split batch apply appended %d entries, want >= 2 (batch commit, q-set)", appended)
+		t.Fatalf("split frame apply appended %d entries, want >= 2 (repair, q-set)", appended)
 	}
 	lost := false
 	for keep := uint64(0); keep <= appended; keep++ {
-		cVal, _ := runBatchCancelCrash(t, true, keep)
-		if cVal != "good" {
+		cVals, _, _ := runFrameCancelCrash(t, true, keep)
+		if cVals != [2]string{"good", "good"} {
 			lost = true
-			t.Logf("boundary %d: c left with %q", keep, cVal)
+			t.Logf("boundary %d: c left with %v", keep, cVals)
 		}
 	}
 	if !lost {
-		t.Fatal("split batch commit no longer loses the cascade at any crash boundary; the fault flag is not reproducing the pre-fix behavior")
+		t.Fatal("split commit no longer loses the cascade at any crash boundary; the fault flag is not reproducing the historical behavior")
+	}
+}
+
+// runSenderReconcileCrash delivers one frame of two cancels from a
+// WAL-attached sender "a" to "b", crashes a at WAL entry boundary keep
+// within the frame's reconcile, recovers it, and lets it flush again.
+// Returns how many messages the recovered a still held, the entries the
+// reconcile appended, and b's stats after the redelivery.
+func runSenderReconcileCrash(t *testing.T, keep uint64) (held int, appended uint64, bst core.Stats) {
+	t.Helper()
+	dir := t.TempDir()
+	bus := transport.NewBus()
+	newA := func() *core.Controller {
+		a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
+		bus.Register("a", a)
+		return a
+	}
+	a := newA()
+	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
+	bus.Register("b", b)
+	w, err := persist.Recover(a, dir, wal.Options{Policy: wal.FsyncEveryCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cancels []warp.Action
+	for _, k := range []string{"x", "y"} {
+		bus.Call("", "a", wire.NewRequest("POST", "/put").WithForm("key", k, "val", "good"))
+		attack, _ := bus.Call("", "a", wire.NewRequest("POST", "/put").WithForm("key", k, "val", "evil"))
+		cancels = append(cancels, warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]})
+	}
+	if _, err := a.ApplyLocal(cancels...); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Seq()
+	if d, _ := a.Flush(); d != 2 {
+		t.Fatalf("frame delivered %d, want 2", d)
+	}
+	appended = w.Seq() - before
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	truncateWALAfter(t, dir, before+keep)
+	a2 := newA()
+	w2, err := persist.Recover(a2, dir, wal.Options{Policy: wal.FsyncEveryCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	held = a2.QueueLen()
+	a2.Flush()
+	if a2.QueueLen() != 0 {
+		t.Fatalf("recovered sender still holds %d messages after redelivery", a2.QueueLen())
+	}
+	return held, appended, b.Stats()
+}
+
+// TestFrameReconcileSurvivesAnyCrashPoint sweeps every WAL entry boundary
+// of a delivered frame's reconcile at the sender: the frame's outcomes are
+// one entry, so a recovered sender holds either the whole frame (and its
+// redelivery is re-acknowledged, never re-applied) or none of it — the
+// frame never half-reconciles.
+func TestFrameReconcileSurvivesAnyCrashPoint(t *testing.T) {
+	_, appended, _ := runSenderReconcileCrash(t, 0)
+	if appended != 1 {
+		t.Fatalf("frame reconcile appended %d entries, want 1", appended)
+	}
+	for keep := uint64(0); keep <= appended; keep++ {
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			held, _, bst := runSenderReconcileCrash(t, keep)
+			wantHeld, wantDups := 2, int64(2)
+			if keep == appended {
+				wantHeld, wantDups = 0, 0
+			}
+			if held != wantHeld || bst.RepairsRun != 1 || bst.DupDeliveries != wantDups {
+				t.Fatalf("crash at boundary %d: sender held %d (want %d); receiver ran %d repairs with %d duplicates (want 1 and %d)",
+					keep, held, wantHeld, bst.RepairsRun, bst.DupDeliveries, wantDups)
+			}
+		})
 	}
 }

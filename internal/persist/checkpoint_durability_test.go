@@ -141,23 +141,20 @@ func TestRecoverRefusesCheckpointBeyondWAL(t *testing.T) {
 	}
 }
 
-// TestCheckpointOverlapKeepsLaterAccepts is the regression test for the
-// batch-drain replay bug: a checkpoint's covered sequence is read before
-// its snapshot is captured, so the replayed tail can contain a batch drain
-// that happened BEFORE the snapshot — and the snapshot's inbox then holds
-// only actions accepted after that drain. Replaying the drain by count used
-// to remove those later accepts (while their dedup reservations stayed
-// stuck in-flight, turning every redelivery into a retryable answer
-// forever); replaying by accept-sequence watermark leaves them alone.
+// TestCheckpointOverlapKeepsLaterAccepts: a checkpoint's covered sequence
+// is read before its snapshot is captured, so frames applied in between
+// land both in the snapshot and in the replayed tail. Replaying them over a
+// snapshot that already holds them must be idempotent — nothing re-applied,
+// nothing lost — and the inbox outcomes they recorded must still
+// re-acknowledge the sender's redeliveries.
 func TestCheckpointOverlapKeepsLaterAccepts(t *testing.T) {
 	dir := t.TempDir()
 	bus := transport.NewBus()
 	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
 	bus.Register("a", a)
-	bcfg := core.DefaultConfig()
-	bcfg.BatchIncoming = true
-	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
-	bus.Register("b", b)
+	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
+	rec := &carrierRecorder{inner: b}
+	bus.Register("b", rec)
 	w, err := persist.Recover(b, dir, wal.Options{Policy: wal.FsyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)
@@ -171,36 +168,22 @@ func TestCheckpointOverlapKeepsLaterAccepts(t *testing.T) {
 		}
 		return resp
 	}
-	cancelAndDeliver := func(id string) {
-		t.Helper()
+	var attacks []string
+	for _, key := range []string{"x", "y"} {
+		mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", key, "val", "good"))
+		attacks = append(attacks, mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", key, "val", "evil")).Header[wire.HdrRequestID])
+	}
+
+	// The checkpoint-overlap window, replayed deterministically: the
+	// covered sequence is read HERE, then two frames apply, then the
+	// snapshot is captured. WriteCheckpoint does exactly this when frames
+	// race its capture.
+	upTo := w.Seq()
+	for _, id := range attacks {
 		if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: id}); err != nil {
 			t.Fatal(err)
 		}
 		a.Flush()
-	}
-
-	mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "good"))
-	attackX := mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "evil"))
-	mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "y", "val", "fine"))
-	attackY := mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "y", "val", "worse"))
-
-	// First repair delivery is accepted into b's batch inbox.
-	cancelAndDeliver(attackX.Header[wire.HdrRequestID])
-	if got := b.InboxLen(); got != 1 {
-		t.Fatalf("inbox after first delivery = %d, want 1", got)
-	}
-
-	// The checkpoint-overlap window, replayed deterministically: the
-	// covered sequence is read HERE, then the drain and a second accept
-	// land in the log, then the snapshot is captured. WriteCheckpoint does
-	// exactly this when ProcessIncoming and a delivery race its capture.
-	upTo := w.Seq()
-	if _, err := b.ProcessIncoming(); err != nil {
-		t.Fatal(err)
-	}
-	cancelAndDeliver(attackY.Header[wire.HdrRequestID])
-	if got := b.InboxLen(); got != 1 {
-		t.Fatalf("inbox after second delivery = %d, want 1", got)
 	}
 	cp := persist.Checkpoint{UpToSeq: upTo, Snap: persist.Capture(b)}
 	data, err := json.Marshal(&cp)
@@ -214,25 +197,29 @@ func TestCheckpointOverlapKeepsLaterAccepts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recovery replays the drain against a snapshot whose inbox holds only
-	// the second accept. The drain must not touch it.
-	b2 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
+	// Recovery replays both frames' entries over a snapshot that already
+	// holds them.
+	b2 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
 	w2, err := persist.Recover(b2, dir, wal.Options{Policy: wal.FsyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
 	bus.Register("b", b2)
-	if got := b2.InboxLen(); got != 1 {
-		t.Fatalf("recovered inbox = %d actions, want 1 (replayed drain removed an accept it never drained)", got)
+	for _, key := range []string{"x", "y"} {
+		if got := string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", key)).Body); got != "good" {
+			t.Fatalf("b %s = %q after overlap replay, want %q", key, got, "good")
+		}
 	}
-	if _, err := b2.ProcessIncoming(); err != nil {
-		t.Fatal(err)
+	rec.mu.Lock()
+	frames := append([]wire.Request(nil), rec.carriers...)
+	rec.mu.Unlock()
+	for _, f := range frames {
+		if resp := b2.HandleWire("a", f); !resp.OK() {
+			t.Fatalf("redelivered frame: %+v", resp)
+		}
 	}
-	if got := string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", "x")).Body); got != "good" {
-		t.Fatalf("b x = %q, want %q", got, "good")
-	}
-	if got := string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", "y")).Body); got != "fine" {
-		t.Fatalf("b y = %q, want %q (second accepted repair was lost)", got, "fine")
+	if st := b2.Stats(); st.RepairsRun != 0 || st.DupDeliveries != 2 {
+		t.Fatalf("redeliveries after overlap replay: %d repairs, %d duplicates; want 0 and 2", st.RepairsRun, st.DupDeliveries)
 	}
 }

@@ -106,3 +106,36 @@ func TestPreEpochStateLoadsOrIsRefused(t *testing.T) {
 		}
 	})
 }
+
+// TestBatchEpochStateRefused: state written while the incoming-batch mode
+// existed is refused loudly, never silently dropped: a checkpoint carrying
+// an accepted batch fails to load with an error naming the field, and a WAL
+// holding one of its ops fails recovery.
+func TestBatchEpochStateRefused(t *testing.T) {
+	dir := t.TempDir()
+	withBatch := strings.Replace(preEpochCheckpoint, `"inbox":[`, `"batch":[{"seq":1,"action":{}}],"inbox":[`, 1)
+	if err := os.WriteFile(filepath.Join(dir, persist.CheckpointName(0)), []byte(withBatch), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.LatestCheckpoint(dir); err == nil || !strings.Contains(err.Error(), `"batch"`) {
+		t.Fatalf("checkpoint with an accepted batch: err = %v, want a refusal naming the field", err)
+	}
+	for _, verb := range []string{"accept", "drain"} {
+		kind := "batch-" + verb
+		dir := t.TempDir()
+		w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncEveryCommit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append("batch", 1, 1, []wal.Op{{Kind: kind, Data: []byte(`{"up_to_seq":1}`)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b := core.NewController(&harness.KVApp{ServiceName: "b"}, transport.NewBus(), core.DefaultConfig())
+		if err := persist.Load(b, dir); err == nil || !strings.Contains(err.Error(), "unknown wal op kind") {
+			t.Fatalf("WAL with a %s op: err = %v, want recovery refused", kind, err)
+		}
+	}
+}

@@ -41,15 +41,11 @@ type Snapshot struct {
 	// restoring it keeps a crash-restarted service from re-applying a
 	// repair delivery it already applied when the sender redelivers.
 	Inbox []deliver.OriginDump `json:"inbox,omitempty"`
-	// Batch is the accepted-but-unapplied incoming repair batch
-	// (Config.BatchIncoming), with delivery identities so restore can
-	// re-reserve each delivery in the dedup inbox.
-	Batch []core.BatchedAction `json:"batch,omitempty"`
 }
 
 // Capture snapshots a controller. The cut is atomic — the repair log, the
-// store, the outgoing queue, the dedup inbox, and the accepted incoming
-// batch are all read in one critical section (core.ExportAtomic) that also
+// store, the outgoing queue, and the dedup inbox are all read in one
+// critical section (core.ExportAtomic) that also
 // holds the pump's claim/reconcile lock — so Capture is safe with the
 // background pump running: it sees the queue either before or after any
 // delivery's reconcile, never between a claim and its ack.
@@ -64,7 +60,6 @@ func Capture(c *core.Controller) *Snapshot {
 		Objects:   ex.Objects,
 		Queue:     ex.Queue,
 		Inbox:     ex.Inbox,
-		Batch:     ex.Batch,
 	}
 }
 
@@ -93,12 +88,6 @@ func Apply(c *core.Controller, s *Snapshot) error {
 	}
 	c.Svc.Clock.Observe(s.ClockNow)
 	c.Svc.IDs.SetCounter(s.IDCounter)
-	// The batch before the inbox: the snapshot's accepted-but-unapplied
-	// actions are authoritative (an atomic cut), and batch-incoming
-	// acknowledges at accept time, so their deliveries may already sit
-	// inside the dumped acked prefix — re-reserving them against an empty
-	// inbox keeps them from being misread as prefix-vouched duplicates.
-	c.ImportBatch(s.Batch)
 	c.ImportInbox(s.Inbox)
 	c.ImportQueue(s.Queue)
 	return nil

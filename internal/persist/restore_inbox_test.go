@@ -12,25 +12,25 @@ import (
 	"aire/internal/wire"
 )
 
-// lossyCaller wraps the bus from the sender's side: the first /aire/repair
-// call is delivered but its response is dropped (the at-least-once hazard
-// — the peer applied the repair, the sender doesn't know).
+// lossyCaller wraps the bus from the sender's side: the next lose frames
+// are delivered but their responses dropped (the at-least-once hazard — the
+// peer applied the repair, the sender doesn't know).
 type lossyCaller struct {
 	bus  *transport.Bus
-	lost int
+	lose int
 }
 
 func (lc *lossyCaller) Call(from, to string, req wire.Request) (wire.Response, error) {
 	resp, err := lc.bus.Call(from, to, req)
-	if err == nil && req.Path == "/aire/repair" && lc.lost == 0 {
-		lc.lost++
+	if err == nil && req.Path == wire.FramePath && lc.lose > 0 {
+		lc.lose--
 		return wire.Response{}, transport.ErrUnavailable
 	}
 	return resp, err
 }
 
 // carrierRecorder wraps a service's handler, recording the repair-plane
-// carriers that reach it.
+// frames that reach it.
 type carrierRecorder struct {
 	inner transport.Handler
 
@@ -39,7 +39,7 @@ type carrierRecorder struct {
 }
 
 func (cr *carrierRecorder) HandleWire(from string, req wire.Request) wire.Response {
-	if req.Path == "/aire/repair" {
+	if req.Path == wire.FramePath {
 		cr.mu.Lock()
 		cr.carriers = append(cr.carriers, req.Clone())
 		cr.mu.Unlock()
@@ -52,7 +52,7 @@ func (cr *carrierRecorder) last(t *testing.T) wire.Request {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	if len(cr.carriers) == 0 {
-		t.Fatal("no repair carrier recorded")
+		t.Fatal("no repair frame recorded")
 	}
 	return cr.carriers[len(cr.carriers)-1]
 }
@@ -64,7 +64,7 @@ func (cr *carrierRecorder) last(t *testing.T) wire.Request {
 // re-acknowledged from the restored dedup inbox — not re-applied.
 func TestRestoreInboxDedupsRedelivery(t *testing.T) {
 	bus := transport.NewBus()
-	lossy := &lossyCaller{bus: bus}
+	lossy := &lossyCaller{bus: bus, lose: 1}
 	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, lossy, core.DefaultConfig())
 	bus.Register("a", a)
 	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
@@ -140,21 +140,19 @@ func TestRestoreInboxDedupsRedelivery(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsAcceptedBatchInsideAckedPrefix: in batch-incoming mode a
-// delivery is acknowledged (202) when accepted, not when applied, so the
-// sender's announced acked prefix legitimately runs ahead of this inbox's
-// own commits. A snapshot taken in that window holds the accepted action
-// only in the batch — pending reservations are not part of the inbox dump
-// — and restoring it must re-reserve the delivery, not misread it as a
-// duplicate the prefix already vouches for (which would drop the repair).
+// TestRestoreKeepsAcceptedBatchInsideAckedPrefix: once the sender's
+// announced acked prefix covers an applied frame, the receiver compacts
+// that frame's inbox entries away and the prefix alone vouches for them. A
+// restore must keep the prefix: a network-delayed ghost of the first frame
+// arriving after the restore is acknowledged as a duplicate, never
+// re-applied, and both repairs stay applied.
 func TestRestoreKeepsAcceptedBatchInsideAckedPrefix(t *testing.T) {
 	bus := transport.NewBus()
 	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
 	bus.Register("a", a)
-	bcfg := core.DefaultConfig()
-	bcfg.BatchIncoming = true
-	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
-	bus.Register("b", b)
+	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
+	rec := &carrierRecorder{inner: b}
+	bus.Register("b", rec)
 
 	mustCall := func(svc string, req wire.Request) wire.Response {
 		t.Helper()
@@ -167,9 +165,8 @@ func TestRestoreKeepsAcceptedBatchInsideAckedPrefix(t *testing.T) {
 	get := func(key string) string {
 		return string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", key)).Body)
 	}
-	// Two attacks, repaired one after the other: the second repair's
-	// carrier announces an acked prefix covering the first delivery, which
-	// b has accepted but not yet applied.
+	// Two attacks, repaired one after the other: the second repair's frame
+	// announces an acked prefix covering the first delivery.
 	for _, key := range []string{"x", "y"} {
 		mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", key, "val", "good"))
 		attack := mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", key, "val", "evil"))
@@ -178,23 +175,22 @@ func TestRestoreKeepsAcceptedBatchInsideAckedPrefix(t *testing.T) {
 		}
 		a.Flush()
 	}
-	if got := b.InboxLen(); got != 2 {
-		t.Fatalf("b accepted %d batched actions, want 2", got)
-	}
+	rec.mu.Lock()
+	ghost := rec.carriers[0]
+	rec.mu.Unlock()
 
-	// Crash-restart b from a snapshot, then apply the recovered batch.
-	b2 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
+	b2 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
 	if err := persist.Apply(b2, persist.Capture(b)); err != nil {
 		t.Fatal(err)
 	}
 	bus.Register("b", b2)
-	if got := b2.InboxLen(); got != 2 {
-		t.Fatalf("restored incoming batch = %d actions, want 2", got)
+	if resp := b2.HandleWire("a", ghost); !resp.OK() {
+		t.Fatalf("ghost of the first frame: %+v", resp)
 	}
-	if _, err := b2.ProcessIncoming(); err != nil {
-		t.Fatal(err)
+	if st := b2.Stats(); st.RepairsRun != 0 || st.DupDeliveries != 1 {
+		t.Fatalf("ghost inside the restored acked prefix: %d repairs, %d duplicates; want 0 and 1", st.RepairsRun, st.DupDeliveries)
 	}
 	if x, y := get("x"), get("y"); x != "good" || y != "good" {
-		t.Fatalf("after restored batch apply: x=%q y=%q, want both repaired to %q", x, y, "good")
+		t.Fatalf("after restore: x=%q y=%q, want both repaired to %q", x, y, "good")
 	}
 }

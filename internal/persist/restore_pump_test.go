@@ -25,7 +25,7 @@ type repairCounter struct {
 }
 
 func (rc *repairCounter) HandleWire(from string, req wire.Request) wire.Response {
-	if req.Path == "/aire/repair" {
+	if req.Path == wire.FramePath {
 		rc.mu.Lock()
 		rc.calls++
 		rc.mu.Unlock()

@@ -202,7 +202,7 @@ type blockingRepairHandler struct {
 }
 
 func (h *blockingRepairHandler) HandleWire(from string, req wire.Request) wire.Response {
-	if req.Path == "/aire/repair" {
+	if req.Path == wire.FramePath {
 		h.mu.Lock()
 		h.calls++
 		h.mu.Unlock()
@@ -292,24 +292,25 @@ func TestCaptureDuringClaim(t *testing.T) {
 	}
 }
 
-// TestWALRecoveryBatchIncoming crashes a batch-incoming receiver between
-// accepting a repair delivery and applying it: recovery must restore the
-// accepted-but-unapplied action (and its dedup reservation) from the WAL,
-// and ProcessIncoming must then apply it exactly once.
-func TestWALRecoveryBatchIncoming(t *testing.T) {
+// TestWALRecoveryFrame crashes a receiver right after it applied a frame
+// whose answer was lost: recovery from the WAL alone restores the applied
+// repair and its inbox outcome, so the sender's redelivery is
+// re-acknowledged rather than re-applied, and a second recovery agrees.
+func TestWALRecoveryFrame(t *testing.T) {
 	dir := t.TempDir()
 	bus := transport.NewBus()
-	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
+	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, &lossyCaller{bus: bus, lose: 1}, core.DefaultConfig())
 	bus.Register("a", a)
-
-	bcfg := core.DefaultConfig()
-	bcfg.BatchIncoming = true
-	b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
-	bus.Register("b", b)
-	w, err := persist.Recover(b, dir, wal.Options{Policy: wal.FsyncEveryCommit})
-	if err != nil {
-		t.Fatal(err)
+	newB := func() (*core.Controller, *wal.Writer) {
+		b := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig())
+		bus.Register("b", b)
+		w, err := persist.Recover(b, dir, wal.Options{Policy: wal.FsyncEveryCommit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, w
 	}
+	_, w := newB()
 
 	mustCall := func(svc string, req wire.Request) wire.Response {
 		t.Helper()
@@ -319,55 +320,36 @@ func TestWALRecoveryBatchIncoming(t *testing.T) {
 		}
 		return resp
 	}
+	getX := func() string { return string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", "x")).Body) }
 	mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "good"))
 	attack := mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "evil"))
 	if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]}); err != nil {
 		t.Fatal(err)
 	}
 	a.Flush()
-	if got := b.InboxLen(); got == 0 {
-		t.Fatal("repair delivery was not accepted into b's incoming batch")
-	}
-	if got := string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", "x")).Body); got != "evil" {
-		t.Fatalf("batched action applied early: x = %q", got)
+	if a.QueueLen() != 1 || getX() != "good" {
+		t.Fatalf("b applied the frame (x=%q) and a still holds it (%d queued): want good and 1", getX(), a.QueueLen())
 	}
 
-	// Crash before ProcessIncoming.
+	// Crash; recover from the WAL alone.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b2 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
-	w2, err := persist.Recover(b2, dir, wal.Options{Policy: wal.FsyncEveryCommit})
-	if err != nil {
-		t.Fatal(err)
+	b2, w2 := newB()
+	if got := getX(); got != "good" {
+		t.Fatalf("recovered b: x = %q, want %q", got, "good")
 	}
-	defer w2.Close()
-	bus.Register("b", b2)
-	if got := b2.InboxLen(); got != 1 {
-		t.Fatalf("recovered incoming batch = %d actions, want 1", got)
+	a.Flush()
+	if st := b2.Stats(); a.QueueLen() != 0 || st.RepairsRun != 0 || st.DupDeliveries != 1 {
+		t.Fatalf("redelivery after recovery: %d queued at a, %d repairs and %d duplicates at b; want 0, 0, 1",
+			a.QueueLen(), st.RepairsRun, st.DupDeliveries)
 	}
-	if _, err := b2.ProcessIncoming(); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", "x")).Body); got != "good" {
-		t.Fatalf("b after recovered batch apply = %q, want %q", got, "good")
-	}
-	// The batch-drain and in-commit landed in the WAL: a second recovery
-	// must see the inbox empty and the repair applied.
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b3 := core.NewController(&harness.KVApp{ServiceName: "b"}, bus, bcfg)
-	w3, err := persist.Recover(b3, dir, wal.Options{Policy: wal.FsyncEveryCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, w3 := newB()
 	defer w3.Close()
-	bus.Register("b", b3)
-	if got := b3.InboxLen(); got != 0 {
-		t.Fatalf("re-recovered incoming batch = %d actions, want 0 (already drained)", got)
-	}
-	if got := string(mustCall("b", wire.NewRequest("GET", "/get").WithForm("key", "x")).Body); got != "good" {
+	if got := getX(); got != "good" {
 		t.Fatalf("b after second recovery = %q, want %q", got, "good")
 	}
 }

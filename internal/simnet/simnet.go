@@ -56,7 +56,9 @@ type FaultPlan struct {
 	// stale-redelivery hazard the wire generations exist for.
 	DelayTicks int
 	// Lost curses a delivery: the call AND every subsequent call carrying
-	// the same wire.HdrDeliveryID is silently dropped for LostTicks Ticks,
+	// the same wire.HdrDeliveryID is silently dropped for LostTicks Ticks
+	// (a lost frame curses every delivery it carries, and a frame carrying
+	// any cursed delivery is lost),
 	// so the sender's backoff-driven retries cannot recover it — only the
 	// anti-entropy path can: calls stamped wire.HdrReoffer (a re-offer the
 	// sender issued after the receiver NACKed the sequence gap) pass the
@@ -157,20 +159,24 @@ func (n *Net) Call(from, to string, req wire.Request) (wire.Response, error) {
 	// cursed or not — so a curse changes outcomes without shifting the rng
 	// sequence every later fault decision depends on.
 	fault := n.rollLocked()
-	if id := req.Header[wire.HdrDeliveryID]; id != "" {
+	if ids := deliveryIDs(req); len(ids) > 0 {
 		if fault == FaultLost {
 			exp := -1 // whole-run curse
 			if n.plan.LostTicks > 0 {
 				exp = n.tick + n.plan.LostTicks
 			}
-			n.cursed[id] = exp
-		} else if n.cursedLocked(id) {
+			for _, id := range ids {
+				n.cursed[id] = exp
+			}
+		} else if n.anyCursedLocked(ids) {
 			if req.Header[wire.HdrReoffer] != "" {
 				// Anti-entropy re-offer: the only traffic that passes the
 				// curse. Whatever the roll said happens to it normally.
-				delete(n.cursed, id)
+				for _, id := range ids {
+					delete(n.cursed, id)
+				}
 			} else {
-				fault = FaultLost // a retry of the lost delivery: still lost
+				fault = FaultLost // a retry of a lost delivery: still lost
 			}
 		}
 	}
@@ -201,6 +207,40 @@ func (n *Net) Call(from, to string, req wire.Request) (wire.Response, error) {
 	default:
 		return n.bus.Call(from, to, req)
 	}
+}
+
+// deliveryIDs lists the deliveries a repair-plane call carries: every
+// carrier of a frame, or the lone carrier's own.
+func deliveryIDs(req wire.Request) []string {
+	if req.Path != wire.FramePath {
+		if id := req.Header[wire.HdrDeliveryID]; id != "" {
+			return []string{id}
+		}
+		return nil
+	}
+	carriers, err := wire.DecodeFrame(req.Body)
+	if err != nil {
+		return nil
+	}
+	var ids []string
+	for _, c := range carriers {
+		if id := c.Header[wire.HdrDeliveryID]; id != "" {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// anyCursedLocked reports whether any of the delivery IDs is cursed (every
+// one is checked, so expired curses are all swept).
+func (n *Net) anyCursedLocked(ids []string) bool {
+	cursed := false
+	for _, id := range ids {
+		if n.cursedLocked(id) {
+			cursed = true
+		}
+	}
+	return cursed
 }
 
 // cursedLocked reports whether a delivery ID's curse is still active.

@@ -105,6 +105,44 @@ func TestDelayHoldsUntilTick(t *testing.T) {
 	}
 }
 
+// TestLostCursesEveryFrameCarrier: a Lost roll on a frame curses every
+// delivery it carries; any later frame carrying a cursed delivery is lost
+// unless it is an anti-entropy re-offer, which passes and lifts the curse
+// for the deliveries it carries.
+func TestLostCursesEveryFrameCarrier(t *testing.T) {
+	bus := transport.NewBus()
+	peer := &countingPeer{}
+	bus.Register("b", peer)
+	frame := func(ids ...string) wire.Request {
+		var cs []wire.Request
+		for _, id := range ids {
+			cs = append(cs, repairReq().WithHeader(wire.HdrDeliveryID, id))
+		}
+		req := wire.NewRequest("POST", wire.FramePath)
+		req.Body = wire.EncodeFrame(cs)
+		return req
+	}
+	n := New(bus, 1, FaultPlan{Lost: 1})
+	if _, err := n.Call("a", "b", frame("a-dlv-1", "a-dlv-2")); !errors.Is(err, transport.ErrUnavailable) {
+		t.Fatalf("lost frame: %v", err)
+	}
+	n.plan = FaultPlan{} // from here on only the curse decides
+	if _, err := n.Call("a", "b", frame("a-dlv-2", "a-dlv-3")); err == nil {
+		t.Fatal("a frame carrying a cursed delivery got through")
+	}
+	reoffer := frame("a-dlv-1")
+	reoffer.Header[wire.HdrReoffer] = "1"
+	if _, err := n.Call("a", "b", reoffer); err != nil {
+		t.Fatalf("re-offer: %v", err)
+	}
+	if _, err := n.Call("a", "b", frame("a-dlv-1")); err != nil {
+		t.Fatalf("re-offer did not lift the curse: %v", err)
+	}
+	if peer.count() != 2 {
+		t.Fatalf("peer saw %d frames, want 2", peer.count())
+	}
+}
+
 func TestPartitionBlocksOnlyCrossGroupRepairTraffic(t *testing.T) {
 	bus, _ := world()
 	c := &countingPeer{}

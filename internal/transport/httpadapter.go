@@ -43,10 +43,10 @@ func wireHeaderKey(k string) string {
 }
 
 // maxRequestBytes caps the body NewHTTPHandler reads from one request,
-// form-encoded or opaque. The largest legitimate body is a repair
-// carrier's encoded wire.Request; anything bigger is refused with 413
+// form-encoded or opaque. The largest legitimate body is a repair frame,
+// which senders pack under this cap; anything bigger is refused with 413
 // before the controller sees it.
-const maxRequestBytes = 8 << 20
+const maxRequestBytes = wire.MaxBodyBytes
 
 // NewHTTPHandler exposes a wire Handler as an http.Handler, folding query
 // string and form body into wire.Request.Form. A request the adapter

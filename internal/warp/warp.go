@@ -248,6 +248,41 @@ type directive struct {
 	hasSenderCtx                    bool
 }
 
+// Validate is Repair's Phase 0 for one action: it reports, without mutating
+// anything, why the action cannot run against the current log (an unknown
+// or garbage-collected request, a missing create anchor, an unknown call
+// response), or nil. The caller holds Svc.Mu.
+func (e *Engine) Validate(a Action) error {
+	svc := e.Svc
+	switch a.Kind {
+	case CancelReq, ReplaceReq:
+		if _, ok := svc.Log.Get(a.ReqID); !ok {
+			if svc.Log.GCBefore() > 0 {
+				return fmt.Errorf("%w: %s", ErrGarbageCollected, a.ReqID)
+			}
+			return fmt.Errorf("%w: %s", ErrNoSuchRequest, a.ReqID)
+		}
+	case CreateReq:
+		if a.BeforeID != "" {
+			if _, ok := svc.Log.TSOf(a.BeforeID); !ok {
+				return fmt.Errorf("%w: create anchor before_id %s", ErrNoSuchRequest, a.BeforeID)
+			}
+		}
+		if a.AfterID != "" {
+			if _, ok := svc.Log.TSOf(a.AfterID); !ok {
+				return fmt.Errorf("%w: create anchor after_id %s", ErrNoSuchRequest, a.AfterID)
+			}
+		}
+	case ReplaceCallResp:
+		if _, _, ok := svc.Log.FindByCallRespID(a.RespID); !ok {
+			return fmt.Errorf("%w: call response %s", ErrNoSuchRequest, a.RespID)
+		}
+	default:
+		return fmt.Errorf("warp: unknown action kind %v", a.Kind)
+	}
+	return nil
+}
+
 // Repair applies the given actions and selectively re-executes the service
 // timeline.
 func (e *Engine) Repair(actions []Action) (*Result, error) {
@@ -276,35 +311,12 @@ func (e *Engine) Repair(actions []Action) (*Result, error) {
 	// appends created records and rewrites call responses as it walks the
 	// action list, so an invalid action (unknown request, GC'd target,
 	// missing create anchor) discovered mid-list would otherwise leave the
-	// earlier actions half-applied — a batched incoming queue
-	// (ProcessIncoming) that then retries the batch would double-apply
+	// earlier actions half-applied — a frame whose carriers run as one
+	// repair would be half-applied, and its redelivery would double-apply
 	// them.
 	for _, a := range actions {
-		switch a.Kind {
-		case CancelReq, ReplaceReq:
-			if _, ok := svc.Log.Get(a.ReqID); !ok {
-				if svc.Log.GCBefore() > 0 {
-					return nil, fmt.Errorf("%w: %s", ErrGarbageCollected, a.ReqID)
-				}
-				return nil, fmt.Errorf("%w: %s", ErrNoSuchRequest, a.ReqID)
-			}
-		case CreateReq:
-			if a.BeforeID != "" {
-				if _, ok := svc.Log.TSOf(a.BeforeID); !ok {
-					return nil, fmt.Errorf("%w: create anchor before_id %s", ErrNoSuchRequest, a.BeforeID)
-				}
-			}
-			if a.AfterID != "" {
-				if _, ok := svc.Log.TSOf(a.AfterID); !ok {
-					return nil, fmt.Errorf("%w: create anchor after_id %s", ErrNoSuchRequest, a.AfterID)
-				}
-			}
-		case ReplaceCallResp:
-			if _, _, ok := svc.Log.FindByCallRespID(a.RespID); !ok {
-				return nil, fmt.Errorf("%w: call response %s", ErrNoSuchRequest, a.RespID)
-			}
-		default:
-			return nil, fmt.Errorf("warp: unknown action kind %v", a.Kind)
+		if err := e.Validate(a); err != nil {
+			return nil, err
 		}
 	}
 	markPhase(0)

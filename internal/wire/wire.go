@@ -74,9 +74,9 @@ import (
 //   - Aire-Reoffer marks a carrier as such an anti-entropy re-offer (set on
 //     every attempt after a NACK), distinguishing it from plain
 //     timeout-driven retries.
-//   - Aire-Body-Sum is an end-to-end FNV-64a checksum of the carrier body;
-//     the receive path refuses a mismatch loudly (retryably) instead of
-//     applying a corrupted repair.
+//   - Aire-Body-Sum is an end-to-end FNV-64a checksum of a frame's body
+//     (or a lone carrier's); the receive path refuses a mismatch loudly
+//     (retryably) instead of applying a corrupted repair.
 const (
 	HdrRequestID   = "Aire-Request-Id"
 	HdrResponseID  = "Aire-Response-Id"
