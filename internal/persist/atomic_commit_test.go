@@ -74,12 +74,13 @@ func createCarrier(payload wire.Request, origin, deliveryID string) wire.Request
 
 // runDirectCreateCrash delivers one create carrier to a WAL-attached
 // receiver "b" (direct-apply mode) that cascades the created write to "c",
-// crashes b at the WAL entry boundary `keep` entries into the delivery,
-// recovers, replays the sender's redelivery of the identical carrier, and
-// drains. It returns b's and c's repair-log record counts — exactly-once
-// demands 1 and 1 at every crash point — plus how many entries the first
-// delivery appended (so the caller can sweep every boundary).
-func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRecords int, appended uint64) {
+// crashes b at the WAL entry boundary `keep`, recovers, replays the sender's
+// redelivery of the identical carrier, and drains. A crash point past the
+// delivery's entries falls after b has also handed its cascade to c. It
+// returns b's and c's repair-log record counts — exactly-once demands 1 and
+// 1 at every crash point — plus how many entries the delivery appended and
+// how many b had appended in all when it crashed.
+func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRecords int, delivered, appended uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	bus := transport.NewBus()
@@ -99,9 +100,18 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 	if err != nil || !resp.OK() {
 		t.Fatalf("create delivery: %v %+v", err, resp)
 	}
+	delivered = w.Seq()
+	if keep > delivered {
+		// The crash falls after the delivery: b first delivers its cascade.
+		for i := 0; i < 10; i++ {
+			if d, _ := b.Flush(); d == 0 {
+				break
+			}
+		}
+	}
 	appended = w.Seq()
 	if keep > appended {
-		t.Fatalf("crash point %d past the delivery's %d entries", keep, appended)
+		t.Fatalf("crash point %d past b's %d entries", keep, appended)
 	}
 
 	// Power loss at the chosen entry boundary, then recovery.
@@ -129,7 +139,7 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 			break
 		}
 	}
-	return b2.Svc.Log.Len(), cc.Svc.Log.Len(), appended
+	return b2.Svc.Log.Len(), cc.Svc.Log.Len(), delivered, appended
 }
 
 // TestAtomicRepairCommitSurvivesAnyCrashPoint sweeps every WAL entry
@@ -137,15 +147,17 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 // mutations, queue effects, and inbox commit folded into one atomic entry
 // (the carrier's vector observation included), no
 // crash point followed by the sender's redelivery can mint a duplicate
-// record at the receiver or double-queue the cascade downstream.
+// record at the receiver or double-queue the cascade downstream. The sweep
+// runs one boundary further, past b's reconcile of the cascade it delivered
+// to c, so the recovered b neither re-applies nor re-sends.
 func TestAtomicRepairCommitSurvivesAnyCrashPoint(t *testing.T) {
-	_, _, appended := runDirectCreateCrash(t, false, 0)
-	if appended != 1 {
-		t.Fatalf("gated create delivery appended %d entries, want 1 atomic entry", appended)
+	_, _, delivered, _ := runDirectCreateCrash(t, false, 0)
+	if delivered != 1 {
+		t.Fatalf("gated create delivery appended %d entries, want 1 atomic entry", delivered)
 	}
-	for keep := uint64(0); keep <= appended; keep++ {
+	for keep := uint64(0); keep <= delivered+1; keep++ {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
-			bRecs, cRecs, _ := runDirectCreateCrash(t, false, keep)
+			bRecs, cRecs, _, _ := runDirectCreateCrash(t, false, keep)
 			if bRecs != 1 || cRecs != 1 {
 				t.Fatalf("crash at boundary %d: b has %d records, c has %d, want exactly 1 and 1", keep, bRecs, cRecs)
 			}
@@ -161,14 +173,14 @@ func TestAtomicRepairCommitSurvivesAnyCrashPoint(t *testing.T) {
 // The sender's redelivery then re-applies the create — a duplicate record
 // at the receiver AND a double-queued cascade downstream.
 func TestSplitRepairCommitDoubleQueues(t *testing.T) {
-	_, _, appended := runDirectCreateCrash(t, true, 0)
+	_, _, appended, _ := runDirectCreateCrash(t, true, 0)
 	if appended < 3 {
 		t.Fatalf("split-commit create delivery appended %d entries, want >= 3 (repair, q-set, in-commit)", appended)
 	}
 	violations := 0
 	doubleQueued := false
 	for keep := uint64(0); keep <= appended; keep++ {
-		bRecs, cRecs, _ := runDirectCreateCrash(t, true, keep)
+		bRecs, cRecs, _, _ := runDirectCreateCrash(t, true, keep)
 		if bRecs != 1 || cRecs != 1 {
 			violations++
 			t.Logf("boundary %d: b=%d c=%d records", keep, bRecs, cRecs)
