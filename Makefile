@@ -19,7 +19,7 @@ SIM_PROFILE ?= mixed
 # router (ISSUE 10); the convergence oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire
 
 all: build
 
@@ -91,6 +91,14 @@ fuzz-wal:
 fuzz-frame:
 	$(GO) test -run 'TestFrame|TestDecodeFrame|TestPackFrames' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/wire
 
+# Request/response equality fuzzing smoke: the equality unit tests plus a
+# short coverage-guided run checking Equal against a slow map-normalizing
+# oracle (reflexive, symmetric, blind to Aire headers, stable across an
+# Encode/Decode round trip). Longer local runs:
+#   go test -fuzz FuzzWireEqual -fuzztime 5m ./internal/wire
+fuzz-wire:
+	$(GO) test -run 'TestEqual|TestResponseEqual' -fuzz FuzzWireEqual -fuzztime 30s ./internal/wire
+
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker
 # interleavings, seed-reproducible. A failing seed prints its step count;
@@ -116,4 +124,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame bench-obs
+ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire bench-obs

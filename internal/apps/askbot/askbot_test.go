@@ -185,3 +185,37 @@ func TestEscape(t *testing.T) {
 		t.Fatal("atoi helper wrong")
 	}
 }
+
+// escape's output is pinned byte for byte: the rendered pages feed response
+// equality during repair, so any drift would make every re-executed page
+// read look changed.
+func TestEscapeTable(t *testing.T) {
+	for in, want := range map[string]string{
+		"&":                        "&amp;",
+		"<":                        "&lt;",
+		">":                        "&gt;",
+		`"`:                        "&quot;",
+		"'":                        "'",
+		"":                         "",
+		"How do I frob the widget": "How do I frob the widget",
+		`a & b <i>"q"</i> it's`:    "a &amp; b &lt;i&gt;&quot;q&quot;&lt;/i&gt; it's",
+	} {
+		if got := escape(in); got != want {
+			t.Errorf("escape(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// The escaper is built once, not per call: a string without specials comes
+// back as is, and one with specials costs only its result (Go's replacer
+// allocates the output buffer and the string made from it).
+func TestEscapeAllocs(t *testing.T) {
+	for in, max := range map[string]float64{
+		"How do I frob the widget (alice #3)?": 1,
+		`<b>"Q&A"</b>`:                         2,
+	} {
+		if n := testing.AllocsPerRun(100, func() { _ = escape(in) }); n > max {
+			t.Errorf("escape(%q) allocated %.0f times per call, want <= %.0f", in, n, max)
+		}
+	}
+}

@@ -71,23 +71,26 @@ func (s *Schema) Models() []string {
 	return out
 }
 
-// Obj is one model object: an ID plus string-valued fields.
+// Obj is one model object: an ID plus string-valued fields. The field map
+// is the store's own (vdb.Store.ViewAt), shared by every reader of that
+// version, so it is unexported: applications read it through Get, Int and
+// Bool, and change it only through Put or Update.
 type Obj struct {
 	ID string
-	F  map[string]string
+	f  map[string]string
 }
 
 // Get returns the named field ("" if absent).
-func (o Obj) Get(field string) string { return o.F[field] }
+func (o Obj) Get(field string) string { return o.f[field] }
 
 // Int returns the named field parsed as an integer (0 if absent/invalid).
 func (o Obj) Int(field string) int {
-	n, _ := strconv.Atoi(o.F[field])
+	n, _ := strconv.Atoi(o.f[field])
 	return n
 }
 
 // Bool returns whether the named field equals "true".
-func (o Obj) Bool(field string) bool { return o.F[field] == "true" }
+func (o Obj) Bool(field string) bool { return o.f[field] == "true" }
 
 // Fields builds a field map from key/value pairs.
 func Fields(kv ...string) map[string]string {
@@ -135,7 +138,7 @@ func Snapshot(store *vdb.Store, schema *Schema, at int64) *Tx {
 // Get fetches an object, recording a read dependency.
 func (tx *Tx) Get(model, id string) (Obj, bool) {
 	k := vdb.Key{Model: model, ID: id}
-	v, ok := tx.Store.GetAt(k, tx.At)
+	v, ok := tx.Store.ViewAt(k, tx.At)
 	// Reads of the request's own earlier writes carry no external
 	// dependency: deterministic replay regenerates them identically.
 	if tx.Deps != nil && !tx.Schema.IsVersioned(model) && !(ok && v.ReqID == tx.ReqID) {
@@ -149,7 +152,7 @@ func (tx *Tx) Get(model, id string) (Obj, bool) {
 	if !ok {
 		return Obj{}, false
 	}
-	return Obj{ID: id, F: v.Fields}, true
+	return Obj{ID: id, f: v.Fields}, true
 }
 
 // Put writes an object, recording a write dependency. For versioned models
@@ -193,16 +196,16 @@ func (tx *Tx) Delete(model, id string) error {
 	return nil
 }
 
-// Update mutates an existing object in place via fn; it is a Get followed by
-// a Put and records both dependencies. It reports whether the object
-// existed.
+// Update mutates an existing object via fn, which receives a private copy
+// of its fields; it is a Get followed by a Put and records both
+// dependencies. It reports whether the object existed.
 func (tx *Tx) Update(model, id string, fn func(map[string]string)) (bool, error) {
 	o, ok := tx.Get(model, id)
 	if !ok {
 		return false, nil
 	}
-	fields := make(map[string]string, len(o.F))
-	for k, v := range o.F {
+	fields := make(map[string]string, len(o.f))
+	for k, v := range o.f {
 		fields[k] = v
 	}
 	fn(fields)
@@ -221,11 +224,11 @@ func (tx *Tx) List(model string) []Obj {
 	ids := tx.Store.IDsAt(model, tx.At)
 	out := make([]Obj, 0, len(ids))
 	for _, id := range ids {
-		v, ok := tx.Store.GetAt(vdb.Key{Model: model, ID: id}, tx.At)
+		v, ok := tx.Store.ViewAt(vdb.Key{Model: model, ID: id}, tx.At)
 		if !ok {
 			continue
 		}
-		out = append(out, Obj{ID: id, F: v.Fields})
+		out = append(out, Obj{ID: id, f: v.Fields})
 	}
 	return out
 }

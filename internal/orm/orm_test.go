@@ -1,6 +1,8 @@
 package orm
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"aire/internal/vdb"
@@ -80,6 +82,90 @@ func TestUpdateRecordsReadAndWrite(t *testing.T) {
 	if err != nil || found {
 		t.Fatal("update of missing object should report not-found")
 	}
+}
+
+// Reads share the store's field maps (vdb.Store.ViewAt), so the read-only
+// contract is what keeps history intact: an Update whose fn rewrites its
+// map changes neither the version stored at the older timestamp nor an Obj
+// handed out by an earlier Get or List, including when the update coalesces
+// into the reading request's own version.
+func TestUpdateMutationLeavesReadsAndHistoryIntact(t *testing.T) {
+	store, schema := setup()
+	newTx(store, schema, 10, "r1").Put("kv", "a", Fields("v", "1", "w", "x"))
+	same := func(o Obj) bool { return o.Get("v") == "1" && o.Get("w") == "x" && o.Get("z") == "" }
+	rewrite := func(f map[string]string) {
+		f["v"] = "2"
+		delete(f, "w")
+		f["z"] = "new"
+	}
+
+	tx := newTx(store, schema, 20, "r2")
+	got, _ := tx.Get("kv", "a")
+	listed := tx.List("kv")
+	for _, fn := range []func(map[string]string){rewrite, rewrite} { // the second coalesces at ts 20
+		if found, err := tx.Update("kv", "a", fn); err != nil || !found {
+			t.Fatalf("update: %v %v", found, err)
+		}
+	}
+	later := newTx(store, schema, 30, "r3")
+	latest, _ := later.Get("kv", "a")
+	if latest.Get("v") != "2" || latest.Get("w") != "" || latest.Get("z") != "new" {
+		t.Fatalf("update not applied: %+v", latest)
+	}
+	if !same(got) || len(listed) != 1 || !same(listed[0]) {
+		t.Fatalf("earlier reads changed under Update: %+v %+v", got, listed)
+	}
+	if v, _ := store.GetAt(vdb.Key{Model: "kv", ID: "a"}, 10); v.Fields["v"] != "1" || v.Fields["w"] != "x" || len(v.Fields) != 2 {
+		t.Fatalf("version at ts 10 changed: %+v", v.Fields)
+	}
+	if o, _ := newTx(store, schema, 15, "r4").Get("kv", "a"); !same(o) {
+		t.Fatalf("read at ts 15 sees %+v", o)
+	}
+}
+
+// Concurrent ORM readers share field maps with a writer on the same keys;
+// under -race this proves no write path touches a map a reader holds.
+func TestConcurrentReadersShareMapsWithWriter(t *testing.T) {
+	store, schema := setup()
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		newTx(store, schema, 1, "seed").Put("kv", k, Fields("n", "0", "k", k))
+	}
+	const writes = 300
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				at := int64(1 + (i*7+r)%(writes+2))
+				tx := newTx(store, schema, at, fmt.Sprintf("reader-%d-%d", r, i))
+				for _, o := range tx.List("kv") {
+					if o.Get("k") != o.ID || o.Int("n") < 0 {
+						t.Errorf("torn read of %s: n=%q k=%q", o.ID, o.Get("n"), o.Get("k"))
+						return
+					}
+				}
+				if o, ok := tx.Get("kv", keys[i%len(keys)]); ok && o.Get("k") != o.ID {
+					t.Errorf("torn read of %s", o.ID)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < writes; i++ {
+		tx := newTx(store, schema, int64(2+i), fmt.Sprintf("w%d", i))
+		k := keys[i%len(keys)]
+		if _, err := tx.Update("kv", k, func(f map[string]string) { f["n"] = fmt.Sprint(i + 1) }); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 0 {
+			if err := tx.Put("kv", k, Fields("n", fmt.Sprint(i+1), "k", k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wg.Wait()
 }
 
 func TestListRecordsScanDepAndTimeTravel(t *testing.T) {
@@ -199,7 +285,7 @@ func TestRollbackRedoPutSemantics(t *testing.T) {
 }
 
 func TestObjHelpers(t *testing.T) {
-	o := Obj{ID: "x", F: map[string]string{"n": "42", "b": "true", "bad": "x9"}}
+	o := Obj{ID: "x", f: map[string]string{"n": "42", "b": "true", "bad": "x9"}}
 	if o.Int("n") != 42 || o.Int("missing") != 0 || o.Int("bad") != 0 {
 		t.Fatal("Int helper wrong")
 	}

@@ -15,6 +15,7 @@ package vdb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -335,37 +336,34 @@ func copyFields(m map[string]string) map[string]string {
 	return c
 }
 
-// Get returns the newest live version of the object.
-func (s *Store) Get(k Key) (Version, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vs := s.objects[k]
-	if len(vs) == 0 {
-		return Version{}, false
-	}
-	v := vs[len(vs)-1]
-	if v.Deleted {
+// Get returns a copy of the newest live version of the object.
+func (s *Store) Get(k Key) (Version, bool) { return s.GetAt(k, math.MaxInt64) }
+
+// GetAt returns a copy of the version of the object visible at timestamp ts:
+// the newest version with TS <= ts. It reports false if the object did not
+// exist or was deleted at ts.
+func (s *Store) GetAt(k Key, ts int64) (Version, bool) {
+	v, ok := s.ViewAt(k, ts)
+	if !ok {
 		return Version{}, false
 	}
 	return v.clone(), true
 }
 
-// GetAt returns the version of the object visible at timestamp ts: the
-// newest version with TS <= ts. It reports false if the object did not exist
-// or was deleted at ts.
-func (s *Store) GetAt(k Key, ts int64) (Version, bool) {
+// ViewAt is GetAt without the copy: the returned Fields is the store's own
+// map. Every write path (Put, PutImmutable, WAL replay, Restore) copies the
+// caller's map in and no code path mutates a stored map afterwards, so the
+// view stays valid and race-free for as long as the caller holds it. The
+// caller must only read it.
+func (s *Store) ViewAt(k Key, ts int64) (Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	vs := s.objects[k]
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
-	if i == 0 {
+	if i == 0 || vs[i-1].Deleted {
 		return Version{}, false
 	}
-	v := vs[i-1]
-	if v.Deleted {
-		return Version{}, false
-	}
-	return v.clone(), true
+	return vs[i-1], true
 }
 
 // HashAt returns the value fingerprint of the object at ts (MissingHash if

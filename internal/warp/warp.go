@@ -444,7 +444,12 @@ func (e *Engine) processRecord(rec *repairlog.Record, d *directive, res *Result,
 	if d == nil && !e.affected(rec, touchedKeys, touchedModels) {
 		return
 	}
-	old := rec.Clone()
+	// A shallow snapshot is stable: cancel and re-execution replace the
+	// record's fields wholesale (Log.Update, web.Exec.Run) and never write
+	// through them, so the old request, response and call bodies are shared
+	// instead of copied.
+	snap := *rec
+	old := &snap
 
 	if d != nil && d.cancel {
 		e.cancel(rec, old, res)
@@ -745,15 +750,18 @@ func (e *Engine) diffEffects(rec, old *repairlog.Record, res *Result) {
 // execution but not during replay — evidence the attack observed data it
 // should not have (§9).
 func (e *Engine) checkLeaks(rec, old *repairlog.Record, res *Result) {
-	newReads := make(map[vdb.Key]bool, len(rec.Reads))
-	for _, r := range rec.Reads {
-		if r.Hash != vdb.MissingHash {
-			newReads[r.Key] = true
-		}
-	}
+	var newReads map[vdb.Key]bool // built on the first confidential read
 	for _, r := range old.Reads {
 		if r.Hash == vdb.MissingHash || !e.Svc.Store.IsConfidential(r.Key) {
 			continue
+		}
+		if newReads == nil {
+			newReads = make(map[vdb.Key]bool, len(rec.Reads))
+			for _, nr := range rec.Reads {
+				if nr.Hash != vdb.MissingHash {
+					newReads[nr.Key] = true
+				}
+			}
 		}
 		if !newReads[r.Key] {
 			res.Notices = append(res.Notices, Notice{
@@ -784,18 +792,16 @@ type callDiff struct {
 }
 
 func (cd *callDiff) outbound(seq int, target string, req wire.Request) (wire.Response, repairlog.Call) {
-	key := req.CanonicalKey()
-
 	// Exact match at the cursor?
 	if cd.oi < len(cd.old) {
-		if c := cd.old[cd.oi]; c.Target == target && c.Req.CanonicalKey() == key {
+		if c := cd.old[cd.oi]; c.Target == target && c.Req.Equal(req) {
 			cd.oi++
 			return c.Resp.Clone(), c
 		}
 	}
 	// Match further ahead? Everything skipped over was deleted.
 	for j := cd.oi + 1; j < len(cd.old); j++ {
-		if c := cd.old[j]; c.Target == target && c.Req.CanonicalKey() == key {
+		if c := cd.old[j]; c.Target == target && c.Req.Equal(req) {
 			for _, dropped := range cd.old[cd.oi:j] {
 				cd.deleteCall(dropped)
 			}

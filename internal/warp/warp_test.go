@@ -267,6 +267,92 @@ func TestCallDiffReplaceKeepsRemoteIdentity(t *testing.T) {
 	}
 }
 
+// A re-executed call whose form changed from {a: "b", c: "d"} to
+// {a: "b\nc=d"} is a changed call and must queue a replace. The two forms
+// once flattened to the same "k=v\n" string, so the call matched, the stale
+// logged response was reused and the peer never heard of the change.
+func TestCallDiffFormCollisionQueuesReplace(t *testing.T) {
+	r := newRig(t, func(svc *web.Service) {
+		svc.Schema.Register("kv")
+		svc.Router.Handle("POST", "/set", func(c *web.Ctx) wire.Response {
+			if err := c.DB.Put("kv", "k", orm.Fields("a", c.Form("a"), "c", c.Form("c"))); err != nil {
+				return c.Error(500, err.Error())
+			}
+			return c.OK("ok")
+		})
+		svc.Router.Handle("POST", "/fwd", func(c *web.Ctx) wire.Response {
+			o, _ := c.DB.Get("kv", "k")
+			out := wire.NewRequest("POST", "/sink").WithForm("a", o.Get("a"))
+			if v := o.Get("c"); v != "" {
+				out = out.WithForm("c", v)
+			}
+			c.Call("peer", out)
+			return c.OK("fwd")
+		})
+	})
+	set := r.handle(t, wire.NewRequest("POST", "/set").WithForm("a", "b", "c", "d"), false)
+	r.handle(t, wire.NewRequest("POST", "/fwd"), false)
+
+	calls := r.nCalls
+	res, err := r.engine.Repair([]Action{{
+		Kind: ReplaceReq, ReqID: set.ID, NewReq: wire.NewRequest("POST", "/set").WithForm("a", "b\nc=d"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.nCalls != calls {
+		t.Fatal("replay must not hit the network")
+	}
+	var rep *OutMsg
+	for i := range res.Msgs {
+		if res.Msgs[i].Kind == OutReplace {
+			rep = &res.Msgs[i]
+		}
+	}
+	if rep == nil {
+		t.Fatalf("changed form must queue a replace, got %+v", res.Msgs)
+	}
+	if len(rep.Req.Form) != 1 || rep.Req.Form["a"] != "b\nc=d" {
+		t.Fatalf("replace payload = %q", rep.Req.Form)
+	}
+}
+
+// A re-executed request that read a confidential object originally but no
+// longer does is reported as a leak (§9); one that still reads it is not.
+func TestReexecutionLeakNotices(t *testing.T) {
+	for _, tc := range []struct {
+		gate string
+		leak bool
+	}{{"closed", true}, {"open again", false}} {
+		r := newRig(t, func(svc *web.Service) {
+			kvRoutes(svc)
+			svc.Router.Handle("GET", "/peek", func(c *web.Ctx) wire.Response {
+				if g, _ := c.DB.Get("kv", "gate"); strings.HasPrefix(g.Get("v"), "open") {
+					s, _ := c.DB.Get("kv", "secret")
+					return c.OK(s.Get("v"))
+				}
+				return c.Error(403, "closed")
+			})
+		})
+		r.handle(t, put("secret", "s3cr3t"), false)
+		r.svc.Store.MarkConfidential(vdb.Key{Model: "kv", ID: "secret"})
+		attack := r.handle(t, put("gate", "open"), false)
+		r.handle(t, wire.NewRequest("GET", "/peek"), false)
+
+		res, err := r.engine.Repair([]Action{{Kind: ReplaceReq, ReqID: attack.ID, NewReq: put("gate", tc.gate)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leak := false
+		for _, n := range res.Notices {
+			leak = leak || n.Kind == NoticeLeak
+		}
+		if leak != tc.leak {
+			t.Errorf("gate %q: leak notice = %v, want %v (%+v)", tc.gate, leak, tc.leak, res.Notices)
+		}
+	}
+}
+
 func TestCallDiffMatchReusesLoggedResponse(t *testing.T) {
 	r := newRig(t, kvRoutes)
 	r.handle(t, put("k", "same"), false)

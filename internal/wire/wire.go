@@ -9,11 +9,10 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"strings"
 )
 
 // Aire header names. Per §3.1:
@@ -238,56 +237,44 @@ var aireHeaderSet = func() map[string]bool {
 // does.
 func IsAireHeader(h string) bool { return aireHeaderSet[h] }
 
-func aireHeader(h string) bool { return IsAireHeader(h) }
-
-// CanonicalKey returns a deterministic string identifying the semantic
-// content of the request (method, path, non-Aire headers, form, body). Two
-// requests with equal CanonicalKey are considered the same operation when
-// local repair diffs re-executed outgoing calls against the log (§3.2).
-func (r Request) CanonicalKey() string {
-	var b strings.Builder
-	b.WriteString(r.Method)
-	b.WriteByte(' ')
-	b.WriteString(r.Path)
-	b.WriteByte('\n')
-	writeSortedMap(&b, r.Header, aireHeader)
-	writeSortedMap(&b, r.Form, nil)
-	b.Write(r.Body)
-	return b.String()
+// Equal reports whether two requests are semantically the same operation:
+// equal method, path, body, form and non-Aire headers, with a nil map equal
+// to an empty one. Local repair matches re-executed outgoing calls against
+// the log with it (§3.2). It compares in place and allocates nothing.
+func (r Request) Equal(o Request) bool {
+	return r.Method == o.Method && r.Path == o.Path && bytes.Equal(r.Body, o.Body) &&
+		equalMaps(r.Form, o.Form, false) && equalMaps(r.Header, o.Header, true)
 }
 
-// CanonicalKey returns a deterministic string identifying the semantic
-// content of the response (status, non-Aire headers, body).
-func (r Response) CanonicalKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d\n", r.Status)
-	writeSortedMap(&b, r.Header, aireHeader)
-	b.Write(r.Body)
-	return b.String()
+// Equal reports whether two responses are semantically equal: equal status,
+// body and non-Aire headers.
+func (r Response) Equal(o Response) bool {
+	return r.Status == o.Status && bytes.Equal(r.Body, o.Body) && equalMaps(r.Header, o.Header, true)
 }
 
-func writeSortedMap(b *strings.Builder, m map[string]string, skip func(string) bool) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		if skip != nil && skip(k) {
+// equalMaps reports whether a and b hold the same entries, ignoring Aire
+// headers when skipAire is set.
+func equalMaps(a, b map[string]string, skipAire bool) bool {
+	n := 0
+	for k, v := range a {
+		if skipAire && IsAireHeader(k) {
 			continue
 		}
-		keys = append(keys, k)
+		if w, ok := b[k]; !ok || w != v {
+			return false
+		}
+		n++
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(b, "%s=%s\n", k, m[k])
+	m := len(b)
+	if skipAire {
+		for k := range b {
+			if IsAireHeader(k) {
+				m--
+			}
+		}
 	}
-	b.WriteByte(0)
+	return n == m
 }
-
-// Equal reports whether two requests are semantically equal (ignoring Aire
-// headers).
-func (r Request) Equal(o Request) bool { return r.CanonicalKey() == o.CanonicalKey() }
-
-// Equal reports whether two responses are semantically equal (ignoring Aire
-// headers).
-func (r Response) Equal(o Response) bool { return r.CanonicalKey() == o.CanonicalKey() }
 
 // Encode serializes the request to JSON (map keys sorted, so encoding is
 // deterministic).
