@@ -19,7 +19,7 @@ SIM_PROFILE ?= mixed
 # router (ISSUE 10); the convergence oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire fuzz-log
 
 all: build
 
@@ -99,6 +99,16 @@ fuzz-frame:
 fuzz-wire:
 	$(GO) test -run 'TestEqual|TestResponseEqual' -fuzz FuzzWireEqual -fuzztime 30s ./internal/wire
 
+# Storage-encoding exactness fuzzing smoke: the repair log's record sizer
+# must equal len(json.Marshal(record)) (its table, the every-field
+# reflection check, then a coverage-guided run), and the WAL's hand-built
+# entry frame must be byte-identical to json.Marshal(Entry). Longer local
+# runs:
+#   go test -run '^$$' -fuzz FuzzEncodedLen -fuzztime 5m ./internal/repairlog
+fuzz-log:
+	$(GO) test -run 'TestEncodedLen' -fuzz FuzzEncodedLen -fuzztime 30s ./internal/repairlog
+	$(GO) test -run '^$$' -fuzz FuzzEntryFrame -fuzztime 30s ./internal/wal
+
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker
 # interleavings, seed-reproducible. A failing seed prints its step count;
@@ -124,4 +134,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire bench-obs
+ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire fuzz-log bench-obs

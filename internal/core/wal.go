@@ -197,7 +197,8 @@ func (c *Controller) walVDBSink(ch vdb.Change) {
 }
 
 // walLogSink observes repair-log mutations; same locking shape as the
-// store sink.
+// store sink. The change's record is the log's live record, borrowed for
+// this call only: mustOp encodes it before the sink returns.
 func (c *Controller) walLogSink(ch repairlog.Change) {
 	c.walEmit("log", mustOp("log", ch), true)
 }

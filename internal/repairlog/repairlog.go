@@ -285,7 +285,7 @@ func (l *Log) Append(r *Record) error {
 	}
 	l.accountSize(r)
 	if l.sink != nil {
-		l.emitLocked(Change{Kind: "append", Record: r.Clone()})
+		l.emitLocked(Change{Kind: "append", Record: r})
 	}
 	return nil
 }
@@ -458,13 +458,15 @@ func (l *Log) unindexLocked(r *Record) {
 	l.totalOps -= st.ops
 }
 
+// accountSize adds the record's raw JSON size to rawBytes. The size comes
+// from encodedLen's walk; only the 1-in-sampleEvery compression sample
+// needs the encoded bytes themselves.
 func (l *Log) accountSize(r *Record) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	l.rawBytes += int64(len(b))
 	if l.compress && l.samples%l.sampleEvery == 0 {
+		b, err := json.Marshal(r)
+		if err != nil {
+			return
+		}
 		var cw countingWriter
 		zw := gzPool.Get().(*gzip.Writer)
 		zw.Reset(&cw)
@@ -474,6 +476,7 @@ func (l *Log) accountSize(r *Record) {
 		l.sampleRaw += int64(len(b))
 		l.sampleGz += cw.n
 	}
+	l.rawBytes += int64(encodedLen(r))
 	l.samples++
 }
 
@@ -516,7 +519,7 @@ func (l *Log) Update(id string, fn func(*Record)) error {
 	fn(r)
 	idxErr := l.indexLocked(r)
 	if l.sink != nil {
-		l.emitLocked(Change{Kind: "update", Record: r.Clone()})
+		l.emitLocked(Change{Kind: "update", Record: r})
 	}
 	return idxErr
 }

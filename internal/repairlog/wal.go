@@ -11,14 +11,16 @@ import (
 type Change struct {
 	// Kind is "append", "update", or "gc".
 	Kind string `json:"kind"`
-	// Record is a deep copy of the appended/updated record.
+	// Record is the appended/updated record itself, borrowed for the
+	// duration of the sink call; do not retain it.
 	Record *Record `json:"record,omitempty"`
 	// BeforeTS is the horizon for gc.
 	BeforeTS int64 `json:"before_ts,omitempty"`
 }
 
 // SetChangeSink installs fn to observe every mutation. fn runs with the log
-// lock held and must not call back into the log. Pass nil to detach.
+// lock held, must not call back into the log, and must encode whatever it
+// keeps of Change.Record before returning. Pass nil to detach.
 func (l *Log) SetChangeSink(fn func(Change)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -97,7 +97,8 @@ func ParsePolicy(s string) (FsyncPolicy, error) {
 
 // Op is one operation inside a commit's change set. Kind selects the
 // decoder ("vdb-put", "log-append", "q-set", "in-commit", ...); Data is the
-// kind-specific JSON payload.
+// kind-specific JSON payload. Data must be compact json.Marshal output: the
+// writer splices it into the entry verbatim instead of re-encoding it.
 type Op struct {
 	Kind string          `json:"kind"`
 	Data json.RawMessage `json:"data,omitempty"`
@@ -165,6 +166,11 @@ type Writer struct {
 	seq     uint64   // last appended entry seq
 	pending int      // appends since last fsync (FsyncInterval)
 	closed  bool
+
+	// err is the first write, fsync or rotation failure; every later
+	// append and sync returns it. A partial frame may sit at the tail, and
+	// a failed fsync may have lost pages a later fsync would not report.
+	err error
 
 	// durSeq is the last entry seq known durable; epoch counts segment
 	// rotations so a sync completion can tell whether its captured offsets
@@ -433,25 +439,23 @@ func (w *Writer) AppendDeferred(kind string, clock, ids int64, ops []Op) (seq ui
 	if w.closed {
 		return 0, false, errors.New("wal: writer closed")
 	}
+	if w.err != nil {
+		return 0, false, w.err
+	}
 	if w.off >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(w.seq + 1); err != nil {
+			w.err = err
 			return 0, false, err
 		}
 	}
-	e := Entry{Seq: w.seq + 1, Kind: kind, Clock: clock, IDs: ids, Ops: ops}
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return 0, false, err
-	}
-	buf := make([]byte, frameSize+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameSize:], payload)
+	seq = w.seq + 1
+	buf := encodeFrame(&Entry{Seq: seq, Kind: kind, Clock: clock, IDs: ids, Ops: ops})
 	if _, err := w.f.Write(buf); err != nil {
+		w.err = err
 		return 0, false, err
 	}
 	w.off += int64(len(buf))
-	w.seq = e.Seq
+	w.seq = seq
 
 	switch w.opts.Policy {
 	case FsyncEveryCommit:
@@ -468,7 +472,68 @@ func (w *Writer) AppendDeferred(kind string, clock, ids int64, ops []Op) (seq ui
 	if w.opts.OnAppend != nil {
 		w.opts.OnAppend(time.Since(appendStart))
 	}
-	return e.Seq, syncNeeded, nil
+	return seq, syncNeeded, nil
+}
+
+// encodeFrame returns e framed for the segment — the length and CRC header
+// followed by exactly the bytes json.Marshal(e) would produce — built in
+// one buffer. Op payloads are copied in as they are, which is what Marshal
+// would emit for compact json.Marshal output (Op's precondition).
+func encodeFrame(e *Entry) []byte {
+	// Capacity bound: the keys, three 20-digit numbers, and kinds escaped
+	// at the worst case of 6 bytes per byte.
+	size := frameSize + 112 + 6*len(e.Kind)
+	for _, op := range e.Ops {
+		size += 18 + 6*len(op.Kind) + len(op.Data)
+	}
+	b := make([]byte, frameSize, size)
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, e.Seq, 10)
+	b = append(b, `,"kind":`...)
+	b = appendString(b, e.Kind)
+	if e.Clock != 0 {
+		b = append(b, `,"clock":`...)
+		b = strconv.AppendInt(b, e.Clock, 10)
+	}
+	if e.IDs != 0 {
+		b = append(b, `,"ids":`...)
+		b = strconv.AppendInt(b, e.IDs, 10)
+	}
+	if len(e.Ops) > 0 {
+		b = append(b, `,"ops":[`...)
+		for i, op := range e.Ops {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"kind":`...)
+			b = appendString(b, op.Kind)
+			if len(op.Data) > 0 {
+				b = append(b, `,"data":`...)
+				b = append(b, op.Data...)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, '}')
+	payload := b[frameSize:]
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	return b
+}
+
+// appendString appends s as a JSON string. Kinds are plain identifiers,
+// copied as they are; anything json.Marshal would escape goes through it.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // SyncTo blocks until every entry up to and including seq is durable. It is
@@ -479,9 +544,9 @@ func (w *Writer) SyncTo(seq uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
-	if w.durSeq >= seq || w.f == nil {
+	if err := w.err; err != nil || w.durSeq >= seq || w.f == nil {
 		w.mu.Unlock()
-		return nil
+		return err
 	}
 	f, off, cur, epoch := w.f, w.off, w.seq, w.epoch
 	w.mu.Unlock()
@@ -490,6 +555,11 @@ func (w *Writer) SyncTo(seq uint64) error {
 		syncStart = time.Now()
 	}
 	if err := f.Sync(); err != nil {
+		w.mu.Lock()
+		if w.err == nil {
+			w.err = err
+		}
+		w.mu.Unlock()
 		return err
 	}
 	if w.opts.OnSync != nil {
