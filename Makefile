@@ -15,11 +15,12 @@ GO ?= go
 #   go run ./cmd/airesim -profile crash -seeds 1:20 -fsync none
 SIM_SEEDS ?= 1:20
 SIM_PROFILE ?= mixed
-# SIM_SHARDS splits every faulted service N ways behind the key-hash
-# router (ISSUE 10); the convergence oracle is shard-count-invariant.
+# SIM_SHARDS splits every faulted service N ways (0 means 1); every
+# service sits behind the same router at every N, and the convergence
+# oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire fuzz-log
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route
 
 all: build
 
@@ -109,6 +110,14 @@ fuzz-log:
 	$(GO) test -run 'TestEncodedLen' -fuzz FuzzEncodedLen -fuzztime 30s ./internal/repairlog
 	$(GO) test -run '^$$' -fuzz FuzzEntryFrame -fuzztime 30s ./internal/wal
 
+# Shard-routing fuzzing smoke: the one routing rule's table (run through
+# the sender and both router paths) plus a short coverage-guided run over
+# arbitrary IDs and keys (no panic, always one of the service's shard
+# names, a "svc#i-…" ID routes to shard i). Longer local runs:
+#   go test -run '^$$' -fuzz FuzzShardRoute -fuzztime 5m ./internal/core
+fuzz-route:
+	$(GO) test -run 'TestShardRoute' -fuzz FuzzShardRoute -fuzztime 30s ./internal/core
+
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker
 # interleavings, seed-reproducible. A failing seed prints its step count;
@@ -134,4 +143,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire fuzz-log bench-obs
+ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route bench-obs

@@ -113,7 +113,7 @@ type (
 	// sender and shard of a horizontally partitioned service
 	// (Config.Topology).
 	ShardTopology = core.ShardTopology
-	// ShardedController is the router fronting one sharded service: N full
+	// ShardedController is the router fronting one service: N ≥ 1 full
 	// per-shard controllers (own store, log, inbox, pump, WAL) behind the
 	// service's transport name.
 	ShardedController = core.ShardedController
@@ -144,17 +144,18 @@ func NewServiceWithConfig(app App, net core.Caller, cfg Config) *Controller {
 	return core.NewController(app, net, cfg)
 }
 
-// NewShardTopology returns an empty shard topology (every service
-// unsharded). Declare shard counts with SetShards before constructing
+// NewShardTopology returns an empty shard topology (every service one
+// shard). Declare shard counts with SetShards before constructing
 // controllers, and hand the same topology to every controller's
 // Config.Topology.
 func NewShardTopology() *ShardTopology { return core.NewShardTopology() }
 
 // NewShardedService wraps base's shard controllers (index order) in the
 // router that owns the service's transport name. Each shard must have
-// been built with the shared topology and named topo.ShardName(base, i);
-// register the shards under their own names too, so repair-plane peers
-// can address them directly.
+// been built with the shared topology and named topo.ShardName(base, i).
+// With more than one shard, register the shards under their own names
+// too, so repair-plane peers can address them directly (one shard shares
+// the base name, which the router owns).
 func NewShardedService(base string, topo *ShardTopology, shards []*Controller) *ShardedController {
 	return core.NewShardedController(base, topo, shards)
 }

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topology  = fs.String("topology", "", `"chain" or "fanout" (empty = profile default)`)
 		repairs   = fs.Int("repairs", 0, "attacked puts per run (0 = profile default)")
 		sched     = fs.Bool("sched", false, "run repair delivery on the background pump under the deterministic scheduler (internal/dsched): seeded task interleavings instead of the serial Flush loop")
-		shards    = fs.Int("shards", 0, "shard every faulted service N ways behind a key-hash router (per-shard store/log/pump/WAL); the convergence oracle is shard-count-invariant (0/1 = unsharded)")
+		shards    = fs.Int("shards", 0, "split every faulted service into N shards (per-shard store/log/pump/WAL); every service sits behind the same router at every N, 0 means 1; the convergence oracle is shard-count-invariant")
 		fsync     = fs.String("fsync", "", `override the profile's WAL fsync policy: "every", "interval", "none" (empty = profile default; "none" under -profile crash demonstrates tail loss)`)
 		nodedup   = fs.Bool("nodedup", false, "disable the peer-side exactly-once dedup inbox (demonstrates the stale/dupcreate hazards)")
 		expectF   = fs.Bool("expect-fail", false, "invert the verdict: exit 0 only if at least one seed FAILS the oracle and none errors (teeth checks: proves a disabled defense genuinely loses its property)")

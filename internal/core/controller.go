@@ -153,14 +153,12 @@ type Config struct {
 	// context is protocol state minted and persisted unconditionally —
 	// an obs-on run takes byte-identical schedules to an obs-off run.
 	Obs *obs.Registry
-	// Topology, when non-nil, is the shared key→shard map for every
-	// service in the deployment (shard.go). A controller with a topology
-	// resolves repair carriers bound for a sharded peer to the owning
-	// shard's transport name (peerDest), stamps wire.HdrShard, and — when
-	// it is itself a shard — refuses carriers addressed to a sibling.
-	// Must be set before recovery so WAL replay rebuilds version vectors
-	// under the same per-(peer, shard) keys the live path uses. Default
-	// nil: no shard resolution, no shard header, no shard yield points.
+	// Topology is the shared key→shard map for every service in the
+	// deployment (shard.go): the controller resolves each repair carrier
+	// to the peer shard that owns it (peerDest), so a sender to a
+	// partitioned peer needs the peer's map. Must be set before recovery
+	// so WAL replay rebuilds version vectors under the same per-(peer,
+	// shard) keys the live path uses. Nil means every peer has one shard.
 	Topology *ShardTopology
 }
 
@@ -272,9 +270,8 @@ type Controller struct {
 	// goroutines); immutable after NewController.
 	sd sched.Scheduler
 
-	// topo is the resolved shard topology (Cfg.Topology); nil means no
-	// shard resolution anywhere on the delivery path. Immutable after
-	// NewController.
+	// topo is the shard topology (Cfg.Topology; nil means every peer has
+	// one shard). Immutable after NewController.
 	topo *ShardTopology
 
 	// met caches the obs handles (core/obs.go); immutable after

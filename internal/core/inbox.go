@@ -381,7 +381,7 @@ func (c *Controller) admitNotify(from string, ic *inCarrier) {
 	// records name the peer by its unqualified service name, while a
 	// sharded producer notifies under its shard-qualified name — any
 	// shard of the recorded target is the same producing service.
-	if rec.Calls[i].Target != server && rec.Calls[i].Target != ShardBaseName(server) {
+	if rec.Calls[i].Target != server && rec.Calls[i].Target != wire.ShardBaseName(server) {
 		c.Svc.Mu.Unlock()
 		ic.answer(wire.NewResponse(403, "aire: response "+payload.RespID+" was not produced by "+server))
 		return

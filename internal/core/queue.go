@@ -409,7 +409,7 @@ func (c *Controller) stampDelivery(req wire.Request, p *PendingMsg) {
 // carrier. The frame-level headers are stamped here, once: the version
 // vector for this (peer, shard) — announced per frame, so it is as fresh as
 // the last reconcile — the end-to-end body checksum (a corrupted frame is
-// refused loudly, never misapplied), and for a sharded peer the destination
+// refused loudly, never misapplied), and when peer is a shard name its
 // shard, so a router can dispatch without re-deriving it and a shard can
 // refuse a misrouted frame. err reports the peer unreachable: a transport
 // failure, or a reply that does not answer every carrier. A refusal of the
@@ -426,13 +426,11 @@ func (c *Controller) sendFrame(peer string, body []byte, n int) (resps []wire.Re
 			req.Header[wire.HdrReoffer] = "1"
 		}
 	}
-	if c.topo != nil {
-		if ShardBaseName(peer) != peer {
-			req.Header[wire.HdrShard] = peer
-		}
-		// The shard resolution window is a named schedule point so seeded
-		// runs cover interleavings between claim and send; gated on the
-		// topology, so unsharded deployments see no shard yield points.
+	if wire.ShardBaseName(peer) != peer {
+		req.Header[wire.HdrShard] = peer
+		// The window between resolving a shard and sending to it is a
+		// named schedule point so seeded runs cover interleavings between
+		// claim and send. A one-shard peer has no shard to resolve.
 		c.sd.YieldNamed("shard-gate")
 	}
 	resp, err := c.Net.Call(c.Svc.Name, peer, req)

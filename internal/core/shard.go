@@ -3,184 +3,142 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"strings"
 
 	"aire/internal/sched"
 	"aire/internal/warp"
 	"aire/internal/wire"
 )
 
-// This file is the horizontal-scale shard layer (ROADMAP item 1): one
-// service partitioned by key into N shard instances, each a full Controller
-// with its own versioned store, repair log, dedup inbox, pump partition
-// set, and — when durability is on — its own wal.Writer and independent
-// checkpoint/recovery. There is deliberately NO cross-shard log ordering: a
-// sender's claim is per (peer, shard), so a cross-shard repair wave reaches
-// each shard as that shard's own frame, applied and acknowledged in one
-// atomic entry on that shard's log — exactly the machinery that already
-// orders cross-*service* repair.
+// This file is the shard layer: one service partitioned by key into N shard
+// instances, each a full Controller with its own versioned store, repair
+// log, dedup inbox, pump partition set, WAL and checkpoint/recovery. A
+// service that is not partitioned is the N = 1 case of the same layer. There
+// is deliberately NO cross-shard log ordering: a sender's claim is per
+// (peer, shard), so a cross-shard repair wave reaches each shard as that
+// shard's own frame, applied and acknowledged in one atomic entry on that
+// shard's log — exactly the machinery that already orders cross-*service*
+// repair.
 //
-// Routing has two planes:
-//
-//   - Normal (exec) traffic is routed by a deterministic key→shard map
-//     (ShardTopology.KeyOf + FNV hash), carried on the wire as the
-//     Aire-Shard header when a sender resolves it ahead of time.
-//
-//   - Repair-plane carriers route *themselves*: every identifier a shard
-//     mints (request, response, token, delivery IDs) is prefixed with the
-//     shard-qualified service name ("svc#i"), so a carrier that names a
-//     remote request ID, a create anchor, or a fetch token already names
-//     its destination shard. Senders resolve the shard from the ID
-//     (Controller.peerDest) and deliver directly to the shard's transport
-//     name, keeping per-(peer, shard) FIFO order, version vectors, and
-//     backoff; the router's repair path is only a fallback for externally
-//     originated repair API calls.
+// Routing is one rule, ShardTopology.Route, applied both by a sender
+// resolving a queued carrier's destination (Controller.peerDest) and by the
+// router fronting a service (ShardedController). Every identifier a shard
+// mints (request, response, token, delivery IDs) carries the shard's name
+// ("svc#i-req-42", wire.ShardIndex), so an ID the request names wins;
+// anything else hashes its partition key. A keyless request hashes like
+// any key.
 
 // ShardTopology is the deterministic key→shard map for a set of services.
-// The zero count for a service means unsharded (one controller under the
-// base name). Topologies are immutable once controllers are constructed
-// from them: every sender and every shard must agree on the map.
+// A service it does not declare — and every service of a nil topology —
+// has one shard, named by the service's own name. Topologies are immutable
+// once controllers are constructed from them: every sender and every shard
+// must agree on the map.
 type ShardTopology struct {
-	counts map[string]int
+	// names lists the shard names of each service with more than one.
+	names map[string][]string
 	// KeyFunc extracts the partition key from a request (nil means the
-	// "key" form field — the convention the harness KV apps use). Requests
-	// with an empty key deterministically land on shard 0.
+	// "key" form field — the convention the harness KV apps use).
 	KeyFunc func(req wire.Request) string
 }
 
-// NewShardTopology returns an empty topology (every service unsharded).
+// NewShardTopology returns an empty topology (every service one shard).
 func NewShardTopology() *ShardTopology {
-	return &ShardTopology{counts: make(map[string]int)}
+	return &ShardTopology{names: make(map[string][]string)}
 }
 
 // SetShards declares svc to be partitioned into n shards (n <= 1 means
-// unsharded). Call before constructing controllers.
+// one). Call before constructing controllers.
 func (t *ShardTopology) SetShards(svc string, n int) {
-	if n < 1 {
-		n = 1
+	if n <= 1 {
+		delete(t.names, svc)
+		return
 	}
-	t.counts[svc] = n
+	names := make([]string, n)
+	for i := range names {
+		names[i] = wire.ShardName(svc, i)
+	}
+	t.names[svc] = names
 }
 
-// Shards reports how many shards svc has (1 when undeclared or unsharded).
+// Shards reports how many shards svc has.
 func (t *ShardTopology) Shards(svc string) int {
 	if t == nil {
 		return 1
 	}
-	if n := t.counts[svc]; n > 1 {
-		return n
-	}
-	return 1
+	return max(len(t.names[svc]), 1)
 }
 
-// ShardName returns the transport name of svc's i-th shard: "svc#i" when
-// svc is sharded, svc itself when not. The '#' qualifier is what makes
-// every shard-minted identifier ("svc#i-req-42") name its owning shard.
+// ShardName returns the transport name of svc's i-th shard: "svc#i"
+// (wire.ShardName) when svc has more than one shard, svc itself when it
+// has one.
 func (t *ShardTopology) ShardName(svc string, i int) string {
-	if t.Shards(svc) <= 1 {
-		return svc
+	if t != nil {
+		if names := t.names[svc]; names != nil {
+			return names[i]
+		}
 	}
-	return fmt.Sprintf("%s#%d", svc, i)
+	return svc
 }
 
-// ShardBaseName strips the shard qualifier from a transport name:
-// "svc#3" -> "svc", "svc" -> "svc". Identity for unsharded names.
-func ShardBaseName(name string) string {
-	if i := strings.IndexByte(name, '#'); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
-
-// KeyOf extracts the partition key from a request.
-func (t *ShardTopology) KeyOf(req wire.Request) string {
-	if t.KeyFunc != nil {
-		return t.KeyFunc(req)
-	}
-	return req.Form["key"]
-}
-
-// ShardOf maps a partition key to a shard index for svc. The map is a
-// plain FNV-32a hash mod the shard count — deterministic across processes
-// and restarts, which is what lets every sender resolve it independently.
+// ShardOf maps a partition key to a shard index for svc: a plain FNV-32a
+// hash mod the shard count, deterministic across processes and restarts,
+// which is what lets every sender resolve it independently. The empty key
+// is no special case: it hashes to 2166136261, which is shard 1 of 2, 3
+// or 4.
 func (t *ShardTopology) ShardOf(svc, key string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(t.Shards(svc)))
+}
+
+// Route is the one routing rule: the index of svc's shard that owns a
+// request. The first of ids that one of svc's shards minted (or that is a
+// shard name of svc) with an in-range index wins; otherwise the request's
+// partition key hashes (ShardOf). Nil-safe, and it never allocates:
+// senders run it for every queued carrier on every claim pass.
+func (t *ShardTopology) Route(svc string, req wire.Request, ids ...string) int {
 	n := t.Shards(svc)
-	if n <= 1 {
+	if n == 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
-}
-
-// Resolve returns the transport name of the shard serving key at svc.
-func (t *ShardTopology) Resolve(svc, key string) string {
-	return t.ShardName(svc, t.ShardOf(svc, key))
-}
-
-// shardFromID recovers the shard name embedded in an identifier minted by
-// one of base's shards: "base#3-req-17" -> ("base#3", true). Returns false
-// for IDs minted by an unsharded service (or anything else).
-func shardFromID(base, id string) (string, bool) {
-	p := base + "#"
-	if !strings.HasPrefix(id, p) {
-		return "", false
-	}
-	rest := id[len(p):]
-	j := strings.IndexByte(rest, '-')
-	if j <= 0 {
-		return "", false
-	}
-	for _, ch := range rest[:j] {
-		if ch < '0' || ch > '9' {
-			return "", false
+	for _, id := range ids {
+		if i, ok := wire.ShardIndex(svc, id); ok && i < n {
+			return i
 		}
 	}
-	return id[:len(p)+j], true
+	if t.KeyFunc != nil {
+		return t.ShardOf(svc, t.KeyFunc(req))
+	}
+	return t.ShardOf(svc, req.Form["key"])
 }
 
-// peerDest resolves the transport destination of a queued repair message.
-// Without a topology this is exactly the classic peerKey partition (the
-// target service, or the notifier host for replace_response). With one,
-// repair carriers bound for a sharded peer resolve to the owning shard:
-// replace/delete from the peer-minted request ID they name, create from
-// its anchor IDs (falling back to the key map for anchorless creates),
-// replace_response from the notifier URL — which a shard minted from its
-// own qualified name, so it needs no resolution. The result keys the
-// per-peer FIFO partition, backoff state, and version vectors, so all
-// three are naturally per (peer, shard).
+// peerDest resolves the transport destination of a queued repair message:
+// the shard of the target peer that Route picks from the peer-minted IDs
+// the carrier names — the request a replace or delete targets, a create's
+// anchors — else from its key. A replace_response goes to its notifier,
+// which a shard minted from its own qualified name. The result keys the
+// per-peer FIFO partition, backoff state and version vectors, so all three
+// are per (peer, shard); for a one-shard peer it is the peer's own name.
 func (c *Controller) peerDest(m warp.OutMsg) string {
 	k := peerKey(m)
-	if c.topo == nil || m.Kind == warp.OutReplaceResponse {
-		return k
-	}
-	if c.topo.Shards(k) <= 1 {
-		return k
-	}
 	switch m.Kind {
-	case warp.OutReplace, warp.OutDelete:
-		if s, ok := shardFromID(k, m.RemoteReqID); ok {
-			return s
-		}
+	case warp.OutReplaceResponse:
+		return k
 	case warp.OutCreate:
-		if s, ok := shardFromID(k, m.BeforeID); ok {
-			return s
-		}
-		if s, ok := shardFromID(k, m.AfterID); ok {
-			return s
-		}
+		return c.topo.ShardName(k, c.topo.Route(k, m.Req, m.BeforeID, m.AfterID))
 	}
-	return c.topo.Resolve(k, c.topo.KeyOf(m.Req))
+	return c.topo.ShardName(k, c.topo.Route(k, m.Req, m.RemoteReqID))
 }
 
-// ShardedController is the router fronting one sharded service: it owns
-// the service's transport name and dispatches to the shard controllers,
-// which are additionally registered under their own qualified names so
-// repair-plane peers can address them directly. It implements the same
-// transport.Handler contract a Controller does, plus ApplyLocal routed by
-// the IDs each action names. Everything else — Flush, pumps, stats — is
-// driven on the shard controllers themselves.
+// ShardedController is the router fronting one service: it owns the
+// service's transport name and dispatches to the shard controllers. When
+// there is more than one shard, each is also registered under its own
+// qualified name so repair-plane peers can address it directly. It
+// implements the same transport.Handler contract a Controller does, plus
+// ApplyLocal routed by the IDs each action names. Everything else — Flush,
+// pumps, stats — is driven on the shard controllers themselves.
 type ShardedController struct {
 	// Base is the service's unqualified name (the router's transport name).
 	Base string
@@ -188,96 +146,74 @@ type ShardedController struct {
 	Topo *ShardTopology
 
 	shards []*Controller
-	byName map[string]*Controller
 	sd     sched.Scheduler
 }
 
 // NewShardedController wraps base's shard controllers (index order) in a
 // router. Every shard must have been constructed with the same topology
-// and the qualified name topo.ShardName(base, i).
+// and the name topo.ShardName(base, i).
 func NewShardedController(base string, topo *ShardTopology, shards []*Controller) *ShardedController {
 	if len(shards) != topo.Shards(base) {
 		panic(fmt.Sprintf("core: %s has %d shard controllers, topology says %d", base, len(shards), topo.Shards(base)))
 	}
-	s := &ShardedController{
+	for i, c := range shards {
+		if want := topo.ShardName(base, i); c.Svc.Name != want {
+			panic(fmt.Sprintf("core: shard %d of %s is named %q, want %q", i, base, c.Svc.Name, want))
+		}
+	}
+	return &ShardedController{
 		Base:   base,
 		Topo:   topo,
 		shards: append([]*Controller(nil), shards...),
-		byName: make(map[string]*Controller, len(shards)),
 		sd:     shards[0].sd,
 	}
-	for i, c := range shards {
-		want := topo.ShardName(base, i)
-		if c.Svc.Name != want {
-			panic(fmt.Sprintf("core: shard %d of %s is named %q, want %q", i, base, c.Svc.Name, want))
-		}
-		s.byName[c.Svc.Name] = c
-	}
-	return s
 }
 
 // SetShard replaces the i-th shard controller (crash-restart: the harness
 // rebuilds a shard from disk and swaps it in). Not safe concurrently with
 // routing; the simulator only calls it with the world quiesced.
 func (s *ShardedController) SetShard(i int, c *Controller) {
-	delete(s.byName, s.shards[i].Svc.Name)
 	s.shards[i] = c
-	s.byName[c.Svc.Name] = c
 }
 
-// HandleWire routes one request to its shard. For externally originated
-// traffic (from == "": clients, admin tools, the harness workload) the
-// routing decision is a named scheduler yield point ("shard-route") so
-// seeded schedules cover the window between a request's arrival and its
-// dispatch. Nested service-to-service calls skip the yield: they execute
-// synchronously inside the calling shard's handler, which holds that
-// shard's Svc.Mu — parking the task there would let another task block on
-// the held mutex and wedge the cooperative scheduler. The router only
-// exists for sharded services, so unsharded (N=1) runs see no new yield
-// points and their seed digests stay byte-identical.
+// HandleWire routes one request to its shard. A one-shard service has no
+// routing decision to make, so its shard answers every request untouched.
+// With more than one, externally originated traffic (from == "": clients,
+// admin tools, the harness workload) first passes a named scheduler yield
+// point ("shard-route"), so seeded schedules cover the window between a
+// request's arrival and its dispatch. Nested service-to-service calls skip
+// the yield: they execute synchronously inside the calling shard's
+// handler, which holds that shard's Svc.Mu — parking the task there would
+// let another task block on the held mutex and wedge the cooperative
+// scheduler.
 func (s *ShardedController) HandleWire(from string, req wire.Request) wire.Response {
+	if len(s.shards) == 1 {
+		return s.shards[0].HandleWire(from, req)
+	}
 	if from == "" {
 		s.sd.YieldNamed("shard-route") // schedule point: about to pick a shard
 	}
 	if req.Path == "/aire/poll" {
 		return s.handlePollFanout(from, req)
 	}
-	if req.Path == wire.FramePath && s.byName[req.Header[wire.HdrShard]] == nil {
-		// A frame is one shard's batch, and a shard-aware sender names the
-		// shard; the router cannot split a frame without dropping its
-		// vector announcement, so it refuses loudly instead of guessing.
-		return wire.NewResponse(400, "aire: frame for sharded service "+s.Base+" names no shard")
+	if req.Path == wire.FramePath {
+		// A frame is one shard's batch, and the sender names the shard; the
+		// router cannot split a frame without dropping its vector
+		// announcement, so it refuses loudly instead of guessing.
+		if i, ok := wire.ShardIndex(s.Base, req.Header[wire.HdrShard]); !ok || i >= len(s.shards) {
+			return wire.NewResponse(400, "aire: frame for sharded service "+s.Base+" names no shard")
+		}
 	}
 	return s.route(req).HandleWire(from, req)
 }
 
-// route picks the shard a request belongs to, most-specific signal first:
-// the Aire-Shard header a shard-aware sender stamped; any shard-minted
-// identifier the request names (repair target, create anchors, fetch
-// token); finally the deterministic key map. Requests with none of these
-// (keyless exec traffic) land on shard 0.
+// route picks the shard a request belongs to by the one rule, over every
+// shard-naming signal the request carries: the Aire-Shard name a sender
+// stamped on a frame, the request ID a repair targets, a create's anchors,
+// a fetch token.
 func (s *ShardedController) route(req wire.Request) *Controller {
-	if h := req.Header[wire.HdrShard]; h != "" {
-		if c := s.byName[h]; c != nil {
-			return c
-		}
-	}
-	for _, id := range []string{
-		req.Header[wire.HdrRequestID],
-		req.Form["before_id"],
-		req.Form["after_id"],
-		req.Form["token"],
-	} {
-		if id == "" {
-			continue
-		}
-		if name, ok := shardFromID(s.Base, id); ok {
-			if c := s.byName[name]; c != nil {
-				return c
-			}
-		}
-	}
-	return s.shards[s.Topo.ShardOf(s.Base, s.Topo.KeyOf(req))]
+	return s.shards[s.Topo.Route(s.Base, req, req.Header[wire.HdrShard], req.Header[wire.HdrRequestID],
+		req.Form["before_id"], req.Form["after_id"], req.Form["token"])]
 }
 
 // handlePollFanout merges every shard's parked response-repair tokens for
@@ -303,26 +239,15 @@ func (s *ShardedController) handlePollFanout(from string, req wire.Request) wire
 	return wire.Response{Status: 200, Header: map[string]string{}, Body: body}
 }
 
-// routeAction picks the shard a local repair action belongs to, using the
-// same signals the wire path uses: the request ID the action names, a
-// create's anchors, else the key map over the new request.
+// routeAction picks the shard a local repair action belongs to by the same
+// rule: the request ID the action names, a create's anchors, else the key
+// of the new request.
 func (s *ShardedController) routeAction(a warp.Action) *Controller {
-	for _, id := range []string{a.ReqID, a.BeforeID, a.AfterID} {
-		if id == "" {
-			continue
-		}
-		if name, ok := shardFromID(s.Base, id); ok {
-			if c := s.byName[name]; c != nil {
-				return c
-			}
-		}
-	}
 	var req wire.Request
-	switch a.Kind {
-	case warp.CreateReq, warp.ReplaceReq:
+	if a.Kind == warp.CreateReq || a.Kind == warp.ReplaceReq {
 		req = a.NewReq
 	}
-	return s.shards[s.Topo.ShardOf(s.Base, s.Topo.KeyOf(req))]
+	return s.shards[s.Topo.Route(s.Base, req, a.ReqID, a.BeforeID, a.AfterID)]
 }
 
 // ApplyLocal routes each action to its shard and applies them in order

@@ -49,12 +49,11 @@ type SimConfig struct {
 	Services int
 	// Shards partitions every attacked-world service into N shard
 	// controllers — each with its own store, repair log, dedup inbox,
-	// pump, WAL and recovery — behind a core.ShardedController router
-	// registered under the base name.
-	// 0 or 1 is the unsharded legacy path, byte-identical to the
-	// pre-shard harness (same digests, same schedules). The golden world
-	// always runs unsharded: the oracle then states that converged state
-	// is shard-count-invariant.
+	// pump, WAL and recovery. Every service, at every N and in both
+	// worlds, sits behind a core.ShardedController router registered
+	// under the base name; 0 means 1, and N = 1 is the one-shard case of
+	// that path. The golden world always runs one shard per service: the
+	// oracle then states that converged state is shard-count-invariant.
 	Shards int
 	// Topology is "chain" (s0 → s1 → … , each put forwarded downstream) or
 	// "fanout" (s0 mirrors every put to all other services).
@@ -360,13 +359,12 @@ type simWorld struct {
 	ctrls  map[string]*core.Controller
 	order  []string
 
-	// Sharding (SimConfig.Shards > 1; attacked world only). order keeps
-	// the base service names; cnames lists every controller (shard) name
-	// in deterministic order — equal to order when unsharded, so every
-	// loop below that drives controllers iterates cnames. routers maps
-	// each base name to its ShardedController, registered on the bus
-	// under the base name so live traffic routes by key.
-	shards  int
+	// Sharding (SimConfig.Shards; the golden world has one shard per
+	// service). order keeps the base service names; cnames lists every
+	// controller (shard) name in deterministic order, and every loop below
+	// that drives controllers iterates it. routers maps each base name to
+	// its ShardedController, registered on the bus under the base name so
+	// live traffic routes by key.
 	topo    *core.ShardTopology
 	cnames  []string
 	routers map[string]*core.ShardedController
@@ -411,7 +409,7 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 		apps:    map[string]*simApp{},
 		ctrls:   map[string]*core.Controller{},
 		routers: map[string]*core.ShardedController{},
-		shards:  1,
+		topo:    core.NewShardTopology(),
 	}
 	if faulted {
 		// Any deterministic derivation works; keep the fault stream
@@ -430,14 +428,7 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 		w.obs = obs.New(obs.DefaultRingCap)
 		ccfg.Obs = w.obs
 	}
-	if faulted && cfg.Shards > 1 {
-		w.shards = cfg.Shards
-		w.topo = core.NewShardTopology()
-		for i := 0; i < cfg.Services; i++ {
-			w.topo.SetShards(fmt.Sprintf("s%d", i), cfg.Shards)
-		}
-		ccfg.Topology = w.topo
-	}
+	ccfg.Topology = w.topo
 	if faulted {
 		// Every attacked run verifies vdb/repairlog index coherence at
 		// repair-wave start (pure reads under the lock — digest-neutral).
@@ -457,6 +448,9 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 
 	for i := 0; i < cfg.Services; i++ {
 		w.order = append(w.order, fmt.Sprintf("s%d", i))
+		if faulted {
+			w.topo.SetShards(w.order[i], cfg.Shards)
+		}
 	}
 	for i, name := range w.order {
 		var peers []string
@@ -470,21 +464,14 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 		// Peers are base names: a forwarded write reaches the peer's
 		// router, which routes it by key; the repair carriers it later
 		// spawns resolve the owning shard themselves (peerDest).
-		for s := 0; s < w.shards; s++ {
-			cname := w.shardName(name, s)
+		shards := make([]*core.Controller, w.topo.Shards(name))
+		for s, cname := range w.shardNames(name) {
 			w.apps[cname] = &simApp{name: cname, peers: peers}
 			w.cnames = append(w.cnames, cname)
-			w.addController(cname)
+			shards[s] = w.addController(cname)
 		}
-		if w.shards > 1 {
-			shardCtrls := make([]*core.Controller, w.shards)
-			for s := 0; s < w.shards; s++ {
-				shardCtrls[s] = w.ctrls[w.shardName(name, s)]
-			}
-			r := core.NewShardedController(name, w.topo, shardCtrls)
-			w.bus.Register(name, r)
-			w.routers[name] = r
-		}
+		w.routers[name] = core.NewShardedController(name, w.topo, shards)
+		w.bus.Register(name, w.routers[name])
 	}
 	if !faulted {
 		return w, nil
@@ -511,44 +498,27 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 	return w, nil
 }
 
-// shardName is the controller name of base's i-th shard ("s0#1"; the base
-// name itself when the world is unsharded).
-func (w *simWorld) shardName(base string, i int) string {
-	if w.topo == nil {
-		return base
-	}
-	return w.topo.ShardName(base, i)
-}
-
-// shardNames lists base's controller names in shard order.
+// shardNames lists base's controller names in shard order ("s0#0", "s0#1",
+// …; just "s0" for a one-shard service).
 func (w *simWorld) shardNames(base string) []string {
-	if w.shards <= 1 {
-		return []string{base}
-	}
-	names := make([]string, w.shards)
+	names := make([]string, w.topo.Shards(base))
 	for i := range names {
 		names[i] = w.topo.ShardName(base, i)
 	}
 	return names
 }
 
-// applyLocal issues repair actions at the named service's front door: the
-// router when sharded (each action dispatched to the shard that owns the
-// request ID or anchor it names), the controller itself when not.
-func (w *simWorld) applyLocal(base string, a warp.Action) (*warp.Result, error) {
-	if r := w.routers[base]; r != nil {
-		return r.ApplyLocal(a)
-	}
-	return w.ctrls[base].ApplyLocal(a)
-}
-
-// addController stands up (or replaces, after a crash) the controller for
-// the named service.
+// addController stands up (or replaces, after a crash) the named shard's
+// controller. A shard of a partitioned service is also registered under its
+// own name, so repair-plane peers can address it directly; a one-shard
+// service's shard shares the base name, which its router owns.
 func (w *simWorld) addController(name string) *core.Controller {
 	c := core.NewController(w.apps[name], w.net, w.ccfg)
 	c.InjectFaults(w.faults)
 	c.Svc.TimeSource = func() int64 { return simFrozenTime }
-	w.bus.Register(name, c)
+	if wire.ShardBaseName(name) != name {
+		w.bus.Register(name, c)
+	}
 	w.ctrls[name] = c
 	return c
 }
@@ -662,10 +632,8 @@ func (w *simWorld) crashRestart(base string) error {
 			}
 		}
 	}
-	if r := w.routers[base]; r != nil {
-		for i, name := range names {
-			r.SetShard(i, w.ctrls[name])
-		}
+	for i, name := range names {
+		w.routers[base].SetShard(i, w.ctrls[name])
 	}
 	if w.sched != nil {
 		for _, name := range names {
@@ -743,9 +711,6 @@ func (w *simWorld) heldMessages() []string {
 // kv contents as a client sees them through the router. A key stored on
 // two shards is a shard-map violation and fails loudly.
 func (w *simWorld) mergedKVState(base string) (map[string]string, error) {
-	if w.shards <= 1 {
-		return kvState(w.ctrls[base]), nil
-	}
 	out := map[string]string{}
 	for _, name := range w.shardNames(base) {
 		for k, v := range kvState(w.ctrls[name]) {
@@ -945,14 +910,14 @@ func (w *simWorld) applyEvent(ev simEvent, ops []simOp, creates []simCreate, res
 			return fmt.Errorf("sim: repair target op %d has no request ID", rep.opIdx)
 		}
 		if rep.cancel {
-			if _, err := w.applyLocal(w.order[0], warp.Action{Kind: warp.CancelReq, ReqID: id}); err != nil {
+			if _, err := w.routers[w.order[0]].ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: id}); err != nil {
 				return fmt.Errorf("sim: cancel %s: %w", id, err)
 			}
 			cancelled[rep.opIdx] = true
 		} else {
 			newReq := wire.NewRequest("POST", "/put").
 				WithForm("key", ops[rep.opIdx].key, "val", rep.newVal)
-			if _, err := w.applyLocal(w.order[0], warp.Action{Kind: warp.ReplaceReq, ReqID: id, NewReq: newReq}); err != nil {
+			if _, err := w.routers[w.order[0]].ApplyLocal(warp.Action{Kind: warp.ReplaceReq, ReqID: id, NewReq: newReq}); err != nil {
 				return fmt.Errorf("sim: replace %s: %w", id, err)
 			}
 			replaced[rep.opIdx] = rep.newVal
@@ -970,7 +935,7 @@ func (w *simWorld) applyEvent(ev simEvent, ops []simOp, creates []simCreate, res
 		// timeline, which is exactly where the golden world runs it. Under
 		// sharding the anchor's ID names its owning shard, so the create
 		// lands on — and cascades from — the shard that executed the put.
-		if _, err := w.applyLocal(w.order[0], warp.Action{Kind: warp.CreateReq, NewReq: newReq, BeforeID: anchorID}); err != nil {
+		if _, err := w.routers[w.order[0]].ApplyLocal(warp.Action{Kind: warp.CreateReq, NewReq: newReq, BeforeID: anchorID}); err != nil {
 			return fmt.Errorf("sim: create %s: %w", cr.key, err)
 		}
 		res.CreateCount++

@@ -372,19 +372,9 @@ func (n *Net) partitionedLocked(from, to string) bool {
 	// Partitions are declared over base service names; a shard of a
 	// partitioned service ("svc#3") sits on the same side of the cut as
 	// its siblings — a network partition severs hosts, not shards.
-	gf, okf := n.group[shardBase(from)]
-	gt, okt := n.group[shardBase(to)]
+	gf, okf := n.group[wire.ShardBaseName(from)]
+	gt, okt := n.group[wire.ShardBaseName(to)]
 	return okf && okt && gf != gt
-}
-
-// shardBase strips a core.ShardTopology shard qualifier ("svc#3" ->
-// "svc"); identity for unqualified names. Duplicated here rather than
-// imported so simnet stays dependency-free of core.
-func shardBase(name string) string {
-	if i := strings.IndexByte(name, '#'); i >= 0 {
-		return name[:i]
-	}
-	return name
 }
 
 func (n *Net) noteLocked(fault, from, to, path string) {

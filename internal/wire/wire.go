@@ -91,13 +91,12 @@ const (
 	HdrNackSeq     = "Aire-Nack-Seq"
 	HdrReoffer     = "Aire-Reoffer"
 	HdrBodySum     = "Aire-Body-Sum"
-	// HdrShard names the destination shard of a repair-plane carrier when
-	// the receiving service is horizontally sharded (core.ShardTopology).
-	// The sender resolves the shard from the deterministic key→shard map
-	// (or from the shard-qualified request ID the carrier already names)
-	// and stamps it so a router can dispatch without re-deriving the key,
-	// and a shard can refuse a carrier addressed to a sibling. Routing
-	// metadata only: it never influences repair semantics or dedup.
+	// HdrShard names the destination shard (ShardName) of a frame sent to
+	// one shard of a partitioned service. The sender resolves the shard
+	// (core.ShardTopology.Route) and stamps it so the service's router can
+	// dispatch without re-deriving it, and a shard can refuse a frame
+	// addressed to a sibling. Routing metadata only: it never influences
+	// repair semantics or dedup.
 	HdrShard = "Aire-Shard"
 )
 
