@@ -20,7 +20,7 @@ SIM_PROFILE ?= mixed
 # oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route fuzz-vdb
 
 all: build
 
@@ -118,6 +118,16 @@ fuzz-log:
 fuzz-route:
 	$(GO) test -run 'TestShardRoute' -fuzz FuzzShardRoute -fuzztime 30s ./internal/core
 
+# Member-index fuzzing smoke: the blocked sorted ID set's property test
+# plus a short coverage-guided run of insert/remove sequences checked
+# against a flat sorted-slice oracle (same contents, no empty or overfull
+# block, global order). An input is a long operation sequence, so
+# minimizing each new one is capped at 1s; the default 60s would spend the
+# whole window minimizing. Longer local runs:
+#   go test -run '^$$' -fuzz FuzzIDSet -fuzztime 5m -fuzzminimizetime 1s ./internal/vdb
+fuzz-vdb:
+	$(GO) test -run 'TestIDSet' -fuzz FuzzIDSet -fuzztime 30s -fuzzminimizetime 1s ./internal/vdb
+
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker
 # interleavings, seed-reproducible. A failing seed prints its step count;
@@ -143,4 +153,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route bench-obs
+ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route fuzz-vdb bench-obs

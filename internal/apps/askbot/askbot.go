@@ -9,7 +9,7 @@
 package askbot
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"aire/internal/core"
@@ -119,7 +119,7 @@ func (a *App) Register(svc *web.Service) {
 		}
 		// Like the real Askbot, a post also records a revision, an
 		// activity-feed entry, and bumps the author's profile counters.
-		now := fmt.Sprint(c.Now())
+		now := strconv.FormatInt(c.Now(), 10)
 		if err := c.DB.Put(ModelRevision, "rev-"+c.NewID(), orm.Fields(
 			"post", qid, "body", body, "author", user, "at", now)); err != nil {
 			return c.Error(500, err.Error())
@@ -129,8 +129,8 @@ func (a *App) Register(svc *web.Service) {
 			return c.Error(500, err.Error())
 		}
 		if _, err := c.DB.Update(ModelUser, user, func(f map[string]string) {
-			f["posts"] = fmt.Sprint(atoi(f["posts"]) + 1)
-			f["reputation"] = fmt.Sprint(atoi(f["reputation"]) + 2)
+			f["posts"] = strconv.Itoa(atoi(f["posts"]) + 1)
+			f["reputation"] = strconv.Itoa(atoi(f["reputation"]) + 2)
 		}); err != nil {
 			return c.Error(500, err.Error())
 		}
@@ -144,7 +144,7 @@ func (a *App) Register(svc *web.Service) {
 			if o, ok := c.DB.Get(ModelTag, tag); ok {
 				n = o.Int("count")
 			}
-			if err := c.DB.Put(ModelTag, tag, orm.Fields("count", fmt.Sprint(n+1))); err != nil {
+			if err := c.DB.Put(ModelTag, tag, orm.Fields("count", strconv.Itoa(n+1))); err != nil {
 				return c.Error(500, err.Error())
 			}
 		}
@@ -193,7 +193,7 @@ func (a *App) Register(svc *web.Service) {
 			delta = 7
 		}
 		if _, err := c.DB.Update(ModelUser, q.Get("author"), func(f map[string]string) {
-			f["reputation"] = fmt.Sprint(atoi(f["reputation"]) + delta)
+			f["reputation"] = strconv.Itoa(atoi(f["reputation"]) + delta)
 		}); err != nil {
 			return c.Error(500, err.Error())
 		}
@@ -202,11 +202,14 @@ func (a *App) Register(svc *web.Service) {
 
 	// GET /tags lists tag usage counts.
 	svc.Router.Handle("GET", "/tags", func(c *web.Ctx) wire.Response {
-		var b strings.Builder
+		var b []byte
 		for _, tg := range c.DB.List(ModelTag) {
-			fmt.Fprintf(&b, "%s=%s\n", tg.ID, tg.Get("count"))
+			b = append(b, tg.ID...)
+			b = append(b, '=')
+			b = append(b, tg.Get("count")...)
+			b = append(b, '\n')
 		}
-		return c.OK(b.String())
+		return c.OKBytes(b)
 	})
 
 	// POST /answer posts an answer to a question.
@@ -231,23 +234,19 @@ func (a *App) Register(svc *web.Service) {
 	// workload of Table 4). Like the real page, it joins each question with
 	// its author's profile and renders markup.
 	svc.Router.Handle("GET", "/questions", func(c *web.Ctx) wire.Response {
-		var b strings.Builder
-		b.WriteString("<html><body><h1>All Questions</h1><ul>\n")
-		for _, q := range c.DB.List(ModelQuestion) {
+		qs := c.DB.List(ModelQuestion)
+		b := make([]byte, 0, len(questionsHead)+len(questionsTail)+questionRowSize*len(qs))
+		b = append(b, questionsHead...)
+		for _, q := range qs {
 			author := q.Get("author")
 			rep := "?"
 			if u, ok := c.DB.Get(ModelUser, author); ok {
 				rep = u.Get("reputation")
 			}
-			fmt.Fprintf(&b, "<li id=%q><a>%s</a> <span class=author>%s (rep %s)</span>",
-				q.ID, escape(q.Get("title")), escape(author), rep)
-			if p := q.Get("paste_id"); p != "" {
-				fmt.Fprintf(&b, " <a class=code href=\"dpaste://%s\">code</a>", p)
-			}
-			b.WriteString("</li>\n")
+			b = appendQuestionRow(b, q.ID, q.Get("title"), author, rep, q.Get("paste_id"))
 		}
-		b.WriteString("</ul></body></html>\n")
-		return c.OK(b.String())
+		b = append(b, questionsTail...)
+		return c.OKBytes(b)
 	})
 
 	// GET /question shows one question with its answers.
@@ -256,14 +255,13 @@ func (a *App) Register(svc *web.Service) {
 		if !ok {
 			return c.Error(404, "no such question")
 		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "%q by %s\n%s\n", q.Get("title"), q.Get("author"), q.Get("body"))
+		b := appendQuestion(nil, q.Get("title"), q.Get("author"), q.Get("body"))
 		for _, ans := range c.DB.Select(ModelAnswer, func(o orm.Obj) bool {
 			return o.Get("question") == c.Form("id")
 		}) {
-			fmt.Fprintf(&b, "answer by %s: %s\n", ans.Get("author"), ans.Get("body"))
+			b = appendAnswer(b, ans.Get("author"), ans.Get("body"))
 		}
-		return c.OK(b.String())
+		return c.OKBytes(b)
 	})
 
 	// POST /admin/daily_email sends the daily activity summary — an
@@ -273,11 +271,14 @@ func (a *App) Register(svc *web.Service) {
 		if c.Header("X-Admin-Token") != a.AdminToken {
 			return c.Error(403, "admin token required")
 		}
-		var b strings.Builder
+		b := []byte("daily summary: ")
 		for _, q := range c.DB.List(ModelQuestion) {
-			fmt.Fprintf(&b, "%s by %s; ", q.Get("title"), q.Get("author"))
+			b = append(b, q.Get("title")...)
+			b = append(b, " by "...)
+			b = append(b, q.Get("author")...)
+			b = append(b, "; "...)
 		}
-		c.Effect("email", "daily summary: "+b.String())
+		c.Effect("email", string(b))
 		return c.OK("email sent")
 	})
 }
@@ -301,12 +302,94 @@ func atoi(s string) int {
 	return n
 }
 
-// htmlEscaper is built once: a strings.Replacer is safe for concurrent use,
-// and building one costs a ~6 KB table.
-var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+// The pages render by appending into one []byte. Re-execution compares a
+// replayed response with the original byte for byte, so these renderers
+// must keep producing exactly what the fmt verbs they replaced did
+// (render_test.go keeps those fmt renderers as the oracle).
 
-// escape performs minimal HTML escaping for rendered pages.
-func escape(s string) string { return htmlEscaper.Replace(s) }
+const (
+	questionsHead = "<html><body><h1>All Questions</h1><ul>\n"
+	questionsTail = "</ul></body></html>\n"
+	// questionRowSize is a typical rendered /questions row, to size the
+	// page buffer up front.
+	questionRowSize = 128
+)
+
+// appendQuestionRow renders one /questions row.
+func appendQuestionRow(b []byte, id, title, author, rep, pasteID string) []byte {
+	b = append(b, "<li id="...)
+	b = appendQuoted(b, id)
+	b = append(b, "><a>"...)
+	b = appendEscaped(b, title)
+	b = append(b, "</a> <span class=author>"...)
+	b = appendEscaped(b, author)
+	b = append(b, " (rep "...)
+	b = append(b, rep...)
+	b = append(b, ")</span>"...)
+	if pasteID != "" {
+		b = append(b, ` <a class=code href="dpaste://`...)
+		b = append(b, pasteID...)
+		b = append(b, `">code</a>`...)
+	}
+	return append(b, "</li>\n"...)
+}
+
+// appendQuestion renders the head of the /question page.
+func appendQuestion(b []byte, title, author, body string) []byte {
+	b = appendQuoted(b, title)
+	b = append(b, " by "...)
+	b = append(b, author...)
+	b = append(b, '\n')
+	b = append(b, body...)
+	return append(b, '\n')
+}
+
+// appendAnswer renders one answer line of the /question page.
+func appendAnswer(b []byte, author, body string) []byte {
+	b = append(b, "answer by "...)
+	b = append(b, author...)
+	b = append(b, ": "...)
+	b = append(b, body...)
+	return append(b, '\n')
+}
+
+// appendQuoted appends s as a double-quoted Go string literal, exactly as
+// strconv.Quote (and fmt's %q) writes it. Printable ASCII without quote or
+// backslash, what minted IDs and most titles are, is copied as is.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendEscaped appends s with minimal HTML escaping (&, <, >, ").
+func appendEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&quot;"
+		default:
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
+		last = i + 1
+	}
+	return append(b, s[last:]...)
+}
 
 func (a *App) sessionUser(c *web.Ctx) (string, bool) {
 	s, ok := c.DB.Get(ModelSession, c.Form("session"))

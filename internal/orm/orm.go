@@ -213,22 +213,16 @@ func (tx *Tx) Update(model, id string, fn func(map[string]string)) (bool, error)
 }
 
 // List returns all live objects of the model at tx.At, sorted by ID,
-// recording a scan dependency over the model.
+// recording a scan dependency over the model. The objects and the scan
+// fingerprint come from one walk of the model's members (vdb.Store.ListAt).
 func (tx *Tx) List(model string) []Obj {
-	if tx.Deps != nil && !tx.Schema.IsVersioned(model) {
-		tx.Deps.Scans = append(tx.Deps.Scans, repairlog.ScanDep{
-			Model: model,
-			Hash:  tx.Store.ScanHashAtExcluding(model, tx.At, tx.ReqID),
-		})
+	members, fp := tx.Store.ListAt(model, tx.At, tx.ReqID)
+	out := make([]Obj, len(members))
+	for i, m := range members {
+		out[i] = Obj{ID: m.ID, f: m.Version.Fields}
 	}
-	ids := tx.Store.IDsAt(model, tx.At)
-	out := make([]Obj, 0, len(ids))
-	for _, id := range ids {
-		v, ok := tx.Store.ViewAt(vdb.Key{Model: model, ID: id}, tx.At)
-		if !ok {
-			continue
-		}
-		out = append(out, Obj{ID: id, f: v.Fields})
+	if tx.Deps != nil && !tx.Schema.IsVersioned(model) {
+		tx.Deps.Scans = append(tx.Deps.Scans, repairlog.ScanDep{Model: model, Hash: fp})
 	}
 	return out
 }

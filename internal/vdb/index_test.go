@@ -2,7 +2,9 @@ package vdb
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -207,5 +209,98 @@ func TestIndexBytesAccounting(t *testing.T) {
 	}
 	if got := s.IndexBytes(); got <= base {
 		t.Fatalf("IndexBytes did not grow with a new model+member: %d -> %d", base, got)
+	}
+}
+
+// listAtMatches checks one ListAt call against both references: the
+// indexed ScanHashAtExcluding plus IDsAt and ViewAt, and their linear
+// twins.
+func listAtMatches(t *testing.T, s *Store, model string, ts int64, req string) {
+	t.Helper()
+	members, fp := s.ListAt(model, ts, req)
+	var ids []string
+	for _, m := range members {
+		ids = append(ids, m.ID)
+	}
+	if want := s.ScanHashAtExcluding(model, ts, req); fp != want {
+		t.Fatalf("ListAt(%q, %d, %q) fingerprint %#x, ScanHashAtExcluding %#x", model, ts, req, fp, want)
+	}
+	if want := s.ScanHashAtExcludingLinear(model, ts, req); fp != want {
+		t.Fatalf("ListAt(%q, %d, %q) fingerprint %#x, linear reference %#x", model, ts, req, fp, want)
+	}
+	for _, want := range [][]string{s.IDsAt(model, ts), s.IDsAtLinear(model, ts)} {
+		if len(ids) != len(want) || len(ids) > 0 && !reflect.DeepEqual(ids, want) {
+			t.Fatalf("ListAt(%q, %d) IDs %v, reference %v", model, ts, ids, want)
+		}
+	}
+	for i, id := range ids {
+		want, ok := s.ViewAt(Key{Model: model, ID: id}, ts)
+		if !ok || !reflect.DeepEqual(members[i].Version, want) {
+			t.Fatalf("ListAt(%q, %d) version of %q = %+v, ViewAt %+v (live %v)", model, ts, id, members[i].Version, want, ok)
+		}
+	}
+}
+
+// TestListAtMatchesReferences runs random histories — several requests
+// writing, overwriting their own writes, deleting, rolling back and
+// creating immutable objects — and checks the one-walk listing at every
+// timestamp, present and historical, for every request's mask.
+func TestListAtMatchesReferences(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		reqs := []string{"r0", "r1", "r2", "r3"}
+		ts := int64(0)
+		for op := 0; op < 300; op++ {
+			ts += int64(1 + rng.Intn(2))
+			k := Key{Model: "kv", ID: fmt.Sprintf("k%d", rng.Intn(40))}
+			req := reqs[rng.Intn(len(reqs))]
+			switch r := rng.Intn(10); {
+			case r < 5:
+				s.Put(k, fields(fmt.Sprint(rng.Intn(5))), ts, req)
+				if rng.Intn(4) == 0 { // the same request overwrites its own write
+					s.Put(k, fields("own"), ts, req)
+				}
+			case r < 7:
+				s.Delete(k, ts, req)
+			case r < 9:
+				s.Rollback(k, ts-int64(rng.Intn(20)))
+			default:
+				s.PutImmutable(Key{Model: "kv", ID: fmt.Sprintf("v%d", rng.Intn(10))}, fields("frozen"), ts, req)
+			}
+		}
+		for _, at := range []int64{0, 1, ts / 4, ts / 2, ts - 1, ts, ts + 100} {
+			for _, req := range append(reqs, "r-none") {
+				listAtMatches(t, s, "kv", at, req)
+			}
+		}
+		listAtMatches(t, s, "absent", ts, "r0")
+		if err := s.VerifyIndexes(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestReplayManyCreates is WAL recovery's shape: 50k creates replayed in
+// idgen order, whose IDs are not zero-padded and so land all over the
+// member order. The member set must come out sorted, complete and coherent.
+func TestReplayManyCreates(t *testing.T) {
+	const n = 50000
+	s := NewStore()
+	want := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("q-askbot-req-%d.0", i)
+		v := Version{TS: int64(i + 1), ReqID: fmt.Sprintf("askbot-req-%d", i), Fields: fields("t")}
+		if err := s.ApplyChange(Change{Kind: "put", Key: Key{Model: "question", ID: id}, Version: &v}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	if err := s.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(want)
+	if got := s.IDs("question"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed IDs differ from the sorted creates (%d vs %d)", len(got), len(want))
 	}
 }

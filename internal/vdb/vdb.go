@@ -107,14 +107,14 @@ func (v Version) Hash() uint64 {
 // no live object.
 const MissingHash uint64 = 0
 
-// modelIndex is the per-model secondary index: the sorted member list (every
+// modelIndex is the per-model secondary index: the sorted member set (every
 // object of the model with at least one version) plus an incrementally
 // maintained fingerprint of the model's current live scan state. It lets
 // IDs/IDsAt/ScanHashAt(Excluding) walk only the model's members instead of
 // the whole object map, and answers present-time scan fingerprints in O(1).
 type modelIndex struct {
-	// ids is the sorted list of member object IDs (live or tombstoned).
-	ids []string
+	// ids is the sorted set of member object IDs (live or tombstoned).
+	ids idSet
 	// curFP is the commutative scan fingerprint of the model's present
 	// state: the wrapping sum of scanContrib(id, hash) over live members,
 	// updated on every Put/Delete/Rollback.
@@ -183,29 +183,17 @@ func liveContribLocked(k Key, vs []Version) uint64 {
 	return scanContrib(k.ID, last.Hash())
 }
 
-// indexInsertLocked adds the object to its model's member list (no-op if
+// indexInsertLocked adds the object to its model's member set (no-op if
 // already present). Caller holds mu.
 func (s *Store) indexInsertLocked(k Key) {
-	idx := s.model(k.Model)
-	i := sort.SearchStrings(idx.ids, k.ID)
-	if i < len(idx.ids) && idx.ids[i] == k.ID {
-		return
-	}
-	idx.ids = append(idx.ids, "")
-	copy(idx.ids[i+1:], idx.ids[i:])
-	idx.ids[i] = k.ID
+	s.model(k.Model).ids.insert(k.ID)
 }
 
-// indexRemoveLocked drops the object from its model's member list (when its
+// indexRemoveLocked drops the object from its model's member set (when its
 // last version is removed). Caller holds mu.
 func (s *Store) indexRemoveLocked(k Key) {
-	idx := s.models[k.Model]
-	if idx == nil {
-		return
-	}
-	i := sort.SearchStrings(idx.ids, k.ID)
-	if i < len(idx.ids) && idx.ids[i] == k.ID {
-		idx.ids = append(idx.ids[:i], idx.ids[i+1:]...)
+	if idx := s.models[k.Model]; idx != nil {
+		idx.ids.remove(k.ID)
 	}
 }
 
@@ -440,14 +428,57 @@ func (s *Store) ScanHashAtExcluding(model string, ts int64, reqID string) uint64
 	if idx == nil {
 		return 0
 	}
-	for _, id := range idx.ids {
-		vh := s.hashAtExcludingLocked(Key{Model: model, ID: id}, ts, reqID)
-		if vh == MissingHash {
-			continue
+	for _, b := range idx.ids.blocks {
+		for _, id := range b {
+			vh := s.hashAtExcludingLocked(Key{Model: model, ID: id}, ts, reqID)
+			if vh == MissingHash {
+				continue
+			}
+			fp += scanContrib(id, vh)
 		}
-		fp += scanContrib(id, vh)
 	}
 	return fp
+}
+
+// Member is one object a ListAt walk found live: its ID and the version
+// visible at the walk's timestamp (the store's own, as ViewAt returns it).
+type Member struct {
+	ID      string
+	Version Version
+}
+
+// ListAt is List's store half: one walk of the model's members, in ID
+// order, under one read lock. It returns the members live at ts, and the
+// scan fingerprint ScanHashAtExcluding(model, ts, reqID) would return,
+// computed in the same walk, so the listing and its fingerprint are one
+// consistent snapshot.
+func (s *Store) ListAt(model string, ts int64, reqID string) ([]Member, uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	idx := s.models[model]
+	if idx == nil {
+		return nil, 0
+	}
+	out := make([]Member, 0, idx.ids.len())
+	var fp uint64
+	for _, b := range idx.ids.blocks {
+		for _, id := range b {
+			vs := s.objects[Key{Model: model, ID: id}]
+			i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
+			if i > 0 && !vs[i-1].Deleted {
+				out = append(out, Member{ID: id, Version: vs[i-1]})
+			}
+			// The fingerprint masks reqID's own (coalesced, so single)
+			// version, as hashAtExcludingLocked does.
+			if i > 0 && vs[i-1].ReqID == reqID && !vs[i-1].Immutable {
+				i--
+			}
+			if i > 0 && !vs[i-1].Deleted {
+				fp += scanContrib(id, vs[i-1].Hash())
+			}
+		}
+	}
+	return out, fp
 }
 
 // ScanHashAtExcludingLinear is the pre-index reference implementation of
@@ -540,12 +571,14 @@ func (s *Store) IDs(model string) []string {
 		return nil
 	}
 	var ids []string
-	for _, id := range idx.ids {
-		vs := s.objects[Key{Model: model, ID: id}]
-		if len(vs) == 0 || vs[len(vs)-1].Deleted {
-			continue
+	for _, b := range idx.ids.blocks {
+		for _, id := range b {
+			vs := s.objects[Key{Model: model, ID: id}]
+			if len(vs) == 0 || vs[len(vs)-1].Deleted {
+				continue
+			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
 	}
 	return ids
 }
@@ -559,13 +592,15 @@ func (s *Store) IDsAt(model string, ts int64) []string {
 		return nil
 	}
 	var ids []string
-	for _, id := range idx.ids {
-		vs := s.objects[Key{Model: model, ID: id}]
-		i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
-		if i == 0 || vs[i-1].Deleted {
-			continue
+	for _, b := range idx.ids.blocks {
+		for _, id := range b {
+			vs := s.objects[Key{Model: model, ID: id}]
+			i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
+			if i == 0 || vs[i-1].Deleted {
+				continue
+			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
 	}
 	return ids
 }
@@ -612,12 +647,14 @@ func (s *Store) ScanHashAt(model string, ts int64) uint64 {
 		return idx.curFP
 	}
 	var fp uint64
-	for _, id := range idx.ids {
-		vh := s.hashAtLocked(Key{Model: model, ID: id}, ts)
-		if vh == MissingHash {
-			continue
+	for _, b := range idx.ids.blocks {
+		for _, id := range b {
+			vh := s.hashAtLocked(Key{Model: model, ID: id}, ts)
+			if vh == MissingHash {
+				continue
+			}
+			fp += scanContrib(id, vh)
 		}
-		fp += scanContrib(id, vh)
 	}
 	return fp
 }
@@ -682,7 +719,7 @@ func (s *Store) VersionBytes() int64 {
 }
 
 // IndexBytes estimates the memory footprint of the store's secondary
-// index layer: the per-model sorted member lists plus the incrementally
+// index layer: the per-model sorted member sets plus the incrementally
 // maintained scan fingerprints. Table 4's "DB" accounting (VersionBytes)
 // deliberately mirrors the paper and ignores this overhead; IndexBytes
 // makes it visible so storage-cost claims can include it (ROADMAP: "index
@@ -693,10 +730,13 @@ func (s *Store) IndexBytes() int64 {
 	defer s.mu.RUnlock()
 	var n int64
 	for name, idx := range s.models {
-		// map slot + model name + modelIndex (slice header, curFP, lastTS).
-		n += int64(len(name)) + 16 + 40
-		for _, id := range idx.ids {
-			n += int64(len(id)) + 16 // member slot: string header + bytes
+		// map slot + model name + modelIndex (idSet, curFP, lastTS).
+		n += int64(len(name)) + 16 + 48
+		for _, b := range idx.ids.blocks {
+			n += 24 // the block's slice header
+			for _, id := range b {
+				n += int64(len(id)) + 16 // member slot: string header + bytes
+			}
 		}
 	}
 	return n

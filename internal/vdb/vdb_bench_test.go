@@ -2,6 +2,7 @@ package vdb
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 )
 
@@ -23,6 +24,32 @@ func BenchmarkPut(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Put(Key{"kv", "x"}, f, int64(i+1)*10, fmt.Sprintf("r%d", i))
+	}
+}
+
+// BenchmarkPutNewKeys creates an object in a model of n members and rolls
+// it back out, so n stays put. The IDs are idgen-shaped and not
+// zero-padded, so each lands inside the member order: the member index
+// moves at most one block per insert, and the cost stays flat from 1k to
+// 100k members.
+func BenchmarkPutNewKeys(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			s := NewStore()
+			f := fields("value")
+			for i := 0; i < n; i++ {
+				s.Put(Key{"question", fmt.Sprintf("q-askbot-req-%d.0", i)}, f, int64(i+1), "seed")
+			}
+			ts := int64(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts++
+				k := Key{"question", "q-askbot-req-" + strconv.Itoa(n+i) + ".0"}
+				s.Put(k, f, ts, "r")
+				s.Rollback(k, ts-1)
+			}
+		})
 	}
 }
 

@@ -1,5 +1,5 @@
 // Index-coherence verification. The per-model secondary indexes (sorted
-// member lists, incrementally maintained scan fingerprints) are derived
+// member sets, incrementally maintained scan fingerprints) are derived
 // state: every mutation path — Put, Delete, Rollback, GC, Restore, WAL
 // replay — must leave them consistent with the primary object map, or scans
 // silently return wrong answers long after the bug that drifted them.
@@ -10,15 +10,13 @@
 // immediate loud failure.
 package vdb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VerifyIndexes cross-checks the per-model secondary indexes against the
 // primary object map and returns the first inconsistency found (nil when
-// coherent). It verifies that every member list is sorted and duplicate-free,
-// that member lists and the object map name exactly the same keys, and that
+// coherent). It verifies that every member set keeps its block layout (no
+// empty or overfull block) and is sorted and duplicate-free across blocks,
+// that member sets and the object map name exactly the same keys, and that
 // each model's scan fingerprint equals the recomputed contribution sum of its
 // live members. lastTS is not checked: it is a fast-path high-water mark that
 // Rollback legitimately leaves above any remaining version.
@@ -29,20 +27,23 @@ import (
 func (s *Store) VerifyIndexes() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Member lists: sorted, unique, and every member backed by an object.
+	// Member sets: well-formed, sorted, unique, and every member backed by
+	// an object.
 	for m, idx := range s.models {
-		for i, id := range idx.ids {
-			if i > 0 && idx.ids[i-1] >= id {
-				return fmt.Errorf("vdb: model %q member list unsorted at %d: %q then %q", m, i, idx.ids[i-1], id)
-			}
-			if len(s.objects[Key{Model: m, ID: id}]) == 0 {
-				return fmt.Errorf("vdb: model %q indexes member %q but the store holds no versions for it", m, id)
+		if err := idx.ids.check(); err != nil {
+			return fmt.Errorf("vdb: model %q member set: %v", m, err)
+		}
+		for _, b := range idx.ids.blocks {
+			for _, id := range b {
+				if len(s.objects[Key{Model: m, ID: id}]) == 0 {
+					return fmt.Errorf("vdb: model %q indexes member %q but the store holds no versions for it", m, id)
+				}
 			}
 		}
 	}
 	// Every object is a member of its model's index. Together with the pass
-	// above (every member is an object, lists sorted and unique) this makes
-	// each member list exactly the model's key set.
+	// above (every member is an object, sets sorted and unique) this makes
+	// each member set exactly the model's key set.
 	for k, vs := range s.objects {
 		if len(vs) == 0 {
 			return fmt.Errorf("vdb: object %s/%s present with zero versions", k.Model, k.ID)
@@ -51,8 +52,7 @@ func (s *Store) VerifyIndexes() error {
 		if idx == nil {
 			return fmt.Errorf("vdb: object %s/%s has no model index", k.Model, k.ID)
 		}
-		i := sort.SearchStrings(idx.ids, k.ID)
-		if i >= len(idx.ids) || idx.ids[i] != k.ID {
+		if !idx.ids.has(k.ID) {
 			return fmt.Errorf("vdb: object %s/%s missing from model %q member list", k.Model, k.ID, k.Model)
 		}
 	}
@@ -60,9 +60,11 @@ func (s *Store) VerifyIndexes() error {
 	// wrapping contribution sum recomputed from the live members.
 	for m, idx := range s.models {
 		var want uint64
-		for _, id := range idx.ids {
-			k := Key{Model: m, ID: id}
-			want += liveContribLocked(k, s.objects[k])
+		for _, b := range idx.ids.blocks {
+			for _, id := range b {
+				k := Key{Model: m, ID: id}
+				want += liveContribLocked(k, s.objects[k])
+			}
 		}
 		if want != idx.curFP {
 			return fmt.Errorf("vdb: model %q scan fingerprint drift: index holds %#x, live members sum to %#x", m, idx.curFP, want)
@@ -81,7 +83,7 @@ func (s *Store) CorruptScanFPForTest(model string) {
 	s.model(model).curFP++
 }
 
-// DropIndexEntryForTest removes an object from its model's member list
+// DropIndexEntryForTest removes an object from its model's member set
 // without touching the object itself, simulating a lost index insert. Test
 // hook only.
 func (s *Store) DropIndexEntryForTest(k Key) {

@@ -1,6 +1,7 @@
 package vdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -64,13 +65,40 @@ func TestVerifyIndexesDetectsCorruption(t *testing.T) {
 		{
 			name: "unsorted member list",
 			corrupt: func(s *Store) {
-				ids := s.models["user"].ids
-				if len(ids) < 2 {
+				b := s.models["user"].ids.blocks[0]
+				if len(b) < 2 {
 					t.Skip("need two members")
 				}
-				ids[0], ids[1] = ids[1], ids[0]
+				b[0], b[1] = b[1], b[0]
 			},
 			want: "unsorted",
+		},
+		{
+			// Each block stays sorted on its own; only the order between
+			// two blocks breaks.
+			name: "unsorted across blocks",
+			corrupt: func(s *Store) {
+				for i := 0; i < idBlockCap; i++ {
+					if err := s.Put(Key{Model: "user", ID: fmt.Sprintf("v%d", i)}, map[string]string{"n": "x"}, 10, "r10"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				blocks := s.models["user"].ids.blocks
+				if len(blocks) < 2 {
+					t.Fatalf("want two blocks, have %d", len(blocks))
+				}
+				lo, hi := blocks[0], blocks[1]
+				lo[len(lo)-1], hi[0] = hi[0], lo[len(lo)-1]
+			},
+			want: "unsorted",
+		},
+		{
+			name: "empty block",
+			corrupt: func(s *Store) {
+				ids := &s.models["user"].ids
+				ids.blocks = append(ids.blocks, []string{})
+			},
+			want: "empty block",
 		},
 		{
 			name:    "test hook",

@@ -336,5 +336,15 @@ func (c *Ctx) Effect(kind, payload string) {
 // OK builds a 200 response with a string body.
 func (c *Ctx) OK(body string) wire.Response { return wire.NewResponse(200, body) }
 
+// OKBytes is OK for a body the handler rendered into a []byte: the
+// response takes body over instead of copying it, so the handler must not
+// touch it afterwards. A nil body answers as OK("") does.
+func (c *Ctx) OKBytes(body []byte) wire.Response {
+	if body == nil {
+		body = []byte{}
+	}
+	return wire.Response{Status: 200, Header: map[string]string{}, Body: body}
+}
+
 // Error builds an error response with the given status and message.
 func (c *Ctx) Error(status int, msg string) wire.Response { return wire.NewResponse(status, msg) }
