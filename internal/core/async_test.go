@@ -65,7 +65,7 @@ func TestNeverOnlinePeerNotifiesAdmin(t *testing.T) {
 	if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < DefaultConfig().MaxAttempts+1; i++ {
+	for i := 0; i < MaxAttempts+1; i++ {
 		a.Flush()
 	}
 

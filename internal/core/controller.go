@@ -111,13 +111,6 @@ type Caller interface {
 
 // Config tunes a controller.
 type Config struct {
-	// Engine configures the local repair engine.
-	Engine warp.Config
-	// MaxAttempts is how many times a reachable peer may reject one queued
-	// repair message before it is parked and the application notified (it
-	// can still be revived with Retry), and how many consecutive transport
-	// failures make a backing-off peer "unreachable" to the administrator.
-	MaxAttempts int
 	// PumpWorkers bounds how many peers the background pump delivers to
 	// concurrently (0 means a small default). Batches to the same peer are
 	// never concurrent: per-peer FIFO order is preserved.
@@ -162,9 +155,10 @@ type Config struct {
 	Topology *ShardTopology
 }
 
-// DefaultConfig returns the configuration used throughout the experiments.
+// DefaultConfig returns the configuration used throughout the experiments:
+// every field at its zero value, which each field documents.
 func DefaultConfig() Config {
-	return Config{Engine: warp.DefaultConfig(), MaxAttempts: 3}
+	return Config{}
 }
 
 // PendingMsg is a repair message in the outgoing queue.
@@ -323,7 +317,7 @@ func NewController(app App, net Caller, cfg Config) *Controller {
 		AppImpl:   app,
 		Net:       net,
 		Cfg:       cfg,
-		Engine:    &warp.Engine{Svc: svc, Cfg: cfg.Engine},
+		Engine:    &warp.Engine{Svc: svc},
 		tokens:    make(map[string]tokenEntry),
 		mailboxes: make(map[string][]string),
 		dedup:     deliver.NewInbox(),

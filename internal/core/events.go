@@ -22,7 +22,7 @@ const (
 	// EvMsgDelivered: a repair message reached its peer.
 	EvMsgDelivered EventKind = "msg-delivered"
 	// EvMsgHeld: a repair message was parked (unauthorized, or rejected
-	// MaxAttempts times).
+	// [MaxAttempts] times).
 	EvMsgHeld EventKind = "msg-held"
 	// EvDupDelivery: an incoming repair delivery was re-acknowledged
 	// without re-applying (the exactly-once dedup inbox recognized it).

@@ -65,6 +65,12 @@ func backoffDelay(n int) time.Duration {
 	return min(d, BackoffMax)
 }
 
+// MaxAttempts is how many times a reachable peer may reject one queued
+// repair message before it is parked and the application notified (it can
+// still be revived with Retry), and how many consecutive transport failures
+// make a backing-off peer "unreachable" to the administrator.
+const MaxAttempts = 3
+
 // Pump tuning defaults (Config fields left zero).
 const (
 	defaultPumpWorkers  = 4
@@ -412,7 +418,7 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		// recovery would park it instantly.
 		ps.failures++
 		ps.nextTry = c.now().Add(backoffDelay(ps.failures))
-		if ps.failures >= c.Cfg.MaxAttempts && !ps.notified {
+		if ps.failures >= MaxAttempts && !ps.notified {
 			ps.notified = true
 			failed := &cl.snap[failAt]
 			notes = append(notes, Notification{
@@ -546,7 +552,7 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 			// The peer is up but rejected this one message: charge it alone.
 			if f {
 				p.Attempts++
-				if p.Attempts >= c.Cfg.MaxAttempts {
+				if p.Attempts >= MaxAttempts {
 					p.Held = true
 					held[j] = p.Attempts
 				}

@@ -301,14 +301,14 @@ func TestMessageSpecificFailureDoesNotBlockBatch(t *testing.T) {
 		createMsg("sink", 2),
 	}, traceCtx{})
 
-	for i := 0; i < DefaultConfig().MaxAttempts; i++ {
+	for i := 0; i < MaxAttempts; i++ {
 		hub.Flush()
 	}
 	if got := peer.recorded(); len(got) != 2 || got[0] != "1" || got[1] != "2" {
 		t.Fatalf("messages behind the poisoned one did not deliver in order: %v", got)
 	}
 	pend := hub.Pending()
-	if len(pend) != 1 || !pend[0].Held || pend[0].Attempts != DefaultConfig().MaxAttempts {
+	if len(pend) != 1 || !pend[0].Held || pend[0].Attempts != MaxAttempts {
 		t.Fatalf("poisoned message should be parked alone after MaxAttempts: %+v", pend)
 	}
 	// The peer answered every time, so it must not be backing off: a fresh

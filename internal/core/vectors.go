@@ -99,7 +99,7 @@ func (c *Controller) vvResolveLocked(peer, deliveryID string) {
 // (pv.reoffer): the receiver proved it is missing a delivery, so the very
 // next attempt is marked recovery traffic. The slow one is the sender's own
 // backoff horizon: once the peer's consecutive transport failures cross
-// MaxAttempts, every carrier is stamped a re-offer unilaterally — the
+// [MaxAttempts], every carrier is stamped a re-offer unilaterally — the
 // sender cannot distinguish an unreachable peer from a transport silently
 // discarding this delivery's every retry, and a lost delivery at the head
 // of the per-peer FIFO blocks the later carriers whose announcements would
@@ -126,7 +126,7 @@ func (c *Controller) vvStateLocked(peer string, pv *peerVector) (acked uint64, r
 		}
 	}
 	reoffer = pv.reoffer
-	if ps := c.peers[peer]; !reoffer && ps != nil && ps.failures >= c.Cfg.MaxAttempts {
+	if ps := c.peers[peer]; !reoffer && ps != nil && ps.failures >= MaxAttempts {
 		reoffer = true
 	}
 	return acked, reoffer

@@ -188,7 +188,7 @@ func TestAskbotPartialRepairDpasteNeverOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep pumping past the retry budget.
-	for i := 0; i < core.DefaultConfig().MaxAttempts+2; i++ {
+	for i := 0; i < core.MaxAttempts+2; i++ {
 		s.TB.Settle(1)
 	}
 	var notified bool

@@ -176,26 +176,6 @@ func TestConvergenceProperty(t *testing.T) {
 	}
 }
 
-// TestConvergenceConservativeEngine runs the same property under the
-// conservative (key-level) dependency checking used as the ablation
-// baseline: coarser re-execution must not change the converged state.
-func TestConvergenceConservativeEngine(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Engine.PreciseReadCheck = false
-	const seed = 42
-	rng := rand.New(rand.NewSource(seed))
-	for trial := 0; trial < 25; trial++ {
-		n := 5 + rng.Intn(25)
-		ops := make([]convOp, n)
-		for i := range ops {
-			ops[i] = convOp{kind: byte(rng.Intn(3)), key: uint8(rng.Intn(5)), val: uint16(rng.Intn(1000))}
-		}
-		if !checkConvergence(t, ops, rng.Intn(n), cfg) {
-			t.Fatalf("seed %d trial %d diverged", seed, trial)
-		}
-	}
-}
-
 // TestConvergenceMultipleRepairs cancels several puts in sequence; the
 // final state must match a golden run without any of them.
 func TestConvergenceMultipleRepairs(t *testing.T) {

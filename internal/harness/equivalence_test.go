@@ -81,20 +81,38 @@ func inspectIndexes(t *testing.T, seed int64) func(w *simWorld) {
 	}
 }
 
+// inspectWalk asserts that every controller of the quiesced world, each
+// crash-restarted incarnation included, runs the walk the run asked for —
+// without it, a run meant to be linear could silently compare the indexed
+// walk with itself.
+func inspectWalk(t *testing.T, seed int64, linear bool) func(w *simWorld) {
+	return func(w *simWorld) {
+		for _, name := range w.cnames {
+			if got := w.ctrls[name].Engine.LinearScan; got != linear {
+				t.Errorf("seed %d %s: Engine.LinearScan = %v, want %v", seed, name, got, linear)
+			}
+		}
+	}
+}
+
 // TestIndexEquivalenceOnSimWorkloads runs the composite sim workload on
 // seeds 1–20. For each seed the indexed run's quiesced state is
 // lookup-by-lookup compared with the linear references (via the inspect
-// hook), and the whole run is repeated with every engine forced to the
-// pre-index linear walk (warp.Config.LinearScan): the two runs must agree
-// on every field of the result — same repairs, same convergence, same
-// fault schedule, same state digest — proving the index-driven findAffected
-// repairs exactly the records the full-timeline walk would.
+// hook), and the whole run is repeated with every engine on the reference
+// linear walk (warp.Engine.LinearScan): the two runs must agree on every
+// field of the result — same repairs, same convergence, same fault
+// schedule, same state digest — proving the index-driven walk repairs
+// exactly the records the full-timeline walk would. Some seed must
+// crash-restart, so re-created engine incarnations are covered too.
 func TestIndexEquivalenceOnSimWorkloads(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
+	const seeds = 20
+	ran, crashes := 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := equivCfg(seed)
-			cfg.inspect = inspectIndexes(t, seed)
+			checkIndexes, checkIndexed := inspectIndexes(t, seed), inspectWalk(t, seed, false)
+			cfg.inspect = func(w *simWorld) { checkIndexes(w); checkIndexed(w) }
 			indexed, err := RunSim(cfg)
 			if err != nil {
 				t.Fatalf("seed %d (indexed): %v", seed, err)
@@ -104,7 +122,8 @@ func TestIndexEquivalenceOnSimWorkloads(t *testing.T) {
 			}
 
 			lcfg := equivCfg(seed)
-			lcfg.LinearScan = true
+			lcfg.linearScan = true
+			lcfg.inspect = inspectWalk(t, seed, true)
 			linear, err := RunSim(lcfg)
 			if err != nil {
 				t.Fatalf("seed %d (linear): %v", seed, err)
@@ -115,6 +134,11 @@ func TestIndexEquivalenceOnSimWorkloads(t *testing.T) {
 			if !reflect.DeepEqual(indexed, linear) {
 				t.Errorf("seed %d: indexed and linear runs diverged:\n  indexed: %+v\n  linear:  %+v", seed, indexed, linear)
 			}
+			ran++
+			crashes += linear.CrashCount
 		})
+	}
+	if ran == seeds && crashes == 0 {
+		t.Fatalf("no seed in 1–%d crash-restarted: re-created engines went unchecked", seeds)
 	}
 }

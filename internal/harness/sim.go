@@ -81,10 +81,6 @@ type SimConfig struct {
 	// behavior. Hazard-demonstration tests use it to show the stale and
 	// dupcreate profiles genuinely fire their fault.
 	DisableDedup bool
-	// LinearScan runs every repair engine with the retained pre-index
-	// full-timeline walk (warp.Config.LinearScan). The index-equivalence
-	// tests run each seed both ways and require identical results.
-	LinearScan bool
 	// Obs attaches one shared observability registry (internal/obs) to the
 	// attacked world: every controller records metrics and wave spans into
 	// it, crash-restarted incarnations re-attach it (the registry lives in
@@ -117,6 +113,11 @@ type SimConfig struct {
 	// delivered. Regression tests set it to prove the deterministic
 	// scheduler rediscovers the race on a fixed seed.
 	faultUngatedReconcile bool
+	// linearScan runs every repair engine, crash-restarted incarnations
+	// included, on the reference full-timeline walk
+	// (warp.Engine.LinearScan). The index-equivalence tests run each seed
+	// both ways and require identical results.
+	linearScan bool
 	// suppressReoffer stops every sender stamping Aire-Reoffer
 	// (core.Faults.SuppressReoffer): gaps are still NACKed and retried, but
 	// nothing marks the retry as recovery traffic. The lostwave teeth test
@@ -352,12 +353,13 @@ type simWorld struct {
 	sim   *simnet.Net // nil in the golden world
 	clock *simnet.Clock
 	ccfg  core.Config
-	// faults are installed on every controller the world stands up,
-	// crash-restarted incarnations included.
-	faults core.Faults
-	apps   map[string]*simApp
-	ctrls  map[string]*core.Controller
-	order  []string
+	// faults and linearScan are installed on every controller the world
+	// stands up, crash-restarted incarnations included.
+	faults     core.Faults
+	linearScan bool
+	apps       map[string]*simApp
+	ctrls      map[string]*core.Controller
+	order      []string
 
 	// Sharding (SimConfig.Shards; the golden world has one shard per
 	// service). order keeps the base service names; cnames lists every
@@ -404,12 +406,13 @@ func (w *simWorld) closeWAL() {
 // directory); the caller must closeWAL it.
 func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 	w := &simWorld{
-		bus:     transport.NewBus(),
-		clock:   simnet.NewClock(simClockStart),
-		apps:    map[string]*simApp{},
-		ctrls:   map[string]*core.Controller{},
-		routers: map[string]*core.ShardedController{},
-		topo:    core.NewShardTopology(),
+		bus:        transport.NewBus(),
+		clock:      simnet.NewClock(simClockStart),
+		linearScan: cfg.linearScan,
+		apps:       map[string]*simApp{},
+		ctrls:      map[string]*core.Controller{},
+		routers:    map[string]*core.ShardedController{},
+		topo:       core.NewShardTopology(),
 	}
 	if faulted {
 		// Any deterministic derivation works; keep the fault stream
@@ -423,7 +426,6 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 	ccfg.Clock = w.clock.Now
 	w.faults = core.Faults{DisableDedup: cfg.DisableDedup, SuppressReoffer: cfg.suppressReoffer,
 		UngatedReconcile: cfg.faultUngatedReconcile}
-	ccfg.Engine.LinearScan = cfg.LinearScan
 	if faulted && cfg.Obs {
 		w.obs = obs.New(obs.DefaultRingCap)
 		ccfg.Obs = w.obs
@@ -515,6 +517,7 @@ func (w *simWorld) shardNames(base string) []string {
 func (w *simWorld) addController(name string) *core.Controller {
 	c := core.NewController(w.apps[name], w.net, w.ccfg)
 	c.InjectFaults(w.faults)
+	c.Engine.LinearScan = w.linearScan
 	c.Svc.TimeSource = func() int64 { return simFrozenTime }
 	if wire.ShardBaseName(name) != name {
 		w.bus.Register(name, c)

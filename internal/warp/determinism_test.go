@@ -129,7 +129,7 @@ func newRigB(b *testing.B) *rig {
 	svc := web.NewService("rig")
 	svc.TimeSource = func() int64 { return 42 }
 	kvRoutes(svc)
-	return &rig{svc: svc, engine: &Engine{Svc: svc, Cfg: DefaultConfig()}}
+	return &rig{svc: svc, engine: &Engine{Svc: svc}}
 }
 
 func (r *rig) handle2(b *testing.B, req wire.Request) *repairlog.Record {

@@ -68,70 +68,67 @@ func snapshotRecords(t *testing.T, r *rig) map[string]string {
 // requires identical results: the same records repaired, the same
 // responses, the same store state, the same outgoing messages.
 func TestIndexedWalkMatchesLinearReference(t *testing.T) {
-	for _, precise := range []bool{true, false} {
-		t.Run(fmt.Sprintf("precise=%v", precise), func(t *testing.T) {
-			indexed := newRig(t, scanRoutes)
-			linear := newRig(t, scanRoutes)
-			linear.engine.Cfg.LinearScan = true
-			indexed.engine.Cfg.PreciseReadCheck = precise
-			linear.engine.Cfg.PreciseReadCheck = precise
+	// The engine runs the precise read check; the subtest keeps its name.
+	t.Run("precise=true", func(t *testing.T) {
+		indexed := newRig(t, scanRoutes)
+		linear := newRig(t, scanRoutes)
+		linear.engine.LinearScan = true
 
-			i1, i2 := buildEquivalenceWorkload(t, indexed)
-			l1, l2 := buildEquivalenceWorkload(t, linear)
-			if i1 != l1 || i2 != l2 {
-				t.Fatalf("workloads diverged before repair: %s/%s vs %s/%s", i1, i2, l1, l2)
-			}
+		i1, i2 := buildEquivalenceWorkload(t, indexed)
+		l1, l2 := buildEquivalenceWorkload(t, linear)
+		if i1 != l1 || i2 != l2 {
+			t.Fatalf("workloads diverged before repair: %s/%s vs %s/%s", i1, i2, l1, l2)
+		}
 
-			actions := func(a1, a2 string) []Action {
-				return []Action{
-					{Kind: CancelReq, ReqID: a1},
-					{Kind: ReplaceReq, ReqID: a2, NewReq: put("y", "fixed")},
-					{Kind: CreateReq, NewReq: put("z", "created"), BeforeID: a2},
-				}
+		actions := func(a1, a2 string) []Action {
+			return []Action{
+				{Kind: CancelReq, ReqID: a1},
+				{Kind: ReplaceReq, ReqID: a2, NewReq: put("y", "fixed")},
+				{Kind: CreateReq, NewReq: put("z", "created"), BeforeID: a2},
 			}
-			ri, err := indexed.engine.Repair(actions(i1, i2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rl, err := linear.engine.Repair(actions(l1, l2))
-			if err != nil {
-				t.Fatal(err)
-			}
+		}
+		ri, err := indexed.engine.Repair(actions(i1, i2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl, err := linear.engine.Repair(actions(l1, l2))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			if ri.RepairedRequests != rl.RepairedRequests || ri.RepairedModelOps != rl.RepairedModelOps {
-				t.Fatalf("repair counts diverged: indexed %d/%d ops, linear %d/%d ops",
-					ri.RepairedRequests, ri.RepairedModelOps, rl.RepairedRequests, rl.RepairedModelOps)
-			}
-			if ri.TotalRequests != rl.TotalRequests || ri.TotalModelOps != rl.TotalModelOps {
-				t.Fatalf("totals diverged: indexed %d/%d, linear %d/%d",
-					ri.TotalRequests, ri.TotalModelOps, rl.TotalRequests, rl.TotalModelOps)
-			}
-			if len(ri.Msgs) != len(rl.Msgs) || len(ri.CreatedIDs) != len(rl.CreatedIDs) {
-				t.Fatalf("outputs diverged: %d msgs/%d created vs %d msgs/%d created",
-					len(ri.Msgs), len(ri.CreatedIDs), len(rl.Msgs), len(rl.CreatedIDs))
-			}
+		if ri.RepairedRequests != rl.RepairedRequests || ri.RepairedModelOps != rl.RepairedModelOps {
+			t.Fatalf("repair counts diverged: indexed %d/%d ops, linear %d/%d ops",
+				ri.RepairedRequests, ri.RepairedModelOps, rl.RepairedRequests, rl.RepairedModelOps)
+		}
+		if ri.TotalRequests != rl.TotalRequests || ri.TotalModelOps != rl.TotalModelOps {
+			t.Fatalf("totals diverged: indexed %d/%d, linear %d/%d",
+				ri.TotalRequests, ri.TotalModelOps, rl.TotalRequests, rl.TotalModelOps)
+		}
+		if len(ri.Msgs) != len(rl.Msgs) || len(ri.CreatedIDs) != len(rl.CreatedIDs) {
+			t.Fatalf("outputs diverged: %d msgs/%d created vs %d msgs/%d created",
+				len(ri.Msgs), len(ri.CreatedIDs), len(rl.Msgs), len(rl.CreatedIDs))
+		}
 
-			si, sl := snapshotRecords(t, indexed), snapshotRecords(t, linear)
-			if len(si) != len(sl) {
-				t.Fatalf("log sizes diverged: %d vs %d", len(si), len(sl))
+		si, sl := snapshotRecords(t, indexed), snapshotRecords(t, linear)
+		if len(si) != len(sl) {
+			t.Fatalf("log sizes diverged: %d vs %d", len(si), len(sl))
+		}
+		for id, v := range sl {
+			if si[id] != v {
+				t.Errorf("record %s diverged:\n  indexed: %s\n  linear:  %s", id, si[id], v)
 			}
-			for id, v := range sl {
-				if si[id] != v {
-					t.Errorf("record %s diverged:\n  indexed: %s\n  linear:  %s", id, si[id], v)
-				}
+		}
+		for _, id := range indexed.svc.Store.IDs("kv") {
+			vi, _ := indexed.svc.Store.Get(vdb.Key{Model: "kv", ID: id})
+			vl, ok := linear.svc.Store.Get(vdb.Key{Model: "kv", ID: id})
+			if !ok || vi.Fields["v"] != vl.Fields["v"] {
+				t.Errorf("store diverged at %s: indexed %q, linear %q (present=%v)", id, vi.Fields["v"], vl.Fields["v"], ok)
 			}
-			for _, id := range indexed.svc.Store.IDs("kv") {
-				vi, _ := indexed.svc.Store.Get(vdb.Key{Model: "kv", ID: id})
-				vl, ok := linear.svc.Store.Get(vdb.Key{Model: "kv", ID: id})
-				if !ok || vi.Fields["v"] != vl.Fields["v"] {
-					t.Errorf("store diverged at %s: indexed %q, linear %q (present=%v)", id, vi.Fields["v"], vl.Fields["v"], ok)
-				}
-			}
-			if hi, hl := indexed.svc.Store.ScanHashAt("kv", 1<<62), linear.svc.Store.ScanHashAt("kv", 1<<62); hi != hl {
-				t.Errorf("final scan fingerprints diverged: %#x vs %#x", hi, hl)
-			}
-		})
-	}
+		}
+		if hi, hl := indexed.svc.Store.ScanHashAt("kv", 1<<62), linear.svc.Store.ScanHashAt("kv", 1<<62); hi != hl {
+			t.Errorf("final scan fingerprints diverged: %#x vs %#x", hi, hl)
+		}
+	})
 }
 
 // TestIndexedWalkRepairsCascades pins the rollback-redo cascade on the

@@ -190,44 +190,22 @@ type Result struct {
 	// requests added by CreateReq actions; the creating peer learns them so
 	// it can repair the created request later.
 	CreatedIDs []string
-	// Trace, when the engine is verbose, narrates repair decisions.
-	Trace []string
 }
 
 // RepairPhases names the entries of Result.PhaseDurations.
 var RepairPhases = [4]string{"validate", "bookkeep", "walk", "totals"}
-
-// Config tunes the repair engine.
-type Config struct {
-	// PreciseReadCheck selects value-based dependency checks: a reader is
-	// re-executed only if the value it would read now differs from what it
-	// read originally. When false, the engine uses conservative key-level
-	// tracking (any request that touched a repaired key or model is
-	// re-executed) — the ablation baseline.
-	PreciseReadCheck bool
-	// LinearScan forces the pre-index repair walk: visit every record from
-	// the earliest affected time and re-check each one's dependencies
-	// (O(log × store)). When false (the default), the engine walks the
-	// log's inverted read-dependency index and visits only readers of
-	// rolled-back keys, scanners of touched models, and writers of touched
-	// keys (O(affected)); the per-record hash re-checks are retained as the
-	// correctness gate either way, so both walks repair the same records.
-	// LinearScan is kept as the equivalence-test reference and the
-	// before/after benchmark baseline.
-	LinearScan bool
-	// Verbose records a human-readable trace into Result.Trace.
-	Verbose bool
-}
-
-// DefaultConfig is the configuration used by Aire's controller.
-func DefaultConfig() Config { return Config{PreciseReadCheck: true} }
 
 // Engine performs local repair for one service. The caller must hold
 // Svc.Mu across Repair (normal execution and repair are mutually exclusive,
 // §9).
 type Engine struct {
 	Svc *web.Service
-	Cfg Config
+	// LinearScan selects the reference walk: visit every record from the
+	// earliest affected time instead of walking the log's inverted
+	// dependency index. Both walks apply the same per-record dependency
+	// gate, so they repair the same records; the equivalence tests compare
+	// the indexed walk against this one. No production caller sets it.
+	LinearScan bool
 }
 
 // ErrNoSuchRequest is returned when an action names an unknown request.
@@ -416,7 +394,7 @@ func (e *Engine) Repair(actions []Action) (*Result, error) {
 	// no longer match the (partially repaired) store is re-executed. The
 	// indexed walk visits only plausible candidates; the linear walk visits
 	// everything after t0. Both apply the same per-record dependency gate.
-	if e.Cfg.LinearScan {
+	if e.LinearScan {
 		e.walkLinear(t0, direct, res)
 	} else {
 		e.walkIndexed(direct, res)
@@ -436,12 +414,11 @@ func (e *Engine) Repair(actions []Action) (*Result, error) {
 // is directed or affected, cancels or re-executes it. taint is told about
 // every key whose versions this step rolled back or rewrote — the state
 // changes that can make later records affected.
-func (e *Engine) processRecord(rec *repairlog.Record, d *directive, res *Result,
-	touchedKeys map[vdb.Key]bool, touchedModels map[string]bool, taint func([]repairlog.WriteDep)) {
+func (e *Engine) processRecord(rec *repairlog.Record, d *directive, res *Result, taint func([]repairlog.WriteDep)) {
 	if rec.Skipped && d == nil {
 		return // stays cancelled
 	}
-	if d == nil && !e.affected(rec, touchedKeys, touchedModels) {
+	if d == nil && !e.affected(rec) {
 		return
 	}
 	// A shallow snapshot is stable: cancel and re-execution replace the
@@ -466,20 +443,13 @@ func (e *Engine) processRecord(rec *repairlog.Record, d *directive, res *Result,
 	taint(rec.Writes)
 }
 
-// walkLinear is the pre-index Phase 2: visit every record from the earliest
-// affected time (Config.LinearScan — the equivalence reference and ablation
-// baseline).
+// walkLinear is the reference Phase 2 (Engine.LinearScan): visit every
+// record from the earliest affected time. It needs no taint: every record
+// it could have to re-execute is visited anyway.
 func (e *Engine) walkLinear(t0 int64, direct map[string]*directive, res *Result) {
-	touchedKeys := make(map[vdb.Key]bool)
-	touchedModels := make(map[string]bool)
-	taint := func(deps []repairlog.WriteDep) {
-		for _, w := range deps {
-			touchedKeys[w.Key] = true
-			touchedModels[w.Key.Model] = true
-		}
-	}
+	noTaint := func([]repairlog.WriteDep) {}
 	for _, rec := range e.Svc.Log.From(t0) {
-		e.processRecord(rec, direct[rec.ID], res, touchedKeys, touchedModels, taint)
+		e.processRecord(rec, direct[rec.ID], res, noTaint)
 	}
 }
 
@@ -554,37 +524,25 @@ func (e *Engine) walkIndexed(direct map[string]*directive, res *Result) {
 	}
 	for h.Len() > 0 {
 		cur = heap.Pop(&h).(repairlog.Ref)
-		e.processRecord(cur.Rec, direct[cur.Rec.ID], res, touchedKeys, touchedModels, taint)
+		e.processRecord(cur.Rec, direct[cur.Rec.ID], res, taint)
 	}
 }
 
 // affected re-evaluates the request's recorded dependencies against the
-// current (partially repaired) store.
-func (e *Engine) affected(rec *repairlog.Record, touchedKeys map[vdb.Key]bool, touchedModels map[string]bool) bool {
+// current (partially repaired) store: a request is affected when a value it
+// read has changed or one of its writes was rolled back.
+func (e *Engine) affected(rec *repairlog.Record) bool {
 	st := e.Svc.Store
-	if e.Cfg.PreciseReadCheck {
-		// Own writes are masked: a read dependency fingerprints what the
-		// request observed from other requests.
-		for _, r := range rec.Reads {
-			if st.HashAtExcluding(r.Key, rec.TS, rec.ID) != r.Hash {
-				return true
-			}
+	// Own writes are masked: a read dependency fingerprints what the
+	// request observed from other requests.
+	for _, r := range rec.Reads {
+		if st.HashAtExcluding(r.Key, rec.TS, rec.ID) != r.Hash {
+			return true
 		}
-		for _, s := range rec.Scans {
-			if st.ScanHashAtExcluding(s.Model, rec.TS, rec.ID) != s.Hash {
-				return true
-			}
-		}
-	} else {
-		for _, r := range rec.Reads {
-			if touchedKeys[r.Key] {
-				return true
-			}
-		}
-		for _, s := range rec.Scans {
-			if touchedModels[s.Model] {
-				return true
-			}
+	}
+	for _, s := range rec.Scans {
+		if st.ScanHashAtExcluding(s.Model, rec.TS, rec.ID) != s.Hash {
+			return true
 		}
 	}
 	// Writes rolled back by an earlier re-execution must be redone
@@ -644,7 +602,6 @@ func (e *Engine) cancel(rec, old *repairlog.Record, res *Result) {
 	})
 	res.RepairedRequests++
 	res.RepairedModelOps += len(old.Reads) + len(old.Scans) + len(old.Writes)
-	e.trace(res, "cancel %s (%s %s)", rec.ID, old.Req.Method, old.Req.Path)
 }
 
 // reexecute replays one request with (possibly corrected) input, diffing its
@@ -691,22 +648,18 @@ func (e *Engine) reexecute(rec, old *repairlog.Record, input wire.Request, d *di
 	// Response propagation (§3.2: "if re-execution changes the response of
 	// a previously executed request, or computes the response for a newly
 	// created request, Aire queues a replace_response message").
+	// A browser/non-Aire client has no notifier: nothing is sent (the
+	// paper's Askbot experiment likewise sends no replace_response for
+	// requests lacking an Aire-Notifier-URL header, §8.2).
 	respChanged := !executedBefore || !resp.Equal(old.Resp)
-	if respChanged {
-		if rec.ClientRespID != "" && rec.NotifierURL != "" {
-			res.Msgs = append(res.Msgs, OutMsg{
-				Kind:        OutReplaceResponse,
-				RespID:      rec.ClientRespID,
-				Resp:        resp.Clone(),
-				NotifierURL: rec.NotifierURL,
-				LocalReqID:  rec.ID,
-			})
-		} else if executedBefore && rec.From == "" {
-			// Browser/non-Aire client: nothing to send (the paper's Askbot
-			// experiment likewise sends no replace_response for requests
-			// lacking an Aire-Notifier-URL header, §8.2).
-			e.trace(res, "response of %s changed; client has no notifier", rec.ID)
-		}
+	if respChanged && rec.ClientRespID != "" && rec.NotifierURL != "" {
+		res.Msgs = append(res.Msgs, OutMsg{
+			Kind:        OutReplaceResponse,
+			RespID:      rec.ClientRespID,
+			Resp:        resp.Clone(),
+			NotifierURL: rec.NotifierURL,
+			LocalReqID:  rec.ID,
+		})
 	}
 
 	e.diffEffects(rec, old, res)
@@ -714,7 +667,6 @@ func (e *Engine) reexecute(rec, old *repairlog.Record, input wire.Request, d *di
 
 	res.RepairedRequests++
 	res.RepairedModelOps += len(rec.Reads) + len(rec.Scans) + len(rec.Writes)
-	e.trace(res, "re-execute %s gen=%d (%s %s) -> %d", rec.ID, gen, input.Method, input.Path, resp.Status)
 }
 
 // diffEffects compares external effects before and after re-execution;
@@ -770,12 +722,6 @@ func (e *Engine) checkLeaks(rec, old *repairlog.Record, res *Result) {
 				Detail: fmt.Sprintf("request read confidential object %v during original execution but not during repair", r.Key),
 			})
 		}
-	}
-}
-
-func (e *Engine) trace(res *Result, format string, args ...any) {
-	if e.Cfg.Verbose {
-		res.Trace = append(res.Trace, fmt.Sprintf("[%s] ", e.Svc.Name)+fmt.Sprintf(format, args...))
 	}
 }
 

@@ -28,7 +28,7 @@ func newRig(t *testing.T, register func(svc *web.Service)) *rig {
 	svc := web.NewService("rig")
 	svc.TimeSource = func() int64 { return 42 }
 	register(svc)
-	r := &rig{svc: svc, engine: &Engine{Svc: svc, Cfg: DefaultConfig()}}
+	r := &rig{svc: svc, engine: &Engine{Svc: svc}}
 	return r
 }
 
@@ -516,28 +516,20 @@ func TestReplaceCallRespTriggersReexecution(t *testing.T) {
 	}
 }
 
-func TestConservativeEngineRepairsMore(t *testing.T) {
-	// A request is replaced by a semantically identical one. Precise
-	// (value-based) checking notices downstream readers observe the same
-	// value and skips them; conservative key-level tainting re-executes
-	// every reader of the touched key.
-	mk := func(precise bool) int {
-		r := newRig(t, kvRoutes)
-		r.engine.Cfg.PreciseReadCheck = precise
-		target := r.handle(t, put("y", "same-value"), false)
-		r.handle(t, wire.NewRequest("GET", "/get").WithForm("key", "y"), false)
-		res, err := r.engine.Repair([]Action{{
-			Kind: ReplaceReq, ReqID: target.ID, NewReq: put("y", "same-value"),
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.RepairedRequests
+func TestIdempotentReplaceSkipsReaders(t *testing.T) {
+	// A request is replaced by a semantically identical one. The read
+	// check notices the downstream reader observes the same value and
+	// skips it: only the replaced request is repaired.
+	r := newRig(t, kvRoutes)
+	target := r.handle(t, put("y", "same-value"), false)
+	r.handle(t, wire.NewRequest("GET", "/get").WithForm("key", "y"), false)
+	res, err := r.engine.Repair([]Action{{
+		Kind: ReplaceReq, ReqID: target.ID, NewReq: put("y", "same-value"),
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if precise := mk(true); precise != 1 {
-		t.Fatalf("precise repaired %d, want 1 (just the replaced request)", precise)
-	}
-	if conservative := mk(false); conservative != 2 {
-		t.Fatalf("conservative repaired %d, want 2 (replace + tainted reader)", conservative)
+	if res.RepairedRequests != 1 {
+		t.Fatalf("repaired %d, want 1 (just the replaced request)", res.RepairedRequests)
 	}
 }
