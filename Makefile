@@ -58,9 +58,9 @@ bench-suite:
 	bash bench/run.sh -compare bench/baseline.json bench/out/result.json
 
 # Observability overhead gate (ISSUE 8): the allocation ceiling — with no
-# registry configured every instrumentation site must degenerate to a nil
-# check (0 allocs/op, asserted hard by TestObsDisabledZeroAlloc) — plus
-# the disabled-vs-enabled overhead benchmark for the record.
+# registry configured every instrumentation site must make 0 allocs/op
+# (asserted hard by TestObsDisabledZeroAlloc) — plus the
+# disabled-vs-enabled overhead benchmark for the record.
 bench-obs:
 	$(GO) test -run TestObsDisabledZeroAlloc ./internal/core
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchmem ./internal/core

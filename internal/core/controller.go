@@ -109,12 +109,10 @@ type Caller interface {
 	Call(from, to string, req wire.Request) (wire.Response, error)
 }
 
-// Config tunes a controller.
+// Config tunes a controller. It has six fields: BatchPolicy, Admission,
+// Clock, Sched, Obs and Topology. The pump's shape is fixed (pumpWorkers
+// concurrent peers, passes paced every pumpInterval).
 type Config struct {
-	// PumpWorkers bounds how many peers the background pump delivers to
-	// concurrently (0 means a small default). Batches to the same peer are
-	// never concurrent: per-peer FIFO order is preserved.
-	PumpWorkers int
 	// BatchPolicy sizes each peer's claim from its backlog (the zero value
 	// means limits in [1, 64]). Every background pump pass snapshots
 	// per-peer backlogs, asks the policy for a limit per peer at a
@@ -127,9 +125,6 @@ type Config struct {
 	// Admission; zero fields take DefaultAdmission's values). Flush
 	// ignores it.
 	Admission Admission
-	// PumpInterval paces the background pump's periodic passes — the ones
-	// that retry peers whose backoff delay has elapsed (0 means a default).
-	PumpInterval time.Duration
 	// Clock supplies the time used for backoff scheduling (nil means
 	// time.Now). Tests inject a fake clock for deterministic backoff.
 	Clock func() time.Time
@@ -139,12 +134,14 @@ type Config struct {
 	// sleeps, and shutdown interleave under a seeded schedule.
 	Sched sched.Scheduler
 	// Obs, when non-nil, attaches the repair-plane observability registry
-	// (internal/obs): the controller publishes counters, latency
-	// histograms, and wave-trace spans into it. Leave nil to disable:
-	// every instrumented site then reduces to a nil check with zero
-	// allocations (BenchmarkObsOverhead), and — because wave-trace
-	// context is protocol state minted and persisted unconditionally —
-	// an obs-on run takes byte-identical schedules to an obs-off run.
+	// (internal/obs): the controller's counters are then the registry's
+	// core.<svc>.* series, and it also records latency histograms and
+	// wave-trace spans. Nil keeps the counters on detached handles (Stats
+	// reads the same numbers either way) and skips spans and the clock
+	// reads behind latencies, at 0 allocs/op (BenchmarkObsOverhead).
+	// Because wave-trace context is protocol state minted and persisted
+	// unconditionally, an obs-on run takes byte-identical schedules to an
+	// obs-off run.
 	Obs *obs.Registry
 	// Topology is the shared key→shard map for every service in the
 	// deployment (shard.go): the controller resolves each repair carrier
@@ -268,8 +265,9 @@ type Controller struct {
 	// one shard). Immutable after NewController.
 	topo *ShardTopology
 
-	// met caches the obs handles (core/obs.go); immutable after
-	// NewController. All-nil when Cfg.Obs is nil.
+	// met holds the controller's counters (core/obs.go) — the one copy
+	// Stats, RepairCounts and RepairDuration read; immutable after
+	// NewController.
 	met ctrlMetrics
 
 	pumpMu     sync.Mutex
@@ -292,20 +290,10 @@ type Controller struct {
 	nmu           sync.Mutex
 	notifications []Notification
 
-	smu   sync.Mutex
-	stats Stats
-
 	// walst mirrors committed mutations into a write-ahead log (wal.go).
 	walst walState
 
 	events eventHub
-
-	rmu            sync.Mutex
-	repairedReqs   int
-	repairedOps    int
-	lastTotalReqs  int
-	lastTotalOps   int
-	repairDuration time.Duration
 }
 
 // NewController builds the Aire runtime for app, delivering over net.
@@ -393,9 +381,6 @@ func (c *Controller) handleNormal(from string, req wire.Request) wire.Response {
 	// in the WAL as a single entry, applied all-or-nothing on recovery.
 	c.walBegin("exec")
 	defer c.walCommit()
-	c.smu.Lock()
-	c.stats.Requests++
-	c.smu.Unlock()
 	c.met.requests.Inc()
 
 	rec := &repairlog.Record{
@@ -595,17 +580,11 @@ func (c *Controller) checkIndexesLocked() error {
 // counters, notifications, and — unless the caller already queued them
 // inside its WAL batch (enqueued) — the outbound messages.
 func (c *Controller) finishRepair(actions []warp.Action, res *warp.Result, enqueued bool, tc traceCtx) {
-	c.smu.Lock()
-	c.stats.RepairsRun++
-	c.smu.Unlock()
-	c.rmu.Lock()
-	c.repairedReqs += res.RepairedRequests
-	c.repairedOps += res.RepairedModelOps
-	c.lastTotalReqs = res.TotalRequests
-	c.lastTotalOps = res.TotalModelOps
-	c.repairDuration += res.Duration
-	c.rmu.Unlock()
 	c.met.repairsRun.Inc()
+	c.met.repairedReqs.Add(int64(res.RepairedRequests))
+	c.met.repairedOps.Add(int64(res.RepairedModelOps))
+	c.met.lastTotalReqs.Set(int64(res.TotalRequests))
+	c.met.lastTotalOps.Set(int64(res.TotalModelOps))
 	c.met.repairNS.ObserveNS(int64(res.Duration))
 	if c.met.reg != nil {
 		// One span per warp phase, laid out back-to-back ending now; the
@@ -657,28 +636,35 @@ func (c *Controller) Notifications() []Notification {
 	return append([]Notification(nil), c.notifications...)
 }
 
-// Stats returns a snapshot of the controller's counters.
+// Stats returns a snapshot of the controller's counters: the same handles
+// /aire/debug/metrics exports as core.<svc>.* when a registry is attached.
 func (c *Controller) Stats() Stats {
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	return c.stats
+	m := &c.met
+	return Stats{
+		Requests:        m.requests.Value(),
+		RepairsRun:      m.repairsRun.Value(),
+		MsgsQueued:      m.msgsQueued.Value(),
+		MsgsDelivered:   m.msgsDelivered.Value(),
+		MsgsFailed:      m.msgsFailed.Value(),
+		DupDeliveries:   m.inboxDup.Value(),
+		StaleDeliveries: m.inboxStale.Value(),
+		InboxCommits:    m.inboxCommits.Value(),
+	}
 }
 
 // RepairCounts reports cumulative repair work (the first two rows of
 // Table 5): requests and model operations repaired across all local repairs,
 // against the totals observed at the most recent repair.
 func (c *Controller) RepairCounts() (repairedReqs, totalReqs, repairedOps, totalOps int) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	return c.repairedReqs, c.lastTotalReqs, c.repairedOps, c.lastTotalOps
+	m := &c.met
+	return int(m.repairedReqs.Value()), int(m.lastTotalReqs.Value()),
+		int(m.repairedOps.Value()), int(m.lastTotalOps.Value())
 }
 
 // RepairDuration reports the cumulative wall time spent in local repair
-// (Table 5's "Local repair time").
+// (Table 5's "Local repair time"): the sum of the repair_ns histogram.
 func (c *Controller) RepairDuration() time.Duration {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	return c.repairDuration
+	return time.Duration(c.met.repairNS.SumNS())
 }
 
 // AuditGraph builds the cross-request dependency graph of this service's

@@ -304,18 +304,25 @@ func TestFrameMalformedGenerationRefusedAlone(t *testing.T) {
 }
 
 // TestFrameChecksumFailureWritesNothing: a corrupted frame is refused 503
-// before any carrier is gated — no inbox entry, no WAL entry, no repair.
+// before any carrier is gated — no inbox entry, no WAL entry, no repair —
+// and is not reported as a duplicate delivery.
 func TestFrameChecksumFailureWritesNothing(t *testing.T) {
 	tb, b, w, ids := receiverWithPuts(t)
+	var rec EventRecorder
+	b.Subscribe(rec.Sink())
 	frame := frameOf("a", carrier(warp.OutDelete, ids[0], wire.Request{}, "a", "a-dlv-1", 0))
 	frame.Body[len(frame.Body)/2] ^= 0x01
-	entries, inbox := w.Seq(), b.ExportAtomic().Inbox
+	entries, inbox, dups := w.Seq(), b.ExportAtomic().Inbox, b.Stats().DupDeliveries
 	resp, err := tb.bus.Call("a", "b", frame)
 	if err != nil || resp.Status != 503 {
 		t.Fatalf("corrupted frame: %v %d %s, want 503", err, resp.Status, resp.Body)
 	}
 	if w.Seq() != entries || !reflect.DeepEqual(b.ExportAtomic().Inbox, inbox) || b.Stats().RepairsRun != 0 {
 		t.Fatalf("a refused frame left traces: %d WAL entries, inbox %+v", w.Seq()-entries, b.ExportAtomic().Inbox)
+	}
+	if n := rec.Count(EvDupDelivery); n != 0 || b.Stats().DupDeliveries != dups {
+		t.Fatalf("a corrupted frame was reported as a duplicate: %d dup-delivery events, DupDeliveries %d -> %d",
+			n, dups, b.Stats().DupDeliveries)
 	}
 }
 

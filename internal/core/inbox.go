@@ -181,9 +181,6 @@ func (c *Controller) gateDelivery(from string, ic *inCarrier) {
 	once := warp.OutKind(req.Header[wire.HdrRepair]) == warp.OutCreate
 	switch d, outcome := c.dedup.Begin(origin, id, gen, once); d {
 	case deliver.Duplicate:
-		c.smu.Lock()
-		c.stats.DupDeliveries++
-		c.smu.Unlock()
 		c.met.inboxDup.Inc()
 		c.spanInboxVerdict(req, id, "duplicate")
 		c.emit(EvDupDelivery, id, "duplicate delivery from %s re-acknowledged (gen %d)", origin, gen)
@@ -194,9 +191,6 @@ func (c *Controller) gateDelivery(from string, ic *inCarrier) {
 		ic.answer(resp)
 		return
 	case deliver.Stale:
-		c.smu.Lock()
-		c.stats.StaleDeliveries++
-		c.smu.Unlock()
 		c.met.inboxStale.Inc()
 		c.spanInboxVerdict(req, id, "stale")
 		c.emit(EvStaleDelivery, id, "superseded generation %d from %s acknowledged and discarded", gen, origin)
@@ -509,9 +503,6 @@ func (g deliveryGate) commit(outcome string, join bool) {
 	// inbox outcomes, so a fault class whose deliveries apply without a
 	// delivery outcome reaching the sender (a lost response) still
 	// registers progress.
-	g.c.smu.Lock()
-	g.c.stats.InboxCommits++
-	g.c.smu.Unlock()
 	g.c.met.inboxCommits.Inc()
 	if g.c.walAttached() {
 		g.c.walEmit("inbox", mustOp("in-commit", inboxOp{

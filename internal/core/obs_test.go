@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aire/internal/obs"
 	"aire/internal/transport"
@@ -149,14 +150,17 @@ func TestControllerMetricsAndWaveSpans(t *testing.T) {
 }
 
 // TestObsDisabledZeroAlloc is the gate's allocation ceiling: with no
-// registry configured, every instrumentation site must degenerate to a
-// nil check — zero allocations on the hot path.
+// registry configured, the handles count on detached storage, no span is
+// recorded, and every instrumentation site makes zero allocations on the
+// hot path.
 func TestObsDisabledZeroAlloc(t *testing.T) {
 	met := newCtrlMetrics(nil, "z")
 	if met.reg != nil || met.ring != nil {
 		t.Fatal("nil registry must resolve nil reg/ring")
 	}
+	var calls int64
 	allocs := testing.AllocsPerRun(1000, func() {
+		calls++
 		met.requests.Inc()
 		met.msgsQueued.Add(2)
 		met.msgsDelivered.Inc()
@@ -164,12 +168,14 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 		met.deliverNS.ObserveNS(123)
 		met.repairNS.ObserveNS(456)
 		met.ring.Record(obs.Span{})
-		if met.requests.Value() != 0 || met.queueDepth.Value() != 0 {
-			t.Fatal("nil handles must read zero")
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled instrumentation allocates %.1f allocs/op, want 0", allocs)
+	}
+	if met.requests.Value() != calls || met.msgsQueued.Value() != 2*calls || met.queueDepth.Value() != 7 ||
+		met.repairNS.SumNS() != 456*calls {
+		t.Fatalf("handles must count with no registry: requests=%d queued=%d depth=%d repair sum=%d after %d calls",
+			met.requests.Value(), met.msgsQueued.Value(), met.queueDepth.Value(), met.repairNS.SumNS(), calls)
 	}
 }
 
@@ -196,4 +202,88 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })
 	b.Run("enabled", func(b *testing.B) { run(b, obs.New(obs.DefaultRingCap)) })
+}
+
+// TestStatsReadRegistrySeries: Stats, RepairCounts and RepairDuration read
+// the same handles the registry exports, the numbers do not depend on
+// whether a registry is attached, and a controller rebuilt onto the same
+// registry continues its predecessor's counts.
+func TestStatsReadRegistrySeries(t *testing.T) {
+	run := func(reg *obs.Registry) (*testbed, Config) {
+		cfg := DefaultConfig()
+		cfg.Obs = reg
+		tb := newTestbed()
+		tb.add(&kvApp{name: "a", mirror: "b"}, cfg)
+		tb.add(&kvApp{name: "b"}, cfg)
+		putResp := tb.call("a", put("x", "v1"))
+		rep := wire.NewRequest("POST", "/aire/repair").WithHeader(
+			wire.HdrRepair, "replace", wire.HdrRequestID, putResp.Header[wire.HdrRequestID])
+		rep.Body = put("x", "v1-fixed").Encode()
+		if resp := tb.call("a", rep); !resp.OK() {
+			t.Fatalf("replace: %d %s", resp.Status, resp.Body)
+		}
+		tb.settle(50)
+		return tb, cfg
+	}
+	fromSnapshot := func(snap obs.Snapshot, svc string) (Stats, [4]int, time.Duration) {
+		p := "core." + svc + "."
+		st := Stats{
+			Requests:        snap.Counters[p+"requests"],
+			RepairsRun:      snap.Counters[p+"repairs_run"],
+			MsgsQueued:      snap.Counters[p+"msgs_queued"],
+			MsgsDelivered:   snap.Counters[p+"msgs_delivered"],
+			MsgsFailed:      snap.Counters[p+"msgs_failed"],
+			DupDeliveries:   snap.Counters[p+"inbox_duplicate"],
+			StaleDeliveries: snap.Counters[p+"inbox_stale"],
+			InboxCommits:    snap.Counters[p+"inbox_commits"],
+		}
+		counts := [4]int{
+			int(snap.Counters[p+"repaired_requests"]), int(snap.Gauges[p+"last_total_requests"]),
+			int(snap.Counters[p+"repaired_ops"]), int(snap.Gauges[p+"last_total_ops"]),
+		}
+		return st, counts, time.Duration(snap.Histograms[p+"repair_ns"].SumNS)
+	}
+	countsOf := func(c *Controller) [4]int {
+		rr, tr, ro, to := c.RepairCounts()
+		return [4]int{rr, tr, ro, to}
+	}
+
+	reg := obs.New(obs.DefaultRingCap)
+	tb, cfg := run(reg)
+	snap := reg.Snapshot()
+	for _, svc := range []string{"a", "b"} {
+		c := tb.ctrls[svc]
+		st, counts, dur := fromSnapshot(snap, svc)
+		if c.Stats() != st || countsOf(c) != counts || c.RepairDuration() != dur {
+			t.Errorf("%s: controller reads %+v %v %v, registry exports %+v %v %v",
+				svc, c.Stats(), countsOf(c), c.RepairDuration(), st, counts, dur)
+		}
+	}
+	a := tb.ctrls["a"]
+	if st := a.Stats(); st.Requests == 0 || st.RepairsRun == 0 || st.MsgsDelivered == 0 || tb.ctrls["b"].Stats().InboxCommits == 0 {
+		t.Fatalf("the scenario counted nothing: a %+v, b %+v", st, tb.ctrls["b"].Stats())
+	}
+
+	bare, _ := run(nil)
+	for _, svc := range []string{"a", "b"} {
+		if got, want := bare.ctrls[svc].Stats(), tb.ctrls[svc].Stats(); got != want {
+			t.Errorf("%s with no registry: Stats %+v, with one %+v", svc, got, want)
+		}
+		if got, want := countsOf(bare.ctrls[svc]), countsOf(tb.ctrls[svc]); got != want {
+			t.Errorf("%s with no registry: RepairCounts %v, with one %v", svc, got, want)
+		}
+	}
+
+	// The next incarnation of a, on the same registry, picks up where its
+	// predecessor left off.
+	before, beforeCounts, beforeDur := a.Stats(), countsOf(a), a.RepairDuration()
+	a2 := tb.add(&kvApp{name: "a", mirror: "b"}, cfg)
+	if a2.Stats() != before || countsOf(a2) != beforeCounts || a2.RepairDuration() != beforeDur {
+		t.Fatalf("rebuilt controller reads %+v %v %v, predecessor ended at %+v %v %v",
+			a2.Stats(), countsOf(a2), a2.RepairDuration(), before, beforeCounts, beforeDur)
+	}
+	tb.call("a", put("y", "v2"))
+	if got := a2.Stats().Requests; got != before.Requests+1 {
+		t.Fatalf("rebuilt controller counts %d requests, want %d", got, before.Requests+1)
+	}
 }

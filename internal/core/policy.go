@@ -79,9 +79,10 @@ func DefaultAdaptiveBatch() AdaptiveBatch { return AdaptiveBatch{Min: 1, Max: de
 // A zero field takes DefaultAdmission's value; admission always applies to
 // background pump passes.
 type Admission struct {
-	// MaxShare is the maximum fraction of PumpWorkers cascade-class batches
-	// may occupy while response-class messages are queued (default 0.75;
-	// clamped so at least one worker may always carry cascades).
+	// MaxShare is the maximum fraction of the pump's pumpWorkers (4)
+	// workers cascade-class batches may occupy while response-class
+	// messages are queued (default 0.75, so 3 workers; clamped so at least
+	// one worker may always carry cascades).
 	MaxShare float64
 	// Burst is the per-pass claim cap for peers with live outbound calls in
 	// flight (default 1).

@@ -134,33 +134,34 @@ func TestBatchPolicyFloorForUnsnapshottedPeer(t *testing.T) {
 }
 
 // TestAdmissionReservesResponseWorkers: with the default MaxShare (0.75)
-// of 2 workers, one pass may put at most one cascade-class batch in flight
-// while a response-class message waits — the second cascade peer is
-// skipped, the response batch is claimed. Once nothing response-class is
-// queued, the budget stops biting.
+// of the pump's 4 workers, one pass may put at most three cascade-class
+// batches in flight while a response-class message waits — the fourth
+// cascade peer is skipped, the response batch is claimed. Once nothing
+// response-class is queued, the budget stops biting.
 func TestAdmissionReservesResponseWorkers(t *testing.T) {
 	tb := newTestbed()
-	cfg := DefaultConfig()
-	cfg.PumpWorkers = 2
-	c := tb.add(&kvApp{name: "a"}, cfg)
+	c := tb.add(&kvApp{name: "a"}, DefaultConfig())
 
-	c.enqueue([]warp.OutMsg{cascadeMsg("p1", 0), cascadeMsg("p2", 0), respMsg("client", 0)}, traceCtx{})
+	c.enqueue([]warp.OutMsg{cascadeMsg("p1", 0), cascadeMsg("p2", 0), cascadeMsg("p3", 0), cascadeMsg("p4", 0),
+		respMsg("client", 0)}, traceCtx{})
 
 	batches := claimPass(c)
-	if len(batches) != 2 {
-		t.Fatalf("claimed %d batches, want 2 (one cascade, the response)", len(batches))
+	if len(batches) != 4 {
+		t.Fatalf("claimed %d batches, want 4 (three cascades, the response)", len(batches))
 	}
-	if batches[0].peer != "p1" || !batches[0].cascade {
-		t.Fatalf("first batch = %q cascade=%v, want cascade to p1", batches[0].peer, batches[0].cascade)
+	for i, peer := range []string{"p1", "p2", "p3"} {
+		if batches[i].peer != peer || !batches[i].cascade {
+			t.Fatalf("batch %d = %q cascade=%v, want cascade to %s", i, batches[i].peer, batches[i].cascade, peer)
+		}
 	}
-	if batches[1].peer != "client" || batches[1].cascade {
-		t.Fatalf("second batch = %q cascade=%v, want response-class to client", batches[1].peer, batches[1].cascade)
+	if batches[3].peer != "client" || batches[3].cascade {
+		t.Fatalf("fourth batch = %q cascade=%v, want response-class to client", batches[3].peer, batches[3].cascade)
 	}
 	c.qmu.Lock()
 	inflight := c.cascadeInflight
 	c.qmu.Unlock()
-	if inflight != 1 {
-		t.Fatalf("cascadeInflight = %d, want 1", inflight)
+	if inflight != 3 {
+		t.Fatalf("cascadeInflight = %d, want 3", inflight)
 	}
 	c.releaseBatches(batches)
 	c.qmu.Lock()
@@ -170,7 +171,7 @@ func TestAdmissionReservesResponseWorkers(t *testing.T) {
 		t.Fatalf("cascadeInflight after release = %d, want 0", inflight)
 	}
 
-	// Drop the waiting response: with the user-visible plane idle, both
+	// Drop the waiting response: with the user-visible plane idle, all four
 	// cascade batches may claim.
 	for _, p := range c.Pending() {
 		if p.Msg.Kind == warp.OutReplaceResponse {
@@ -180,8 +181,13 @@ func TestAdmissionReservesResponseWorkers(t *testing.T) {
 		}
 	}
 	batches = claimPass(c)
-	if len(batches) != 2 {
-		t.Fatalf("with no responses waiting, claimed %d batches, want both cascades", len(batches))
+	if len(batches) != 4 {
+		t.Fatalf("with no responses waiting, claimed %d batches, want all four cascades", len(batches))
+	}
+	for _, b := range batches {
+		if !b.cascade {
+			t.Fatalf("batch to %q is not cascade-class", b.peer)
+		}
 	}
 	c.releaseBatches(batches)
 }

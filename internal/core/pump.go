@@ -71,25 +71,14 @@ func backoffDelay(n int) time.Duration {
 // make a backing-off peer "unreachable" to the administrator.
 const MaxAttempts = 3
 
-// Pump tuning defaults (Config fields left zero).
+// The background pump's shape: how many peers it delivers to concurrently
+// (batches to one peer are never concurrent, so per-peer FIFO order holds),
+// and the pacing of its periodic passes — the ones that retry peers whose
+// backoff delay has elapsed.
 const (
-	defaultPumpWorkers  = 4
-	defaultPumpInterval = 25 * time.Millisecond
+	pumpWorkers  = 4
+	pumpInterval = 25 * time.Millisecond
 )
-
-func (c *Controller) pumpWorkers() int {
-	if c.Cfg.PumpWorkers > 0 {
-		return c.Cfg.PumpWorkers
-	}
-	return defaultPumpWorkers
-}
-
-func (c *Controller) pumpInterval() time.Duration {
-	if c.Cfg.PumpInterval > 0 {
-		return c.Cfg.PumpInterval
-	}
-	return defaultPumpInterval
-}
 
 // now reads the controller's clock (Config.Clock, or the wall clock).
 func (c *Controller) now() time.Time {
@@ -226,7 +215,7 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 	adm := c.Cfg.Admission.withDefaults()
 	admit := pumpPass && !c.faults.NoAdmission
 	// At least one worker may always carry cascades, so they make progress.
-	maxCascade := max(int(adm.MaxShare*float64(c.pumpWorkers())), 1)
+	maxCascade := max(int(adm.MaxShare*float64(pumpWorkers)), 1)
 	floor, _ := c.Cfg.BatchPolicy.bounds()
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
@@ -602,15 +591,9 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 		}
 		switch cl.st[i] {
 		case deliverOK:
-			c.smu.Lock()
-			c.stats.MsgsDelivered++
-			c.smu.Unlock()
 			c.met.msgsDelivered.Inc()
 			c.emit(EvMsgDelivered, snap.MsgID, "%s delivered to %s", snap.Msg.Kind, snap.Msg.Target)
 		case deliverGone:
-			c.smu.Lock()
-			c.stats.MsgsFailed++
-			c.smu.Unlock()
 			c.met.msgsFailed.Inc()
 			notes = append(notes, Notification{
 				MsgID: snap.MsgID, Kind: "gone", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
@@ -762,9 +745,9 @@ func (c *Controller) wakePump() {
 }
 
 // StartPump launches the background repair pump: a goroutine that delivers
-// the outgoing queue continuously — on every enqueue, Retry, and at
-// PumpInterval for backoff retries — fanning deliveries to distinct peers
-// out over PumpWorkers concurrent workers while preserving per-peer FIFO
+// the outgoing queue continuously — on every enqueue, Retry, and every
+// pumpInterval for backoff retries — fanning deliveries to distinct peers
+// out over pumpWorkers concurrent workers while preserving per-peer FIFO
 // order; each claimed batch goes out as frames (deliverBatch). The pump runs until ctx is cancelled or StopPump
 // is called; either way the controller can StartPump again afterwards. It
 // returns an error if the pump is already running.
@@ -778,7 +761,7 @@ func (c *Controller) StartPump(ctx context.Context) error {
 	c.pumpCancel = cancel
 	done := make(chan struct{})
 	c.pumpDone = done
-	pacer := c.sd.NewPacer(c.pumpInterval())
+	pacer := c.sd.NewPacer(pumpInterval)
 	c.pumpPacer = pacer
 	c.sd.Go("pump:"+c.Svc.Name, func() { c.pumpLoop(ctx, done, pacer) })
 	return nil
@@ -859,7 +842,7 @@ func (c *Controller) pumpLoop(ctx context.Context, done chan struct{}, pacer sch
 		c.pumpMu.Unlock()
 		close(done)
 	}()
-	sem := c.sd.NewSem(c.pumpWorkers())
+	sem := c.sd.NewSem(pumpWorkers)
 	for {
 		c.sd.Yield() // schedule point: a pass is about to claim
 		// Decide per-peer claim limits (adaptive batching) and admission

@@ -37,8 +37,6 @@ func TestPumpSlowPeerDoesNotBlockOthers(t *testing.T) {
 	bus.SetLatency("slow", hang)
 
 	cfg := DefaultConfig()
-	cfg.PumpWorkers = 2
-	cfg.PumpInterval = 5 * time.Millisecond
 	a := NewController(&kvApp{name: "a"}, bus, cfg)
 	bus.Register("a", a)
 

@@ -81,9 +81,7 @@ func TestPumpPerPeerFIFO(t *testing.T) {
 	const perPeer = 25
 	tb := newTestbed()
 	cfg := DefaultConfig()
-	cfg.PumpWorkers = 8
 	cfg.BatchPolicy = AdaptiveBatch{Min: 3, Max: 3} // force several batches per peer
-	cfg.PumpInterval = time.Millisecond
 	hub := tb.add(&kvApp{name: "hub"}, cfg)
 
 	recorders := map[string]*orderRecorder{}

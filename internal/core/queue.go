@@ -39,9 +39,6 @@ func (c *Controller) enqueueJoin(msgs []warp.OutMsg, join bool, tc traceCtx) {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	for _, m := range msgs {
-		c.smu.Lock()
-		c.stats.MsgsQueued++
-		c.smu.Unlock()
 		c.met.msgsQueued.Inc()
 		if key := collapseKey(m); key != "" {
 			replaced := false

@@ -19,8 +19,6 @@ import (
 func TestQueueConcurrencyHammer(t *testing.T) {
 	tb := newTestbed()
 	cfg := DefaultConfig()
-	cfg.PumpWorkers = 4
-	cfg.PumpInterval = time.Millisecond
 	a := tb.add(&kvApp{name: "a", mirror: "b"}, cfg)
 	tb.add(&kvApp{name: "b"}, DefaultConfig())
 

@@ -175,8 +175,6 @@ func (c *Controller) verifyCarrierBody(req wire.Request) *wire.Response {
 	}
 	c.met.corruptRejects.Inc()
 	c.spanInboxVerdict(req, req.Header[wire.HdrDeliveryID], "corrupt")
-	c.emit(EvDupDelivery, req.Header[wire.HdrDeliveryID],
-		"carrier body checksum mismatch (want %s); delivery refused", sum)
 	resp := wire.NewResponse(503, "aire: carrier body checksum mismatch; retry")
 	return &resp
 }

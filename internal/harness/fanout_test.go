@@ -8,13 +8,11 @@ import (
 	"aire/internal/core"
 )
 
-// pumpCfg is a hub configuration tuned for the fan-out tests: concurrent
-// delivery, fast background passes.
+// pumpCfg is a hub configuration tuned for the fan-out tests: fixed
+// 8-message batches.
 func pumpCfg() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.PumpWorkers = 4
 	cfg.BatchPolicy = core.AdaptiveBatch{Min: 8, Max: 8}
-	cfg.PumpInterval = time.Millisecond
 	return cfg
 }
 

@@ -441,7 +441,6 @@ func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 		// the virtual clock, one pulse step per interval.
 		w.sched = dsched.New(cfg.Seed*3+2, w.clock)
 		ccfg.Sched = w.sched
-		ccfg.PumpInterval = simPulseStep
 		w.rootCtx, w.rootCancel = context.WithCancel(context.Background())
 		w.pumpCancel = map[string]context.CancelFunc{}
 		w.killCrashes = cfg.killCrashes

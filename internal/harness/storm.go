@@ -48,9 +48,6 @@ type StormConfig struct {
 	// peer. Serial mode sleeps PeerDelay instead.
 	PeerCost  int
 	PeerDelay time.Duration
-	// Workers sizes the pump's delivery pool. Starvation needs fewer
-	// workers than busy peers, so the default is 2.
-	Workers int
 	// noAdmission switches admission control off (core.Faults.NoAdmission)
 	// so the teeth test can prove bounded mirror latency is its doing.
 	noAdmission bool
@@ -77,9 +74,6 @@ func (cfg StormConfig) withDefaults() StormConfig {
 	}
 	if cfg.PeerDelay <= 0 {
 		cfg.PeerDelay = time.Millisecond
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 600
@@ -236,8 +230,6 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	ccfg := core.DefaultConfig()
 	ccfg.Sched = sd
 	ccfg.Clock = clock.Now
-	ccfg.PumpInterval = simPulseStep
-	ccfg.PumpWorkers = cfg.Workers
 	hub := core.NewController(&KVApp{ServiceName: "hub"}, sim, ccfg)
 	hub.InjectFaults(core.Faults{NoAdmission: cfg.noAdmission})
 	bus.Register("hub", hub)
@@ -318,8 +310,6 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 func runStormSerial(cfg StormConfig) (*StormResult, error) {
 	bus := transport.NewBus()
 	ccfg := core.DefaultConfig()
-	ccfg.PumpInterval = time.Millisecond
-	ccfg.PumpWorkers = cfg.Workers
 	hub := core.NewController(&KVApp{ServiceName: "hub"}, bus, ccfg)
 	hub.InjectFaults(core.Faults{NoAdmission: cfg.noAdmission})
 	bus.Register("hub", hub)

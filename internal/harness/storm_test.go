@@ -15,11 +15,14 @@ import (
 // far fewer calls than carriers and each call's drop rate is set higher.
 var stormFaults = simnet.FaultPlan{Drop: 0.2, Duplicate: 0.03}
 
+// stormSchedConfig is the starvation scenario: 120 cascade carriers over 8
+// slow peers, two busy peers for each of the pump's 4 workers, so without
+// admission the cascades can occupy every worker.
 func stormSchedConfig(seed int64, admission bool) StormConfig {
 	return StormConfig{
 		Seed:        seed,
-		Peers:       4,
-		Backlog:     30,
+		Peers:       8,
+		Backlog:     15,
 		Responses:   12,
 		PeerCost:    6,
 		Sched:       true,

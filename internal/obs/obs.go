@@ -8,10 +8,11 @@
 //
 //  1. Disabled must be free. Every handle type is nil-safe: a nil
 //     *Counter / *Gauge / *Histogram / *Ring accepts updates and does
-//     nothing, with zero allocations. Components cache handles once at
-//     construction; when no Registry is configured the handles are nil
-//     and the instrumented hot path degenerates to a nil check
-//     (asserted by BenchmarkObsOverhead and TestObsDisabledZeroAlloc).
+//     nothing, with zero allocations; a zero-value handle is a detached
+//     one that counts but is exported nowhere. Components cache handles
+//     once at construction; when no Registry is configured the
+//     instrumented hot path makes 0 allocs/op (asserted by
+//     BenchmarkObsOverhead and TestObsDisabledZeroAlloc).
 //
 //  2. Enabled must stay off the hot-path locks. Handles are resolved
 //     under the registry mutex once, at setup; updates are lock-free
@@ -155,6 +156,15 @@ func (h *Histogram) ObserveNS(ns int64) {
 			return
 		}
 	}
+}
+
+// SumNS returns the sum of every sample observed, in nanoseconds.
+// Nil-safe (returns 0).
+func (h *Histogram) SumNS() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sumNS.Load()
 }
 
 // HistSnapshot is one histogram's consistent-enough view (each field is
