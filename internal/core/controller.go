@@ -224,6 +224,10 @@ type Stats struct {
 	// sees a fault class that applies repairs without producing local
 	// delivery outcomes (the carried ROADMAP quiesce-widening debt).
 	InboxCommits int64
+	// RepairsDenied counts incoming repairs refused because the
+	// application's Authorize denied them (§4); the sender learns of each
+	// as an "unauthorized" notification.
+	RepairsDenied int64
 }
 
 type tokenEntry struct {
@@ -292,8 +296,6 @@ type Controller struct {
 
 	// walst mirrors committed mutations into a write-ahead log (wal.go).
 	walst walState
-
-	events eventHub
 }
 
 // NewController builds the Aire runtime for app, delivering over net.
@@ -404,7 +406,6 @@ func (c *Controller) handleNormal(from string, req wire.Request) wire.Response {
 	for _, ef := range rec.Effects {
 		c.Svc.PerformEffect(ef)
 	}
-	c.emit(EvRequest, rec.ID, "%s %s from=%q -> %d", req.Method, req.Path, from, resp.Status)
 	return resp
 }
 
@@ -607,8 +608,6 @@ func (c *Controller) finishRepair(actions []warp.Action, res *warp.Result, enque
 	for _, n := range res.Notices {
 		c.notify(Notification{Kind: string(n.Kind), Detail: n.Detail, RepairType: "local"})
 	}
-	c.emit(EvRepairApplied, fmt.Sprintf("%d action(s)", len(actions)),
-		"re-executed %d/%d requests, queued %d message(s)", res.RepairedRequests, res.TotalRequests, len(res.Msgs))
 }
 
 // ApplyLocal lets a local administrator (or application code) initiate
@@ -649,6 +648,7 @@ func (c *Controller) Stats() Stats {
 		DupDeliveries:   m.inboxDup.Value(),
 		StaleDeliveries: m.inboxStale.Value(),
 		InboxCommits:    m.inboxCommits.Value(),
+		RepairsDenied:   m.repairsDenied.Value(),
 	}
 }
 

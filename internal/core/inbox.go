@@ -183,7 +183,6 @@ func (c *Controller) gateDelivery(from string, ic *inCarrier) {
 	case deliver.Duplicate:
 		c.met.inboxDup.Inc()
 		c.spanInboxVerdict(req, id, "duplicate")
-		c.emit(EvDupDelivery, id, "duplicate delivery from %s re-acknowledged (gen %d)", origin, gen)
 		resp := wire.NewResponse(200, "aire: duplicate delivery acknowledged")
 		if outcome != "" {
 			resp.Header[wire.HdrRequestID] = outcome
@@ -193,7 +192,6 @@ func (c *Controller) gateDelivery(from string, ic *inCarrier) {
 	case deliver.Stale:
 		c.met.inboxStale.Inc()
 		c.spanInboxVerdict(req, id, "stale")
-		c.emit(EvStaleDelivery, id, "superseded generation %d from %s acknowledged and discarded", gen, origin)
 		ic.answer(wire.NewResponse(200, "aire: stale generation discarded"))
 		return
 	case deliver.InFlight:
@@ -322,7 +320,7 @@ func (c *Controller) admitRepair(from string, ic *inCarrier) {
 	authorized := c.AppImpl.Authorize(ac)
 	c.Svc.Mu.Unlock()
 	if !authorized {
-		c.emit(EvRepairDenied, targetID, "%s from %q denied by policy", op, from)
+		c.met.repairsDenied.Inc()
 		ic.answer(wire.NewResponse(403, "aire: repair not authorized"))
 		return
 	}

@@ -33,6 +33,7 @@ type ctrlMetrics struct {
 	inboxBusy     *obs.Counter
 	inboxGone     *obs.Counter
 	inboxCommits  *obs.Counter // exactly-once outcomes committed
+	repairsDenied *obs.Counter // incoming repairs the application's Authorize refused
 
 	repairedReqs *obs.Counter // requests re-executed by local repair (Table 5)
 	repairedOps  *obs.Counter // model operations re-executed by local repair
@@ -87,6 +88,7 @@ func newCtrlMetrics(reg *obs.Registry, svc string) ctrlMetrics {
 		inboxBusy:     counter("inbox_in_flight"),
 		inboxGone:     counter("inbox_forgotten"),
 		inboxCommits:  counter("inbox_commits"),
+		repairsDenied: counter("repairs_denied"),
 
 		repairedReqs: counter("repaired_requests"),
 		repairedOps:  counter("repaired_ops"),

@@ -8,6 +8,7 @@ import (
 
 	"aire/internal/obs"
 	"aire/internal/transport"
+	"aire/internal/warp"
 	"aire/internal/wire"
 )
 
@@ -236,6 +237,7 @@ func TestStatsReadRegistrySeries(t *testing.T) {
 			DupDeliveries:   snap.Counters[p+"inbox_duplicate"],
 			StaleDeliveries: snap.Counters[p+"inbox_stale"],
 			InboxCommits:    snap.Counters[p+"inbox_commits"],
+			RepairsDenied:   snap.Counters[p+"repairs_denied"],
 		}
 		counts := [4]int{
 			int(snap.Counters[p+"repaired_requests"]), int(snap.Gauges[p+"last_total_requests"]),
@@ -260,7 +262,7 @@ func TestStatsReadRegistrySeries(t *testing.T) {
 		}
 	}
 	a := tb.ctrls["a"]
-	if st := a.Stats(); st.Requests == 0 || st.RepairsRun == 0 || st.MsgsDelivered == 0 || tb.ctrls["b"].Stats().InboxCommits == 0 {
+	if st := a.Stats(); st.Requests == 0 || st.RepairsRun == 0 || st.MsgsQueued == 0 || st.MsgsDelivered == 0 || tb.ctrls["b"].Stats().InboxCommits == 0 {
 		t.Fatalf("the scenario counted nothing: a %+v, b %+v", st, tb.ctrls["b"].Stats())
 	}
 
@@ -285,5 +287,44 @@ func TestStatsReadRegistrySeries(t *testing.T) {
 	tb.call("a", put("y", "v2"))
 	if got := a2.Stats().Requests; got != before.Requests+1 {
 		t.Fatalf("rebuilt controller counts %d requests, want %d", got, before.Requests+1)
+	}
+}
+
+// TestHeldAndDeniedCounted: a repair the receiver's Authorize refuses is
+// held at the sender with an "unauthorized" notification (Table 2's
+// notify), and counted once on the receiver as repairs_denied.
+func TestHeldAndDeniedCounted(t *testing.T) {
+	reg := obs.New(obs.DefaultRingCap)
+	cfg := DefaultConfig()
+	cfg.Obs = reg
+	tb := newTestbed()
+	a := tb.add(&kvApp{name: "a", mirror: "b"}, cfg)
+	b := tb.add(&kvApp{name: "b", authz: func(AuthzRequest) bool { return false }}, cfg)
+
+	attack := tb.call("a", put("x", "evil"))
+	tb.settle(10)
+	if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]}); err != nil {
+		t.Fatal(err)
+	}
+	tb.settle(10)
+
+	pending := a.Pending()
+	if len(pending) != 1 || !pending[0].Held {
+		t.Fatalf("sender queue %+v, want one held message", pending)
+	}
+	var unauthorized int
+	for _, n := range a.Notifications() {
+		if n.Kind == "unauthorized" && n.MsgID == pending[0].MsgID {
+			unauthorized++
+		}
+	}
+	if unauthorized != 1 {
+		t.Fatalf("sender notifications %+v, want one unauthorized for %s", a.Notifications(), pending[0].MsgID)
+	}
+	if got := b.Stats().RepairsDenied; got != 1 {
+		t.Fatalf("receiver RepairsDenied = %d, want 1", got)
+	}
+	if got := reg.Snapshot().Counters["core.b.repairs_denied"]; got != b.Stats().RepairsDenied {
+		t.Fatalf("registry core.b.repairs_denied = %d, Stats reads %d", got, b.Stats().RepairsDenied)
 	}
 }

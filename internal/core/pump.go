@@ -592,7 +592,6 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 		switch cl.st[i] {
 		case deliverOK:
 			c.met.msgsDelivered.Inc()
-			c.emit(EvMsgDelivered, snap.MsgID, "%s delivered to %s", snap.Msg.Kind, snap.Msg.Target)
 		case deliverGone:
 			c.met.msgsFailed.Inc()
 			notes = append(notes, Notification{
@@ -600,7 +599,6 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 				Detail: "peer reports the request's logs were garbage-collected; repair is permanently unavailable: " + snap.LastErr,
 			})
 		case deliverDenied:
-			c.emit(EvMsgHeld, snap.MsgID, "%s to %s held: unauthorized", snap.Msg.Kind, snap.Msg.Target)
 			notes = append(notes, Notification{
 				MsgID: snap.MsgID, Kind: "unauthorized", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
 				Detail: "peer rejected repair message as unauthorized; refresh credentials and Retry: " + snap.LastErr,
@@ -610,7 +608,6 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 				// The peer is up; it rejected this one message. Distinct
 				// from "unreachable" so the administrator debugs the
 				// message, not connectivity.
-				c.emit(EvMsgHeld, snap.MsgID, "%s to %s held: rejected after %d attempts", snap.Msg.Kind, snap.Msg.Target, held[j])
 				notes = append(notes, Notification{
 					MsgID: snap.MsgID, Kind: "rejected", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
 					Detail: fmt.Sprintf("peer rejected this message %d times; message held for Retry: %s", held[j], snap.LastErr),

@@ -76,7 +76,6 @@ func (c *Controller) enqueueJoin(msgs []warp.OutMsg, join bool, tc traceCtx) {
 		c.vvIssueLocked(c.peerDest(m), p.DeliveryID)
 		c.walEmitQSetJoinLocked(p, join)
 		c.spanEnqueueLocked(p)
-		c.emit(EvMsgQueued, p.MsgID, "%s -> %s (req=%s resp=%s)", m.Kind, m.Target, m.RemoteReqID, m.RespID)
 	}
 	c.met.queueDepth.Set(int64(c.qlive))
 	c.wakePump()

@@ -37,7 +37,7 @@ func TestStrictIndexesGuardFiresOnStoreCorruption(t *testing.T) {
 	tb.call("store", put("x", "good"))
 	attack := tb.call("store", put("x", "evil"))
 
-	c.Svc.Store.CorruptScanFPForTest("kv")
+	c.Svc.Store.DropIndexEntryForTest(vdb.Key{Model: "kv", ID: "x"})
 	_, err := c.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]})
 	if err == nil {
 		t.Fatal("repair ran over a corrupted store index")
@@ -97,7 +97,7 @@ func TestStrictIndexesOffByDefault(t *testing.T) {
 	tb.call("store", put("x", "good"))
 	attack := tb.call("store", put("x", "evil"))
 
-	c.Svc.Store.CorruptScanFPForTest("never-scanned-model")
+	c.Svc.Store.DropIndexEntryForTest(vdb.Key{Model: "kv", ID: "x"})
 	if _, err := c.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack.Header[wire.HdrRequestID]}); err != nil {
 		t.Fatalf("guard fired with StrictIndexes off: %v", err)
 	}

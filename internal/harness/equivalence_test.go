@@ -66,8 +66,8 @@ func inspectIndexes(t *testing.T, seed int64) func(w *simWorld) {
 				if gi, gl := st.ScanHashAtExcluding("kv", rec.TS, rec.ID), st.ScanHashAtExcludingLinear("kv", rec.TS, rec.ID); gi != gl {
 					t.Errorf("seed %d %s: ScanHashAtExcluding(kv, %d, %s) = %#x, linear %#x", seed, name, rec.TS, rec.ID, gi, gl)
 				}
-				if gi, gl := st.ScanHashAt("kv", rec.TS), st.ScanHashAtLinear("kv", rec.TS); gi != gl {
-					t.Errorf("seed %d %s: ScanHashAt(kv, %d) = %#x, linear %#x", seed, name, rec.TS, gi, gl)
+				if gi, gl := st.ScanHashAtExcluding("kv", rec.TS, ""), st.ScanHashAtExcludingLinear("kv", rec.TS, ""); gi != gl {
+					t.Errorf("seed %d %s: ScanHashAtExcluding(kv, %d, \"\") = %#x, linear %#x", seed, name, rec.TS, gi, gl)
 				}
 				if gi, gl := st.IDsAt("kv", rec.TS), st.IDsAtLinear("kv", rec.TS); !reflect.DeepEqual(gi, gl) {
 					t.Errorf("seed %d %s: IDsAt(kv, %d) = %v, linear %v", seed, name, rec.TS, gi, gl)

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"aire/internal/core"
@@ -113,35 +112,20 @@ func (s *FanoutScenario) AllRepaired() bool {
 }
 
 // WaitReachableRepaired waits until every reachable peer is repaired or the
-// timeout elapses, returning how long it took and whether it succeeded.
-// The wait is event-driven — each pump delivery wakes a re-check — so there
-// is no sleep-polling interval to tune (or to flake on slow CI).
+// timeout elapses, returning how long it took and whether it succeeded. It
+// re-checks every millisecond.
 func (s *FanoutScenario) WaitReachableRepaired(timeout time.Duration) (time.Duration, bool) {
 	start := time.Now()
-	wake := make(chan struct{}, 1)
-	// Subscribe has no unsubscribe, so the sink outlives this call; the
-	// done flag makes it inert once the wait returns.
-	var done atomic.Bool
-	defer done.Store(true)
-	s.Hub.Subscribe(func(e core.Event) {
-		if e.Kind == core.EvMsgDelivered && !done.Load() {
-			select {
-			case wake <- struct{}{}:
-			default:
-			}
-		}
-	})
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		// Check after subscribing: deliveries that completed before the
-		// subscription are visible to the check, deliveries after it send a
-		// wake — no lost wakeups either way.
 		if s.ReachableRepaired() {
 			return time.Since(start), true
 		}
 		select {
-		case <-wake:
+		case <-tick.C:
 		case <-deadline.C:
 			return time.Since(start), false
 		}

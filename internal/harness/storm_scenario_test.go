@@ -104,15 +104,17 @@ type StormResult struct {
 
 // stormPeer acknowledges every repair-plane carrier, framed or not,
 // charging a configurable cost (yield points or wall-clock sleep) per
-// carrier — a peer that is up but slow.
+// carrier — a peer that is up but slow — and then tells the sink which
+// message it answered.
 type stormPeer struct {
 	sched interface{ Yield() }
 	cost  int
 	delay time.Duration
+	sink  *stormSink
 }
 
 func (p *stormPeer) HandleWire(from string, req wire.Request) wire.Response {
-	return wire.HandleFrame(req, func(wire.Request) wire.Response {
+	return wire.HandleFrame(req, func(c wire.Request) wire.Response {
 		if p.sched != nil {
 			for i := 0; i < p.cost; i++ {
 				p.sched.Yield()
@@ -120,23 +122,29 @@ func (p *stormPeer) HandleWire(from string, req wire.Request) wire.Response {
 		} else if p.delay > 0 {
 			time.Sleep(p.delay)
 		}
+		p.sink.answered(c)
 		return wire.NewResponse(200, "ok")
 	})
 }
 
-// stormSink correlates EvMsgQueued/EvMsgDelivered by message ID and
-// accumulates per-class sojourns. now() supplies the cost metric —
-// scheduler steps or wall-clock microseconds.
+// stormSink matches each message's injection to the first time a peer
+// answers its carrier, and accumulates per-class sojourns. now() supplies
+// the cost metric — scheduler steps or wall-clock microseconds.
 type stormSink struct {
 	now func() int64
 
 	mu       sync.Mutex
 	queued   map[string]int64
+	tokens   map[string]bool // mirror tokens answered so far
 	mirror   []int64
 	cascade  []int64
 	enqueued int // cascade messages injected (for backlog accounting)
 	drainAt  int // cascade deliveries seen when the mirror plane drained
 	mirrorN  int // mirror messages expected
+}
+
+func newStormSink(now func() int64, mirrorN int) *stormSink {
+	return &stormSink{now: now, queued: map[string]int64{}, tokens: map[string]bool{}, mirrorN: mirrorN}
 }
 
 // inject records a message's enqueue instant under its ID.
@@ -146,19 +154,32 @@ func (s *stormSink) inject(id string) {
 	s.mu.Unlock()
 }
 
-func (s *stormSink) onEvent(e core.Event) {
-	if e.Kind != core.EvMsgDelivered {
-		return
-	}
+// answered records a peer's answer to carrier c. A cascade carrier names
+// its message by Aire-Request-Id ("peerN-req-i" is message "c-peerN-i"). A
+// mirror carrier names only a token, but the pump delivers to one peer in
+// queue order, so the k-th distinct token the client sees is message
+// "m-k". Redeliveries of an answered message are ignored.
+func (s *stormSink) answered(c wire.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	at, ok := s.queued[e.Subject]
+	var id string
+	if tok := c.Form["token"]; tok != "" {
+		if s.tokens[tok] {
+			return
+		}
+		id = fmt.Sprintf("m-%d", len(s.tokens))
+		s.tokens[tok] = true
+	} else {
+		peer, n, _ := strings.Cut(c.Header[wire.HdrRequestID], "-req-")
+		id = "c-" + peer + "-" + n
+	}
+	at, ok := s.queued[id]
 	if !ok {
 		return
 	}
-	delete(s.queued, e.Subject)
+	delete(s.queued, id)
 	d := s.now() - at
-	if strings.HasPrefix(e.Subject, "m-") {
+	if strings.HasPrefix(id, "m-") {
 		s.mirror = append(s.mirror, d)
 		if len(s.mirror) == s.mirrorN {
 			s.drainAt = s.enqueued - len(s.cascade)
@@ -233,17 +254,11 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	hub := core.NewController(&KVApp{ServiceName: "hub"}, sim, ccfg)
 	hub.InjectFaults(core.Faults{NoAdmission: cfg.noAdmission})
 	bus.Register("hub", hub)
+	sink := newStormSink(func() int64 { return int64(sd.Steps()) }, cfg.Responses)
 	for p := 0; p < cfg.Peers; p++ {
-		bus.Register(fmt.Sprintf("peer%d", p), &stormPeer{sched: sd, cost: cfg.PeerCost})
+		bus.Register(fmt.Sprintf("peer%d", p), &stormPeer{sched: sd, cost: cfg.PeerCost, sink: sink})
 	}
-	bus.Register("client", &stormPeer{}) // the notifier host: fast
-
-	sink := &stormSink{
-		now:     func() int64 { return int64(sd.Steps()) },
-		queued:  map[string]int64{},
-		mirrorN: cfg.Responses,
-	}
-	hub.Subscribe(sink.onEvent)
+	bus.Register("client", &stormPeer{sink: sink}) // the notifier host: fast
 
 	res := &StormResult{}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -313,18 +328,12 @@ func runStormSerial(cfg StormConfig) (*StormResult, error) {
 	hub := core.NewController(&KVApp{ServiceName: "hub"}, bus, ccfg)
 	hub.InjectFaults(core.Faults{NoAdmission: cfg.noAdmission})
 	bus.Register("hub", hub)
-	for p := 0; p < cfg.Peers; p++ {
-		bus.Register(fmt.Sprintf("peer%d", p), &stormPeer{delay: cfg.PeerDelay})
-	}
-	bus.Register("client", &stormPeer{})
-
 	start := time.Now()
-	sink := &stormSink{
-		now:     func() int64 { return time.Since(start).Microseconds() },
-		queued:  map[string]int64{},
-		mirrorN: cfg.Responses,
+	sink := newStormSink(func() int64 { return time.Since(start).Microseconds() }, cfg.Responses)
+	for p := 0; p < cfg.Peers; p++ {
+		bus.Register(fmt.Sprintf("peer%d", p), &stormPeer{delay: cfg.PeerDelay, sink: sink})
 	}
-	hub.Subscribe(sink.onEvent)
+	bus.Register("client", &stormPeer{sink: sink})
 
 	res := &StormResult{}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -354,8 +363,6 @@ func runStormSerial(cfg StormConfig) (*StormResult, error) {
 	if !hub.WaitQueueEmpty(60 * time.Second) {
 		return nil, fmt.Errorf("storm: %d messages still queued after 60s", hub.QueueLen())
 	}
-	// The last entry leaves the queue before its worker emits
-	// EvMsgDelivered; stopping the pump waits for every worker to finish.
 	hub.StopPump()
 	sink.finish(res)
 	return res, nil

@@ -221,43 +221,34 @@ type Log struct {
 	// sink observes every mutation for write-ahead logging (see wal.go).
 	sink func(Change)
 
-	compress    bool
-	sampleEvery int64
-	rawBytes    int64 // cumulative raw JSON size of all records
-	samples     int64
-	sampleRaw   int64 // raw bytes of the compression-sampled records
-	sampleGz    int64 // gzip bytes of the compression-sampled records
+	compress  bool
+	rawBytes  int64 // cumulative raw JSON size of all records
+	samples   int64 // records sized so far
+	sampleRaw int64 // raw bytes of the compression-sampled records
+	sampleGz  int64 // gzip bytes of the compression-sampled records
 }
+
+// sampleEvery is how often a compressed log actually gzips a record to
+// sample the compression ratio: every 16th record.
+const sampleEvery = 16
 
 // New returns an empty log. If compress is true, per-record size accounting
 // reports gzip-compressed JSON, matching the paper's Table 4 methodology
 // ("per-request storage required for Aire's logs (compressed)").
 // Compression happens off the request's critical path in a real deployment,
 // so the log gzips only every 16th record and scales the raw size by the
-// observed compression ratio; use SetSampleRate(1) for exact accounting.
+// observed compression ratio.
 func New(compress bool) *Log {
 	return &Log{
-		byID:        make(map[string]*Record),
-		respIdx:     make(map[string]callPos),
-		calls:       make(map[string][]callSite),
-		readers:     make(map[vdb.Key][]Ref),
-		writers:     make(map[vdb.Key][]Ref),
-		scanners:    make(map[string][]Ref),
-		indexed:     make(map[*Record]*indexedState),
-		compress:    compress,
-		sampleEvery: 16,
+		byID:     make(map[string]*Record),
+		respIdx:  make(map[string]callPos),
+		calls:    make(map[string][]callSite),
+		readers:  make(map[vdb.Key][]Ref),
+		writers:  make(map[vdb.Key][]Ref),
+		scanners: make(map[string][]Ref),
+		indexed:  make(map[*Record]*indexedState),
+		compress: compress,
 	}
-}
-
-// SetSampleRate controls how often a record is actually gzipped for size
-// accounting (1 = every record).
-func (l *Log) SetSampleRate(n int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	l.sampleEvery = n
 }
 
 // Append adds a record. Records may arrive with any timestamp (repair
@@ -462,7 +453,7 @@ func (l *Log) unindexLocked(r *Record) {
 // from encodedLen's walk; only the 1-in-sampleEvery compression sample
 // needs the encoded bytes themselves.
 func (l *Log) accountSize(r *Record) {
-	if l.compress && l.samples%l.sampleEvery == 0 {
+	if l.compress && l.samples%sampleEvery == 0 {
 		b, err := json.Marshal(r)
 		if err != nil {
 			return
@@ -799,11 +790,4 @@ func (l *Log) AppBytes() int64 {
 		return l.rawBytes
 	}
 	return int64(float64(l.rawBytes) * float64(l.sampleGz) / float64(l.sampleRaw))
-}
-
-// Samples returns how many records have contributed to AppBytes.
-func (l *Log) Samples() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.samples
 }

@@ -33,19 +33,7 @@ func BenchmarkAppendCompressed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(l.AppBytes())/float64(l.Samples()), "bytes/rec")
-}
-
-// BenchmarkAppendExact gzips every record — the worst-case inline cost.
-func BenchmarkAppendExact(b *testing.B) {
-	l := New(true)
-	l.SetSampleRate(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := l.Append(benchRecord(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportMetric(float64(l.AppBytes())/float64(l.samples), "bytes/rec")
 }
 
 // benchCallLog builds a log of n records, each with one Aire-identified

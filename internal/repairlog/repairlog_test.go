@@ -143,8 +143,8 @@ func TestSizeAccounting(t *testing.T) {
 	if gz.AppBytes() >= plain.AppBytes() {
 		t.Fatalf("compressed size %d should beat raw %d on compressible data", gz.AppBytes(), plain.AppBytes())
 	}
-	if plain.Samples() != 1 {
-		t.Fatalf("samples = %d", plain.Samples())
+	if plain.samples != 1 {
+		t.Fatalf("samples = %d", plain.samples)
 	}
 }
 

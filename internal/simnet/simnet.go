@@ -358,13 +358,6 @@ func (n *Net) Heal() {
 	n.group = nil
 }
 
-// Partitioned reports whether a partition is active.
-func (n *Net) Partitioned() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.group != nil
-}
-
 func (n *Net) partitionedLocked(from, to string) bool {
 	if n.group == nil {
 		return false

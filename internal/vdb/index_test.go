@@ -80,8 +80,8 @@ func TestScanHashAtExcludingConsistentSnapshot(t *testing.T) {
 // TestIndexedScansMatchLinearReference drives the store through every
 // index-maintaining operation (Put, coalescing re-Put, Delete, Rollback,
 // GC, Dump/Restore, PutImmutable) and checks at each step that the indexed
-// IDs/IDsAt/ScanHashAt/ScanHashAtExcluding agree with the retained
-// linear-scan reference implementations.
+// IDs/IDsAt/ScanHashAtExcluding agree with the retained linear-scan
+// reference implementations.
 func TestIndexedScansMatchLinearReference(t *testing.T) {
 	s := NewStore()
 	check := func(stage string, tss ...int64) {
@@ -91,10 +91,7 @@ func TestIndexedScansMatchLinearReference(t *testing.T) {
 				if got, want := s.IDsAt(model, ts), s.IDsAtLinear(model, ts); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: IDsAt(%q, %d) = %v, linear reference %v", stage, model, ts, got, want)
 				}
-				if got, want := s.ScanHashAt(model, ts), s.ScanHashAtLinear(model, ts); got != want {
-					t.Fatalf("%s: ScanHashAt(%q, %d) = %#x, linear reference %#x", stage, model, ts, got, want)
-				}
-				for _, req := range []string{"r-none", "r2", "r5"} {
+				for _, req := range []string{"", "r-none", "r2", "r5"} {
 					if got, want := s.ScanHashAtExcluding(model, ts, req), s.ScanHashAtExcludingLinear(model, ts, req); got != want {
 						t.Fatalf("%s: ScanHashAtExcluding(%q, %d, %q) = %#x, linear reference %#x", stage, model, ts, req, got, want)
 					}
@@ -141,8 +138,8 @@ func TestIndexedScansMatchLinearReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ts := range []int64{30, 40, 60, 100} {
-		if got, want := fresh.ScanHashAt("kv", ts), s.ScanHashAt("kv", ts); got != want {
-			t.Fatalf("restore: ScanHashAt(kv, %d) = %#x, original %#x", ts, got, want)
+		if got, want := fresh.ScanHashAtExcluding("kv", ts, ""), s.ScanHashAtExcluding("kv", ts, ""); got != want {
+			t.Fatalf("restore: ScanHashAtExcluding(kv, %d) = %#x, original %#x", ts, got, want)
 		}
 		if got, want := fresh.IDsAt("kv", ts), s.IDsAt("kv", ts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("restore: IDsAt(kv, %d) = %v, original %v", ts, got, want)
@@ -150,31 +147,6 @@ func TestIndexedScansMatchLinearReference(t *testing.T) {
 	}
 	s = fresh
 	check("restored", 30, 40, 60, 100)
-}
-
-// TestScanHashCurrentFastPath pins the O(1) present-time fast path to the
-// walked computation.
-func TestScanHashCurrentFastPath(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 50; i++ {
-		if err := s.Put(Key{"kv", fmt.Sprintf("k%02d", i)}, fields(fmt.Sprint(i)), int64(i+1)*10, fmt.Sprintf("r%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Delete(Key{"kv", "k07"}, 600, "r-del"); err != nil {
-		t.Fatal(err)
-	}
-	// ts beyond lastTS answers from the maintained fingerprint; it must
-	// equal both the historical walk at the same ts and the linear
-	// reference.
-	atNow := s.ScanHashAt("kv", 1<<40)
-	if got := s.ScanHashAtLinear("kv", 1<<40); got != atNow {
-		t.Fatalf("fast path %#x != linear %#x", atNow, got)
-	}
-	// ts == lastTS exactly also sees every version.
-	if got := s.ScanHashAt("kv", 600); got != atNow {
-		t.Fatalf("ScanHashAt at lastTS %#x != fast path %#x", got, atNow)
-	}
 }
 
 // TestIndexBytesAccounting: the store's index memory estimate tracks the

@@ -107,27 +107,17 @@ func (v Version) Hash() uint64 {
 // no live object.
 const MissingHash uint64 = 0
 
-// modelIndex is the per-model secondary index: the sorted member set (every
-// object of the model with at least one version) plus an incrementally
-// maintained fingerprint of the model's current live scan state. It lets
-// IDs/IDsAt/ScanHashAt(Excluding) walk only the model's members instead of
-// the whole object map, and answers present-time scan fingerprints in O(1).
+// modelIndex is the per-model secondary index: the sorted member set of
+// every object of the model with at least one version (live or
+// tombstoned). It lets IDs/IDsAt/ListAt/ScanHashAtExcluding walk only the
+// model's members instead of the whole object map.
 type modelIndex struct {
-	// ids is the sorted set of member object IDs (live or tombstoned).
 	ids idSet
-	// curFP is the commutative scan fingerprint of the model's present
-	// state: the wrapping sum of scanContrib(id, hash) over live members,
-	// updated on every Put/Delete/Rollback.
-	curFP uint64
-	// lastTS is a high-water mark of version timestamps in the model:
-	// ScanHashAt(ts >= lastTS) can answer from curFP. Rollback may leave it
-	// higher than any remaining version, which only disables the fast path.
-	lastTS int64
 }
 
 // scanContrib is one member's contribution to a model's scan fingerprint.
 // Contributions combine by wrapping addition, so the fingerprint is
-// order-independent and can be maintained incrementally under mutation.
+// order-independent.
 func scanContrib(id string, vh uint64) uint64 {
 	h := fnvString(fnvOffset64, id)
 	h = fnvByte(h, 0)
@@ -168,19 +158,6 @@ func (s *Store) model(name string) *modelIndex {
 		s.models[name] = idx
 	}
 	return idx
-}
-
-// liveContribLocked returns the object's current contribution to its model's
-// scan fingerprint (0 if absent or tombstoned). Caller holds mu.
-func liveContribLocked(k Key, vs []Version) uint64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	last := vs[len(vs)-1]
-	if last.Deleted {
-		return 0
-	}
-	return scanContrib(k.ID, last.Hash())
 }
 
 // indexInsertLocked adds the object to its model's member set (no-op if
@@ -252,11 +229,6 @@ func (s *Store) PutImmutable(k Key, fields map[string]string, ts int64, reqID st
 	s.objects[k] = []Version{nv}
 	s.versionBytes += approxSize(k, fields)
 	s.indexInsertLocked(k)
-	idx := s.model(k.Model)
-	idx.curFP += scanContrib(k.ID, nv.Hash())
-	if ts > idx.lastTS {
-		idx.lastTS = ts
-	}
 	s.emitPutLocked(k, nv)
 	return nil
 }
@@ -265,7 +237,6 @@ func (s *Store) put(k Key, fields map[string]string, ts int64, reqID string, del
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	vs := s.objects[k]
-	oldContrib := liveContribLocked(k, vs)
 	if s.latestOnly && len(vs) > 0 && !vs[len(vs)-1].Immutable {
 		vs = vs[:0] // plain-database semantics: overwrite in place
 	}
@@ -283,7 +254,6 @@ func (s *Store) put(k Key, fields map[string]string, ts int64, reqID string, del
 			nv.hash = nv.Hash()
 			vs[len(vs)-1] = nv
 			s.versionBytes += approxSize(k, fields)
-			s.finishPutLocked(k, nv, oldContrib)
 			s.emitPutLocked(k, nv)
 			return nil
 		}
@@ -295,25 +265,9 @@ func (s *Store) put(k Key, fields map[string]string, ts int64, reqID string, del
 	nv.hash = nv.Hash()
 	s.objects[k] = append(vs, nv)
 	s.versionBytes += approxSize(k, fields)
-	s.finishPutLocked(k, nv, oldContrib)
+	s.indexInsertLocked(k)
 	s.emitPutLocked(k, nv)
 	return nil
-}
-
-// finishPutLocked maintains the model index after a successful write: the
-// member list gains the object on first write, and the current-scan
-// fingerprint swaps the object's old live contribution for the new one.
-// Caller holds mu.
-func (s *Store) finishPutLocked(k Key, nv Version, oldContrib uint64) {
-	s.indexInsertLocked(k)
-	idx := s.model(k.Model)
-	idx.curFP -= oldContrib
-	if !nv.Deleted {
-		idx.curFP += scanContrib(k.ID, nv.Hash())
-	}
-	if nv.TS > idx.lastTS {
-		idx.lastTS = nv.TS
-	}
 }
 
 func copyFields(m map[string]string) map[string]string {
@@ -354,20 +308,8 @@ func (s *Store) ViewAt(k Key, ts int64) (Version, bool) {
 	return vs[i-1], true
 }
 
-// HashAt returns the value fingerprint of the object at ts (MissingHash if
-// absent). This is the fast path used by precise read-dependency checks.
-func (s *Store) HashAt(k Key, ts int64) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vs := s.objects[k]
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
-	if i == 0 || vs[i-1].Deleted {
-		return MissingHash
-	}
-	return vs[i-1].Hash()
-}
-
-// HashAtExcluding is HashAt but ignores the version written by reqID itself.
+// HashAtExcluding returns the value fingerprint of the object at ts
+// (MissingHash if absent), ignoring the version written by reqID itself.
 // The repair engine evaluates a request's read dependencies with its own
 // writes masked out: a read performed before the request's own write
 // observed the previous version, and comparing against the post-write state
@@ -388,16 +330,6 @@ func (s *Store) HashAtExcluding(k Key, ts int64, reqID string) uint64 {
 	return vs[i-1].Hash()
 }
 
-// hashAtLocked is HashAt without locking. Caller holds mu (read or write).
-func (s *Store) hashAtLocked(k Key, ts int64) uint64 {
-	vs := s.objects[k]
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
-	if i == 0 || vs[i-1].Deleted {
-		return MissingHash
-	}
-	return vs[i-1].Hash()
-}
-
 // hashAtExcludingLocked is HashAtExcluding without locking. Caller holds mu.
 func (s *Store) hashAtExcludingLocked(k Key, ts int64, reqID string) uint64 {
 	vs := s.objects[k]
@@ -411,9 +343,12 @@ func (s *Store) hashAtExcludingLocked(k Key, ts int64, reqID string) uint64 {
 	return vs[i-1].Hash()
 }
 
-// ScanHashAtExcluding is ScanHashAt with reqID's own versions masked out,
-// for the same reason as HashAtExcluding: a scan dependency must fingerprint
-// the state the request observed from *others*, which replay regenerates
+// ScanHashAtExcluding fingerprints the set of live (id, value-hash) pairs
+// of a model at ts. Scan dependencies recorded by list queries compare this
+// fingerprint during repair: a scan is affected only if membership or any
+// member's value changed. reqID's own versions are masked out, for the same
+// reason as HashAtExcluding: a scan dependency must fingerprint the state
+// the request observed from *others*, which replay regenerates
 // deterministically.
 //
 // The whole fingerprint is computed over the model's member index under one
@@ -547,14 +482,10 @@ func (s *Store) rollbackLocked(k Key, ts int64) int {
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
 	removed := len(vs) - i
 	if removed > 0 {
-		idx := s.model(k.Model)
-		idx.curFP -= liveContribLocked(k, vs)
 		s.objects[k] = vs[:i]
 		if i == 0 {
 			delete(s.objects, k)
 			s.indexRemoveLocked(k)
-		} else {
-			idx.curFP += liveContribLocked(k, vs[:i])
 		}
 	}
 	return removed
@@ -625,56 +556,6 @@ func (s *Store) IDsAtLinear(model string, ts int64) []string {
 	return ids
 }
 
-// ScanHashAt fingerprints the set of live (id, value-hash) pairs of a model
-// at ts. Scan dependencies recorded by list queries compare this fingerprint
-// during repair: a scan is affected only if membership or any member's value
-// changed.
-//
-// Fingerprints combine member contributions by wrapping addition, so the
-// model's present-time fingerprint is answered in O(1) from the
-// incrementally maintained index; historical timestamps walk the member
-// list under a single lock.
-func (s *Store) ScanHashAt(model string, ts int64) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idx := s.models[model]
-	if idx == nil {
-		return 0
-	}
-	if ts >= idx.lastTS {
-		// Every version in the model is visible at ts: the maintained
-		// current fingerprint is the answer.
-		return idx.curFP
-	}
-	var fp uint64
-	for _, b := range idx.ids.blocks {
-		for _, id := range b {
-			vh := s.hashAtLocked(Key{Model: model, ID: id}, ts)
-			if vh == MissingHash {
-				continue
-			}
-			fp += scanContrib(id, vh)
-		}
-	}
-	return fp
-}
-
-// ScanHashAtLinear is the pre-index reference implementation of ScanHashAt
-// (full map walk, sort, per-member lock round-trips), retained for the
-// randomized equivalence tests.
-func (s *Store) ScanHashAtLinear(model string, ts int64) uint64 {
-	ids := s.IDsAtLinear(model, ts)
-	var fp uint64
-	for _, id := range ids {
-		vh := s.HashAt(Key{Model: model, ID: id}, ts)
-		if vh == MissingHash {
-			continue
-		}
-		fp += scanContrib(id, vh)
-	}
-	return fp
-}
-
 // Versions returns a copy of all versions of the object (oldest first).
 func (s *Store) Versions(k Key) []Version {
 	s.mu.RLock()
@@ -719,8 +600,7 @@ func (s *Store) VersionBytes() int64 {
 }
 
 // IndexBytes estimates the memory footprint of the store's secondary
-// index layer: the per-model sorted member sets plus the incrementally
-// maintained scan fingerprints. Table 4's "DB" accounting (VersionBytes)
+// index layer: the per-model sorted member sets. Table 4's "DB" accounting (VersionBytes)
 // deliberately mirrors the paper and ignores this overhead; IndexBytes
 // makes it visible so storage-cost claims can include it (ROADMAP: "index
 // memory is unaccounted"). The estimate mirrors approxSize's spirit —
@@ -730,8 +610,8 @@ func (s *Store) IndexBytes() int64 {
 	defer s.mu.RUnlock()
 	var n int64
 	for name, idx := range s.models {
-		// map slot + model name + modelIndex (idSet, curFP, lastTS).
-		n += int64(len(name)) + 16 + 48
+		// map slot + model name + modelIndex (its idSet).
+		n += int64(len(name)) + 16 + 32
 		for _, b := range idx.ids.blocks {
 			n += 24 // the block's slice header
 			for _, id := range b {
@@ -740,13 +620,6 @@ func (s *Store) IndexBytes() int64 {
 		}
 	}
 	return n
-}
-
-// ObjectCount returns the number of objects with at least one version.
-func (s *Store) ObjectCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects)
 }
 
 // GC discards versions older than beforeTS (§9): for every object, versions
@@ -812,8 +685,7 @@ func (s *Store) Dump() []ObjectDump {
 }
 
 // Restore loads a Dump into an empty store, recomputing cached hashes,
-// storage accounting, and the per-model member indexes and scan
-// fingerprints.
+// storage accounting, and the per-model member indexes.
 func (s *Store) Restore(dump []ObjectDump) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -834,11 +706,6 @@ func (s *Store) Restore(dump []ObjectDump) error {
 		}
 		s.objects[od.Key] = vs
 		s.indexInsertLocked(od.Key)
-		idx := s.model(od.Key.Model)
-		idx.curFP += liveContribLocked(od.Key, vs)
-		if last := vs[len(vs)-1].TS; last > idx.lastTS {
-			idx.lastTS = last
-		}
 	}
 	return nil
 }

@@ -70,18 +70,6 @@ func BenchmarkHashAtExcluding(b *testing.B) {
 	}
 }
 
-func BenchmarkScanHashAt(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-			s := benchStore(n, 3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.ScanHashAt("kv", 1<<40)
-			}
-		})
-	}
-}
-
 // BenchmarkScanHashAtExcluding compares the indexed single-lock fingerprint
 // against the retained pre-index reference (full map walk + sort + one lock
 // round-trip per member). The scan-dependency path runs on every List query

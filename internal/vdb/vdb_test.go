@@ -51,8 +51,8 @@ func TestDeleteTombstone(t *testing.T) {
 	if _, ok := s.GetAt(k, 15); !ok {
 		t.Fatal("object must remain visible before deletion")
 	}
-	if h := s.HashAt(k, 25); h != MissingHash {
-		t.Fatalf("deleted object HashAt = %d, want MissingHash", h)
+	if h := s.HashAtExcluding(k, 25, ""); h != MissingHash {
+		t.Fatalf("deleted object HashAtExcluding = %d, want MissingHash", h)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestRollback(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("fully rolled-back object should not exist")
 	}
-	if s.ObjectCount() != 0 {
+	if len(s.objects) != 0 {
 		t.Fatal("fully rolled-back key should be dropped from the store")
 	}
 }
@@ -176,19 +176,19 @@ func TestIDsAndIDsAt(t *testing.T) {
 func TestScanHashChangesWithMembershipAndValue(t *testing.T) {
 	s := NewStore()
 	s.Put(Key{"kv", "a"}, fields("1"), 10, "r1")
-	h1 := s.ScanHashAt("kv", 100)
+	h1 := s.ScanHashAtExcluding("kv", 100, "")
 	s.Put(Key{"kv", "b"}, fields("2"), 20, "r2")
-	h2 := s.ScanHashAt("kv", 100)
+	h2 := s.ScanHashAtExcluding("kv", 100, "")
 	if h1 == h2 {
 		t.Fatal("membership change must alter scan hash")
 	}
 	s.Put(Key{"kv", "a"}, fields("9"), 30, "r3")
-	h3 := s.ScanHashAt("kv", 100)
+	h3 := s.ScanHashAtExcluding("kv", 100, "")
 	if h2 == h3 {
 		t.Fatal("value change must alter scan hash")
 	}
 	// At a historical timestamp the hash is unaffected by later writes.
-	if s.ScanHashAt("kv", 15) != h1 {
+	if s.ScanHashAtExcluding("kv", 15, "") != h1 {
 		t.Fatal("historical scan hash changed")
 	}
 }

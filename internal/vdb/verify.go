@@ -1,8 +1,8 @@
 // Index-coherence verification. The per-model secondary indexes (sorted
-// member sets, incrementally maintained scan fingerprints) are derived
-// state: every mutation path — Put, Delete, Rollback, GC, Restore, WAL
-// replay — must leave them consistent with the primary object map, or scans
-// silently return wrong answers long after the bug that drifted them.
+// member sets) are derived state: every mutation path — Put, Delete,
+// Rollback, GC, Restore, WAL replay — must leave them consistent with the
+// primary object map, or scans silently return wrong answers long after the
+// bug that drifted them.
 // VerifyIndexes makes that contract checkable: it recomputes what the
 // indexes claim from the primary state and reports the first divergence.
 // The controller runs it at repair-wave start when
@@ -16,14 +16,11 @@ import "fmt"
 // primary object map and returns the first inconsistency found (nil when
 // coherent). It verifies that every member set keeps its block layout (no
 // empty or overfull block) and is sorted and duplicate-free across blocks,
-// that member sets and the object map name exactly the same keys, and that
-// each model's scan fingerprint equals the recomputed contribution sum of its
-// live members. lastTS is not checked: it is a fast-path high-water mark that
-// Rollback legitimately leaves above any remaining version.
+// and that member sets and the object map name exactly the same keys.
 //
-// The check is a pure read of store state (object maps, member lists,
-// fingerprints); it takes the store lock but performs no mutation, minting,
-// or I/O, so enabling it does not perturb deterministic schedules.
+// The check is a pure read of store state (object maps, member lists); it
+// takes the store lock but performs no mutation, minting, or I/O, so
+// enabling it does not perturb deterministic schedules.
 func (s *Store) VerifyIndexes() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -56,31 +53,7 @@ func (s *Store) VerifyIndexes() error {
 			return fmt.Errorf("vdb: object %s/%s missing from model %q member list", k.Model, k.ID, k.Model)
 		}
 	}
-	// Scan fingerprints: the incrementally maintained curFP must equal the
-	// wrapping contribution sum recomputed from the live members.
-	for m, idx := range s.models {
-		var want uint64
-		for _, b := range idx.ids.blocks {
-			for _, id := range b {
-				k := Key{Model: m, ID: id}
-				want += liveContribLocked(k, s.objects[k])
-			}
-		}
-		if want != idx.curFP {
-			return fmt.Errorf("vdb: model %q scan fingerprint drift: index holds %#x, live members sum to %#x", m, idx.curFP, want)
-		}
-	}
 	return nil
-}
-
-// CorruptScanFPForTest desynchronizes a model's scan fingerprint so tests
-// outside this package can prove the coherence guard fires. Creating the
-// model index on demand means the corruption always takes effect, even for
-// a model the store has never seen. Test hook only.
-func (s *Store) CorruptScanFPForTest(model string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.model(model).curFP++
 }
 
 // DropIndexEntryForTest removes an object from its model's member set

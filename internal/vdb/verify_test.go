@@ -46,11 +46,6 @@ func TestVerifyIndexesDetectsCorruption(t *testing.T) {
 		want    string
 	}{
 		{
-			name:    "fingerprint drift",
-			corrupt: func(s *Store) { s.models["user"].curFP++ },
-			want:    "scan fingerprint drift",
-		},
-		{
 			name:    "dropped member",
 			corrupt: func(s *Store) { s.indexRemoveLocked(Key{Model: "msg", ID: "m1"}) },
 			want:    "missing from model",
@@ -99,16 +94,6 @@ func TestVerifyIndexesDetectsCorruption(t *testing.T) {
 				ids.blocks = append(ids.blocks, []string{})
 			},
 			want: "empty block",
-		},
-		{
-			name:    "test hook",
-			corrupt: func(s *Store) { s.CorruptScanFPForTest("user") },
-			want:    "scan fingerprint drift",
-		},
-		{
-			name:    "test hook on unseen model",
-			corrupt: func(s *Store) { s.CorruptScanFPForTest("never-written") },
-			want:    "scan fingerprint drift",
 		},
 		{
 			name:    "drop-entry test hook",

@@ -91,25 +91,13 @@ func (s *Store) applyPut(k Key, v Version) error {
 			if last.ReqID != v.ReqID {
 				return fmt.Errorf("vdb: replay conflict on %v at ts %d: %s vs %s", k, v.TS, last.ReqID, v.ReqID)
 			}
-			oldContrib := liveContribLocked(k, vs)
 			vs[len(vs)-1] = v
 			s.versionBytes += approxSize(k, v.Fields)
-			s.finishPutLocked(k, v, oldContrib)
 			return nil
 		}
 	}
-	oldContrib := liveContribLocked(k, vs)
 	s.objects[k] = append(vs, v)
 	s.versionBytes += approxSize(k, v.Fields)
-	if v.Immutable {
-		s.indexInsertLocked(k)
-		idx := s.model(k.Model)
-		idx.curFP += scanContrib(k.ID, v.Hash())
-		if v.TS > idx.lastTS {
-			idx.lastTS = v.TS
-		}
-		return nil
-	}
-	s.finishPutLocked(k, v, oldContrib)
+	s.indexInsertLocked(k)
 	return nil
 }

@@ -125,7 +125,7 @@ func TestIndexedWalkMatchesLinearReference(t *testing.T) {
 				t.Errorf("store diverged at %s: indexed %q, linear %q (present=%v)", id, vi.Fields["v"], vl.Fields["v"], ok)
 			}
 		}
-		if hi, hl := indexed.svc.Store.ScanHashAt("kv", 1<<62), linear.svc.Store.ScanHashAt("kv", 1<<62); hi != hl {
+		if hi, hl := indexed.svc.Store.ScanHashAtExcluding("kv", 1<<62, ""), linear.svc.Store.ScanHashAtExcluding("kv", 1<<62, ""); hi != hl {
 			t.Errorf("final scan fingerprints diverged: %#x vs %#x", hi, hl)
 		}
 	})
