@@ -20,7 +20,7 @@ SIM_PROFILE ?= mixed
 # oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route fuzz-vdb
+.PHONY: all build test race bench bench-smoke bench-suite bench-obs fmt fmt-fix vet lint ci sim sim-sched fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route fuzz-vdb fuzz-checkpoint
 
 all: build
 
@@ -128,6 +128,16 @@ fuzz-route:
 fuzz-vdb:
 	$(GO) test -run 'TestIDSet' -fuzz FuzzIDSet -fuzztime 30s -fuzzminimizetime 1s ./internal/vdb
 
+# Checkpoint-load fuzzing smoke: the checkpoint restore regressions plus a
+# short coverage-guided run over arbitrary bytes as a service's latest
+# checkpoint (LatestCheckpoint + Apply on a fresh controller): no panic,
+# and either a refusal or a queue whose message IDs are unique and no
+# higher than the restored MsgID counter. Minimizing is capped at 1s, as
+# for fuzz-vdb: a checkpoint is a long input. Longer local runs:
+#   go test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 5m -fuzzminimizetime 1s ./internal/persist
+fuzz-checkpoint:
+	$(GO) test -run 'TestCheckpointRestoreKeepsQueuedMessages|TestPreEpochStateLoadsOrIsRefused|TestApplyGuards' -fuzz FuzzCheckpointLoad -fuzztime 30s -fuzzminimizetime 1s ./internal/persist
+
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker
 # interleavings, seed-reproducible. A failing seed prints its step count;
@@ -153,4 +163,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route fuzz-vdb bench-obs
+ci: fmt vet lint build test race bench bench-smoke fuzz-wal fuzz-frame fuzz-wire fuzz-log fuzz-route fuzz-vdb fuzz-checkpoint bench-obs

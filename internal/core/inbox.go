@@ -517,9 +517,3 @@ func (g deliveryGate) rollback() {
 		g.c.dedup.Rollback(g.origin, g.id, g.gen)
 	}
 }
-
-// ImportInbox restores a persisted dedup inbox (AtomicExport.Inbox):
-// restoring it alongside the repair log keeps the exactly-once guarantee
-// across crash-restart (a redelivery the crashed incarnation already
-// applied is still re-acknowledged, not re-applied).
-func (c *Controller) ImportInbox(dump []deliver.OriginDump) { c.dedup.Restore(dump) }

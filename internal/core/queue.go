@@ -191,73 +191,36 @@ func (c *Controller) Retry(msgID string, updatedHeaders map[string]string) error
 func (c *Controller) Drop(msgID string) error {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
+	p := c.removeQueuedLocked(msgID)
+	if p == nil {
+		return fmt.Errorf("core: no pending message %s", msgID)
+	}
+	c.walEmitQDelLocked(p.MsgID, false)
+	// Dropping a peer's last message leaves no delivery pass to clean up
+	// its backoff bookkeeping — do it here.
+	if peer := c.peerDest(p.Msg); !c.peerHasQueuedLocked(peer) {
+		if ps := c.peers[peer]; ps != nil && !ps.inflight {
+			delete(c.peers, peer)
+		}
+	}
+	return nil
+}
+
+// removeQueuedLocked is the one remove-by-ID, shared by Drop and WAL
+// replay's q-del: it takes the queued message msgID out of the queue and
+// resolves its delivery in the sender's version vector, returning it (nil
+// when no such message is queued). Caller holds qmu.
+func (c *Controller) removeQueuedLocked(msgID string) *PendingMsg {
 	for i, p := range c.queue {
 		if p.queued && p.MsgID == msgID {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			p.queued = false
 			c.queueShrunkLocked()
 			c.vvResolveLocked(c.peerDest(p.Msg), p.DeliveryID)
-			c.walEmitQDelLocked(p.MsgID, false)
-			// Dropping a peer's last message leaves no delivery pass to
-			// clean up its backoff bookkeeping — do it here.
-			if peer := c.peerDest(p.Msg); !c.peerHasQueuedLocked(peer) {
-				if ps := c.peers[peer]; ps != nil && !ps.inflight {
-					delete(c.peers, peer)
-				}
-			}
-			return nil
+			return p
 		}
 	}
-	return fmt.Errorf("core: no pending message %s", msgID)
-}
-
-// ImportQueue restores a persisted outgoing queue (appended to any current
-// contents, re-collapsed by message identity).
-func (c *Controller) ImportQueue(msgs []PendingMsg) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	for _, m := range msgs {
-		p := m
-		p.inflight = false
-		// Gen and DeliveryID are preserved from the snapshot: the peer's
-		// dedup inbox may already remember this delivery at this
-		// generation, and restarting either at zero would make a
-		// post-restart redelivery look stale (or brand-new) to it.
-		p.queued = true
-		if key := collapseKey(p.Msg); key != "" {
-			replaced := false
-			for _, q := range c.queue {
-				if q.queued && collapseKey(q.Msg) == key {
-					q.Msg = p.Msg
-					q.Held = p.Held
-					q.Attempts = p.Attempts
-					q.LastErr = p.LastErr
-					q.TraceID = p.TraceID // trace follows content
-					q.TraceHop = p.TraceHop
-					if p.Gen > q.Gen {
-						q.Gen = p.Gen
-					}
-					q.Gen++ // supersede any delivery of the old content in flight
-					replaced = true
-					break
-				}
-			}
-			if replaced {
-				continue
-			}
-		}
-		c.nextID++
-		if p.MsgID == "" {
-			p.MsgID = fmt.Sprintf("%s-msg-%d", c.Svc.Name, c.nextID)
-		}
-		if p.DeliveryID == "" {
-			p.DeliveryID = c.Svc.IDs.Delivery()
-		}
-		c.queue = append(c.queue, &p)
-		c.qlive++
-		c.vvIssueLocked(c.peerDest(p.Msg), p.DeliveryID)
-	}
-	c.wakePump()
+	return nil
 }
 
 // mintResponseToken stores a replace_response's corrected response under

@@ -35,9 +35,6 @@ import (
 type ShardTopology struct {
 	// names lists the shard names of each service with more than one.
 	names map[string][]string
-	// KeyFunc extracts the partition key from a request (nil means the
-	// "key" form field — the convention the harness KV apps use).
-	KeyFunc func(req wire.Request) string
 }
 
 // NewShardTopology returns an empty topology (every service one shard).
@@ -107,9 +104,6 @@ func (t *ShardTopology) Route(svc string, req wire.Request, ids ...string) int {
 		if i, ok := wire.ShardIndex(svc, id); ok && i < n {
 			return i
 		}
-	}
-	if t.KeyFunc != nil {
-		return t.ShardOf(svc, t.KeyFunc(req))
 	}
 	return t.ShardOf(svc, req.Form["key"])
 }

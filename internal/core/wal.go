@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"aire/internal/deliver"
@@ -308,19 +310,18 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		if err := json.Unmarshal(op.Data, &o); err != nil {
 			return err
 		}
-		c.walQueueSet(o)
+		c.qmu.Lock()
+		c.upsertQueuedLocked(o.Msg, o.NextID)
+		c.qmu.Unlock()
 		return nil
 	case "q-del":
 		var o qDelOp
 		if err := json.Unmarshal(op.Data, &o); err != nil {
 			return err
 		}
-		c.walQueueRemove(o.MsgID)
-		return nil
-	case "q-claim", "in-rollback":
-		// Carry no state: a claim is an in-memory lease, and an inbox
-		// reservation is never logged, so neither is its release. WALs
-		// written before these ops were retired still replay.
+		c.qmu.Lock()
+		c.removeQueuedLocked(o.MsgID)
+		c.qmu.Unlock()
 		return nil
 	case "in-commit":
 		var o inboxOp
@@ -353,64 +354,60 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 	return fmt.Errorf("unknown wal op kind %q", op.Kind)
 }
 
-// walQueueSet upserts a replayed queue entry by message ID.
-func (c *Controller) walQueueSet(o qSetOp) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	if o.NextID > c.nextID {
-		c.nextID = o.NextID
+// upsertQueuedLocked is the one replay/restore insert: it upserts a queue
+// entry by message ID, as recorded by a q-set op or a checkpoint, and raises
+// the MsgID counter to nextID. The entry's own number is a floor for the
+// counter too, so a checkpoint that predates the counter's capture cannot
+// make a later mint reuse the ID of a message still queued. Caller holds
+// qmu.
+func (c *Controller) upsertQueuedLocked(m PendingMsg, nextID int) {
+	if n, err := strconv.Atoi(strings.TrimPrefix(m.MsgID, c.Svc.Name+"-msg-")); err == nil {
+		nextID = max(nextID, n)
 	}
+	c.nextID = max(c.nextID, nextID)
+	m.inflight, m.queued = false, true
 	for _, p := range c.queue {
-		if p.queued && p.MsgID == o.Msg.MsgID {
-			m := o.Msg
-			p.Msg = m.Msg
-			p.DeliveryID = m.DeliveryID
-			p.Attempts = m.Attempts
-			p.Held = m.Held
-			p.LastErr = m.LastErr
-			p.Gen = m.Gen
-			p.TraceID = m.TraceID
-			p.TraceHop = m.TraceHop
+		if p.queued && p.MsgID == m.MsgID {
+			// The recorded state replaces the entry's, except what is never
+			// recorded: its response token and a claim in flight.
+			m.token, m.inflight = p.token, p.inflight
+			*p = m
 			return
 		}
 	}
-	p := o.Msg
-	p.inflight = false
-	p.queued = true
-	c.queue = append(c.queue, &p)
+	c.queue = append(c.queue, &m)
 	c.qlive++
 	// Sender vectors mirror the queue; replaying the queue replays them
 	// (vvIssueLocked is idempotent against checkpoint-overlap re-inserts).
-	c.vvIssueLocked(c.peerDest(p.Msg), p.DeliveryID)
+	c.vvIssueLocked(c.peerDest(m.Msg), m.DeliveryID)
 }
 
-// walQueueRemove deletes a replayed queue entry by message ID.
-func (c *Controller) walQueueRemove(msgID string) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	for i, p := range c.queue {
-		if p.queued && p.MsgID == msgID {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			p.queued = false
-			c.queueShrunkLocked()
-			c.vvResolveLocked(c.peerDest(p.Msg), p.DeliveryID)
-			return
-		}
-	}
-}
-
-// ---- atomic export (persist.Capture's backing store) ----------------------
+// ---- atomic cut (persist's checkpoint snapshot) ---------------------------
 
 // AtomicExport is a consistent cut of every durable controller domain,
-// captured under all the relevant locks at once.
+// captured under all the relevant locks at once (ExportAtomic) and loaded
+// back through the WAL replay apply functions (ImportAtomic). persist's
+// checkpoint Snapshot embeds it, so the JSON names are the checkpoint
+// format.
 type AtomicExport struct {
-	ClockNow  int64
-	IDCounter int64
-	GCBefore  int64
-	Records   []*repairlog.Record
-	Objects   []vdb.ObjectDump
-	Queue     []PendingMsg
-	Inbox     []deliver.OriginDump
+	// ClockNow is the logical clock's latest timestamp.
+	ClockNow int64 `json:"clock_now"`
+	// IDCounter is the identifier generator's counter.
+	IDCounter int64 `json:"id_counter"`
+	// GCBefore is the garbage-collection horizon.
+	GCBefore int64 `json:"gc_before,omitempty"`
+	// Records is the repair log, oldest first.
+	Records []*repairlog.Record `json:"records"`
+	// Objects is the versioned database contents.
+	Objects []vdb.ObjectDump `json:"objects"`
+	// Queue is the outgoing repair message queue.
+	Queue []PendingMsg `json:"queue,omitempty"`
+	// NextID is the queue's MsgID counter, the one every q-set op carries.
+	NextID int `json:"next_id,omitempty"`
+	// Inbox is the peer-side exactly-once dedup memory (internal/deliver):
+	// restoring it keeps a crash-restarted service from re-applying a
+	// repair delivery it already applied when the sender redelivers.
+	Inbox []deliver.OriginDump `json:"inbox,omitempty"`
 }
 
 // ExportAtomic captures the repair log, store, outgoing queue, and dedup
@@ -429,6 +426,7 @@ func (c *Controller) ExportAtomic() AtomicExport {
 		ClockNow:  c.Svc.Clock.Now(),
 		IDCounter: c.Svc.IDs.Counter(),
 		GCBefore:  c.Svc.Log.GCBefore(),
+		NextID:    c.nextID,
 		Inbox:     c.dedup.Dump(),
 	}
 	for _, r := range c.Svc.Log.All() {
@@ -442,4 +440,48 @@ func (c *Controller) ExportAtomic() AtomicExport {
 		}
 	}
 	return ex
+}
+
+// ImportAtomic loads a cut through the functions WAL replay applies ops
+// with: every stored version goes through the store's replayed put, every
+// queued message through the q-set upsert (with the cut's MsgID counter),
+// and the dedup memory through deliver.Inbox.Restore. The repair log is the
+// exception: Log.Append refuses a record ID it already holds, where replay
+// would upsert it. The clock and the ID counter only move forward, and the
+// pump is woken as an enqueue wakes it. ImportAtomic does not check that
+// the controller is empty; persist.Apply does.
+func (c *Controller) ImportAtomic(ex AtomicExport) error {
+	c.Svc.Mu.Lock()
+	defer c.Svc.Mu.Unlock()
+	for _, od := range ex.Objects {
+		for i := range od.Versions {
+			if err := c.Svc.Store.ApplyChange(vdb.Change{Kind: "put", Key: od.Key, Version: &od.Versions[i]}); err != nil {
+				return err
+			}
+		}
+	}
+	for _, r := range ex.Records {
+		if r == nil {
+			return fmt.Errorf("core: null repair log record")
+		}
+		if err := c.Svc.Log.Append(r.Clone()); err != nil {
+			return err
+		}
+	}
+	if ex.GCBefore > 0 {
+		c.Svc.Log.GC(ex.GCBefore)
+		c.Svc.Store.GC(ex.GCBefore)
+	}
+	c.Svc.Clock.Observe(ex.ClockNow)
+	if ex.IDCounter > c.Svc.IDs.Counter() {
+		c.Svc.IDs.SetCounter(ex.IDCounter)
+	}
+	c.dedup.Restore(ex.Inbox)
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	for _, m := range ex.Queue {
+		c.upsertQueuedLocked(m, ex.NextID)
+	}
+	c.wakePump()
+	return nil
 }

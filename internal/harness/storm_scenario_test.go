@@ -219,6 +219,16 @@ func stormMsgs(cfg StormConfig) []core.PendingMsg {
 	return msgs
 }
 
+// stormInject queues msgs on the hub through the checkpoint-restore entry
+// point, each with a delivery ID minted from the hub's counter as an
+// enqueue mints one.
+func stormInject(hub *core.Controller, msgs ...core.PendingMsg) error {
+	for i := range msgs {
+		msgs[i].DeliveryID = hub.Svc.IDs.Delivery()
+	}
+	return hub.ImportAtomic(core.AtomicExport{Queue: msgs})
+}
+
 // stormResponse builds the n-th mirror-plane message, ID "m-<n>".
 func stormResponse(n int) core.PendingMsg {
 	return core.PendingMsg{
@@ -277,7 +287,10 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	sink.mu.Lock()
 	sink.enqueued = len(cascade)
 	sink.mu.Unlock()
-	hub.ImportQueue(cascade)
+	if err := stormInject(hub, cascade...); err != nil {
+		cancel()
+		return nil, err
+	}
 
 	pulse := func() {
 		sd.RunUntilIdle()
@@ -290,7 +303,10 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	for i := 0; i < cfg.Responses; i++ {
 		m := stormResponse(i)
 		sink.inject(m.MsgID)
-		hub.ImportQueue([]core.PendingMsg{m})
+		if err := stormInject(hub, m); err != nil {
+			cancel()
+			return nil, err
+		}
 		pulse()
 	}
 
@@ -350,12 +366,16 @@ func runStormSerial(cfg StormConfig) (*StormResult, error) {
 	sink.mu.Lock()
 	sink.enqueued = len(cascade)
 	sink.mu.Unlock()
-	hub.ImportQueue(cascade)
+	if err := stormInject(hub, cascade...); err != nil {
+		return nil, err
+	}
 
 	for i := 0; i < cfg.Responses; i++ {
 		m := stormResponse(i)
 		sink.inject(m.MsgID)
-		hub.ImportQueue([]core.PendingMsg{m})
+		if err := stormInject(hub, m); err != nil {
+			return nil, err
+		}
 		res.QueueDepth = append(res.QueueDepth, hub.QueueLen())
 		res.Rounds++
 		time.Sleep(2 * time.Millisecond)

@@ -110,7 +110,9 @@ func TestPreEpochStateLoadsOrIsRefused(t *testing.T) {
 // TestBatchEpochStateRefused: state written while the incoming-batch mode
 // existed is refused loudly, never silently dropped: a checkpoint carrying
 // an accepted batch fails to load with an error naming the field, and a WAL
-// holding one of its ops fails recovery.
+// holding one of its ops fails recovery. So does a WAL holding a retired
+// q-claim (an in-memory lease) or in-rollback (an inbox reservation's
+// release): no current binary writes either.
 func TestBatchEpochStateRefused(t *testing.T) {
 	dir := t.TempDir()
 	withBatch := strings.Replace(preEpochCheckpoint, `"inbox":[`, `"batch":[{"seq":1,"action":{}}],"inbox":[`, 1)
@@ -120,8 +122,7 @@ func TestBatchEpochStateRefused(t *testing.T) {
 	if _, err := persist.LatestCheckpoint(dir); err == nil || !strings.Contains(err.Error(), `"batch"`) {
 		t.Fatalf("checkpoint with an accepted batch: err = %v, want a refusal naming the field", err)
 	}
-	for _, verb := range []string{"accept", "drain"} {
-		kind := "batch-" + verb
+	for _, kind := range []string{"batch-accept", "batch-drain", "q-claim", "in-rollback"} {
 		dir := t.TempDir()
 		w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncEveryCommit})
 		if err != nil {

@@ -16,31 +16,14 @@ import (
 	"io"
 
 	"aire/internal/core"
-	"aire/internal/deliver"
-	"aire/internal/repairlog"
-	"aire/internal/vdb"
 )
 
-// Snapshot is the serializable state of one Aire-enabled service.
+// Snapshot is the serializable state of one Aire-enabled service: the
+// controller's atomic cut under the service's name.
 type Snapshot struct {
 	// Service is the service name, checked on restore.
 	Service string `json:"service"`
-	// ClockNow is the logical clock's latest timestamp.
-	ClockNow int64 `json:"clock_now"`
-	// IDCounter is the identifier generator's counter.
-	IDCounter int64 `json:"id_counter"`
-	// GCBefore is the garbage-collection horizon.
-	GCBefore int64 `json:"gc_before,omitempty"`
-	// Records is the repair log, oldest first.
-	Records []*repairlog.Record `json:"records"`
-	// Objects is the versioned database contents.
-	Objects []vdb.ObjectDump `json:"objects"`
-	// Queue is the outgoing repair message queue.
-	Queue []core.PendingMsg `json:"queue,omitempty"`
-	// Inbox is the peer-side exactly-once dedup memory (internal/deliver):
-	// restoring it keeps a crash-restarted service from re-applying a
-	// repair delivery it already applied when the sender redelivers.
-	Inbox []deliver.OriginDump `json:"inbox,omitempty"`
+	core.AtomicExport
 }
 
 // Capture snapshots a controller. The cut is atomic — the repair log, the
@@ -50,47 +33,23 @@ type Snapshot struct {
 // background pump running: it sees the queue either before or after any
 // delivery's reconcile, never between a claim and its ack.
 func Capture(c *core.Controller) *Snapshot {
-	ex := c.ExportAtomic()
-	return &Snapshot{
-		Service:   c.Svc.Name,
-		ClockNow:  ex.ClockNow,
-		IDCounter: ex.IDCounter,
-		GCBefore:  ex.GCBefore,
-		Records:   ex.Records,
-		Objects:   ex.Objects,
-		Queue:     ex.Queue,
-		Inbox:     ex.Inbox,
-	}
+	return &Snapshot{Service: c.Svc.Name, AtomicExport: c.ExportAtomic()}
 }
 
 // Apply restores a snapshot into a freshly constructed controller (same
-// application, empty state).
+// application, empty state) through the WAL replay path
+// (core.ImportAtomic).
 func Apply(c *core.Controller, s *Snapshot) error {
 	if c.Svc.Name != s.Service {
 		return fmt.Errorf("persist: snapshot is for service %q, controller is %q", s.Service, c.Svc.Name)
 	}
-	c.Svc.Mu.Lock()
-	defer c.Svc.Mu.Unlock()
-	if c.Svc.Log.Len() != 0 {
-		return fmt.Errorf("persist: controller already has %d log records", c.Svc.Log.Len())
+	if n := c.Svc.Log.Len(); n != 0 {
+		return fmt.Errorf("persist: controller already has %d log records", n)
 	}
-	if err := c.Svc.Store.Restore(s.Objects); err != nil {
-		return err
+	if c.Svc.Store.VersionBytes() != 0 || c.QueueLen() != 0 {
+		return fmt.Errorf("persist: controller already holds store writes or queued messages")
 	}
-	for _, r := range s.Records {
-		if err := c.Svc.Log.Append(r.Clone()); err != nil {
-			return err
-		}
-	}
-	if s.GCBefore > 0 {
-		c.Svc.Log.GC(s.GCBefore)
-		c.Svc.Store.GC(s.GCBefore)
-	}
-	c.Svc.Clock.Observe(s.ClockNow)
-	c.Svc.IDs.SetCounter(s.IDCounter)
-	c.ImportInbox(s.Inbox)
-	c.ImportQueue(s.Queue)
-	return nil
+	return c.ImportAtomic(s.AtomicExport)
 }
 
 // decodeStrict decodes durable state, refusing any field this binary does

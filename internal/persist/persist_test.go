@@ -6,6 +6,7 @@ import (
 	"aire/internal/core"
 	"aire/internal/harness"
 	"aire/internal/persist"
+	"aire/internal/vdb"
 	"aire/internal/wal"
 	"aire/internal/warp"
 	"aire/internal/wire"
@@ -167,5 +168,27 @@ func TestApplyGuards(t *testing.T) {
 	}
 	if err := persist.Apply(a, snap); err == nil {
 		t.Fatal("restore into a non-empty controller must be rejected")
+	}
+	// A log-less controller with a store write or a queued message holds
+	// state too.
+	fresh := func() *core.Controller {
+		return core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, harness.NewTestbed().Bus, core.DefaultConfig())
+	}
+	written := fresh()
+	if err := written.Svc.Store.Put(vdb.Key{Model: "kv", ID: "z"}, map[string]string{"val": "1"}, 1, "r1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.Apply(written, snap); err == nil {
+		t.Fatal("restore into a controller whose store was written must be rejected")
+	}
+	if len(snap.Queue) == 0 {
+		t.Fatal("buildState queued no message")
+	}
+	queued := fresh()
+	if err := queued.ImportAtomic(core.AtomicExport{Queue: snap.Queue}); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.Apply(queued, snap); err == nil {
+		t.Fatal("restore into a controller with a queued message must be rejected")
 	}
 }

@@ -1,0 +1,195 @@
+package persist_test
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"aire/internal/core"
+	"aire/internal/harness"
+	"aire/internal/persist"
+	"aire/internal/transport"
+	"aire/internal/wal"
+	"aire/internal/warp"
+	"aire/internal/wire"
+)
+
+// TestCheckpointRestoreKeepsQueuedMessages: a service restored from a
+// checkpoint keeps minting message IDs above every ID it ever minted, so a
+// later crash recovered as checkpoint + WAL tail cannot fold a new message
+// into a restored one that shares its ID. a mirrors to b and c with c
+// offline; the first cancel queues one delete per peer and b's delivers;
+// a checkpoints and recovers holding only c's message; a second cancel
+// queues two more; a crash (no checkpoint) must recover all three, and c
+// must receive both deletes once it is back.
+func TestCheckpointRestoreKeepsQueuedMessages(t *testing.T) {
+	opts := wal.Options{Policy: wal.FsyncEveryCommit}
+	bus := transport.NewBus()
+	newA := func() *core.Controller {
+		return core.NewController(&harness.KVApp{ServiceName: "a", Mirrors: []string{"b", "c"}}, bus, core.DefaultConfig())
+	}
+	a := newA()
+	bus.Register("a", a)
+	dir, w := attachWAL(t, a)
+	for _, peer := range []string{"b", "c"} {
+		bus.Register(peer, core.NewController(&harness.KVApp{ServiceName: peer}, bus, core.DefaultConfig()))
+	}
+	mustCall := func(svc string, req wire.Request) wire.Response {
+		t.Helper()
+		resp, err := bus.Call("", svc, req)
+		if err != nil || !resp.OK() {
+			t.Fatalf("%s %s %v: %v %+v", svc, req.Path, req.Form, err, resp)
+		}
+		return resp
+	}
+	put := func(key, val string) string {
+		return mustCall("a", wire.NewRequest("POST", "/put").WithForm("key", key, "val", val)).Header[wire.HdrRequestID]
+	}
+	cancel := func(c *core.Controller, reqID string) {
+		t.Helper()
+		if _, err := c.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: reqID}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("x", "good")
+	attackX := put("x", "evil")
+	put("y", "good")
+	attackY := put("y", "evil")
+
+	bus.SetOffline("c", true)
+	cancel(a, attackX)
+	if _, left := a.Flush(); left != 1 {
+		t.Fatalf("after the first flush %d messages queued, want c's alone", left)
+	}
+
+	a2 := newA()
+	w2 := restart(t, a, w, dir, a2)
+	bus.Register("a", a2)
+	cancel(a2, attackY)
+	before := a2.Pending()
+	if len(before) != 3 {
+		t.Fatalf("queue before the crash = %v, want 3 messages", queued(before))
+	}
+
+	// Crash: no checkpoint, so recovery is the checkpoint above plus the
+	// WAL tail holding the second cancel's q-sets.
+	a2.DetachWAL()
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a3 := newA()
+	w3, err := persist.Recover(a3, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	bus.Register("a", a3)
+
+	after := a3.Pending()
+	ids := map[string]bool{}
+	for _, p := range after {
+		if ids[p.MsgID] {
+			t.Errorf("message ID %s queued twice after recovery", p.MsgID)
+		}
+		ids[p.MsgID] = true
+	}
+	if len(after) != len(before) {
+		t.Fatalf("recovery kept %v of %v", queued(after), queued(before))
+	}
+
+	bus.SetOffline("c", false)
+	if _, left := a3.Flush(); left != 0 {
+		t.Fatalf("%d messages left after delivery", left)
+	}
+	for _, peer := range []string{"b", "c"} {
+		for _, key := range []string{"x", "y"} {
+			if got := string(mustCall(peer, wire.NewRequest("GET", "/get").WithForm("key", key)).Body); got != "good" {
+				t.Errorf("%s: %s = %q after both cancels, want %q", peer, key, got, "good")
+			}
+		}
+	}
+}
+
+// queued names each message as "MsgID→peer".
+func queued(ps []core.PendingMsg) []string {
+	var out []string
+	for _, p := range ps {
+		out = append(out, p.MsgID+"→"+p.Msg.Target)
+	}
+	return out
+}
+
+// FuzzCheckpointLoad feeds arbitrary bytes to recovery as a service's
+// latest checkpoint: LatestCheckpoint then Apply on a fresh controller must
+// never panic, and must either refuse the input or leave a queue whose
+// message IDs are unique and no higher than the restored MsgID counter, so
+// no later mint can reuse one.
+func FuzzCheckpointLoad(f *testing.F) {
+	bus := transport.NewBus()
+	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
+	bus.Register("a", a)
+	bus.Register("b", core.NewController(&harness.KVApp{ServiceName: "b"}, bus, core.DefaultConfig()))
+	put := func(val string) string {
+		resp, err := bus.Call("", "a", wire.NewRequest("POST", "/put").WithForm("key", "x", "val", val))
+		if err != nil || !resp.OK() {
+			f.Fatalf("put %s: %v %+v", val, err, resp)
+		}
+		return resp.Header[wire.HdrRequestID]
+	}
+	put("good")
+	attack := put("evil")
+	bus.SetOffline("b", true)
+	if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack}); err != nil {
+		f.Fatal(err)
+	}
+	// The captured cut; the same cut as a checkpoint written before the
+	// MsgID counter was captured; and one whose queue repeats a message and
+	// holds another above its counter.
+	snap := persist.Capture(a)
+	addSeed := func() {
+		seed, err := json.Marshal(persist.Checkpoint{Snap: snap})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	addSeed()
+	snap.NextID = 0
+	addSeed()
+	high := snap.Queue[0]
+	high.MsgID = "a-msg-7"
+	snap.Queue = append(snap.Queue, snap.Queue[0], high)
+	snap.NextID = 2
+	addSeed()
+	f.Add([]byte(strings.Replace(preEpochCheckpoint, `"service":"b"`, `"service":"a"`, 1)))
+	f.Add([]byte(`{"up_to_seq":0,"snapshot":{"service":"a","clock_now":0,"id_counter":0,"records":[null],"objects":[]}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, persist.CheckpointName(0)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := persist.LatestCheckpoint(dir)
+		if err != nil {
+			return
+		}
+		c := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, transport.NewBus(), core.DefaultConfig())
+		if err := persist.Apply(c, cp.Snap); err != nil {
+			return
+		}
+		next := persist.Capture(c).NextID
+		seen := map[string]bool{}
+		for _, p := range c.Pending() {
+			if seen[p.MsgID] {
+				t.Fatalf("message ID %q queued twice", p.MsgID)
+			}
+			seen[p.MsgID] = true
+			if n, err := strconv.Atoi(strings.TrimPrefix(p.MsgID, "a-msg-")); err == nil && n > next {
+				t.Fatalf("queued %s above the restored counter %d", p.MsgID, next)
+			}
+		}
+	})
+}

@@ -79,9 +79,9 @@ func TestScanHashAtExcludingConsistentSnapshot(t *testing.T) {
 
 // TestIndexedScansMatchLinearReference drives the store through every
 // index-maintaining operation (Put, coalescing re-Put, Delete, Rollback,
-// GC, Dump/Restore, PutImmutable) and checks at each step that the indexed
-// IDs/IDsAt/ScanHashAtExcluding agree with the retained linear-scan
-// reference implementations.
+// GC, Dump and its replay, PutImmutable) and checks at each step that the
+// indexed IDs/IDsAt/ScanHashAtExcluding agree with the retained
+// linear-scan reference implementations.
 func TestIndexedScansMatchLinearReference(t *testing.T) {
 	s := NewStore()
 	check := func(stage string, tss ...int64) {
@@ -134,7 +134,7 @@ func TestIndexedScansMatchLinearReference(t *testing.T) {
 	check("gc", 30, 40, 60, 100)
 
 	fresh := NewStore()
-	if err := fresh.Restore(s.Dump()); err != nil {
+	if err := replayDump(fresh, s.Dump()); err != nil {
 		t.Fatal(err)
 	}
 	for _, ts := range []int64{30, 40, 60, 100} {

@@ -293,10 +293,10 @@ func (s *Store) GetAt(k Key, ts int64) (Version, bool) {
 }
 
 // ViewAt is GetAt without the copy: the returned Fields is the store's own
-// map. Every write path (Put, PutImmutable, WAL replay, Restore) copies the
-// caller's map in and no code path mutates a stored map afterwards, so the
-// view stays valid and race-free for as long as the caller holds it. The
-// caller must only read it.
+// map. Every write path (Put, PutImmutable, WAL and checkpoint replay)
+// copies the caller's map in and no code path mutates a stored map
+// afterwards, so the view stays valid and race-free for as long as the
+// caller holds it. The caller must only read it.
 func (s *Store) ViewAt(k Key, ts int64) (Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -682,30 +682,4 @@ func (s *Store) Dump() []ObjectDump {
 		return out[i].Key.ID < out[j].Key.ID
 	})
 	return out
-}
-
-// Restore loads a Dump into an empty store, recomputing cached hashes,
-// storage accounting, and the per-model member indexes.
-func (s *Store) Restore(dump []ObjectDump) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.objects) != 0 {
-		return fmt.Errorf("vdb: Restore requires an empty store")
-	}
-	for _, od := range dump {
-		vs := make([]Version, len(od.Versions))
-		for i, v := range od.Versions {
-			v.Fields = copyFields(v.Fields)
-			v.hash = 0
-			v.hash = v.Hash()
-			vs[i] = v
-			s.versionBytes += approxSize(od.Key, v.Fields)
-		}
-		if len(vs) == 0 {
-			continue
-		}
-		s.objects[od.Key] = vs
-		s.indexInsertLocked(od.Key)
-	}
-	return nil
 }

@@ -1,8 +1,8 @@
 // Index-coherence verification. The per-model secondary indexes (sorted
 // member sets) are derived state: every mutation path — Put, Delete,
-// Rollback, GC, Restore, WAL replay — must leave them consistent with the
-// primary object map, or scans silently return wrong answers long after the
-// bug that drifted them.
+// Rollback, GC, WAL and checkpoint replay — must leave them consistent with
+// the primary object map, or scans silently return wrong answers long after
+// the bug that drifted them.
 // VerifyIndexes makes that contract checkable: it recomputes what the
 // indexes claim from the primary state and reports the first divergence.
 // The controller runs it at repair-wave start when
