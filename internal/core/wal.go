@@ -377,6 +377,7 @@ func (c *Controller) upsertQueuedLocked(m PendingMsg, nextID int) {
 	}
 	c.queue = append(c.queue, &m)
 	c.qlive++
+	c.met.queueDepth.Set(int64(c.qlive))
 	// Sender vectors mirror the queue; replaying the queue replays them
 	// (vvIssueLocked is idempotent against checkpoint-overlap re-inserts).
 	c.vvIssueLocked(c.peerDest(m.Msg), m.DeliveryID)

@@ -60,8 +60,8 @@ func perOp(warm, n int, f func()) (allocs float64, bytes uint64) {
 
 func TestAskbotReadCostPinned(t *testing.T) {
 	const (
-		maxAllocs = 41     // allocations per read (measured 38)
-		maxBytes  = 225000 // allocated bytes per read (measured 221 615)
+		maxAllocs = 22     // allocations per read (measured 20)
+		maxBytes  = 139000 // allocated bytes per read (measured 136 735)
 	)
 	b := newAskbotReadBench(t)
 	allocs, bytes := perOp(16, askbotReadOps, func() {

@@ -1176,8 +1176,15 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			res.Failures = append(res.Failures, fmt.Sprintf("%s diverged: got %v, want %v", name, got, want))
 			continue
 		}
-		for k, v := range want {
-			if got[k] != v {
+		// Name the first diverging key in key order, so a failing seed
+		// prints the same line on every run.
+		keys := make([]string, 0, len(want))
+		for k := range want {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if v := want[k]; got[k] != v {
 				res.Failures = append(res.Failures, fmt.Sprintf("%s diverged at %s: got %q, want %q (full: got %v, want %v)", name, k, got[k], v, got, want))
 				break
 			}

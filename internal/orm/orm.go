@@ -104,8 +104,9 @@ func Fields(kv ...string) map[string]string {
 	return m
 }
 
-// Deps is the sink a Tx records dependencies into; it aliases the slices of
-// the executing request's log record.
+// Deps is the sink a Tx records dependencies into. The executing request
+// copies or moves its slices into the request's log record when the
+// handler returns.
 type Deps struct {
 	Reads  []repairlog.ReadDep
 	Scans  []repairlog.ScanDep

@@ -10,6 +10,7 @@ import (
 
 	"aire/internal/core"
 	"aire/internal/harness"
+	"aire/internal/obs"
 	"aire/internal/persist"
 	"aire/internal/transport"
 	"aire/internal/wal"
@@ -192,4 +193,23 @@ func FuzzCheckpointLoad(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecoveredQueueDepthGauge: a controller recovered from a checkpoint
+// holding one queued message exports core.<svc>.queue_depth = 1 at once,
+// not only after its next enqueue or delivery.
+func TestRecoveredQueueDepthGauge(t *testing.T) {
+	_, a, w, dir := buildState(t)
+	if n := a.QueueLen(); n != 1 {
+		t.Fatalf("a holds %d queued messages before the checkpoint, want 1", n)
+	}
+	reg := obs.New(obs.DefaultRingCap)
+	cfg := core.DefaultConfig()
+	cfg.Obs = reg
+	a2 := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, transport.NewBus(), cfg)
+	restart(t, a, w, dir, a2)
+	depth := reg.Snapshot().Gauges["core.a.queue_depth"]
+	if n := a2.QueueLen(); n != 1 || depth != 1 {
+		t.Fatalf("after recovery QueueLen = %d and core.a.queue_depth = %d, want 1 and 1", n, depth)
+	}
 }

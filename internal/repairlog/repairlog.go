@@ -11,6 +11,7 @@
 package repairlog
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -226,6 +227,8 @@ type Log struct {
 	samples   int64 // records sized so far
 	sampleRaw int64 // raw bytes of the compression-sampled records
 	sampleGz  int64 // gzip bytes of the compression-sampled records
+	sampleBuf bytes.Buffer
+	sampleEnc *json.Encoder // writes to sampleBuf
 }
 
 // sampleEvery is how often a compressed log actually gzips a record to
@@ -291,18 +294,26 @@ func searchRefs(refs []Ref, ts, seq int64) int {
 	})
 }
 
-// insertRef adds the record's Ref to a sorted index list (no-op if the
-// record is already present — a record reading the same key twice indexes
-// once).
-func insertRef(refs []Ref, r *Record) []Ref {
+// insertRef adds the record's Ref to a sorted index list and reports
+// whether it was added (false if the record is already present — a record
+// reading the same key twice indexes once). A record that sorts after the
+// list's last Ref, as every normal-path append does, goes on the tail with
+// no search; one already at the tail is found with no search either.
+func insertRef(refs []Ref, r *Record) ([]Ref, bool) {
+	ref := Ref{Rec: r, TS: r.TS, Seq: r.seq}
+	if n := len(refs); n == 0 || refs[n-1].Less(ref) {
+		return append(refs, ref), true
+	} else if refs[n-1].Rec == r {
+		return refs, false
+	}
 	i := searchRefs(refs, r.TS, r.seq)
 	if i < len(refs) && refs[i].Rec == r {
-		return refs
+		return refs, false
 	}
 	refs = append(refs, Ref{})
 	copy(refs[i+1:], refs[i:])
-	refs[i] = Ref{Rec: r, TS: r.TS, Seq: r.seq}
-	return refs
+	refs[i] = ref
+	return refs, true
 }
 
 // removeRef drops the record's Ref from a sorted index list.
@@ -317,7 +328,8 @@ func removeRef(refs []Ref, r *Record) []Ref {
 // indexedState remembers exactly what indexLocked inserted for a record, so
 // unindexLocked can remove it even after the record was rewritten in place
 // (re-execution mutates a record's Calls and dependency slices directly and
-// only then calls Resync).
+// only then calls Resync). It holds each key and model once, however many
+// dependencies the record has on it.
 type indexedState struct {
 	respIDs     []string
 	callTargets []string
@@ -369,17 +381,27 @@ func (l *Log) indexLocked(r *Record) error {
 			st.callTargets = append(st.callTargets, c.Target)
 		}
 	}
+	// One map lookup per dependency: a key the record already indexed (the
+	// same author profile read once per listed question) is found at the
+	// list's tail, or by insertRef's search for a record in the past, and
+	// costs nothing more.
 	for _, d := range r.Reads {
-		l.readers[d.Key] = insertRef(l.readers[d.Key], r)
-		st.readKeys = append(st.readKeys, d.Key)
+		if refs, added := insertRef(l.readers[d.Key], r); added {
+			l.readers[d.Key] = refs
+			st.readKeys = append(st.readKeys, d.Key)
+		}
 	}
 	for _, d := range r.Writes {
-		l.writers[d.Key] = insertRef(l.writers[d.Key], r)
-		st.writeKeys = append(st.writeKeys, d.Key)
+		if refs, added := insertRef(l.writers[d.Key], r); added {
+			l.writers[d.Key] = refs
+			st.writeKeys = append(st.writeKeys, d.Key)
+		}
 	}
 	for _, d := range r.Scans {
-		l.scanners[d.Model] = insertRef(l.scanners[d.Model], r)
-		st.scanModels = append(st.scanModels, d.Model)
+		if refs, added := insertRef(l.scanners[d.Model], r); added {
+			l.scanners[d.Model] = refs
+			st.scanModels = append(st.scanModels, d.Model)
+		}
 	}
 	l.totalOps += st.ops
 	l.indexed[r] = st
@@ -451,13 +473,21 @@ func (l *Log) unindexLocked(r *Record) {
 
 // accountSize adds the record's raw JSON size to rawBytes. The size comes
 // from encodedLen's walk; only the 1-in-sampleEvery compression sample
-// needs the encoded bytes themselves.
+// needs the encoded bytes themselves. The sample is encoded into a buffer
+// the log keeps, so it costs no allocation once the buffer has grown to
+// the largest sampled record. Caller holds mu.
 func (l *Log) accountSize(r *Record) {
 	if l.compress && l.samples%sampleEvery == 0 {
-		b, err := json.Marshal(r)
-		if err != nil {
+		if l.sampleEnc == nil {
+			l.sampleEnc = json.NewEncoder(&l.sampleBuf)
+		}
+		l.sampleBuf.Reset()
+		if err := l.sampleEnc.Encode(r); err != nil {
 			return
 		}
+		// Encode ends the value with a newline json.Marshal does not
+		// write; without it the bytes are Marshal's.
+		b := bytes.TrimSuffix(l.sampleBuf.Bytes(), []byte{'\n'})
 		var cw countingWriter
 		zw := gzPool.Get().(*gzip.Writer)
 		zw.Reset(&cw)

@@ -87,3 +87,43 @@ func BenchmarkNeighborCallsLinear(b *testing.B) {
 		l.NeighborCallsLinear("peer", ts)
 	}
 }
+
+// BenchmarkAppendManyDeps measures a normal-path append of the Askbot
+// question-list record on a compressed log: 500 reads of one author key,
+// or 500 reads of distinct keys. It is an inner-loop measurement for the
+// index and sizing work per dependency; end-to-end claims cite bench/.
+func BenchmarkAppendManyDeps(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		key  func(j int) vdb.Key
+	}{
+		{"same-key", func(int) vdb.Key { return vdb.Key{Model: "user", ID: "author"} }},
+		{"distinct-keys", func(j int) vdb.Key { return vdb.Key{Model: "question", ID: fmt.Sprintf("q%d", j)} }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			reads := make([]ReadDep, 500)
+			for j := range reads {
+				reads[j] = ReadDep{Key: c.key(j), TS: int64(j + 1), Hash: uint64(j+1) * 0x9E3779B97F4A7C15}
+			}
+			recs := make([]*Record, b.N)
+			for i := range recs {
+				recs[i] = &Record{
+					ID:    fmt.Sprintf("svc-req-%d", i),
+					TS:    int64(i + 1),
+					Req:   wire.NewRequest("GET", "/questions"),
+					Resp:  wire.NewResponse(200, "<ul></ul>"),
+					Reads: reads,
+					Scans: []ScanDep{{Model: "question", Hash: 1}},
+				}
+			}
+			l := New(true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, r := range recs {
+				if err := l.Append(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

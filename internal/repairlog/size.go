@@ -2,6 +2,7 @@ package repairlog
 
 import (
 	"encoding/base64"
+	"math/bits"
 	"unicode/utf8"
 
 	"aire/internal/vdb"
@@ -127,12 +128,26 @@ func intLen(v int64) int {
 	return uintLen(uint64(v))
 }
 
-func uintLen(u uint64) int {
-	n := 1
-	for ; u >= 10; u /= 10 {
-		n++
+// pow10 holds 10^0 … 10^19, every power of ten a uint64 can hold.
+var pow10 = func() (t [20]uint64) {
+	t[0] = 1
+	for i := 1; i < len(t); i++ {
+		t[i] = t[i-1] * 10
 	}
-	return n
+	return t
+}()
+
+// uintLen is the number of decimal digits in u. With v = u|1 (0 has one
+// digit, as 1 does) and b = bits.Len64(v), 2^(b-1) <= v < 2^b, so
+// b·1233/4096, which is floor(b·log10 2), is the digit count or one less;
+// one comparison with a power of ten settles which.
+func uintLen(u uint64) int {
+	v := u | 1
+	n := bits.Len64(v) * 1233 >> 12
+	if v < pow10[n] {
+		return n
+	}
+	return n + 1
 }
 
 // asciiLen is the encoded length of each ASCII byte inside a JSON string

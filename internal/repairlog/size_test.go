@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"aire/internal/vdb"
@@ -168,5 +169,37 @@ func TestAppendSizesWithoutEncoding(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sizing a non-sampled record allocated %.0f times; want 0", allocs)
+	}
+}
+
+// TestDigitCounts pins uintLen and intLen to strconv at every power-of-ten
+// boundary (10^k-1, 10^k, 10^k+1, negated for intLen), around every power
+// of two (where bits.Len64 steps), and at 0, MaxUint64, MaxInt64 and
+// MinInt64.
+func TestDigitCounts(t *testing.T) {
+	us := []uint64{0, 1, math.MaxUint64, math.MaxUint64 - 1}
+	for p := uint64(1); ; p *= 10 {
+		us = append(us, p-1, p, p+1)
+		if p > math.MaxUint64/10 {
+			break
+		}
+	}
+	for b := 1; b < 64; b++ {
+		us = append(us, 1<<b-1, 1<<b, 1<<b+1)
+	}
+	for _, u := range us {
+		if got, want := uintLen(u), len(strconv.FormatUint(u, 10)); got != want {
+			t.Errorf("uintLen(%d) = %d, want %d", u, got, want)
+		}
+		for _, v := range []int64{int64(u), -int64(u)} {
+			if got, want := intLen(v), len(strconv.FormatInt(v, 10)); got != want {
+				t.Errorf("intLen(%d) = %d, want %d", v, got, want)
+			}
+		}
+	}
+	for _, v := range []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64} {
+		if got, want := intLen(v), len(strconv.FormatInt(v, 10)); got != want {
+			t.Errorf("intLen(%d) = %d, want %d", v, got, want)
+		}
 	}
 }

@@ -49,7 +49,8 @@ func (l *Log) VerifyIndexes() error {
 				return fmt.Errorf("repairlog: timeline unsorted at %d: (%d,%d) precedes (%d,%d)", i, prev.TS, prev.seq, r.TS, r.seq)
 			}
 		}
-		if l.indexed[r] == nil {
+		st := l.indexed[r]
+		if st == nil {
 			return fmt.Errorf("repairlog: record %s has no indexed state", r.ID)
 		}
 		ops += len(r.Reads) + len(r.Scans) + len(r.Writes)
@@ -73,6 +74,7 @@ func (l *Log) VerifyIndexes() error {
 		}
 		// insertRef deduplicates a record indexing the same key (or model)
 		// twice, so count distinct dependencies per record.
+		nReads, nWrites, nScans := 0, 0, 0
 		seenKeys := make(map[vdb.Key]bool, len(r.Reads))
 		for _, d := range r.Reads {
 			if seenKeys[d.Key] {
@@ -82,7 +84,7 @@ func (l *Log) VerifyIndexes() error {
 			if !hasRef(l.readers[d.Key], r) {
 				return fmt.Errorf("repairlog: record %s missing from readers[%s/%s]", r.ID, d.Key.Model, d.Key.ID)
 			}
-			readRefs++
+			nReads++
 		}
 		seenKeys = make(map[vdb.Key]bool, len(r.Writes))
 		for _, d := range r.Writes {
@@ -93,7 +95,7 @@ func (l *Log) VerifyIndexes() error {
 			if !hasRef(l.writers[d.Key], r) {
 				return fmt.Errorf("repairlog: record %s missing from writers[%s/%s]", r.ID, d.Key.Model, d.Key.ID)
 			}
-			writeRefs++
+			nWrites++
 		}
 		seenModels := make(map[string]bool, len(r.Scans))
 		for _, d := range r.Scans {
@@ -104,8 +106,17 @@ func (l *Log) VerifyIndexes() error {
 			if !hasRef(l.scanners[d.Model], r) {
 				return fmt.Errorf("repairlog: record %s missing from scanners[%s]", r.ID, d.Model)
 			}
-			scanRefs++
+			nScans++
 		}
+		// The indexed state names each distinct key and model once, so
+		// unindexing removes every ref and nothing twice.
+		if len(st.readKeys) != nReads || len(st.writeKeys) != nWrites || len(st.scanModels) != nScans {
+			return fmt.Errorf("repairlog: indexed state of record %s holds %d/%d/%d read/write/scan entries, record has %d/%d/%d distinct",
+				r.ID, len(st.readKeys), len(st.writeKeys), len(st.scanModels), nReads, nWrites, nScans)
+		}
+		readRefs += nReads
+		writeRefs += nWrites
+		scanRefs += nScans
 	}
 	if l.totalOps != ops {
 		return fmt.Errorf("repairlog: totalOps drift: counter holds %d, records sum to %d", l.totalOps, ops)

@@ -108,7 +108,7 @@ func TestLogVerifyIndexesDetectsCorruption(t *testing.T) {
 			name: "stale writer ref",
 			corrupt: func(l *Log) {
 				ghost := &Record{ID: "ghost", TS: 99, seq: 999}
-				l.writers[key("x")] = insertRef(l.writers[key("x")], ghost)
+				l.writers[key("x")], _ = insertRef(l.writers[key("x")], ghost)
 			},
 			want: "not in the log",
 		},

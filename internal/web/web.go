@@ -189,11 +189,24 @@ type Exec struct {
 // convenience of Exec callers.
 type Record = repairlog.Record
 
+// readScratch recycles the slices a request's read dependencies collect
+// in. A read of the question list appends hundreds of them; growing a
+// fresh slice would reallocate about ten times per request, so each Run
+// borrows a grown one and the record keeps an exact-size copy. A pool,
+// unlike a per-Service slice, stays correct when requests of one service
+// run concurrently.
+var readScratch = sync.Pool{New: func() any { return new([]repairlog.ReadDep) }}
+
 // Run executes the request and fills in the record. The caller must hold
 // Svc.Mu.
 func (e *Exec) Run() wire.Response {
 	e.prior = e.Rec.Nondet
 	e.deps = orm.Deps{}
+	var scratch *[]repairlog.ReadDep
+	if !e.Bare {
+		scratch = readScratch.Get().(*[]repairlog.ReadDep)
+		e.deps.Reads = (*scratch)[:0]
+	}
 	e.calls = nil
 	e.nondet = nil
 	e.effects = nil
@@ -214,7 +227,18 @@ func (e *Exec) Run() wire.Response {
 	resp := e.dispatch(ctx)
 
 	e.Rec.Resp = resp
-	e.Rec.Reads = e.deps.Reads
+	e.Rec.Reads = nil
+	if reads := e.deps.Reads; len(reads) > 0 {
+		e.Rec.Reads = make([]repairlog.ReadDep, len(reads))
+		copy(e.Rec.Reads, reads)
+	}
+	if scratch != nil {
+		// Drop the keys' strings before the slice waits in the pool.
+		clear(e.deps.Reads)
+		*scratch = e.deps.Reads[:0]
+		readScratch.Put(scratch)
+		e.deps.Reads = nil
+	}
 	e.Rec.Scans = e.deps.Scans
 	e.Rec.Writes = e.deps.Writes
 	e.Rec.Calls = e.calls

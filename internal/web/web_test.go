@@ -3,6 +3,7 @@ package web
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"aire/internal/repairlog"
@@ -216,5 +217,85 @@ func TestCtxAccessors(t *testing.T) {
 	resp := newExec(svc, wire.NewRequest("POST", "/c").WithForm("f", "fv").WithHeader("H", "hv"), Normal, rec).Run()
 	if string(resp.Body) != "t-req-77|peer|12345|hv|fv" {
 		t.Fatalf("ctx accessors = %q", resp.Body)
+	}
+}
+
+// readsService answers GET /read by reading each comma-separated key in
+// the form's "keys" from model kv.
+func readsService(name string) *Service {
+	svc := NewService(name)
+	svc.Schema.Register("kv")
+	svc.Router.Handle("GET", "/read", func(c *Ctx) wire.Response {
+		if keys := c.Form("keys"); keys != "" {
+			for _, k := range strings.Split(keys, ",") {
+				c.DB.Get("kv", k)
+			}
+		}
+		return c.OK("")
+	})
+	return svc
+}
+
+// readKeys runs one /read of keys on svc under its lock and returns the
+// produced record.
+func readKeys(svc *Service, keys ...string) *repairlog.Record {
+	svc.Mu.Lock()
+	defer svc.Mu.Unlock()
+	e := newExec(svc, wire.NewRequest("GET", "/read").WithForm("keys", strings.Join(keys, ",")), Normal, nil)
+	e.Run()
+	return e.Rec
+}
+
+func checkReads(t *testing.T, rec *repairlog.Record, keys ...string) {
+	t.Helper()
+	if len(keys) == 0 {
+		if rec.Reads != nil {
+			t.Fatalf("%s: Reads = %v, want nil", rec.ID, rec.Reads)
+		}
+		return
+	}
+	if len(rec.Reads) != len(keys) || cap(rec.Reads) != len(keys) {
+		t.Fatalf("%s: Reads len %d cap %d, want exactly %d", rec.ID, len(rec.Reads), cap(rec.Reads), len(keys))
+	}
+	for i, k := range keys {
+		if d := rec.Reads[i]; d.Key.Model != "kv" || d.Key.ID != k {
+			t.Fatalf("%s: Reads[%d] = %+v, want kv/%s", rec.ID, i, d, k)
+		}
+	}
+}
+
+// TestReadsOwnedByTheirRecord: read dependencies collect in a pooled
+// scratch slice, and every record keeps its own copy, across consecutive
+// requests (which reuse one scratch) and concurrent requests on two
+// services (which draw different ones).
+func TestReadsOwnedByTheirRecord(t *testing.T) {
+	svc := readsService("t")
+	r1 := readKeys(svc, "a", "b", "c")
+	r2 := readKeys(svc, "d")
+	r3 := readKeys(svc)
+	r4 := readKeys(svc, "e", "f")
+	checkReads(t, r1, "a", "b", "c")
+	checkReads(t, r2, "d")
+	checkReads(t, r3)
+	checkReads(t, r4, "e", "f")
+
+	const n = 200
+	svcs := []*Service{readsService("x"), readsService("y")}
+	recs := make([][]*repairlog.Record, len(svcs))
+	var wg sync.WaitGroup
+	for s, svc := range svcs {
+		wg.Add(1)
+		go func(s int, svc *Service) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				recs[s] = append(recs[s], readKeys(svc, fmt.Sprintf("%s%d", svc.Name, i), svc.Name))
+			}
+		}(s, svc)
+	}
+	wg.Wait()
+	for s, svc := range svcs {
+		for i, rec := range recs[s] {
+			checkReads(t, rec, fmt.Sprintf("%s%d", svc.Name, i), svc.Name)
+		}
 	}
 }
