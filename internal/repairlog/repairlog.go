@@ -227,8 +227,7 @@ type Log struct {
 	samples   int64 // records sized so far
 	sampleRaw int64 // raw bytes of the compression-sampled records
 	sampleGz  int64 // gzip bytes of the compression-sampled records
-	sampleBuf bytes.Buffer
-	sampleEnc *json.Encoder // writes to sampleBuf
+	sampleBuf bytes.Buffer // the sampled record's JSON
 }
 
 // sampleEvery is how often a compressed log actually gzips a record to
@@ -474,15 +473,12 @@ func (l *Log) unindexLocked(r *Record) {
 // accountSize adds the record's raw JSON size to rawBytes. The size comes
 // from encodedLen's walk; only the 1-in-sampleEvery compression sample
 // needs the encoded bytes themselves. The sample is encoded into a buffer
-// the log keeps, so it costs no allocation once the buffer has grown to
-// the largest sampled record. Caller holds mu.
+// the log keeps, so it does not allocate a copy of the record's JSON once
+// the buffer has grown to the largest sampled record. Caller holds mu.
 func (l *Log) accountSize(r *Record) {
 	if l.compress && l.samples%sampleEvery == 0 {
-		if l.sampleEnc == nil {
-			l.sampleEnc = json.NewEncoder(&l.sampleBuf)
-		}
 		l.sampleBuf.Reset()
-		if err := l.sampleEnc.Encode(r); err != nil {
+		if err := json.NewEncoder(&l.sampleBuf).Encode(r); err != nil {
 			return
 		}
 		// Encode ends the value with a newline json.Marshal does not
