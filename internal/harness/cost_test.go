@@ -63,6 +63,9 @@ func TestAskbotReadCostPinned(t *testing.T) {
 		maxAllocs = 22     // allocations per read (measured 20)
 		maxBytes  = 139000 // allocated bytes per read (measured 136 735)
 	)
+	// maxBytes sits under 2 % above the measurement: copying each
+	// compression-sampled record's JSON again costs about 7 KB per read,
+	// and that must not fit under the ceiling.
 	b := newAskbotReadBench(t)
 	allocs, bytes := perOp(16, askbotReadOps, func() {
 		if err := b.Read(); err != nil {

@@ -2,6 +2,7 @@ package repairlog
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"aire/internal/vdb"
@@ -53,18 +54,6 @@ func scansModel(m string) func(*Record) bool {
 	}
 }
 
-func sameIDs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // checkAgainstWalk verifies the log's indexes and compares every indexed
 // query, from the start of the timeline and from each record's position,
 // with the reference walk.
@@ -90,15 +79,15 @@ func checkAgainstWalk(t *testing.T, step string, l *Log) {
 	}
 	for _, at := range from {
 		for k := range keys {
-			if got, want := refIDs(l.ReadersOf(k, at.TS, at.Seq)), linearRefs(l, at.TS, at.Seq, readsKey(k)); !sameIDs(got, want) {
+			if got, want := refIDs(l.ReadersOf(k, at.TS, at.Seq)), linearRefs(l, at.TS, at.Seq, readsKey(k)); !slices.Equal(got, want) {
 				t.Fatalf("%s: ReadersOf(%v, %d, %d) = %v, walk %v", step, k, at.TS, at.Seq, got, want)
 			}
-			if got, want := refIDs(l.WritersOf(k, at.TS, at.Seq)), linearRefs(l, at.TS, at.Seq, writesKey(k)); !sameIDs(got, want) {
+			if got, want := refIDs(l.WritersOf(k, at.TS, at.Seq)), linearRefs(l, at.TS, at.Seq, writesKey(k)); !slices.Equal(got, want) {
 				t.Fatalf("%s: WritersOf(%v, %d, %d) = %v, walk %v", step, k, at.TS, at.Seq, got, want)
 			}
 		}
 		for m := range models {
-			if got, want := refIDs(l.ScannersOf(m, at.TS, at.Seq)), linearRefs(l, at.TS, at.Seq, scansModel(m)); !sameIDs(got, want) {
+			if got, want := refIDs(l.ScannersOf(m, at.TS, at.Seq)), linearRefs(l, at.TS, at.Seq, scansModel(m)); !slices.Equal(got, want) {
 				t.Fatalf("%s: ScannersOf(%s, %d, %d) = %v, walk %v", step, m, at.TS, at.Seq, got, want)
 			}
 		}
@@ -153,7 +142,7 @@ func TestIndexOncePerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstWalk(t, "appended in the past", l)
-	if got := refIDs(l.ReadersOf(user, 0, 0)); !sameIDs(got, []string{"past", "tie", "many"}) {
+	if got := refIDs(l.ReadersOf(user, 0, 0)); !slices.Equal(got, []string{"past", "tie", "many"}) {
 		t.Fatalf("ReadersOf(user) = %v", got)
 	}
 

@@ -227,7 +227,8 @@ type Log struct {
 	samples   int64 // records sized so far
 	sampleRaw int64 // raw bytes of the compression-sampled records
 	sampleGz  int64 // gzip bytes of the compression-sampled records
-	sampleBuf bytes.Buffer // the sampled record's JSON
+	// sampleBuf holds the JSON of the record being sampled.
+	sampleBuf bytes.Buffer
 }
 
 // sampleEvery is how often a compressed log actually gzips a record to
@@ -300,9 +301,11 @@ func searchRefs(refs []Ref, ts, seq int64) int {
 // no search; one already at the tail is found with no search either.
 func insertRef(refs []Ref, r *Record) ([]Ref, bool) {
 	ref := Ref{Rec: r, TS: r.TS, Seq: r.seq}
-	if n := len(refs); n == 0 || refs[n-1].Less(ref) {
+	n := len(refs)
+	if n == 0 || refs[n-1].Less(ref) {
 		return append(refs, ref), true
-	} else if refs[n-1].Rec == r {
+	}
+	if refs[n-1].Rec == r {
 		return refs, false
 	}
 	i := searchRefs(refs, r.TS, r.seq)
