@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -53,8 +54,11 @@ const costWindow = 16
 // depends on the map's random hash seed, so a window of calls that insert
 // new keys pays a split (100–300 KB) in some runs and not in others. The
 // collector is off and the process on one P for the measurement, so the
-// sync.Pools f draws on (the log's gzip writers) keep what they hold and
-// the counts repeat exactly; the warm calls fill them.
+// sync.Pool f draws on (the request's dependency scratch, web's
+// readScratch) keeps what the warm calls put in it and the counts repeat
+// exactly: a collection empties the pool, and a read allocates enough that
+// one would fall in every window, while a call that changes P misses the
+// scratch its last call put back on the old one.
 func perOp(warm, n int, f func()) (allocs float64, bytes uint64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -79,10 +83,10 @@ func perOp(warm, n int, f func()) (allocs float64, bytes uint64) {
 func TestAskbotReadCostPinned(t *testing.T) {
 	const (
 		maxAllocs = 22     // allocations per read (measured 20.2)
-		maxBytes  = 139000 // allocated bytes per read (measured 136 630)
+		maxBytes  = 114000 // allocated bytes per read (measured 112 101)
 	)
 	// maxBytes sits under 2 % above the measurement: copying each
-	// compression-sampled record's JSON again costs about 7 KB per read,
+	// compression-sampled record's JSON again costs about 4.3 KB per read,
 	// and that must not fit under the ceiling.
 	b := newAskbotReadBench(t)
 	allocs, bytes := perOp(16, askbotReadOps, func() {
@@ -108,7 +112,7 @@ func TestAskbotReadCostPinned(t *testing.T) {
 func TestAskbotReadAppBytesPinned(t *testing.T) {
 	const (
 		wantSeeded = 218227 // Log.AppBytes after seeding
-		wantRead   = 499683 // Log.AppBytes after askbotReadOps reads
+		wantRead   = 476606 // Log.AppBytes after askbotReadOps reads
 	)
 	b := newAskbotReadBench(t)
 	log := b.Ctrl.Svc.Log
@@ -122,6 +126,29 @@ func TestAskbotReadAppBytesPinned(t *testing.T) {
 	t.Logf("Log.AppBytes: %d seeded, %d after %d reads (%d per read)", seeded, read, askbotReadOps, (read-seeded)/askbotReadOps)
 	if seeded != wantSeeded || read != wantRead {
 		t.Errorf("Log.AppBytes = %d seeded, %d after reads; want %d, %d", seeded, read, wantSeeded, wantRead)
+	}
+}
+
+// TestAskbotReadRecordBytesPinned pins the raw JSON size of one
+// question-list read's log record, the size the log accounts for it
+// (encodedLen, which equals len(json.Marshal) by TestEncodedLen and
+// FuzzEncodedLen). The record names the author profile once and the
+// question model once, however many questions list that author.
+func TestAskbotReadRecordBytesPinned(t *testing.T) {
+	const wantRaw = 68104
+	b := newAskbotReadBench(t)
+	if err := b.Read(); err != nil {
+		t.Fatal(err)
+	}
+	all := b.Ctrl.Svc.Log.All()
+	rec := all[len(all)-1]
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("question-list record: %d raw bytes, %d reads, %d scans", len(raw), len(rec.Reads), len(rec.Scans))
+	if len(raw) != wantRaw {
+		t.Errorf("raw bytes of one question-list record = %d, want %d", len(raw), wantRaw)
 	}
 }
 

@@ -107,10 +107,45 @@ func Fields(kv ...string) map[string]string {
 // Deps is the sink a Tx records dependencies into. The executing request
 // copies or moves its slices into the request's log record when the
 // handler returns.
+//
+// Each dependency is recorded once per request, at its first occurrence:
+// Reads holds one entry per key, Scans one per model and Writes one per
+// key. A repeat carries nothing repair needs. The Tx reads at one snapshot
+// time (At) while its service runs nothing else, so a key read again
+// observes the version the first read did, unless the request wrote the
+// key in between. A read of its own put records nothing. A read after its
+// own delete would record a miss, which repair, checking reads with the
+// request's own writes masked, compares with the version the first read
+// saw, and so would always find changed. A repeated scan (its fingerprint
+// masks the request's own writes too) or write is identical to its first.
 type Deps struct {
 	Reads  []repairlog.ReadDep
 	Scans  []repairlog.ScanDep
 	Writes []repairlog.WriteDep
+	// ReadKeys is the set of keys Reads names. Get makes it on the first
+	// recorded read if it is nil; a caller that runs many requests may
+	// hand in an empty map to reuse.
+	ReadKeys map[vdb.Key]struct{}
+}
+
+// scanned reports whether Scans already holds the model.
+func (d *Deps) scanned(model string) bool {
+	for _, s := range d.Scans {
+		if s.Model == model {
+			return true
+		}
+	}
+	return false
+}
+
+// write records a write dependency on k at ts unless Writes holds k.
+func (d *Deps) write(k vdb.Key, ts int64) {
+	for _, w := range d.Writes {
+		if w.Key == k {
+			return
+		}
+	}
+	d.Writes = append(d.Writes, repairlog.WriteDep{Key: k, TS: ts})
 }
 
 // Tx is a request-scoped handle on the versioned store.
@@ -136,19 +171,26 @@ func Snapshot(store *vdb.Store, schema *Schema, at int64) *Tx {
 	return &Tx{Store: store, Schema: schema, At: at, ReadOnly: true}
 }
 
-// Get fetches an object, recording a read dependency.
+// Get fetches an object, recording a read dependency unless the request
+// already recorded one on the key.
 func (tx *Tx) Get(model, id string) (Obj, bool) {
 	k := vdb.Key{Model: model, ID: id}
 	v, ok := tx.Store.ViewAt(k, tx.At)
-	// Reads of the request's own earlier writes carry no external
-	// dependency: deterministic replay regenerates them identically.
-	if tx.Deps != nil && !tx.Schema.IsVersioned(model) && !(ok && v.ReqID == tx.ReqID) {
-		dep := repairlog.ReadDep{Key: k}
-		if ok {
-			dep.TS = v.TS
-			dep.Hash = v.Hash()
+	if d := tx.Deps; d != nil {
+		// Reads of the request's own earlier writes carry no external
+		// dependency: deterministic replay regenerates them identically.
+		if _, seen := d.ReadKeys[k]; !seen && !tx.Schema.IsVersioned(model) && !(ok && v.ReqID == tx.ReqID) {
+			dep := repairlog.ReadDep{Key: k}
+			if ok {
+				dep.TS = v.TS
+				dep.Hash = v.Hash()
+			}
+			if d.ReadKeys == nil {
+				d.ReadKeys = make(map[vdb.Key]struct{})
+			}
+			d.ReadKeys[k] = struct{}{}
+			d.Reads = append(d.Reads, dep)
 		}
-		tx.Deps.Reads = append(tx.Deps.Reads, dep)
 	}
 	if !ok {
 		return Obj{}, false
@@ -173,7 +215,7 @@ func (tx *Tx) Put(model, id string, fields map[string]string) error {
 		return err
 	}
 	if tx.Deps != nil {
-		tx.Deps.Writes = append(tx.Deps.Writes, repairlog.WriteDep{Key: k, TS: tx.At})
+		tx.Deps.write(k, tx.At)
 	}
 	return nil
 }
@@ -192,7 +234,7 @@ func (tx *Tx) Delete(model, id string) error {
 		return err
 	}
 	if tx.Deps != nil {
-		tx.Deps.Writes = append(tx.Deps.Writes, repairlog.WriteDep{Key: k, TS: tx.At})
+		tx.Deps.write(k, tx.At)
 	}
 	return nil
 }
@@ -214,15 +256,16 @@ func (tx *Tx) Update(model, id string, fn func(map[string]string)) (bool, error)
 }
 
 // List returns all live objects of the model at tx.At, sorted by ID,
-// recording a scan dependency over the model. The objects and the scan
-// fingerprint come from one walk of the model's members (vdb.Store.ListAt).
+// recording a scan dependency over the model unless the request already
+// recorded one. The objects and the scan fingerprint come from one walk of
+// the model's members (vdb.Store.ListAt).
 func (tx *Tx) List(model string) []Obj {
 	members, fp := tx.Store.ListAt(model, tx.At, tx.ReqID)
 	out := make([]Obj, len(members))
 	for i, m := range members {
 		out[i] = Obj{ID: m.ID, f: m.Version.Fields}
 	}
-	if tx.Deps != nil && !tx.Schema.IsVersioned(model) {
+	if tx.Deps != nil && !tx.Deps.scanned(model) && !tx.Schema.IsVersioned(model) {
 		tx.Deps.Scans = append(tx.Deps.Scans, repairlog.ScanDep{Model: model, Hash: fp})
 	}
 	return out

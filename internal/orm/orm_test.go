@@ -62,6 +62,33 @@ func TestReadOwnWriteSkipsDep(t *testing.T) {
 	}
 }
 
+// TestDepsOncePerKey: repeated reads, scans and writes of one key or model
+// record one dependency each, the first; a read of the request's own
+// write records none, and one after the request's own delete is a repeat
+// of the first read.
+func TestDepsOncePerKey(t *testing.T) {
+	store, schema := setup()
+	newTx(store, schema, 10, "r1").Put("kv", "a", Fields("v", "1"))
+	tx := newTx(store, schema, 20, "r2")
+	tx.Get("kv", "a")
+	tx.List("kv")
+	tx.Get("kv", "nope")
+	tx.Put("kv", "b", Fields("v", "2"))
+	tx.Get("kv", "b")
+	tx.List("kv")
+	tx.Put("kv", "b", Fields("v", "3"))
+	tx.Delete("kv", "a")
+	tx.Get("kv", "a")
+	tx.Get("kv", "nope")
+	d := tx.Deps
+	if len(d.Reads) != 2 || d.Reads[0].Key.ID != "a" || d.Reads[0].TS != 10 || d.Reads[1].Key.ID != "nope" {
+		t.Fatalf("reads = %+v, want a as first read, then nope", d.Reads)
+	}
+	if len(d.Scans) != 1 || len(d.Writes) != 2 || d.Writes[0].Key.ID != "b" || d.Writes[1].Key.ID != "a" {
+		t.Fatalf("scans = %+v, writes = %+v, want one scan and writes of b, a", d.Scans, d.Writes)
+	}
+}
+
 func TestUpdateRecordsReadAndWrite(t *testing.T) {
 	store, schema := setup()
 	newTx(store, schema, 10, "r1").Put("kv", "a", Fields("n", "1"))

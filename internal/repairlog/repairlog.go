@@ -15,7 +15,6 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -383,10 +382,10 @@ func (l *Log) indexLocked(r *Record) error {
 			st.callTargets = append(st.callTargets, c.Target)
 		}
 	}
-	// One map lookup per dependency: a key the record already indexed (the
-	// same author profile read once per listed question) is found at the
-	// list's tail, or by insertRef's search for a record in the past, and
-	// costs nothing more.
+	// One map lookup per dependency. A request records each key once, but
+	// a record logged before it did may name a key again; that repeat is
+	// found at the list's tail, or by insertRef's search for a record in
+	// the past, and costs nothing more.
 	for _, d := range r.Reads {
 		if refs, added := insertRef(l.readers[d.Key], r); added {
 			l.readers[d.Key] = refs
@@ -487,26 +486,39 @@ func (l *Log) accountSize(r *Record) {
 		// Encode ends the value with a newline json.Marshal does not
 		// write; without it the bytes are Marshal's.
 		b := bytes.TrimSuffix(l.sampleBuf.Bytes(), []byte{'\n'})
-		var cw countingWriter
-		zw := gzPool.Get().(*gzip.Writer)
-		zw.Reset(&cw)
-		zw.Write(b)
-		zw.Close()
-		gzPool.Put(zw)
 		l.sampleRaw += int64(len(b))
-		l.sampleGz += cw.n
+		l.sampleGz += gzipLen(b)
 	}
 	l.rawBytes += int64(encodedLen(r))
 	l.samples++
 }
 
-// gzPool recycles gzip writers: their ~1 MB of internal tables dominate the
-// logging path if allocated per record.
-var gzPool = sync.Pool{
-	New: func() any {
-		zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		return zw
-	},
+// sampleZ is the one gzip writer behind every log's compression sample,
+// made on the first sample, with the counter it writes to. Its ~1.5 MB of
+// tables would dominate the logging path if allocated per record, and a
+// sync.Pool would lose them at every collection and allocate them again;
+// this writer lives as long as the process. Each use starts a fresh gzip
+// stream on a zeroed counter, so logs sharing it see nothing of one
+// another.
+var sampleZ struct {
+	sync.Mutex
+	w   *gzip.Writer
+	out countingWriter
+}
+
+// gzipLen returns the size of b gzipped at BestSpeed.
+func gzipLen(b []byte) int64 {
+	sampleZ.Lock()
+	defer sampleZ.Unlock()
+	sampleZ.out.n = 0
+	if sampleZ.w == nil {
+		sampleZ.w, _ = gzip.NewWriterLevel(&sampleZ.out, gzip.BestSpeed)
+	} else {
+		sampleZ.w.Reset(&sampleZ.out)
+	}
+	sampleZ.w.Write(b)
+	sampleZ.w.Close()
+	return sampleZ.out.n
 }
 
 type countingWriter struct{ n int64 }

@@ -27,6 +27,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aire/internal/repairlog"
@@ -578,14 +579,12 @@ func (e *Engine) cancel(rec, old *repairlog.Record, res *Result) {
 	}
 	// A cancelled request that read confidential data definitely observed
 	// something it should not have (§9): it never runs during replay.
-	for _, r := range old.Reads {
-		if r.Hash != vdb.MissingHash && e.Svc.Store.IsConfidential(r.Key) {
-			res.Notices = append(res.Notices, Notice{
-				Kind:   NoticeLeak,
-				ReqID:  rec.ID,
-				Detail: fmt.Sprintf("cancelled request had read confidential object %v", r.Key),
-			})
-		}
+	for _, k := range e.confidentialReads(old.Reads) {
+		res.Notices = append(res.Notices, Notice{
+			Kind:   NoticeLeak,
+			ReqID:  rec.ID,
+			Detail: fmt.Sprintf("cancelled request had read confidential object %v", k),
+		})
 	}
 	for _, ef := range old.Effects {
 		res.Notices = append(res.Notices, Notice{
@@ -702,27 +701,40 @@ func (e *Engine) diffEffects(rec, old *repairlog.Record, res *Result) {
 // execution but not during replay — evidence the attack observed data it
 // should not have (§9).
 func (e *Engine) checkLeaks(rec, old *repairlog.Record, res *Result) {
-	var newReads map[vdb.Key]bool // built on the first confidential read
-	for _, r := range old.Reads {
-		if r.Hash == vdb.MissingHash || !e.Svc.Store.IsConfidential(r.Key) {
-			continue
+	leaked := e.confidentialReads(old.Reads)
+	if len(leaked) == 0 {
+		return
+	}
+	newReads := make(map[vdb.Key]bool, len(rec.Reads))
+	for _, nr := range rec.Reads {
+		if nr.Hash != vdb.MissingHash {
+			newReads[nr.Key] = true
 		}
-		if newReads == nil {
-			newReads = make(map[vdb.Key]bool, len(rec.Reads))
-			for _, nr := range rec.Reads {
-				if nr.Hash != vdb.MissingHash {
-					newReads[nr.Key] = true
-				}
-			}
-		}
-		if !newReads[r.Key] {
+	}
+	for _, k := range leaked {
+		if !newReads[k] {
 			res.Notices = append(res.Notices, Notice{
 				Kind:   NoticeLeak,
 				ReqID:  rec.ID,
-				Detail: fmt.Sprintf("request read confidential object %v during original execution but not during repair", r.Key),
+				Detail: fmt.Sprintf("request read confidential object %v during original execution but not during repair", k),
 			})
 		}
 	}
+}
+
+// confidentialReads returns the confidential keys the reads found, each
+// once, in first-read order. A record logged before requests recorded
+// each key once may name a key several times; it still leaked the object
+// once.
+func (e *Engine) confidentialReads(reads []repairlog.ReadDep) []vdb.Key {
+	var keys []vdb.Key
+	for _, r := range reads {
+		if r.Hash == vdb.MissingHash || slices.Contains(keys, r.Key) || !e.Svc.Store.IsConfidential(r.Key) {
+			continue
+		}
+		keys = append(keys, r.Key)
+	}
+	return keys
 }
 
 // callDiff matches a re-execution's outgoing calls against the logged ones

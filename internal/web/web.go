@@ -189,23 +189,30 @@ type Exec struct {
 // convenience of Exec callers.
 type Record = repairlog.Record
 
-// readScratch recycles the slices a request's read dependencies collect
-// in. A read of the question list appends hundreds of them; growing a
-// fresh slice would reallocate about ten times per request, so each Run
-// borrows a grown one and the record keeps an exact-size copy. A pool,
-// unlike a per-Service slice, stays correct when requests of one service
-// run concurrently.
-var readScratch = sync.Pool{New: func() any { return new([]repairlog.ReadDep) }}
+// depScratch is what a request's dependency collection grows: the slice
+// its reads collect in and the set of keys they name (orm.Deps.ReadKeys).
+type depScratch struct {
+	reads []repairlog.ReadDep
+	keys  map[vdb.Key]struct{}
+}
+
+// readScratch recycles depScratch across requests. A request reading many
+// distinct keys would otherwise grow a fresh slice and set each time, so
+// each Run borrows grown ones and the record keeps an exact-size copy of
+// the reads. A pool, unlike a per-Service scratch, stays correct when
+// requests of one service run concurrently.
+var readScratch = sync.Pool{New: func() any { return new(depScratch) }}
 
 // Run executes the request and fills in the record. The caller must hold
 // Svc.Mu.
 func (e *Exec) Run() wire.Response {
 	e.prior = e.Rec.Nondet
 	e.deps = orm.Deps{}
-	var scratch *[]repairlog.ReadDep
+	var scratch *depScratch
 	if !e.Bare {
-		scratch = readScratch.Get().(*[]repairlog.ReadDep)
-		e.deps.Reads = (*scratch)[:0]
+		scratch = readScratch.Get().(*depScratch)
+		e.deps.Reads = scratch.reads[:0]
+		e.deps.ReadKeys = scratch.keys
 	}
 	e.calls = nil
 	e.nondet = nil
@@ -233,11 +240,17 @@ func (e *Exec) Run() wire.Response {
 		copy(e.Rec.Reads, reads)
 	}
 	if scratch != nil {
-		// Drop the keys' strings before the slice waits in the pool.
+		// Empty the set key by key: clear costs a map's capacity, which
+		// one request reading thousands of keys would leave large for
+		// every later borrower, and the reads name exactly its keys.
+		for _, r := range e.deps.Reads {
+			delete(e.deps.ReadKeys, r.Key)
+		}
+		// Drop the keys' strings before the scratch waits in the pool.
 		clear(e.deps.Reads)
-		*scratch = e.deps.Reads[:0]
+		scratch.reads, scratch.keys = e.deps.Reads[:0], e.deps.ReadKeys
 		readScratch.Put(scratch)
-		e.deps.Reads = nil
+		e.deps.Reads, e.deps.ReadKeys = nil, nil
 	}
 	e.Rec.Scans = e.deps.Scans
 	e.Rec.Writes = e.deps.Writes

@@ -265,17 +265,18 @@ func checkReads(t *testing.T, rec *repairlog.Record, keys ...string) {
 }
 
 // TestReadsOwnedByTheirRecord: read dependencies collect in a pooled
-// scratch slice, and every record keeps its own copy, across consecutive
-// requests (which reuse one scratch) and concurrent requests on two
-// services (which draw different ones).
+// scratch, and every record keeps its own copy naming each key once, in
+// first-read order, across consecutive requests (which reuse one scratch,
+// so a key an earlier request read is recorded again) and concurrent
+// requests on two services (which draw different ones).
 func TestReadsOwnedByTheirRecord(t *testing.T) {
 	svc := readsService("t")
-	r1 := readKeys(svc, "a", "b", "c")
-	r2 := readKeys(svc, "d")
+	r1 := readKeys(svc, "a", "b", "a", "c", "b")
+	r2 := readKeys(svc, "d", "a", "d")
 	r3 := readKeys(svc)
 	r4 := readKeys(svc, "e", "f")
 	checkReads(t, r1, "a", "b", "c")
-	checkReads(t, r2, "d")
+	checkReads(t, r2, "d", "a")
 	checkReads(t, r3)
 	checkReads(t, r4, "e", "f")
 
@@ -288,7 +289,8 @@ func TestReadsOwnedByTheirRecord(t *testing.T) {
 		go func(s int, svc *Service) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				recs[s] = append(recs[s], readKeys(svc, fmt.Sprintf("%s%d", svc.Name, i), svc.Name))
+				key := fmt.Sprintf("%s%d", svc.Name, i)
+				recs[s] = append(recs[s], readKeys(svc, key, svc.Name, key))
 			}
 		}(s, svc)
 	}
