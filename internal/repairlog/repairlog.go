@@ -511,6 +511,7 @@ func gzipLen(b []byte) int64 {
 	sampleZ.Lock()
 	defer sampleZ.Unlock()
 	sampleZ.out.n = 0
+	// Neither the constant level nor the in-memory counter can fail.
 	if sampleZ.w == nil {
 		sampleZ.w, _ = gzip.NewWriterLevel(&sampleZ.out, gzip.BestSpeed)
 	} else {
