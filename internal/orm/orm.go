@@ -122,10 +122,25 @@ type Deps struct {
 	Reads  []repairlog.ReadDep
 	Scans  []repairlog.ScanDep
 	Writes []repairlog.WriteDep
-	// ReadKeys is the set of keys Reads names. Get makes it on the first
-	// recorded read if it is nil; a caller that runs many requests may
-	// hand in an empty map to reuse.
-	ReadKeys map[vdb.Key]struct{}
+	// readKeys is the set of keys Reads names. Get makes it on the first
+	// recorded read; Reset empties it.
+	readKeys map[vdb.Key]struct{}
+}
+
+// Reset empties d for another request, keeping what Reads and its key set
+// have grown to. Scans and Writes are dropped, not reused: the record of
+// the request that collected them may hold them. The set is emptied key
+// by key, at the cost of what the request recorded: clear costs a map's
+// capacity, which one request reading thousands of keys would leave large
+// for every later request.
+func (d *Deps) Reset() {
+	for _, r := range d.Reads {
+		delete(d.readKeys, r.Key)
+	}
+	// Drop the keys' strings while the slice waits for its next request.
+	clear(d.Reads)
+	d.Reads = d.Reads[:0]
+	d.Scans, d.Writes = nil, nil
 }
 
 // scanned reports whether Scans already holds the model.
@@ -179,16 +194,16 @@ func (tx *Tx) Get(model, id string) (Obj, bool) {
 	if d := tx.Deps; d != nil {
 		// Reads of the request's own earlier writes carry no external
 		// dependency: deterministic replay regenerates them identically.
-		if _, seen := d.ReadKeys[k]; !seen && !tx.Schema.IsVersioned(model) && !(ok && v.ReqID == tx.ReqID) {
+		if _, seen := d.readKeys[k]; !seen && !tx.Schema.IsVersioned(model) && !(ok && v.ReqID == tx.ReqID) {
 			dep := repairlog.ReadDep{Key: k}
 			if ok {
 				dep.TS = v.TS
 				dep.Hash = v.Hash()
 			}
-			if d.ReadKeys == nil {
-				d.ReadKeys = make(map[vdb.Key]struct{})
+			if d.readKeys == nil {
+				d.readKeys = make(map[vdb.Key]struct{})
 			}
-			d.ReadKeys[k] = struct{}{}
+			d.readKeys[k] = struct{}{}
 			d.Reads = append(d.Reads, dep)
 		}
 	}

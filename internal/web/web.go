@@ -179,7 +179,7 @@ type Exec struct {
 	objSeq    int
 	callSeq   int
 	effectSeq int
-	deps      orm.Deps
+	deps      *orm.Deps
 	calls     []repairlog.Call
 	nondet    []repairlog.Nondet
 	effects   []repairlog.Effect
@@ -189,30 +189,21 @@ type Exec struct {
 // convenience of Exec callers.
 type Record = repairlog.Record
 
-// depScratch is what a request's dependency collection grows: the slice
-// its reads collect in and the set of keys they name (orm.Deps.ReadKeys).
-type depScratch struct {
-	reads []repairlog.ReadDep
-	keys  map[vdb.Key]struct{}
-}
-
-// readScratch recycles depScratch across requests. A request reading many
-// distinct keys would otherwise grow a fresh slice and set each time, so
-// each Run borrows grown ones and the record keeps an exact-size copy of
-// the reads. A pool, unlike a per-Service scratch, stays correct when
-// requests of one service run concurrently.
-var readScratch = sync.Pool{New: func() any { return new(depScratch) }}
+// readScratch recycles the orm.Deps requests collect their dependencies
+// in. A request reading many distinct keys would otherwise grow a fresh
+// read slice and key set each time, so each Run borrows grown ones and the
+// record keeps an exact-size copy of the reads. A pool, unlike a
+// per-Service scratch, stays correct when requests of one service run
+// concurrently.
+var readScratch = sync.Pool{New: func() any { return new(orm.Deps) }}
 
 // Run executes the request and fills in the record. The caller must hold
 // Svc.Mu.
 func (e *Exec) Run() wire.Response {
 	e.prior = e.Rec.Nondet
-	e.deps = orm.Deps{}
-	var scratch *depScratch
+	e.deps = nil
 	if !e.Bare {
-		scratch = readScratch.Get().(*depScratch)
-		e.deps.Reads = scratch.reads[:0]
-		e.deps.ReadKeys = scratch.keys
+		e.deps = readScratch.Get().(*orm.Deps)
 	}
 	e.calls = nil
 	e.nondet = nil
@@ -225,35 +216,23 @@ func (e *Exec) Run() wire.Response {
 		Schema: e.Svc.Schema,
 		At:     e.Rec.TS,
 		ReqID:  e.Rec.ID,
-		Deps:   &e.deps,
-	}
-	if e.Bare {
-		ctx.DB.Deps = nil
+		Deps:   e.deps,
 	}
 
 	resp := e.dispatch(ctx)
 
 	e.Rec.Resp = resp
-	e.Rec.Reads = nil
-	if reads := e.deps.Reads; len(reads) > 0 {
-		e.Rec.Reads = make([]repairlog.ReadDep, len(reads))
-		copy(e.Rec.Reads, reads)
-	}
-	if scratch != nil {
-		// Empty the set key by key: clear costs a map's capacity, which
-		// one request reading thousands of keys would leave large for
-		// every later borrower, and the reads name exactly its keys.
-		for _, r := range e.deps.Reads {
-			delete(e.deps.ReadKeys, r.Key)
+	e.Rec.Reads, e.Rec.Scans, e.Rec.Writes = nil, nil, nil
+	if d := e.deps; d != nil {
+		if len(d.Reads) > 0 {
+			e.Rec.Reads = make([]repairlog.ReadDep, len(d.Reads))
+			copy(e.Rec.Reads, d.Reads)
 		}
-		// Drop the keys' strings before the scratch waits in the pool.
-		clear(e.deps.Reads)
-		scratch.reads, scratch.keys = e.deps.Reads[:0], e.deps.ReadKeys
-		readScratch.Put(scratch)
-		e.deps.Reads, e.deps.ReadKeys = nil, nil
+		e.Rec.Scans, e.Rec.Writes = d.Scans, d.Writes
+		d.Reset()
+		readScratch.Put(d)
+		e.deps = nil
 	}
-	e.Rec.Scans = e.deps.Scans
-	e.Rec.Writes = e.deps.Writes
 	e.Rec.Calls = e.calls
 	e.Rec.Nondet = e.nondet
 	e.Rec.Effects = e.effects
