@@ -80,6 +80,9 @@ func NewResponse(status int, body string) Response { return wire.NewResponse(sta
 type (
 	// App is the contract between Aire and a web service: identity, route
 	// and model registration, and the repair access-control policy of §4.
+	// Handlers and Authorize run under the service lock, so they must not
+	// call Controller.Retry or Controller.Drop, which take it; a Notify
+	// callback runs outside every lock and may.
 	App = core.App
 	// AuthzRequest carries the context for one Authorize decision.
 	AuthzRequest = core.AuthzRequest

@@ -27,7 +27,6 @@ import (
 	"aire/internal/repairlog"
 	"aire/internal/sched"
 	"aire/internal/transport"
-	"aire/internal/wal"
 	"aire/internal/warp"
 	"aire/internal/web"
 	"aire/internal/wire"
@@ -47,13 +46,16 @@ type App interface {
 	// execution time (§4). Authorize runs under the service lock so the
 	// snapshots it reads are consistent even while repair or the pump is
 	// active: it must be fast and must not call back into the service or
-	// controller (no requests, no ApplyLocal) — read only from ac.
+	// controller (no requests, no ApplyLocal, no Retry or Drop) — read
+	// only from ac. Handlers registered in Register run under the same
+	// lock and share the restriction.
 	Authorize(ac AuthzRequest) bool
 }
 
 // Notifier is optionally implemented by applications that want repair
 // problem notifications pushed to them (Table 2's notify function);
 // notifications are always also retrievable from Controller.Notifications.
+// Notify runs outside every controller lock, so it may call Retry or Drop.
 type Notifier interface {
 	Notify(n Notification)
 }
@@ -333,7 +335,7 @@ func (c *Controller) Obs() *obs.Registry { return c.Cfg.Obs }
 // traceCtx is the repair-wave trace context an apply runs under: the wave
 // ID minted at the cascade's origin and the hop depth this apply
 // represents (origin = hop 0). The zero value means "no incoming context";
-// commitRepair then mints a fresh wave. Trace context is protocol
+// originTrace then mints a fresh wave. Trace context is protocol
 // state, not an obs feature: it is parsed, minted, stamped, and persisted
 // unconditionally, so instrumented and uninstrumented runs consume
 // identical ID sequences and take byte-identical schedules.
@@ -478,80 +480,61 @@ func (c *Controller) handlePoll(from string, req wire.Request) wire.Response {
 
 // applyActions runs local repair and queues the resulting repair messages.
 // The repair's store/log mutations and its queue effects commit as ONE WAL
-// entry (see commitRepair), so a crash-recovered service never holds the
-// repaired state without the downstream messages it produced.
+// entry, so a crash-recovered service never holds the repaired state
+// without the downstream messages it produced.
 func (c *Controller) applyActions(actions []warp.Action) (*warp.Result, error) {
-	return c.commitRepair(actions, traceCtx{}, nil, nil, nil)
-}
-
-// commitRepair runs actions as ONE local repair with everything the repair
-// implies — the store/log mutations and the q-set ops of the downstream
-// messages it queues — folded into ONE WAL entry, together with what the
-// receive path adds: pre (the frame's vector observation, logged whatever
-// happens) and the inbox outcomes commit records while the entry is still
-// open. keep, when non-nil, is consulted under the lock for every action
-// and drops the ones it rejects from the run (a frame's carrier that Phase
-// 0 would refuse is refused alone instead of refusing the whole frame).
-// Replay is then all-or-nothing: either the repair fully happened (inbox
-// committed, so a redelivery is re-acknowledged; messages queued exactly
-// once) or none of it did (the redelivery re-applies cleanly). The
-// historical split-entry behavior — the repair's entry, then standalone
-// queue and inbox entries, with their documented double-queue and
-// lost-cascade crash windows — is preserved behind Faults.SplitRepairCommit
-// for the regression tests.
-func (c *Controller) commitRepair(actions []warp.Action, tc traceCtx, pre []wal.Op, keep func(int) bool, commit func(res *warp.Result, join bool)) (*warp.Result, error) {
-	// No incoming wave context: this repair originates a cascade. The wave
-	// is minted unconditionally (obs-on and obs-off runs must consume the
-	// same ID sequence) from the persisted counter, so it stays unique
-	// across crash-restart like every other identifier.
-	if tc.wave == "" {
-		tc = traceCtx{wave: c.Svc.IDs.Wave(), hop: 0}
-	}
-	split := c.faults.SplitRepairCommit
-	if split {
-		c.walAppend("inbox", pre)
-		pre = nil
-	}
+	tc := c.originTrace(traceCtx{})
 	c.Svc.Mu.Lock()
 	c.walBegin("repair")
-	for _, op := range pre {
-		c.walEmit("inbox", op, true)
-	}
-	var res *warp.Result
-	// A failed index check leaves every action unrun: the caller answers
-	// the senders retryably, exactly as if the repair never started.
-	err := c.checkIndexesLocked()
-	if err == nil {
-		if keep != nil {
-			run := actions[:0:0]
-			for i, a := range actions {
-				if keep(i) {
-					run = append(run, a)
-				}
-			}
-			actions = run
-		}
-		res, err = c.Engine.Repair(actions)
-	}
-	if res != nil && !split {
-		// Queue effects join the open batch (qmu nests inside Svc.Mu), then
-		// the inbox outcomes — with the minted request IDs for creates —
-		// land in the same entry.
-		c.enqueueJoin(res.Msgs, true, tc)
-		if commit != nil {
-			commit(res, true)
-		}
-	}
+	res, err := c.repairLocked(actions, tc, nil)
 	c.walCommit()
 	c.Svc.Mu.Unlock()
 	c.walSettle()
 	if err != nil {
 		return nil, err
 	}
-	c.finishRepair(actions, res, !split, tc)
-	if split && commit != nil {
-		commit(res, false)
+	c.finishRepair(res, tc)
+	return res, nil
+}
+
+// originTrace returns tc, or, when it carries no incoming wave context, a
+// fresh wave: the repair originates a cascade. The wave is minted
+// unconditionally (obs-on and obs-off runs must consume the same ID
+// sequence) from the persisted counter, so it stays unique across
+// crash-restart like every other identifier.
+func (c *Controller) originTrace(tc traceCtx) traceCtx {
+	if tc.wave == "" {
+		tc = traceCtx{wave: c.Svc.IDs.Wave(), hop: 0}
 	}
+	return tc
+}
+
+// repairLocked runs actions as ONE local repair and queues the downstream
+// messages it produces, all into the caller's open WAL batch, so replay is
+// all-or-nothing: either the repair fully happened, messages queued exactly
+// once, or none of it did. keep, when non-nil, is consulted for every
+// action and drops the ones it rejects from the run (a frame's carrier that
+// Phase 0 would refuse is refused alone instead of refusing the whole
+// frame). A failed index check leaves every action unrun, exactly as if the
+// repair never started. Caller holds Svc.Mu with a batch open.
+func (c *Controller) repairLocked(actions []warp.Action, tc traceCtx, keep func(int) bool) (*warp.Result, error) {
+	if err := c.checkIndexesLocked(); err != nil {
+		return nil, err
+	}
+	if keep != nil {
+		run := actions[:0:0]
+		for i, a := range actions {
+			if keep(i) {
+				run = append(run, a)
+			}
+		}
+		actions = run
+	}
+	res, err := c.Engine.Repair(actions)
+	if err != nil {
+		return nil, err
+	}
+	c.enqueue(res.Msgs, tc)
 	return res, nil
 }
 
@@ -578,9 +561,8 @@ func (c *Controller) checkIndexesLocked() error {
 }
 
 // finishRepair does a completed local repair's unlocked bookkeeping:
-// counters, notifications, and — unless the caller already queued them
-// inside its WAL batch (enqueued) — the outbound messages.
-func (c *Controller) finishRepair(actions []warp.Action, res *warp.Result, enqueued bool, tc traceCtx) {
+// counters, spans and notifications.
+func (c *Controller) finishRepair(res *warp.Result, tc traceCtx) {
 	c.met.repairsRun.Inc()
 	c.met.repairedReqs.Add(int64(res.RepairedRequests))
 	c.met.repairedOps.Add(int64(res.RepairedModelOps))
@@ -601,9 +583,6 @@ func (c *Controller) finishRepair(actions []warp.Action, res *warp.Result, enque
 			})
 			end = start
 		}
-	}
-	if !enqueued {
-		c.enqueue(res.Msgs, tc)
 	}
 	for _, n := range res.Notices {
 		c.notify(Notification{Kind: string(n.Kind), Detail: n.Detail, RepairType: "local"})
@@ -696,7 +675,7 @@ func (c *Controller) GC(beforeTS int64) {
 	c.Svc.Store.GC(beforeTS)
 	c.dedup.GC(beforeTS)
 	if c.walAttached() {
-		c.walEmit("gc", mustOp("in-gc", inGCOp{BeforeTS: beforeTS}), true)
+		c.walEmit(mustOp("in-gc", inGCOp{BeforeTS: beforeTS}))
 	}
 	c.walCommit()
 	c.Svc.Mu.Unlock()

@@ -5,7 +5,10 @@ package core
 // test can prove the defense is load-bearing (and that the harness
 // rediscovers the historical bug); StrictIndexes adds a check instead. They
 // are deliberately not part of Config and not re-exported by the aire
-// facade: nothing a deployment configures can switch a defense off.
+// facade: nothing a deployment configures can switch a defense off. A
+// defense with no hook here — the one-entry WAL commit of each Svc.Mu
+// critical section — is shown load-bearing by its crash-point sweeps
+// failing on a mutant, not by a switch kept in the shipped code.
 type Faults struct {
 	// DisableDedup turns off the peer-side exactly-once inbox
 	// (internal/deliver): incoming repair deliveries are handled
@@ -18,14 +21,6 @@ type Faults struct {
 	// is reconciled as if the old content were still the queued one — the
 	// superseding repair is silently dropped.
 	UngatedReconcile bool
-	// SplitRepairCommit commits a repair's WAL entry without its queue
-	// effects and inbox outcome, reintroducing the historical split-entry
-	// windows — a crash after the repair entry but before the standalone
-	// q-set/in-commit entries recovers a repaired service whose downstream
-	// messages were lost, or (crashing between the queue effects and the
-	// inbox commit) re-applies the redelivered repair and double-queues its
-	// downstream messages.
-	SplitRepairCommit bool
 	// SuppressReoffer stops the sender stamping wire.HdrReoffer on
 	// anti-entropy recovery attempts (gap NACK or backoff horizon), so a
 	// wholly-lost delivery is only ever retried the ordinary way — the

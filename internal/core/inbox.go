@@ -401,10 +401,10 @@ func (c *Controller) admitNotify(from string, ic *inCarrier) {
 }
 
 // applyCarriers runs every admitted carrier's action as ONE local repair
-// and answers each carrier. The repair's mutations, its queue effects,
-// every admitted carrier's inbox outcome and the frame's vector advance
-// (pre) commit as ONE WAL entry (commitRepair); with nothing admitted, pre
-// is logged alone. Phase 0 runs per carrier inside that commit, so a
+// and answers each carrier. The frame's vector advance (pre), the repair's
+// mutations, its queue effects and every applied carrier's inbox outcome
+// commit as ONE WAL entry under Svc.Mu; with nothing admitted, the entry
+// holds pre alone. Phase 0 runs per carrier inside that commit, so a
 // carrier it refuses is answered alone and the rest of the frame applies.
 func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 	var run []*inCarrier
@@ -424,9 +424,13 @@ func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 			tc = t
 		}
 	}
-	if len(run) == 0 {
-		c.walAppend("inbox", pre)
-		return
+	if len(run) == 0 && len(pre) == 0 {
+		return // nothing admitted, nothing to log
+	}
+	kind := "inbox"
+	if len(run) > 0 {
+		kind = "repair"
+		tc = c.originTrace(tc)
 	}
 	keep := func(k int) bool {
 		err := c.Engine.Validate(actions[k])
@@ -435,7 +439,17 @@ func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 		}
 		return err == nil
 	}
-	commit := func(res *warp.Result, join bool) {
+	c.Svc.Mu.Lock()
+	c.walBegin(kind)
+	for _, op := range pre {
+		c.walEmit(op)
+	}
+	var res *warp.Result
+	var err error
+	if len(run) > 0 {
+		res, err = c.repairLocked(actions, tc, keep)
+	}
+	if res != nil {
 		created := res.CreatedIDs
 		for _, ic := range run {
 			if ic.resp != nil {
@@ -445,16 +459,22 @@ func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 			if ic.action.Kind == warp.CreateReq {
 				outcome, created = created[0], created[1:]
 			}
-			ic.gate.commit(outcome, join)
+			ic.gate.commit(outcome)
 			ic.answerApplied(res, outcome)
 		}
 	}
-	if _, err := c.commitRepair(actions, tc, pre, keep, commit); err != nil {
+	c.walCommit()
+	c.Svc.Mu.Unlock()
+	c.walSettle()
+	switch {
+	case err != nil:
 		for _, ic := range run {
 			if ic.resp == nil {
 				c.refuse(ic, err)
 			}
 		}
+	case res != nil:
+		c.finishRepair(res, tc)
 	}
 }
 
@@ -487,11 +507,11 @@ func (c *Controller) refuse(ic *inCarrier, err error) {
 }
 
 // commit records the applied delivery's outcome (for creates, the minted
-// request ID a future duplicate is re-acknowledged with), logged in the
-// caller's open WAL batch when join is set and as its own entry otherwise.
-// The entry is stamped with the service's logical clock so Controller.GC
-// ages it with the repair log horizon.
-func (g deliveryGate) commit(outcome string, join bool) {
+// request ID a future duplicate is re-acknowledged with) in the caller's
+// open WAL batch. The entry is stamped with the service's logical clock so
+// Controller.GC ages it with the repair log horizon. Caller holds Svc.Mu
+// with a batch open.
+func (g deliveryGate) commit(outcome string) {
 	if !g.active {
 		return
 	}
@@ -503,9 +523,9 @@ func (g deliveryGate) commit(outcome string, join bool) {
 	// registers progress.
 	g.c.met.inboxCommits.Inc()
 	if g.c.walAttached() {
-		g.c.walEmit("inbox", mustOp("in-commit", inboxOp{
+		g.c.walEmit(mustOp("in-commit", inboxOp{
 			Origin: g.origin, ID: g.id, Gen: g.gen, Once: g.once, Outcome: outcome, TS: ts,
-		}), join)
+		}))
 	}
 }
 

@@ -526,7 +526,7 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 				p.queued = false
 				c.queueShrunkLocked()
 				c.vvResolveLocked(cl.peer, p.DeliveryID)
-				c.walEmitQDelLocked(p.MsgID, true)
+				c.walEmitQDelLocked(p.MsgID)
 				removed++
 				if cl.st[i] == deliverOK {
 					delivered++
@@ -535,7 +535,7 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 		case deliverDenied:
 			if f {
 				p.Held = true
-				c.walEmitQSetJoinLocked(p, true)
+				c.walEmitQSetLocked(p)
 			}
 		case deliverRetryMsg:
 			// The peer is up but rejected this one message: charge it alone.
@@ -545,7 +545,7 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 					p.Held = true
 					held[j] = p.Attempts
 				}
-				c.walEmitQSetJoinLocked(p, true)
+				c.walEmitQSetLocked(p)
 			}
 		case deliverRetry:
 			// The peer is unavailable: the outage is charged to its backoff
@@ -554,7 +554,7 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 				failAt = i
 			}
 			if f {
-				c.walEmitQSetJoinLocked(p, true)
+				c.walEmitQSetLocked(p)
 			}
 		}
 	}

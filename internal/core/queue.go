@@ -17,17 +17,9 @@ import (
 // collapse them, by keeping only the most recent repair message"). tc is
 // the trace context of the repair that produced the messages: each queued
 // message carries the wave at one hop deeper than the apply it came from.
+// Caller holds Svc.Mu with a WAL batch open: the q-set ops join the
+// caller's commit (a repair's mutations, a frame's inbox outcomes).
 func (c *Controller) enqueue(msgs []warp.OutMsg, tc traceCtx) {
-	c.enqueueJoin(msgs, false, tc)
-}
-
-// enqueueJoin is enqueue with control over WAL batching: with join set the
-// q-set ops fold into the caller's open WAL batch instead of landing as
-// standalone entries, making the enqueue atomic with whatever the caller is
-// committing (a repair's mutations, a frame's inbox outcomes). Only callers
-// holding Svc.Mu with a batch open may pass join=true — a standalone
-// caller's join would race another goroutine's open batch.
-func (c *Controller) enqueueJoin(msgs []warp.OutMsg, join bool, tc traceCtx) {
 	if len(msgs) == 0 {
 		return
 	}
@@ -52,7 +44,7 @@ func (c *Controller) enqueueJoin(msgs []warp.OutMsg, join bool, tc traceCtx) {
 					// the superseding repair's wave.
 					p.TraceID = tc.wave
 					p.TraceHop = hop
-					c.walEmitQSetJoinLocked(p, join)
+					c.walEmitQSetLocked(p)
 					c.spanEnqueueLocked(p)
 					replaced = true
 					break
@@ -74,7 +66,7 @@ func (c *Controller) enqueueJoin(msgs []warp.OutMsg, join bool, tc traceCtx) {
 		c.queue = append(c.queue, p)
 		c.qlive++
 		c.vvIssueLocked(c.peerDest(m), p.DeliveryID)
-		c.walEmitQSetJoinLocked(p, join)
+		c.walEmitQSetLocked(p)
 		c.spanEnqueueLocked(p)
 	}
 	c.met.queueDepth.Set(int64(c.qlive))
@@ -147,8 +139,15 @@ func (c *Controller) QueueLen() int {
 // already being delivered; with headers, the refreshed content is applied
 // through the same generation-bump supersede path queue collapsing uses,
 // so a delivery in flight reconciles against the old generation and the
-// updated content goes out on the next pass.
+// updated content goes out on the next pass. Retry takes Svc.Mu, so it must
+// not be called from a handler or from App.Authorize, which run under it;
+// a Notifier may call it, since Notify runs outside every lock.
 func (c *Controller) Retry(msgID string, updatedHeaders map[string]string) error {
+	defer c.walSettle()
+	c.Svc.Mu.Lock()
+	defer c.Svc.Mu.Unlock()
+	c.walBegin("queue")
+	defer c.walCommit()
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	for _, p := range c.queue {
@@ -187,15 +186,21 @@ func (c *Controller) Retry(msgID string, updatedHeaders map[string]string) error
 }
 
 // Drop abandons a queued repair message (the user chose not to pursue the
-// repair, §4: "ask if the message should be dropped altogether").
+// repair, §4: "ask if the message should be dropped altogether"). Like
+// Retry, it takes Svc.Mu: never call it from a handler or App.Authorize.
 func (c *Controller) Drop(msgID string) error {
+	defer c.walSettle()
+	c.Svc.Mu.Lock()
+	defer c.Svc.Mu.Unlock()
+	c.walBegin("queue")
+	defer c.walCommit()
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	p := c.removeQueuedLocked(msgID)
 	if p == nil {
 		return fmt.Errorf("core: no pending message %s", msgID)
 	}
-	c.walEmitQDelLocked(p.MsgID, false)
+	c.walEmitQDelLocked(p.MsgID)
 	// Dropping a peer's last message leaves no delivery pass to clean up
 	// its backoff bookkeeping — do it here.
 	if peer := c.peerDest(p.Msg); !c.peerHasQueuedLocked(peer) {

@@ -15,15 +15,15 @@ import (
 
 // This file wires the controller to the write-ahead log (internal/wal).
 //
-// Commit batching: mutations made while the service lock (Svc.Mu) is held —
-// request execution, local repair (an incoming frame's included), a
-// delivered frame's reconcile, GC — are buffered between walBegin and
-// walCommit and land as ONE framed WAL entry, so replay applies the whole
-// commit or none of it (this is what makes a half-applied frame impossible
-// after recovery). Mutations outside the service lock — Retry, Drop and
-// standalone enqueues under qmu — are appended as standalone single-op
-// entries at the moment they happen, inside the same critical section that
-// performs them, so WAL order matches mutation order per domain.
+// One commit path: every entry the controller writes is one Svc.Mu critical
+// section. A mutating path — request execution, local repair (an incoming
+// frame's included), a delivered frame's reconcile, Retry, Drop, GC — takes
+// Svc.Mu, opens a batch (walBegin), makes its mutations (queue ops under qmu,
+// which nests inside Svc.Mu), and closes the batch (walCommit) before it
+// releases Svc.Mu; the entry's fsync (walSettle) runs after the lock is
+// released. Replay therefore applies each critical section whole or not at
+// all, and applies them in the order they held Svc.Mu. walCommit is the one
+// place an op meets its WAL sequence.
 
 // walState is the controller's WAL attachment. mu guards every field; it is
 // a leaf lock (nothing is acquired while holding it).
@@ -148,38 +148,20 @@ func (c *Controller) walSettle() {
 	}
 }
 
-// walEmit routes one op: into the open commit batch when join is set (the
-// caller is a Svc.Mu-held mutation path), else as a standalone entry under
-// the given kind.
-func (c *Controller) walEmit(kind string, op wal.Op, join bool) {
-	if join {
-		c.walst.mu.Lock()
-		if c.walst.batchOpen {
-			c.walst.batch = append(c.walst.batch, op)
-			c.walst.mu.Unlock()
-			return
-		}
-		c.walst.mu.Unlock()
-	}
-	c.walAppend(kind, []wal.Op{op})
-}
-
-// walAppend writes one entry, stamping the logical clock and ID counter so
-// recovery can restore both even when the snapshot predates them.
-func (c *Controller) walAppend(kind string, ops []wal.Op) {
+// walEmit adds one op to the open commit batch. A detached controller
+// emits nothing. With a writer attached, an op emitted outside a batch is a
+// programming error — it would be written out of Svc.Mu order or lost — and
+// panics, as mustOp does on a marshal failure.
+func (c *Controller) walEmit(op wal.Op) {
 	c.walst.mu.Lock()
-	w := c.walst.w
-	c.walst.mu.Unlock()
-	if w == nil || len(ops) == 0 {
+	defer c.walst.mu.Unlock()
+	if c.walst.w == nil {
 		return
 	}
-	if _, err := w.Append(kind, c.Svc.Clock.Now(), c.Svc.IDs.Counter(), ops); err != nil {
-		c.walst.mu.Lock()
-		if c.walst.err == nil {
-			c.walst.err = err
-		}
-		c.walst.mu.Unlock()
+	if !c.walst.batchOpen {
+		panic("core: wal op " + op.Kind + " emitted with no commit batch open")
 	}
+	c.walst.batch = append(c.walst.batch, op)
 }
 
 func mustOp(kind string, v any) wal.Op {
@@ -193,16 +175,16 @@ func mustOp(kind string, v any) wal.Op {
 }
 
 // walVDBSink observes store mutations. It fires under the store lock, on
-// paths that hold Svc.Mu, so joining the open batch is race-free.
+// paths that hold Svc.Mu with a batch open.
 func (c *Controller) walVDBSink(ch vdb.Change) {
-	c.walEmit("vdb", mustOp("vdb", ch), true)
+	c.walEmit(mustOp("vdb", ch))
 }
 
 // walLogSink observes repair-log mutations; same locking shape as the
 // store sink. The change's record is the log's live record, borrowed for
 // this call only: mustOp encodes it before the sink returns.
 func (c *Controller) walLogSink(ch repairlog.Change) {
-	c.walEmit("log", mustOp("log", ch), true)
+	c.walEmit(mustOp("log", ch))
 }
 
 // ---- op payloads ----------------------------------------------------------
@@ -241,29 +223,20 @@ type inVVOp struct {
 	Frontier uint64 `json:"frontier,omitempty"`
 }
 
-// walEmitQSetLocked logs a queue entry's current state. Caller holds qmu.
+// walEmitQSetLocked logs a queue entry's current state into the open
+// batch. Caller holds Svc.Mu with a batch open, and qmu.
 func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
-	c.walEmitQSetJoinLocked(p, false)
+	if c.walAttached() {
+		c.walEmit(mustOp("q-set", qSetOp{Msg: *p, NextID: c.nextID}))
+	}
 }
 
-// walEmitQSetJoinLocked is walEmitQSetLocked with control over batching:
-// join=true folds the op into the caller's open WAL batch (the caller must
-// hold Svc.Mu with a batch open — see enqueueJoin). Caller holds qmu.
-func (c *Controller) walEmitQSetJoinLocked(p *PendingMsg, join bool) {
-	if !c.walAttached() {
-		return
+// walEmitQDelLocked logs a queue entry's removal into the open batch.
+// Caller holds Svc.Mu with a batch open, and qmu.
+func (c *Controller) walEmitQDelLocked(msgID string) {
+	if c.walAttached() {
+		c.walEmit(mustOp("q-del", qDelOp{MsgID: msgID}))
 	}
-	c.walEmit("queue", mustOp("q-set", qSetOp{Msg: *p, NextID: c.nextID}), join)
-}
-
-// walEmitQDelLocked logs a queue entry's removal, folded into the caller's
-// open WAL batch when join is set (see walEmitQSetJoinLocked). Caller holds
-// qmu.
-func (c *Controller) walEmitQDelLocked(msgID string, join bool) {
-	if !c.walAttached() {
-		return
-	}
-	c.walEmit("queue", mustOp("q-del", qDelOp{MsgID: msgID}), join)
 }
 
 // ---- recovery -------------------------------------------------------------

@@ -80,13 +80,12 @@ func createCarrier(payload wire.Request, origin, deliveryID string) wire.Request
 // returns b's and c's repair-log record counts — exactly-once demands 1 and
 // 1 at every crash point — plus how many entries the delivery appended and
 // how many b had appended in all when it crashed.
-func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRecords int, delivered, appended uint64) {
+func runDirectCreateCrash(t *testing.T, keep uint64) (bRecords, cRecords int, delivered, appended uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	bus := transport.NewBus()
 	cfg := core.DefaultConfig()
 	b := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, cfg)
-	b.InjectFaults(core.Faults{SplitRepairCommit: split})
 	bus.Register("b", b)
 	cc := core.NewController(&harness.KVApp{ServiceName: "c"}, bus, core.DefaultConfig())
 	bus.Register("c", cc)
@@ -120,7 +119,6 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 	}
 	truncateWALAfter(t, dir, keep)
 	b2 := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, cfg)
-	b2.InjectFaults(core.Faults{SplitRepairCommit: split})
 	w2, err := persist.Recover(b2, dir, wal.Options{Policy: wal.FsyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)
@@ -151,49 +149,17 @@ func runDirectCreateCrash(t *testing.T, split bool, keep uint64) (bRecords, cRec
 // runs one boundary further, past b's reconcile of the cascade it delivered
 // to c, so the recovered b neither re-applies nor re-sends.
 func TestAtomicRepairCommitSurvivesAnyCrashPoint(t *testing.T) {
-	_, _, delivered, _ := runDirectCreateCrash(t, false, 0)
+	_, _, delivered, _ := runDirectCreateCrash(t, 0)
 	if delivered != 1 {
 		t.Fatalf("gated create delivery appended %d entries, want 1 atomic entry", delivered)
 	}
 	for keep := uint64(0); keep <= delivered+1; keep++ {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
-			bRecs, cRecs, _, _ := runDirectCreateCrash(t, false, keep)
+			bRecs, cRecs, _, _ := runDirectCreateCrash(t, keep)
 			if bRecs != 1 || cRecs != 1 {
 				t.Fatalf("crash at boundary %d: b has %d records, c has %d, want exactly 1 and 1", keep, bRecs, cRecs)
 			}
 		})
-	}
-}
-
-// TestSplitRepairCommitDoubleQueues pins the pre-fix hazard this PR closes:
-// with the historical split commit (repair entry, then standalone queue
-// entries, then a standalone inbox commit — reintroduced via
-// Faults.SplitRepairCommit), there is a crash boundary where the
-// repair and its queued cascade are durable but the inbox commit is not.
-// The sender's redelivery then re-applies the create — a duplicate record
-// at the receiver AND a double-queued cascade downstream.
-func TestSplitRepairCommitDoubleQueues(t *testing.T) {
-	_, _, appended, _ := runDirectCreateCrash(t, true, 0)
-	if appended < 3 {
-		t.Fatalf("split-commit create delivery appended %d entries, want >= 3 (repair, q-set, in-commit)", appended)
-	}
-	violations := 0
-	doubleQueued := false
-	for keep := uint64(0); keep <= appended; keep++ {
-		bRecs, cRecs, _, _ := runDirectCreateCrash(t, true, keep)
-		if bRecs != 1 || cRecs != 1 {
-			violations++
-			t.Logf("boundary %d: b=%d c=%d records", keep, bRecs, cRecs)
-		}
-		if bRecs == 2 && cRecs == 2 {
-			doubleQueued = true
-		}
-	}
-	if violations == 0 {
-		t.Fatal("split-commit path no longer violates exactly-once at any crash boundary; the fault flag is not reproducing the pre-fix behavior")
-	}
-	if !doubleQueued {
-		t.Fatal("no crash boundary double-queued the cascade (b=2, c=2); the documented window is not reproduced")
 	}
 }
 
@@ -205,7 +171,7 @@ func TestSplitRepairCommitDoubleQueues(t *testing.T) {
 // redelivery of the identical frame, and drains its own cascade to c.
 // Returns c's values for the two keys ("good" iff the cascade survived),
 // how many entries the frame's apply appended, and the recovered b's stats.
-func runFrameCancelCrash(t *testing.T, split bool, keep uint64) (cVals [2]string, appended uint64, st core.Stats) {
+func runFrameCancelCrash(t *testing.T, keep uint64) (cVals [2]string, appended uint64, st core.Stats) {
 	t.Helper()
 	dir := t.TempDir()
 	bus := transport.NewBus()
@@ -213,7 +179,6 @@ func runFrameCancelCrash(t *testing.T, split bool, keep uint64) (cVals [2]string
 	bus.Register("a", a)
 	newB := func() *core.Controller {
 		b := core.NewController(&harness.KVApp{ServiceName: "b", Mirror: "c"}, bus, core.DefaultConfig())
-		b.InjectFaults(core.Faults{SplitRepairCommit: split})
 		bus.Register("b", b)
 		return b
 	}
@@ -286,13 +251,13 @@ func runFrameCancelCrash(t *testing.T, split bool, keep uint64) (cVals [2]string
 // it did and the redelivery is re-acknowledged — and the cascade to the
 // downstream mirror survives every boundary.
 func TestAtomicBatchCommitSurvivesAnyCrashPoint(t *testing.T) {
-	_, appended, _ := runFrameCancelCrash(t, false, 0)
+	_, appended, _ := runFrameCancelCrash(t, 0)
 	if appended != 1 {
 		t.Fatalf("frame apply appended %d entries, want 1 atomic entry", appended)
 	}
 	for keep := uint64(0); keep <= appended; keep++ {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
-			cVals, _, st := runFrameCancelCrash(t, false, keep)
+			cVals, _, st := runFrameCancelCrash(t, keep)
 			if cVals != [2]string{"good", "good"} {
 				t.Fatalf("crash at boundary %d lost the repair cascade: c has %v", keep, cVals)
 			}
@@ -305,31 +270,6 @@ func TestAtomicBatchCommitSurvivesAnyCrashPoint(t *testing.T) {
 					keep, st.RepairsRun, st.DupDeliveries, want.RepairsRun, want.DupDeliveries)
 			}
 		})
-	}
-}
-
-// TestSplitBatchCommitLosesCascade pins the hazard the atomic entry closes:
-// with the historical split commit (the repair's entry, then standalone
-// queue entries, then standalone inbox outcomes — Faults.SplitRepairCommit)
-// there is a crash boundary where the frame's repairs are durable but its
-// cascade and inbox outcomes are not. The redelivered cancels then re-apply
-// as no-ops — the cancelled records no longer hold the calls to cascade —
-// so the downstream mirror keeps the attack value forever.
-func TestSplitBatchCommitLosesCascade(t *testing.T) {
-	_, appended, _ := runFrameCancelCrash(t, true, 0)
-	if appended < 2 {
-		t.Fatalf("split frame apply appended %d entries, want >= 2 (repair, q-set)", appended)
-	}
-	lost := false
-	for keep := uint64(0); keep <= appended; keep++ {
-		cVals, _, _ := runFrameCancelCrash(t, true, keep)
-		if cVals != [2]string{"good", "good"} {
-			lost = true
-			t.Logf("boundary %d: c left with %v", keep, cVals)
-		}
-	}
-	if !lost {
-		t.Fatal("split commit no longer loses the cascade at any crash boundary; the fault flag is not reproducing the historical behavior")
 	}
 }
 
