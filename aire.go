@@ -87,7 +87,8 @@ type (
 	// AuthzRequest carries the context for one Authorize decision.
 	AuthzRequest = core.AuthzRequest
 	// Notification reports repair problems (unreachable peers, rejected
-	// credentials, compensations, leaks) to the application.
+	// credentials, compensations, leaks) to the application, naming a
+	// queued message by the delivery ID Retry and Drop take.
 	Notification = core.Notification
 	// Ctx is the per-request handler context with the tracked ORM, the
 	// intercepted outgoing-call API, and recorded nondeterminism.
@@ -107,7 +108,7 @@ type (
 	Result = warp.Result
 	// Action is one local repair instruction.
 	Action = warp.Action
-	// PendingMsg is a queued outgoing repair message.
+	// PendingMsg is a queued outgoing repair message, named by DeliveryID.
 	PendingMsg = core.PendingMsg
 	// PeerVectorDump is one peer's sender-side anti-entropy vector state
 	// (Controller.VectorDump).

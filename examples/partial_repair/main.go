@@ -67,7 +67,7 @@ func expiredTokenDemo() {
 	for _, ctrl := range []*core.Controller{s.Dir, s.A} {
 		for _, p := range ctrl.Pending() {
 			fmt.Printf("  %-12s -> %-7s %-7s held=%v err=%q\n",
-				p.MsgID, p.Msg.Target, p.Msg.Kind, p.Held, truncate(p.LastErr, 40))
+				p.DeliveryID, p.Msg.Target, p.Msg.Kind, p.Held, truncate(p.LastErr, 40))
 		}
 	}
 
@@ -79,7 +79,7 @@ func expiredTokenDemo() {
 	for _, ctrl := range []*core.Controller{s.Dir, s.A} {
 		for _, p := range ctrl.Pending() {
 			if p.Held {
-				if err := ctrl.Retry(p.MsgID, nil); err != nil {
+				if err := ctrl.Retry(p.DeliveryID, nil); err != nil {
 					log.Fatal(err)
 				}
 			}

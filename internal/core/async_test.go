@@ -131,7 +131,7 @@ func TestAuthorizationFailureHeldAndRetried(t *testing.T) {
 	if len(pend) != 1 {
 		t.Fatalf("pending = %+v", pend)
 	}
-	if err := a.Retry(pend[0].MsgID, map[string]string{"X-Token": "tok-2"}); err != nil {
+	if err := a.Retry(pend[0].DeliveryID, map[string]string{"X-Token": "tok-2"}); err != nil {
 		t.Fatal(err)
 	}
 	tb.settle(10)

@@ -93,8 +93,8 @@ type AuthzRequest struct {
 
 // Notification reports a repair problem to the application (Table 2 notify).
 type Notification struct {
-	// MsgID identifies the queued repair message ("" for local notices).
-	MsgID string
+	// DeliveryID names the queued repair message ("" for local notices).
+	DeliveryID string
 	// Kind classifies the problem: "unreachable", "rejected",
 	// "unauthorized", "gone", "no-propagation", "compensation", or "leak".
 	Kind string
@@ -162,14 +162,15 @@ func DefaultConfig() Config {
 
 // PendingMsg is a repair message in the outgoing queue.
 type PendingMsg struct {
-	// MsgID identifies the message for notify/retry.
-	MsgID string
-	// DeliveryID is the message's durable delivery identity, stamped on
-	// every delivery attempt as wire.HdrDeliveryID so the peer's dedup
-	// inbox recognizes re-deliveries. It is stable across attempts and
-	// content revisions, persisted with the queue, and minted from the
-	// service's persisted ID counter so it survives crash-restart without
-	// colliding.
+	// MsgID is retired: read from old state, so an old q-del can find its
+	// message, and never minted or written.
+	MsgID string `json:",omitempty"`
+	// DeliveryID is the message's one name: Retry, Drop and notifications
+	// name it, and every delivery attempt stamps it as wire.HdrDeliveryID
+	// so the peer's dedup inbox recognizes re-deliveries. It is stable
+	// across attempts and content revisions, persisted with the queue, and
+	// minted from the service's persisted ID counter, so it survives
+	// crash-restart without colliding.
 	DeliveryID string `json:"delivery_id,omitempty"`
 	// Msg is the repair operation to deliver.
 	Msg warp.OutMsg
@@ -245,12 +246,11 @@ type Controller struct {
 	Cfg     Config
 	Engine  *warp.Engine
 
-	qmu    sync.Mutex
-	qcond  *sync.Cond // broadcast whenever qlive drops to 0 (WaitQueueEmpty)
-	queue  []*PendingMsg
-	qlive  int // entries with queued=true (the queue slice may briefly hold dead ones)
-	nextID int
-	peers  map[string]*peerState // per-peer delivery health, guarded by qmu
+	qmu   sync.Mutex
+	qcond *sync.Cond // broadcast whenever qlive drops to 0 (WaitQueueEmpty)
+	queue []*PendingMsg
+	qlive int                   // entries with queued=true (the queue slice may briefly hold dead ones)
+	peers map[string]*peerState // per-peer delivery health, guarded by qmu
 	// vectors is the sender-side version-vector state per destination peer
 	// (vectors.go). Guarded by qmu.
 	vectors map[string]*peerVector
@@ -373,41 +373,36 @@ func (c *Controller) HandleWire(from string, req wire.Request) wire.Response {
 var _ transport.Handler = (*Controller)(nil)
 
 // handleNormal executes one live request: assign identifiers, run the
-// handler with full interception, commit the record and effects.
-func (c *Controller) handleNormal(from string, req wire.Request) wire.Response {
-	// Deferred LIFO: walCommit (writes the entry, under the lock), then
-	// Svc.Mu unlocks, then walSettle runs the owed fsync outside every
-	// lock — still before the response reaches the client.
-	defer c.walSettle()
-	c.Svc.Mu.Lock()
-	defer c.Svc.Mu.Unlock()
-	// The request's store writes and log append form one commit: they land
-	// in the WAL as a single entry, applied all-or-nothing on recovery.
-	c.walBegin("exec")
-	defer c.walCommit()
-	c.met.requests.Inc()
-
-	rec := &repairlog.Record{
-		ID:           c.Svc.IDs.Request(),
-		TS:           c.Svc.Clock.Next(),
-		From:         from,
-		ClientRespID: req.Header[wire.HdrResponseID],
-		NotifierURL:  req.Header[wire.HdrNotifierURL],
-		Req:          req,
-	}
-	exec := &web.Exec{Svc: c.Svc, Rec: rec, Mode: web.Normal, Outbound: c.outboundNormal}
-	resp := exec.Run()
-	if resp.Header == nil {
-		resp.Header = map[string]string{}
-	}
-	resp.Header[wire.HdrRequestID] = rec.ID
-	rec.Resp = resp
-	if err := c.Svc.Log.Append(rec); err != nil {
-		return wire.NewResponse(500, "aire: "+err.Error())
-	}
-	for _, ef := range rec.Effects {
-		c.Svc.PerformEffect(ef)
-	}
+// handler with full interception, commit the record and effects. The
+// request's store writes and log append form one commit: they land in the
+// WAL as a single entry, applied all-or-nothing on recovery, and its fsync
+// settles before the response reaches the client.
+func (c *Controller) handleNormal(from string, req wire.Request) (resp wire.Response) {
+	c.commit("exec", func() {
+		c.met.requests.Inc()
+		rec := &repairlog.Record{
+			ID:           c.Svc.IDs.Request(),
+			TS:           c.Svc.Clock.Next(),
+			From:         from,
+			ClientRespID: req.Header[wire.HdrResponseID],
+			NotifierURL:  req.Header[wire.HdrNotifierURL],
+			Req:          req,
+		}
+		exec := &web.Exec{Svc: c.Svc, Rec: rec, Mode: web.Normal, Outbound: c.outboundNormal}
+		resp = exec.Run()
+		if resp.Header == nil {
+			resp.Header = map[string]string{}
+		}
+		resp.Header[wire.HdrRequestID] = rec.ID
+		rec.Resp = resp
+		if err := c.Svc.Log.Append(rec); err != nil {
+			resp = wire.NewResponse(500, "aire: "+err.Error())
+			return
+		}
+		for _, ef := range rec.Effects {
+			c.Svc.PerformEffect(ef)
+		}
+	})
 	return resp
 }
 
@@ -484,12 +479,9 @@ func (c *Controller) handlePoll(from string, req wire.Request) wire.Response {
 // without the downstream messages it produced.
 func (c *Controller) applyActions(actions []warp.Action) (*warp.Result, error) {
 	tc := c.originTrace(traceCtx{})
-	c.Svc.Mu.Lock()
-	c.walBegin("repair")
-	res, err := c.repairLocked(actions, tc, nil)
-	c.walCommit()
-	c.Svc.Mu.Unlock()
-	c.walSettle()
+	var res *warp.Result
+	var err error
+	c.commit("repair", func() { res, err = c.repairLocked(actions, tc, nil) })
 	if err != nil {
 		return nil, err
 	}
@@ -669,15 +661,12 @@ func (c *Controller) BlastRadius(reqID string) []string {
 // dropped sequence are refused as forgotten (410) unless the sender's acked
 // prefix already vouches for them.
 func (c *Controller) GC(beforeTS int64) {
-	c.Svc.Mu.Lock()
-	c.walBegin("gc")
-	c.Svc.Log.GC(beforeTS)
-	c.Svc.Store.GC(beforeTS)
-	c.dedup.GC(beforeTS)
-	if c.walAttached() {
-		c.walEmit(mustOp("in-gc", inGCOp{BeforeTS: beforeTS}))
-	}
-	c.walCommit()
-	c.Svc.Mu.Unlock()
-	c.walSettle()
+	c.commit("gc", func() {
+		c.Svc.Log.GC(beforeTS)
+		c.Svc.Store.GC(beforeTS)
+		c.dedup.GC(beforeTS)
+		if c.walAttached() {
+			c.walEmit(mustOp("in-gc", inGCOp{BeforeTS: beforeTS}))
+		}
+	})
 }

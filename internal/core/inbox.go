@@ -439,17 +439,18 @@ func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 		}
 		return err == nil
 	}
-	c.Svc.Mu.Lock()
-	c.walBegin(kind)
-	for _, op := range pre {
-		c.walEmit(op)
-	}
 	var res *warp.Result
 	var err error
-	if len(run) > 0 {
-		res, err = c.repairLocked(actions, tc, keep)
-	}
-	if res != nil {
+	c.commit(kind, func() {
+		for _, op := range pre {
+			c.walEmit(op)
+		}
+		if len(run) > 0 {
+			res, err = c.repairLocked(actions, tc, keep)
+		}
+		if res == nil {
+			return
+		}
 		created := res.CreatedIDs
 		for _, ic := range run {
 			if ic.resp != nil {
@@ -462,10 +463,7 @@ func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 			ic.gate.commit(outcome)
 			ic.answerApplied(res, outcome)
 		}
-	}
-	c.walCommit()
-	c.Svc.Mu.Unlock()
-	c.walSettle()
+	})
 	switch {
 	case err != nil:
 		for _, ic := range run {

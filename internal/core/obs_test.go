@@ -314,12 +314,12 @@ func TestHeldAndDeniedCounted(t *testing.T) {
 	}
 	var unauthorized int
 	for _, n := range a.Notifications() {
-		if n.Kind == "unauthorized" && n.MsgID == pending[0].MsgID {
+		if n.Kind == "unauthorized" && n.DeliveryID == pending[0].DeliveryID {
 			unauthorized++
 		}
 	}
 	if unauthorized != 1 {
-		t.Fatalf("sender notifications %+v, want one unauthorized for %s", a.Notifications(), pending[0].MsgID)
+		t.Fatalf("sender notifications %+v, want one unauthorized for %s", a.Notifications(), pending[0].DeliveryID)
 	}
 	if got := b.Stats().RepairsDenied; got != 1 {
 		t.Fatalf("receiver RepairsDenied = %d, want 1", got)

@@ -100,7 +100,7 @@ func TestBatchPolicyGrowsAndShrinks(t *testing.T) {
 
 	// Drain the backlog down to 3: the next pass claims exactly that.
 	for _, p := range c.Pending()[3:] {
-		if err := c.Drop(p.MsgID); err != nil {
+		if err := c.Drop(p.DeliveryID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestAdmissionReservesResponseWorkers(t *testing.T) {
 	// cascade batches may claim.
 	for _, p := range c.Pending() {
 		if p.Msg.Kind == warp.OutReplaceResponse {
-			if err := c.Drop(p.MsgID); err != nil {
+			if err := c.Drop(p.DeliveryID); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -227,7 +227,7 @@ func TestDropAbandonsMessage(t *testing.T) {
 		t.Fatalf("queue = %d", a.QueueLen())
 	}
 	pend := a.Pending()
-	if err := a.Drop(pend[0].MsgID); err != nil {
+	if err := a.Drop(pend[0].DeliveryID); err != nil {
 		t.Fatal(err)
 	}
 	if a.QueueLen() != 0 {

@@ -500,75 +500,69 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 	failAt = -1
 	fresh := make([]bool, len(members))
 	held := make([]int, len(members)) // Attempts at which a message was parked
-	c.Svc.Mu.Lock()
-	c.walBegin("reconcile")
-	c.learnRequestIDsLocked(cl, members)
-	c.qmu.Lock()
-	for j, i := range members {
-		p, snap := cl.ptrs[i], &cl.snap[i]
-		// live: still a queue entry (it may have been Dropped since it was
-		// claimed). fresh: the delivered content is still the queued one.
-		live := p.queued
-		f := live && (p.Gen == cl.gens[i] || c.faults.UngatedReconcile)
-		fresh[j] = f
-		if live {
-			// Tokens are per-response and deliberately reused across
-			// attempts and content revisions.
-			p.token = snap.token
-			p.inflight = false
-		}
-		if f {
-			p.LastErr = snap.LastErr
-		}
-		switch cl.st[i] {
-		case deliverOK, deliverGone:
+	c.commit("reconcile", func() {
+		c.learnRequestIDsLocked(cl, members)
+		c.qmu.Lock()
+		defer c.qmu.Unlock()
+		for j, i := range members {
+			p, snap := cl.ptrs[i], &cl.snap[i]
+			// live: still a queue entry (it may have been Dropped since it was
+			// claimed). fresh: the delivered content is still the queued one.
+			live := p.queued
+			f := live && (p.Gen == cl.gens[i] || c.faults.UngatedReconcile)
+			fresh[j] = f
+			if live {
+				// Tokens are per-response and deliberately reused across
+				// attempts and content revisions.
+				p.token = snap.token
+				p.inflight = false
+			}
 			if f {
-				p.queued = false
-				c.queueShrunkLocked()
-				c.vvResolveLocked(cl.peer, p.DeliveryID)
-				c.walEmitQDelLocked(p.MsgID)
-				removed++
-				if cl.st[i] == deliverOK {
-					delivered++
+				p.LastErr = snap.LastErr
+			}
+			switch cl.st[i] {
+			case deliverOK, deliverGone:
+				if f {
+					c.dequeueLocked(p)
+					removed++
+					if cl.st[i] == deliverOK {
+						delivered++
+					}
 				}
-			}
-		case deliverDenied:
-			if f {
-				p.Held = true
-				c.walEmitQSetLocked(p)
-			}
-		case deliverRetryMsg:
-			// The peer is up but rejected this one message: charge it alone.
-			if f {
-				p.Attempts++
-				if p.Attempts >= MaxAttempts {
+			case deliverDenied:
+				if f {
 					p.Held = true
-					held[j] = p.Attempts
+					c.walEmitQSetLocked(p)
 				}
-				c.walEmitQSetLocked(p)
-			}
-		case deliverRetry:
-			// The peer is unavailable: the outage is charged to its backoff
-			// (deliverBatch), never to the message's Attempts.
-			if failAt < 0 {
-				failAt = i
-			}
-			if f {
-				c.walEmitQSetLocked(p)
+			case deliverRetryMsg:
+				// The peer is up but rejected this one message: charge it alone.
+				if f {
+					p.Attempts++
+					if p.Attempts >= MaxAttempts {
+						p.Held = true
+						held[j] = p.Attempts
+					}
+					c.walEmitQSetLocked(p)
+				}
+			case deliverRetry:
+				// The peer is unavailable: the outage is charged to its backoff
+				// (deliverBatch), never to the message's Attempts.
+				if failAt < 0 {
+					failAt = i
+				}
+				if f {
+					c.walEmitQSetLocked(p)
+				}
 			}
 		}
-	}
-	if nacked {
-		// The peer answered with a gap NACK: it is alive and missing a
-		// delivery we still hold. Clear its backoff window and mark the
-		// vector for re-offer stamping so the next pass (woken here)
-		// re-delivers immediately instead of waiting out the schedule.
-		c.vvNackLocked(cl.peer)
-	}
-	c.qmu.Unlock()
-	c.walCommit()
-	c.Svc.Mu.Unlock()
-	c.walSettle()
+		if nacked {
+			// The peer answered with a gap NACK: it is alive and missing a
+			// delivery we still hold. Clear its backoff window and mark the
+			// vector for re-offer stamping so the next pass (woken here)
+			// re-delivers immediately instead of waiting out the schedule.
+			c.vvNackLocked(cl.peer)
+		}
+	})
 
 	for j, i := range members {
 		snap := &cl.snap[i]
@@ -595,12 +589,12 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 		case deliverGone:
 			c.met.msgsFailed.Inc()
 			notes = append(notes, Notification{
-				MsgID: snap.MsgID, Kind: "gone", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
+				DeliveryID: snap.DeliveryID, Kind: "gone", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
 				Detail: "peer reports the request's logs were garbage-collected; repair is permanently unavailable: " + snap.LastErr,
 			})
 		case deliverDenied:
 			notes = append(notes, Notification{
-				MsgID: snap.MsgID, Kind: "unauthorized", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
+				DeliveryID: snap.DeliveryID, Kind: "unauthorized", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
 				Detail: "peer rejected repair message as unauthorized; refresh credentials and Retry: " + snap.LastErr,
 			})
 		case deliverRetryMsg:
@@ -609,7 +603,7 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 				// from "unreachable" so the administrator debugs the
 				// message, not connectivity.
 				notes = append(notes, Notification{
-					MsgID: snap.MsgID, Kind: "rejected", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
+					DeliveryID: snap.DeliveryID, Kind: "rejected", Target: snap.Msg.Target, RepairType: string(snap.Msg.Kind),
 					Detail: fmt.Sprintf("peer rejected this message %d times; message held for Retry: %s", held[j], snap.LastErr),
 				})
 			}
@@ -635,16 +629,6 @@ func (c *Controller) learnRequestIDsLocked(cl *claimedBatch, members []int) {
 				r.Calls[k].RemoteReqID = id
 			})
 		}
-	}
-}
-
-// queueShrunkLocked records one live entry leaving the queue and wakes
-// WaitQueueEmpty waiters when the last one goes. Callers hold qmu.
-func (c *Controller) queueShrunkLocked() {
-	c.qlive--
-	c.met.queueDepth.Set(int64(c.qlive))
-	if c.qlive == 0 {
-		c.qcond.Broadcast()
 	}
 }
 

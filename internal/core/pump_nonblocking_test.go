@@ -98,7 +98,7 @@ func TestRetryLiveMessageAppliesUpdatedHeaders(t *testing.T) {
 		t.Fatalf("expected one live pending message, got %+v", pending)
 	}
 
-	if err := a.Retry(pending[0].MsgID, map[string]string{"Authorization": "fresh-token"}); err != nil {
+	if err := a.Retry(pending[0].DeliveryID, map[string]string{"Authorization": "fresh-token"}); err != nil {
 		t.Fatal(err)
 	}
 

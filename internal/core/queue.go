@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"aire/internal/deliver"
 	"aire/internal/obs"
 	"aire/internal/transport"
 	"aire/internal/warp"
@@ -54,9 +55,7 @@ func (c *Controller) enqueue(msgs []warp.OutMsg, tc traceCtx) {
 				continue
 			}
 		}
-		c.nextID++
 		p := &PendingMsg{
-			MsgID:      fmt.Sprintf("%s-msg-%d", c.Svc.Name, c.nextID),
 			DeliveryID: c.Svc.IDs.Delivery(),
 			Msg:        m,
 			TraceID:    tc.wave,
@@ -142,21 +141,16 @@ func (c *Controller) QueueLen() int {
 // updated content goes out on the next pass. Retry takes Svc.Mu, so it must
 // not be called from a handler or from App.Authorize, which run under it;
 // a Notifier may call it, since Notify runs outside every lock.
-func (c *Controller) Retry(msgID string, updatedHeaders map[string]string) error {
-	defer c.walSettle()
-	c.Svc.Mu.Lock()
-	defer c.Svc.Mu.Unlock()
-	c.walBegin("queue")
-	defer c.walCommit()
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	for _, p := range c.queue {
-		if !p.queued || p.MsgID != msgID {
-			continue
+func (c *Controller) Retry(deliveryID string, updatedHeaders map[string]string) error {
+	var p *PendingMsg
+	c.commit("queue", func() {
+		c.qmu.Lock()
+		defer c.qmu.Unlock()
+		if p = c.findQueuedLocked(deliveryID); p == nil {
+			return
 		}
 		if !p.Held && len(updatedHeaders) == 0 {
-			// Nothing to change; the message is live and being delivered.
-			return nil
+			return // nothing to change; the message is live and being delivered
 		}
 		if len(updatedHeaders) > 0 {
 			// Clone before merging: a delivery in flight may still be
@@ -180,52 +174,78 @@ func (c *Controller) Retry(msgID string, updatedHeaders map[string]string) error
 		p.LastErr = ""
 		c.walEmitQSetLocked(p)
 		c.wakePump()
-		return nil
-	}
-	return fmt.Errorf("core: no pending message %s", msgID)
-}
-
-// Drop abandons a queued repair message (the user chose not to pursue the
-// repair, §4: "ask if the message should be dropped altogether"). Like
-// Retry, it takes Svc.Mu: never call it from a handler or App.Authorize.
-func (c *Controller) Drop(msgID string) error {
-	defer c.walSettle()
-	c.Svc.Mu.Lock()
-	defer c.Svc.Mu.Unlock()
-	c.walBegin("queue")
-	defer c.walCommit()
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	p := c.removeQueuedLocked(msgID)
+	})
 	if p == nil {
-		return fmt.Errorf("core: no pending message %s", msgID)
-	}
-	c.walEmitQDelLocked(p.MsgID)
-	// Dropping a peer's last message leaves no delivery pass to clean up
-	// its backoff bookkeeping — do it here.
-	if peer := c.peerDest(p.Msg); !c.peerHasQueuedLocked(peer) {
-		if ps := c.peers[peer]; ps != nil && !ps.inflight {
-			delete(c.peers, peer)
-		}
+		return fmt.Errorf("core: no pending message %s", deliveryID)
 	}
 	return nil
 }
 
-// removeQueuedLocked is the one remove-by-ID, shared by Drop and WAL
-// replay's q-del: it takes the queued message msgID out of the queue and
-// resolves its delivery in the sender's version vector, returning it (nil
-// when no such message is queued). Caller holds qmu.
-func (c *Controller) removeQueuedLocked(msgID string) *PendingMsg {
-	for i, p := range c.queue {
-		if p.queued && p.MsgID == msgID {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			p.queued = false
-			c.queueShrunkLocked()
-			c.vvResolveLocked(c.peerDest(p.Msg), p.DeliveryID)
+// Drop abandons a queued repair message, named by its delivery ID (the
+// user chose not to pursue the repair, §4: "ask if the message should be
+// dropped altogether"). Like Retry, it takes Svc.Mu: never call it from a
+// handler or App.Authorize.
+func (c *Controller) Drop(deliveryID string) error {
+	var p *PendingMsg
+	c.commit("queue", func() {
+		c.qmu.Lock()
+		defer c.qmu.Unlock()
+		if p = c.removeQueuedLocked(deliveryID); p == nil {
+			return
+		}
+		// Dropping a peer's last message leaves no delivery pass to clean
+		// up its backoff bookkeeping — do it here.
+		if peer := c.peerDest(p.Msg); !c.peerHasQueuedLocked(peer) {
+			if ps := c.peers[peer]; ps != nil && !ps.inflight {
+				delete(c.peers, peer)
+			}
+		}
+	})
+	if p == nil {
+		return fmt.Errorf("core: no pending message %s", deliveryID)
+	}
+	return nil
+}
+
+// findQueuedLocked returns the live queue entry with the given delivery ID,
+// or nil. Caller holds qmu.
+func (c *Controller) findQueuedLocked(deliveryID string) *PendingMsg {
+	for _, p := range c.queue {
+		if p.queued && p.DeliveryID == deliveryID {
 			return p
 		}
 	}
 	return nil
+}
+
+// dequeueLocked is the one way a message leaves the queue (delivered, gone,
+// dropped, or a replayed q-del): it clears membership, leaving the entry
+// to compactLocked, resolves the delivery in the sender's version vector,
+// and logs the q-del. Caller holds qmu, and Svc.Mu with a batch open.
+func (c *Controller) dequeueLocked(p *PendingMsg) {
+	p.queued = false
+	c.qlive--
+	c.met.queueDepth.Set(int64(c.qlive))
+	if c.qlive == 0 {
+		c.qcond.Broadcast()
+	}
+	if pv := c.vectors[c.peerDest(p.Msg)]; pv != nil {
+		delete(pv.out, deliver.Seq(p.DeliveryID))
+	}
+	if c.walAttached() {
+		c.walEmit(mustOp("q-del", qDelOp{DeliveryID: p.DeliveryID}))
+	}
+}
+
+// removeQueuedLocked is Drop's and replay's q-del: find, dequeue, compact.
+// It returns the message, or nil when none is queued. Caller holds qmu.
+func (c *Controller) removeQueuedLocked(deliveryID string) *PendingMsg {
+	p := c.findQueuedLocked(deliveryID)
+	if p != nil {
+		c.dequeueLocked(p)
+		c.compactLocked()
+	}
+	return p
 }
 
 // mintResponseToken stores a replace_response's corrected response under
@@ -343,30 +363,18 @@ func (c *Controller) carrierFor(p *PendingMsg) (req wire.Request, st deliverStat
 		p.LastErr = "unknown repair kind " + string(m.Kind)
 		return req, deliverGone, false
 	}
-	c.stampDelivery(req, p)
-	return req, deliverOK, true
-}
-
-// stampDelivery adds the exactly-once session headers to a repair-plane
-// carrier: the queue entry's durable delivery identity and the content
-// generation claimed for this attempt, so the peer's dedup inbox can
-// re-acknowledge duplicates and discard delayed superseded content. p is
-// the delivery pass's private snapshot, so p.Gen is the claimed generation.
-// What is said once per frame — the version vector, the body checksum, the
-// destination shard — rides on the frame (sendFrame).
-func (c *Controller) stampDelivery(req wire.Request, p *PendingMsg) {
-	// Trace context is stamped even on hand-built entries: it is
-	// observability-only, so it never needs the delivery-identity gate.
+	// Exactly-once session headers: the delivery ID and the generation this
+	// attempt claimed (p is a snapshot), so the peer's inbox re-acks
+	// duplicates and discards delayed superseded content. The vector, body
+	// checksum and shard ride on the frame (sendFrame).
 	if p.TraceID != "" {
 		req.Header[wire.HdrTraceID] = p.TraceID
 		req.Header[wire.HdrTraceHop] = strconv.Itoa(p.TraceHop)
 	}
-	if p.DeliveryID == "" {
-		return // hand-built entry (tests, legacy snapshots): deliver ungated
-	}
 	req.Header[wire.HdrDeliveryID] = p.DeliveryID
 	req.Header[wire.HdrGeneration] = strconv.FormatUint(p.Gen, 10)
 	req.Header[wire.HdrOrigin] = c.Svc.Name
+	return req, deliverOK, true
 }
 
 // sendFrame POSTs one frame body to peer and returns one answer per

@@ -110,9 +110,9 @@ func TestQueueConcurrencyHammer(t *testing.T) {
 				checkCollapseInvariant()
 				for _, p := range a.Pending() {
 					if p.Held {
-						_ = a.Retry(p.MsgID, map[string]string{"X-Retry": "1"})
+						_ = a.Retry(p.DeliveryID, map[string]string{"X-Retry": "1"})
 					} else if i%7 == 0 {
-						_ = a.Drop(p.MsgID) // racing Drop is allowed to miss
+						_ = a.Drop(p.DeliveryID) // racing Drop is allowed to miss
 					}
 				}
 				a.QueueLen()
@@ -134,7 +134,7 @@ func TestQueueConcurrencyHammer(t *testing.T) {
 	}
 	for _, p := range a.Pending() {
 		if p.Held {
-			if err := a.Retry(p.MsgID, nil); err != nil {
+			if err := a.Retry(p.DeliveryID, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -58,14 +58,11 @@ type peerVector struct {
 	reoffer bool
 }
 
-// vvIssueLocked records a delivery ID entering the queue bound for peer.
-// Idempotent (out is a set), so WAL replay's q-set upserts are safe.
-// Caller holds qmu.
+// vvIssueLocked records a delivery ID, whose sequence restorable or enqueue
+// guarantees, entering the queue bound for peer. Idempotent (out is a set),
+// so WAL replay's q-set upserts are safe. Caller holds qmu.
 func (c *Controller) vvIssueLocked(peer, deliveryID string) {
 	seq := deliver.Seq(deliveryID)
-	if seq == 0 {
-		return
-	}
 	pv := c.vectors[peer]
 	if pv == nil {
 		pv = &peerVector{out: map[uint64]bool{}}
@@ -74,19 +71,6 @@ func (c *Controller) vvIssueLocked(peer, deliveryID string) {
 	pv.out[seq] = true
 	if seq > pv.frontier {
 		pv.frontier = seq
-	}
-}
-
-// vvResolveLocked records a delivery permanently leaving the queue
-// (delivered, gone, or dropped), advancing the peer's acked prefix.
-// Caller holds qmu.
-func (c *Controller) vvResolveLocked(peer, deliveryID string) {
-	seq := deliver.Seq(deliveryID)
-	if seq == 0 {
-		return
-	}
-	if pv := c.vectors[peer]; pv != nil {
-		delete(pv.out, seq)
 	}
 }
 

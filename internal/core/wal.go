@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"aire/internal/deliver"
@@ -16,14 +14,14 @@ import (
 // This file wires the controller to the write-ahead log (internal/wal).
 //
 // One commit path: every entry the controller writes is one Svc.Mu critical
-// section. A mutating path — request execution, local repair (an incoming
-// frame's included), a delivered frame's reconcile, Retry, Drop, GC — takes
-// Svc.Mu, opens a batch (walBegin), makes its mutations (queue ops under qmu,
-// which nests inside Svc.Mu), and closes the batch (walCommit) before it
-// releases Svc.Mu; the entry's fsync (walSettle) runs after the lock is
-// released. Replay therefore applies each critical section whole or not at
-// all, and applies them in the order they held Svc.Mu. walCommit is the one
-// place an op meets its WAL sequence.
+// section, and commit is the only place a batch opens. Request execution,
+// local repair (an incoming frame's included), a frame's reconcile, Retry,
+// Drop and GC hand their mutations to commit, which takes Svc.Mu, opens a
+// batch (walBegin), runs them (queue ops under qmu, which nests inside
+// Svc.Mu), and writes the batch (walCommit) before it releases Svc.Mu; the
+// fsync (walSettle) runs after. Replay therefore applies each critical
+// section whole or not at all, in the order they held Svc.Mu. walCommit is
+// the one place an op meets its WAL sequence.
 
 // walState is the controller's WAL attachment. mu guards every field; it is
 // a leaf lock (nothing is acquired while holding it).
@@ -80,6 +78,18 @@ func (c *Controller) walAttached() bool {
 	return c.walst.w != nil
 }
 
+// commit runs fn as one WAL entry: Svc.Mu, walBegin, fn, walCommit, unlock,
+// then walSettle outside every lock, still before the caller replies. The
+// order is deferred, so a panicking handler never leaves Svc.Mu held.
+func (c *Controller) commit(kind string, fn func()) {
+	defer c.walSettle()
+	c.Svc.Mu.Lock()
+	defer c.Svc.Mu.Unlock()
+	c.walBegin(kind)
+	defer c.walCommit()
+	fn()
+}
+
 // walBegin opens a commit batch. Caller holds Svc.Mu; batches never nest.
 func (c *Controller) walBegin(kind string) {
 	c.walst.mu.Lock()
@@ -125,8 +135,8 @@ func (c *Controller) walCommit() {
 	c.walst.mu.Unlock()
 }
 
-// walSettle makes the caller's last walCommit durable; run it after
-// releasing Svc.Mu and before replying to the client. pendingSync is a
+// walSettle makes the caller's last walCommit durable; commit runs it after
+// releasing Svc.Mu and before the caller replies. pendingSync is a
 // high-water mark, so a settle whose commit another settle's fsync already
 // covered returns without touching the disk (wal.Writer.SyncTo blocks until
 // the covering flush has actually completed — a commit is never
@@ -189,13 +199,17 @@ func (c *Controller) walLogSink(ch repairlog.Change) {
 
 // ---- op payloads ----------------------------------------------------------
 
+// qSetOp records a queue entry's state. An old one also carries "next_id",
+// the retired MsgID counter, which replay ignores.
 type qSetOp struct {
-	Msg    PendingMsg `json:"msg"`
-	NextID int        `json:"next_id"`
+	Msg PendingMsg `json:"msg"`
 }
 
+// qDelOp records a queue entry's removal. An old one names the message by
+// the retired MsgID its q-set or checkpoint entry recorded.
 type qDelOp struct {
-	MsgID string `json:"msg_id"`
+	DeliveryID string `json:"delivery_id,omitempty"`
+	MsgID      string `json:"msg_id,omitempty"`
 }
 
 type inboxOp struct {
@@ -227,15 +241,9 @@ type inVVOp struct {
 // batch. Caller holds Svc.Mu with a batch open, and qmu.
 func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
 	if c.walAttached() {
-		c.walEmit(mustOp("q-set", qSetOp{Msg: *p, NextID: c.nextID}))
-	}
-}
-
-// walEmitQDelLocked logs a queue entry's removal into the open batch.
-// Caller holds Svc.Mu with a batch open, and qmu.
-func (c *Controller) walEmitQDelLocked(msgID string) {
-	if c.walAttached() {
-		c.walEmit(mustOp("q-del", qDelOp{MsgID: msgID}))
+		m := *p
+		m.MsgID = "" // retired: read from old state, never written
+		c.walEmit(mustOp("q-set", qSetOp{Msg: m}))
 	}
 }
 
@@ -243,17 +251,17 @@ func (c *Controller) walEmitQDelLocked(msgID string) {
 
 // ApplyWALEntry replays one recovered WAL entry onto the controller. Ops
 // are idempotent: recovery may replay entries whose effects the checkpoint
-// snapshot already contains.
+// snapshot already contains. The entry's ID counter is raised first.
 func (c *Controller) ApplyWALEntry(e wal.Entry) error {
+	if e.IDs > c.Svc.IDs.Counter() {
+		c.Svc.IDs.SetCounter(e.IDs)
+	}
 	for i, op := range e.Ops {
 		if err := c.applyWALOp(op); err != nil {
 			return fmt.Errorf("core: wal entry %d (%s) op %d (%s): %w", e.Seq, e.Kind, i, op.Kind, err)
 		}
 	}
 	c.Svc.Clock.Observe(e.Clock)
-	if e.IDs > c.Svc.IDs.Counter() {
-		c.Svc.IDs.SetCounter(e.IDs)
-	}
 	return nil
 }
 
@@ -283,8 +291,11 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		if err := json.Unmarshal(op.Data, &o); err != nil {
 			return err
 		}
+		if err := restorable(o.Msg, c.Svc.IDs.Counter()); err != nil {
+			return err
+		}
 		c.qmu.Lock()
-		c.upsertQueuedLocked(o.Msg, o.NextID)
+		c.upsertQueuedLocked(o.Msg)
 		c.qmu.Unlock()
 		return nil
 	case "q-del":
@@ -292,9 +303,17 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		if err := json.Unmarshal(op.Data, &o); err != nil {
 			return err
 		}
+		if o.DeliveryID == "" && o.MsgID == "" {
+			return fmt.Errorf("q-del names no message")
+		}
 		c.qmu.Lock()
-		c.removeQueuedLocked(o.MsgID)
-		c.qmu.Unlock()
+		defer c.qmu.Unlock()
+		for _, p := range c.queue {
+			if o.DeliveryID == "" && p.queued && p.MsgID == o.MsgID {
+				o.DeliveryID = p.DeliveryID // an old q-del names the retired MsgID
+			}
+		}
+		c.removeQueuedLocked(o.DeliveryID)
 		return nil
 	case "in-commit":
 		var o inboxOp
@@ -327,26 +346,27 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 	return fmt.Errorf("unknown wal op kind %q", op.Kind)
 }
 
-// upsertQueuedLocked is the one replay/restore insert: it upserts a queue
-// entry by message ID, as recorded by a q-set op or a checkpoint, and raises
-// the MsgID counter to nextID. The entry's own number is a floor for the
-// counter too, so a checkpoint that predates the counter's capture cannot
-// make a later mint reuse the ID of a message still queued. Caller holds
-// qmu.
-func (c *Controller) upsertQueuedLocked(m PendingMsg, nextID int) {
-	if n, err := strconv.Atoi(strings.TrimPrefix(m.MsgID, c.Svc.Name+"-msg-")); err == nil {
-		nextID = max(nextID, n)
+// restorable refuses a recorded queue entry whose delivery ID bears no
+// sequence, or one above counter, the restored ID counter: a later mint
+// could reuse it, and the sender's version vector could not track it.
+func restorable(m PendingMsg, counter int64) error {
+	if s := deliver.Seq(m.DeliveryID); s == 0 || s > uint64(max(counter, 0)) {
+		return fmt.Errorf("queued message %q: delivery ID not covered by the ID counter %d", m.DeliveryID, counter)
 	}
-	c.nextID = max(c.nextID, nextID)
+	return nil
+}
+
+// upsertQueuedLocked is the one replay/restore insert: it upserts a queue
+// entry by delivery ID, as recorded by a q-set op or a checkpoint. The
+// caller has checked the entry with restorable. Caller holds qmu.
+func (c *Controller) upsertQueuedLocked(m PendingMsg) {
 	m.inflight, m.queued = false, true
-	for _, p := range c.queue {
-		if p.queued && p.MsgID == m.MsgID {
-			// The recorded state replaces the entry's, except what is never
-			// recorded: its response token and a claim in flight.
-			m.token, m.inflight = p.token, p.inflight
-			*p = m
-			return
-		}
+	if p := c.findQueuedLocked(m.DeliveryID); p != nil {
+		// The recorded state replaces the entry's, except what is never
+		// recorded: its response token and a claim in flight.
+		m.token, m.inflight = p.token, p.inflight
+		*p = m
+		return
 	}
 	c.queue = append(c.queue, &m)
 	c.qlive++
@@ -374,9 +394,11 @@ type AtomicExport struct {
 	Records []*repairlog.Record `json:"records"`
 	// Objects is the versioned database contents.
 	Objects []vdb.ObjectDump `json:"objects"`
-	// Queue is the outgoing repair message queue.
+	// Queue is the outgoing repair message queue; IDCounter covers every
+	// entry's delivery ID.
 	Queue []PendingMsg `json:"queue,omitempty"`
-	// NextID is the queue's MsgID counter, the one every q-set op carries.
+	// NextID is the retired MsgID counter: read from old checkpoints and
+	// ignored, never written.
 	NextID int `json:"next_id,omitempty"`
 	// Inbox is the peer-side exactly-once dedup memory (internal/deliver):
 	// restoring it keeps a crash-restarted service from re-applying a
@@ -400,7 +422,6 @@ func (c *Controller) ExportAtomic() AtomicExport {
 		ClockNow:  c.Svc.Clock.Now(),
 		IDCounter: c.Svc.IDs.Counter(),
 		GCBefore:  c.Svc.Log.GCBefore(),
-		NextID:    c.nextID,
 		Inbox:     c.dedup.Dump(),
 	}
 	for _, r := range c.Svc.Log.All() {
@@ -410,7 +431,9 @@ func (c *Controller) ExportAtomic() AtomicExport {
 	ex.Queue = make([]PendingMsg, 0, c.qlive)
 	for _, p := range c.queue {
 		if p.queued {
-			ex.Queue = append(ex.Queue, *p)
+			m := *p
+			m.MsgID = "" // retired: read from old state, never written
+			ex.Queue = append(ex.Queue, m)
 		}
 	}
 	return ex
@@ -418,15 +441,21 @@ func (c *Controller) ExportAtomic() AtomicExport {
 
 // ImportAtomic loads a cut through the functions WAL replay applies ops
 // with: every stored version goes through the store's replayed put, every
-// queued message through the q-set upsert (with the cut's MsgID counter),
-// and the dedup memory through deliver.Inbox.Restore. The repair log is the
-// exception: Log.Append refuses a record ID it already holds, where replay
-// would upsert it. The clock and the ID counter only move forward, and the
-// pump is woken as an enqueue wakes it. ImportAtomic does not check that
-// the controller is empty; persist.Apply does.
+// queued message through the q-set upsert, and the dedup memory through
+// deliver.Inbox.Restore. The repair log is the exception: Log.Append
+// refuses a record ID it already holds, where replay would upsert it.
+// Before anything loads, every queued message must be restorable under the
+// larger of the cut's ID counter and the controller's. The clock and the
+// ID counter only move forward, and the pump is woken as an enqueue wakes
+// it. persist.Apply, not ImportAtomic, checks that the controller is empty.
 func (c *Controller) ImportAtomic(ex AtomicExport) error {
 	c.Svc.Mu.Lock()
 	defer c.Svc.Mu.Unlock()
+	for _, m := range ex.Queue {
+		if err := restorable(m, max(ex.IDCounter, c.Svc.IDs.Counter())); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	for _, od := range ex.Objects {
 		for i := range od.Versions {
 			if err := c.Svc.Store.ApplyChange(vdb.Change{Kind: "put", Key: od.Key, Version: &od.Versions[i]}); err != nil {
@@ -454,7 +483,7 @@ func (c *Controller) ImportAtomic(ex AtomicExport) error {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	for _, m := range ex.Queue {
-		c.upsertQueuedLocked(m, ex.NextID)
+		c.upsertQueuedLocked(m)
 	}
 	c.wakePump()
 	return nil

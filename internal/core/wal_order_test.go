@@ -20,27 +20,22 @@ func queueOneOnWAL(t *testing.T, dir string) (*Controller, *wal.Writer, string) 
 		t.Fatal(err)
 	}
 	c.AttachWAL(w)
-	c.Svc.Mu.Lock()
-	c.walBegin("repair")
-	c.enqueue([]warp.OutMsg{cascadeMsg("b", 1)}, traceCtx{})
-	c.walCommit()
-	c.Svc.Mu.Unlock()
-	c.walSettle()
-	return c, w, c.Pending()[0].MsgID
+	c.commit("repair", func() { c.enqueue([]warp.OutMsg{cascadeMsg("b", 1)}, traceCtx{}) })
+	return c, w, c.Pending()[0].DeliveryID
 }
 
 // queueView is what recovery must reproduce of one queued message.
 type queueView struct {
-	MsgID    string
-	Held     bool
-	Attempts int
-	Gen      uint64
+	DeliveryID string
+	Held       bool
+	Attempts   int
+	Gen        uint64
 }
 
 func viewQueue(c *Controller) []queueView {
 	var out []queueView
 	for _, p := range c.Pending() {
-		out = append(out, queueView{p.MsgID, p.Held, p.Attempts, p.Gen})
+		out = append(out, queueView{p.DeliveryID, p.Held, p.Attempts, p.Gen})
 	}
 	return out
 }
@@ -48,10 +43,9 @@ func viewQueue(c *Controller) []queueView {
 // TestWALOrderFollowsServiceLock: a queue mutation outside the pump —
 // Drop, or Retry of a parked message — lands in the WAL after a reconcile
 // that is still holding its batch open, so replay reproduces the live
-// queue. The reconcile is simulated by holding Svc.Mu with a batch open in
-// which the message's q-set was emitted; the mutation, started on another
-// goroutine, must wait for that commit instead of writing its own entry
-// first (a Drop written first is undone by the replayed q-set, a Retry
+// queue. The reconcile is simulated by a commit whose batch holds the
+// message's q-set; the mutation, started on another goroutine inside that
+// commit, must wait for it instead of writing its own entry first (a Drop written first is undone by the replayed q-set, a Retry
 // written first is overwritten by the replayed park).
 func TestWALOrderFollowsServiceLock(t *testing.T) {
 	cases := []struct {
@@ -67,23 +61,20 @@ func TestWALOrderFollowsServiceLock(t *testing.T) {
 			dir := t.TempDir()
 			c, w, id := queueOneOnWAL(t, dir)
 
-			c.Svc.Mu.Lock()
-			c.walBegin("reconcile")
-			c.qmu.Lock()
-			tc.batch(c.queue[0])
-			c.walEmitQSetLocked(c.queue[0])
-			c.qmu.Unlock()
 			done := make(chan error, 1)
-			go func() { done <- tc.mutate(c, id) }()
-			select {
-			case err := <-done:
-				t.Errorf("%s returned (%v) while a reconcile held its batch open", tc.name, err)
-				done <- err
-			case <-time.After(50 * time.Millisecond):
-			}
-			c.walCommit()
-			c.Svc.Mu.Unlock()
-			c.walSettle()
+			c.commit("reconcile", func() {
+				c.qmu.Lock()
+				tc.batch(c.queue[0])
+				c.walEmitQSetLocked(c.queue[0])
+				c.qmu.Unlock()
+				go func() { done <- tc.mutate(c, id) }()
+				select {
+				case err := <-done:
+					t.Errorf("%s returned (%v) while a reconcile held its batch open", tc.name, err)
+					done <- err
+				case <-time.After(50 * time.Millisecond):
+				}
+			})
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
@@ -108,11 +99,10 @@ func TestWALOrderFollowsServiceLock(t *testing.T) {
 // detached controller emits nothing, batch or not.
 func TestWALEmitNeedsBatch(t *testing.T) {
 	c := NewController(&kvApp{name: "a"}, newTestbed().bus, DefaultConfig())
-	op := mustOp("q-del", qDelOp{MsgID: "a-msg-1"})
-	c.walEmit(op)
-	c.walBegin("queue")
-	c.walEmit(op)
-	c.walCommit()
+	op := mustOp("q-del", qDelOp{DeliveryID: "a-dlv-1"})
+	emit := func() { c.walEmit(op) }
+	emit()
+	c.commit("queue", emit)
 
 	w := attachTestWAL(t, c)
 	if w.Seq() != 0 || len(c.walst.batch) != 0 {
@@ -124,11 +114,9 @@ func TestWALEmitNeedsBatch(t *testing.T) {
 				t.Fatal("an op emitted with no batch open did not panic")
 			}
 		}()
-		c.walEmit(op)
+		emit()
 	}()
-	c.walBegin("queue")
-	c.walEmit(op)
-	c.walCommit()
+	c.commit("queue", emit)
 	if w.Seq() != 1 {
 		t.Fatalf("one batch wrote %d entries, want 1", w.Seq())
 	}
@@ -149,7 +137,7 @@ func (a *retryOnDeny) Notify(n Notification) {
 	}
 	for _, p := range a.ctrl.Pending() {
 		if p.Held {
-			a.errs = append(a.errs, a.ctrl.Retry(p.MsgID, map[string]string{"X-Token": "tok-2"}))
+			a.errs = append(a.errs, a.ctrl.Retry(p.DeliveryID, map[string]string{"X-Token": "tok-2"}))
 		}
 	}
 }

@@ -702,7 +702,7 @@ func (w *simWorld) heldMessages() []string {
 	for _, name := range w.cnames {
 		for _, p := range w.ctrls[name].Pending() {
 			if p.Held {
-				held = append(held, fmt.Sprintf("%s: %s (%s to %s): %s", name, p.MsgID, p.Msg.Kind, p.Msg.Target, p.LastErr))
+				held = append(held, fmt.Sprintf("%s: %s (%s to %s): %s", name, p.DeliveryID, p.Msg.Kind, p.Msg.Target, p.LastErr))
 			}
 		}
 	}

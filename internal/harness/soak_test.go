@@ -93,7 +93,7 @@ func runSoak(t *testing.T, seed int64, ops []soakOp) {
 	for _, ctrl := range []*core.Controller{a1, b1} {
 		for _, p := range ctrl.Pending() {
 			if p.Held {
-				if err := ctrl.Retry(p.MsgID, nil); err != nil {
+				if err := ctrl.Retry(p.DeliveryID, nil); err != nil {
 					t.Fatalf("seed %d: retry: %v", seed, err)
 				}
 			}

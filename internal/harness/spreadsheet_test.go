@@ -148,7 +148,7 @@ func TestPartialRepairExpiredToken(t *testing.T) {
 	for _, ctrl := range []*core.Controller{s.Dir, s.A} {
 		for _, p := range ctrl.Pending() {
 			if p.Held && p.Msg.Target == "sheetB" {
-				heldMsgs = append(heldMsgs, p.MsgID)
+				heldMsgs = append(heldMsgs, p.DeliveryID)
 			}
 		}
 	}
@@ -167,7 +167,7 @@ func TestPartialRepairExpiredToken(t *testing.T) {
 	for _, ctrl := range []*core.Controller{s.Dir, s.A} {
 		for _, p := range ctrl.Pending() {
 			if p.Held {
-				if err := ctrl.Retry(p.MsgID, nil); err != nil {
+				if err := ctrl.Retry(p.DeliveryID, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -200,14 +200,13 @@ func percentile(xs []int64, p float64) int64 {
 }
 
 // stormMsgs builds the preloaded cascade backlog: Backlog distinct replace
-// carriers per peer, IDs "c-<peer>-<n>".
+// carriers per peer, labelled "c-<peer>-<n>" (stormLabel).
 func stormMsgs(cfg StormConfig) []core.PendingMsg {
 	var msgs []core.PendingMsg
 	for p := 0; p < cfg.Peers; p++ {
 		peer := fmt.Sprintf("peer%d", p)
 		for i := 0; i < cfg.Backlog; i++ {
 			msgs = append(msgs, core.PendingMsg{
-				MsgID: fmt.Sprintf("c-%s-%d", peer, i),
 				Msg: warp.OutMsg{
 					Kind: warp.OutReplace, Target: peer,
 					RemoteReqID: fmt.Sprintf("%s-req-%d", peer, i),
@@ -229,10 +228,20 @@ func stormInject(hub *core.Controller, msgs ...core.PendingMsg) error {
 	return hub.ImportAtomic(core.AtomicExport{Queue: msgs})
 }
 
-// stormResponse builds the n-th mirror-plane message, ID "m-<n>".
+// stormLabel names a storm message in the sink by its content: a cascade
+// carrier targeting "<peer>-req-<n>" is "c-<peer>-<n>", the mirror message
+// for response "resp-<n>" is "m-<n>".
+func stormLabel(m core.PendingMsg) string {
+	if m.Msg.Kind == warp.OutReplaceResponse {
+		return "m-" + strings.TrimPrefix(m.Msg.RespID, "resp-")
+	}
+	peer, n, _ := strings.Cut(m.Msg.RemoteReqID, "-req-")
+	return "c-" + peer + "-" + n
+}
+
+// stormResponse builds the n-th mirror-plane message, labelled "m-<n>".
 func stormResponse(n int) core.PendingMsg {
 	return core.PendingMsg{
-		MsgID: fmt.Sprintf("m-%d", n),
 		Msg: warp.OutMsg{
 			Kind:        warp.OutReplaceResponse,
 			NotifierURL: transport.NotifierURL("client"),
@@ -282,7 +291,7 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	// land delayed calls, advance virtual time.
 	cascade := stormMsgs(cfg)
 	for _, m := range cascade {
-		sink.inject(m.MsgID)
+		sink.inject(stormLabel(m))
 	}
 	sink.mu.Lock()
 	sink.enqueued = len(cascade)
@@ -302,7 +311,7 @@ func runStormScheduled(cfg StormConfig) (*StormResult, error) {
 	}
 	for i := 0; i < cfg.Responses; i++ {
 		m := stormResponse(i)
-		sink.inject(m.MsgID)
+		sink.inject(stormLabel(m))
 		if err := stormInject(hub, m); err != nil {
 			cancel()
 			return nil, err
@@ -361,7 +370,7 @@ func runStormSerial(cfg StormConfig) (*StormResult, error) {
 
 	cascade := stormMsgs(cfg)
 	for _, m := range cascade {
-		sink.inject(m.MsgID)
+		sink.inject(stormLabel(m))
 	}
 	sink.mu.Lock()
 	sink.enqueued = len(cascade)
@@ -372,7 +381,7 @@ func runStormSerial(cfg StormConfig) (*StormResult, error) {
 
 	for i := 0; i < cfg.Responses; i++ {
 		m := stormResponse(i)
-		sink.inject(m.MsgID)
+		sink.inject(stormLabel(m))
 		if err := stormInject(hub, m); err != nil {
 			return nil, err
 		}

@@ -67,10 +67,16 @@ func walDirBytes(t *testing.T, dir string) int64 {
 // wave's WAL bytes, entries and fsyncs and its bus calls are the same on
 // every host and every run, so a change that logs an extra op, splits a
 // commit or adds a round trip fails here.
+//
+// The WAL bytes fell once on purpose, 58 188 → 55 443, when a queued
+// message's delivery ID became its only name: the repair entry's 99 q-set
+// ops no longer carry the retired MsgID or the next_id counter, while each
+// of the 99 q-dels names the delivery ID ("delivery_id":"hub-dlv-N", a
+// few bytes longer than the "msg_id" it replaces).
 func TestRepairWaveWALPinned(t *testing.T) {
 	const (
 		dependents = 32
-		wantBytes  = 58188 // hub WAL bytes written by the wave
+		wantBytes  = 55443 // hub WAL bytes written by the wave
 		wantEntry  = 4     // hub WAL entries: the repair, then one reconcile per peer frame
 		wantSyncs  = 4     // fsyncs: one per entry under FsyncEveryCommit
 		wantCalls  = 3     // bus calls: one frame per peer

@@ -64,12 +64,12 @@ func (g *Gen) Wave() string {
 	return fmt.Sprintf("%s-wave-%d", g.prefix, g.next.Add(1))
 }
 
-// Counter returns the current value of the underlying counter; used by
-// snapshot/restore in tests.
+// Counter returns the service's one identity counter. Every WAL entry and
+// checkpoint records it, covering every ID minted before, delivery IDs too.
 func (g *Gen) Counter() int64 { return g.next.Load() }
 
-// SetCounter forces the underlying counter; used when reloading a persisted
-// log so fresh IDs do not collide with logged ones.
+// SetCounter forces the counter; recovery raises it to a recorded value so
+// fresh IDs do not collide with logged or queued ones.
 func (g *Gen) SetCounter(v int64) { g.next.Store(v) }
 
 // Derived mints a deterministic identifier scoped to a request: object IDs

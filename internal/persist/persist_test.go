@@ -185,7 +185,7 @@ func TestApplyGuards(t *testing.T) {
 		t.Fatal("buildState queued no message")
 	}
 	queued := fresh()
-	if err := queued.ImportAtomic(core.AtomicExport{Queue: snap.Queue}); err != nil {
+	if err := queued.ImportAtomic(core.AtomicExport{IDCounter: snap.IDCounter, Queue: snap.Queue}); err != nil {
 		t.Fatal(err)
 	}
 	if err := persist.Apply(queued, snap); err == nil {

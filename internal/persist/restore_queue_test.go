@@ -2,13 +2,14 @@ package persist_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
 	"aire/internal/core"
+	"aire/internal/deliver"
 	"aire/internal/harness"
 	"aire/internal/obs"
 	"aire/internal/persist"
@@ -19,7 +20,7 @@ import (
 )
 
 // TestCheckpointRestoreKeepsQueuedMessages: a service restored from a
-// checkpoint keeps minting message IDs above every ID it ever minted, so a
+// checkpoint keeps minting delivery IDs above every ID it ever minted, so a
 // later crash recovered as checkpoint + WAL tail cannot fold a new message
 // into a restored one that shares its ID. a mirrors to b and c with c
 // offline; the first cancel queues one delete per peer and b's delivers;
@@ -92,10 +93,10 @@ func TestCheckpointRestoreKeepsQueuedMessages(t *testing.T) {
 	after := a3.Pending()
 	ids := map[string]bool{}
 	for _, p := range after {
-		if ids[p.MsgID] {
-			t.Errorf("message ID %s queued twice after recovery", p.MsgID)
+		if ids[p.DeliveryID] {
+			t.Errorf("delivery ID %s queued twice after recovery", p.DeliveryID)
 		}
-		ids[p.MsgID] = true
+		ids[p.DeliveryID] = true
 	}
 	if len(after) != len(before) {
 		t.Fatalf("recovery kept %v of %v", queued(after), queued(before))
@@ -114,11 +115,11 @@ func TestCheckpointRestoreKeepsQueuedMessages(t *testing.T) {
 	}
 }
 
-// queued names each message as "MsgID→peer".
+// queued names each message as "DeliveryID→peer".
 func queued(ps []core.PendingMsg) []string {
 	var out []string
 	for _, p := range ps {
-		out = append(out, p.MsgID+"→"+p.Msg.Target)
+		out = append(out, p.DeliveryID+"→"+p.Msg.Target)
 	}
 	return out
 }
@@ -126,8 +127,8 @@ func queued(ps []core.PendingMsg) []string {
 // FuzzCheckpointLoad feeds arbitrary bytes to recovery as a service's
 // latest checkpoint: LatestCheckpoint then Apply on a fresh controller must
 // never panic, and must either refuse the input or leave a queue whose
-// message IDs are unique and no higher than the restored MsgID counter, so
-// no later mint can reuse one.
+// delivery IDs are unique and bear sequences the restored ID counter
+// covers, so no later mint can reuse one.
 func FuzzCheckpointLoad(f *testing.F) {
 	bus := transport.NewBus()
 	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
@@ -146,25 +147,31 @@ func FuzzCheckpointLoad(f *testing.F) {
 	if _, err := a.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack}); err != nil {
 		f.Fatal(err)
 	}
-	// The captured cut; the same cut as a checkpoint written before the
-	// MsgID counter was captured; and one whose queue repeats a message and
-	// holds another above its counter.
 	snap := persist.Capture(a)
-	addSeed := func() {
-		seed, err := json.Marshal(persist.Checkpoint{Snap: snap})
+	addSeed := func(s persist.Snapshot) {
+		seed, err := json.Marshal(persist.Checkpoint{Snap: &s})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(seed)
 	}
-	addSeed()
-	snap.NextID = 0
-	addSeed()
-	high := snap.Queue[0]
-	high.MsgID = "a-msg-7"
-	snap.Queue = append(snap.Queue, snap.Queue[0], high)
-	snap.NextID = 2
-	addSeed()
+	// The captured cut; the cut as written while messages had a second
+	// name, before delivery IDs existed (MsgID and next_id, no delivery
+	// ID); the cut with a second entry whose delivery ID is empty; and one
+	// whose second entry's sequence is above the cut's ID counter.
+	addSeed(*snap)
+	legacy := *snap
+	legacy.NextID = 1
+	legacy.Queue = []core.PendingMsg{snap.Queue[0]}
+	legacy.Queue[0].MsgID, legacy.Queue[0].DeliveryID = "a-msg-1", ""
+	addSeed(legacy)
+	for _, id := range []string{"", fmt.Sprintf("a-dlv-%d", snap.IDCounter+5)} {
+		extra := *snap
+		extra.Queue = append([]core.PendingMsg{}, snap.Queue...)
+		extra.Queue = append(extra.Queue, snap.Queue[0])
+		extra.Queue[1].DeliveryID = id
+		addSeed(extra)
+	}
 	f.Add([]byte(strings.Replace(preEpochCheckpoint, `"service":"b"`, `"service":"a"`, 1)))
 	f.Add([]byte(`{"up_to_seq":0,"snapshot":{"service":"a","clock_now":0,"id_counter":0,"records":[null],"objects":[]}}`))
 
@@ -181,15 +188,15 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err := persist.Apply(c, cp.Snap); err != nil {
 			return
 		}
-		next := persist.Capture(c).NextID
+		counter := c.Svc.IDs.Counter()
 		seen := map[string]bool{}
 		for _, p := range c.Pending() {
-			if seen[p.MsgID] {
-				t.Fatalf("message ID %q queued twice", p.MsgID)
+			if seen[p.DeliveryID] {
+				t.Fatalf("delivery ID %q queued twice", p.DeliveryID)
 			}
-			seen[p.MsgID] = true
-			if n, err := strconv.Atoi(strings.TrimPrefix(p.MsgID, "a-msg-")); err == nil && n > next {
-				t.Fatalf("queued %s above the restored counter %d", p.MsgID, next)
+			seen[p.DeliveryID] = true
+			if s := deliver.Seq(p.DeliveryID); s == 0 || s > uint64(counter) {
+				t.Fatalf("queued %q not covered by the restored counter %d", p.DeliveryID, counter)
 			}
 		}
 	})
