@@ -92,13 +92,17 @@ fuzz-wal:
 fuzz-frame:
 	$(GO) test -run 'TestFrame|TestDecodeFrame|TestPackFrames' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/wire
 
-# Request/response equality fuzzing smoke: the equality unit tests plus a
-# short coverage-guided run checking Equal against a slow map-normalizing
-# oracle (reflexive, symmetric, blind to Aire headers, stable across an
-# Encode/Decode round trip). Longer local runs:
+# Request/response fuzzing smoke: the equality unit tests plus a short
+# coverage-guided run checking Equal against a slow map-normalizing oracle
+# (reflexive, symmetric, blind to Aire headers, stable across an
+# Encode/Decode round trip), then a short run feeding arbitrary bytes to
+# DecodeRequest and DecodeResponse (no panic; a decoded value re-encodes
+# and decodes to the same value). Longer local runs:
 #   go test -fuzz FuzzWireEqual -fuzztime 5m ./internal/wire
+#   go test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5m ./internal/wire
 fuzz-wire:
 	$(GO) test -run 'TestEqual|TestResponseEqual' -fuzz FuzzWireEqual -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire
 
 # Storage-encoding exactness fuzzing smoke: the repair log's record sizer
 # must equal len(json.Marshal(record)) (its table, the every-field
@@ -131,12 +135,12 @@ fuzz-vdb:
 # Checkpoint-load fuzzing smoke: the checkpoint restore regressions plus a
 # short coverage-guided run over arbitrary bytes as a service's latest
 # checkpoint (LatestCheckpoint + Apply on a fresh controller): no panic,
-# and either a refusal or a queue whose message IDs are unique and no
-# higher than the restored MsgID counter. Minimizing is capped at 1s, as
+# and either a refusal or a queue whose delivery IDs are unique and bear
+# sequences the restored ID counter covers. Minimizing is capped at 1s, as
 # for fuzz-vdb: a checkpoint is a long input. Longer local runs:
 #   go test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 5m -fuzzminimizetime 1s ./internal/persist
 fuzz-checkpoint:
-	$(GO) test -run 'TestCheckpointRestoreKeepsQueuedMessages|TestPreEpochStateLoadsOrIsRefused|TestApplyGuards' -fuzz FuzzCheckpointLoad -fuzztime 30s -fuzzminimizetime 1s ./internal/persist
+	$(GO) test -run 'TestCheckpointRestoreKeepsQueuedMessages|TestPreEpochStateLoadsOrIsRefused|TestLegacyQueueStateRecovers|TestApplyGuards' -fuzz FuzzCheckpointLoad -fuzztime 30s -fuzzminimizetime 1s ./internal/persist
 
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -305,6 +306,52 @@ func FuzzWireEqual(f *testing.F) {
 		}
 		if !dra.Equal(ra) || dra.Equal(rb) != req {
 			t.Fatalf("response round trip changed equality: %#v -> %#v", ra, dra)
+		}
+	})
+}
+
+// sameRequest and sameResponse compare every field, Aire headers included;
+// a nil map or body equals an empty one, since Encode omits both.
+func sameRequest(a, b Request) bool {
+	return a.Method == b.Method && a.Path == b.Path && maps.Equal(a.Header, b.Header) &&
+		maps.Equal(a.Form, b.Form) && bytes.Equal(a.Body, b.Body)
+}
+
+func sameResponse(a, b Response) bool {
+	return a.Status == b.Status && maps.Equal(a.Header, b.Header) && bytes.Equal(a.Body, b.Body)
+}
+
+// FuzzWireDecode feeds arbitrary bytes to DecodeRequest and DecodeResponse,
+// the decoders every repair carrier's payload and every fetched response
+// go through: neither may panic, and a value either one decodes, encoded
+// again, decodes to the same value with the same bytes.
+func FuzzWireDecode(f *testing.F) {
+	f.Add(NewRequest("POST", "/put").WithForm("key", "x", "val", "v").WithHeader("Cookie", "c", HdrDeliveryID, "a-dlv-3").Encode())
+	f.Add(Response{Status: 200, Header: map[string]string{HdrRequestID: "b-req-1"}, Body: []byte("ok")}.Encode())
+	f.Add([]byte(`{"method":"GET","path":"/g","form":{},"header":null,"body":""}`))
+	f.Add([]byte(`{"status":404,"METHOD":"x","body":"bm8="}`))
+	f.Add([]byte(`{"method":"a","method":"b","form":{"k":"\ud800"}}`))
+	f.Add([]byte(`[1,2]`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if r, err := DecodeRequest(b); err == nil {
+			enc := r.Encode()
+			again, err := DecodeRequest(enc)
+			if err != nil {
+				t.Fatalf("re-decoding an encoded request: %v", err)
+			}
+			if !sameRequest(again, r) || !bytes.Equal(again.Encode(), enc) {
+				t.Fatalf("request does not round-trip: %#v -> %#v", r, again)
+			}
+		}
+		if r, err := DecodeResponse(b); err == nil {
+			enc := r.Encode()
+			again, err := DecodeResponse(enc)
+			if err != nil {
+				t.Fatalf("re-decoding an encoded response: %v", err)
+			}
+			if !sameResponse(again, r) || !bytes.Equal(again.Encode(), enc) {
+				t.Fatalf("response does not round-trip: %#v -> %#v", r, again)
+			}
 		}
 	})
 }
