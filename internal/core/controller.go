@@ -93,7 +93,7 @@ type AuthzRequest struct {
 
 // Notification reports a repair problem to the application (Table 2 notify).
 type Notification struct {
-	// DeliveryID names the queued repair message ("" for local notices).
+	// DeliveryID names the queued message ("" for local and peer notices).
 	DeliveryID string
 	// Kind classifies the problem: "unreachable", "rejected",
 	// "unauthorized", "gone", "no-propagation", "compensation", or "leak".

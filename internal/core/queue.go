@@ -221,7 +221,8 @@ func (c *Controller) findQueuedLocked(deliveryID string) *PendingMsg {
 // dequeueLocked is the one way a message leaves the queue (delivered, gone,
 // dropped, or a replayed q-del): it clears membership, leaving the entry
 // to compactLocked, resolves the delivery in the sender's version vector,
-// and logs the q-del. Caller holds qmu, and Svc.Mu with a batch open.
+// and logs the q-del. Caller holds qmu (and, with a writer attached,
+// Svc.Mu with a batch open).
 func (c *Controller) dequeueLocked(p *PendingMsg) {
 	p.queued = false
 	c.qlive--
