@@ -13,6 +13,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -162,9 +163,6 @@ func DefaultConfig() Config {
 
 // PendingMsg is a repair message in the outgoing queue.
 type PendingMsg struct {
-	// MsgID is retired: read from old state, so an old q-del can find its
-	// message, and never minted or written.
-	MsgID string `json:",omitempty"`
 	// DeliveryID is the message's one name: Retry, Drop and notifications
 	// name it, and every delivery attempt stamps it as wire.HdrDeliveryID
 	// so the peer's dedup inbox recognizes re-deliveries. It is stable
@@ -206,6 +204,27 @@ type PendingMsg struct {
 	// queued marks a live queue entry (cleared on delivery and Drop), so
 	// reconciliation checks membership in O(1); guarded by qmu.
 	queued bool
+	// msgID is the retired "MsgID" old state recorded, by which an old
+	// q-del names the message; read from old state, never written.
+	msgID string
+}
+
+// UnmarshalJSON reads a queue entry as a q-set op or checkpoint records it,
+// refusing unknown keys but the retired "MsgID", which it keeps unexported.
+func (m *PendingMsg) UnmarshalJSON(data []byte) error {
+	type fields PendingMsg // without this method
+	var rec struct {
+		fields
+		MsgID string
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return err
+	}
+	*m = PendingMsg(rec.fields)
+	m.msgID = rec.MsgID
+	return nil
 }
 
 // Stats counts controller activity.
@@ -473,11 +492,13 @@ func (c *Controller) handlePoll(from string, req wire.Request) wire.Response {
 	return wire.Response{Status: 200, Header: map[string]string{}, Body: body}
 }
 
-// applyActions runs local repair and queues the resulting repair messages.
-// The repair's store/log mutations and its queue effects commit as ONE WAL
-// entry, so a crash-recovered service never holds the repaired state
-// without the downstream messages it produced.
-func (c *Controller) applyActions(actions []warp.Action) (*warp.Result, error) {
+// ApplyLocal lets a local administrator (or application code) initiate
+// repair directly — e.g. cancelling the attack request that started an
+// intrusion (§2: "asks Aire to cancel the attacker's request") — and queues
+// the resulting repair messages. The repair's store/log mutations and its
+// queue effects commit as ONE WAL entry, so a crash-recovered service never
+// holds the repaired state without the downstream messages it produced.
+func (c *Controller) ApplyLocal(actions ...warp.Action) (*warp.Result, error) {
 	tc := c.originTrace(traceCtx{})
 	var res *warp.Result
 	var err error
@@ -579,13 +600,6 @@ func (c *Controller) finishRepair(res *warp.Result, tc traceCtx) {
 	for _, n := range res.Notices {
 		c.notify(Notification{Kind: string(n.Kind), Detail: n.Detail, RepairType: "local"})
 	}
-}
-
-// ApplyLocal lets a local administrator (or application code) initiate
-// repair directly — e.g. cancelling the attack request that started an
-// intrusion (§2: "asks Aire to cancel the attacker's request").
-func (c *Controller) ApplyLocal(actions ...warp.Action) (*warp.Result, error) {
-	return c.applyActions(actions)
 }
 
 // notify records a notification and forwards it to the application if it

@@ -31,10 +31,10 @@ func (c *Controller) enqueue(msgs []warp.OutMsg, tc traceCtx) {
 	}
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
+next:
 	for _, m := range msgs {
 		c.met.msgsQueued.Inc()
 		if key := collapseKey(m); key != "" {
-			replaced := false
 			for _, p := range c.queue {
 				if p.queued && collapseKey(p.Msg) == key {
 					p.Msg = m // keep the newest content, the oldest position
@@ -47,12 +47,8 @@ func (c *Controller) enqueue(msgs []warp.OutMsg, tc traceCtx) {
 					p.TraceHop = hop
 					c.walEmitQSetLocked(p)
 					c.spanEnqueueLocked(p)
-					replaced = true
-					break
+					continue next
 				}
-			}
-			if replaced {
-				continue
 			}
 		}
 		p := &PendingMsg{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -126,9 +127,7 @@ func (c *Controller) walCommit() {
 	seq, syncNeeded, err := w.AppendDeferred(kind, c.Svc.Clock.Now(), c.Svc.IDs.Counter(), ops)
 	c.walst.mu.Lock()
 	if err != nil {
-		if c.walst.err == nil {
-			c.walst.err = err
-		}
+		c.walst.err = cmp.Or(c.walst.err, err)
 	} else if syncNeeded && seq > c.walst.pendingSync {
 		c.walst.pendingSync = seq
 	}
@@ -151,9 +150,7 @@ func (c *Controller) walSettle() {
 	}
 	if err := w.SyncTo(seq); err != nil {
 		c.walst.mu.Lock()
-		if c.walst.err == nil {
-			c.walst.err = err
-		}
+		c.walst.err = cmp.Or(c.walst.err, err) // sticky: the first failure
 		c.walst.mu.Unlock()
 	}
 }
@@ -241,9 +238,7 @@ type inVVOp struct {
 // batch. Caller holds Svc.Mu with a batch open, and qmu.
 func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
 	if c.walAttached() {
-		m := *p
-		m.MsgID = "" // retired: read from old state, never written
-		c.walEmit(mustOp("q-set", qSetOp{Msg: m}))
+		c.walEmit(mustOp("q-set", qSetOp{Msg: *p}))
 	}
 }
 
@@ -291,7 +286,7 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		if err := json.Unmarshal(op.Data, &o); err != nil {
 			return err
 		}
-		if err := restorable(o.Msg, c.Svc.IDs.Counter()); err != nil {
+		if err := c.restorable(o.Msg, c.Svc.IDs.Counter()); err != nil {
 			return err
 		}
 		c.qmu.Lock()
@@ -308,8 +303,8 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		}
 		c.qmu.Lock()
 		defer c.qmu.Unlock()
-		for _, p := range c.queue {
-			if o.DeliveryID == "" && p.queued && p.MsgID == o.MsgID {
+		for i := 0; o.DeliveryID == "" && i < len(c.queue); i++ {
+			if p := c.queue[i]; p.queued && p.msgID == o.MsgID {
 				o.DeliveryID = p.DeliveryID // an old q-del names the retired MsgID
 			}
 		}
@@ -346,12 +341,14 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 	return fmt.Errorf("unknown wal op kind %q", op.Kind)
 }
 
-// restorable refuses a recorded queue entry whose delivery ID bears no
-// sequence, or one above counter, the restored ID counter: a later mint
-// could reuse it, and the sender's version vector could not track it.
-func restorable(m PendingMsg, counter int64) error {
-	if s := deliver.Seq(m.DeliveryID); s == 0 || s > uint64(max(counter, 0)) {
-		return fmt.Errorf("queued message %q: delivery ID not covered by the ID counter %d", m.DeliveryID, counter)
+// restorable refuses a recorded queue entry whose delivery ID is not exactly
+// one idgen's Delivery mints for this service, or bears a sequence above
+// counter, the restored ID counter, which a later mint could reuse. Accepted
+// IDs with one sequence are one ID, merged by the upsert into one entry.
+func (c *Controller) restorable(m PendingMsg, counter int64) error {
+	s := deliver.Seq(m.DeliveryID)
+	if s == 0 || s > uint64(max(counter, 0)) || m.DeliveryID != fmt.Sprintf("%s-dlv-%d", c.Svc.Name, s) {
+		return fmt.Errorf("queued message %q: not a delivery ID of %s covered by the ID counter %d", m.DeliveryID, c.Svc.Name, counter)
 	}
 	return nil
 }
@@ -431,9 +428,7 @@ func (c *Controller) ExportAtomic() AtomicExport {
 	ex.Queue = make([]PendingMsg, 0, c.qlive)
 	for _, p := range c.queue {
 		if p.queued {
-			m := *p
-			m.MsgID = "" // retired: read from old state, never written
-			ex.Queue = append(ex.Queue, m)
+			ex.Queue = append(ex.Queue, *p)
 		}
 	}
 	return ex
@@ -452,7 +447,7 @@ func (c *Controller) ImportAtomic(ex AtomicExport) error {
 	c.Svc.Mu.Lock()
 	defer c.Svc.Mu.Unlock()
 	for _, m := range ex.Queue {
-		if err := restorable(m, max(ex.IDCounter, c.Svc.IDs.Counter())); err != nil {
+		if err := c.restorable(m, max(ex.IDCounter, c.Svc.IDs.Counter())); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}

@@ -113,8 +113,10 @@ func (p *deliveryCounter) counts() map[string]int {
 // delivered exactly once: the two live ones at the first flush, the
 // parked one after a Retry by its delivery ID. The dropped message never
 // goes out, and a second recovery, from the old state plus what this
-// binary appended, finds the queue empty. A q-del that names no message,
-// and a checkpoint key that is neither current nor retired, are refused.
+// binary appended, finds the queue empty. A q-del that names no message, a
+// q-set whose delivery ID shares a queued message's sequence under another
+// name, and a checkpoint key that is neither current nor retired (beside
+// the queue or inside one of its entries), are refused.
 func TestLegacyQueueStateRecovers(t *testing.T) {
 	dir := writeLegacyQueueState(t, legacyQueueCheckpoint)
 	bus := transport.NewBus()
@@ -191,8 +193,16 @@ func TestLegacyQueueStateRecovers(t *testing.T) {
 	if err := persist.Load(newA(), writeLegacyQueueState(t, legacyQueueCheckpoint, legacyQueueTail[0].ops, legacyQueueTail[1].ops, nameless)); err == nil || !strings.Contains(err.Error(), "q-del names no message") {
 		t.Fatalf("q-del naming no message: err = %v, want recovery refused", err)
 	}
-	unknown := strings.Replace(legacyQueueCheckpoint, `"next_id":2`, `"next_id":2,"msg_counter":2`, 1)
-	if _, err := persist.LatestCheckpoint(writeLegacyQueueState(t, unknown)); err == nil || !strings.Contains(err.Error(), `"msg_counter"`) {
-		t.Fatalf("checkpoint with an unknown key: err = %v, want a refusal naming it", err)
+	twin := strings.Replace(legacyQueueTail[0].ops, `"delivery_id":"a-dlv-12"`, `"delivery_id":"a-zz-11"`, 1)
+	if err := persist.Load(newA(), writeLegacyQueueState(t, legacyQueueCheckpoint, twin)); err == nil || !strings.Contains(err.Error(), "not a delivery ID of a") {
+		t.Fatalf("q-set sharing a-dlv-11's sequence under another name: err = %v, want recovery refused", err)
+	}
+	for _, unknown := range []struct{ key, checkpoint string }{
+		{`"msg_counter"`, strings.Replace(legacyQueueCheckpoint, `"next_id":2`, `"next_id":2,"msg_counter":2`, 1)},
+		{`"msg_seq"`, strings.Replace(legacyQueueCheckpoint, `"MsgID":"a-msg-2",`, `"MsgID":"a-msg-2","msg_seq":2,`, 1)},
+	} {
+		if _, err := persist.LatestCheckpoint(writeLegacyQueueState(t, unknown.checkpoint)); err == nil || !strings.Contains(err.Error(), unknown.key) {
+			t.Fatalf("checkpoint with an unknown key %s: err = %v, want a refusal naming it", unknown.key, err)
+		}
 	}
 }

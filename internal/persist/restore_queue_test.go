@@ -1,10 +1,12 @@
 package persist_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,8 +129,8 @@ func queued(ps []core.PendingMsg) []string {
 // FuzzCheckpointLoad feeds arbitrary bytes to recovery as a service's
 // latest checkpoint: LatestCheckpoint then Apply on a fresh controller must
 // never panic, and must either refuse the input or leave a queue whose
-// delivery IDs are unique and bear sequences the restored ID counter
-// covers, so no later mint can reuse one.
+// delivery IDs bear unique sequences the restored ID counter covers, so no
+// later mint can reuse one and no two entries share a sender-vector slot.
 func FuzzCheckpointLoad(f *testing.F) {
 	bus := transport.NewBus()
 	a := core.NewController(&harness.KVApp{ServiceName: "a", Mirror: "b"}, bus, core.DefaultConfig())
@@ -148,29 +150,40 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	snap := persist.Capture(a)
-	addSeed := func(s persist.Snapshot) {
+	encode := func(s persist.Snapshot) []byte {
 		seed, err := json.Marshal(persist.Checkpoint{Snap: &s})
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seed)
+		return seed
+	}
+	withSecond := func(id string) persist.Snapshot {
+		s := *snap
+		s.Queue = append(slices.Clone(snap.Queue), snap.Queue[0])
+		s.Queue[1].DeliveryID = id
+		return s
 	}
 	// The captured cut; the cut as written while messages had a second
 	// name, before delivery IDs existed (MsgID and next_id, no delivery
-	// ID); the cut with a second entry whose delivery ID is empty; and one
-	// whose second entry's sequence is above the cut's ID counter.
-	addSeed(*snap)
+	// ID); the cut whose queue lists its entry twice, which loads as one;
+	// and the cut with a second entry whose delivery ID is empty, bears a
+	// sequence above the cut's ID counter, or bears the first entry's
+	// sequence under another name.
+	f.Add(encode(*snap))
 	legacy := *snap
 	legacy.NextID = 1
 	legacy.Queue = []core.PendingMsg{snap.Queue[0]}
-	legacy.Queue[0].MsgID, legacy.Queue[0].DeliveryID = "a-msg-1", ""
-	addSeed(legacy)
-	for _, id := range []string{"", fmt.Sprintf("a-dlv-%d", snap.IDCounter+5)} {
-		extra := *snap
-		extra.Queue = append([]core.PendingMsg{}, snap.Queue...)
-		extra.Queue = append(extra.Queue, snap.Queue[0])
-		extra.Queue[1].DeliveryID = id
-		addSeed(extra)
+	legacy.Queue[0].DeliveryID = ""
+	f.Add(bytes.Replace(encode(legacy), []byte(`"queue":[{`), []byte(`"queue":[{"MsgID":"a-msg-1",`), 1))
+	seq := deliver.Seq(snap.Queue[0].DeliveryID)
+	for _, id := range []string{
+		snap.Queue[0].DeliveryID,
+		"",
+		fmt.Sprintf("a-dlv-%d", snap.IDCounter+5),
+		fmt.Sprintf("a-zz-%d", seq),
+		fmt.Sprintf("a-dlv-0%d", seq),
+	} {
+		f.Add(encode(withSecond(id)))
 	}
 	f.Add([]byte(strings.Replace(preEpochCheckpoint, `"service":"b"`, `"service":"a"`, 1)))
 	f.Add([]byte(`{"up_to_seq":0,"snapshot":{"service":"a","clock_now":0,"id_counter":0,"records":[null],"objects":[]}}`))
@@ -189,15 +202,16 @@ func FuzzCheckpointLoad(f *testing.F) {
 			return
 		}
 		counter := c.Svc.IDs.Counter()
-		seen := map[string]bool{}
+		seen := map[uint64]string{}
 		for _, p := range c.Pending() {
-			if seen[p.DeliveryID] {
-				t.Fatalf("delivery ID %q queued twice", p.DeliveryID)
-			}
-			seen[p.DeliveryID] = true
-			if s := deliver.Seq(p.DeliveryID); s == 0 || s > uint64(counter) {
+			s := deliver.Seq(p.DeliveryID)
+			if s == 0 || s > uint64(counter) {
 				t.Fatalf("queued %q not covered by the restored counter %d", p.DeliveryID, counter)
 			}
+			if other, dup := seen[s]; dup {
+				t.Fatalf("delivery IDs %q and %q queued with one sequence", other, p.DeliveryID)
+			}
+			seen[s] = p.DeliveryID
 		}
 	})
 }
