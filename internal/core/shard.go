@@ -259,6 +259,7 @@ func (s *ShardedController) ApplyLocal(actions ...warp.Action) (*warp.Result, er
 		merged.TotalRequests += res.TotalRequests
 		merged.RepairedModelOps += res.RepairedModelOps
 		merged.TotalModelOps += res.TotalModelOps
+		merged.Examined += res.Examined
 		merged.Duration += res.Duration
 		merged.CreatedIDs = append(merged.CreatedIDs, res.CreatedIDs...)
 		merged.Notices = append(merged.Notices, res.Notices...)

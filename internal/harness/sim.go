@@ -113,22 +113,12 @@ type SimConfig struct {
 	// delivered. Regression tests set it to prove the deterministic
 	// scheduler rediscovers the race on a fixed seed.
 	faultUngatedReconcile bool
-	// linearScan runs every repair engine, crash-restarted incarnations
-	// included, on the reference full-timeline walk
-	// (warp.Engine.LinearScan). The index-equivalence tests run each seed
-	// both ways and require identical results.
-	linearScan bool
 	// suppressReoffer stops every sender stamping Aire-Reoffer
 	// (core.Faults.SuppressReoffer): gaps are still NACKed and retried, but
 	// nothing marks the retry as recovery traffic. The lostwave teeth test
 	// sets it to prove convergence under that profile is the re-offer
 	// path's doing.
 	suppressReoffer bool
-	// inspect, when non-nil, is called with the attacked world after it
-	// quiesces (before the golden run), with no requests in flight; the
-	// equivalence tests use it to cross-check the secondary indexes
-	// against their linear-scan references on an organically grown state.
-	inspect func(w *simWorld)
 	// Faults are the per-call repair-plane fault probabilities.
 	Faults simnet.FaultPlan
 	// PartitionRate is the per-step probability of starting a partition (a
@@ -353,13 +343,12 @@ type simWorld struct {
 	sim   *simnet.Net // nil in the golden world
 	clock *simnet.Clock
 	ccfg  core.Config
-	// faults and linearScan are installed on every controller the world
-	// stands up, crash-restarted incarnations included.
-	faults     core.Faults
-	linearScan bool
-	apps       map[string]*simApp
-	ctrls      map[string]*core.Controller
-	order      []string
+	// faults are installed on every controller the world stands up,
+	// crash-restarted incarnations included.
+	faults core.Faults
+	apps   map[string]*simApp
+	ctrls  map[string]*core.Controller
+	order  []string
 
 	// Sharding (SimConfig.Shards; the golden world has one shard per
 	// service). order keeps the base service names; cnames lists every
@@ -406,13 +395,12 @@ func (w *simWorld) closeWAL() {
 // directory); the caller must closeWAL it.
 func buildSimWorld(cfg SimConfig, faulted bool) (*simWorld, error) {
 	w := &simWorld{
-		bus:        transport.NewBus(),
-		clock:      simnet.NewClock(simClockStart),
-		linearScan: cfg.linearScan,
-		apps:       map[string]*simApp{},
-		ctrls:      map[string]*core.Controller{},
-		routers:    map[string]*core.ShardedController{},
-		topo:       core.NewShardTopology(),
+		bus:     transport.NewBus(),
+		clock:   simnet.NewClock(simClockStart),
+		apps:    map[string]*simApp{},
+		ctrls:   map[string]*core.Controller{},
+		routers: map[string]*core.ShardedController{},
+		topo:    core.NewShardTopology(),
 	}
 	if faulted {
 		// Any deterministic derivation works; keep the fault stream
@@ -516,7 +504,6 @@ func (w *simWorld) shardNames(base string) []string {
 func (w *simWorld) addController(name string) *core.Controller {
 	c := core.NewController(w.apps[name], w.net, w.ccfg)
 	c.InjectFaults(w.faults)
-	c.Engine.LinearScan = w.linearScan
 	c.Svc.TimeSource = func() int64 { return simFrozenTime }
 	if wire.ShardBaseName(name) != name {
 		w.bus.Register(name, c)
@@ -1112,6 +1099,20 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			res.Failures = append(res.Failures, fmt.Sprintf("%s: wal append error: %v", name, err))
 		}
 	}
+	// The secondary indexes drive which records a repair visits and which
+	// call a response lands on; on the quiesced state each must match what
+	// it indexes. The check is a pure read, so it moves no digest.
+	for _, name := range w.cnames {
+		svc := w.ctrls[name].Svc
+		svc.Mu.Lock()
+		if err := svc.Store.VerifyIndexes(); err != nil {
+			res.Failures = append(res.Failures, fmt.Sprintf("%s: %v", name, err))
+		}
+		if err := svc.Log.VerifyIndexes(); err != nil {
+			res.Failures = append(res.Failures, fmt.Sprintf("%s: %v", name, err))
+		}
+		svc.Mu.Unlock()
+	}
 	for _, name := range w.cnames {
 		if hw := w.ctrls[name].InboxHighWater(); hw > res.InboxHighWater {
 			res.InboxHighWater = hw
@@ -1121,9 +1122,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		res.WaveStats = obs.Waves(w.obs.Ring().Spans())
 		snap := w.obs.Snapshot()
 		res.ObsMetrics = &snap
-	}
-	if cfg.inspect != nil {
-		cfg.inspect(w)
 	}
 
 	// Golden reference: same workload on a clean fabric, attacks removed

@@ -62,25 +62,47 @@ func walDirBytes(t *testing.T, dir string) int64 {
 // TestRepairWaveWALPinned pins what one repair wave costs the hub's WAL
 // and the bus, in counts: a hub mirroring to three peers on the in-process
 // bus, with a real WAL that fsyncs every commit. An attack write is copied
-// into 32 dependents; cancelling it repairs all 33 requests and queues a
-// delete per request per peer, and Flush delivers the 99 carriers. The
+// into N dependents; cancelling it repairs all N+1 requests and queues a
+// delete per request per peer, and Flush delivers the 3(N+1) carriers. The
 // wave's WAL bytes, entries and fsyncs and its bus calls are the same on
 // every host and every run, so a change that logs an extra op, splits a
-// commit or adds a round trip fails here.
+// commit or adds a round trip fails here. The two sizes show how the
+// counts grow with the wave.
 //
-// The WAL bytes fell once on purpose, 58 188 → 55 443, when a queued
-// message's delivery ID became its only name: the repair entry's 99 q-set
-// ops no longer carry the retired MsgID or the next_id counter, while each
-// of the 99 q-dels names the delivery ID ("delivery_id":"hub-dlv-N", a
-// few bytes longer than the "msg_id" it replaces).
+// The 32-dependent WAL bytes fell once on purpose, 58 188 → 55 443, when a
+// queued message's delivery ID became its only name: the repair entry's 99
+// q-set ops no longer carry the retired MsgID or the next_id counter,
+// while each of the 99 q-dels names the delivery ID ("delivery_id":
+// "hub-dlv-N", a few bytes longer than the "msg_id" it replaces).
 func TestRepairWaveWALPinned(t *testing.T) {
-	const (
-		dependents = 32
-		wantBytes  = 55443 // hub WAL bytes written by the wave
-		wantEntry  = 4     // hub WAL entries: the repair, then one reconcile per peer frame
-		wantSyncs  = 4     // fsyncs: one per entry under FsyncEveryCommit
-		wantCalls  = 3     // bus calls: one frame per peer
-	)
+	for _, tc := range []struct {
+		dependents int
+		bytes      int64  // hub WAL bytes written by the wave
+		entries    uint64 // hub WAL entries: the repair, then one reconcile per frame
+		syncs      int    // fsyncs: one per entry under FsyncEveryCommit
+		calls      int64  // bus calls: one per frame
+	}{
+		{dependents: 32, bytes: 55443, entries: 4, syncs: 4, calls: 3},
+		// A frame carries at most wire.MaxFrameCarriers (256), so each peer's
+		// 321 carriers take two.
+		{dependents: 320, bytes: 543546, entries: 7, syncs: 7, calls: 6},
+	} {
+		t.Run(fmt.Sprintf("dependents=%d", tc.dependents), func(t *testing.T) {
+			bytes, entries, fsyncs, calls := measureRepairWave(t, tc.dependents)
+			t.Logf("one wave: %d WAL bytes, %d entries, %d fsyncs, %d bus calls", bytes, entries, fsyncs, calls)
+			if bytes != tc.bytes || entries != tc.entries || fsyncs != tc.syncs || calls != tc.calls {
+				t.Errorf("wave = %d bytes, %d entries, %d fsyncs, %d bus calls; want %d, %d, %d, %d",
+					bytes, entries, fsyncs, calls, tc.bytes, tc.entries, tc.syncs, tc.calls)
+			}
+		})
+	}
+}
+
+// measureRepairWave runs TestRepairWaveWALPinned's wave with the given
+// number of dependents and returns its hub WAL bytes, entries and fsyncs
+// and its bus calls.
+func measureRepairWave(t *testing.T, dependents int) (bytes int64, entries uint64, fsyncs int, calls int64) {
+	t.Helper()
 	bus := transport.NewBus()
 	peers := []string{"p0", "p1", "p2"}
 	hub := core.NewController(&copyKVApp{KVApp{ServiceName: "hub", Mirrors: peers}}, bus, core.DefaultConfig())
@@ -119,10 +141,5 @@ func TestRepairWaveWALPinned(t *testing.T) {
 		t.Fatalf("Flush delivered %d and left %d, want %d and 0", delivered, left, 3*(dependents+1))
 	}
 	calls1, _ := bus.Stats()
-	bytes, entries, fsyncs, calls := walDirBytes(t, dir)-bytes0, w.Seq()-seq0, syncs-syncs0, calls1-calls0
-	t.Logf("one wave: %d WAL bytes, %d entries, %d fsyncs, %d bus calls", bytes, entries, fsyncs, calls)
-	if bytes != wantBytes || entries != wantEntry || fsyncs != wantSyncs || calls != wantCalls {
-		t.Errorf("wave = %d bytes, %d entries, %d fsyncs, %d bus calls; want %d, %d, %d, %d",
-			bytes, entries, fsyncs, calls, wantBytes, wantEntry, wantSyncs, wantCalls)
-	}
+	return walDirBytes(t, dir) - bytes0, w.Seq() - seq0, syncs - syncs0, calls1 - calls0
 }

@@ -113,11 +113,11 @@ func Fields(kv ...string) map[string]string {
 // key. A repeat carries nothing repair needs. The Tx reads at one snapshot
 // time (At) while its service runs nothing else, so a key read again
 // observes the version the first read did, unless the request wrote the
-// key in between. A read of its own put records nothing. A read after its
-// own delete would record a miss, which repair, checking reads with the
-// request's own writes masked, compares with the version the first read
-// saw, and so would always find changed. A repeated scan (its fingerprint
-// masks the request's own writes too) or write is identical to its first.
+// key in between. A read of its own put or delete records nothing: repair
+// checks reads with the request's own writes masked, so a miss recorded
+// after its own delete would be compared with the version before the
+// delete and always found changed. A repeated scan (its fingerprint masks
+// the request's own writes too) or write is identical to its first.
 type Deps struct {
 	Reads  []repairlog.ReadDep
 	Scans  []repairlog.ScanDep
@@ -192,9 +192,10 @@ func (tx *Tx) Get(model, id string) (Obj, bool) {
 	k := vdb.Key{Model: model, ID: id}
 	v, ok := tx.Store.ViewAt(k, tx.At)
 	if d := tx.Deps; d != nil {
-		// Reads of the request's own earlier writes carry no external
-		// dependency: deterministic replay regenerates them identically.
-		if _, seen := d.readKeys[k]; !seen && !tx.Schema.IsVersioned(model) && !(ok && v.ReqID == tx.ReqID) {
+		// Reads of the request's own earlier writes, deletes included,
+		// carry no external dependency: deterministic replay regenerates
+		// them identically.
+		if _, seen := d.readKeys[k]; !seen && !tx.Schema.IsVersioned(model) && !tx.readsOwnWrite(k, v, ok) {
 			dep := repairlog.ReadDep{Key: k}
 			if ok {
 				dep.TS = v.TS
@@ -211,6 +212,15 @@ func (tx *Tx) Get(model, id string) (Obj, bool) {
 		return Obj{}, false
 	}
 	return Obj{ID: id, f: v.Fields}, true
+}
+
+// readsOwnWrite reports whether a Get of k that found v (ok) observed the
+// request's own put or delete.
+func (tx *Tx) readsOwnWrite(k vdb.Key, v vdb.Version, ok bool) bool {
+	if ok {
+		return v.ReqID == tx.ReqID
+	}
+	return tx.Store.HasVersion(k, tx.At, tx.ReqID)
 }
 
 // Put writes an object, recording a write dependency. For versioned models

@@ -64,11 +64,12 @@ func TestReadOwnWriteSkipsDep(t *testing.T) {
 
 // TestDepsOncePerKey: repeated reads, scans and writes of one key or model
 // record one dependency each, the first; a read of the request's own
-// write records none, and one after the request's own delete is a repeat
-// of the first read.
+// write records none, one after the request's own delete is a repeat of
+// the first read, and a first read after its own delete records none.
 func TestDepsOncePerKey(t *testing.T) {
 	store, schema := setup()
 	newTx(store, schema, 10, "r1").Put("kv", "a", Fields("v", "1"))
+	newTx(store, schema, 10, "r1").Put("kv", "c", Fields("v", "1"))
 	tx := newTx(store, schema, 20, "r2")
 	tx.Get("kv", "a")
 	tx.List("kv")
@@ -80,12 +81,14 @@ func TestDepsOncePerKey(t *testing.T) {
 	tx.Delete("kv", "a")
 	tx.Get("kv", "a")
 	tx.Get("kv", "nope")
+	tx.Delete("kv", "c")
+	tx.Get("kv", "c")
 	d := tx.Deps
 	if len(d.Reads) != 2 || d.Reads[0].Key.ID != "a" || d.Reads[0].TS != 10 || d.Reads[1].Key.ID != "nope" {
 		t.Fatalf("reads = %+v, want a as first read, then nope", d.Reads)
 	}
-	if len(d.Scans) != 1 || len(d.Writes) != 2 || d.Writes[0].Key.ID != "b" || d.Writes[1].Key.ID != "a" {
-		t.Fatalf("scans = %+v, writes = %+v, want one scan and writes of b, a", d.Scans, d.Writes)
+	if len(d.Scans) != 1 || len(d.Writes) != 3 || d.Writes[0].Key.ID != "b" || d.Writes[1].Key.ID != "a" || d.Writes[2].Key.ID != "c" {
+		t.Fatalf("scans = %+v, writes = %+v, want one scan and writes of b, a, c", d.Scans, d.Writes)
 	}
 }
 

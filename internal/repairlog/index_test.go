@@ -2,6 +2,8 @@ package repairlog
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"aire/internal/vdb"
@@ -165,9 +167,157 @@ func TestNeighborCallsMatchesLinearOnTies(t *testing.T) {
 
 	for _, ts := range []int64{0, 5, 10, 11, 15, 20, 25} {
 		gb, ga := l.NeighborCalls("b", ts)
-		wb, wa := l.NeighborCallsLinear("b", ts)
+		wb, wa := l.neighborCallsLinear("b", ts)
 		if gb != wb || ga != wa {
 			t.Fatalf("NeighborCalls(b, %d) = %q,%q; linear reference %q,%q", ts, gb, ga, wb, wa)
+		}
+	}
+}
+
+// randCalls draws 0–2 outgoing calls to peers b and c; each may lack an
+// Aire-Response-Id or a remote request ID. next mints unique IDs.
+func randCalls(rng *rand.Rand, next func(string) string) []Call {
+	var calls []Call
+	for n := rng.Intn(3); n > 0; n-- {
+		c := Call{Target: []string{"b", "c"}[rng.Intn(2)]}
+		if rng.Intn(4) > 0 {
+			c.RespID = next("resp")
+		}
+		if rng.Intn(4) > 0 {
+			c.RemoteReqID = next("rem")
+		}
+		calls = append(calls, c)
+	}
+	return calls
+}
+
+// randDeps sets 0–2 reads, writes and scans over three keys of one model.
+func randDeps(rng *rand.Rand, r *Record) {
+	r.Reads, r.Writes, r.Scans = nil, nil, nil
+	for n := rng.Intn(3); n > 0; n-- {
+		k := vdb.Key{Model: "kv", ID: fmt.Sprint(rng.Intn(3))}
+		if rng.Intn(2) == 0 {
+			r.Reads = append(r.Reads, ReadDep{Key: k, TS: r.TS})
+		} else {
+			r.Writes = append(r.Writes, WriteDep{Key: k, TS: r.TS})
+		}
+	}
+	if rng.Intn(3) == 0 {
+		r.Scans = []ScanDep{{Model: "kv"}}
+	}
+}
+
+// depsAfterLinear is the reference for ReadersOf, WritersOf and
+// ScannersOf: every record strictly after (ts, seq) on the timeline that
+// has the dependency.
+func (l *Log) depsAfterLinear(ts, seq int64, has func(*Record) bool) []string {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	var ids []string
+	for _, r := range l.order {
+		if (r.TS > ts || r.TS == ts && r.seq > seq) && has(r) {
+			ids = append(ids, r.ID)
+		}
+	}
+	return ids
+}
+
+// TestLookupsMatchLinearReference compares the indexed lookups with their
+// linear references after every step of seeded sequences of Append (new
+// records and creates in the past, timestamps tied), Update, an in-place
+// rewrite plus Resync (as re-execution does), and GC: FindByCallRespID for
+// every response ID ever issued, NeighborCalls for both peers around every
+// record, and ReadersOf, WritersOf and ScannersOf after every record.
+func TestLookupsMatchLinearReference(t *testing.T) {
+	const seeds, steps = 20, 60
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := New(false)
+		n := 0
+		next := func(kind string) string { n++; return fmt.Sprintf("%s-%d", kind, n) }
+		var respIDs []string
+		issue := func(calls []Call) {
+			for _, c := range calls {
+				if c.RespID != "" {
+					respIDs = append(respIDs, c.RespID)
+				}
+			}
+		}
+		var maxTS, gcTS int64
+		for step := 0; step < steps; step++ {
+			recs := l.All()
+			switch op := rng.Intn(10); {
+			case op < 5 || len(recs) == 0:
+				// Mostly at the tail; a third in the past, on or between
+				// existing timestamps.
+				ts := maxTS + 10
+				if len(recs) > 0 && rng.Intn(3) == 0 {
+					ts = recs[rng.Intn(len(recs))].TS + int64(rng.Intn(2))*5
+				}
+				maxTS = max(maxTS, ts)
+				r := rec(next("req"), ts)
+				r.Calls = randCalls(rng, next)
+				randDeps(rng, r)
+				issue(r.Calls)
+				if err := l.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			case op < 7:
+				calls := randCalls(rng, next)
+				issue(calls)
+				if err := l.Update(recs[rng.Intn(len(recs))].ID, func(r *Record) { r.Calls = calls; randDeps(rng, r) }); err != nil {
+					t.Fatal(err)
+				}
+			case op < 9:
+				r := recs[rng.Intn(len(recs))]
+				r.Calls = randCalls(rng, next)
+				randDeps(rng, r)
+				issue(r.Calls)
+				if err := l.Resync(r.ID); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				gcTS += (maxTS - gcTS) / 4
+				l.GC(gcTS)
+			}
+
+			for _, id := range respIDs {
+				ri, ii, oki := l.FindByCallRespID(id)
+				rl, il, okl := l.findByCallRespIDLinear(id)
+				if oki != okl || ri != rl || ii != il {
+					t.Fatalf("seed %d step %d: FindByCallRespID(%s) = %v,%d,%v; linear %v,%d,%v", seed, step, id, ri, ii, oki, rl, il, okl)
+				}
+			}
+			for _, r := range l.All() {
+				for _, target := range []string{"b", "c"} {
+					for _, ts := range []int64{r.TS - 1, r.TS, r.TS + 1} {
+						bi, ai := l.NeighborCalls(target, ts)
+						bl, al := l.neighborCallsLinear(target, ts)
+						if bi != bl || ai != al {
+							t.Fatalf("seed %d step %d: NeighborCalls(%s, %d) = %q,%q; linear %q,%q", seed, step, target, ts, bi, ai, bl, al)
+						}
+					}
+				}
+				for _, id := range []string{"0", "1", "2"} {
+					k := vdb.Key{Model: "kv", ID: id}
+					readers := l.depsAfterLinear(r.TS, r.seq, func(o *Record) bool {
+						return slices.ContainsFunc(o.Reads, func(d ReadDep) bool { return d.Key == k })
+					})
+					writers := l.depsAfterLinear(r.TS, r.seq, func(o *Record) bool {
+						return slices.ContainsFunc(o.Writes, func(d WriteDep) bool { return d.Key == k })
+					})
+					if got := refIDs(l.ReadersOf(k, r.TS, r.seq)); !slices.Equal(got, readers) {
+						t.Fatalf("seed %d step %d: ReadersOf(%s) after %s = %v; linear %v", seed, step, id, r.ID, got, readers)
+					}
+					if got := refIDs(l.WritersOf(k, r.TS, r.seq)); !slices.Equal(got, writers) {
+						t.Fatalf("seed %d step %d: WritersOf(%s) after %s = %v; linear %v", seed, step, id, r.ID, got, writers)
+					}
+				}
+				scanners := l.depsAfterLinear(r.TS, r.seq, func(o *Record) bool { return len(o.Scans) > 0 })
+				if got := refIDs(l.ScannersOf("kv", r.TS, r.seq)); !slices.Equal(got, scanners) {
+					t.Fatalf("seed %d step %d: ScannersOf(kv) after %s = %v; linear %v", seed, step, r.ID, got, scanners)
+				}
+			}
 		}
 	}
 }
@@ -198,4 +348,42 @@ func TestIndexBytesAccounting(t *testing.T) {
 	if after := l.IndexBytes(); after >= full || after <= 0 {
 		t.Fatalf("IndexBytes after GC = %d (was %d): want smaller but positive", after, full)
 	}
+}
+
+// findByCallRespIDLinear is the pre-index reference implementation (scan
+// every call of every record), retained for the randomized equivalence
+// tests and the before/after benchmarks.
+func (l *Log) findByCallRespIDLinear(respID string) (*Record, int, bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, r := range l.order {
+		for i, c := range r.Calls {
+			if c.RespID == respID {
+				return r, i, true
+			}
+		}
+	}
+	return nil, 0, false
+}
+
+// neighborCallsLinear is the pre-index reference implementation (walk the
+// whole timeline), retained for the randomized equivalence tests and the
+// before/after benchmarks.
+func (l *Log) neighborCallsLinear(target string, ts int64) (beforeID, afterID string) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, r := range l.order {
+		for _, c := range r.Calls {
+			if c.Target != target || c.RemoteReqID == "" {
+				continue
+			}
+			if r.TS < ts {
+				beforeID = c.RemoteReqID
+			} else if afterID == "" {
+				afterID = c.RemoteReqID
+				return beforeID, afterID
+			}
+		}
+	}
+	return beforeID, afterID
 }

@@ -602,22 +602,6 @@ func (l *Log) FindByCallRespID(respID string) (*Record, int, bool) {
 	return pos.rec, pos.idx, true
 }
 
-// FindByCallRespIDLinear is the pre-index reference implementation (scan
-// every call of every record), retained for the randomized equivalence
-// tests and the before/after benchmarks.
-func (l *Log) FindByCallRespIDLinear(respID string) (*Record, int, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, r := range l.order {
-		for i, c := range r.Calls {
-			if c.RespID == respID {
-				return r, i, true
-			}
-		}
-	}
-	return nil, 0, false
-}
-
 // NeighborCalls returns the Aire-Request-Ids (as assigned by the peer) of
 // the latest call to target strictly before ts and the earliest call at or
 // after ts. They anchor a create repair's before_id/after_id (§3.1): the
@@ -634,28 +618,6 @@ func (l *Log) NeighborCalls(target string, ts int64) (beforeID, afterID string) 
 	}
 	if i < len(sites) {
 		afterID = sites[i].remoteID
-	}
-	return beforeID, afterID
-}
-
-// NeighborCallsLinear is the pre-index reference implementation (walk the
-// whole timeline), retained for the randomized equivalence tests and the
-// before/after benchmarks.
-func (l *Log) NeighborCallsLinear(target string, ts int64) (beforeID, afterID string) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, r := range l.order {
-		for _, c := range r.Calls {
-			if c.Target != target || c.RemoteReqID == "" {
-				continue
-			}
-			if r.TS < ts {
-				beforeID = c.RemoteReqID
-			} else if afterID == "" {
-				afterID = c.RemoteReqID
-				return beforeID, afterID
-			}
-		}
 	}
 	return beforeID, afterID
 }

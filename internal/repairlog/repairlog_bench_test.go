@@ -64,7 +64,7 @@ func BenchmarkFindByCallRespIDLinear(b *testing.B) {
 	l := benchCallLog(2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.FindByCallRespIDLinear("svc-resp-1999")
+		l.findByCallRespIDLinear("svc-resp-1999")
 	}
 }
 
@@ -84,7 +84,7 @@ func BenchmarkNeighborCallsLinear(b *testing.B) {
 	ts := int64(1000 * 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.NeighborCallsLinear("peer", ts)
+		l.neighborCallsLinear("peer", ts)
 	}
 }
 

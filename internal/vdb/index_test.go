@@ -88,11 +88,11 @@ func TestIndexedScansMatchLinearReference(t *testing.T) {
 		t.Helper()
 		for _, model := range []string{"kv", "other", "absent"} {
 			for _, ts := range tss {
-				if got, want := s.IDsAt(model, ts), s.IDsAtLinear(model, ts); !reflect.DeepEqual(got, want) {
+				if got, want := s.IDsAt(model, ts), s.idsAtLinear(model, ts); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: IDsAt(%q, %d) = %v, linear reference %v", stage, model, ts, got, want)
 				}
 				for _, req := range []string{"", "r-none", "r2", "r5"} {
-					if got, want := s.ScanHashAtExcluding(model, ts, req), s.ScanHashAtExcludingLinear(model, ts, req); got != want {
+					if got, want := s.ScanHashAtExcluding(model, ts, req), s.scanHashAtExcludingLinear(model, ts, req); got != want {
 						t.Fatalf("%s: ScanHashAtExcluding(%q, %d, %q) = %#x, linear reference %#x", stage, model, ts, req, got, want)
 					}
 				}
@@ -197,10 +197,10 @@ func listAtMatches(t *testing.T, s *Store, model string, ts int64, req string) {
 	if want := s.ScanHashAtExcluding(model, ts, req); fp != want {
 		t.Fatalf("ListAt(%q, %d, %q) fingerprint %#x, ScanHashAtExcluding %#x", model, ts, req, fp, want)
 	}
-	if want := s.ScanHashAtExcludingLinear(model, ts, req); fp != want {
+	if want := s.scanHashAtExcludingLinear(model, ts, req); fp != want {
 		t.Fatalf("ListAt(%q, %d, %q) fingerprint %#x, linear reference %#x", model, ts, req, fp, want)
 	}
-	for _, want := range [][]string{s.IDsAt(model, ts), s.IDsAtLinear(model, ts)} {
+	for _, want := range [][]string{s.IDsAt(model, ts), s.idsAtLinear(model, ts)} {
 		if len(ids) != len(want) || len(ids) > 0 && !reflect.DeepEqual(ids, want) {
 			t.Fatalf("ListAt(%q, %d) IDs %v, reference %v", model, ts, ids, want)
 		}
@@ -275,4 +275,49 @@ func TestReplayManyCreates(t *testing.T) {
 	if got := s.IDs("question"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed IDs differ from the sorted creates (%d vs %d)", len(got), len(want))
 	}
+}
+
+// scanHashAtExcludingLinear is the pre-index reference implementation of
+// ScanHashAtExcluding: a full object-map walk with per-member lock
+// round-trips. Retained for the randomized equivalence tests and the
+// before/after benchmarks; production code uses ScanHashAtExcluding.
+func (s *Store) scanHashAtExcludingLinear(model string, ts int64, reqID string) uint64 {
+	s.mu.RLock()
+	ids := make([]string, 0, 16)
+	for k := range s.objects {
+		if k.Model == model {
+			ids = append(ids, k.ID)
+		}
+	}
+	s.mu.RUnlock()
+	sort.Strings(ids)
+	var fp uint64
+	for _, id := range ids {
+		vh := s.HashAtExcluding(Key{Model: model, ID: id}, ts, reqID)
+		if vh == MissingHash {
+			continue
+		}
+		fp += scanContrib(id, vh)
+	}
+	return fp
+}
+
+// idsAtLinear is the pre-index reference implementation of IDsAt (full map
+// walk plus sort), retained for equivalence tests.
+func (s *Store) idsAtLinear(model string, ts int64) []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var ids []string
+	for k, vs := range s.objects {
+		if k.Model != model {
+			continue
+		}
+		i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
+		if i == 0 || vs[i-1].Deleted {
+			continue
+		}
+		ids = append(ids, k.ID)
+	}
+	sort.Strings(ids)
+	return ids
 }

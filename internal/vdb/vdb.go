@@ -416,31 +416,6 @@ func (s *Store) ListAt(model string, ts int64, reqID string) ([]Member, uint64) 
 	return out, fp
 }
 
-// ScanHashAtExcludingLinear is the pre-index reference implementation of
-// ScanHashAtExcluding: a full object-map walk with per-member lock
-// round-trips. Retained for the randomized equivalence tests and the
-// before/after benchmarks; production code uses ScanHashAtExcluding.
-func (s *Store) ScanHashAtExcludingLinear(model string, ts int64, reqID string) uint64 {
-	s.mu.RLock()
-	ids := make([]string, 0, 16)
-	for k := range s.objects {
-		if k.Model == model {
-			ids = append(ids, k.ID)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(ids)
-	var fp uint64
-	for _, id := range ids {
-		vh := s.HashAtExcluding(Key{Model: model, ID: id}, ts, reqID)
-		if vh == MissingHash {
-			continue
-		}
-		fp += scanContrib(id, vh)
-	}
-	return fp
-}
-
 // HasVersion reports whether the object still has the exact version written
 // at ts by reqID. The repair engine uses this to detect writes that were
 // rolled back and must be re-executed ("queries that might have modified the
@@ -533,26 +508,6 @@ func (s *Store) IDsAt(model string, ts int64) []string {
 			ids = append(ids, id)
 		}
 	}
-	return ids
-}
-
-// IDsAtLinear is the pre-index reference implementation of IDsAt (full map
-// walk plus sort), retained for equivalence tests.
-func (s *Store) IDsAtLinear(model string, ts int64) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var ids []string
-	for k, vs := range s.objects {
-		if k.Model != model {
-			continue
-		}
-		i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
-		if i == 0 || vs[i-1].Deleted {
-			continue
-		}
-		ids = append(ids, k.ID)
-	}
-	sort.Strings(ids)
 	return ids
 }
 

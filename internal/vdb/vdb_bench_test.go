@@ -86,7 +86,7 @@ func BenchmarkScanHashAtExcluding(b *testing.B) {
 		b.Run(fmt.Sprintf("linear/keys=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.ScanHashAtExcludingLinear("kv", 1<<40, "r123")
+				s.scanHashAtExcludingLinear("kv", 1<<40, "r123")
 			}
 		})
 	}

@@ -263,16 +263,11 @@ func Open(dir string, opts Options) (*Writer, error) {
 	for i, name := range names {
 		final := i == len(names)-1
 		path := filepath.Join(dir, name)
-		end, last, torn, err := scanSegment(path, lastSeq)
+		end, last, torn, err := readSegment(path, lastSeq, final, nil)
 		if err != nil {
 			return nil, err
 		}
-		if torn && !final {
-			return nil, fmt.Errorf("%w: segment %s torn but not final", ErrCorrupt, name)
-		}
-		if last > 0 {
-			lastSeq = last
-		}
+		lastSeq = last
 		if final {
 			if torn {
 				if err := os.Truncate(path, end); err != nil {
@@ -308,57 +303,71 @@ func Open(dir string, opts Options) (*Writer, error) {
 	return w, nil
 }
 
-// scanSegment walks one segment, verifying framing, CRCs, and that entry
-// seqs ascend from prevSeq. It returns the offset just past the last intact
-// entry, the last intact seq (0 if none), and whether a torn tail was cut.
-func scanSegment(path string, prevSeq uint64) (end int64, lastSeq uint64, torn bool, err error) {
+// readSegment decodes one segment: it checks the header, then each
+// record's framing, length, CRC and JSON, and that entry seqs ascend by
+// one from prevSeq, passing every intact entry to fn (when non-nil) as it
+// goes. It returns the offset just past the last intact entry, the last
+// intact seq (prevSeq if none), and whether the segment ends in a torn
+// tail: a partial header, frame or payload, which only the final segment
+// may have. Anything else is an error wrapping ErrCorrupt, or fn's error.
+func readSegment(path string, prevSeq uint64, final bool, fn func(Entry) error) (end int64, lastSeq uint64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, false, err
+		return 0, prevSeq, false, err
 	}
 	name := filepath.Base(path)
+	tornAt := func(off int64, what string) (int64, uint64, bool, error) {
+		if !final {
+			return off, prevSeq, false, fmt.Errorf("%w: segment %s: torn %s in non-final segment", ErrCorrupt, name, what)
+		}
+		return off, prevSeq, true, nil
+	}
+	corrupt := func(format string, args ...any) (int64, uint64, bool, error) {
+		return 0, prevSeq, false, fmt.Errorf("%w: segment %s: "+format, append([]any{ErrCorrupt, name}, args...)...)
+	}
 	if len(data) < headerSize {
-		// A header-less segment can only arise from a torn create; treat as
-		// torn-at-zero so Open rebuilds it.
-		return 0, 0, true, nil
+		// A header-less segment can only arise from a torn create.
+		return tornAt(0, "header")
 	}
 	if binary.BigEndian.Uint32(data[0:4]) != segMagic {
-		return 0, 0, false, fmt.Errorf("%w: segment %s: bad magic", ErrCorrupt, name)
+		return corrupt("bad magic")
 	}
 	if v := binary.BigEndian.Uint32(data[4:8]); v != segVersion {
-		return 0, 0, false, fmt.Errorf("%w: segment %s: unsupported version %d", ErrCorrupt, name, v)
+		return corrupt("unsupported version %d", v)
 	}
 	off := int64(headerSize)
-	last := prevSeq
-	for {
-		if off == int64(len(data)) {
-			return off, last, false, nil
-		}
+	for off < int64(len(data)) {
 		if off+frameSize > int64(len(data)) {
-			return off, last, true, nil // torn frame header
+			return tornAt(off, "frame")
 		}
 		ln := binary.BigEndian.Uint32(data[off : off+4])
 		crc := binary.BigEndian.Uint32(data[off+4 : off+8])
 		if ln == 0 || ln > 64<<20 {
-			return 0, 0, false, fmt.Errorf("%w: segment %s: absurd record length %d at offset %d", ErrCorrupt, name, ln, off)
+			return corrupt("absurd record length %d at offset %d", ln, off)
 		}
 		if off+frameSize+int64(ln) > int64(len(data)) {
-			return off, last, true, nil // torn payload
+			return tornAt(off, "payload")
 		}
 		payload := data[off+frameSize : off+frameSize+int64(ln)]
 		if crc32.ChecksumIEEE(payload) != crc {
-			return 0, 0, false, fmt.Errorf("%w: segment %s: CRC mismatch at offset %d", ErrCorrupt, name, off)
+			return corrupt("CRC mismatch at offset %d", off)
 		}
 		var e Entry
 		if err := json.Unmarshal(payload, &e); err != nil {
-			return 0, 0, false, fmt.Errorf("%w: segment %s: undecodable entry at offset %d: %v", ErrCorrupt, name, off, err)
+			return corrupt("undecodable entry at offset %d: %v", off, err)
 		}
-		if e.Seq != last+1 {
-			return 0, 0, false, fmt.Errorf("%w: segment %s: seq %d follows %d", ErrCorrupt, name, e.Seq, last)
+		if e.Seq != prevSeq+1 {
+			return corrupt("seq %d follows %d", e.Seq, prevSeq)
 		}
-		last = e.Seq
+		prevSeq = e.Seq
+		if fn != nil {
+			if err := fn(e); err != nil {
+				return off, prevSeq, false, err
+			}
+		}
 		off += frameSize + int64(ln)
 	}
+	return off, prevSeq, false, nil
 }
 
 // rotateLocked opens a fresh segment whose name claims firstSeq.
@@ -676,64 +685,18 @@ func Replay(dir string, fromSeq uint64, fn func(Entry) error) (lastSeq uint64, t
 		prev = first - 1
 	}
 	for i, name := range names {
-		final := i == len(names)-1
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
+		_, last, torn, err := readSegment(filepath.Join(dir, name), prev, i == len(names)-1, func(e Entry) error {
+			if e.Seq > fromSeq && fn != nil {
+				return fn(e)
+			}
+			return nil
+		})
+		prev = last
+		if err != nil || torn {
 			return prev, torn, err
 		}
-		if len(data) < headerSize {
-			if final {
-				return prev, true, nil
-			}
-			return prev, false, fmt.Errorf("%w: segment %s: missing header", ErrCorrupt, name)
-		}
-		if binary.BigEndian.Uint32(data[0:4]) != segMagic {
-			return prev, false, fmt.Errorf("%w: segment %s: bad magic", ErrCorrupt, name)
-		}
-		if v := binary.BigEndian.Uint32(data[4:8]); v != segVersion {
-			return prev, false, fmt.Errorf("%w: segment %s: unsupported version %d", ErrCorrupt, name, v)
-		}
-		off := int64(headerSize)
-		for off < int64(len(data)) {
-			if off+frameSize > int64(len(data)) {
-				if final {
-					return prev, true, nil
-				}
-				return prev, false, fmt.Errorf("%w: segment %s: torn frame in non-final segment", ErrCorrupt, name)
-			}
-			ln := binary.BigEndian.Uint32(data[off : off+4])
-			crc := binary.BigEndian.Uint32(data[off+4 : off+8])
-			if ln == 0 || ln > 64<<20 {
-				return prev, false, fmt.Errorf("%w: segment %s: absurd record length %d at offset %d", ErrCorrupt, name, ln, off)
-			}
-			if off+frameSize+int64(ln) > int64(len(data)) {
-				if final {
-					return prev, true, nil
-				}
-				return prev, false, fmt.Errorf("%w: segment %s: torn payload in non-final segment", ErrCorrupt, name)
-			}
-			payload := data[off+frameSize : off+frameSize+int64(ln)]
-			if crc32.ChecksumIEEE(payload) != crc {
-				return prev, false, fmt.Errorf("%w: segment %s: CRC mismatch at offset %d", ErrCorrupt, name, off)
-			}
-			var e Entry
-			if err := json.Unmarshal(payload, &e); err != nil {
-				return prev, false, fmt.Errorf("%w: segment %s: undecodable entry at offset %d: %v", ErrCorrupt, name, off, err)
-			}
-			if e.Seq != prev+1 {
-				return prev, false, fmt.Errorf("%w: segment %s: seq %d follows %d", ErrCorrupt, name, e.Seq, prev)
-			}
-			prev = e.Seq
-			if e.Seq > fromSeq && fn != nil {
-				if err := fn(e); err != nil {
-					return prev, false, err
-				}
-			}
-			off += frameSize + int64(ln)
-		}
 	}
-	return prev, torn, nil
+	return prev, false, nil
 }
 
 // Truncate removes segments wholly covered by a checkpoint at upToSeq: a

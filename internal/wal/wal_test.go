@@ -292,7 +292,9 @@ func TestWALCorruption(t *testing.T) {
 }
 
 // FuzzWALReplay fuzzes arbitrary mutations of a valid log: Replay must
-// either error (loudly) or produce a gapless, in-order entry sequence.
+// either error (loudly) or produce a gapless, in-order entry sequence,
+// and Open, reading the segments through the same decoder, must agree:
+// an error for an error, and otherwise a writer at Replay's last sequence.
 func FuzzWALReplay(f *testing.F) {
 	f.Add(uint32(0), uint8(0))
 	f.Add(uint32(100), uint8(0xff))
@@ -324,7 +326,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		var prev uint64
 		first := true
-		_, _, err = Replay(dir, 0, func(e Entry) error {
+		last, _, err := Replay(dir, 0, func(e Entry) error {
 			if !first && e.Seq != prev+1 {
 				t.Fatalf("silent gap: %d after %d", e.Seq, prev)
 			}
@@ -334,6 +336,16 @@ func FuzzWALReplay(f *testing.F) {
 		})
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("non-ErrCorrupt replay failure: %v", err)
+		}
+		w2, oerr := Open(dir, Options{SegmentBytes: 512})
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("Replay error %v, Open error %v", err, oerr)
+		}
+		if oerr == nil {
+			defer w2.Close()
+			if w2.Seq() != last {
+				t.Fatalf("Open positioned at seq %d, Replay read to %d", w2.Seq(), last)
+			}
 		}
 	})
 }

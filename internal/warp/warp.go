@@ -191,6 +191,9 @@ type Result struct {
 	// requests added by CreateReq actions; the creating peer learns them so
 	// it can repair the created request later.
 	CreatedIDs []string
+	// Examined counts the records whose dependency gate ran: the walk's
+	// work, which grows with the affected records, not with the log.
+	Examined int
 }
 
 // RepairPhases names the entries of Result.PhaseDurations.
@@ -201,12 +204,6 @@ var RepairPhases = [4]string{"validate", "bookkeep", "walk", "totals"}
 // §9).
 type Engine struct {
 	Svc *web.Service
-	// LinearScan selects the reference walk: visit every record from the
-	// earliest affected time instead of walking the log's inverted
-	// dependency index. Both walks apply the same per-record dependency
-	// gate, so they repair the same records; the equivalence tests compare
-	// the indexed walk against this one. No production caller sets it.
-	LinearScan bool
 }
 
 // ErrNoSuchRequest is returned when an action names an unknown request.
@@ -265,6 +262,15 @@ func (e *Engine) Validate(a Action) error {
 // Repair applies the given actions and selectively re-executes the service
 // timeline.
 func (e *Engine) Repair(actions []Action) (*Result, error) {
+	return e.repair(actions, (*Engine).walkIndexed)
+}
+
+// walkFunc is Repair's Phase 2: it runs processRecord, in timeline order,
+// over every record the directed ones may have affected. Tests substitute
+// a reference walk for walkIndexed.
+type walkFunc func(e *Engine, direct map[string]*directive, res *Result)
+
+func (e *Engine) repair(actions []Action, walk walkFunc) (*Result, error) {
 	start := time.Now()
 	svc := e.Svc
 	res := &Result{}
@@ -392,14 +398,8 @@ func (e *Engine) Repair(actions []Action) (*Result, error) {
 	markPhase(1)
 
 	// Phase 2: walk the timeline — every record whose recorded dependencies
-	// no longer match the (partially repaired) store is re-executed. The
-	// indexed walk visits only plausible candidates; the linear walk visits
-	// everything after t0. Both apply the same per-record dependency gate.
-	if e.LinearScan {
-		e.walkLinear(t0, direct, res)
-	} else {
-		e.walkIndexed(direct, res)
-	}
+	// no longer match the (partially repaired) store is re-executed.
+	walk(e, direct, res)
 	markPhase(2)
 
 	// Phase 3: totals, from the log's maintained counters (the pre-index
@@ -416,6 +416,7 @@ func (e *Engine) Repair(actions []Action) (*Result, error) {
 // every key whose versions this step rolled back or rewrote — the state
 // changes that can make later records affected.
 func (e *Engine) processRecord(rec *repairlog.Record, d *directive, res *Result, taint func([]repairlog.WriteDep)) {
+	res.Examined++
 	if rec.Skipped && d == nil {
 		return // stays cancelled
 	}
@@ -444,16 +445,6 @@ func (e *Engine) processRecord(rec *repairlog.Record, d *directive, res *Result,
 	taint(rec.Writes)
 }
 
-// walkLinear is the reference Phase 2 (Engine.LinearScan): visit every
-// record from the earliest affected time. It needs no taint: every record
-// it could have to re-execute is visited anyway.
-func (e *Engine) walkLinear(t0 int64, direct map[string]*directive, res *Result) {
-	noTaint := func([]repairlog.WriteDep) {}
-	for _, rec := range e.Svc.Log.From(t0) {
-		e.processRecord(rec, direct[rec.ID], res, noTaint)
-	}
-}
-
 // refHeap is a min-heap of timeline references ordered by (TS, insertion
 // seq) — the exact order a full timeline walk visits records.
 type refHeap []repairlog.Ref
@@ -473,11 +464,12 @@ func (h *refHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; 
 // can only start failing when some key it read (or model it scanned, or key
 // it wrote) is mutated by this repair pass, and every such mutation happens
 // in processRecord on a write-dep key — so index candidates are a superset
-// of the records the linear walk would re-execute, and the retained hash
-// re-checks gate out the rest. Second, a record at time t only mutates
-// store state at timestamps >= t, so candidates are discovered in
-// non-decreasing timeline order and each record's gate runs with exactly
-// the store state the linear walk would have shown it.
+// of the records a walk of the whole timeline from the earliest directed
+// record would re-execute, and the retained hash re-checks gate out the
+// rest. Second, a record at time t only mutates store state at timestamps
+// >= t, so candidates are discovered in non-decreasing timeline order and
+// each record's gate runs with exactly the store state the whole-timeline
+// walk would have shown it.
 func (e *Engine) walkIndexed(direct map[string]*directive, res *Result) {
 	log := e.Svc.Log
 	touchedKeys := make(map[vdb.Key]bool)
@@ -508,7 +500,7 @@ func (e *Engine) walkIndexed(direct map[string]*directive, res *Result) {
 			touchedKeys[w.Key] = true
 			// Strictly after (cur.TS, cur.Seq): a same-TS record ordered
 			// before cur already passed its gate against the pre-mutation
-			// store, exactly as the linear walk would have.
+			// store, exactly as the whole-timeline walk would have.
 			for _, ref := range log.ReadersOf(w.Key, cur.TS, cur.Seq) {
 				push(ref)
 			}
