@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,7 +9,9 @@ import (
 	"time"
 
 	"aire/internal/core"
+	"aire/internal/dsched"
 	"aire/internal/orm"
+	"aire/internal/simnet"
 	"aire/internal/transport"
 	"aire/internal/wal"
 	"aire/internal/warp"
@@ -88,7 +91,7 @@ func TestRepairWaveWALPinned(t *testing.T) {
 		{dependents: 320, bytes: 543546, entries: 7, syncs: 7, calls: 6},
 	} {
 		t.Run(fmt.Sprintf("dependents=%d", tc.dependents), func(t *testing.T) {
-			bytes, entries, fsyncs, calls := measureRepairWave(t, tc.dependents)
+			bytes, entries, fsyncs, calls := measureRepairWave(t, tc.dependents, 0)
 			t.Logf("one wave: %d WAL bytes, %d entries, %d fsyncs, %d bus calls", bytes, entries, fsyncs, calls)
 			if bytes != tc.bytes || entries != tc.entries || fsyncs != tc.syncs || calls != tc.calls {
 				t.Errorf("wave = %d bytes, %d entries, %d fsyncs, %d bus calls; want %d, %d, %d, %d",
@@ -98,14 +101,50 @@ func TestRepairWaveWALPinned(t *testing.T) {
 	}
 }
 
+// TestRepairWavePumpPinned is TestRepairWaveWALPinned's 32-dependent
+// wave delivered by the background pump instead of Flush: StartPump under
+// a seeded dsched scheduler, so every pass runs the batch policy and
+// admission. Nothing else is queued, so admission never caps the claim,
+// and the counts say how many frames the pump splits each peer's 33
+// carriers into: one bus call and one reconcile entry (one fsync) per
+// frame, after the repair entry. The counts are the same for every seed.
+func TestRepairWavePumpPinned(t *testing.T) {
+	const (
+		dependents = 32
+		entries    = 16 // the repair, then one reconcile per frame
+		syncs      = 16 // one per entry under FsyncEveryCommit
+		calls      = 15 // bus calls: one per frame
+	)
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			_, e, f, c := measureRepairWave(t, dependents, seed)
+			t.Logf("one pumped wave: %d entries, %d fsyncs, %d bus calls", e, f, c)
+			if e != entries || f != syncs || c != calls {
+				t.Errorf("pumped wave = %d entries, %d fsyncs, %d bus calls; want %d, %d, %d",
+					e, f, c, entries, syncs, calls)
+			}
+		})
+	}
+}
+
 // measureRepairWave runs TestRepairWaveWALPinned's wave with the given
 // number of dependents and returns its hub WAL bytes, entries and fsyncs
-// and its bus calls.
-func measureRepairWave(t *testing.T, dependents int) (bytes int64, entries uint64, fsyncs int, calls int64) {
+// and its bus calls. pumpSeed 0 delivers the wave with Flush; any other
+// value delivers it with the hub's background pump, run by a dsched
+// scheduler seeded with pumpSeed on a virtual clock.
+func measureRepairWave(t *testing.T, dependents int, pumpSeed int64) (bytes int64, entries uint64, fsyncs int, calls int64) {
 	t.Helper()
 	bus := transport.NewBus()
 	peers := []string{"p0", "p1", "p2"}
-	hub := core.NewController(&copyKVApp{KVApp{ServiceName: "hub", Mirrors: peers}}, bus, core.DefaultConfig())
+	hubCfg := core.DefaultConfig()
+	var clock *simnet.Clock
+	var sd *dsched.Sched
+	if pumpSeed != 0 {
+		clock = simnet.NewClock(simClockStart)
+		sd = dsched.New(pumpSeed, clock)
+		hubCfg.Sched, hubCfg.Clock = sd, clock.Now
+	}
+	hub := core.NewController(&copyKVApp{KVApp{ServiceName: "hub", Mirrors: peers}}, bus, hubCfg)
 	bus.Register("hub", hub)
 	for _, p := range peers {
 		bus.Register(p, core.NewController(&KVApp{ServiceName: p}, bus, core.DefaultConfig()))
@@ -134,11 +173,35 @@ func measureRepairWave(t *testing.T, dependents int) (bytes int64, entries uint6
 
 	bytes0, seq0, syncs0 := walDirBytes(t, dir), w.Seq(), syncs
 	calls0, _ := bus.Stats()
+	delivered0 := hub.Stats().MsgsDelivered
 	if _, err := hub.ApplyLocal(warp.Action{Kind: warp.CancelReq, ReqID: attack}); err != nil {
 		t.Fatal(err)
 	}
-	if delivered, left := hub.Flush(); delivered != 3*(dependents+1) || left != 0 {
-		t.Fatalf("Flush delivered %d and left %d, want %d and 0", delivered, left, 3*(dependents+1))
+	want := int64(3 * (dependents + 1))
+	if sd == nil {
+		if delivered, left := hub.Flush(); int64(delivered) != want || left != 0 {
+			t.Fatalf("Flush delivered %d and left %d, want %d and 0", delivered, left, want)
+		}
+	} else {
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := hub.StartPump(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; hub.QueueLen() > 0; round++ {
+			if round == 100 {
+				t.Fatalf("pump left %d messages queued after %d rounds", hub.QueueLen(), round)
+			}
+			sd.RunUntilIdle()
+			clock.Advance(simPulseStep)
+		}
+		cancel()
+		sd.RunUntilIdle()
+		if live := sd.Live(); live != 0 {
+			t.Fatalf("%d scheduler tasks still live after the pump stopped", live)
+		}
+		if delivered := hub.Stats().MsgsDelivered - delivered0; delivered != want {
+			t.Fatalf("pump delivered %d, want %d", delivered, want)
+		}
 	}
 	calls1, _ := bus.Stats()
 	return walDirBytes(t, dir) - bytes0, w.Seq() - seq0, syncs - syncs0, calls1 - calls0
