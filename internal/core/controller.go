@@ -116,12 +116,13 @@ type Caller interface {
 // Clock, Sched, Obs and Topology. The pump's shape is fixed (pumpWorkers
 // concurrent peers, passes paced every pumpInterval).
 type Config struct {
-	// BatchPolicy sizes each peer's claim from its backlog (the zero value
-	// means limits in [1, 64]). Every background pump pass snapshots
-	// per-peer backlogs, asks the policy for a limit per peer at a
-	// dedicated scheduler decision point ("batch-policy"), and claims
-	// under those limits. Flush ignores it: one synchronous pass attempts
-	// every deliverable message.
+	// BatchPolicy sizes each peer's claim from its backlog: the whole
+	// backlog, clamped to the policy's [Min, Max] (the zero value means
+	// [1, 64]). Every background pump pass snapshots per-peer backlogs,
+	// asks the policy for a limit per peer at a dedicated scheduler
+	// decision point ("batch-policy"), and claims under those limits;
+	// Admission may cap a claim further. Flush ignores it: one synchronous
+	// pass attempts every deliverable message.
 	BatchPolicy AdaptiveBatch
 	// Admission bounds the share of pump capacity repair cascades may
 	// consume so a repair storm cannot starve user-visible traffic (see

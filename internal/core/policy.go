@@ -1,7 +1,7 @@
 package core
 
-// This file holds the pump's load-management policies: adaptive batch
-// sizing (how many messages one pass claims for a peer) and sender-side
+// This file holds the pump's load-management policies: batch sizing (how
+// many messages one pass claims for a peer) and sender-side
 // admission control (how much of the delivery capacity repair cascades may
 // consume while user-visible traffic is waiting). Every background pump
 // pass applies both; Flush applies neither. Both are decided at claim
@@ -9,20 +9,18 @@ package core
 // (internal/dsched) explores their interleavings like any other pump
 // decision — see the "batch-policy" and "admission" labels in SchedTrace.
 
-// defaultAdaptiveMax caps AdaptiveBatch when Max is unset. The adaptive
-// policy only reaches it under sustained backlog, and shrinks back to Min
-// as soon as the queue drains.
+// defaultAdaptiveMax caps AdaptiveBatch when Max is unset: one pass claims
+// at most this many messages for a peer.
 const defaultAdaptiveMax = 64
 
 // AdaptiveBatch decides how many messages one background pump pass may
-// claim for a single peer. It grows a peer's batch limit toward Max while
-// backlog outruns the previous claim (doubling, so a burst reaches the cap
-// in O(log) passes) and shrinks it to the observed backlog — down to Min —
-// when the peer is draining or idle. Small batches keep latency low when
-// the queue is short; large batches amortize per-pass claim/reconcile
-// overhead when a repair cascade piles up behind one peer. The zero value
-// means limits in [1, 64]; a fixed batch of n is AdaptiveBatch{Min: n,
-// Max: n}.
+// claim for a single peer: the peer's whole deliverable backlog, clamped
+// to [Min, Max]. A short queue already makes a small claim, so there is
+// no ramp: a repair wave's carriers to one peer cross the hop in one frame
+// (one round trip, one peer fsync, one reconcile) until the backlog
+// exceeds Max. When cascades must trickle is Admission's decision, not
+// this policy's. The zero value means limits in [1, 64]; a fixed batch of
+// n is AdaptiveBatch{Min: n, Max: n}.
 type AdaptiveBatch struct {
 	// Min is the smallest limit returned (default 1).
 	Min int
@@ -41,18 +39,11 @@ func (a AdaptiveBatch) bounds() (lo, hi int) {
 
 // Limit returns a peer's next claim limit. It is called outside any
 // controller lock with a snapshot of the peer's backlog (live, deliverable
-// messages bound for it) and the limit used by the peer's previous claim
-// (0 when the peer has no retained delivery state — first contact, or
-// fully drained since). The returned limit is advisory: the queue may have
-// changed by the time the claim runs.
-func (a AdaptiveBatch) Limit(backlog, prev int) int {
+// messages bound for it). The returned limit is advisory: the queue may
+// have changed by the time the claim runs.
+func (a AdaptiveBatch) Limit(backlog int) int {
 	lo, hi := a.bounds()
-	prev = max(prev, lo)
-	next := backlog // draining or idle: claim exactly what is there
-	if backlog > prev {
-		next = prev * 2 // backlog outran the last claim: grow toward the cap
-	}
-	return min(max(next, lo), hi)
+	return min(max(backlog, lo), hi)
 }
 
 // DefaultAdaptiveBatch returns the zero value's policy spelled out: limits
@@ -72,9 +63,12 @@ func DefaultAdaptiveBatch() AdaptiveBatch { return AdaptiveBatch{Min: 1, Max: de
 //     plane draining no matter how deep the cascade backlog is.
 //
 //   - Burst caps how many messages one pass claims for a peer that this
-//     service currently has live (non-repair) outbound calls in flight to:
-//     repair delivery trickles to a peer that is actively serving the
-//     live workload instead of flooding its connection pool and lock.
+//     service currently has live (non-repair) outbound calls in flight to,
+//     and how many cascade-class messages one pass claims for any peer
+//     while response-class messages are waiting: repair delivery trickles
+//     to a peer that is actively serving the live workload instead of
+//     flooding its connection pool and lock, and a cascade frame never
+//     holds a worker for a whole backlog while a repaired answer waits.
 //
 // A zero field takes DefaultAdmission's value; admission always applies to
 // background pump passes.
@@ -85,7 +79,8 @@ type Admission struct {
 	// one worker may always carry cascades).
 	MaxShare float64
 	// Burst is the per-pass claim cap for peers with live outbound calls in
-	// flight (default 1).
+	// flight, and for cascade-class claims while response-class messages
+	// are waiting (default 1).
 	Burst int
 }
 
@@ -101,6 +96,7 @@ func (a Admission) withDefaults() Admission {
 }
 
 // DefaultAdmission returns the zero value's budgets spelled out: cascades
-// may fill 3/4 of the workers while responses wait, and a peer with live
-// traffic in flight receives one repair message per pass.
+// may fill 3/4 of the workers while responses wait, a cascade claim takes
+// one message per pass while responses wait, and a peer with live traffic
+// in flight receives one repair message per pass.
 func DefaultAdmission() Admission { return Admission{}.withDefaults() }

@@ -9,31 +9,33 @@ import (
 	"aire/internal/wire"
 )
 
+// TestAdaptiveBatchLimit: a claim limit is the peer's whole backlog,
+// clamped to [Min, Max].
 func TestAdaptiveBatchLimit(t *testing.T) {
 	cases := []struct {
-		name          string
-		pol           AdaptiveBatch
-		backlog, prev int
-		want          int
+		name    string
+		pol     AdaptiveBatch
+		backlog int
+		want    int
 	}{
-		{"first-contact-small-backlog", AdaptiveBatch{}, 1, 0, 1},
-		{"first-contact-grows", AdaptiveBatch{}, 10, 0, 2},
-		{"doubles-under-backlog", AdaptiveBatch{}, 10, 2, 4},
-		{"doubles-again", AdaptiveBatch{}, 100, 16, 32},
-		{"capped-at-default-max", AdaptiveBatch{}, 1000, 64, 64},
-		{"capped-at-custom-max", AdaptiveBatch{Max: 8}, 100, 8, 8},
-		{"grow-clamped-to-max", AdaptiveBatch{Max: 8}, 100, 6, 8},
-		{"shrinks-to-backlog", AdaptiveBatch{}, 3, 16, 3},
-		{"idle-shrinks-to-min", AdaptiveBatch{}, 0, 16, 1},
-		{"min-floor", AdaptiveBatch{Min: 4}, 1, 0, 4},
-		{"min-floor-on-shrink", AdaptiveBatch{Min: 4, Max: 32}, 2, 16, 4},
-		{"max-below-min-clamps", AdaptiveBatch{Min: 8, Max: 2}, 100, 0, 8},
-		{"backlog-equal-prev-holds", AdaptiveBatch{}, 8, 8, 8},
+		{"first-contact-small-backlog", AdaptiveBatch{}, 1, 1},
+		{"whole-backlog", AdaptiveBatch{}, 10, 10},
+		{"whole-wave-backlog", AdaptiveBatch{}, 33, 33},
+		{"backlog-over-default-max", AdaptiveBatch{}, 100, 64},
+		{"capped-at-default-max", AdaptiveBatch{}, 1000, 64},
+		{"capped-at-custom-max", AdaptiveBatch{Max: 8}, 100, 8},
+		{"grow-clamped-to-max", AdaptiveBatch{Max: 8}, 9, 8},
+		{"shrinks-to-backlog", AdaptiveBatch{}, 3, 3},
+		{"idle-shrinks-to-min", AdaptiveBatch{}, 0, 1},
+		{"min-floor", AdaptiveBatch{Min: 4}, 1, 4},
+		{"min-floor-on-shrink", AdaptiveBatch{Min: 4, Max: 32}, 2, 4},
+		{"max-below-min-clamps", AdaptiveBatch{Min: 8, Max: 2}, 100, 8},
+		{"backlog-equal-prev-holds", AdaptiveBatch{}, 8, 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.pol.Limit(tc.backlog, tc.prev); got != tc.want {
-				t.Fatalf("%+v.Limit(%d, %d) = %d, want %d", tc.pol, tc.backlog, tc.prev, got, tc.want)
+			if got := tc.pol.Limit(tc.backlog); got != tc.want {
+				t.Fatalf("%+v.Limit(%d) = %d, want %d", tc.pol, tc.backlog, got, tc.want)
 			}
 		})
 	}
@@ -66,11 +68,10 @@ func claimPass(c *Controller) []*claimedBatch {
 	return c.claimBatches(c.batchLimits(c.peerBacklogs()), true)
 }
 
-// TestBatchPolicyGrowsAndShrinks drives claim passes by hand: under a deep
-// backlog the per-peer claim limit doubles pass over pass up to the cap
-// (carried in the retained peerState), and when the backlog drains the
-// next pass claims exactly what is left.
-func TestBatchPolicyGrowsAndShrinks(t *testing.T) {
+// TestBatchPolicyClaimsWholeBacklog drives claim passes by hand: each
+// pass claims the peer's whole backlog up to the policy's Max, so 20
+// messages under Max 8 go out as claims of 8, 8 and 4, with no ramp.
+func TestBatchPolicyClaimsWholeBacklog(t *testing.T) {
 	tb := newTestbed()
 	cfg := DefaultConfig()
 	cfg.BatchPolicy = AdaptiveBatch{Min: 1, Max: 8}
@@ -83,32 +84,24 @@ func TestBatchPolicyGrowsAndShrinks(t *testing.T) {
 	c.enqueue(msgs, traceCtx{})
 
 	var sizes []int
-	for pass := 0; pass < 4; pass++ {
+	for c.QueueLen() > 0 {
 		batches := claimPass(c)
 		if len(batches) != 1 {
-			t.Fatalf("pass %d claimed %d batches, want 1", pass, len(batches))
+			t.Fatalf("pass %d claimed %d batches, want 1", len(sizes), len(batches))
 		}
 		sizes = append(sizes, len(batches[0].ptrs))
-		c.releaseBatches(batches) // hand the claim back; ps.limit persists
-	}
-	want := []int{2, 4, 8, 8}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("claim sizes = %v, want %v (growth toward the cap)", sizes, want)
+		// Hand the claim back and take its messages out of the queue, as a
+		// delivery would.
+		c.releaseBatches(batches)
+		for _, p := range batches[0].snap {
+			if err := c.Drop(p.DeliveryID); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-
-	// Drain the backlog down to 3: the next pass claims exactly that.
-	for _, p := range c.Pending()[3:] {
-		if err := c.Drop(p.DeliveryID); err != nil {
-			t.Fatal(err)
-		}
+	if fmt.Sprint(sizes) != fmt.Sprint([]int{8, 8, 4}) {
+		t.Fatalf("claim sizes = %v, want [8 8 4]", sizes)
 	}
-	batches := claimPass(c)
-	if len(batches) != 1 || len(batches[0].ptrs) != 3 {
-		t.Fatalf("post-drain claim = %d batches, %d msgs; want 1 batch of 3", len(batches), len(batches[0].ptrs))
-	}
-	c.releaseBatches(batches)
 }
 
 // TestBatchPolicyFloorForUnsnapshottedPeer: a peer whose first message
@@ -229,4 +222,50 @@ func TestAdmissionBurstTrickle(t *testing.T) {
 		t.Fatalf("claim after live call ended = %d msgs, want all 5", len(batches[0].ptrs))
 	}
 	c.releaseBatches(batches)
+}
+
+// TestAdmissionTricklesCascadeWhileResponsesWait: the batch policy lets a
+// pass claim a peer's whole backlog, so admission alone decides when
+// cascades trickle. While a response-class message waits, a cascade claim
+// is capped at Burst; with none waiting it takes the whole backlog; and
+// with admission off it takes the whole backlog either way.
+func TestAdmissionTricklesCascadeWhileResponsesWait(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		respWaiting bool
+		noAdmission bool
+		want        int
+	}{
+		{"response-waiting-trickles", true, false, 1},
+		{"no-response-whole-backlog", false, false, 20},
+		{"no-admission-whole-backlog", true, true, 20},
+		{"no-admission-no-response-whole-backlog", false, true, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed()
+			c := tb.add(&kvApp{name: "a"}, DefaultConfig())
+			c.InjectFaults(Faults{NoAdmission: tc.noAdmission})
+
+			var msgs []warp.OutMsg
+			for i := 0; i < 20; i++ {
+				msgs = append(msgs, cascadeMsg("p1", i))
+			}
+			if tc.respWaiting {
+				msgs = append(msgs, respMsg("client", 0))
+			}
+			c.enqueue(msgs, traceCtx{})
+
+			batches := claimPass(c)
+			defer c.releaseBatches(batches)
+			if len(batches) == 0 || batches[0].peer != "p1" {
+				t.Fatalf("claimed %d batches, want the cascade to p1 first", len(batches))
+			}
+			if got := len(batches[0].ptrs); got != tc.want {
+				t.Fatalf("cascade claim = %d messages, want %d", got, tc.want)
+			}
+			if tc.respWaiting && (len(batches) != 2 || batches[1].peer != "client" || len(batches[1].ptrs) != 1) {
+				t.Fatalf("claimed %d batches, want the waiting response to client claimed too", len(batches))
+			}
+		})
+	}
 }

@@ -37,8 +37,9 @@ import (
 //     a transport failure never charges a message's Attempts or parks it
 //     — and the administrator is notified once per outage.
 //
-// A background pump pass honors every pump policy: the adaptive batch
-// limits, admission, and the retry window. Flush is "deliver now": one
+// A background pump pass honors every pump policy: the batch limits
+// (each peer's whole backlog, up to the policy's Max), admission, and the
+// retry window. Flush is "deliver now": one
 // synchronous pass that ignores them all, delivering every deliverable
 // message in queue order — deterministic, for tests and Settle. StartPump
 // runs passes continuously with a bounded worker pool, fanning batches
@@ -89,6 +90,8 @@ func (c *Controller) now() time.Time {
 }
 
 // peerState tracks delivery health for one destination peer. Guarded by qmu.
+// It holds no batch-sizing state: the batch policy sizes every claim from
+// the pass's backlog snapshot alone.
 type peerState struct {
 	// inflight marks a claimed batch not yet reconciled; at most one batch
 	// per peer is in flight, which is what preserves per-peer FIFO order.
@@ -100,11 +103,6 @@ type peerState struct {
 	// notified marks that the administrator was told about this outage
 	// (reset when the peer becomes reachable again).
 	notified bool
-	// limit is the per-peer claim limit the last claim used — the adaptive
-	// batch policy's growth state. It survives successful reconciles while
-	// the peer still has backlog and resets (entry deleted) once the peer
-	// drains, which is exactly the policy's shrink-to-idle behavior.
-	limit int
 }
 
 // peerKey names the destination a repair message is delivered to: the target
@@ -159,29 +157,19 @@ func (c *Controller) endLiveCall(peer string) {
 }
 
 // peerBacklogs snapshots, for every peer with deliverable messages, how
-// many are queued for it and the claim limit its previous batch used — the
-// inputs the batch policy sizes the next claim from. Skipped peers
-// (in-flight batch, backing off) are included: their limits are computed
-// but unused this pass, which keeps the snapshot cheap and the policy
-// stateless.
-func (c *Controller) peerBacklogs() map[string][2]int {
+// many are queued for it — the input the batch policy sizes the next claim
+// from. Skipped peers (in-flight batch, backing off) are included: their
+// limits are computed but unused this pass, which keeps the snapshot cheap
+// and the policy stateless.
+func (c *Controller) peerBacklogs() map[string]int {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
-	m := map[string][2]int{}
+	m := map[string]int{}
 	for _, p := range c.queue {
 		if !p.queued || p.Held || p.inflight {
 			continue
 		}
-		k := c.peerDest(p.Msg)
-		v := m[k]
-		v[0]++
-		m[k] = v
-	}
-	for k, v := range m {
-		if ps := c.peers[k]; ps != nil {
-			v[1] = ps.limit
-			m[k] = v
-		}
+		m[c.peerDest(p.Msg)]++
 	}
 	return m
 }
@@ -189,10 +177,10 @@ func (c *Controller) peerBacklogs() map[string][2]int {
 // batchLimits asks the batch policy for a per-peer claim limit. Called
 // with no locks held — the limits are advisory caps applied at claim time,
 // not a reservation.
-func (c *Controller) batchLimits(backlogs map[string][2]int) map[string]int {
+func (c *Controller) batchLimits(backlogs map[string]int) map[string]int {
 	limits := make(map[string]int, len(backlogs))
-	for peer, v := range backlogs {
-		limits[peer] = c.Cfg.BatchPolicy.Limit(v[0], v[1])
+	for peer, n := range backlogs {
+		limits[peer] = c.Cfg.BatchPolicy.Limit(n)
 	}
 	return limits
 }
@@ -206,9 +194,10 @@ func (c *Controller) batchLimits(backlogs map[string][2]int) map[string]int {
 // from the snapshot the limits came from (its first message arrived after
 // it); peers still inside their retry window are skipped; and, unless
 // Faults.NoAdmission is set, peers with live outbound calls in flight are
-// capped at Admission.Burst and a new cascade-class batch is skipped
-// entirely while the cascade worker budget is exhausted and response-class
-// messages are waiting. Batches are returned in queue order of their first
+// capped at Admission.Burst, and while response-class messages are
+// waiting a cascade-class claim is capped at Admission.Burst too and a new
+// cascade-class batch is skipped entirely once the cascade worker budget
+// is exhausted. Batches are returned in queue order of their first
 // message.
 func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claimedBatch {
 	now := c.now()
@@ -267,12 +256,12 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 					l = pl
 				}
 			}
-			if admit && c.liveCalls[peer] > 0 {
-				// The peer is serving our live traffic right now: trickle.
+			if admit && (c.liveCalls[peer] > 0 || cascade && respWaiting) {
+				// The peer is serving our live traffic right now, or a
+				// repaired answer is waiting for a worker: trickle.
 				l = min(l, adm.Burst)
 			}
 			ps.inflight = true
-			ps.limit = l
 			if cascade && admit {
 				c.cascadeInflight++
 			}
@@ -336,7 +325,7 @@ func (c *Controller) compactLocked() {
 }
 
 // deliverBatch delivers one claimed batch as frames and reconciles each
-// frame's outcomes. A pump pass's claim is bounded by its adaptive limit
+// frame's outcomes. A pump pass's claim is bounded by its batch limit
 // and travels as one frame; Flush claims without a limit, so
 // wire.PackFrames splits its claim into frames that never exceed the
 // decoder's carrier bound or the body cap. Each frame is one POST
@@ -425,11 +414,10 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		c.vvClearReofferLocked(cl.peer)
 	}
 	// Delivery state is only meaningful while the peer still has messages.
-	// While it does, the entry carries backoff and the adaptive batch limit
-	// into the next claim; once drained (delivered, dropped or terminated)
-	// drop it — the zero state is equivalent to no entry, so per-peer
-	// bookkeeping (e.g. one-shot poll:// clients) cannot accumulate
-	// forever, and the batch limit resets to the policy's idle floor.
+	// While it does, the entry carries backoff into the next claim; once
+	// drained (delivered, dropped or terminated) drop it — the zero state
+	// is equivalent to no entry, so per-peer bookkeeping (e.g. one-shot
+	// poll:// clients) cannot accumulate forever.
 	if !c.peerHasQueuedLocked(cl.peer) {
 		delete(c.peers, cl.peer)
 	}
@@ -826,7 +814,7 @@ func (c *Controller) pumpLoop(ctx context.Context, done chan struct{}, pacer sch
 	sem := c.sd.NewSem(pumpWorkers)
 	for {
 		c.sd.Yield() // schedule point: a pass is about to claim
-		// Decide per-peer claim limits (adaptive batching) and admission
+		// Decide per-peer claim limits (batch policy) and admission
 		// caps before claiming. Each decision sits at its own labeled yield
 		// point, outside every lock, so the deterministic scheduler can
 		// interleave enqueues, supersedes, and other pumps between the

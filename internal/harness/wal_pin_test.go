@@ -105,15 +105,16 @@ func TestRepairWaveWALPinned(t *testing.T) {
 // wave delivered by the background pump instead of Flush: StartPump under
 // a seeded dsched scheduler, so every pass runs the batch policy and
 // admission. Nothing else is queued, so admission never caps the claim,
-// and the counts say how many frames the pump splits each peer's 33
-// carriers into: one bus call and one reconcile entry (one fsync) per
-// frame, after the repair entry. The counts are the same for every seed.
+// and one pass claims each peer's whole backlog (33 carriers, under the
+// policy's Max of 64): one frame per peer, so one bus call and one
+// reconcile entry (one fsync) per peer after the repair entry, the same
+// counts as Flush. The counts are the same for every seed.
 func TestRepairWavePumpPinned(t *testing.T) {
 	const (
 		dependents = 32
-		entries    = 16 // the repair, then one reconcile per frame
-		syncs      = 16 // one per entry under FsyncEveryCommit
-		calls      = 15 // bus calls: one per frame
+		entries    = 4 // the repair, then one reconcile per frame
+		syncs      = 4 // one per entry under FsyncEveryCommit
+		calls      = 3 // bus calls: one frame per peer
 	)
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
