@@ -39,11 +39,11 @@ import (
 //
 // A background pump pass honors every pump policy: the batch limits
 // (each peer's whole backlog, up to the policy's Max), admission, and the
-// retry window. Flush is "deliver now": one
-// synchronous pass that ignores them all, delivering every deliverable
-// message in queue order — deterministic, for tests and Settle. StartPump
-// runs passes continuously with a bounded worker pool, fanning batches
-// out to distinct peers concurrently.
+// retry window. Flush is "deliver now": one synchronous pass that ignores
+// them all, delivering every deliverable message in queue order —
+// deterministic, for tests and Settle. StartPump runs passes continuously
+// with a bounded worker pool, fanning batches out to distinct peers
+// concurrently.
 
 // The retry schedule for unreachable peers: the delay after a peer's n-th
 // consecutive transport failure is backoffBase·2^(n-1), capped at
