@@ -185,6 +185,7 @@ func measureRepairWave(t *testing.T, dependents int, pumpSeed int64) (bytes int6
 		}
 	} else {
 		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		if err := hub.StartPump(ctx); err != nil {
 			t.Fatal(err)
 		}
