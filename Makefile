@@ -84,9 +84,10 @@ sim:
 fuzz-wal:
 	$(GO) test -run TestWALCorruption -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
-# Repair-frame decoder fuzzing smoke: the frame codec's unit table plus a
-# short coverage-guided run over mutated frame bodies (no panic, never more
-# carriers than the bound, round-trips what EncodeFrame writes). Longer
+# Repair-frame decoder fuzzing smoke: the binary frame codec's unit table
+# plus a short coverage-guided run over mutated frame bodies (no panic,
+# never more carriers than the bound, never more allocated than a small
+# multiple of the input, re-encodes what it accepts byte for byte). Longer
 # local runs:
 #   go test -fuzz FuzzFrameDecode -fuzztime 5m ./internal/wire
 fuzz-frame:

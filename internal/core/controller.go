@@ -205,6 +205,12 @@ type PendingMsg struct {
 	// queued marks a live queue entry (cleared on delivery and Drop), so
 	// reconciliation checks membership in O(1); guarded by qmu.
 	queued bool
+	// key, peer and pos are the entry's index coordinates, guarded by qmu:
+	// its collapse key and destination, recomputed whenever Msg changes,
+	// and its position in queue order, fixed when it enters the queue.
+	key  qkey
+	peer string
+	pos  uint64
 	// msgID is the retired "MsgID" old state recorded, by which an old
 	// q-del names the message; read from old state, never written.
 	msgID string
@@ -251,6 +257,11 @@ type Stats struct {
 	// application's Authorize denied them (§4); the sender learns of each
 	// as an "unauthorized" notification.
 	RepairsDenied int64
+	// QueueVisits counts outgoing-queue entries touched by the queue's
+	// scans and index lookups: every entry a claim pass or a compaction
+	// walks, and every entry an index lookup examines. Per queued message
+	// it stays O(1) amortized whatever the queue's size.
+	QueueVisits int64
 }
 
 type tokenEntry struct {
@@ -269,8 +280,15 @@ type Controller struct {
 	qmu   sync.Mutex
 	qcond *sync.Cond // broadcast whenever qlive drops to 0 (WaitQueueEmpty)
 	queue []*PendingMsg
-	qlive int                   // entries with queued=true (the queue slice may briefly hold dead ones)
-	peers map[string]*peerState // per-peer delivery health, guarded by qmu
+	qlive int // entries with queued=true (the queue slice also holds dead ones until compactLocked)
+	// The queue's indexes (queue.go), over live entries only: by delivery
+	// ID, by collapse key (oldest first), and live counts per destination.
+	// qnext is the next entry's position.
+	qbyID  map[string]*PendingMsg
+	qbyKey map[qkey][]*PendingMsg
+	qpeer  map[string]int
+	qnext  uint64
+	peers  map[string]*peerState // per-peer delivery health, guarded by qmu
 	// vectors is the sender-side version-vector state per destination peer
 	// (vectors.go). Guarded by qmu.
 	vectors map[string]*peerVector
@@ -336,6 +354,9 @@ func NewController(app App, net Caller, cfg Config) *Controller {
 		peers:     make(map[string]*peerState),
 		vectors:   make(map[string]*peerVector),
 		liveCalls: make(map[string]int),
+		qbyID:     make(map[string]*PendingMsg),
+		qbyKey:    make(map[qkey][]*PendingMsg),
+		qpeer:     make(map[string]int),
 		sd:        cfg.Sched,
 		topo:      cfg.Topology,
 	}
@@ -635,6 +656,7 @@ func (c *Controller) Stats() Stats {
 		StaleDeliveries: m.inboxStale.Value(),
 		InboxCommits:    m.inboxCommits.Value(),
 		RepairsDenied:   m.repairsDenied.Value(),
+		QueueVisits:     m.queueVisits.Value(),
 	}
 }
 

@@ -43,6 +43,8 @@ type ctrlMetrics struct {
 	vvCompacted    *obs.Counter // dedup-inbox entries released by acked-prefix compaction
 	corruptRejects *obs.Counter // carriers refused on body-checksum mismatch
 
+	queueVisits *obs.Counter // outgoing-queue entries scans and index lookups touched
+
 	queueDepth    *obs.Gauge // live outgoing-queue entries
 	lastTotalReqs *obs.Gauge // repair log size seen by the latest local repair
 	lastTotalOps  *obs.Gauge // model operations seen by the latest local repair
@@ -97,6 +99,8 @@ func newCtrlMetrics(reg *obs.Registry, svc string) ctrlMetrics {
 		vvReoffers:     counter("vv_reoffers"),
 		vvCompacted:    counter("vv_compacted"),
 		corruptRejects: counter("corrupt_rejects"),
+
+		queueVisits: counter("queue_visits"),
 
 		queueDepth:    gauge("queue_depth"),
 		lastTotalReqs: gauge("last_total_requests"),

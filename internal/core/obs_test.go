@@ -238,6 +238,7 @@ func TestStatsReadRegistrySeries(t *testing.T) {
 			StaleDeliveries: snap.Counters[p+"inbox_stale"],
 			InboxCommits:    snap.Counters[p+"inbox_commits"],
 			RepairsDenied:   snap.Counters[p+"repairs_denied"],
+			QueueVisits:     snap.Counters[p+"queue_visits"],
 		}
 		counts := [4]int{
 			int(snap.Counters[p+"repaired_requests"]), int(snap.Gauges[p+"last_total_requests"]),

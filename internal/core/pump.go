@@ -165,11 +165,12 @@ func (c *Controller) peerBacklogs() map[string]int {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	m := map[string]int{}
+	c.met.queueVisits.Add(int64(len(c.queue)))
 	for _, p := range c.queue {
 		if !p.queued || p.Held || p.inflight {
 			continue
 		}
-		m[c.peerDest(p.Msg)]++
+		m[p.peer]++
 	}
 	return m
 }
@@ -212,6 +213,7 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 	// messages are actually waiting; one pre-pass answers that.
 	respWaiting := false
 	if admit {
+		c.met.queueVisits.Add(int64(len(c.queue))) // counted as a whole walk
 		for _, p := range c.queue {
 			if p.queued && !p.Held && !p.inflight && p.Msg.Kind == warp.OutReplaceResponse {
 				respWaiting = true
@@ -222,11 +224,12 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 	var order []*claimedBatch
 	byPeer := map[string]*claimedBatch{}
 	skipPeer := map[string]bool{}
+	c.met.queueVisits.Add(int64(len(c.queue)))
 	for _, p := range c.queue {
 		if !p.queued || p.Held || p.inflight {
 			continue
 		}
-		peer := c.peerDest(p.Msg)
+		peer := p.peer
 		if skipPeer[peer] {
 			continue
 		}
@@ -299,19 +302,15 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 // peerHasQueuedLocked reports whether any live queue entry is bound for the
 // named peer.
 func (c *Controller) peerHasQueuedLocked(peer string) bool {
-	for _, q := range c.queue {
-		if q.queued && c.peerDest(q.Msg) == peer {
-			return true
-		}
-	}
-	return false
+	return c.qpeer[peer] > 0
 }
 
-// compactLocked drops dead entries (queued=false: delivered, gone) from the
-// queue slice in one pass. Reconciliation only clears the flag, so a
-// delivery pass costs one compaction per batch rather than one O(n) splice
-// per delivered message.
+// compactLocked drops dead entries (queued=false: delivered, gone,
+// dropped) from the queue slice in one pass. dequeueLocked runs it once
+// dead entries outnumber live ones, so each removal pays O(1) amortized
+// and the slice never holds more than twice the live entries.
 func (c *Controller) compactLocked() {
+	c.met.queueVisits.Add(int64(len(c.queue)))
 	kept := c.queue[:0]
 	for _, q := range c.queue {
 		if q.queued {
@@ -336,7 +335,7 @@ func (c *Controller) compactLocked() {
 // stay live and uncharged. A message-level failure (the peer answered, but
 // refused that one carrier) charges only that message — one poisoned
 // message must not block the peer's queue. Returns how many messages were
-// delivered and removed.
+// delivered.
 func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 	cl.st = make([]deliverStatus, len(cl.ptrs))
 	cl.learned = make([]string, len(cl.ptrs))
@@ -356,7 +355,7 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 	}
 	bodies, counts := wire.PackFrames(carriers)
 	var notes []Notification
-	removed, failAt := 0, -1
+	failAt := -1
 	for k := 0; k == 0 || k < len(bodies); k++ {
 		nacked := false
 		if k < len(bodies) {
@@ -366,8 +365,8 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 			members = append(members, frame...)
 		}
 		c.sd.YieldNamed("frame-reconcile") // schedule point: frame answered, not yet reconciled
-		d, r, f, n := c.reconcileFrame(cl, members, nacked)
-		delivered, removed, notes = delivered+d, removed+r, append(notes, n...)
+		d, f, n := c.reconcileFrame(cl, members, nacked)
+		delivered, notes = delivered+d, append(notes, n...)
 		members = nil
 		if f >= 0 {
 			failAt = f
@@ -377,9 +376,6 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 
 	c.sd.Yield() // schedule point: batch done, peer state not yet reconciled
 	c.qmu.Lock()
-	if removed > 0 {
-		c.compactLocked()
-	}
 	if cl.cascade {
 		c.cascadeInflight--
 	}
@@ -482,9 +478,9 @@ func (c *Controller) deliverFrame(cl *claimedBatch, body []byte, frame []int) (n
 // released. An outcome applies only to the generation it claimed: a message
 // whose content was superseded mid-flight (collapse or Retry) stays queued,
 // its reset LastErr preserved, so the newer content still goes out. Returns
-// the messages delivered and removed, the first one whose peer was
-// unavailable (-1 if none), and the notifications owed.
-func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool) (delivered, removed, failAt int, notes []Notification) {
+// the messages delivered, the first one whose peer was unavailable (-1 if
+// none), and the notifications owed.
+func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool) (delivered, failAt int, notes []Notification) {
 	failAt = -1
 	fresh := make([]bool, len(members))
 	held := make([]int, len(members)) // Attempts at which a message was parked
@@ -512,7 +508,6 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 			case deliverOK, deliverGone:
 				if f {
 					c.dequeueLocked(p)
-					removed++
 					if cl.st[i] == deliverOK {
 						delivered++
 					}
@@ -597,7 +592,7 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 			}
 		}
 	}
-	return delivered, removed, failAt, notes
+	return delivered, failAt, notes
 }
 
 // learnRequestIDsLocked records the peer-assigned request IDs that

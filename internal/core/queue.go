@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"aire/internal/deliver"
@@ -31,36 +33,28 @@ func (c *Controller) enqueue(msgs []warp.OutMsg, tc traceCtx) {
 	}
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
-next:
 	for _, m := range msgs {
 		c.met.msgsQueued.Inc()
-		if key := collapseKey(m); key != "" {
-			for _, p := range c.queue {
-				if p.queued && collapseKey(p.Msg) == key {
-					p.Msg = m // keep the newest content, the oldest position
-					p.Held = false
-					p.Attempts = 0
-					p.Gen++ // supersede any delivery of the old content in flight
-					// Trace follows content: the surviving delivery carries
-					// the superseding repair's wave.
-					p.TraceID = tc.wave
-					p.TraceHop = hop
-					c.walEmitQSetLocked(p)
-					c.spanEnqueueLocked(p)
-					continue next
-				}
-			}
+		if p := c.collapseTargetLocked(&m); p != nil {
+			c.setMsgLocked(p, m) // keep the newest content, the oldest position
+			p.Held = false
+			p.Attempts = 0
+			p.Gen++ // supersede any delivery of the old content in flight
+			// Trace follows content: the surviving delivery carries
+			// the superseding repair's wave.
+			p.TraceID = tc.wave
+			p.TraceHop = hop
+			c.walEmitQSetLocked(p)
+			c.spanEnqueueLocked(p)
+			continue
 		}
 		p := &PendingMsg{
 			DeliveryID: c.Svc.IDs.Delivery(),
 			Msg:        m,
 			TraceID:    tc.wave,
 			TraceHop:   hop,
-			queued:     true,
 		}
-		c.queue = append(c.queue, p)
-		c.qlive++
-		c.vvIssueLocked(c.peerDest(m), p.DeliveryID)
+		c.appendQueuedLocked(p)
 		c.walEmitQSetLocked(p)
 		c.spanEnqueueLocked(p)
 	}
@@ -77,32 +71,213 @@ func (c *Controller) spanEnqueueLocked(p *PendingMsg) {
 	now := c.now().UnixNano()
 	c.met.ring.Record(obs.Span{
 		Wave: p.TraceID, Hop: p.TraceHop, Service: c.Svc.Name,
-		Kind: obs.SpanEnqueue, Subject: p.DeliveryID, Peer: c.peerDest(p.Msg),
+		Kind: obs.SpanEnqueue, Subject: p.DeliveryID, Peer: p.peer,
 		StartNS: now, EndNS: now,
 	})
 }
 
-// collapseKey identifies the request/response a repair message is about;
-// messages with equal keys supersede one another. Creates are never
-// collapsed (each denotes a distinct new request). Response repairs
-// collapse by the local record whose response changed, not by client
-// response ID: re-repairing a request replaces its outgoing calls and
-// mints fresh response IDs, so a still-queued replace_response naming the
-// old ID is superseded by the new one — it could never be applied (the
-// client's call record no longer carries the old ID) and would otherwise
-// retry into a parked 404.
-func collapseKey(m warp.OutMsg) string {
+// qkey is a collapse key: the request or response a repair message is
+// about. Messages with equal keys supersede one another; the zero key
+// (kind 0) never collapses.
+type qkey struct {
+	kind uint8  // 0: never collapses; 1: a request; 2: a response
+	peer string // the request's target, or the response's notifier URL
+	id   string // the remote request ID, or the response's local record
+}
+
+// collapseKey identifies the request/response a repair message is about.
+// Creates are never collapsed (each denotes a distinct new request).
+// Response repairs collapse by the local record whose response changed,
+// not by client response ID: re-repairing a request replaces its outgoing
+// calls and mints fresh response IDs, so a still-queued replace_response
+// naming the old ID is superseded by the new one — it could never be
+// applied (the client's call record no longer carries the old ID) and
+// would otherwise retry into a parked 404.
+func collapseKey(m *warp.OutMsg) qkey {
 	switch m.Kind {
 	case warp.OutReplace, warp.OutDelete:
-		return "req|" + m.Target + "|" + m.RemoteReqID
+		return qkey{kind: 1, peer: m.Target, id: m.RemoteReqID}
 	case warp.OutReplaceResponse:
 		id := m.LocalReqID
 		if id == "" {
 			id = m.RespID
 		}
-		return "resp|" + m.NotifierURL + "|" + id
+		return qkey{kind: 2, peer: m.NotifierURL, id: id}
 	}
-	return ""
+	return qkey{}
+}
+
+// The outgoing queue is a slice in queue (FIFO) order plus three indexes
+// over its live entries: by delivery ID (qbyID), by collapse key (qbyKey,
+// each key's entries oldest first), and live counts per destination
+// (qpeer). A message leaving the queue only clears its membership and
+// unlinks it from the indexes; the slice drops dead entries in one pass
+// once they outnumber live ones. So a collapse lookup, a find by delivery
+// ID, a replayed q-set or q-del, a removal and a "does this peer still
+// have messages" test each cost O(1) amortized, and a wave of n messages
+// costs O(n) to queue and to replay. Only a claim pass scans the slice.
+// VerifyQueue checks the indexes against a scan.
+
+// queueLookupHook, when set (by tests only), observes every index lookup:
+// a collapse lookup for m, or a find by delivery ID, and the entry the
+// index picked. Called under qmu.
+var queueLookupHook func(c *Controller, m *warp.OutMsg, deliveryID string, picked *PendingMsg)
+
+// collapseTargetLocked returns the live entry a new message m collapses
+// onto — the oldest one with m's key — or nil. Caller holds qmu.
+func (c *Controller) collapseTargetLocked(m *warp.OutMsg) *PendingMsg {
+	var p *PendingMsg
+	if k := collapseKey(m); k.kind != 0 {
+		if l := c.qbyKey[k]; len(l) > 0 {
+			p = l[0]
+			c.met.queueVisits.Inc()
+		}
+	}
+	if queueLookupHook != nil {
+		queueLookupHook(c, m, "", p)
+	}
+	return p
+}
+
+// appendQueuedLocked adds p at the tail of the queue as a live entry,
+// indexes it, and issues its delivery in its destination's sender vector
+// (idempotent, so a replayed re-insert is safe). Caller holds qmu.
+func (c *Controller) appendQueuedLocked(p *PendingMsg) {
+	p.queued = true
+	p.pos = c.qnext
+	c.qnext++
+	c.queue = append(c.queue, p)
+	c.qlive++
+	c.linkLocked(p)
+	c.vvIssueLocked(p.peer, p.DeliveryID)
+}
+
+// setMsgLocked replaces a live entry's content, re-deriving its index
+// coordinates. Caller holds qmu.
+func (c *Controller) setMsgLocked(p *PendingMsg, m warp.OutMsg) {
+	peer := p.peer
+	c.unlinkLocked(p)
+	p.Msg = m
+	c.linkLocked(p)
+	c.vvMoveLocked(peer, p)
+}
+
+// linkLocked derives a live entry's collapse key and destination from its
+// content and adds it to the indexes. Caller holds qmu.
+func (c *Controller) linkLocked(p *PendingMsg) {
+	p.key, p.peer = collapseKey(&p.Msg), c.peerDest(p.Msg)
+	c.qbyID[p.DeliveryID] = p
+	c.qpeer[p.peer]++
+	if p.key.kind == 0 {
+		return
+	}
+	// Keep each key's entries in queue order. An entry almost always joins
+	// at the tail; only a restored entry whose content changed key can
+	// land before a newer one.
+	l := append(c.qbyKey[p.key], p)
+	for i := len(l) - 1; i > 0 && l[i-1].pos > p.pos; i-- {
+		l[i-1], l[i] = l[i], l[i-1]
+	}
+	c.qbyKey[p.key] = l
+}
+
+// unlinkLocked removes a live entry from the indexes. Caller holds qmu.
+func (c *Controller) unlinkLocked(p *PendingMsg) {
+	delete(c.qbyID, p.DeliveryID)
+	if c.qpeer[p.peer]--; c.qpeer[p.peer] == 0 {
+		delete(c.qpeer, p.peer)
+	}
+	if p.key.kind == 0 {
+		return
+	}
+	l := c.qbyKey[p.key]
+	for i, q := range l {
+		if q == p {
+			c.met.queueVisits.Add(int64(i + 1))
+			l = append(l[:i], l[i+1:]...)
+			break
+		}
+	}
+	if len(l) == 0 {
+		delete(c.qbyKey, p.key)
+	} else {
+		c.qbyKey[p.key] = l
+	}
+}
+
+// VerifyQueue cross-checks the outgoing queue's indexes against a scan of
+// the queue: the live count, the delivery-ID and collapse-key indexes
+// (each key's entries oldest first), the per-peer live counts, every live
+// entry's recorded key and destination, and the sender vectors' sets of
+// outstanding deliveries. A pure read under qmu; the simulator runs it on
+// every controller after every run.
+func (c *Controller) VerifyQueue() error {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	live := 0
+	peers := map[string]int{}
+	out := map[string]map[uint64]bool{}
+	var last *PendingMsg
+	for _, p := range c.queue {
+		if last != nil && p.pos <= last.pos {
+			return fmt.Errorf("core: %s: queue positions out of order at %s", c.Svc.Name, p.DeliveryID)
+		}
+		last = p
+		if !p.queued {
+			continue
+		}
+		live++
+		if c.qbyID[p.DeliveryID] != p {
+			return fmt.Errorf("core: %s: live entry %s missing from the delivery-ID index", c.Svc.Name, p.DeliveryID)
+		}
+		if k := collapseKey(&p.Msg); p.key != k {
+			return fmt.Errorf("core: %s: entry %s records collapse key %v, its content has %v", c.Svc.Name, p.DeliveryID, p.key, k)
+		}
+		if d := c.peerDest(p.Msg); p.peer != d {
+			return fmt.Errorf("core: %s: entry %s records destination %q, its content goes to %q", c.Svc.Name, p.DeliveryID, p.peer, d)
+		}
+		peers[p.peer]++
+		if out[p.peer] == nil {
+			out[p.peer] = map[uint64]bool{}
+		}
+		out[p.peer][deliver.Seq(p.DeliveryID)] = true
+		if p.key.kind != 0 && !slices.Contains(c.qbyKey[p.key], p) {
+			return fmt.Errorf("core: %s: live entry %s missing from the collapse-key index", c.Svc.Name, p.DeliveryID)
+		}
+	}
+	if live != c.qlive {
+		return fmt.Errorf("core: %s: qlive %d, the queue holds %d live entries", c.Svc.Name, c.qlive, live)
+	}
+	if len(c.qbyID) != live {
+		return fmt.Errorf("core: %s: delivery-ID index holds %d entries, the queue %d live", c.Svc.Name, len(c.qbyID), live)
+	}
+	for k, l := range c.qbyKey {
+		if len(l) == 0 {
+			return fmt.Errorf("core: %s: collapse key %v indexes no entry", c.Svc.Name, k)
+		}
+		for i, p := range l {
+			if !p.queued || p.key != k {
+				return fmt.Errorf("core: %s: collapse key %v indexes entry %s (live %v, key %v)", c.Svc.Name, k, p.DeliveryID, p.queued, p.key)
+			}
+			if i > 0 && l[i-1].pos >= p.pos {
+				return fmt.Errorf("core: %s: collapse key %v lists entry %s before an older one", c.Svc.Name, k, p.DeliveryID)
+			}
+		}
+	}
+	if !maps.Equal(peers, c.qpeer) {
+		return fmt.Errorf("core: %s: per-peer live counts %v, the queue holds %v", c.Svc.Name, c.qpeer, peers)
+	}
+	for peer, pv := range c.vectors {
+		if !maps.Equal(pv.out, out[peer]) {
+			return fmt.Errorf("core: %s: vector for %s has %d outstanding deliveries, the queue %d", c.Svc.Name, peer, len(pv.out), len(out[peer]))
+		}
+	}
+	for peer := range out {
+		if c.vectors[peer] == nil {
+			return fmt.Errorf("core: %s: no vector for %s, which has queued deliveries", c.Svc.Name, peer)
+		}
+	}
+	return nil
 }
 
 // Pending returns a snapshot of the outgoing queue, including held messages
@@ -191,7 +366,7 @@ func (c *Controller) Drop(deliveryID string) error {
 		}
 		// Dropping a peer's last message leaves no delivery pass to clean
 		// up its backoff bookkeeping — do it here.
-		if peer := c.peerDest(p.Msg); !c.peerHasQueuedLocked(peer) {
+		if peer := p.peer; !c.peerHasQueuedLocked(peer) {
 			if ps := c.peers[peer]; ps != nil && !ps.inflight {
 				delete(c.peers, peer)
 			}
@@ -206,41 +381,47 @@ func (c *Controller) Drop(deliveryID string) error {
 // findQueuedLocked returns the live queue entry with the given delivery ID,
 // or nil. Caller holds qmu.
 func (c *Controller) findQueuedLocked(deliveryID string) *PendingMsg {
-	for _, p := range c.queue {
-		if p.queued && p.DeliveryID == deliveryID {
-			return p
-		}
+	p := c.qbyID[deliveryID]
+	if p != nil {
+		c.met.queueVisits.Inc()
 	}
-	return nil
+	if queueLookupHook != nil {
+		queueLookupHook(c, nil, deliveryID, p)
+	}
+	return p
 }
 
 // dequeueLocked is the one way a message leaves the queue (delivered, gone,
-// dropped, or a replayed q-del): it clears membership, leaving the entry
-// to compactLocked, resolves the delivery in the sender's version vector,
-// and logs the q-del. Caller holds qmu (and, with a writer attached,
-// Svc.Mu with a batch open).
+// dropped, or a replayed q-del): it clears membership and unlinks the
+// entry from the indexes, leaving it in the slice until dead entries
+// outnumber live ones (compactLocked), resolves the delivery in the
+// sender's version vector, and logs the q-del. Caller holds qmu (and, with
+// a writer attached, Svc.Mu with a batch open).
 func (c *Controller) dequeueLocked(p *PendingMsg) {
 	p.queued = false
 	c.qlive--
+	c.unlinkLocked(p)
 	c.met.queueDepth.Set(int64(c.qlive))
 	if c.qlive == 0 {
 		c.qcond.Broadcast()
 	}
-	if pv := c.vectors[c.peerDest(p.Msg)]; pv != nil {
+	if pv := c.vectors[p.peer]; pv != nil {
 		delete(pv.out, deliver.Seq(p.DeliveryID))
 	}
 	if c.walAttached() {
 		c.walEmit(mustOp("q-del", qDelOp{DeliveryID: p.DeliveryID}))
 	}
+	if len(c.queue)-c.qlive > c.qlive {
+		c.compactLocked()
+	}
 }
 
-// removeQueuedLocked is Drop's and replay's q-del: find, dequeue, compact.
-// It returns the message, or nil when none is queued. Caller holds qmu.
+// removeQueuedLocked is Drop's and replay's q-del: find and dequeue. It
+// returns the message, or nil when none is queued. Caller holds qmu.
 func (c *Controller) removeQueuedLocked(deliveryID string) *PendingMsg {
 	p := c.findQueuedLocked(deliveryID)
 	if p != nil {
 		c.dequeueLocked(p)
-		c.compactLocked()
 	}
 	return p
 }

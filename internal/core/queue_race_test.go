@@ -27,15 +27,15 @@ func TestQueueConcurrencyHammer(t *testing.T) {
 	tb.settle(10)
 
 	checkCollapseInvariant := func() {
-		seen := map[string]int{}
+		seen := map[qkey]int{}
 		for _, p := range a.Pending() {
-			if key := collapseKey(p.Msg); key != "" {
+			if key := collapseKey(&p.Msg); key.kind != 0 {
 				seen[key]++
 			}
 		}
 		for key, n := range seen {
 			if n > 1 {
-				t.Errorf("collapse invariant violated: %d queued messages for %s", n, key)
+				t.Errorf("collapse invariant violated: %d queued messages for %v", n, key)
 			}
 		}
 	}

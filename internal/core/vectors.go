@@ -74,6 +74,20 @@ func (c *Controller) vvIssueLocked(peer, deliveryID string) {
 	}
 }
 
+// vvMoveLocked keeps the vectors mirroring the queue when a queued
+// entry's new content sends it to a different destination than from: its
+// delivery leaves from's outstanding set for the new destination's.
+// Caller holds qmu.
+func (c *Controller) vvMoveLocked(from string, p *PendingMsg) {
+	if from == p.peer {
+		return
+	}
+	if pv := c.vectors[from]; pv != nil {
+		delete(pv.out, deliver.Seq(p.DeliveryID))
+	}
+	c.vvIssueLocked(p.peer, p.DeliveryID)
+}
+
 // vvAnnouncement computes the (acked, frontier, reoffer) triple to stamp on
 // a carrier bound for peer. ok is false when nothing was ever issued to the
 // peer — the carrier then announces nothing, so a receiver never sees a

@@ -303,9 +303,12 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		}
 		c.qmu.Lock()
 		defer c.qmu.Unlock()
+		// An old q-del names the retired MsgID, which no index keys: only
+		// old state pays this scan.
 		for i := 0; o.DeliveryID == "" && i < len(c.queue); i++ {
+			c.met.queueVisits.Inc()
 			if p := c.queue[i]; p.queued && p.msgID == o.MsgID {
-				o.DeliveryID = p.DeliveryID // an old q-del names the retired MsgID
+				o.DeliveryID = p.DeliveryID
 			}
 		}
 		c.removeQueuedLocked(o.DeliveryID)
@@ -357,20 +360,22 @@ func (c *Controller) restorable(m PendingMsg, counter int64) error {
 // entry by delivery ID, as recorded by a q-set op or a checkpoint. The
 // caller has checked the entry with restorable. Caller holds qmu.
 func (c *Controller) upsertQueuedLocked(m PendingMsg) {
-	m.inflight, m.queued = false, true
+	m.inflight = false
 	if p := c.findQueuedLocked(m.DeliveryID); p != nil {
 		// The recorded state replaces the entry's, except what is never
-		// recorded: its response token and a claim in flight.
-		m.token, m.inflight = p.token, p.inflight
+		// recorded: its response token, a claim in flight, and its place
+		// in the queue.
+		m.token, m.inflight, m.queued, m.pos = p.token, p.inflight, true, p.pos
+		peer := p.peer
+		c.unlinkLocked(p)
 		*p = m
+		c.linkLocked(p)
+		c.vvMoveLocked(peer, p)
 		return
 	}
-	c.queue = append(c.queue, &m)
-	c.qlive++
+	// Sender vectors mirror the queue; replaying the queue replays them.
+	c.appendQueuedLocked(&m)
 	c.met.queueDepth.Set(int64(c.qlive))
-	// Sender vectors mirror the queue; replaying the queue replays them
-	// (vvIssueLocked is idempotent against checkpoint-overlap re-inserts).
-	c.vvIssueLocked(c.peerDest(m.Msg), m.DeliveryID)
 }
 
 // ---- atomic cut (persist's checkpoint snapshot) ---------------------------

@@ -1099,10 +1099,14 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			res.Failures = append(res.Failures, fmt.Sprintf("%s: wal append error: %v", name, err))
 		}
 	}
-	// The secondary indexes drive which records a repair visits and which
-	// call a response lands on; on the quiesced state each must match what
-	// it indexes. The check is a pure read, so it moves no digest.
+	// The secondary indexes drive which records a repair visits, which call
+	// a response lands on and which queued message a new one collapses
+	// onto; on the quiesced state each must match what it indexes. The
+	// checks are pure reads, so they move no digest.
 	for _, name := range w.cnames {
+		if err := w.ctrls[name].VerifyQueue(); err != nil {
+			res.Failures = append(res.Failures, err.Error())
+		}
 		svc := w.ctrls[name].Svc
 		svc.Mu.Lock()
 		if err := svc.Store.VerifyIndexes(); err != nil {

@@ -9,20 +9,22 @@ import (
 
 // stormFaults is the fault plan the starvation regression runs under:
 // enough loss and duplication that backoff and redelivery paths are
-// exercised — and that the cascade outlives the mirror injections, which a
-// frame per claimed batch would otherwise drain in a pass or two — not so
-// much that runs stall. A frame carries a whole claim, so the storm makes
-// far fewer calls than carriers and each call's drop rate is set higher.
+// exercised, not so much that runs stall. A frame carries a whole claim,
+// so the storm makes far fewer calls than carriers and each call's drop
+// rate is set higher.
 var stormFaults = simnet.FaultPlan{Drop: 0.2, Duplicate: 0.03}
 
-// stormSchedConfig is the starvation scenario: 120 cascade carriers over 8
-// slow peers, two busy peers for each of the pump's 4 workers, so without
-// admission the cascades can occupy every worker.
+// stormSchedConfig is the starvation scenario: 4 096 cascade carriers over
+// 8 slow peers, two busy peers for each of the pump's 4 workers, so
+// without admission the cascades can occupy every worker. A pass claims at
+// most the batch policy's Max (64) per peer, so each peer's 512 carriers
+// take at least eight passes: the cascade outlives the 12 mirror
+// injections, and every mirror message meets it.
 func stormSchedConfig(seed int64, admission bool) StormConfig {
 	return StormConfig{
 		Seed:        seed,
 		Peers:       8,
-		Backlog:     15,
+		Backlog:     512,
 		Responses:   12,
 		PeerCost:    6,
 		Sched:       true,
@@ -32,20 +34,21 @@ func stormSchedConfig(seed int64, admission bool) StormConfig {
 }
 
 // TestStormAdmissionBoundsMirrorLatency is the starvation regression: with
-// sender-side admission control on, a 120-message repair storm over slow
+// sender-side admission control on, a 4 096-message repair storm over slow
 // peers must not starve the mirror plane — every response-class message
 // delivers, and its p99 sojourn stays bounded, for all 20 seeds under
 // seeded drop/duplicate faults.
 func TestStormAdmissionBoundsMirrorLatency(t *testing.T) {
 	const mirrorP99Bound = 2500 // scheduler steps
 	for seed := int64(1); seed <= 20; seed++ {
-		res, err := RunStorm(stormSchedConfig(seed, true))
+		cfg := stormSchedConfig(seed, true)
+		res, err := RunStorm(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if res.MirrorDelivered != 12 || res.CascadeDelivered != 120 {
-			t.Fatalf("seed %d: delivered mirror=%d cascade=%d, want 12/120",
-				seed, res.MirrorDelivered, res.CascadeDelivered)
+		if res.MirrorDelivered != cfg.Responses || res.CascadeDelivered != cfg.Peers*cfg.Backlog {
+			t.Fatalf("seed %d: delivered mirror=%d cascade=%d, want %d/%d",
+				seed, res.MirrorDelivered, res.CascadeDelivered, cfg.Responses, cfg.Peers*cfg.Backlog)
 		}
 		t.Logf("seed %2d: mirror p50=%d p99=%d max=%d cascade p50=%d backlogAtDrain=%d rounds=%d steps=%d",
 			seed, res.MirrorP50, res.MirrorP99, res.MirrorMax, res.CascadeP50,

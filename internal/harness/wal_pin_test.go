@@ -136,7 +136,6 @@ func TestRepairWavePumpPinned(t *testing.T) {
 func measureRepairWave(t *testing.T, dependents int, pumpSeed int64) (bytes int64, entries uint64, fsyncs int, calls int64) {
 	t.Helper()
 	bus := transport.NewBus()
-	peers := []string{"p0", "p1", "p2"}
 	hubCfg := core.DefaultConfig()
 	var clock *simnet.Clock
 	var sd *dsched.Sched
@@ -145,11 +144,7 @@ func measureRepairWave(t *testing.T, dependents int, pumpSeed int64) (bytes int6
 		sd = dsched.New(pumpSeed, clock)
 		hubCfg.Sched, hubCfg.Clock = sd, clock.Now
 	}
-	hub := core.NewController(&copyKVApp{KVApp{ServiceName: "hub", Mirrors: peers}}, bus, hubCfg)
-	bus.Register("hub", hub)
-	for _, p := range peers {
-		bus.Register(p, core.NewController(&KVApp{ServiceName: p}, bus, core.DefaultConfig()))
-	}
+	hub, _ := newWaveWorld(bus, hubCfg)
 	dir := t.TempDir()
 	syncs := 0
 	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncEveryCommit, OnSync: func(time.Duration) { syncs++ }})
@@ -159,18 +154,7 @@ func measureRepairWave(t *testing.T, dependents int, pumpSeed int64) (bytes int6
 	defer w.Close()
 	hub.AttachWAL(w)
 
-	call := func(req wire.Request) wire.Response {
-		t.Helper()
-		resp, err := bus.Call("", "hub", req)
-		if err != nil || !resp.OK() {
-			t.Fatalf("%s %v: %v %+v", req.Path, req.Form, err, resp)
-		}
-		return resp
-	}
-	attack := call(wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "evil")).Header[wire.HdrRequestID]
-	for i := 0; i < dependents; i++ {
-		call(wire.NewRequest("POST", "/copy").WithForm("src", "x", "dst", fmt.Sprintf("d%d", i)))
-	}
+	attack := seedWave(t, bus, dependents)
 
 	bytes0, seq0, syncs0 := walDirBytes(t, dir), w.Seq(), syncs
 	calls0, _ := bus.Stats()
@@ -207,4 +191,44 @@ func measureRepairWave(t *testing.T, dependents int, pumpSeed int64) (bytes int6
 	}
 	calls1, _ := bus.Stats()
 	return walDirBytes(t, dir) - bytes0, w.Seq() - seq0, syncs - syncs0, calls1 - calls0
+}
+
+// waveHub and wavePeers name the wave world's services.
+const waveHub = "hub"
+
+var wavePeers = []string{"p0", "p1", "p2"}
+
+// newWaveWorld registers the repair-wave world on bus: a hub that mirrors
+// every write and copy to three peers, each an Aire KV service with the
+// default configuration. It returns the hub and the peers.
+func newWaveWorld(bus *transport.Bus, hubCfg core.Config) (*core.Controller, []*core.Controller) {
+	hub := core.NewController(&copyKVApp{KVApp{ServiceName: waveHub, Mirrors: wavePeers}}, bus, hubCfg)
+	bus.Register(waveHub, hub)
+	var peers []*core.Controller
+	for _, p := range wavePeers {
+		c := core.NewController(&KVApp{ServiceName: p}, bus, core.DefaultConfig())
+		bus.Register(p, c)
+		peers = append(peers, c)
+	}
+	return hub, peers
+}
+
+// seedWave writes the attack on the hub and copies it into dependents
+// keys, and returns the attack's request ID: cancelling it repairs all
+// dependents+1 requests and queues a delete per request per peer.
+func seedWave(t *testing.T, bus *transport.Bus, dependents int) string {
+	t.Helper()
+	call := func(req wire.Request) wire.Response {
+		t.Helper()
+		resp, err := bus.Call("", waveHub, req)
+		if err != nil || !resp.OK() {
+			t.Fatalf("%s %v: %v %+v", req.Path, req.Form, err, resp)
+		}
+		return resp
+	}
+	attack := call(wire.NewRequest("POST", "/put").WithForm("key", "x", "val", "evil")).Header[wire.HdrRequestID]
+	for i := 0; i < dependents; i++ {
+		call(wire.NewRequest("POST", "/copy").WithForm("src", "x", "dst", fmt.Sprintf("d%d", i)))
+	}
+	return attack
 }

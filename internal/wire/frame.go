@@ -1,20 +1,38 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"math"
+	"slices"
 )
 
 // A frame is §3.2's aggregation on the wire: one request that carries a
 // sender's whole claimed batch of repair-plane carriers for one (peer,
-// shard), answered by one response per carrier in the same order. The body
-// is a JSON array of carriers, each exactly what Request.Encode writes; the
-// reply body is a JSON array of what Response.Encode writes. Frame-level
-// metadata — the version-vector announcement, the destination shard, and
-// the body checksum — rides once, on the outer request's headers.
+// shard), answered by one response per carrier in the same order.
+// Frame-level metadata — the version-vector announcement, the destination
+// shard, and the body checksum — rides once, on the outer request's
+// headers.
+//
+// The body is a length-prefixed binary encoding, read in one pass:
+//
+//	frame   = version count carrier{count}
+//	carrier = str(method) str(path) map(header) map(form) str(body)
+//	reply   = version count answer{count}
+//	answer  = uvarint(status) map(header) str(body)
+//	map     = uvarint(n) (str(key) str(value)){n}, keys strictly ascending
+//	str     = uvarint(len) byte{len}
+//
+// version is one byte (frameVersion); count is a uvarint between 1 and
+// MaxFrameCarriers. The decoder checks the count before it decodes any
+// carrier, and every length and count against the bytes left before it
+// reads or allocates, so a decode allocates at most a small multiple of
+// its input; it refuses trailing bytes, unsorted or repeated map keys, and
+// any other version byte (a JSON body included). The encoding is
+// canonical: a decoded frame re-encodes to the bytes it came from. Frames
+// are never persisted — the WAL records queue entries, not frames — so
+// the layout can change with the version byte alone.
 //
 // A lone repair carrier (POST /aire/repair or /aire/notify) is the n = 1
 // frame: receivers handle both through one path.
@@ -30,13 +48,30 @@ const MaxFrameCarriers = 256
 // adapter answers 413 beyond it). Senders pack frames under it.
 const MaxBodyBytes = 8 << 20
 
+// frameVersion is the first byte of every frame and frame reply body.
+const frameVersion = 1
+
+// Every encoded element takes at least one byte per length or count it
+// holds: five for a carrier, three for an answer. A count the bytes left
+// cannot hold is refused before anything is allocated for it.
+const (
+	minCarrierBytes = 5
+	minAnswerBytes  = 3
+)
+
 // EncodeFrame serializes carriers as one frame body.
 func EncodeFrame(carriers []Request) []byte {
-	enc := make([][]byte, len(carriers))
-	for i, c := range carriers {
-		enc[i] = c.Encode()
+	n := 1 + binary.MaxVarintLen64
+	for i := range carriers {
+		n += carrierSize(&carriers[i])
 	}
-	return joinArray(enc)
+	b := make([]byte, 0, n)
+	b = append(b, frameVersion)
+	b = binary.AppendUvarint(b, uint64(len(carriers)))
+	for i := range carriers {
+		b = appendCarrier(b, &carriers[i])
+	}
+	return b
 }
 
 // PackFrames splits carriers, in order, into frame bodies that each hold at
@@ -44,37 +79,37 @@ func EncodeFrame(carriers []Request) []byte {
 // carrier larger than that still travels, alone, for the receiver to
 // refuse). counts[i] is how many carriers bodies[i] holds.
 func PackFrames(carriers []Request) (bodies [][]byte, counts []int) {
-	var cur [][]byte
-	size := 2 // the enclosing brackets
-	flush := func() {
-		if len(cur) > 0 {
-			bodies = append(bodies, joinArray(cur))
-			counts = append(counts, len(cur))
+	start, size := 0, 0
+	for i := range carriers {
+		n := carrierSize(&carriers[i])
+		// A frame spends a version byte and its count outside its carriers.
+		if k := i - start; k == MaxFrameCarriers || k > 0 && 1+uvarintLen(uint64(k+1))+size+n > MaxBodyBytes {
+			bodies, counts = append(bodies, EncodeFrame(carriers[start:i])), append(counts, i-start)
+			start, size = i, 0
 		}
-		cur, size = nil, 2
+		size += n
 	}
-	for _, c := range carriers {
-		e := c.Encode()
-		if len(cur) == MaxFrameCarriers || len(cur) > 0 && size+1+len(e) > MaxBodyBytes {
-			flush()
-		}
-		cur = append(cur, e)
-		size += 1 + len(e)
+	if start < len(carriers) {
+		bodies, counts = append(bodies, EncodeFrame(carriers[start:])), append(counts, len(carriers)-start)
 	}
-	flush()
 	return bodies, counts
 }
 
-// DecodeFrame parses a frame body: a non-empty JSON array of at most
-// MaxFrameCarriers encoded requests, and nothing after it.
+// DecodeFrame parses a frame body: the version byte, a count of 1 to
+// MaxFrameCarriers, that many carriers, and nothing after them.
 func DecodeFrame(b []byte) ([]Request, error) {
-	var out []Request
-	err := decodeArray(b, func(raw json.RawMessage) error {
-		r, err := DecodeRequest(raw)
-		out = append(out, r)
-		return err
-	})
+	d, n, err := openFrame(b, minCarrierBytes)
 	if err != nil {
+		return nil, fmt.Errorf("wire: decode frame: %w", err)
+	}
+	out := make([]Request, n)
+	for i := range out {
+		r := &out[i]
+		r.Method, r.Path = d.str(), d.str()
+		r.Header, r.Form = d.strMap(), d.strMap()
+		r.Body = d.bytes()
+	}
+	if err := d.close(); err != nil {
 		return nil, fmt.Errorf("wire: decode frame: %w", err)
 	}
 	return out, nil
@@ -82,26 +117,41 @@ func DecodeFrame(b []byte) ([]Request, error) {
 
 // EncodeFrameReply serializes the per-carrier responses to a frame.
 func EncodeFrameReply(resps []Response) []byte {
-	enc := make([][]byte, len(resps))
-	for i, r := range resps {
-		enc[i] = r.Encode()
+	n := 1 + binary.MaxVarintLen64
+	for i := range resps {
+		r := &resps[i]
+		n += uvarintLen(uint64(r.Status)) + mapSize(r.Header) + strSize(len(r.Body))
 	}
-	return joinArray(enc)
+	b := make([]byte, 0, n)
+	b = append(b, frameVersion)
+	b = binary.AppendUvarint(b, uint64(len(resps)))
+	for i := range resps {
+		r := &resps[i]
+		b = binary.AppendUvarint(b, uint64(r.Status))
+		b = appendMap(b, r.Header)
+		b = appendStr(b, r.Body)
+	}
+	return b
 }
 
 // DecodeFrameReply parses a frame reply, which must answer exactly n
 // carriers.
 func DecodeFrameReply(b []byte, n int) ([]Response, error) {
-	var out []Response
-	err := decodeArray(b, func(raw json.RawMessage) error {
-		r, err := DecodeResponse(raw)
-		out = append(out, r)
-		return err
-	})
-	if err == nil && len(out) != n {
-		err = fmt.Errorf("%d responses for %d carriers", len(out), n)
+	d, m, err := openFrame(b, minAnswerBytes)
+	if err == nil && m != n {
+		err = fmt.Errorf("%d responses for %d carriers", m, n)
 	}
 	if err != nil {
+		return nil, fmt.Errorf("wire: decode frame reply: %w", err)
+	}
+	out := make([]Response, m)
+	for i := range out {
+		r := &out[i]
+		r.Status = int(d.uvarint(math.MaxInt32))
+		r.Header = d.strMap()
+		r.Body = d.bytes()
+	}
+	if err := d.close(); err != nil {
 		return nil, fmt.Errorf("wire: decode frame reply: %w", err)
 	}
 	return out, nil
@@ -127,51 +177,181 @@ func HandleFrame(req Request, handle func(Request) Response) Response {
 	return Response{Status: 200, Header: map[string]string{}, Body: EncodeFrameReply(resps)}
 }
 
-func joinArray(elems [][]byte) []byte {
-	n := 2
-	for _, e := range elems {
-		n += len(e) + 1
-	}
-	b := make([]byte, 0, n)
-	b = append(b, '[')
-	for i, e := range elems {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, e...)
-	}
-	return append(b, ']')
-}
+// ---- encoding ----------------------------------------------------------
 
-// decodeArray streams a non-empty JSON array of at most MaxFrameCarriers
-// elements into each, refusing trailing data.
-func decodeArray(b []byte, each func(json.RawMessage) error) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	if t, err := dec.Token(); err != nil || t != json.Delim('[') {
-		return errors.New("not a JSON array")
-	}
-	n := 0
-	for dec.More() {
-		if n == MaxFrameCarriers {
-			return fmt.Errorf("more than %d elements", MaxFrameCarriers)
-		}
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return err
-		}
-		if err := each(raw); err != nil {
-			return err
-		}
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
 		n++
 	}
-	if _, err := dec.Token(); err != nil {
-		return err
+	return n
+}
+
+func strSize(n int) int { return uvarintLen(uint64(n)) + n }
+
+func mapSize(m map[string]string) int {
+	n := uvarintLen(uint64(len(m)))
+	for k, v := range m {
+		n += strSize(len(k)) + strSize(len(v))
 	}
+	return n
+}
+
+func carrierSize(r *Request) int {
+	return strSize(len(r.Method)) + strSize(len(r.Path)) + mapSize(r.Header) + mapSize(r.Form) + strSize(len(r.Body))
+}
+
+func appendStr[S string | []byte](b []byte, s S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// appendMap writes m's entries in ascending key order, so equal maps encode
+// to equal bytes.
+func appendMap(b []byte, m map[string]string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(m)))
+	if len(m) == 0 {
+		return b
+	}
+	var buf [16]string
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		b = appendStr(b, k)
+		b = appendStr(b, m[k])
+	}
+	return b
+}
+
+func appendCarrier(b []byte, r *Request) []byte {
+	b = appendStr(b, r.Method)
+	b = appendStr(b, r.Path)
+	b = appendMap(b, r.Header)
+	b = appendMap(b, r.Form)
+	return appendStr(b, r.Body)
+}
+
+// ---- decoding ----------------------------------------------------------
+
+// frameDecoder reads a frame body in one pass. Every string it returns is
+// a substring of one copy of the body, so a decode makes one string
+// allocation however many strings the frame holds; bodies are copied out
+// individually so a stored body never pins the whole frame. The first
+// failure sticks: later reads return zero values and close reports it.
+type frameDecoder struct {
+	b   []byte // the body
+	s   string // the body, as one string
+	off int    // bytes read so far
+	err error
+}
+
+// openFrame checks a body's version byte and element count, refusing a
+// count over MaxFrameCarriers, or one the bytes left could not hold at
+// minBytes per element, before anything is decoded.
+func openFrame(b []byte, minBytes int) (*frameDecoder, int, error) {
+	if len(b) == 0 {
+		return nil, 0, errors.New("empty body")
+	}
+	if b[0] != frameVersion {
+		return nil, 0, fmt.Errorf("version byte %#x, want %#x", b[0], frameVersion)
+	}
+	d := &frameDecoder{b: b, off: 1}
+	n := d.uvarint(MaxFrameCarriers)
+	switch {
+	case d.err != nil:
+		return nil, 0, d.err
+	case n == 0:
+		return nil, 0, errors.New("no elements")
+	case n > uint64(d.left()/minBytes):
+		return nil, 0, fmt.Errorf("%d elements in %d bytes", n, d.left())
+	}
+	d.s = string(b)
+	return d, int(n), nil
+}
+
+func (d *frameDecoder) left() int { return len(d.b) - d.off }
+
+func (d *frameDecoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// uvarint reads one minimally encoded uvarint no larger than limit.
+func (d *frameDecoder) uvarint(limit uint64) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	x, k := binary.Uvarint(d.b[d.off:])
+	switch {
+	case k == 0:
+		d.fail(errors.New("truncated"))
+	case k < 0 || k != uvarintLen(x):
+		d.fail(errors.New("malformed length"))
+	case x > limit:
+		d.fail(fmt.Errorf("value %d over its bound %d", x, limit))
+	default:
+		d.off += k
+		return x
+	}
+	return 0
+}
+
+// span reads a length prefix and returns the offsets of the bytes it
+// covers, refusing a length larger than the bytes left.
+func (d *frameDecoder) span() (int, int) {
+	n := int(d.uvarint(math.MaxInt32))
+	if d.err == nil && n > d.left() {
+		d.fail(fmt.Errorf("truncated: length %d over the %d bytes left", n, d.left()))
+	}
+	if d.err != nil {
+		return 0, 0
+	}
+	d.off += n
+	return d.off - n, d.off
+}
+
+func (d *frameDecoder) str() string {
+	i, j := d.span()
+	return d.s[i:j]
+}
+
+func (d *frameDecoder) bytes() []byte {
+	i, j := d.span()
+	if i == j {
+		return nil
+	}
+	return []byte(d.s[i:j])
+}
+
+// strMap reads a map; an empty one decodes to nil. Each entry takes at
+// least two bytes, so the count is checked against the bytes left before
+// the map is made.
+func (d *frameDecoder) strMap() map[string]string {
+	n := int(d.uvarint(uint64(d.left() / 2)))
 	if n == 0 {
-		return errors.New("empty")
+		return nil
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the array")
+	m := make(map[string]string, n)
+	prev := ""
+	for i := 0; i < n && d.err == nil; i++ {
+		k, v := d.str(), d.str()
+		if i > 0 && k <= prev {
+			d.fail(errors.New("map keys out of order"))
+		}
+		m[k], prev = v, k
 	}
-	return nil
+	return m
+}
+
+// close reports the first failure, or bytes left over after the last
+// element.
+func (d *frameDecoder) close() error {
+	if d.err == nil && d.left() > 0 {
+		d.err = fmt.Errorf("%d trailing bytes", d.left())
+	}
+	return d.err
 }
