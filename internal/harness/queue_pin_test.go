@@ -153,11 +153,13 @@ func measureQueueCost(t *testing.T, dependents int) queueCost {
 // and a compaction per removal walks it per q-del, so either makes the
 // visits per message grow with the wave. The allocations carry no such
 // teeth — a linear scan allocates nothing — and guard the rest of the
-// path against per-message growth.
+// path against per-message growth. Recovery's allocations per message
+// also hold under a ceiling: replaying a q-set or q-del decodes it.
 func TestQueueCostPinned(t *testing.T) {
 	const (
-		maxGrowth = 1.2
-		maxVisits = 4.4 // queue entries visited per message (measured 4.0 at both sizes)
+		maxGrowth        = 1.2
+		maxVisits        = 4.4 // queue entries visited per message (measured 4.0 at both sizes)
+		maxRecoverAllocs = 152 // per message (measured 138.6)
 	)
 	small, large := measureQueueCost(t, 1000), measureQueueCost(t, 10000)
 	for _, qc := range []queueCost{small, large} {
@@ -181,6 +183,9 @@ func TestQueueCostPinned(t *testing.T) {
 	for _, qc := range []queueCost{small, large} {
 		if qc.sendVisits > maxVisits || qc.recoverVisits > maxVisits {
 			t.Errorf("%d messages: %.2f send and %.2f recover visits per message, ceiling %.1f", qc.msgs, qc.sendVisits, qc.recoverVisits, maxVisits)
+		}
+		if !raceEnabled && qc.recoverAllocs > maxRecoverAllocs {
+			t.Errorf("%d messages: %.1f recover allocs per message, ceiling %d", qc.msgs, qc.recoverAllocs, maxRecoverAllocs)
 		}
 	}
 }
