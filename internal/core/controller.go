@@ -703,7 +703,7 @@ func (c *Controller) GC(beforeTS int64) {
 		c.Svc.Store.GC(beforeTS)
 		c.dedup.GC(beforeTS)
 		if c.walAttached() {
-			c.walEmit(mustOp("in-gc", inGCOp{BeforeTS: beforeTS}))
+			c.walEmit(&walOp{Kind: "in-gc", InGC: inGCOp{BeforeTS: beforeTS}})
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"aire/internal/deliver"
 	"aire/internal/obs"
 	"aire/internal/orm"
-	"aire/internal/wal"
 	"aire/internal/warp"
 	"aire/internal/wire"
 )
@@ -401,12 +400,12 @@ func (c *Controller) admitNotify(from string, ic *inCarrier) {
 }
 
 // applyCarriers runs every admitted carrier's action as ONE local repair
-// and answers each carrier. The frame's vector advance (pre), the repair's
+// and answers each carrier. The frame's vector advance (vv), the repair's
 // mutations, its queue effects and every applied carrier's inbox outcome
 // commit as ONE WAL entry under Svc.Mu; with nothing admitted, the entry
-// holds pre alone. Phase 0 runs per carrier inside that commit, so a
+// holds vv alone. Phase 0 runs per carrier inside that commit, so a
 // carrier it refuses is answered alone and the rest of the frame applies.
-func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
+func (c *Controller) applyCarriers(cs []inCarrier, vv *inVVOp) {
 	var run []*inCarrier
 	var actions []warp.Action
 	var tc traceCtx
@@ -424,7 +423,7 @@ func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 			tc = t
 		}
 	}
-	if len(run) == 0 && len(pre) == 0 {
+	if len(run) == 0 && vv == nil {
 		return // nothing admitted, nothing to log
 	}
 	kind := "inbox"
@@ -442,8 +441,8 @@ func (c *Controller) applyCarriers(cs []inCarrier, pre []wal.Op) {
 	var res *warp.Result
 	var err error
 	c.commit(kind, func() {
-		for _, op := range pre {
-			c.walEmit(op)
+		if vv != nil {
+			c.walEmit(&walOp{Kind: "in-vv", InVV: *vv})
 		}
 		if len(run) > 0 {
 			res, err = c.repairLocked(actions, tc, keep)
@@ -521,9 +520,9 @@ func (g deliveryGate) commit(outcome string) {
 	// registers progress.
 	g.c.met.inboxCommits.Inc()
 	if g.c.walAttached() {
-		g.c.walEmit(mustOp("in-commit", inboxOp{
+		g.c.walEmit(&walOp{Kind: "in-commit", Inbox: inboxOp{
 			Origin: g.origin, ID: g.id, Gen: g.gen, Once: g.once, Outcome: outcome, TS: ts,
-		}))
+		}})
 	}
 }
 

@@ -409,7 +409,7 @@ func (c *Controller) dequeueLocked(p *PendingMsg) {
 		delete(pv.out, deliver.Seq(p.DeliveryID))
 	}
 	if c.walAttached() {
-		c.walEmit(mustOp("q-del", qDelOp{DeliveryID: p.DeliveryID}))
+		c.walEmit(&walOp{Kind: "q-del", QDel: qDelOp{DeliveryID: p.DeliveryID}})
 	}
 	if len(c.queue)-c.qlive > c.qlive {
 		c.compactLocked()

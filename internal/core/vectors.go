@@ -8,7 +8,6 @@ import (
 
 	"aire/internal/deliver"
 	"aire/internal/obs"
-	"aire/internal/wal"
 	"aire/internal/wire"
 )
 
@@ -190,7 +189,7 @@ func (c *Controller) verifyCarrierBody(req wire.Request) *wire.Response {
 // frame carrying an identified delivery but announcing nothing, an
 // announcement that does not parse, and one whose acked prefix exceeds its
 // frontier are all refused with 400 (bad non-nil).
-func (c *Controller) observeCarrierVector(from string, outer wire.Request, cs []inCarrier) (missing uint64, vv []wal.Op, bad *wire.Response) {
+func (c *Controller) observeCarrierVector(from string, outer wire.Request, cs []inCarrier) (missing uint64, vv *inVVOp, bad *wire.Response) {
 	if c.faults.DisableDedup {
 		return 0, nil, nil
 	}
@@ -233,7 +232,7 @@ func (c *Controller) observeCarrierVector(from string, outer wire.Request, cs []
 		c.met.vvCompacted.Add(int64(vo.Compacted))
 	}
 	if vo.Advanced && c.walAttached() {
-		vv = []wal.Op{mustOp("in-vv", inVVOp{Origin: origin, Acked: acked, Frontier: frontier})}
+		vv = &inVVOp{Origin: origin, Acked: acked, Frontier: frontier}
 	}
 	if vo.Gap {
 		c.met.vvGapNacks.Inc()

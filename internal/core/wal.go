@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -34,6 +33,10 @@ type walState struct {
 	batchOpen bool
 	batchKind string
 	batch     []wal.Op
+	// buf holds the open batch's encoded op data; batch's ops alias it.
+	// walBegin reuses both: walCommit writes the entry before Svc.Mu is
+	// released, so no later batch opens while it is being written.
+	buf []byte
 
 	// pendingSync is the highest batch-commit seq still owing an fsync
 	// (high-water mark; never reset — wal.SyncTo is a no-op once the seq is
@@ -72,7 +75,7 @@ func (c *Controller) WALError() error {
 }
 
 // walAttached reports whether a writer is attached (cheap pre-check so
-// detached controllers skip op marshaling entirely).
+// detached controllers skip building ops entirely).
 func (c *Controller) walAttached() bool {
 	c.walst.mu.Lock()
 	defer c.walst.mu.Unlock()
@@ -101,7 +104,14 @@ func (c *Controller) walBegin(kind string) {
 	c.walst.batchOpen = true
 	c.walst.batchKind = kind
 	c.walst.batch = c.walst.batch[:0]
+	if cap(c.walst.buf) > maxKeptBatchBytes {
+		c.walst.buf = nil // a wave's batch is not kept for every later commit
+	}
+	c.walst.buf = c.walst.buf[:0]
 }
+
+// maxKeptBatchBytes bounds the batch buffer walBegin reuses.
+const maxKeptBatchBytes = 64 << 10
 
 // walCommit closes the batch and appends it as one entry. Caller still
 // holds Svc.Mu. Empty batches append nothing. The entry is written but NOT
@@ -116,14 +126,13 @@ func (c *Controller) walCommit() {
 		return
 	}
 	c.walst.batchOpen = false
-	kind := c.walst.batchKind
-	ops := append([]wal.Op(nil), c.walst.batch...)
-	c.walst.batch = c.walst.batch[:0]
-	w := c.walst.w
+	kind, ops, w := c.walst.batchKind, c.walst.batch, c.walst.w
 	c.walst.mu.Unlock()
 	if w == nil || len(ops) == 0 {
 		return
 	}
+	// ops and the buffer they alias stay untouched until the next
+	// walBegin, which waits for Svc.Mu.
 	seq, syncNeeded, err := w.AppendDeferred(kind, c.Svc.Clock.Now(), c.Svc.IDs.Counter(), ops)
 	c.walst.mu.Lock()
 	if err != nil {
@@ -155,11 +164,11 @@ func (c *Controller) walSettle() {
 	}
 }
 
-// walEmit adds one op to the open commit batch. A detached controller
-// emits nothing. With a writer attached, an op emitted outside a batch is a
-// programming error — it would be written out of Svc.Mu order or lost — and
-// panics, as mustOp does on a marshal failure.
-func (c *Controller) walEmit(op wal.Op) {
+// walEmit encodes one op into the open commit batch. A detached
+// controller emits nothing. With a writer attached, an op emitted outside a
+// batch is a programming error — it would be written out of Svc.Mu order
+// or lost — and panics.
+func (c *Controller) walEmit(op *walOp) {
 	c.walst.mu.Lock()
 	defer c.walst.mu.Unlock()
 	if c.walst.w == nil {
@@ -168,77 +177,33 @@ func (c *Controller) walEmit(op wal.Op) {
 	if !c.walst.batchOpen {
 		panic("core: wal op " + op.Kind + " emitted with no commit batch open")
 	}
-	c.walst.batch = append(c.walst.batch, op)
-}
-
-func mustOp(kind string, v any) wal.Op {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// The op payload types below are all plain data; a marshal failure
-		// is a programming error.
-		panic(fmt.Sprintf("core: wal op %s marshal: %v", kind, err))
-	}
-	return wal.Op{Kind: kind, Data: data}
+	start := len(c.walst.buf)
+	c.walst.buf = op.append(c.walst.buf)
+	end := len(c.walst.buf)
+	// The three-index slice keeps a later op's append from writing into
+	// this op's data; a buffer that grows leaves earlier ops on the old
+	// array, which nothing writes to again.
+	c.walst.batch = append(c.walst.batch, wal.Op{Kind: op.Kind, Data: c.walst.buf[start:end:end]})
 }
 
 // walVDBSink observes store mutations. It fires under the store lock, on
 // paths that hold Svc.Mu with a batch open.
 func (c *Controller) walVDBSink(ch vdb.Change) {
-	c.walEmit(mustOp("vdb", ch))
+	c.walEmit(&walOp{Kind: "vdb", VDB: ch})
 }
 
 // walLogSink observes repair-log mutations; same locking shape as the
 // store sink. The change's record is the log's live record, borrowed for
-// this call only: mustOp encodes it before the sink returns.
+// this call only: walEmit encodes it before the sink returns.
 func (c *Controller) walLogSink(ch repairlog.Change) {
-	c.walEmit(mustOp("log", ch))
-}
-
-// ---- op payloads ----------------------------------------------------------
-
-// qSetOp records a queue entry's state. An old one also carries "next_id",
-// the retired MsgID counter, which replay ignores.
-type qSetOp struct {
-	Msg PendingMsg `json:"msg"`
-}
-
-// qDelOp records a queue entry's removal. An old one names the message by
-// the retired MsgID its q-set or checkpoint entry recorded.
-type qDelOp struct {
-	DeliveryID string `json:"delivery_id,omitempty"`
-	MsgID      string `json:"msg_id,omitempty"`
-}
-
-type inboxOp struct {
-	Origin  string `json:"origin"`
-	ID      string `json:"id"`
-	Gen     uint64 `json:"gen,omitempty"`
-	Once    bool   `json:"once,omitempty"`
-	Outcome string `json:"outcome,omitempty"`
-	TS      int64  `json:"ts,omitempty"`
-}
-
-type inGCOp struct {
-	BeforeTS int64 `json:"before_ts"`
-}
-
-// inVVOp records a receive-side version-vector advance (vectors.go): the
-// announced acked prefix drives dedup-inbox compaction, so the advance and
-// the compaction must be replayed together — one idempotent op does both
-// (ObserveVector is a monotonic max), keeping recovery consistent with
-// whatever the checkpoint snapshot already contains. Sender-side vectors
-// need no op: they are derived from the replayed queue (see vectors.go).
-type inVVOp struct {
-	Origin   string `json:"origin"`
-	Acked    uint64 `json:"acked"`
-	Frontier uint64 `json:"frontier,omitempty"`
+	c.walEmit(&walOp{Kind: "log", Log: ch})
 }
 
 // walEmitQSetLocked logs a queue entry's current state into the open
 // batch. Caller holds Svc.Mu with a batch open, and qmu.
 func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
 	if c.walAttached() {
-		c.walEmit(mustOp("q-set", qSetOp{Msg: *p}))
+		c.walEmit(&walOp{Kind: "q-set", QSet: qSetOp{Msg: *p}})
 	}
 }
 
@@ -251,28 +216,25 @@ func (c *Controller) ApplyWALEntry(e wal.Entry) error {
 	if e.IDs > c.Svc.IDs.Counter() {
 		c.Svc.IDs.SetCounter(e.IDs)
 	}
-	for i, op := range e.Ops {
+	err := readEntryOps(e, func(i int, op *walOp) error {
 		if err := c.applyWALOp(op); err != nil {
-			return fmt.Errorf("core: wal entry %d (%s) op %d (%s): %w", e.Seq, e.Kind, i, op.Kind, err)
+			return fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("core: wal entry %d (%s): %w", e.Seq, e.Kind, err)
 	}
 	c.Svc.Clock.Observe(e.Clock)
 	return nil
 }
 
-func (c *Controller) applyWALOp(op wal.Op) error {
+func (c *Controller) applyWALOp(op *walOp) error {
 	switch op.Kind {
 	case "vdb":
-		var ch vdb.Change
-		if err := json.Unmarshal(op.Data, &ch); err != nil {
-			return err
-		}
-		return c.Svc.Store.ApplyChange(ch)
+		return c.Svc.Store.ApplyChange(op.VDB)
 	case "log":
-		var ch repairlog.Change
-		if err := json.Unmarshal(op.Data, &ch); err != nil {
-			return err
-		}
+		ch := op.Log
 		switch ch.Kind {
 		case "append", "update":
 			return c.Svc.Log.ApplyWAL(ch.Record)
@@ -282,22 +244,15 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		}
 		return fmt.Errorf("unknown log change kind %q", ch.Kind)
 	case "q-set":
-		var o qSetOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
-		if err := c.restorable(o.Msg, c.Svc.IDs.Counter()); err != nil {
+		if err := c.restorable(op.QSet.Msg, c.Svc.IDs.Counter()); err != nil {
 			return err
 		}
 		c.qmu.Lock()
-		c.upsertQueuedLocked(o.Msg)
+		c.upsertQueuedLocked(op.QSet.Msg)
 		c.qmu.Unlock()
 		return nil
 	case "q-del":
-		var o qDelOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
+		o := op.QDel
 		if o.DeliveryID == "" && o.MsgID == "" {
 			return fmt.Errorf("q-del names no message")
 		}
@@ -314,10 +269,7 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		c.removeQueuedLocked(o.DeliveryID)
 		return nil
 	case "in-commit":
-		var o inboxOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
+		o := op.Inbox
 		switch d, _ := c.dedup.Begin(o.Origin, o.ID, o.Gen, o.Once); d {
 		case deliver.Apply, deliver.InFlight:
 			// InFlight means the checkpoint snapshot (or an earlier replayed
@@ -327,18 +279,10 @@ func (c *Controller) applyWALOp(op wal.Op) error {
 		}
 		return nil
 	case "in-gc":
-		var o inGCOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
-		c.dedup.GC(o.BeforeTS)
+		c.dedup.GC(op.InGC.BeforeTS)
 		return nil
 	case "in-vv":
-		var o inVVOp
-		if err := json.Unmarshal(op.Data, &o); err != nil {
-			return err
-		}
-		c.dedup.ObserveVector(o.Origin, o.Acked, o.Frontier, 0, 0)
+		c.dedup.ObserveVector(op.InVV.Origin, op.InVV.Acked, op.InVV.Frontier, 0, 0)
 		return nil
 	}
 	return fmt.Errorf("unknown wal op kind %q", op.Kind)

@@ -36,11 +36,16 @@ func putValue(rng *rand.Rand) string {
 // request's vdb put and repair-log append, the same on every host and
 // every run. The allocations per put, measured with the collector off on
 // one P as the other cost pins are, hold under a ceiling.
+//
+// Both fell when WAL entries became binary (segment version 2): 390 298 →
+// 237 740 bytes and 183 → 143 allocations per put, since the record and
+// the store change are no longer JSON with every field name spelled out,
+// and no op goes through reflection.
 func TestMirroredPutWALPinned(t *testing.T) {
 	const (
-		bytes     = 390298 // hub WAL bytes written by the 200 puts
+		bytes     = 237740 // hub WAL bytes written by the 200 puts
 		entries   = mirroredPuts
-		maxAllocs = 200 // per put (measured 183)
+		maxAllocs = 157 // per put (measured 143)
 	)
 	bus := transport.NewBus()
 	hub := core.NewController(&KVApp{ServiceName: waveHub, Mirrors: wavePeers}, bus, core.DefaultConfig())

@@ -2,7 +2,6 @@ package persist_test
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,10 +36,8 @@ func truncateWALAfter(t *testing.T, dir string, upToSeq uint64) {
 	off := int64(8) // segment header
 	for off < int64(len(data)) {
 		ln := int64(binary.BigEndian.Uint32(data[off : off+4]))
-		var e struct {
-			Seq uint64 `json:"seq"`
-		}
-		if err := json.Unmarshal(data[off+8:off+8+ln], &e); err != nil {
+		e, err := wal.DecodeEntry(data[off+8 : off+8+ln])
+		if err != nil {
 			t.Fatalf("undecodable entry at %d: %v", off, err)
 		}
 		if e.Seq > upToSeq {

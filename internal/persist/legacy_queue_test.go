@@ -15,6 +15,7 @@ import (
 	"aire/internal/persist"
 	"aire/internal/transport"
 	"aire/internal/wal"
+	"aire/internal/wal/waltest"
 	"aire/internal/wire"
 )
 
@@ -48,37 +49,38 @@ var legacyQueueTail = []struct{ kind, ops string }{
 }
 
 // writeLegacyQueueState lays checkpoint and legacyQueueTail out in a fresh
-// directory; tail, when given, replaces the tail entries' ops in order.
-// Entries 1–9, which the checkpoint covers, are padding that replay skips.
+// directory, the WAL as the version-1 segment that binary wrote; tail,
+// when given, replaces the tail entries' ops in order. Entries 1–9, which
+// the checkpoint covers, are padding that replay skips.
 func writeLegacyQueueState(t *testing.T, checkpoint string, tail ...string) string {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, persist.CheckpointName(9)), []byte(checkpoint), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncEveryCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var entries []wal.Entry
 	for i := 0; i < 9; i++ {
-		if _, err := w.Append("pad", 0, 0, nil); err != nil {
-			t.Fatal(err)
-		}
+		entries = append(entries, wal.Entry{Seq: uint64(i + 1), Kind: "pad"})
 	}
 	for i, e := range legacyQueueTail {
 		ops := e.ops
 		if i < len(tail) {
 			ops = tail[i]
 		}
-		var decoded []wal.Op
+		var decoded []struct {
+			Kind string
+			Data json.RawMessage
+		}
 		if err := json.Unmarshal([]byte(ops), &decoded); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Append(e.kind, 2097152, 12, decoded); err != nil {
-			t.Fatal(err)
+		entry := wal.Entry{Seq: uint64(len(entries) + 1), Kind: e.kind, Clock: 2097152, IDs: 12}
+		for _, op := range decoded {
+			entry.Ops = append(entry.Ops, wal.Op{Kind: op.Kind, Data: op.Data})
 		}
+		entries = append(entries, entry)
 	}
-	if err := w.Close(); err != nil {
+	if err := waltest.WriteJSONSegment(dir, 1, entries); err != nil {
 		t.Fatal(err)
 	}
 	return dir

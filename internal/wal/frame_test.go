@@ -1,64 +1,13 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// checkFrame asserts encodeFrame's payload is byte-identical to
-// json.Marshal(e) and that its header frames it.
-func checkFrame(t *testing.T, e Entry) {
-	t.Helper()
-	want, err := json.Marshal(e)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	frame := encodeFrame(&e)
-	payload := frame[frameSize:]
-	if !bytes.Equal(payload, want) {
-		t.Fatalf("frame payload differs from json.Marshal:\n got %s\nwant %s", payload, want)
-	}
-	if ln := binary.BigEndian.Uint32(frame[0:4]); ln != uint32(len(want)) {
-		t.Fatalf("frame length %d, want %d", ln, len(want))
-	}
-	if crc := binary.BigEndian.Uint32(frame[4:8]); crc != crc32.ChecksumIEEE(want) {
-		t.Fatalf("frame CRC %x, want %x", crc, crc32.ChecksumIEEE(want))
-	}
-}
-
-func FuzzEntryFrame(f *testing.F) {
-	f.Add(uint64(1), "exec", int64(0), int64(0), "log", "payload", int64(3), uint8(2))
-	f.Add(uint64(1<<63), "k\"", int64(-1), int64(1<<40), "\x00\xff", "<&>", int64(-7), uint8(4))
-	f.Add(uint64(9), "a<b", int64(1), int64(-3), "c&d", "", int64(0), uint8(4))
-	f.Add(uint64(9), "a>b\u2028", int64(1), int64(-3), "\x7f\n", "", int64(0), uint8(4))
-	f.Fuzz(func(t *testing.T, seq uint64, kind string, clock, ids int64, opKind, s string, n int64, nops uint8) {
-		e := Entry{Seq: seq, Kind: kind, Clock: clock, IDs: ids}
-		for i := 0; i < int(nops%5); i++ {
-			var v any
-			switch i % 4 {
-			case 0:
-				v = map[string]any{"s": s, "n": n, "list": []string{s, opKind}}
-			case 1:
-				v = s
-			case 2:
-				v = n
-			}
-			op := Op{Kind: opKind, Data: json.RawMessage{}} // empty: omitted, like nil
-			if v != nil {
-				op.Data, _ = json.Marshal(v)
-			}
-			e.Ops = append(e.Ops, op)
-		}
-		checkFrame(t, e)
-	})
-}
 
 func TestAppendDeferredAllocatesFrameOnce(t *testing.T) {
 	w, err := Open(t.TempDir(), Options{Policy: FsyncNone})

@@ -3,15 +3,28 @@
 //
 // Layout: a WAL directory holds segment files named wal-%016d.seg, where the
 // number is the sequence of the first entry the segment may contain. Each
-// segment starts with an 8-byte header (4-byte magic + 4-byte version) and is
-// followed by length-prefixed records:
+// segment starts with an 8-byte header (4-byte magic + 4-byte format
+// version) and is followed by length-prefixed records:
 //
 //	[4B big-endian payload length][4B big-endian CRC32 (IEEE) of payload][payload]
 //
-// The payload is the JSON encoding of an Entry — one entry per atomic commit,
-// carrying the full change set of that commit (vdb puts/rollbacks/GC,
-// repair-log appends/updates, queue and inbox transitions) plus the logical
-// clock and ID-generator positions observed at commit time.
+// Each payload is one Entry — one atomic commit, carrying the full change
+// set of that commit (vdb puts/rollbacks/GC, repair-log appends/updates,
+// queue and inbox transitions) plus the logical clock and ID-generator
+// positions observed at commit time. Every segment written is version 2,
+// whose payload is binary:
+//
+//	entry = uvarint(seq) str(kind) varint(clock) varint(ids) uvarint(n) op{n}
+//	op    = str(kind) str(data)
+//	str   = uvarint(len) byte{len}
+//
+// with varints zigzag-encoded, every uvarint minimal, and nothing after the
+// last op. An op's data is opaque here: its owner (internal/core) encodes
+// and decodes it. Version-1 segments, whose payloads are JSON, are still
+// read; their entries come back with Format FormatJSON, so their owner
+// decodes their op data as JSON. The header alone chooses the decoder, and
+// Open starts a fresh version-2 segment rather than append to a version-1
+// one, so no segment mixes formats.
 //
 // Durability policy is configurable (FsyncEveryCommit / FsyncInterval /
 // FsyncNone) so that fsync lag is an injectable simulator fault rather than a
@@ -33,6 +46,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,11 +58,21 @@ import (
 
 const (
 	segMagic   uint32 = 0xA17E10C5 // "aire log"
-	segVersion uint32 = 1
 	headerSize        = 8
 	frameSize         = 8 // length + crc
 	// DefaultSegmentBytes is the rotation threshold for segment files.
 	DefaultSegmentBytes = 4 << 20
+)
+
+// Segment format versions. A segment's header names its version, and every
+// entry read from it carries the version as Entry.Format.
+const (
+	// FormatJSON is version 1: JSON entries whose op data is JSON. It is
+	// read, never written.
+	FormatJSON uint32 = 1
+	// FormatBinary is version 2, the binary layout above: every segment
+	// the writer creates.
+	FormatBinary uint32 = 2
 )
 
 // ErrCorrupt wraps all non-torn corruption detected during replay.
@@ -96,27 +120,43 @@ func ParsePolicy(s string) (FsyncPolicy, error) {
 }
 
 // Op is one operation inside a commit's change set. Kind selects the
-// decoder ("vdb-put", "log-append", "q-set", "in-commit", ...); Data is the
-// kind-specific JSON payload. Data must be compact json.Marshal output: the
-// writer splices it into the entry verbatim instead of re-encoding it.
+// decoder ("vdb", "log", "q-set", "in-commit", ...); Data is the
+// kind-specific payload, encoded by the op's owner in the format of the
+// segment it is in. An op read back aliases the segment's bytes, which
+// nothing writes to.
 type Op struct {
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data,omitempty"`
+	Kind string
+	Data []byte
 }
 
 // Entry is one committed change set.
 type Entry struct {
 	// Seq is the entry's position in the log, starting at 1.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Kind labels the commit that produced the entry ("exec", "repair",
 	// "queue", "inbox", "gc", ...); informational.
-	Kind string `json:"kind"`
+	Kind string
 	// Clock is the service logical-clock position observed at append time.
-	Clock int64 `json:"clock,omitempty"`
+	Clock int64
 	// IDs is the idgen counter observed at append time.
-	IDs int64 `json:"ids,omitempty"`
+	IDs int64
 	// Ops is the ordered change set.
-	Ops []Op `json:"ops,omitempty"`
+	Ops []Op
+	// Format is the version of the segment the entry was read from, which
+	// says how its op data is encoded; Append ignores it.
+	Format uint32
+}
+
+// jsonEntry is a version-1 entry as its segment holds it.
+type jsonEntry struct {
+	Seq   uint64 `json:"seq"`
+	Kind  string `json:"kind"`
+	Clock int64  `json:"clock,omitempty"`
+	IDs   int64  `json:"ids,omitempty"`
+	Ops   []struct {
+		Kind string          `json:"kind"`
+		Data json.RawMessage `json:"data,omitempty"`
+	} `json:"ops,omitempty"`
 }
 
 // Options configures a Writer.
@@ -129,7 +169,7 @@ type Options struct {
 	// SegmentBytes is the rotation threshold; default DefaultSegmentBytes.
 	SegmentBytes int64
 	// OnAppend / OnSync, when non-nil, observe the latency of each entry
-	// append (marshal + frame + write, under the writer lock) and each
+	// append (encode + frame + write, under the writer lock) and each
 	// fsync that actually reached the disk. They are the wal package's
 	// whole observability surface — wal stays free of the obs dependency;
 	// internal/persist wires these to the owning controller's registry.
@@ -263,67 +303,82 @@ func Open(dir string, opts Options) (*Writer, error) {
 	for i, name := range names {
 		final := i == len(names)-1
 		path := filepath.Join(dir, name)
-		end, last, torn, err := readSegment(path, lastSeq, final, nil)
+		end, last, torn, version, err := readSegment(path, lastSeq, final, nil)
 		if err != nil {
 			return nil, err
 		}
 		lastSeq = last
-		if final {
-			if torn {
-				if err := os.Truncate(path, end); err != nil {
-					return nil, err
-				}
-			}
-			if end < headerSize {
-				// Torn before the header was durable: rebuild the segment.
-				if err := os.Remove(path); err != nil {
-					return nil, err
-				}
-				w.seq = lastSeq
-				if err := w.rotateLocked(lastSeq + 1); err != nil {
-					return nil, err
-				}
-				return w, nil
-			}
-			f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-			if err != nil {
+		if !final {
+			continue
+		}
+		w.seq = lastSeq
+		if end < headerSize {
+			// Torn before the header was durable: rebuild the segment.
+			if err := os.Remove(path); err != nil {
 				return nil, err
 			}
-			if _, err := f.Seek(end, io.SeekStart); err != nil {
+			if err := w.rotateLocked(lastSeq + 1); err != nil {
+				return nil, err
+			}
+			return w, nil
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		if torn {
+			if err := f.Truncate(end); err != nil {
 				f.Close()
 				return nil, err
 			}
-			w.f = f
-			w.off = end
-			w.durable = end // survived restart ⇒ treat as durable baseline
-			w.seq = lastSeq
-			w.durSeq = lastSeq
 		}
+		if version != FormatBinary {
+			// A version-1 tail is never appended to: it is closed as a
+			// finished segment (synced, so a cut tail stays cut) and a
+			// version-2 segment starts after it. If it holds no entry, the
+			// new segment has its name and replaces it.
+			w.f = f
+			if err := w.rotateLocked(lastSeq + 1); err != nil {
+				return nil, err
+			}
+			return w, nil
+		}
+		if _, err := f.Seek(end, io.SeekStart); err != nil {
+			f.Close()
+			return nil, err
+		}
+		w.f = f
+		w.off = end
+		w.durable = end // survived restart ⇒ treat as durable baseline
+		w.durSeq = lastSeq
 	}
 	return w, nil
 }
 
 // readSegment decodes one segment: it checks the header, then each
-// record's framing, length, CRC and JSON, and that entry seqs ascend by
-// one from prevSeq, passing every intact entry to fn (when non-nil) as it
-// goes. It returns the offset just past the last intact entry, the last
-// intact seq (prevSeq if none), and whether the segment ends in a torn
-// tail: a partial header, frame or payload, which only the final segment
-// may have. Anything else is an error wrapping ErrCorrupt, or fn's error.
-func readSegment(path string, prevSeq uint64, final bool, fn func(Entry) error) (end int64, lastSeq uint64, torn bool, err error) {
+// record's framing, length and CRC, and its payload in the segment's
+// format, and that entry seqs ascend by one from prevSeq, passing every
+// intact entry to fn (when non-nil) as it goes; with fn nil a version-2
+// payload is checked without building its entry. It returns the offset
+// just past the last intact entry, the last intact seq (prevSeq if none),
+// whether the segment ends in a torn tail (a partial header, frame or
+// payload, which only the final segment may have) and the segment's
+// format version. Anything else is an error wrapping ErrCorrupt, or fn's
+// error.
+func readSegment(path string, prevSeq uint64, final bool, fn func(Entry) error) (end int64, lastSeq uint64, torn bool, version uint32, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, prevSeq, false, err
+		return 0, prevSeq, false, 0, err
 	}
 	name := filepath.Base(path)
-	tornAt := func(off int64, what string) (int64, uint64, bool, error) {
+	tornAt := func(off int64, what string) (int64, uint64, bool, uint32, error) {
 		if !final {
-			return off, prevSeq, false, fmt.Errorf("%w: segment %s: torn %s in non-final segment", ErrCorrupt, name, what)
+			return off, prevSeq, false, version, fmt.Errorf("%w: segment %s: torn %s in non-final segment", ErrCorrupt, name, what)
 		}
-		return off, prevSeq, true, nil
+		return off, prevSeq, true, version, nil
 	}
-	corrupt := func(format string, args ...any) (int64, uint64, bool, error) {
-		return 0, prevSeq, false, fmt.Errorf("%w: segment %s: "+format, append([]any{ErrCorrupt, name}, args...)...)
+	corrupt := func(format string, args ...any) (int64, uint64, bool, uint32, error) {
+		return 0, prevSeq, false, version, fmt.Errorf("%w: segment %s: "+format, append([]any{ErrCorrupt, name}, args...)...)
 	}
 	if len(data) < headerSize {
 		// A header-less segment can only arise from a torn create.
@@ -332,8 +387,15 @@ func readSegment(path string, prevSeq uint64, final bool, fn func(Entry) error) 
 	if binary.BigEndian.Uint32(data[0:4]) != segMagic {
 		return corrupt("bad magic")
 	}
-	if v := binary.BigEndian.Uint32(data[4:8]); v != segVersion {
-		return corrupt("unsupported version %d", v)
+	version = binary.BigEndian.Uint32(data[4:8])
+	if version != FormatJSON && version != FormatBinary {
+		return corrupt("unsupported version %d", version)
+	}
+	// Entry and op kinds repeat across a segment; its entries share one
+	// copy of each.
+	var kinds map[string]string
+	if fn != nil {
+		kinds = make(map[string]string)
 	}
 	off := int64(headerSize)
 	for off < int64(len(data)) {
@@ -353,7 +415,15 @@ func readSegment(path string, prevSeq uint64, final bool, fn func(Entry) error) 
 			return corrupt("CRC mismatch at offset %d", off)
 		}
 		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		var err error
+		if version == FormatJSON {
+			e, err = decodeJSONEntry(payload)
+		} else if fn == nil {
+			e.Seq, err = decodeEntry(payload, nil, nil)
+		} else {
+			_, err = decodeEntry(payload, &e, kinds)
+		}
+		if err != nil {
 			return corrupt("undecodable entry at offset %d: %v", off, err)
 		}
 		if e.Seq != prevSeq+1 {
@@ -362,12 +432,28 @@ func readSegment(path string, prevSeq uint64, final bool, fn func(Entry) error) 
 		prevSeq = e.Seq
 		if fn != nil {
 			if err := fn(e); err != nil {
-				return off, prevSeq, false, err
+				return off, prevSeq, false, version, err
 			}
 		}
 		off += frameSize + int64(ln)
 	}
-	return off, prevSeq, false, nil
+	return off, prevSeq, false, version, nil
+}
+
+// decodeJSONEntry decodes a version-1 payload.
+func decodeJSONEntry(payload []byte) (Entry, error) {
+	var j jsonEntry
+	if err := json.Unmarshal(payload, &j); err != nil {
+		return Entry{}, err
+	}
+	e := Entry{Seq: j.Seq, Kind: j.Kind, Clock: j.Clock, IDs: j.IDs, Format: FormatJSON}
+	if len(j.Ops) > 0 {
+		e.Ops = make([]Op, len(j.Ops))
+		for i, op := range j.Ops {
+			e.Ops[i] = Op{Kind: op.Kind, Data: op.Data}
+		}
+	}
+	return e, nil
 }
 
 // rotateLocked opens a fresh segment whose name claims firstSeq.
@@ -391,7 +477,7 @@ func (w *Writer) rotateLocked(firstSeq uint64) error {
 	}
 	var hdr [headerSize]byte
 	binary.BigEndian.PutUint32(hdr[0:4], segMagic)
-	binary.BigEndian.PutUint32(hdr[4:8], segVersion)
+	binary.BigEndian.PutUint32(hdr[4:8], FormatBinary)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return err
@@ -485,64 +571,148 @@ func (w *Writer) AppendDeferred(kind string, clock, ids int64, ops []Op) (seq ui
 }
 
 // encodeFrame returns e framed for the segment — the length and CRC header
-// followed by exactly the bytes json.Marshal(e) would produce — built in
-// one buffer. Op payloads are copied in as they are, which is what Marshal
-// would emit for compact json.Marshal output (Op's precondition).
+// followed by e's version-2 payload — built in one buffer.
 func encodeFrame(e *Entry) []byte {
-	// Capacity bound: the keys, three 20-digit numbers, and kinds escaped
-	// at the worst case of 6 bytes per byte.
-	size := frameSize + 112 + 6*len(e.Kind)
+	size := frameSize + 4*binary.MaxVarintLen64 + strSize(len(e.Kind))
 	for _, op := range e.Ops {
-		size += 18 + 6*len(op.Kind) + len(op.Data)
+		size += strSize(len(op.Kind)) + strSize(len(op.Data))
 	}
-	b := make([]byte, frameSize, size)
-	b = append(b, `{"seq":`...)
-	b = strconv.AppendUint(b, e.Seq, 10)
-	b = append(b, `,"kind":`...)
-	b = appendString(b, e.Kind)
-	if e.Clock != 0 {
-		b = append(b, `,"clock":`...)
-		b = strconv.AppendInt(b, e.Clock, 10)
-	}
-	if e.IDs != 0 {
-		b = append(b, `,"ids":`...)
-		b = strconv.AppendInt(b, e.IDs, 10)
-	}
-	if len(e.Ops) > 0 {
-		b = append(b, `,"ops":[`...)
-		for i, op := range e.Ops {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"kind":`...)
-			b = appendString(b, op.Kind)
-			if len(op.Data) > 0 {
-				b = append(b, `,"data":`...)
-				b = append(b, op.Data...)
-			}
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	b = append(b, '}')
+	b := appendEntry(make([]byte, frameSize, size), e)
 	payload := b[frameSize:]
 	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
 	return b
 }
 
-// appendString appends s as a JSON string. Kinds are plain identifiers,
-// copied as they are; anything json.Marshal would escape goes through it.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
+// EncodeEntry returns e's version-2 payload; DecodeEntry reads it back.
+func EncodeEntry(e *Entry) []byte { return appendEntry(nil, e) }
+
+// DecodeEntry parses a version-2 payload. It refuses a non-minimal
+// uvarint, a length or count larger than the bytes left, and trailing
+// bytes, so an accepted payload re-encodes to the bytes it came from. The
+// ops' data alias payload.
+func DecodeEntry(payload []byte) (Entry, error) {
+	var e Entry
+	_, err := decodeEntry(payload, &e, nil)
+	return e, err
+}
+
+func appendEntry(b []byte, e *Entry) []byte {
+	b = binary.AppendUvarint(b, e.Seq)
+	b = appendStr(b, e.Kind)
+	b = binary.AppendVarint(b, e.Clock)
+	b = binary.AppendVarint(b, e.IDs)
+	b = binary.AppendUvarint(b, uint64(len(e.Ops)))
+	for _, op := range e.Ops {
+		b = appendStr(b, op.Kind)
+		b = appendStr(b, op.Data)
+	}
+	return b
+}
+
+func appendStr[S string | []byte](b []byte, s S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+func strSize(n int) int { return uvarintLen(uint64(n)) + n }
+
+// decodeEntry parses a version-2 payload into e and returns its seq; with
+// e nil it only checks the payload. Kinds are interned in kinds when it is
+// non-nil.
+func decodeEntry(payload []byte, e *Entry, kinds map[string]string) (uint64, error) {
+	r := reader{b: payload}
+	seq := r.uvarint(math.MaxUint64)
+	kind := r.bytes()
+	clock, ids := r.varint(), r.varint()
+	// Each op takes at least two bytes, its two lengths.
+	n := int(r.uvarint(uint64(r.left() / 2)))
+	if e != nil {
+		*e = Entry{Seq: seq, Kind: intern(kinds, kind), Clock: clock, IDs: ids, Format: FormatBinary}
+		if n > 0 && r.err == nil {
+			e.Ops = make([]Op, n)
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	for i := 0; i < n && r.err == nil; i++ {
+		opKind, data := r.bytes(), r.bytes()
+		if e != nil && r.err == nil {
+			e.Ops[i] = Op{Kind: intern(kinds, opKind), Data: data}
+		}
+	}
+	if r.err == nil && r.left() > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", r.left())
+	}
+	return seq, r.err
+}
+
+// intern returns b as a string, the same string for equal bytes when
+// kinds is non-nil.
+func intern(kinds map[string]string, b []byte) string {
+	if kinds == nil {
+		return string(b)
+	}
+	if s, ok := kinds[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	kinds[s] = s
+	return s
+}
+
+// reader reads a version-2 payload. The first failure sticks: later reads
+// return zero values.
+type reader struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (r *reader) left() int { return len(r.b) - r.off }
+
+// uvarint reads one minimally encoded uvarint no larger than limit.
+func (r *reader) uvarint(limit uint64) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	x, k := binary.Uvarint(r.b[r.off:])
+	switch {
+	case k == 0:
+		r.err = errors.New("truncated")
+	case k < 0 || k != uvarintLen(x):
+		r.err = errors.New("malformed length")
+	case x > limit:
+		r.err = fmt.Errorf("value %d over its bound %d", x, limit)
+	default:
+		r.off += k
+		return x
+	}
+	return 0
+}
+
+func (r *reader) varint() int64 {
+	u := r.uvarint(math.MaxUint64)
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// bytes reads a length-prefixed byte string, aliasing the payload.
+func (r *reader) bytes() []byte {
+	n := int(r.uvarint(math.MaxInt32))
+	if r.err == nil && n > r.left() {
+		r.err = fmt.Errorf("truncated: length %d over the %d bytes left", n, r.left())
+	}
+	if r.err != nil {
+		return nil
+	}
+	r.off += n
+	return r.b[r.off-n : r.off : r.off]
 }
 
 // SyncTo blocks until every entry up to and including seq is durable. It is
@@ -685,7 +855,7 @@ func Replay(dir string, fromSeq uint64, fn func(Entry) error) (lastSeq uint64, t
 		prev = first - 1
 	}
 	for i, name := range names {
-		_, last, torn, err := readSegment(filepath.Join(dir, name), prev, i == len(names)-1, func(e Entry) error {
+		_, last, torn, _, err := readSegment(filepath.Join(dir, name), prev, i == len(names)-1, func(e Entry) error {
 			if e.Seq > fromSeq && fn != nil {
 				return fn(e)
 			}

@@ -69,7 +69,7 @@ func EncodeFrame(carriers []Request) []byte {
 	b = append(b, frameVersion)
 	b = binary.AppendUvarint(b, uint64(len(carriers)))
 	for i := range carriers {
-		b = appendCarrier(b, &carriers[i])
+		b = AppendRequest(b, &carriers[i])
 	}
 	return b
 }
@@ -104,12 +104,9 @@ func DecodeFrame(b []byte) ([]Request, error) {
 	}
 	out := make([]Request, n)
 	for i := range out {
-		r := &out[i]
-		r.Method, r.Path = d.str(), d.str()
-		r.Header, r.Form = d.strMap(), d.strMap()
-		r.Body = d.bytes()
+		out[i] = d.Request()
 	}
-	if err := d.close(); err != nil {
+	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("wire: decode frame: %w", err)
 	}
 	return out, nil
@@ -128,8 +125,8 @@ func EncodeFrameReply(resps []Response) []byte {
 	for i := range resps {
 		r := &resps[i]
 		b = binary.AppendUvarint(b, uint64(r.Status))
-		b = appendMap(b, r.Header)
-		b = appendStr(b, r.Body)
+		b = AppendMap(b, r.Header)
+		b = AppendStr(b, r.Body)
 	}
 	return b
 }
@@ -147,11 +144,11 @@ func DecodeFrameReply(b []byte, n int) ([]Response, error) {
 	out := make([]Response, m)
 	for i := range out {
 		r := &out[i]
-		r.Status = int(d.uvarint(math.MaxInt32))
-		r.Header = d.strMap()
-		r.Body = d.bytes()
+		r.Status = int(d.Uvarint(math.MaxInt32))
+		r.Header = d.StrMap()
+		r.Body = d.Bytes()
 	}
-	if err := d.close(); err != nil {
+	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("wire: decode frame reply: %w", err)
 	}
 	return out, nil
@@ -201,14 +198,15 @@ func carrierSize(r *Request) int {
 	return strSize(len(r.Method)) + strSize(len(r.Path)) + mapSize(r.Header) + mapSize(r.Form) + strSize(len(r.Body))
 }
 
-func appendStr[S string | []byte](b []byte, s S) []byte {
+// AppendStr appends s as a uvarint length and its bytes.
+func AppendStr[S string | []byte](b []byte, s S) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-// appendMap writes m's entries in ascending key order, so equal maps encode
-// to equal bytes.
-func appendMap(b []byte, m map[string]string) []byte {
+// AppendMap appends m as a uvarint count and its entries in ascending key
+// order, so equal maps encode to equal bytes.
+func AppendMap(b []byte, m map[string]string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m)))
 	if len(m) == 0 {
 		return b
@@ -220,92 +218,135 @@ func appendMap(b []byte, m map[string]string) []byte {
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		b = appendStr(b, k)
-		b = appendStr(b, m[k])
+		b = AppendStr(b, k)
+		b = AppendStr(b, m[k])
 	}
 	return b
 }
 
-func appendCarrier(b []byte, r *Request) []byte {
-	b = appendStr(b, r.Method)
-	b = appendStr(b, r.Path)
-	b = appendMap(b, r.Header)
-	b = appendMap(b, r.Form)
-	return appendStr(b, r.Body)
+// AppendRequest appends r as a frame carries it: method, path, header,
+// form and body. Decoder.Request reads it back.
+func AppendRequest(b []byte, r *Request) []byte {
+	b = AppendStr(b, r.Method)
+	b = AppendStr(b, r.Path)
+	b = AppendMap(b, r.Header)
+	b = AppendMap(b, r.Form)
+	return AppendStr(b, r.Body)
+}
+
+// AppendResponse appends r as a zigzag varint status, its header and its
+// body. Decoder.Response reads it back. A frame reply's answers predate it
+// and keep an unsigned status.
+func AppendResponse(b []byte, r *Response) []byte {
+	b = binary.AppendVarint(b, int64(r.Status))
+	b = AppendMap(b, r.Header)
+	return AppendStr(b, r.Body)
 }
 
 // ---- decoding ----------------------------------------------------------
 
-// frameDecoder reads a frame body in one pass. Every string it returns is
-// a substring of one copy of the body, so a decode makes one string
-// allocation however many strings the frame holds; bodies are copied out
-// individually so a stored body never pins the whole frame. The first
-// failure sticks: later reads return zero values and close reports it.
-type frameDecoder struct {
-	b   []byte // the body
-	s   string // the body, as one string
-	off int    // bytes read so far
+// Decoder reads the length-prefixed encoding of frames (and of the WAL's
+// ops, which reuse it) in one pass over one string. Every string it
+// returns is a substring of that string, so a decode makes one string
+// allocation however many strings it reads; byte slices are copied out
+// individually so a stored body never pins the whole input. It refuses a
+// non-minimal uvarint, a length or count larger than the bytes left, and
+// unsorted or repeated map keys. The first failure sticks: later reads
+// return zero values and Close reports it.
+type Decoder struct {
+	s   string
+	off int // bytes read so far
 	err error
 }
 
+// NewDecoder returns a decoder over s.
+func NewDecoder(s string) Decoder { return Decoder{s: s} }
+
 // openFrame checks a body's version byte and element count, refusing a
 // count over MaxFrameCarriers, or one the bytes left could not hold at
-// minBytes per element, before anything is decoded.
-func openFrame(b []byte, minBytes int) (*frameDecoder, int, error) {
+// minBytes per element, before the body is copied or anything decoded.
+func openFrame(b []byte, minBytes int) (*Decoder, int, error) {
 	if len(b) == 0 {
 		return nil, 0, errors.New("empty body")
 	}
 	if b[0] != frameVersion {
 		return nil, 0, fmt.Errorf("version byte %#x, want %#x", b[0], frameVersion)
 	}
-	d := &frameDecoder{b: b, off: 1}
-	n := d.uvarint(MaxFrameCarriers)
+	n, k, err := readUvarint(b[1:], MaxFrameCarriers)
+	left := len(b) - 1 - k
 	switch {
-	case d.err != nil:
-		return nil, 0, d.err
+	case err != nil:
+		return nil, 0, err
 	case n == 0:
 		return nil, 0, errors.New("no elements")
-	case n > uint64(d.left()/minBytes):
-		return nil, 0, fmt.Errorf("%d elements in %d bytes", n, d.left())
+	case n > uint64(left/minBytes):
+		return nil, 0, fmt.Errorf("%d elements in %d bytes", n, left)
 	}
-	d.s = string(b)
-	return d, int(n), nil
+	return &Decoder{s: string(b), off: 1 + k}, int(n), nil
 }
 
-func (d *frameDecoder) left() int { return len(d.b) - d.off }
+// readUvarint reads one minimally encoded uvarint no larger than limit
+// from the front of s and returns it with its length.
+func readUvarint[S string | []byte](s S, limit uint64) (uint64, int, error) {
+	var x uint64
+	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
+		c := s[i]
+		if c < 0x80 {
+			if i > 0 && c == 0 || i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0, 0, errors.New("malformed length")
+			}
+			if x |= uint64(c) << (7 * i); x > limit {
+				return 0, 0, fmt.Errorf("value %d over its bound %d", x, limit)
+			}
+			return x, i + 1, nil
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+	}
+	if len(s) < binary.MaxVarintLen64 {
+		return 0, 0, errors.New("truncated")
+	}
+	return 0, 0, errors.New("malformed length")
+}
 
-func (d *frameDecoder) fail(err error) {
+// Left reports how many bytes are still unread.
+func (d *Decoder) Left() int { return len(d.s) - d.off }
+
+// Fail records err as the decode's failure unless one is already recorded.
+func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
 }
 
-// uvarint reads one minimally encoded uvarint no larger than limit.
-func (d *frameDecoder) uvarint(limit uint64) uint64 {
+// Uvarint reads one minimally encoded uvarint no larger than limit.
+func (d *Decoder) Uvarint(limit uint64) uint64 {
 	if d.err != nil {
 		return 0
 	}
-	x, k := binary.Uvarint(d.b[d.off:])
-	switch {
-	case k == 0:
-		d.fail(errors.New("truncated"))
-	case k < 0 || k != uvarintLen(x):
-		d.fail(errors.New("malformed length"))
-	case x > limit:
-		d.fail(fmt.Errorf("value %d over its bound %d", x, limit))
-	default:
-		d.off += k
-		return x
+	x, k, err := readUvarint(d.s[d.off:], limit)
+	if err != nil {
+		d.Fail(err)
+		return 0
 	}
-	return 0
+	d.off += k
+	return x
 }
+
+// Varint reads one zigzag varint, minimally encoded.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint(math.MaxUint64)
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Bool reads a byte that must be 0 or 1.
+func (d *Decoder) Bool() bool { return d.Uvarint(1) == 1 }
 
 // span reads a length prefix and returns the offsets of the bytes it
 // covers, refusing a length larger than the bytes left.
-func (d *frameDecoder) span() (int, int) {
-	n := int(d.uvarint(math.MaxInt32))
-	if d.err == nil && n > d.left() {
-		d.fail(fmt.Errorf("truncated: length %d over the %d bytes left", n, d.left()))
+func (d *Decoder) span() (int, int) {
+	n := int(d.Uvarint(math.MaxInt32))
+	if d.err == nil && n > d.Left() {
+		d.Fail(fmt.Errorf("truncated: length %d over the %d bytes left", n, d.Left()))
 	}
 	if d.err != nil {
 		return 0, 0
@@ -314,12 +355,15 @@ func (d *frameDecoder) span() (int, int) {
 	return d.off - n, d.off
 }
 
-func (d *frameDecoder) str() string {
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string {
 	i, j := d.span()
 	return d.s[i:j]
 }
 
-func (d *frameDecoder) bytes() []byte {
+// Bytes reads a length-prefixed byte string into a copy of its own; an
+// empty one decodes to nil.
+func (d *Decoder) Bytes() []byte {
 	i, j := d.span()
 	if i == j {
 		return nil
@@ -327,31 +371,49 @@ func (d *frameDecoder) bytes() []byte {
 	return []byte(d.s[i:j])
 }
 
-// strMap reads a map; an empty one decodes to nil. Each entry takes at
+// StrMap reads a map; an empty one decodes to nil. Each entry takes at
 // least two bytes, so the count is checked against the bytes left before
 // the map is made.
-func (d *frameDecoder) strMap() map[string]string {
-	n := int(d.uvarint(uint64(d.left() / 2)))
+func (d *Decoder) StrMap() map[string]string {
+	n := int(d.Uvarint(uint64(d.Left() / 2)))
 	if n == 0 {
 		return nil
 	}
 	m := make(map[string]string, n)
 	prev := ""
 	for i := 0; i < n && d.err == nil; i++ {
-		k, v := d.str(), d.str()
+		k, v := d.Str(), d.Str()
 		if i > 0 && k <= prev {
-			d.fail(errors.New("map keys out of order"))
+			d.Fail(errors.New("map keys out of order"))
 		}
 		m[k], prev = v, k
 	}
 	return m
 }
 
-// close reports the first failure, or bytes left over after the last
+// Request reads what AppendRequest wrote.
+func (d *Decoder) Request() Request {
+	var r Request
+	r.Method, r.Path = d.Str(), d.Str()
+	r.Header, r.Form = d.StrMap(), d.StrMap()
+	r.Body = d.Bytes()
+	return r
+}
+
+// Response reads what AppendResponse wrote.
+func (d *Decoder) Response() Response {
+	var r Response
+	r.Status = int(d.Varint())
+	r.Header = d.StrMap()
+	r.Body = d.Bytes()
+	return r
+}
+
+// Close reports the first failure, or bytes left over after the last
 // element.
-func (d *frameDecoder) close() error {
-	if d.err == nil && d.left() > 0 {
-		d.err = fmt.Errorf("%d trailing bytes", d.left())
+func (d *Decoder) Close() error {
+	if d.err == nil && d.Left() > 0 {
+		d.err = fmt.Errorf("%d trailing bytes", d.Left())
 	}
 	return d.err
 }
