@@ -281,6 +281,9 @@ func TestLookupsMatchLinearReference(t *testing.T) {
 				l.GC(gcTS)
 			}
 
+			if err := l.VerifyIndexes(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			for _, id := range respIDs {
 				ri, ii, oki := l.FindByCallRespID(id)
 				rl, il, okl := l.findByCallRespIDLinear(id)
@@ -318,6 +321,75 @@ func TestLookupsMatchLinearReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: ScannersOf(kv) after %s = %v; linear %v", seed, step, r.ID, got, scanners)
 				}
 			}
+		}
+	}
+}
+
+// callIndexWork re-executes every record of a log of n, each calling
+// three peers, and returns the call-index entries touched per re-executed
+// record: first with each record keeping its calls (unindexed, then
+// re-indexed with fresh remote IDs, as a replace repair re-executes it),
+// then with each losing them (as a cancelled write's dependents do when
+// their read misses).
+func callIndexWork(t *testing.T, n int) (keep, drop float64) {
+	t.Helper()
+	l := New(false)
+	peers := []string{"p0", "p1", "p2"}
+	calls := func(i, gen int) []Call {
+		var cs []Call
+		for _, p := range peers {
+			cs = append(cs, Call{Target: p, RespID: fmt.Sprintf("resp-%d-%s-%d", i, p, gen), RemoteReqID: fmt.Sprintf("%s-req-%d-%d", p, i, gen)})
+		}
+		return cs
+	}
+	for i := 0; i < n; i++ {
+		r := rec(fmt.Sprintf("req-%d", i), int64(i+1))
+		r.Calls = calls(i, 0)
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRecord := func(rewrite func(i int, r *Record)) float64 {
+		w0 := l.callWork
+		for i, r := range l.All() {
+			if err := l.Update(r.ID, func(r *Record) { rewrite(i, r) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.VerifyIndexes(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(l.callWork-w0) / float64(n)
+	}
+	keep = perRecord(func(i int, r *Record) { r.Calls = calls(i, 1) })
+	drop = perRecord(func(_ int, r *Record) { r.Calls = nil })
+	if len(l.calls) != 0 {
+		t.Fatalf("%d call timelines left after every call was dropped", len(l.calls))
+	}
+	return keep, drop
+}
+
+// TestCallIndexCostPinned pins the per-target call timelines at O(1)
+// amortized per re-executed record: the entries they touch (written,
+// moved or walked, read from the log's own counter) per re-executed record
+// stay flat from 10³ to 10⁴ records, whether the record keeps its calls or
+// loses them. A removal that splices the record's sites out of the line,
+// or an insert that splices them back in, moves every later site, so the
+// entries per record grow with the log.
+func TestCallIndexCostPinned(t *testing.T) {
+	const (
+		maxGrowth = 1.2
+		maxWork   = 9.9 // entries per re-executed record (measured 6.0 keeping its calls, 9.0 losing them)
+	)
+	smallKeep, smallDrop := callIndexWork(t, 1000)
+	largeKeep, largeDrop := callIndexWork(t, 10000)
+	t.Logf("call-index entries per re-executed record: keep %.2f → %.2f, drop %.2f → %.2f (10³ → 10⁴ records)", smallKeep, largeKeep, smallDrop, largeDrop)
+	for _, c := range []struct {
+		name         string
+		small, large float64
+	}{{"keeping its calls", smallKeep, largeKeep}, {"losing its calls", smallDrop, largeDrop}} {
+		if c.large > maxGrowth*c.small || c.large > maxWork {
+			t.Errorf("%s: %.2f → %.2f entries per record from 10³ to 10⁴ records (bound %.1f×, ceiling %.1f)", c.name, c.small, c.large, maxGrowth, maxWork)
 		}
 	}
 }

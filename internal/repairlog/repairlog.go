@@ -179,6 +179,33 @@ type callSite struct {
 	ts, seq  int64 // owning record's timeline position
 	idx      int   // call index within the record
 	remoteID string
+	dead     bool // removed: a tombstone until the line compacts
+}
+
+// callLine is one target's call timeline: its sites sorted by (ts, seq,
+// idx), tombstones included. Removing a record's sites marks them dead in
+// place, and re-indexing the record revives them, so a re-executed record
+// costs its own sites rather than a splice of the line; the line compacts
+// once dead sites outnumber live ones, as the outgoing queue does.
+type callLine struct {
+	sites []callSite
+	dead  int
+}
+
+func (ln *callLine) live() int { return len(ln.sites) - ln.dead }
+
+// search returns the first site at or after (ts, seq, idx).
+func (ln *callLine) search(ts, seq int64, idx int) int {
+	return sort.Search(len(ln.sites), func(j int) bool {
+		s := ln.sites[j]
+		if s.ts != ts {
+			return s.ts > ts
+		}
+		if s.seq != seq {
+			return s.seq > seq
+		}
+		return s.idx >= idx
+	})
 }
 
 // Log is the per-service repair log. Create one with New. Log is safe for
@@ -211,12 +238,15 @@ type Log struct {
 	nextSeq  int64
 
 	respIdx  map[string]callPos
-	calls    map[string][]callSite // per target, sorted by (ts, seq, idx)
+	calls    map[string]*callLine // per target
 	readers  map[vdb.Key][]Ref
 	writers  map[vdb.Key][]Ref
 	scanners map[string][]Ref
 	indexed  map[*Record]*indexedState
 	totalOps int // sum of len(Reads)+len(Scans)+len(Writes) over all records
+	// callWork counts the call-timeline entries written, moved or walked:
+	// what the call index costs to maintain.
+	callWork int64
 
 	// sink observes every mutation for write-ahead logging (see wal.go).
 	sink func(Change)
@@ -244,7 +274,7 @@ func New(compress bool) *Log {
 	return &Log{
 		byID:     make(map[string]*Record),
 		respIdx:  make(map[string]callPos),
-		calls:    make(map[string][]callSite),
+		calls:    make(map[string]*callLine),
 		readers:  make(map[vdb.Key][]Ref),
 		writers:  make(map[vdb.Key][]Ref),
 		scanners: make(map[string][]Ref),
@@ -364,21 +394,7 @@ func (l *Log) indexLocked(r *Record) error {
 			}
 		}
 		if c.RemoteReqID != "" {
-			sites := l.calls[c.Target]
-			j := sort.Search(len(sites), func(j int) bool {
-				s := sites[j]
-				if s.ts != r.TS {
-					return s.ts > r.TS
-				}
-				if s.seq != r.seq {
-					return s.seq > r.seq
-				}
-				return s.idx >= i
-			})
-			sites = append(sites, callSite{})
-			copy(sites[j+1:], sites[j:])
-			sites[j] = callSite{ts: r.TS, seq: r.seq, idx: i, remoteID: c.RemoteReqID}
-			l.calls[c.Target] = sites
+			l.insertCallLocked(c.Target, callSite{ts: r.TS, seq: r.seq, idx: i, remoteID: c.RemoteReqID})
 			st.callTargets = append(st.callTargets, c.Target)
 		}
 	}
@@ -424,29 +440,7 @@ func (l *Log) unindexLocked(r *Record) {
 		}
 	}
 	for _, target := range st.callTargets {
-		sites := l.calls[target]
-		// The record's call sites are contiguous at (ts, seq); drop the
-		// whole run once (subsequent targets of the same record find it
-		// already gone).
-		j := sort.Search(len(sites), func(j int) bool {
-			s := sites[j]
-			if s.ts != r.TS {
-				return s.ts > r.TS
-			}
-			return s.seq >= r.seq
-		})
-		k := j
-		for k < len(sites) && sites[k].ts == r.TS && sites[k].seq == r.seq {
-			k++
-		}
-		if k > j {
-			sites = append(sites[:j], sites[k:]...)
-			if len(sites) == 0 {
-				delete(l.calls, target)
-			} else {
-				l.calls[target] = sites
-			}
-		}
+		l.removeCallsLocked(target, r.TS, r.seq)
 	}
 	for _, key := range st.readKeys {
 		if refs := removeRef(l.readers[key], r); len(refs) == 0 {
@@ -470,6 +464,66 @@ func (l *Log) unindexLocked(r *Record) {
 		}
 	}
 	l.totalOps -= st.ops
+}
+
+// insertCallLocked adds a call site to its target's timeline. A site
+// that sorts last, as every normal-path call does, is appended; a
+// re-indexed record finds its own tombstone at the site's position and
+// revives it. Anything else (a record logged in the past, or a re-executed
+// one calling a target it did not call before) is spliced in. Caller
+// holds mu.
+func (l *Log) insertCallLocked(target string, site callSite) {
+	ln := l.calls[target]
+	if ln == nil {
+		ln = &callLine{}
+		l.calls[target] = ln
+	}
+	l.callWork++
+	j := ln.search(site.ts, site.seq, site.idx)
+	if j < len(ln.sites) {
+		if s := &ln.sites[j]; s.dead && s.ts == site.ts && s.seq == site.seq && s.idx == site.idx {
+			*s = site
+			ln.dead--
+			return
+		}
+	}
+	l.callWork += int64(len(ln.sites) - j)
+	ln.sites = append(ln.sites, callSite{})
+	copy(ln.sites[j+1:], ln.sites[j:])
+	ln.sites[j] = site
+}
+
+// removeCallsLocked marks dead the record's live sites on target's
+// timeline: they are contiguous at (ts, seq), so a record calling one
+// target twice finds its run already dead on the second visit. The line
+// compacts once dead sites outnumber live ones, and goes once none live.
+// Caller holds mu.
+func (l *Log) removeCallsLocked(target string, ts, seq int64) {
+	ln := l.calls[target]
+	if ln == nil {
+		return
+	}
+	for j := ln.search(ts, seq, 0); j < len(ln.sites) && ln.sites[j].ts == ts && ln.sites[j].seq == seq; j++ {
+		l.callWork++
+		if !ln.sites[j].dead {
+			ln.sites[j].dead = true
+			ln.dead++
+		}
+	}
+	switch {
+	case ln.live() == 0:
+		delete(l.calls, target)
+	case ln.dead > ln.live():
+		l.callWork += int64(len(ln.sites))
+		live := ln.sites[:0]
+		for _, s := range ln.sites {
+			if !s.dead {
+				live = append(live, s)
+			}
+		}
+		clear(ln.sites[len(live):])
+		ln.sites, ln.dead = live, 0
+	}
 }
 
 // accountSize adds the record's raw JSON size to rawBytes. The size comes
@@ -611,13 +665,25 @@ func (l *Log) FindByCallRespID(respID string) (*Record, int, bool) {
 func (l *Log) NeighborCalls(target string, ts int64) (beforeID, afterID string) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	sites := l.calls[target]
-	i := sort.Search(len(sites), func(i int) bool { return sites[i].ts >= ts })
-	if i > 0 {
-		beforeID = sites[i-1].remoteID
+	ln := l.calls[target]
+	if ln == nil {
+		return "", ""
 	}
-	if i < len(sites) {
-		afterID = sites[i].remoteID
+	// Tombstones keep their places, so the search sees the whole line and
+	// the neighbors are the nearest live sites on either side; there are
+	// never more dead sites than live ones.
+	i := sort.Search(len(ln.sites), func(i int) bool { return ln.sites[i].ts >= ts })
+	for j := i - 1; j >= 0; j-- {
+		if !ln.sites[j].dead {
+			beforeID = ln.sites[j].remoteID
+			break
+		}
+	}
+	for j := i; j < len(ln.sites); j++ {
+		if !ln.sites[j].dead {
+			afterID = ln.sites[j].remoteID
+			break
+		}
 	}
 	return beforeID, afterID
 }
@@ -702,10 +768,10 @@ func (l *Log) IndexBytes() int64 {
 	for respID := range l.respIdx {
 		n += int64(len(respID)) + strHdr + 16 // callPos: pointer + index
 	}
-	for target, sites := range l.calls {
+	for target, ln := range l.calls {
 		n += int64(len(target)) + strHdr + sliceHdr
-		for _, s := range sites {
-			n += 32 + int64(len(s.remoteID)) + strHdr // callSite: ts, seq, idx, remoteID
+		for _, s := range ln.sites {
+			n += 32 + int64(len(s.remoteID)) + strHdr // callSite: ts, seq, idx, dead, remoteID
 		}
 	}
 	keyRefs := func(m map[vdb.Key][]Ref) {

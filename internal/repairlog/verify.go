@@ -13,7 +13,6 @@ package repairlog
 
 import (
 	"fmt"
-	"sort"
 
 	"aire/internal/vdb"
 )
@@ -128,22 +127,28 @@ func (l *Log) VerifyIndexes() error {
 		return fmt.Errorf("repairlog: respIdx holds %d entries, records carry %d identified responses", len(l.respIdx), respCount)
 	}
 	total := 0
-	for target, sites := range l.calls {
-		if len(sites) == 0 {
-			return fmt.Errorf("repairlog: empty call timeline for target %s", target)
+	for target, ln := range l.calls {
+		if ln.live() <= 0 {
+			return fmt.Errorf("repairlog: call timeline for target %s holds no live site", target)
 		}
-		for j, s := range sites {
-			if s.remoteID == "" {
+		dead := 0
+		for j, s := range ln.sites {
+			if s.dead {
+				dead++
+			} else if s.remoteID == "" {
 				return fmt.Errorf("repairlog: call timeline for %s holds a site with no remote id", target)
 			}
-			if j > 0 && !callSiteLess(sites[j-1], s) {
+			if j > 0 && !callSiteLess(ln.sites[j-1], s) {
 				return fmt.Errorf("repairlog: call timeline for %s unsorted at %d", target, j)
 			}
 		}
-		total += len(sites)
+		if dead != ln.dead || dead > ln.live() {
+			return fmt.Errorf("repairlog: call timeline for %s holds %d dead sites, counts %d, with %d live", target, dead, ln.dead, ln.live())
+		}
+		total += ln.live()
 	}
 	if total != siteCount {
-		return fmt.Errorf("repairlog: call timelines hold %d sites, records carry %d identified calls", total, siteCount)
+		return fmt.Errorf("repairlog: call timelines hold %d live sites, records carry %d identified calls", total, siteCount)
 	}
 	if n, err := verifyRefMap("readers", refKeyLists(l.readers), l.byID); err != nil {
 		return err
@@ -170,24 +175,18 @@ func hasRef(refs []Ref, r *Record) bool {
 	return i < len(refs) && refs[i].Rec == r
 }
 
-// hasCallSite reports whether the sorted per-target call timeline holds the
-// exact site (ts, seq, idx, remoteID).
-func hasCallSite(sites []callSite, ts, seq int64, idx int, remoteID string) bool {
-	j := sort.Search(len(sites), func(j int) bool {
-		s := sites[j]
-		if s.ts != ts {
-			return s.ts > ts
-		}
-		if s.seq != seq {
-			return s.seq > seq
-		}
-		return s.idx >= idx
-	})
-	if j >= len(sites) {
+// hasCallSite reports whether the call timeline holds the exact site
+// (ts, seq, idx, remoteID), live.
+func hasCallSite(ln *callLine, ts, seq int64, idx int, remoteID string) bool {
+	if ln == nil {
 		return false
 	}
-	s := sites[j]
-	return s.ts == ts && s.seq == seq && s.idx == idx && s.remoteID == remoteID
+	j := ln.search(ts, seq, idx)
+	if j >= len(ln.sites) {
+		return false
+	}
+	s := ln.sites[j]
+	return !s.dead && s.ts == ts && s.seq == seq && s.idx == idx && s.remoteID == remoteID
 }
 
 // callSiteLess orders call sites by (ts, seq, idx), strictly.
