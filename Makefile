@@ -79,7 +79,8 @@ sim:
 
 # WAL corruption + replay fuzzing smoke: deterministic corruption table
 # (bit flips, truncations, zeroed CRCs, garbage appends) plus a short
-# coverage-guided run over mutated segment bytes. Longer local runs:
+# coverage-guided run over mutated bytes of version-2 segments, the only
+# version the writer creates. Longer local runs:
 #   go test -fuzz FuzzWALReplay -fuzztime 5m ./internal/wal
 fuzz-wal:
 	$(GO) test -run TestWALCorruption -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
@@ -105,15 +106,18 @@ fuzz-wire:
 	$(GO) test -run 'TestEqual|TestResponseEqual' -fuzz FuzzWireEqual -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire
 
-# Storage-encoding exactness fuzzing smoke: the repair log's record sizer
-# must equal len(json.Marshal(record)) (its table, the every-field
-# reflection check, then a coverage-guided run), and the WAL's hand-built
-# entry frame must be byte-identical to json.Marshal(Entry). Longer local
-# runs:
+# Storage-encoding fuzzing smoke: the repair log's record sizer must equal
+# len(json.Marshal(record)) (its table, the every-field reflection check,
+# then a coverage-guided run), and the WAL entry decoder (the wal envelope
+# plus core's op codec) is checked by its every-field round trips and
+# refusal table, then a coverage-guided run over arbitrary entry payloads:
+# no panic, at most 1 KiB + 64x the input allocated, and whatever it
+# accepts re-encodes byte for byte. Longer local runs:
 #   go test -run '^$$' -fuzz FuzzEncodedLen -fuzztime 5m ./internal/repairlog
+#   go test -run '^$$' -fuzz FuzzWALEntryDecode -fuzztime 5m ./internal/core
 fuzz-log:
 	$(GO) test -run 'TestEncodedLen' -fuzz FuzzEncodedLen -fuzztime 30s ./internal/repairlog
-	$(GO) test -run '^$$' -fuzz FuzzEntryFrame -fuzztime 30s ./internal/wal
+	$(GO) test -run 'TestWALCodecCoversEveryField|TestWALEntryRefusals' -fuzz FuzzWALEntryDecode -fuzztime 30s ./internal/core
 
 # Shard-routing fuzzing smoke: the one routing rule's table (run through
 # the sender and both router paths) plus a short coverage-guided run over

@@ -235,8 +235,9 @@ func AppendRequest(b []byte, r *Request) []byte {
 }
 
 // AppendResponse appends r as a zigzag varint status, its header and its
-// body. Decoder.Response reads it back. A frame reply's answers predate it
-// and keep an unsigned status.
+// body, so any status a peer sent round-trips. Decoder.Response reads it
+// back. Frame replies do not use it: an answer's status is a uvarint
+// bounded by MaxInt32.
 func AppendResponse(b []byte, r *Response) []byte {
 	b = binary.AppendVarint(b, int64(r.Status))
 	b = AppendMap(b, r.Header)
@@ -311,8 +312,8 @@ func readUvarint[S string | []byte](s S, limit uint64) (uint64, int, error) {
 // Left reports how many bytes are still unread.
 func (d *Decoder) Left() int { return len(d.s) - d.off }
 
-// Fail records err as the decode's failure unless one is already recorded.
-func (d *Decoder) Fail(err error) {
+// fail records err as the decode's failure unless one is already recorded.
+func (d *Decoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
@@ -325,7 +326,7 @@ func (d *Decoder) Uvarint(limit uint64) uint64 {
 	}
 	x, k, err := readUvarint(d.s[d.off:], limit)
 	if err != nil {
-		d.Fail(err)
+		d.fail(err)
 		return 0
 	}
 	d.off += k
@@ -346,7 +347,7 @@ func (d *Decoder) Bool() bool { return d.Uvarint(1) == 1 }
 func (d *Decoder) span() (int, int) {
 	n := int(d.Uvarint(math.MaxInt32))
 	if d.err == nil && n > d.Left() {
-		d.Fail(fmt.Errorf("truncated: length %d over the %d bytes left", n, d.Left()))
+		d.fail(fmt.Errorf("truncated: length %d over the %d bytes left", n, d.Left()))
 	}
 	if d.err != nil {
 		return 0, 0
@@ -384,7 +385,7 @@ func (d *Decoder) StrMap() map[string]string {
 	for i := 0; i < n && d.err == nil; i++ {
 		k, v := d.Str(), d.Str()
 		if i > 0 && k <= prev {
-			d.Fail(errors.New("map keys out of order"))
+			d.fail(errors.New("map keys out of order"))
 		}
 		m[k], prev = v, k
 	}
