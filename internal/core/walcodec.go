@@ -349,9 +349,9 @@ func (o *walOp) readJSON(data []byte) error {
 	return json.Unmarshal(data, v)
 }
 
-// count reads a list length, refusing one the bytes left could not hold
+// listLen reads a list length, refusing one the bytes left could not hold
 // at minBytes per element before anything is made for it.
-func count(d *wire.Decoder, minBytes int) int {
+func listLen(d *wire.Decoder, minBytes int) int {
 	return int(d.Uvarint(uint64(d.Left() / minBytes)))
 }
 
@@ -380,25 +380,25 @@ func readLogChange(d *wire.Decoder) repairlog.Change {
 func readRecord(d *wire.Decoder) *repairlog.Record {
 	r := &repairlog.Record{ID: d.Str(), TS: d.Varint(), From: d.Str(), ClientRespID: d.Str(), NotifierURL: d.Str()}
 	r.Req, r.Resp = d.Request(), d.Response()
-	if n := count(d, 4); n > 0 {
+	if n := listLen(d, 4); n > 0 {
 		r.Reads = make([]repairlog.ReadDep, n)
 		for i := range r.Reads {
 			r.Reads[i] = repairlog.ReadDep{Key: readKey(d), TS: d.Varint(), Hash: d.Uvarint(^uint64(0))}
 		}
 	}
-	if n := count(d, 2); n > 0 {
+	if n := listLen(d, 2); n > 0 {
 		r.Scans = make([]repairlog.ScanDep, n)
 		for i := range r.Scans {
 			r.Scans[i] = repairlog.ScanDep{Model: d.Str(), Hash: d.Uvarint(^uint64(0))}
 		}
 	}
-	if n := count(d, 3); n > 0 {
+	if n := listLen(d, 3); n > 0 {
 		r.Writes = make([]repairlog.WriteDep, n)
 		for i := range r.Writes {
 			r.Writes[i] = repairlog.WriteDep{Key: readKey(d), TS: d.Varint()}
 		}
 	}
-	if n := count(d, 14); n > 0 {
+	if n := listLen(d, 14); n > 0 {
 		r.Calls = make([]repairlog.Call, n)
 		for i := range r.Calls {
 			c := &r.Calls[i]
@@ -408,13 +408,13 @@ func readRecord(d *wire.Decoder) *repairlog.Record {
 			c.Tentative, c.Failed = d.Bool(), d.Bool()
 		}
 	}
-	if n := count(d, 2); n > 0 {
+	if n := listLen(d, 2); n > 0 {
 		r.Nondet = make([]repairlog.Nondet, n)
 		for i := range r.Nondet {
 			r.Nondet[i] = repairlog.Nondet{Kind: d.Str(), Value: d.Varint()}
 		}
 	}
-	if n := count(d, 3); n > 0 {
+	if n := listLen(d, 3); n > 0 {
 		r.Effects = make([]repairlog.Effect, n)
 		for i := range r.Effects {
 			r.Effects[i] = repairlog.Effect{Seq: int(d.Varint()), Kind: d.Str(), Payload: d.Str()}
