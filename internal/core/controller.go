@@ -200,12 +200,12 @@ type PendingMsg struct {
 	// token is the response-repair token minted for a replace_response
 	// (reused across delivery attempts).
 	token string
-	// inflight marks a message claimed by a delivery pass; guarded by qmu.
+	// inflight marks a message claimed by a delivery pass; guarded by q.mu.
 	inflight bool
 	// queued marks a live queue entry (cleared on delivery and Drop), so
-	// reconciliation checks membership in O(1); guarded by qmu.
+	// reconciliation checks membership in O(1); guarded by q.mu.
 	queued bool
-	// key, peer and pos are the entry's index coordinates, guarded by qmu:
+	// key, peer and pos are the entry's index coordinates, guarded by q.mu:
 	// its collapse key and destination, recomputed whenever Msg changes,
 	// and its position in queue order, fixed when it enters the queue.
 	key  qkey
@@ -277,29 +277,8 @@ type Controller struct {
 	Cfg     Config
 	Engine  *warp.Engine
 
-	qmu   sync.Mutex
-	qcond *sync.Cond // broadcast whenever qlive drops to 0 (WaitQueueEmpty)
-	queue []*PendingMsg
-	qlive int // entries with queued=true (the queue slice also holds dead ones until compactLocked)
-	// The queue's indexes (queue.go), over live entries only: by delivery
-	// ID, by collapse key (oldest first), and live counts per destination.
-	// qnext is the next entry's position.
-	qbyID  map[string]*PendingMsg
-	qbyKey map[qkey][]*PendingMsg
-	qpeer  map[string]int
-	qnext  uint64
-	peers  map[string]*peerState // per-peer delivery health, guarded by qmu
-	// vectors is the sender-side version-vector state per destination peer
-	// (vectors.go). Guarded by qmu.
-	vectors map[string]*peerVector
-	// liveCalls counts in-flight live (non-repair) outbound calls per peer;
-	// admission control trickles repair delivery to peers that are actively
-	// serving the live workload. Guarded by qmu.
-	liveCalls map[string]int
-	// cascadeInflight counts claimed-but-unreconciled cascade-class batches;
-	// admission's MaxShare budget is enforced against it at claim time.
-	// Guarded by qmu.
-	cascadeInflight int
+	// q is the outgoing queue with its per-destination records (queue.go).
+	q *outQueue
 
 	// sd is the resolved concurrency substrate (Cfg.Sched, or production
 	// goroutines); immutable after NewController.
@@ -351,12 +330,6 @@ func NewController(app App, net Caller, cfg Config) *Controller {
 		tokens:    make(map[string]tokenEntry),
 		mailboxes: make(map[string][]string),
 		dedup:     deliver.NewInbox(),
-		peers:     make(map[string]*peerState),
-		vectors:   make(map[string]*peerVector),
-		liveCalls: make(map[string]int),
-		qbyID:     make(map[string]*PendingMsg),
-		qbyKey:    make(map[qkey][]*PendingMsg),
-		qpeer:     make(map[string]int),
 		sd:        cfg.Sched,
 		topo:      cfg.Topology,
 	}
@@ -364,7 +337,7 @@ func NewController(app App, net Caller, cfg Config) *Controller {
 		c.sd = sched.Goroutines()
 	}
 	c.met = newCtrlMetrics(cfg.Obs, app.Name())
-	c.qcond = sync.NewCond(&c.qmu)
+	c.q = newOutQueue(c.peerDest, c.met.queueVisits, c.met.queueDepth)
 	return c
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aire/internal/deliver"
 	"aire/internal/wal"
@@ -190,11 +191,11 @@ func TestFrameMixedOutcomesReconcile(t *testing.T) {
 	if kinds["gone"] != 1 || kinds["unauthorized"] != 1 || kinds["unreachable"] != 0 {
 		t.Fatalf("notifications %v, want one gone and one unauthorized", kinds)
 	}
-	hub.qmu.Lock()
-	ps := hub.peers["sink"]
-	hub.qmu.Unlock()
-	if ps == nil || ps.failures != 0 {
-		t.Fatalf("a peer that answered every carrier is backing off: %+v", ps)
+	hub.q.mu.Lock()
+	failures := hub.q.dests["sink"].failures
+	hub.q.mu.Unlock()
+	if failures != 0 {
+		t.Fatalf("a peer that answered every carrier is backing off: %d failures", failures)
 	}
 }
 
@@ -212,9 +213,9 @@ func TestFrameTransportErrorBacksOffOnce(t *testing.T) {
 	if _, drops := tb.bus.Stats(); drops != 1 {
 		t.Fatalf("offline peer saw %d attempts, want 1", drops)
 	}
-	hub.qmu.Lock()
-	failures := hub.peers["sink"].failures
-	hub.qmu.Unlock()
+	hub.q.mu.Lock()
+	failures := hub.q.dests["sink"].failures
+	hub.q.mu.Unlock()
 	if failures != 1 {
 		t.Fatalf("peer failures = %d, want 1", failures)
 	}
@@ -222,6 +223,51 @@ func TestFrameTransportErrorBacksOffOnce(t *testing.T) {
 		if p.Held || p.Attempts != 0 || p.LastErr == "" {
 			t.Fatalf("carrier after a transport error: %+v, want live, uncharged, with the error recorded", p)
 		}
+	}
+}
+
+// TestDrainedDestinationGetsFreshHealth: a destination left with no
+// messages goes back to a fresh record's delivery health — after Drop
+// takes its last message, and after a failed batch whose last message was
+// dropped while claimed — so a later message is not held back by an outage
+// nothing is waiting out. The record, and its vector, stay.
+func TestDrainedDestinationGetsFreshHealth(t *testing.T) {
+	tb := newTestbed()
+	hub := tb.add(&kvApp{name: "hub"}, DefaultConfig())
+	tb.bus.Register("sink", &orderRecorder{})
+	tb.bus.SetOffline("sink", true)
+	health := func() (int, time.Time) {
+		hub.q.mu.Lock()
+		defer hub.q.mu.Unlock()
+		d := hub.q.dests["sink"]
+		return d.failures, d.nextTry
+	}
+	dropOnly := func() {
+		t.Helper()
+		if err := hub.Drop(hub.Pending()[0].DeliveryID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	hub.enqueue([]warp.OutMsg{createMsg("sink", 1)}, traceCtx{})
+	hub.Flush()
+	if f, next := health(); f != 1 || next.IsZero() {
+		t.Fatalf("after a transport error: %d failures, retry at %v; want 1 and a backoff", f, next)
+	}
+	dropOnly()
+	if f, next := health(); f != 0 || !next.IsZero() {
+		t.Fatalf("after dropping the last message: %d failures, retry at %v; want fresh health", f, next)
+	}
+
+	hub.enqueue([]warp.OutMsg{createMsg("sink", 2)}, traceCtx{})
+	batches := hub.claimBatches(nil, false)
+	dropOnly() // the batch is in flight: Drop leaves its health alone
+	hub.deliverBatch(batches[0])
+	if f, next := health(); f != 0 || !next.IsZero() {
+		t.Fatalf("after a failed batch drained the destination: %d failures, retry at %v; want fresh health", f, next)
+	}
+	if v := hub.VectorDump(); len(v) != 1 || v[0].Peer != "sink" || v[0].Outstanding != 0 || v[0].Frontier == 0 {
+		t.Fatalf("vectors %+v, want sink's kept with nothing outstanding", v)
 	}
 }
 

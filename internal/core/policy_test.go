@@ -150,16 +150,16 @@ func TestAdmissionReservesResponseWorkers(t *testing.T) {
 	if batches[3].peer != "client" || batches[3].cascade {
 		t.Fatalf("fourth batch = %q cascade=%v, want response-class to client", batches[3].peer, batches[3].cascade)
 	}
-	c.qmu.Lock()
-	inflight := c.cascadeInflight
-	c.qmu.Unlock()
+	c.q.mu.Lock()
+	inflight := c.q.cascadeInflight
+	c.q.mu.Unlock()
 	if inflight != 3 {
 		t.Fatalf("cascadeInflight = %d, want 3", inflight)
 	}
 	c.releaseBatches(batches)
-	c.qmu.Lock()
-	inflight = c.cascadeInflight
-	c.qmu.Unlock()
+	c.q.mu.Lock()
+	inflight = c.q.cascadeInflight
+	c.q.mu.Unlock()
 	if inflight != 0 {
 		t.Fatalf("cascadeInflight after release = %d, want 0", inflight)
 	}

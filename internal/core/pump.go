@@ -23,7 +23,7 @@ import (
 //     worker (the paper's per-service ordering requirement); batches to
 //     distinct peers are independent and may run concurrently.
 //
-//   - Claim/reconcile. A delivery pass claims messages under qmu, sends the
+//   - Claim/reconcile. A delivery pass claims messages under q.mu, sends the
 //     peer's claim as one frame (wire.FramePath) built from private
 //     snapshots with no locks held, and reconciles the frame's outcomes in
 //     one critical section with one WAL entry. Retry, Drop, and queue collapsing may run at any
@@ -89,22 +89,6 @@ func (c *Controller) now() time.Time {
 	return time.Now()
 }
 
-// peerState tracks delivery health for one destination peer. Guarded by qmu.
-// It holds no batch-sizing state: the batch policy sizes every claim from
-// the pass's backlog snapshot alone.
-type peerState struct {
-	// inflight marks a claimed batch not yet reconciled; at most one batch
-	// per peer is in flight, which is what preserves per-peer FIFO order.
-	inflight bool
-	// failures counts consecutive retryable delivery failures.
-	failures int
-	// nextTry gates delivery attempts while backing off.
-	nextTry time.Time
-	// notified marks that the administrator was told about this outage
-	// (reset when the peer becomes reachable again).
-	notified bool
-}
-
 // peerKey names the destination a repair message is delivered to: the target
 // service for repair calls, the notifier's host service (or polling client)
 // for replace_response.
@@ -124,7 +108,7 @@ func peerKey(m warp.OutMsg) string {
 // claimedBatch is one peer's slice of the queue, claimed for delivery.
 type claimedBatch struct {
 	peer string
-	ptrs []*PendingMsg // live queue entries (reconciled under qmu)
+	ptrs []*PendingMsg // live queue entries (reconciled under q.mu)
 	snap []PendingMsg  // private copies delivered without locks
 	gens []uint64      // generation of each entry at claim time
 	// st and learned are each claimed message's delivery outcome and the
@@ -143,17 +127,15 @@ type claimedBatch struct {
 // to a peer; admission control reads the count at claim time to trickle
 // repair delivery to peers that are actively serving live traffic.
 func (c *Controller) beginLiveCall(peer string) {
-	c.qmu.Lock()
-	c.liveCalls[peer]++
-	c.qmu.Unlock()
+	c.q.mu.Lock()
+	c.q.dest(peer).liveCalls++
+	c.q.mu.Unlock()
 }
 
 func (c *Controller) endLiveCall(peer string) {
-	c.qmu.Lock()
-	if c.liveCalls[peer]--; c.liveCalls[peer] <= 0 {
-		delete(c.liveCalls, peer)
-	}
-	c.qmu.Unlock()
+	c.q.mu.Lock()
+	c.q.dest(peer).liveCalls--
+	c.q.mu.Unlock()
 }
 
 // peerBacklogs snapshots, for every peer with deliverable messages, how
@@ -162,16 +144,10 @@ func (c *Controller) endLiveCall(peer string) {
 // limits are computed but unused this pass, which keeps the snapshot cheap
 // and the policy stateless.
 func (c *Controller) peerBacklogs() map[string]int {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
 	m := map[string]int{}
-	c.met.queueVisits.Add(int64(len(c.queue)))
-	for _, p := range c.queue {
-		if !p.queued || p.Held || p.inflight {
-			continue
-		}
-		m[p.peer]++
-	}
+	c.q.claimable(func(p *PendingMsg) { m[p.peer]++ })
 	return m
 }
 
@@ -207,50 +183,38 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 	// At least one worker may always carry cascades, so they make progress.
 	maxCascade := max(int(adm.MaxShare*float64(pumpWorkers)), 1)
 	floor, _ := c.Cfg.BatchPolicy.bounds()
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
 	// The MaxShare budget only bites while user-visible (response-class)
 	// messages are actually waiting; one pre-pass answers that.
 	respWaiting := false
 	if admit {
-		c.met.queueVisits.Add(int64(len(c.queue))) // counted as a whole walk
-		for _, p := range c.queue {
-			if p.queued && !p.Held && !p.inflight && p.Msg.Kind == warp.OutReplaceResponse {
-				respWaiting = true
-				break
-			}
-		}
+		c.q.claimable(func(p *PendingMsg) {
+			respWaiting = respWaiting || p.Msg.Kind == warp.OutReplaceResponse
+		})
 	}
 	var order []*claimedBatch
 	byPeer := map[string]*claimedBatch{}
 	skipPeer := map[string]bool{}
-	c.met.queueVisits.Add(int64(len(c.queue)))
-	for _, p := range c.queue {
-		if !p.queued || p.Held || p.inflight {
-			continue
-		}
+	c.q.claimable(func(p *PendingMsg) {
 		peer := p.peer
 		if skipPeer[peer] {
-			continue
+			return
 		}
 		cl, ok := byPeer[peer]
 		if !ok {
-			ps := c.peers[peer]
-			if ps == nil {
-				ps = &peerState{}
-				c.peers[peer] = ps
-			}
-			if ps.inflight || (pumpPass && now.Before(ps.nextTry)) {
+			d := c.q.dest(peer)
+			if d.inflight || (pumpPass && now.Before(d.nextTry)) {
 				skipPeer[peer] = true
-				continue
+				return
 			}
 			cascade := p.Msg.Kind != warp.OutReplaceResponse
-			if admit && cascade && respWaiting && c.cascadeInflight >= maxCascade {
+			if admit && cascade && respWaiting && c.q.cascadeInflight >= maxCascade {
 				// Cascade budget exhausted while responses wait: leave this
 				// peer for a later pass so the reserved workers stay free
 				// for the user-visible plane.
 				skipPeer[peer] = true
-				continue
+				return
 			}
 			l := 0 // Flush: unbounded
 			if pumpPass {
@@ -259,27 +223,26 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 					l = pl
 				}
 			}
-			if admit && (c.liveCalls[peer] > 0 || cascade && respWaiting) {
+			if admit && (d.liveCalls > 0 || cascade && respWaiting) {
 				// The peer is serving our live traffic right now, or a
 				// repaired answer is waiting for a worker: trickle.
 				l = min(l, adm.Burst)
 			}
-			ps.inflight = true
+			d.inflight = true
 			if cascade && admit {
-				c.cascadeInflight++
+				c.q.cascadeInflight++
 			}
 			cl = &claimedBatch{peer: peer, limit: l, cascade: cascade && admit}
 			byPeer[peer] = cl
 			order = append(order, cl)
 		}
-		if cl.limit > 0 && len(cl.ptrs) >= cl.limit {
-			continue
+		if cl.limit == 0 || len(cl.ptrs) < cl.limit {
+			p.inflight = true
+			cl.ptrs = append(cl.ptrs, p)
+			cl.snap = append(cl.snap, *p)
+			cl.gens = append(cl.gens, p.Gen)
 		}
-		p.inflight = true
-		cl.ptrs = append(cl.ptrs, p)
-		cl.snap = append(cl.snap, *p)
-		cl.gens = append(cl.gens, p.Gen)
-	}
+	})
 	if c.met.reg != nil {
 		claimNS := c.now().UnixNano()
 		for _, cl := range order {
@@ -297,30 +260,6 @@ func (c *Controller) claimBatches(limits map[string]int, pumpPass bool) []*claim
 		}
 	}
 	return order
-}
-
-// peerHasQueuedLocked reports whether any live queue entry is bound for the
-// named peer.
-func (c *Controller) peerHasQueuedLocked(peer string) bool {
-	return c.qpeer[peer] > 0
-}
-
-// compactLocked drops dead entries (queued=false: delivered, gone,
-// dropped) from the queue slice in one pass. dequeueLocked runs it once
-// dead entries outnumber live ones, so each removal pays O(1) amortized
-// and the slice never holds more than twice the live entries.
-func (c *Controller) compactLocked() {
-	c.met.queueVisits.Add(int64(len(c.queue)))
-	kept := c.queue[:0]
-	for _, q := range c.queue {
-		if q.queued {
-			kept = append(kept, q)
-		}
-	}
-	for i := len(kept); i < len(c.queue); i++ {
-		c.queue[i] = nil
-	}
-	c.queue = kept
 }
 
 // deliverBatch delivers one claimed batch as frames and reconciles each
@@ -375,49 +314,40 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 	}
 
 	c.sd.Yield() // schedule point: batch done, peer state not yet reconciled
-	c.qmu.Lock()
-	if cl.cascade {
-		c.cascadeInflight--
-	}
-	for _, p := range cl.ptrs {
-		p.inflight = false // frames never sent go back uncharged
-	}
-	ps := c.peers[cl.peer]
-	ps.inflight = false
+	c.q.mu.Lock()
+	d := c.q.release(cl) // frames never sent go back uncharged
 	if failAt >= 0 {
 		// Unreachable peers back off; their messages stay live. The outage
-		// is tracked per peer (ps.failures), not charged to each message's
+		// is tracked per peer (d.failures), not charged to each message's
 		// Attempts — otherwise a long outage would exhaust every message's
 		// MaxAttempts budget and the first message-level failure after
 		// recovery would park it instantly.
-		ps.failures++
-		ps.nextTry = c.now().Add(backoffDelay(ps.failures))
-		if ps.failures >= MaxAttempts && !ps.notified {
-			ps.notified = true
+		d.failures++
+		d.nextTry = c.now().Add(backoffDelay(d.failures))
+		if d.failures >= MaxAttempts && !d.notified {
+			d.notified = true
 			failed := &cl.snap[failAt]
 			notes = append(notes, Notification{
 				Kind: "unreachable", Target: cl.peer, RepairType: string(failed.Msg.Kind),
-				Detail: fmt.Sprintf("peer unreachable after %d attempts; retrying with backoff: %s", ps.failures, failed.LastErr),
+				Detail: fmt.Sprintf("peer unreachable after %d attempts; retrying with backoff: %s", d.failures, failed.LastErr),
 			})
 		}
 	} else {
 		// The peer is healthy and its batch reconciled: clear it to health.
-		ps.failures = 0
-		ps.nextTry = time.Time{}
-		ps.notified = false
-		// A fully healthy reconcile means any gap the peer NACKed has been
-		// re-offered; stop stamping the recovery mark.
-		c.vvClearReofferLocked(cl.peer)
+		// A fully healthy reconcile also means any gap the peer NACKed has
+		// been re-offered; stop stamping the recovery mark.
+		d.resetHealth()
+		d.reoffer = false
 	}
-	// Delivery state is only meaningful while the peer still has messages.
-	// While it does, the entry carries backoff into the next claim; once
-	// drained (delivered, dropped or terminated) drop it — the zero state
-	// is equivalent to no entry, so per-peer bookkeeping (e.g. one-shot
-	// poll:// clients) cannot accumulate forever.
-	if !c.peerHasQueuedLocked(cl.peer) {
-		delete(c.peers, cl.peer)
+	// Delivery health is only meaningful while the peer still has
+	// messages: it carries backoff into the next claim. A drained peer
+	// (delivered, dropped or terminated) goes back to a fresh record's
+	// health. The record itself is kept, vector and all, for every
+	// destination ever named — one-shot poll:// clients included.
+	if len(d.out) == 0 {
+		d.resetHealth()
 	}
-	c.qmu.Unlock()
+	c.q.mu.Unlock()
 
 	for _, n := range notes {
 		c.notify(n)
@@ -474,7 +404,7 @@ func (c *Controller) deliverFrame(cl *claimedBatch, body []byte, frame []int) (n
 // call records), the q-del of every message delivered or gone, and the
 // q-set of every message charged, held, or left with a fresh error. Svc.Mu
 // is held for the learned IDs (local repair mutates log records in place
-// under it) and qmu nests inside it; the entry's fsync runs after both are
+// under it) and q.mu nests inside it; the entry's fsync runs after both are
 // released. An outcome applies only to the generation it claimed: a message
 // whose content was superseded mid-flight (collapse or Retry) stays queued,
 // its reset LastErr preserved, so the newer content still goes out. Returns
@@ -486,8 +416,8 @@ func (c *Controller) reconcileFrame(cl *claimedBatch, members []int, nacked bool
 	held := make([]int, len(members)) // Attempts at which a message was parked
 	c.commit("reconcile", func() {
 		c.learnRequestIDsLocked(cl, members)
-		c.qmu.Lock()
-		defer c.qmu.Unlock()
+		c.q.mu.Lock()
+		defer c.q.mu.Unlock()
 		for j, i := range members {
 			p, snap := cl.ptrs[i], &cl.snap[i]
 			// live: still a queue entry (it may have been Dropped since it was
@@ -615,28 +545,6 @@ func (c *Controller) learnRequestIDsLocked(cl *claimedBatch, members []int) {
 	}
 }
 
-// WaitQueueEmpty blocks until the outgoing queue has no live messages (held
-// or not) or the timeout elapses, reporting whether it emptied. It is the
-// race-free way to wait out the background pump — tests and shutdown paths
-// use it instead of sleep-polling QueueLen.
-func (c *Controller) WaitQueueEmpty(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		c.qmu.Lock()
-		expired = true
-		c.qmu.Unlock()
-		c.qcond.Broadcast()
-	})
-	defer timer.Stop()
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	for c.qlive > 0 && !expired && time.Now().Before(deadline) {
-		c.qcond.Wait()
-	}
-	return c.qlive == 0
-}
-
 // Flush delivers now: one synchronous pass over the outgoing queue that
 // attempts every deliverable (not Held, not in flight) message, reporting
 // how many were delivered and how many remain. It ignores every pump
@@ -676,28 +584,19 @@ func Settle(maxRounds int, ctrls ...*Controller) int {
 	return rounds
 }
 
-// releaseBatches hands claimed-but-undispatched batches back to the queue:
-// entries and peers are marked not-inflight so a later pass (or Flush) can
-// claim them again. Used when the pump shuts down while waiting for a
+// releaseBatches hands claimed-but-undispatched batches back to the queue
+// (outQueue.release). Used when the pump shuts down while waiting for a
 // worker slot.
 func (c *Controller) releaseBatches(batches []*claimedBatch) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
 	for _, cl := range batches {
-		for _, p := range cl.ptrs {
-			p.inflight = false
-		}
-		if ps := c.peers[cl.peer]; ps != nil {
-			ps.inflight = false
-		}
-		if cl.cascade {
-			c.cascadeInflight--
-		}
+		c.q.release(cl)
 	}
 }
 
 // wakePump nudges the background pump (non-blocking; no-op when the pump is
-// not running). Callers may hold qmu: the pacer's Wake latches a flag (or
+// not running). Callers may hold q.mu: the pacer's Wake latches a flag (or
 // does a non-blocking buffered send) and never blocks.
 func (c *Controller) wakePump() {
 	c.pumpMu.Lock()

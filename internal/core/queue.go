@@ -3,9 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
+	"sync"
+	"time"
 
 	"aire/internal/deliver"
 	"aire/internal/obs"
@@ -31,39 +32,36 @@ func (c *Controller) enqueue(msgs []warp.OutMsg, tc traceCtx) {
 	if tc.wave != "" {
 		hop++
 	}
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
 	for _, m := range msgs {
 		c.met.msgsQueued.Inc()
-		if p := c.collapseTargetLocked(&m); p != nil {
-			c.setMsgLocked(p, m) // keep the newest content, the oldest position
-			p.Held = false
-			p.Attempts = 0
-			p.Gen++ // supersede any delivery of the old content in flight
+		p := c.q.collapseTarget(&m)
+		if p != nil {
+			next := *p // keep the newest content, the oldest position
+			next.Msg, next.Held, next.Attempts = m, false, 0
+			next.Gen++ // supersede any delivery of the old content in flight
 			// Trace follows content: the surviving delivery carries
 			// the superseding repair's wave.
-			p.TraceID = tc.wave
-			p.TraceHop = hop
-			c.walEmitQSetLocked(p)
-			c.spanEnqueueLocked(p)
-			continue
+			next.TraceID, next.TraceHop = tc.wave, hop
+			c.q.relink(p, next)
+		} else {
+			p = &PendingMsg{
+				DeliveryID: c.Svc.IDs.Delivery(),
+				Msg:        m,
+				TraceID:    tc.wave,
+				TraceHop:   hop,
+			}
+			c.q.push(p)
 		}
-		p := &PendingMsg{
-			DeliveryID: c.Svc.IDs.Delivery(),
-			Msg:        m,
-			TraceID:    tc.wave,
-			TraceHop:   hop,
-		}
-		c.appendQueuedLocked(p)
 		c.walEmitQSetLocked(p)
 		c.spanEnqueueLocked(p)
 	}
-	c.met.queueDepth.Set(int64(c.qlive))
 	c.wakePump()
 }
 
 // spanEnqueueLocked records the enqueue span of one queued (or
-// re-collapsed) message. Caller holds qmu; no-op with obs disabled.
+// re-collapsed) message. Caller holds q.mu; no-op with obs disabled.
 func (c *Controller) spanEnqueueLocked(p *PendingMsg) {
 	if c.met.reg == nil || p.TraceID == "" {
 		return
@@ -107,175 +105,372 @@ func collapseKey(m *warp.OutMsg) qkey {
 	return qkey{}
 }
 
-// The outgoing queue is a slice in queue (FIFO) order plus three indexes
-// over its live entries: by delivery ID (qbyID), by collapse key (qbyKey,
-// each key's entries oldest first), and live counts per destination
-// (qpeer). A message leaving the queue only clears its membership and
-// unlinks it from the indexes; the slice drops dead entries in one pass
-// once they outnumber live ones. So a collapse lookup, a find by delivery
-// ID, a replayed q-set or q-del, a removal and a "does this peer still
-// have messages" test each cost O(1) amortized, and a wave of n messages
-// costs O(n) to queue and to replay. Only a claim pass scans the slice.
-// VerifyQueue checks the indexes against a scan.
+// outQueue is the outgoing queue and what its delivery keeps per
+// destination. One mutex guards all of it, and every method runs with mu
+// held.
+//
+// The entries are a slice in queue (FIFO) order plus two indexes over the
+// live ones: by delivery ID (byID) and by collapse key (byKey, each key's
+// entries oldest first). A message leaving the queue only clears its
+// membership and unlinks it from the indexes; the slice drops dead entries
+// in one pass once they outnumber live ones. So a collapse lookup, a find
+// by delivery ID, a replayed q-set or q-del and a removal each cost O(1)
+// amortized, and a wave of n messages costs O(n) to queue and to replay.
+// Only a claim walk scans the slice. Each destination has one record
+// (dest), whose outstanding set holds exactly the sequences of its live
+// entries, so whether a peer still has messages is len(d.out). verify
+// checks all of it against a scan.
+type outQueue struct {
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast whenever live drops to 0 (WaitQueueEmpty)
+	entries []*PendingMsg
+	live    int    // entries with queued=true
+	next    uint64 // the next entry's position
+	byID    map[string]*PendingMsg
+	byKey   map[qkey][]*PendingMsg
+	dests   map[string]*dest
+	// cascadeInflight counts claimed-but-unreconciled cascade-class
+	// batches; admission's MaxShare budget is enforced against it at claim
+	// time.
+	cascadeInflight int
+
+	route  func(warp.OutMsg) string // a message's destination (Controller.peerDest)
+	visits *obs.Counter             // the controller's queue_visits
+	depth  *obs.Gauge               // the controller's queue_depth
+}
+
+// dest is everything the queue keeps for one destination: its delivery
+// health, its sender version vector (vectors.go), and its live calls. A
+// record is made the first time anything names the destination and is
+// kept from then on, so the vector outlives the messages it counts. It
+// holds no batch-sizing state: the batch policy sizes every claim from the
+// pass's backlog snapshot alone.
+type dest struct {
+	// inflight marks a claimed batch not yet reconciled; at most one batch
+	// per destination is in flight, which is what preserves per-peer FIFO
+	// order.
+	inflight bool
+	// failures counts consecutive retryable delivery failures.
+	failures int
+	// nextTry gates delivery attempts while backing off.
+	nextTry time.Time
+	// notified marks that the administrator was told about this outage
+	// (reset when the peer becomes reachable again).
+	notified bool
+
+	// out holds the sequences of the destination's live entries: its
+	// unresolved deliveries.
+	out map[uint64]bool
+	// frontier is the highest sequence ever issued to the destination.
+	frontier uint64
+	// reoffer is set when the peer NACKed a gap and cleared once a batch to
+	// the peer reconciles fully healthy; while set, stamped carriers carry
+	// wire.HdrReoffer so the transport fabric (and the simulator's lostwave
+	// fault class) treats them as anti-entropy recovery traffic.
+	reoffer bool
+
+	// liveCalls counts in-flight live (non-repair) outbound calls to the
+	// destination; admission control trickles repair delivery to peers
+	// that are actively serving the live workload.
+	liveCalls int
+}
+
+func newOutQueue(route func(warp.OutMsg) string, visits *obs.Counter, depth *obs.Gauge) *outQueue {
+	q := &outQueue{
+		byID:   make(map[string]*PendingMsg),
+		byKey:  make(map[qkey][]*PendingMsg),
+		dests:  make(map[string]*dest),
+		route:  route,
+		visits: visits,
+		depth:  depth,
+	}
+	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+// dest returns the named destination's record, making it on first use.
+func (q *outQueue) dest(name string) *dest {
+	d := q.dests[name]
+	if d == nil {
+		d = &dest{out: map[uint64]bool{}}
+		q.dests[name] = d
+	}
+	return d
+}
+
+// resetHealth gives d the delivery health of a fresh record: reachable,
+// not backing off, no outage notified.
+func (d *dest) resetHealth() {
+	d.failures, d.nextTry, d.notified = 0, time.Time{}, false
+}
 
 // queueLookupHook, when set (by tests only), observes every index lookup:
 // a collapse lookup for m, or a find by delivery ID, and the entry the
-// index picked. Called under qmu.
-var queueLookupHook func(c *Controller, m *warp.OutMsg, deliveryID string, picked *PendingMsg)
+// index picked.
+var queueLookupHook func(q *outQueue, m *warp.OutMsg, deliveryID string, picked *PendingMsg)
 
-// collapseTargetLocked returns the live entry a new message m collapses
-// onto — the oldest one with m's key — or nil. Caller holds qmu.
-func (c *Controller) collapseTargetLocked(m *warp.OutMsg) *PendingMsg {
+// collapseTarget returns the live entry a new message m collapses onto —
+// the oldest one with m's key — or nil.
+func (q *outQueue) collapseTarget(m *warp.OutMsg) *PendingMsg {
 	var p *PendingMsg
-	if k := collapseKey(m); k.kind != 0 {
-		if l := c.qbyKey[k]; len(l) > 0 {
-			p = l[0]
-			c.met.queueVisits.Inc()
-		}
+	if l := q.byKey[collapseKey(m)]; len(l) > 0 { // never-collapsing messages are never keyed
+		p = l[0]
+	}
+	return q.looked(m, "", p)
+}
+
+// find returns the live entry with the given delivery ID, or nil.
+func (q *outQueue) find(deliveryID string) *PendingMsg {
+	return q.looked(nil, deliveryID, q.byID[deliveryID])
+}
+
+// looked counts an index lookup's pick as one visit and shows it to the
+// lookup hook.
+func (q *outQueue) looked(m *warp.OutMsg, deliveryID string, picked *PendingMsg) *PendingMsg {
+	if picked != nil {
+		q.visits.Inc()
 	}
 	if queueLookupHook != nil {
-		queueLookupHook(c, m, "", p)
+		queueLookupHook(q, m, deliveryID, picked)
 	}
-	return p
+	return picked
 }
 
-// appendQueuedLocked adds p at the tail of the queue as a live entry,
-// indexes it, and issues its delivery in its destination's sender vector
-// (idempotent, so a replayed re-insert is safe). Caller holds qmu.
-func (c *Controller) appendQueuedLocked(p *PendingMsg) {
+// legacyDeliveryID returns the delivery ID of the live entry an old q-del
+// names by its retired MsgID, or "". No index keys MsgIDs: only old state
+// pays this scan.
+func (q *outQueue) legacyDeliveryID(msgID string) string {
+	for _, p := range q.entries {
+		q.visits.Inc()
+		if p.queued && p.msgID == msgID {
+			return p.DeliveryID
+		}
+	}
+	return ""
+}
+
+// push adds p at the tail of the queue as a live entry and links it.
+func (q *outQueue) push(p *PendingMsg) {
 	p.queued = true
-	p.pos = c.qnext
-	c.qnext++
-	c.queue = append(c.queue, p)
-	c.qlive++
-	c.linkLocked(p)
-	c.vvIssueLocked(p.peer, p.DeliveryID)
+	p.pos = q.next
+	q.next++
+	q.entries = append(q.entries, p)
+	q.live++
+	q.link(p)
+	q.depth.Set(int64(q.live))
 }
 
-// setMsgLocked replaces a live entry's content, re-deriving its index
-// coordinates. Caller holds qmu.
-func (c *Controller) setMsgLocked(p *PendingMsg, m warp.OutMsg) {
-	peer := p.peer
-	c.unlinkLocked(p)
-	p.Msg = m
-	c.linkLocked(p)
-	c.vvMoveLocked(peer, p)
+// relink replaces a live entry's state with m, except what is never
+// recorded — its response token, a claim in flight, and its place in the
+// queue — and re-derives its index coordinates, moving its delivery to
+// the new content's destination.
+func (q *outQueue) relink(p *PendingMsg, m PendingMsg) {
+	m.token, m.inflight, m.queued, m.pos = p.token, p.inflight, true, p.pos
+	q.unlink(p)
+	*p = m
+	q.link(p)
 }
 
-// linkLocked derives a live entry's collapse key and destination from its
-// content and adds it to the indexes. Caller holds qmu.
-func (c *Controller) linkLocked(p *PendingMsg) {
-	p.key, p.peer = collapseKey(&p.Msg), c.peerDest(p.Msg)
-	c.qbyID[p.DeliveryID] = p
-	c.qpeer[p.peer]++
+// upsert is the one replay/restore insert: it upserts a queue entry by
+// delivery ID, as recorded by a q-set op or a checkpoint. The caller has
+// checked the entry with restorable.
+func (q *outQueue) upsert(m PendingMsg) {
+	if p := q.find(m.DeliveryID); p != nil {
+		q.relink(p, m)
+		return
+	}
+	m.inflight = false
+	q.push(&m)
+}
+
+// link derives a live entry's collapse key and destination from its
+// content, adds it to the indexes, and issues its delivery in the
+// destination's vector (idempotent: out is a set).
+func (q *outQueue) link(p *PendingMsg) {
+	p.key, p.peer = collapseKey(&p.Msg), q.route(p.Msg)
+	q.byID[p.DeliveryID] = p
+	d, seq := q.dest(p.peer), deliver.Seq(p.DeliveryID)
+	d.out[seq] = true
+	d.frontier = max(d.frontier, seq)
 	if p.key.kind == 0 {
 		return
 	}
 	// Keep each key's entries in queue order. An entry almost always joins
 	// at the tail; only a restored entry whose content changed key can
 	// land before a newer one.
-	l := append(c.qbyKey[p.key], p)
+	l := append(q.byKey[p.key], p)
 	for i := len(l) - 1; i > 0 && l[i-1].pos > p.pos; i-- {
 		l[i-1], l[i] = l[i], l[i-1]
 	}
-	c.qbyKey[p.key] = l
+	q.byKey[p.key] = l
 }
 
-// unlinkLocked removes a live entry from the indexes. Caller holds qmu.
-func (c *Controller) unlinkLocked(p *PendingMsg) {
-	delete(c.qbyID, p.DeliveryID)
-	if c.qpeer[p.peer]--; c.qpeer[p.peer] == 0 {
-		delete(c.qpeer, p.peer)
-	}
+// unlink removes a live entry from the indexes and its delivery from its
+// destination's outstanding set.
+func (q *outQueue) unlink(p *PendingMsg) {
+	delete(q.byID, p.DeliveryID)
+	delete(q.dests[p.peer].out, deliver.Seq(p.DeliveryID))
 	if p.key.kind == 0 {
 		return
 	}
-	l := c.qbyKey[p.key]
-	for i, q := range l {
-		if q == p {
-			c.met.queueVisits.Add(int64(i + 1))
+	l := q.byKey[p.key]
+	for i, e := range l {
+		if e == p {
+			q.visits.Add(int64(i + 1))
 			l = append(l[:i], l[i+1:]...)
 			break
 		}
 	}
 	if len(l) == 0 {
-		delete(c.qbyKey, p.key)
+		delete(q.byKey, p.key)
 	} else {
-		c.qbyKey[p.key] = l
+		q.byKey[p.key] = l
 	}
 }
 
-// VerifyQueue cross-checks the outgoing queue's indexes against a scan of
-// the queue: the live count, the delivery-ID and collapse-key indexes
-// (each key's entries oldest first), the per-peer live counts, every live
-// entry's recorded key and destination, and the sender vectors' sets of
-// outstanding deliveries. A pure read under qmu; the simulator runs it on
-// every controller after every run.
-func (c *Controller) VerifyQueue() error {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
+// dequeue is the one way a message leaves the queue (delivered, gone,
+// dropped, or a replayed q-del): it clears membership and unlinks the
+// entry, which resolves its delivery in its destination's vector, leaving
+// it in the slice until dead entries outnumber live ones.
+func (q *outQueue) dequeue(p *PendingMsg) {
+	p.queued = false
+	q.live--
+	q.unlink(p)
+	q.depth.Set(int64(q.live))
+	if q.live == 0 {
+		q.cond.Broadcast()
+	}
+	if len(q.entries)-q.live > q.live {
+		q.compact()
+	}
+}
+
+// compact drops dead entries (queued=false: delivered, gone, dropped) from
+// the slice in one pass. dequeue runs it once dead entries outnumber live
+// ones, so each removal pays O(1) amortized and the slice never holds more
+// than twice the live entries.
+func (q *outQueue) compact() {
+	q.visits.Add(int64(len(q.entries)))
+	kept := q.entries[:0]
+	for _, p := range q.entries {
+		if p.queued {
+			kept = append(kept, p)
+		}
+	}
+	for i := len(kept); i < len(q.entries); i++ {
+		q.entries[i] = nil
+	}
+	q.entries = kept
+}
+
+// claimable is the claim walk: it calls fn on every entry a delivery pass
+// may claim — live, not held, not already in flight — in queue order. A
+// walk visits every entry.
+func (q *outQueue) claimable(fn func(p *PendingMsg)) {
+	q.visits.Add(int64(len(q.entries)))
+	for _, p := range q.entries {
+		if p.queued && !p.Held && !p.inflight {
+			fn(p)
+		}
+	}
+}
+
+// release ends a claim: the batch's entries and its destination may be
+// claimed again, and a cascade-class batch gives back its unit of the
+// admission budget. It returns the destination's record.
+func (q *outQueue) release(cl *claimedBatch) *dest {
+	for _, p := range cl.ptrs {
+		p.inflight = false
+	}
+	if cl.cascade {
+		q.cascadeInflight--
+	}
+	d := q.dest(cl.peer)
+	d.inflight = false
+	return d
+}
+
+// snapshot copies the live entries, in queue order.
+func (q *outQueue) snapshot() []PendingMsg {
+	out := make([]PendingMsg, 0, q.live)
+	for _, p := range q.entries {
+		if p.queued {
+			out = append(out, *p)
+		}
+	}
+	return out
+}
+
+// verify cross-checks the indexes and records against a scan of the
+// queue: the live count, the delivery-ID and collapse-key indexes (each
+// key's entries oldest first), every live entry's recorded key and
+// destination, and each destination's outstanding set. A pure read.
+func (q *outQueue) verify() error {
 	live := 0
-	peers := map[string]int{}
-	out := map[string]map[uint64]bool{}
+	perDest := map[string]int{}
 	var last *PendingMsg
-	for _, p := range c.queue {
+	for _, p := range q.entries {
 		if last != nil && p.pos <= last.pos {
-			return fmt.Errorf("core: %s: queue positions out of order at %s", c.Svc.Name, p.DeliveryID)
+			return fmt.Errorf("queue positions out of order at %s", p.DeliveryID)
 		}
 		last = p
 		if !p.queued {
 			continue
 		}
 		live++
-		if c.qbyID[p.DeliveryID] != p {
-			return fmt.Errorf("core: %s: live entry %s missing from the delivery-ID index", c.Svc.Name, p.DeliveryID)
+		if q.byID[p.DeliveryID] != p {
+			return fmt.Errorf("live entry %s missing from the delivery-ID index", p.DeliveryID)
 		}
 		if k := collapseKey(&p.Msg); p.key != k {
-			return fmt.Errorf("core: %s: entry %s records collapse key %v, its content has %v", c.Svc.Name, p.DeliveryID, p.key, k)
+			return fmt.Errorf("entry %s records collapse key %v, its content has %v", p.DeliveryID, p.key, k)
 		}
-		if d := c.peerDest(p.Msg); p.peer != d {
-			return fmt.Errorf("core: %s: entry %s records destination %q, its content goes to %q", c.Svc.Name, p.DeliveryID, p.peer, d)
+		if d := q.route(p.Msg); p.peer != d {
+			return fmt.Errorf("entry %s records destination %q, its content goes to %q", p.DeliveryID, p.peer, d)
 		}
-		peers[p.peer]++
-		if out[p.peer] == nil {
-			out[p.peer] = map[uint64]bool{}
+		if d := q.dests[p.peer]; d == nil || !d.out[deliver.Seq(p.DeliveryID)] {
+			return fmt.Errorf("vector for %s lacks live delivery %s", p.peer, p.DeliveryID)
 		}
-		out[p.peer][deliver.Seq(p.DeliveryID)] = true
-		if p.key.kind != 0 && !slices.Contains(c.qbyKey[p.key], p) {
-			return fmt.Errorf("core: %s: live entry %s missing from the collapse-key index", c.Svc.Name, p.DeliveryID)
+		perDest[p.peer]++
+		if p.key.kind != 0 && !slices.Contains(q.byKey[p.key], p) {
+			return fmt.Errorf("live entry %s missing from the collapse-key index", p.DeliveryID)
 		}
 	}
-	if live != c.qlive {
-		return fmt.Errorf("core: %s: qlive %d, the queue holds %d live entries", c.Svc.Name, c.qlive, live)
+	if live != q.live {
+		return fmt.Errorf("live count %d, the queue holds %d live entries", q.live, live)
 	}
-	if len(c.qbyID) != live {
-		return fmt.Errorf("core: %s: delivery-ID index holds %d entries, the queue %d live", c.Svc.Name, len(c.qbyID), live)
+	if len(q.byID) != live {
+		return fmt.Errorf("delivery-ID index holds %d entries, the queue %d live", len(q.byID), live)
 	}
-	for k, l := range c.qbyKey {
+	for k, l := range q.byKey {
 		if len(l) == 0 {
-			return fmt.Errorf("core: %s: collapse key %v indexes no entry", c.Svc.Name, k)
+			return fmt.Errorf("collapse key %v indexes no entry", k)
 		}
 		for i, p := range l {
 			if !p.queued || p.key != k {
-				return fmt.Errorf("core: %s: collapse key %v indexes entry %s (live %v, key %v)", c.Svc.Name, k, p.DeliveryID, p.queued, p.key)
+				return fmt.Errorf("collapse key %v indexes entry %s (live %v, key %v)", k, p.DeliveryID, p.queued, p.key)
 			}
 			if i > 0 && l[i-1].pos >= p.pos {
-				return fmt.Errorf("core: %s: collapse key %v lists entry %s before an older one", c.Svc.Name, k, p.DeliveryID)
+				return fmt.Errorf("collapse key %v lists entry %s before an older one", k, p.DeliveryID)
 			}
 		}
 	}
-	if !maps.Equal(peers, c.qpeer) {
-		return fmt.Errorf("core: %s: per-peer live counts %v, the queue holds %v", c.Svc.Name, c.qpeer, peers)
-	}
-	for peer, pv := range c.vectors {
-		if !maps.Equal(pv.out, out[peer]) {
-			return fmt.Errorf("core: %s: vector for %s has %d outstanding deliveries, the queue %d", c.Svc.Name, peer, len(pv.out), len(out[peer]))
+	for name, d := range q.dests {
+		if len(d.out) != perDest[name] {
+			return fmt.Errorf("vector for %s has %d outstanding deliveries, the queue %d", name, len(d.out), perDest[name])
 		}
 	}
-	for peer := range out {
-		if c.vectors[peer] == nil {
-			return fmt.Errorf("core: %s: no vector for %s, which has queued deliveries", c.Svc.Name, peer)
-		}
+	return nil
+}
+
+// VerifyQueue cross-checks the outgoing queue's indexes and per-destination
+// records against a scan of the queue (outQueue.verify). A pure read under
+// the queue's mutex; the simulator runs it on every controller after every
+// run.
+func (c *Controller) VerifyQueue() error {
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
+	if err := c.q.verify(); err != nil {
+		return fmt.Errorf("core: %s: %w", c.Svc.Name, err)
 	}
 	return nil
 }
@@ -284,22 +479,38 @@ func (c *Controller) VerifyQueue() error {
 // awaiting Retry; applications surface these to users so stale credentials
 // can be refreshed (§7.2).
 func (c *Controller) Pending() []PendingMsg {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	out := make([]PendingMsg, 0, c.qlive)
-	for _, p := range c.queue {
-		if p.queued {
-			out = append(out, *p)
-		}
-	}
-	return out
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
+	return c.q.snapshot()
 }
 
 // QueueLen returns how many repair messages are queued (held or not).
 func (c *Controller) QueueLen() int {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	return c.qlive
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
+	return c.q.live
+}
+
+// WaitQueueEmpty blocks until the outgoing queue has no live messages (held
+// or not) or the timeout elapses, reporting whether it emptied. It is the
+// race-free way to wait out the background pump — tests and shutdown paths
+// use it instead of sleep-polling QueueLen.
+func (c *Controller) WaitQueueEmpty(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	expired := false
+	timer := time.AfterFunc(timeout, func() {
+		c.q.mu.Lock()
+		expired = true
+		c.q.mu.Unlock()
+		c.q.cond.Broadcast()
+	})
+	defer timer.Stop()
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
+	for c.q.live > 0 && !expired && time.Now().Before(deadline) {
+		c.q.cond.Wait()
+	}
+	return c.q.live == 0
 }
 
 // Retry revives a held repair message, optionally merging updated
@@ -315,9 +526,9 @@ func (c *Controller) QueueLen() int {
 func (c *Controller) Retry(deliveryID string, updatedHeaders map[string]string) error {
 	var p *PendingMsg
 	c.commit("queue", func() {
-		c.qmu.Lock()
-		defer c.qmu.Unlock()
-		if p = c.findQueuedLocked(deliveryID); p == nil {
+		c.q.mu.Lock()
+		defer c.q.mu.Unlock()
+		if p = c.q.find(deliveryID); p == nil {
 			return
 		}
 		if !p.Held && len(updatedHeaders) == 0 {
@@ -359,17 +570,16 @@ func (c *Controller) Retry(deliveryID string, updatedHeaders map[string]string) 
 func (c *Controller) Drop(deliveryID string) error {
 	var p *PendingMsg
 	c.commit("queue", func() {
-		c.qmu.Lock()
-		defer c.qmu.Unlock()
-		if p = c.removeQueuedLocked(deliveryID); p == nil {
+		c.q.mu.Lock()
+		defer c.q.mu.Unlock()
+		if p = c.q.find(deliveryID); p == nil {
 			return
 		}
+		c.dequeueLocked(p)
 		// Dropping a peer's last message leaves no delivery pass to clean
 		// up its backoff bookkeeping — do it here.
-		if peer := p.peer; !c.peerHasQueuedLocked(peer) {
-			if ps := c.peers[peer]; ps != nil && !ps.inflight {
-				delete(c.peers, peer)
-			}
+		if d := c.q.dest(p.peer); len(d.out) == 0 && !d.inflight {
+			d.resetHealth()
 		}
 	})
 	if p == nil {
@@ -378,52 +588,14 @@ func (c *Controller) Drop(deliveryID string) error {
 	return nil
 }
 
-// findQueuedLocked returns the live queue entry with the given delivery ID,
-// or nil. Caller holds qmu.
-func (c *Controller) findQueuedLocked(deliveryID string) *PendingMsg {
-	p := c.qbyID[deliveryID]
-	if p != nil {
-		c.met.queueVisits.Inc()
-	}
-	if queueLookupHook != nil {
-		queueLookupHook(c, nil, deliveryID, p)
-	}
-	return p
-}
-
-// dequeueLocked is the one way a message leaves the queue (delivered, gone,
-// dropped, or a replayed q-del): it clears membership and unlinks the
-// entry from the indexes, leaving it in the slice until dead entries
-// outnumber live ones (compactLocked), resolves the delivery in the
-// sender's version vector, and logs the q-del. Caller holds qmu (and, with
-// a writer attached, Svc.Mu with a batch open).
+// dequeueLocked takes p out of the queue (outQueue.dequeue) and logs the
+// q-del. Caller holds q.mu (and, with a writer attached, Svc.Mu with a
+// batch open).
 func (c *Controller) dequeueLocked(p *PendingMsg) {
-	p.queued = false
-	c.qlive--
-	c.unlinkLocked(p)
-	c.met.queueDepth.Set(int64(c.qlive))
-	if c.qlive == 0 {
-		c.qcond.Broadcast()
-	}
-	if pv := c.vectors[p.peer]; pv != nil {
-		delete(pv.out, deliver.Seq(p.DeliveryID))
-	}
+	c.q.dequeue(p)
 	if c.walAttached() {
 		c.walEmit(&walOp{Kind: "q-del", QDel: qDelOp{DeliveryID: p.DeliveryID}})
 	}
-	if len(c.queue)-c.qlive > c.qlive {
-		c.compactLocked()
-	}
-}
-
-// removeQueuedLocked is Drop's and replay's q-del: find and dequeue. It
-// returns the message, or nil when none is queued. Caller holds qmu.
-func (c *Controller) removeQueuedLocked(deliveryID string) *PendingMsg {
-	p := c.findQueuedLocked(deliveryID)
-	if p != nil {
-		c.dequeueLocked(p)
-	}
-	return p
 }
 
 // mintResponseToken stores a replace_response's corrected response under

@@ -44,45 +44,47 @@ func TestQueueIndexMatchesLinearReference(t *testing.T) {
 		var ids []string
 		dupKeys := 0
 		for step := 0; step < 300; step++ {
-			c.qmu.Lock()
+			c.q.mu.Lock()
 			switch op := rng.Intn(10); {
 			case op < 4:
-				c.qmu.Unlock()
+				c.q.mu.Unlock()
 				c.enqueue([]warp.OutMsg{queueTestMsg(rng), queueTestMsg(rng)}, traceCtx{})
-				c.qmu.Lock()
-			case op < 6 && c.qlive > 0:
-				c.removeQueuedLocked(ids[rng.Intn(len(ids))])
+				c.q.mu.Lock()
+			case op < 6 && c.q.live > 0:
+				if p := c.q.find(ids[rng.Intn(len(ids))]); p != nil {
+					c.dequeueLocked(p)
+				}
 			case op < 8:
 				// A restored entry the queue does not hold yet: its key may
 				// already be live, which only restored state can produce.
 				m := PendingMsg{DeliveryID: c.Svc.IDs.Delivery(), Msg: queueTestMsg(rng)}
-				if linearCollapseTarget(c, m.Msg) != nil {
+				if linearCollapseTarget(c.q, m.Msg) != nil {
 					dupKeys++
 				}
-				c.upsertQueuedLocked(m)
+				c.q.upsert(m)
 			case len(ids) > 0:
 				// A restored state for a queued entry, whose content (and
 				// so key) may differ from the entry's.
-				if p := linearFind(c, ids[rng.Intn(len(ids))]); p != nil {
-					c.upsertQueuedLocked(PendingMsg{DeliveryID: p.DeliveryID, Msg: queueTestMsg(rng), Gen: p.Gen + 1})
+				if p := linearFind(c.q, ids[rng.Intn(len(ids))]); p != nil {
+					c.q.upsert(PendingMsg{DeliveryID: p.DeliveryID, Msg: queueTestMsg(rng), Gen: p.Gen + 1})
 				}
 			}
 			ids = ids[:0]
-			for _, p := range c.queue {
+			for _, p := range c.q.entries {
 				ids = append(ids, p.DeliveryID)
 			}
 			for i := 0; i < 20; i++ {
 				m := queueTestMsg(rng)
-				if got, want := c.collapseTargetLocked(&m), linearCollapseTarget(c, m); got != want {
+				if got, want := c.q.collapseTarget(&m), linearCollapseTarget(c.q, m); got != want {
 					t.Fatalf("seed %d step %d: collapse of %s picked %s, the linear loop %s", seed, step, refCollapseKey(m), pmID(got), pmID(want))
 				}
 			}
 			for _, id := range ids {
-				if got, want := c.findQueuedLocked(id), linearFind(c, id); got != want {
+				if got, want := c.q.find(id), linearFind(c.q, id); got != want {
 					t.Fatalf("seed %d step %d: find %s picked %s, the scan %s", seed, step, id, pmID(got), pmID(want))
 				}
 			}
-			c.qmu.Unlock()
+			c.q.mu.Unlock()
 			if err := c.VerifyQueue(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
@@ -104,12 +106,12 @@ func buildVerifyQueue(t *testing.T) *Controller {
 	}
 	c.enqueue([]warp.OutMsg{del("b", "b-req-1"), del("b", "b-req-2"), del("c", "c-req-1"),
 		{Kind: warp.OutCreate, Target: "c", Req: put("k", "v")}}, traceCtx{})
-	c.qmu.Lock()
-	c.upsertQueuedLocked(PendingMsg{DeliveryID: c.Svc.IDs.Delivery(), Msg: del("b", "b-req-1")})
-	c.removeQueuedLocked(c.queue[1].DeliveryID)
-	c.qmu.Unlock()
-	if len(c.queue) != 5 || c.qlive != 4 || len(c.qbyKey[collapseKey(&c.queue[0].Msg)]) != 2 {
-		t.Fatalf("fixture: %d entries, %d live", len(c.queue), c.qlive)
+	c.q.mu.Lock()
+	c.q.upsert(PendingMsg{DeliveryID: c.Svc.IDs.Delivery(), Msg: del("b", "b-req-1")})
+	c.dequeueLocked(c.q.entries[1])
+	c.q.mu.Unlock()
+	if q := c.q; len(q.entries) != 5 || q.live != 4 || len(q.byKey[collapseKey(&q.entries[0].Msg)]) != 2 {
+		t.Fatalf("fixture: %d entries, %d live", len(q.entries), q.live)
 	}
 	return c
 }
@@ -128,37 +130,39 @@ func TestVerifyQueueHealthy(t *testing.T) {
 func TestVerifyQueueDetectsCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(c *Controller)
+		corrupt func(q *outQueue)
 		want    string
 	}{
-		{"dropped delivery-ID entry", func(c *Controller) { delete(c.qbyID, c.queue[0].DeliveryID) }, "missing from the delivery-ID index"},
-		{"dead entry still indexed", func(c *Controller) { c.qbyID[c.queue[1].DeliveryID] = c.queue[1] }, "delivery-ID index holds"},
-		{"stale delivery-ID entry", func(c *Controller) { c.qbyID["a-dlv-99"] = c.queue[0] }, "delivery-ID index holds"},
-		{"dropped collapse-key entry", func(c *Controller) {
-			k := c.queue[0].key
-			c.qbyKey[k] = c.qbyKey[k][1:]
+		{"dropped delivery-ID entry", func(q *outQueue) { delete(q.byID, q.entries[0].DeliveryID) }, "missing from the delivery-ID index"},
+		{"dead entry still indexed", func(q *outQueue) { q.byID[q.entries[1].DeliveryID] = q.entries[1] }, "delivery-ID index holds"},
+		{"stale delivery-ID entry", func(q *outQueue) { q.byID["a-dlv-99"] = q.entries[0] }, "delivery-ID index holds"},
+		{"dropped collapse-key entry", func(q *outQueue) {
+			k := q.entries[0].key
+			q.byKey[k] = q.byKey[k][1:]
 		}, "missing from the collapse-key index"},
-		{"collapse key lists a newer entry first", func(c *Controller) {
-			l := c.qbyKey[c.queue[0].key]
+		{"collapse key lists a newer entry first", func(q *outQueue) {
+			l := q.byKey[q.entries[0].key]
 			l[0], l[1] = l[1], l[0]
 		}, "before an older one"},
-		{"collapse key indexes a dead entry", func(c *Controller) {
-			k := c.queue[1].key
-			c.qbyKey[k] = append(c.qbyKey[k], c.queue[1])
+		{"collapse key indexes a dead entry", func(q *outQueue) {
+			k := q.entries[1].key
+			q.byKey[k] = append(q.byKey[k], q.entries[1])
 		}, "indexes entry"},
-		{"recorded key drifted", func(c *Controller) { c.queue[0].key.id = "b-req-9" }, "records collapse key"},
-		{"recorded destination drifted", func(c *Controller) { c.queue[2].peer = "d" }, "records destination"},
-		{"per-peer count drift", func(c *Controller) { c.qpeer["b"]++ }, "per-peer live counts"},
-		{"qlive drift", func(c *Controller) { c.qlive++ }, "qlive"},
-		{"vector lost a delivery", func(c *Controller) {
-			delete(c.vectors["b"].out, deliver.Seq(c.queue[0].DeliveryID))
+		{"recorded key drifted", func(q *outQueue) { q.entries[0].key.id = "b-req-9" }, "records collapse key"},
+		{"recorded destination drifted", func(q *outQueue) { q.entries[2].peer = "d" }, "records destination"},
+		{"qlive drift", func(q *outQueue) { q.live++ }, "live count"},
+		{"vector lost a delivery", func(q *outQueue) {
+			delete(q.dests["b"].out, deliver.Seq(q.entries[0].DeliveryID))
 		}, "vector for b"},
-		{"positions out of order", func(c *Controller) { c.queue[0], c.queue[2] = c.queue[2], c.queue[0] }, "out of order"},
+		{"vector holds a resolved delivery", func(q *outQueue) {
+			q.dests["b"].out[deliver.Seq(q.entries[1].DeliveryID)] = true
+		}, "vector for b"},
+		{"positions out of order", func(q *outQueue) { q.entries[0], q.entries[2] = q.entries[2], q.entries[0] }, "out of order"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := buildVerifyQueue(t)
-			tc.corrupt(c)
+			tc.corrupt(c.q)
 			err := c.VerifyQueue()
 			if err == nil {
 				t.Fatal("corruption not detected")

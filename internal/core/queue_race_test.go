@@ -13,7 +13,7 @@ import (
 // TestQueueConcurrencyHammer drives enqueue (via ApplyLocal replaces that
 // collapse onto one key), Flush, Retry, Drop, Pending, and the background
 // pump from many goroutines at once — the exact mix that used to race when
-// Flush mutated Held/Attempts without qmu — and checks the collapse
+// Flush mutated Held/Attempts without the queue lock — and checks the collapse
 // invariant throughout: the queue never holds two messages about the same
 // request/response. Run under -race (CI does).
 func TestQueueConcurrencyHammer(t *testing.T) {

@@ -29,13 +29,13 @@ func refCollapseKey(m warp.OutMsg) string {
 }
 
 // linearCollapseTarget is enqueue's linear collapse loop: the first live
-// entry, in queue order, whose key equals m's. Caller holds qmu.
-func linearCollapseTarget(c *Controller, m warp.OutMsg) *PendingMsg {
+// entry, in queue order, whose key equals m's. Caller holds q.mu.
+func linearCollapseTarget(q *outQueue, m warp.OutMsg) *PendingMsg {
 	key := refCollapseKey(m)
 	if key == "" {
 		return nil
 	}
-	for _, p := range c.queue {
+	for _, p := range q.entries {
 		if p.queued && refCollapseKey(p.Msg) == key {
 			return p
 		}
@@ -43,9 +43,9 @@ func linearCollapseTarget(c *Controller, m warp.OutMsg) *PendingMsg {
 	return nil
 }
 
-// linearFind is findQueuedLocked's linear scan. Caller holds qmu.
-func linearFind(c *Controller, deliveryID string) *PendingMsg {
-	for _, p := range c.queue {
+// linearFind is outQueue.find's linear scan. Caller holds q.mu.
+func linearFind(q *outQueue, deliveryID string) *PendingMsg {
+	for _, p := range q.entries {
 		if p.queued && p.DeliveryID == deliveryID {
 			return p
 		}
@@ -61,23 +61,23 @@ type queueLookupCheck struct {
 	mismatches         []string
 }
 
-func (q *queueLookupCheck) observe(c *Controller, m *warp.OutMsg, deliveryID string, picked *PendingMsg) {
+func (lc *queueLookupCheck) observe(q *outQueue, m *warp.OutMsg, deliveryID string, picked *PendingMsg) {
 	var want *PendingMsg
 	what := "find " + deliveryID
 	if m != nil {
-		want = linearCollapseTarget(c, *m)
+		want = linearCollapseTarget(q, *m)
 		what = "collapse " + refCollapseKey(*m)
 	} else {
-		want = linearFind(c, deliveryID)
+		want = linearFind(q, deliveryID)
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.lookups++
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	lc.lookups++
 	if m != nil && picked != nil {
-		q.collapses++
+		lc.collapses++
 	}
 	if picked != want {
-		q.mismatches = append(q.mismatches, fmt.Sprintf("%s: %s: index picked %s, the linear scan %s", c.Svc.Name, what, pmID(picked), pmID(want)))
+		lc.mismatches = append(lc.mismatches, fmt.Sprintf("%s: index picked %s, the linear scan %s", what, pmID(picked), pmID(want)))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
 	"aire/internal/deliver"
 	"aire/internal/obs"
@@ -42,50 +41,10 @@ import (
 // announces an acked prefix covering everything resolved before the crash.
 // Receiver vectors ARE persisted (deliver.OriginDump acked/frontier plus
 // the in-vv WAL op) so compaction never forgets an unacked delivery.
-
-// peerVector is the sender's vector state for one destination peer.
-// Guarded by qmu, like the queue it mirrors.
-type peerVector struct {
-	// out holds the sequences of queued (unresolved) deliveries to the peer.
-	out map[uint64]bool
-	// frontier is the highest sequence ever issued to the peer.
-	frontier uint64
-	// reoffer is set when the peer NACKed a gap and cleared once a batch to
-	// the peer reconciles fully healthy; while set, stamped carriers carry
-	// wire.HdrReoffer so the transport fabric (and the simulator's lostwave
-	// fault class) treats them as anti-entropy recovery traffic.
-	reoffer bool
-}
-
-// vvIssueLocked records a delivery ID, whose sequence restorable or enqueue
-// guarantees, entering the queue bound for peer. Idempotent (out is a set),
-// so WAL replay's q-set upserts are safe. Caller holds qmu.
-func (c *Controller) vvIssueLocked(peer, deliveryID string) {
-	seq := deliver.Seq(deliveryID)
-	pv := c.vectors[peer]
-	if pv == nil {
-		pv = &peerVector{out: map[uint64]bool{}}
-		c.vectors[peer] = pv
-	}
-	pv.out[seq] = true
-	if seq > pv.frontier {
-		pv.frontier = seq
-	}
-}
-
-// vvMoveLocked keeps the vectors mirroring the queue when a queued
-// entry's new content sends it to a different destination than from: its
-// delivery leaves from's outstanding set for the new destination's.
-// Caller holds qmu.
-func (c *Controller) vvMoveLocked(from string, p *PendingMsg) {
-	if from == p.peer {
-		return
-	}
-	if pv := c.vectors[from]; pv != nil {
-		delete(pv.out, deliver.Seq(p.DeliveryID))
-	}
-	c.vvIssueLocked(p.peer, p.DeliveryID)
-}
+//
+// A sender vector is three fields of the destination's record (dest, in
+// queue.go), guarded by q.mu like the queue it mirrors: linking an entry
+// issues its sequence, unlinking it resolves the sequence.
 
 // vvAnnouncement computes the (acked, frontier, reoffer) triple to stamp on
 // a carrier bound for peer. ok is false when nothing was ever issued to the
@@ -102,60 +61,40 @@ func (c *Controller) vvMoveLocked(from string, p *PendingMsg) {
 // of the per-peer FIFO blocks the later carriers whose announcements would
 // have revealed its gap, so no NACK can arrive to trigger the fast path.
 func (c *Controller) vvAnnouncement(peer string) (acked, frontier uint64, reoffer, ok bool) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	pv := c.vectors[peer]
-	if pv == nil || pv.frontier == 0 {
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
+	d := c.q.dest(peer)
+	if d.frontier == 0 {
 		return 0, 0, false, false
 	}
-	acked, reoffer = c.vvStateLocked(peer, pv)
-	return acked, pv.frontier, reoffer && !c.faults.SuppressReoffer, true
+	acked, reoffer = d.vvState()
+	return acked, d.frontier, reoffer && !c.faults.SuppressReoffer, true
 }
 
-// vvStateLocked derives what the next carrier to peer announces: the acked
-// prefix (min(outstanding)-1, or the frontier when nothing is outstanding)
-// and whether it is stamped a re-offer. Caller holds qmu.
-func (c *Controller) vvStateLocked(peer string, pv *peerVector) (acked uint64, reoffer bool) {
-	acked = pv.frontier
-	for seq := range pv.out {
+// vvState derives what the next carrier to the destination announces: the
+// acked prefix (min(outstanding)-1, or the frontier when nothing is
+// outstanding) and whether it is stamped a re-offer. Caller holds q.mu.
+func (d *dest) vvState() (acked uint64, reoffer bool) {
+	acked = d.frontier
+	for seq := range d.out {
 		if seq <= acked {
 			acked = seq - 1
 		}
 	}
-	reoffer = pv.reoffer
-	if ps := c.peers[peer]; !reoffer && ps != nil && ps.failures >= MaxAttempts {
-		reoffer = true
-	}
-	return acked, reoffer
+	return acked, d.reoffer || d.failures >= MaxAttempts
 }
 
 // vvNackLocked reacts to a peer's gap NACK: the peer proved it is alive
 // and missing a delivery, so waiting out the backoff window would only
 // delay recovery. Clear the window, mark the vector for re-offer stamping,
-// and nudge the pump. Caller holds qmu.
+// and nudge the pump. The mark is dropped after the next fully healthy
+// batch reconcile (deliverBatch). Caller holds q.mu.
 func (c *Controller) vvNackLocked(peer string) {
-	pv := c.vectors[peer]
-	if pv == nil {
-		return
-	}
-	pv.reoffer = true
-	if ps := c.peers[peer]; ps != nil {
-		ps.failures = 0
-		ps.nextTry = time.Time{}
-		ps.notified = false
-	}
+	d := c.q.dest(peer)
+	d.reoffer = true
+	d.resetHealth()
 	c.met.vvReoffers.Inc()
 	c.wakePump()
-}
-
-// vvClearReofferLocked drops the re-offer mark after a fully healthy batch
-// reconcile — the gap the peer reported has been re-delivered (or resolved
-// another way), so subsequent carriers go back to normal stamping. Caller
-// holds qmu.
-func (c *Controller) vvClearReofferLocked(peer string) {
-	if pv := c.vectors[peer]; pv != nil {
-		pv.reoffer = false
-	}
 }
 
 // ---- receive side ----------------------------------------------------------
@@ -285,22 +224,25 @@ type PeerVectorDump struct {
 }
 
 // VectorDump snapshots the sender-side version vectors for every peer,
-// sorted by peer name.
+// sorted by peer name. A destination that was only ever named by live
+// calls has no vector (vvAnnouncement announces none) and is left out.
 func (c *Controller) VectorDump() []PeerVectorDump {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	names := make([]string, 0, len(c.vectors))
-	for name := range c.vectors {
-		names = append(names, name)
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
+	names := make([]string, 0, len(c.q.dests))
+	for name, d := range c.q.dests {
+		if d.frontier > 0 {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	out := make([]PeerVectorDump, 0, len(names))
 	for _, name := range names {
-		pv := c.vectors[name]
-		acked, reoffer := c.vvStateLocked(name, pv)
+		d := c.q.dests[name]
+		acked, reoffer := d.vvState()
 		out = append(out, PeerVectorDump{
-			Peer: name, Acked: acked, Frontier: pv.frontier,
-			Outstanding: len(pv.out), Reoffer: reoffer,
+			Peer: name, Acked: acked, Frontier: d.frontier,
+			Outstanding: len(d.out), Reoffer: reoffer,
 		})
 	}
 	return out

@@ -17,7 +17,7 @@ import (
 // section, and commit is the only place a batch opens. Request execution,
 // local repair (an incoming frame's included), a frame's reconcile, Retry,
 // Drop and GC hand their mutations to commit, which takes Svc.Mu, opens a
-// batch (walBegin), runs them (queue ops under qmu, which nests inside
+// batch (walBegin), runs them (queue ops under q.mu, which nests inside
 // Svc.Mu), and writes the batch (walCommit) before it releases Svc.Mu; the
 // fsync (walSettle) runs after. Replay therefore applies each critical
 // section whole or not at all, in the order they held Svc.Mu. walCommit is
@@ -200,7 +200,7 @@ func (c *Controller) walLogSink(ch repairlog.Change) {
 }
 
 // walEmitQSetLocked logs a queue entry's current state into the open
-// batch. Caller holds Svc.Mu with a batch open, and qmu.
+// batch. Caller holds Svc.Mu with a batch open, and q.mu.
 func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
 	if c.walAttached() {
 		c.walEmit(&walOp{Kind: "q-set", QSet: qSetOp{Msg: *p}})
@@ -247,26 +247,23 @@ func (c *Controller) applyWALOp(op *walOp) error {
 		if err := c.restorable(op.QSet.Msg, c.Svc.IDs.Counter()); err != nil {
 			return err
 		}
-		c.qmu.Lock()
-		c.upsertQueuedLocked(op.QSet.Msg)
-		c.qmu.Unlock()
+		c.q.mu.Lock()
+		c.q.upsert(op.QSet.Msg)
+		c.q.mu.Unlock()
 		return nil
 	case "q-del":
 		o := op.QDel
 		if o.DeliveryID == "" && o.MsgID == "" {
 			return fmt.Errorf("q-del names no message")
 		}
-		c.qmu.Lock()
-		defer c.qmu.Unlock()
-		// An old q-del names the retired MsgID, which no index keys: only
-		// old state pays this scan.
-		for i := 0; o.DeliveryID == "" && i < len(c.queue); i++ {
-			c.met.queueVisits.Inc()
-			if p := c.queue[i]; p.queued && p.msgID == o.MsgID {
-				o.DeliveryID = p.DeliveryID
-			}
+		c.q.mu.Lock()
+		defer c.q.mu.Unlock()
+		if o.DeliveryID == "" {
+			o.DeliveryID = c.q.legacyDeliveryID(o.MsgID)
 		}
-		c.removeQueuedLocked(o.DeliveryID)
+		if p := c.q.find(o.DeliveryID); p != nil {
+			c.dequeueLocked(p)
+		}
 		return nil
 	case "in-commit":
 		o := op.Inbox
@@ -300,28 +297,6 @@ func (c *Controller) restorable(m PendingMsg, counter int64) error {
 	return nil
 }
 
-// upsertQueuedLocked is the one replay/restore insert: it upserts a queue
-// entry by delivery ID, as recorded by a q-set op or a checkpoint. The
-// caller has checked the entry with restorable. Caller holds qmu.
-func (c *Controller) upsertQueuedLocked(m PendingMsg) {
-	m.inflight = false
-	if p := c.findQueuedLocked(m.DeliveryID); p != nil {
-		// The recorded state replaces the entry's, except what is never
-		// recorded: its response token, a claim in flight, and its place
-		// in the queue.
-		m.token, m.inflight, m.queued, m.pos = p.token, p.inflight, true, p.pos
-		peer := p.peer
-		c.unlinkLocked(p)
-		*p = m
-		c.linkLocked(p)
-		c.vvMoveLocked(peer, p)
-		return
-	}
-	// Sender vectors mirror the queue; replaying the queue replays them.
-	c.appendQueuedLocked(&m)
-	c.met.queueDepth.Set(int64(c.qlive))
-}
-
 // ---- atomic cut (persist's checkpoint snapshot) ---------------------------
 
 // AtomicExport is a consistent cut of every durable controller domain,
@@ -353,7 +328,7 @@ type AtomicExport struct {
 }
 
 // ExportAtomic captures the repair log, store, outgoing queue, and dedup
-// inbox in ONE critical section (Svc.Mu, then qmu — the established
+// inbox in ONE critical section (Svc.Mu, then q.mu — the established
 // acquisition order). Unlike capturing each
 // domain separately, a pump delivery cannot reconcile a message away
 // between the log capture and the queue capture, so the cut is consistent:
@@ -361,8 +336,8 @@ type AtomicExport struct {
 func (c *Controller) ExportAtomic() AtomicExport {
 	c.Svc.Mu.Lock()
 	defer c.Svc.Mu.Unlock()
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
 
 	ex := AtomicExport{
 		ClockNow:  c.Svc.Clock.Now(),
@@ -374,12 +349,7 @@ func (c *Controller) ExportAtomic() AtomicExport {
 		ex.Records = append(ex.Records, r.Clone())
 	}
 	ex.Objects = c.Svc.Store.Dump()
-	ex.Queue = make([]PendingMsg, 0, c.qlive)
-	for _, p := range c.queue {
-		if p.queued {
-			ex.Queue = append(ex.Queue, *p)
-		}
-	}
+	ex.Queue = c.q.snapshot()
 	return ex
 }
 
@@ -424,10 +394,10 @@ func (c *Controller) ImportAtomic(ex AtomicExport) error {
 		c.Svc.IDs.SetCounter(ex.IDCounter)
 	}
 	c.dedup.Restore(ex.Inbox)
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
+	c.q.mu.Lock()
+	defer c.q.mu.Unlock()
 	for _, m := range ex.Queue {
-		c.upsertQueuedLocked(m)
+		c.q.upsert(m)
 	}
 	c.wakePump()
 	return nil

@@ -63,10 +63,10 @@ func TestWALOrderFollowsServiceLock(t *testing.T) {
 
 			done := make(chan error, 1)
 			c.commit("reconcile", func() {
-				c.qmu.Lock()
-				tc.batch(c.queue[0])
-				c.walEmitQSetLocked(c.queue[0])
-				c.qmu.Unlock()
+				c.q.mu.Lock()
+				tc.batch(c.q.entries[0])
+				c.walEmitQSetLocked(c.q.entries[0])
+				c.q.mu.Unlock()
 				go func() { done <- tc.mutate(c, id) }()
 				select {
 				case err := <-done:

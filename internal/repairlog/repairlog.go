@@ -291,6 +291,20 @@ func (l *Log) Append(r *Record) error {
 	if _, dup := l.byID[r.ID]; dup {
 		return fmt.Errorf("repairlog: duplicate record id %s", r.ID)
 	}
+	if err := l.insertLocked(r); err != nil {
+		return err
+	}
+	if l.sink != nil {
+		l.emitLocked(Change{Kind: "append", Record: r})
+	}
+	return nil
+}
+
+// insertLocked adds a record whose ID the log does not hold, taking
+// ownership of it: it assigns the next seq, places it on the timeline and
+// indexes it. A record that cannot be indexed is refused whole. Caller
+// holds l.mu for writing.
+func (l *Log) insertLocked(r *Record) error {
 	l.nextSeq++
 	r.seq = l.nextSeq
 	l.byID[r.ID] = r
@@ -307,9 +321,6 @@ func (l *Log) Append(r *Record) error {
 		return err
 	}
 	l.accountSize(r)
-	if l.sink != nil {
-		l.emitLocked(Change{Kind: "append", Record: r})
-	}
 	return nil
 }
 

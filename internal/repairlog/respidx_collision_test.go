@@ -92,3 +92,26 @@ func TestRespIDReindexSameRecordOK(t *testing.T) {
 		t.Fatal("resp-1 lost after benign update")
 	}
 }
+
+// A replayed append whose call reuses a claimed Aire-Response-Id is refused
+// as Append refuses it: ApplyWAL reports the collision and the log's
+// indexes stay coherent, with the original owner keeping the mapping.
+func TestRespIDCollisionOnReplayedAppend(t *testing.T) {
+	l := New(false)
+	if err := l.ApplyWAL(callRec("r1", 10, "resp-1", "rem-1")); err != nil {
+		t.Fatal(err)
+	}
+	err := l.ApplyWAL(callRec("r2", 20, "resp-1", "rem-2"))
+	if err == nil || !strings.Contains(err.Error(), "collision") {
+		t.Fatalf("replayed append reusing resp-1: err = %v, want a collision", err)
+	}
+	if err := l.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := l.Get("r2"); ok || l.Len() != 1 {
+		t.Fatalf("refused record retained: Len() = %d", l.Len())
+	}
+	if r, _, ok := l.FindByCallRespID("resp-1"); !ok || r.ID != "r1" {
+		t.Fatalf("resp-1 must still resolve to r1, got %v ok=%v", r, ok)
+	}
+}

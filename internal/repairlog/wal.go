@@ -1,9 +1,6 @@
 package repairlog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Change is one log mutation, emitted to the change sink as it happens
 // (under the log lock). The WAL layer groups changes into per-commit change
@@ -33,35 +30,31 @@ func (l *Log) emitLocked(ch Change) {
 	}
 }
 
-// ApplyWAL upserts a replayed record during recovery: an unknown ID appends
-// (assigning the next seq, so relative timeline tie-breaks match the
-// original insertion order — WAL entries replay in append order), a known ID
-// updates in place preserving the record's existing seq. It never emits to
-// the sink and is idempotent.
+// ApplyWAL upserts a replayed record during recovery, taking ownership of
+// rec (the caller must not use it again): an unknown ID is inserted as
+// Append inserts it (assigning the next seq, so relative timeline
+// tie-breaks match the original insertion order — WAL entries replay in
+// append order) and refused whole if it cannot be indexed; a known ID is
+// replaced in place, preserving the record's existing seq. It never emits
+// to the sink and is idempotent.
 func (l *Log) ApplyWAL(rec *Record) error {
 	if rec == nil {
 		return fmt.Errorf("repairlog: nil WAL record")
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if old, ok := l.byID[rec.ID]; ok {
-		l.unindexLocked(old)
-		seq := old.seq
-		*old = *rec.Clone()
-		old.seq = seq
-		l.indexLocked(old)
-		return nil
+	old, ok := l.byID[rec.ID]
+	if !ok {
+		return l.insertLocked(rec)
 	}
-	r := rec.Clone()
-	l.nextSeq++
-	r.seq = l.nextSeq
-	l.byID[r.ID] = r
-	i := sort.Search(len(l.order), func(i int) bool { return l.order[i].TS > r.TS })
-	l.order = append(l.order, nil)
-	copy(l.order[i+1:], l.order[i:])
-	l.order[i] = r
-	l.indexLocked(r)
-	l.accountSize(r)
+	l.unindexLocked(old)
+	seq := old.seq
+	*old = *rec
+	old.seq = seq
+	// An update the live log could not index whole was logged all the
+	// same (Update emits before it reports the error); replay indexes it
+	// exactly as far.
+	l.indexLocked(old)
 	return nil
 }
 
