@@ -137,15 +137,15 @@ fuzz-route:
 fuzz-vdb:
 	$(GO) test -run 'TestIDSet' -fuzz FuzzIDSet -fuzztime 30s -fuzzminimizetime 1s ./internal/vdb
 
-# Checkpoint-load fuzzing smoke: the checkpoint restore regressions plus a
-# short coverage-guided run over arbitrary bytes as a service's latest
-# checkpoint (LatestCheckpoint + Apply on a fresh controller): no panic,
-# and either a refusal or a queue whose delivery IDs are unique and bear
-# sequences the restored ID counter covers. Minimizing is capped at 1s, as
+# Checkpoint-load fuzzing smoke: the checkpoint restore and format-upgrade
+# regressions plus a short coverage-guided run over arbitrary bytes as a
+# service's latest checkpoint (LatestCheckpoint + Apply on a fresh
+# controller): no panic, and either a refusal or a queue whose delivery
+# IDs are unique and bear sequences the restored ID counter covers. Minimizing is capped at 1s, as
 # for fuzz-vdb: a checkpoint is a long input. Longer local runs:
 #   go test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 5m -fuzzminimizetime 1s ./internal/persist
 fuzz-checkpoint:
-	$(GO) test -run 'TestCheckpointRestoreKeepsQueuedMessages|TestPreEpochStateLoadsOrIsRefused|TestLegacyQueueStateRecovers|TestApplyGuards' -fuzz FuzzCheckpointLoad -fuzztime 30s -fuzzminimizetime 1s ./internal/persist
+	$(GO) test -run 'TestCheckpointRestoreKeepsQueuedMessages|TestPreEpochStateLoadsOrIsRefused|TestLegacyQueueStateRecovers|TestUpgrade|TestOwnTombstoneReadUpgrades|TestApplyGuards' -fuzz FuzzCheckpointLoad -fuzztime 30s -fuzzminimizetime 1s ./internal/persist
 
 # Same sweep with repair delivery on the background pump under the
 # deterministic scheduler (internal/dsched): concurrent worker

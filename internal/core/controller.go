@@ -13,7 +13,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -211,27 +210,6 @@ type PendingMsg struct {
 	key  qkey
 	peer string
 	pos  uint64
-	// msgID is the retired "MsgID" old state recorded, by which an old
-	// q-del names the message; read from old state, never written.
-	msgID string
-}
-
-// UnmarshalJSON reads a queue entry as a q-set op or checkpoint records it,
-// refusing unknown keys but the retired "MsgID", which it keeps unexported.
-func (m *PendingMsg) UnmarshalJSON(data []byte) error {
-	type fields PendingMsg // without this method
-	var rec struct {
-		fields
-		MsgID string
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return err
-	}
-	*m = PendingMsg(rec.fields)
-	m.msgID = rec.MsgID
-	return nil
 }
 
 // Stats counts controller activity.

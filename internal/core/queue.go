@@ -236,19 +236,6 @@ func (q *outQueue) looked(m *warp.OutMsg, deliveryID string, picked *PendingMsg)
 	return picked
 }
 
-// legacyDeliveryID returns the delivery ID of the live entry an old q-del
-// names by its retired MsgID, or "". No index keys MsgIDs: only old state
-// pays this scan.
-func (q *outQueue) legacyDeliveryID(msgID string) string {
-	for _, p := range q.entries {
-		q.visits.Inc()
-		if p.queued && p.msgID == msgID {
-			return p.DeliveryID
-		}
-	}
-	return ""
-}
-
 // push adds p at the tail of the queue as a live entry and links it.
 func (q *outQueue) push(p *PendingMsg) {
 	p.queued = true
@@ -594,7 +581,7 @@ func (c *Controller) Drop(deliveryID string) error {
 func (c *Controller) dequeueLocked(p *PendingMsg) {
 	c.q.dequeue(p)
 	if c.walAttached() {
-		c.walEmit(&walOp{Kind: "q-del", QDel: qDelOp{DeliveryID: p.DeliveryID}})
+		c.walEmit(&walOp{Kind: "q-del", QDel: p.DeliveryID})
 	}
 }
 

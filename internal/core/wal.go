@@ -203,7 +203,7 @@ func (c *Controller) walLogSink(ch repairlog.Change) {
 // batch. Caller holds Svc.Mu with a batch open, and q.mu.
 func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
 	if c.walAttached() {
-		c.walEmit(&walOp{Kind: "q-set", QSet: qSetOp{Msg: *p}})
+		c.walEmit(&walOp{Kind: "q-set", QSet: *p})
 	}
 }
 
@@ -211,8 +211,13 @@ func (c *Controller) walEmitQSetLocked(p *PendingMsg) {
 
 // ApplyWALEntry replays one recovered WAL entry onto the controller. Ops
 // are idempotent: recovery may replay entries whose effects the checkpoint
-// snapshot already contains. The entry's ID counter is raised first.
+// snapshot already contains. The entry's ID counter is raised first. Only
+// version 2 is replayed: an older entry is refused before it changes
+// anything, and persist.Load upgrades it (UpgradeV1Entry) on its way here.
 func (c *Controller) ApplyWALEntry(e wal.Entry) error {
+	if e.Format != wal.FormatBinary {
+		return fmt.Errorf("core: wal entry %d (%s) is format %d; replay reads only format %d", e.Seq, e.Kind, e.Format, wal.FormatBinary)
+	}
 	if e.IDs > c.Svc.IDs.Counter() {
 		c.Svc.IDs.SetCounter(e.IDs)
 	}
@@ -244,24 +249,20 @@ func (c *Controller) applyWALOp(op *walOp) error {
 		}
 		return fmt.Errorf("unknown log change kind %q", ch.Kind)
 	case "q-set":
-		if err := c.restorable(op.QSet.Msg, c.Svc.IDs.Counter()); err != nil {
+		if err := c.restorable(op.QSet, c.Svc.IDs.Counter()); err != nil {
 			return err
 		}
 		c.q.mu.Lock()
-		c.q.upsert(op.QSet.Msg)
+		c.q.upsert(op.QSet)
 		c.q.mu.Unlock()
 		return nil
 	case "q-del":
-		o := op.QDel
-		if o.DeliveryID == "" && o.MsgID == "" {
+		if op.QDel == "" {
 			return fmt.Errorf("q-del names no message")
 		}
 		c.q.mu.Lock()
 		defer c.q.mu.Unlock()
-		if o.DeliveryID == "" {
-			o.DeliveryID = c.q.legacyDeliveryID(o.MsgID)
-		}
-		if p := c.q.find(o.DeliveryID); p != nil {
+		if p := c.q.find(op.QDel); p != nil {
 			c.dequeueLocked(p)
 		}
 		return nil
@@ -318,9 +319,6 @@ type AtomicExport struct {
 	// Queue is the outgoing repair message queue; IDCounter covers every
 	// entry's delivery ID.
 	Queue []PendingMsg `json:"queue,omitempty"`
-	// NextID is the retired MsgID counter: read from old checkpoints and
-	// ignored, never written.
-	NextID int `json:"next_id,omitempty"`
 	// Inbox is the peer-side exactly-once dedup memory (internal/deliver):
 	// restoring it keeps a crash-restarted service from re-applying a
 	// repair delivery it already applied when the sender redelivers.

@@ -99,7 +99,7 @@ func TestWALOrderFollowsServiceLock(t *testing.T) {
 // detached controller emits nothing, batch or not.
 func TestWALEmitNeedsBatch(t *testing.T) {
 	c := NewController(&kvApp{name: "a"}, newTestbed().bus, DefaultConfig())
-	op := &walOp{Kind: "q-del", QDel: qDelOp{DeliveryID: "a-dlv-1"}}
+	op := &walOp{Kind: "q-del", QDel: "a-dlv-1"}
 	emit := func() { c.walEmit(op) }
 	emit()
 	c.commit("queue", emit)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -50,33 +49,20 @@ import (
 // Decoding is strict: a non-minimal length, a count or length larger than
 // the bytes left, unsorted or repeated map keys, a bool other than 0 or 1
 // and trailing bytes are refused, so an accepted op re-encodes to the
-// bytes it came from. Version-1 segments hold the same op structs as JSON;
-// readJSON decodes them and nothing writes them.
+// bytes it came from. Replay reads version 2 alone; walv1.go turns a
+// version-1 entry, whose ops are JSON under the struct tags below, into
+// this format first.
 
 // walOp is one op, encoded or decoded: Kind says which field holds it.
 type walOp struct {
 	Kind  string
 	VDB   vdb.Change
 	Log   repairlog.Change
-	QSet  qSetOp
-	QDel  qDelOp
+	QSet  PendingMsg // a queue entry's state
+	QDel  string     // a removed queue entry's delivery ID
 	Inbox inboxOp
 	InGC  inGCOp
 	InVV  inVVOp
-}
-
-// qSetOp records a queue entry's state. An old one also carries "next_id",
-// the retired MsgID counter, which replay ignores.
-type qSetOp struct {
-	Msg PendingMsg `json:"msg"`
-}
-
-// qDelOp records a queue entry's removal. An old one names the message by
-// the retired MsgID its q-set or checkpoint entry recorded; version 2 has
-// no MsgID.
-type qDelOp struct {
-	DeliveryID string `json:"delivery_id,omitempty"`
-	MsgID      string `json:"msg_id,omitempty"`
 }
 
 // inboxOp records a dedup-inbox commit ("in-commit").
@@ -115,9 +101,9 @@ func (o *walOp) append(b []byte) []byte {
 	case "log":
 		return appendLogChange(b, &o.Log)
 	case "q-set":
-		return appendPendingMsg(b, &o.QSet.Msg)
+		return appendPendingMsg(b, &o.QSet)
 	case "q-del":
-		return wire.AppendStr(b, o.QDel.DeliveryID)
+		return wire.AppendStr(b, o.QDel)
 	case "in-commit":
 		m := &o.Inbox
 		b = wire.AppendStr(b, m.Origin)
@@ -247,30 +233,13 @@ func appendPendingMsg(b []byte, p *PendingMsg) []byte {
 
 // ---- decoding ----------------------------------------------------------
 
-// readEntryOps decodes a recovered entry's ops in the format its segment
-// names, one at a time into one walOp, and calls fn with each; it stops
-// at the first error. A version-2 entry's op data is first copied into
-// one string, which every string decoded from the entry shares: replayed
-// state outlives the segment's bytes, and one copy per entry costs one
-// allocation.
+// readEntryOps decodes a recovered version-2 entry's ops one at a time
+// into one walOp and calls fn with each; it stops at the first error. The
+// entry's op data is first copied into one string, which every string
+// decoded from the entry shares: replayed state outlives the segment's
+// bytes, and one copy per entry costs one allocation.
 func readEntryOps(e wal.Entry, fn func(i int, op *walOp) error) error {
 	var op walOp
-	switch e.Format {
-	case wal.FormatJSON:
-		for i, o := range e.Ops {
-			op = walOp{Kind: o.Kind}
-			if err := op.readJSON(o.Data); err != nil {
-				return fmt.Errorf("op %d (%s): %w", i, o.Kind, err)
-			}
-			if err := fn(i, &op); err != nil {
-				return err
-			}
-		}
-		return nil
-	case wal.FormatBinary:
-	default:
-		return fmt.Errorf("unknown entry format %d", e.Format)
-	}
 	var sb strings.Builder
 	n := 0
 	for _, o := range e.Ops {
@@ -303,9 +272,9 @@ func (o *walOp) read(d *wire.Decoder) error {
 	case "log":
 		o.Log = readLogChange(d)
 	case "q-set":
-		o.QSet.Msg = readPendingMsg(d)
+		o.QSet = readPendingMsg(d)
 	case "q-del":
-		o.QDel.DeliveryID = d.Str()
+		o.QDel = d.Str()
 	case "in-commit":
 		m := &o.Inbox
 		m.Origin, m.ID = d.Str(), d.Str()
@@ -323,30 +292,6 @@ func (o *walOp) read(d *wire.Decoder) error {
 		return fmt.Errorf("unknown wal op kind %q", o.Kind)
 	}
 	return d.Close()
-}
-
-// readJSON decodes the op's version-1 data.
-func (o *walOp) readJSON(data []byte) error {
-	var v any
-	switch o.Kind {
-	case "vdb":
-		v = &o.VDB
-	case "log":
-		v = &o.Log
-	case "q-set":
-		v = &o.QSet
-	case "q-del":
-		v = &o.QDel
-	case "in-commit":
-		v = &o.Inbox
-	case "in-gc":
-		v = &o.InGC
-	case "in-vv":
-		v = &o.InVV
-	default:
-		return fmt.Errorf("unknown wal op kind %q", o.Kind)
-	}
-	return json.Unmarshal(data, v)
 }
 
 // listLen reads a list length, refusing one the bytes left could not hold

@@ -103,7 +103,7 @@ func TestWALCodecCoversEveryField(t *testing.T) {
 			t.Errorf("%s: round trip lost a field:\n got %+v\nwant %+v", op.Kind, got, *op)
 		}
 	}
-	del := walOp{Kind: "q-del", QDel: qDelOp{DeliveryID: "a-dlv-7"}}
+	del := walOp{Kind: "q-del", QDel: "a-dlv-7"}
 	if got, err := roundTrip(&del); err != nil || !reflect.DeepEqual(got, del) {
 		t.Errorf("q-del: %+v, %v", got, err)
 	}
@@ -283,10 +283,10 @@ func (a *waveApp) Register(svc *web.Service) {
 	})
 }
 
-// jsonOf returns the struct a version-1 segment held as the op's data.
+// jsonOf returns what a version-1 segment held as the op's data.
 func jsonOf(op *walOp) any {
-	return map[string]any{"vdb": op.VDB, "log": op.Log, "q-set": op.QSet, "q-del": op.QDel,
-		"in-commit": op.Inbox, "in-gc": op.InGC, "in-vv": op.InVV}[op.Kind]
+	return map[string]any{"vdb": op.VDB, "log": op.Log, "q-set": map[string]any{"msg": op.QSet},
+		"q-del": map[string]string{"delivery_id": op.QDel}, "in-commit": op.Inbox, "in-gc": op.InGC, "in-vv": op.InVV}[op.Kind]
 }
 
 // rewriteAsJSON writes the log in src to dst as one version-1 segment:
@@ -319,16 +319,28 @@ type replayed struct {
 	Inbox   []deliver.OriginDump
 }
 
+// replayInto replays dir's log into c, passing version-1 entries through
+// the upgrade first, as persist.Load does.
 func replayInto(t *testing.T, c *Controller, dir string) replayed {
 	t.Helper()
-	if _, _, err := wal.Replay(dir, 0, c.ApplyWALEntry); err != nil {
+	deliveryIDs := map[string]string{}
+	if _, _, err := wal.Replay(dir, 0, func(e wal.Entry) error {
+		if e.Format == wal.FormatJSON {
+			var err error
+			if e, err = UpgradeV1Entry(e, deliveryIDs); err != nil {
+				return err
+			}
+		}
+		return c.ApplyWALEntry(e)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return replayed{c.Pending(), c.Svc.Store.Dump(), c.Svc.Log.All(), c.dedup.Dump()}
 }
 
 // TestJSONSegmentReplaysLikeBinary: state a version-1 binary wrote
-// recovers to what the same state recovers to from version 2. The world
+// recovers, through UpgradeV1Entry, to what the same state recovers to from
+// version 2. The world
 // is the repair wave's — a hub mirroring to three peers, an attack copied
 // into 32 dependents and then cancelled — with one peer offline and one
 // refusing repairs, so messages stay queued and parked, and with the
@@ -425,5 +437,31 @@ func TestJSONSegmentReplaysLikeBinary(t *testing.T) {
 				t.Fatalf("after the next commit: segments %v, last seq %d, formats %v; want a version-2 segment after the version-1 one", segs, last, formats)
 			}
 		})
+	}
+}
+
+// TestApplyWALEntryRefusesVersion1: a version-1 entry handed to replay
+// without its upgrade is refused by name and changes nothing, not even
+// the ID counter; its upgrade applies.
+func TestApplyWALEntryRefusesVersion1(t *testing.T) {
+	c := NewController(&kvApp{name: "a"}, newTestbed().bus, DefaultConfig())
+	e := wal.Entry{Seq: 1, Kind: "exec", Clock: 5, IDs: 7, Format: wal.FormatJSON, Ops: []wal.Op{
+		{Kind: "vdb", Data: []byte(`{"kind":"put","key":{"Model":"kv","ID":"x"},"version":{"TS":5,"ReqID":"a-req-1","Fields":{"val":"v"}}}`)},
+	}}
+	if err := c.ApplyWALEntry(e); err == nil || !strings.Contains(err.Error(), "is format 1; replay reads only format 2") {
+		t.Fatalf("version-1 entry: err = %v, want a refusal naming its format", err)
+	}
+	if n := c.Svc.IDs.Counter(); n != 0 || c.Svc.Store.VersionBytes() != 0 {
+		t.Fatalf("the refused entry left ID counter %d and %d version bytes", n, c.Svc.Store.VersionBytes())
+	}
+	up, err := UpgradeV1Entry(e, map[string]string{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyWALEntry(up); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.Svc.Store.Get(vdb.Key{Model: "kv", ID: "x"}); !ok || v.Fields["val"] != "v" || c.Svc.IDs.Counter() != 7 {
+		t.Fatalf("upgraded entry applied as %+v (found %v), ID counter %d", v, ok, c.Svc.IDs.Counter())
 	}
 }

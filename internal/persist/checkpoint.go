@@ -29,6 +29,7 @@
 package persist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -47,12 +48,20 @@ import (
 // Checkpoint is one on-disk checkpoint: a snapshot plus the WAL sequence up
 // to which the snapshot is guaranteed complete.
 type Checkpoint struct {
+	// Format is the format version; a checkpoint without it is version 1.
+	Format uint32 `json:"format,omitempty"`
 	// UpToSeq is the last WAL sequence certainly reflected in Snap; recovery
 	// replays the WAL from UpToSeq+1 (tolerating overlap).
 	UpToSeq uint64 `json:"up_to_seq"`
 	// Snap is the full state snapshot.
 	Snap *Snapshot `json:"snapshot"`
+	// deliveryIDs maps a version-1 queue's MsgIDs to delivery IDs.
+	deliveryIDs map[string]string
 }
+
+// checkpointFormat is the version checkpoints are written in, as WAL
+// segments are.
+const checkpointFormat = wal.FormatBinary
 
 // CheckpointName returns the file name for a checkpoint covering upToSeq.
 // The zero-padded sequence makes lexical order equal coverage order.
@@ -91,26 +100,39 @@ func checkpointFiles(dir string) ([]string, error) {
 }
 
 // LatestCheckpoint loads the newest checkpoint in dir, or (nil, nil) when
-// the directory holds none.
+// the directory holds none. It reads the format the checkpoint's "format"
+// field names and refuses any other.
 func LatestCheckpoint(dir string) (*Checkpoint, error) {
 	names, err := checkpointFiles(dir)
 	if err != nil || len(names) == 0 {
 		return nil, err
 	}
 	path := filepath.Join(dir, names[len(names)-1])
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var cp Checkpoint
-	if err := decodeStrict(f, &cp); err != nil {
+	var head struct {
+		Format uint32 `json:"format"`
+	}
+	cp := &Checkpoint{}
+	if err = json.Unmarshal(data, &head); err == nil {
+		switch head.Format {
+		case 0:
+			cp, err = decodeV1Checkpoint(data)
+		case checkpointFormat:
+			err = decodeStrict(bytes.NewReader(data), cp)
+		default:
+			err = fmt.Errorf("unsupported format %d", head.Format)
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("persist: decode checkpoint %s: %w", path, err)
 	}
 	if cp.Snap == nil {
 		return nil, fmt.Errorf("persist: checkpoint %s has no snapshot", path)
 	}
-	return &cp, nil
+	return cp, nil
 }
 
 // WriteCheckpoint captures c and writes a checkpoint into dir (atomically,
@@ -131,7 +153,7 @@ func WriteCheckpoint(c *core.Controller, w *wal.Writer, dir string) (uint64, err
 	if err != nil {
 		return 0, err
 	}
-	cp := Checkpoint{UpToSeq: upTo, Snap: Capture(c)}
+	cp := Checkpoint{Format: checkpointFormat, UpToSeq: upTo, Snap: Capture(c)}
 	data, err := json.Marshal(&cp)
 	if err != nil {
 		return 0, err
@@ -176,21 +198,27 @@ func CheckpointAndTruncate(c *core.Controller, w *wal.Writer, dir string) (uint6
 	if err != nil {
 		return 0, err
 	}
+	return upTo, compact(dir, upTo)
+}
+
+// compact deletes what a durable checkpoint covering upTo supersedes: the
+// WAL segments it wholly covers and older checkpoint files.
+func compact(dir string, upTo uint64) error {
 	if _, err := wal.Truncate(dir, upTo); err != nil {
-		return upTo, err
+		return err
 	}
 	names, err := checkpointFiles(dir)
 	if err != nil {
-		return upTo, err
+		return err
 	}
 	for _, name := range names {
 		if seq, _ := checkpointSeq(name); seq < upTo {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return upTo, err
+				return err
 			}
 		}
 	}
-	return upTo, nil
+	return nil
 }
 
 // Load rebuilds a freshly constructed controller from dir without
@@ -198,24 +226,33 @@ func CheckpointAndTruncate(c *core.Controller, w *wal.Writer, dir string) (uint6
 // replays the WAL tail from the checkpoint's covered sequence. A torn final
 // record — a commit interrupted mid-write — is tolerated (and left in
 // place); any other corruption is returned loudly (the error wraps
-// wal.ErrCorrupt) rather than silently dropping committed state. Recover
-// is Load plus opening the WAL for appending; an auditor inspecting a
-// service's directory calls Load alone.
+// wal.ErrCorrupt) rather than silently dropping committed state.
+// Version-1 state is read through upgrade.go. Recover is Load plus opening
+// the WAL for appending; an auditor inspecting a service's directory calls
+// Load alone.
 func Load(c *core.Controller, dir string) error {
+	_, _, err := load(c, dir)
+	return err
+}
+
+// load is Load, returning the checkpoint it loaded and whether it read
+// version-1 state.
+func load(c *core.Controller, dir string) (*Checkpoint, bool, error) {
 	cp, err := LatestCheckpoint(dir)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	var from uint64
 	if cp != nil {
 		if err := Apply(c, cp.Snap); err != nil {
-			return err
+			return nil, false, err
 		}
 		from = cp.UpToSeq
 	}
-	last, _, err := wal.Replay(dir, from, c.ApplyWALEntry)
+	v1 := cp != nil && cp.Format == 1
+	last, _, err := wal.Replay(dir, from, replayV1(c, cp, &v1))
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	if cp != nil && last < cp.UpToSeq {
 		// The checkpoint covers sequences the log no longer reaches.
@@ -223,16 +260,25 @@ func Load(c *core.Controller, dir string) error {
 		// so this means durably committed entries went missing; resuming
 		// anyway would hand out sequences the next recovery's replay-from-
 		// UpToSeq silently skips.
-		return fmt.Errorf("persist: %w: checkpoint covers wal seq %d but the log ends at %d", wal.ErrCorrupt, cp.UpToSeq, last)
+		return nil, false, fmt.Errorf("persist: %w: checkpoint covers wal seq %d but the log ends at %d", wal.ErrCorrupt, cp.UpToSeq, last)
 	}
-	return nil
+	if v1 {
+		err = c.DropOwnTombstoneReads()
+	}
+	return cp, v1, err
 }
 
 // Recover rebuilds a freshly constructed controller from dir (Load), then
-// opens the WAL for appending — truncating a torn final record — and
-// attaches it to the controller. Call before serving traffic.
+// opens the WAL for appending — truncating a torn final record, and
+// starting a fresh segment after a version-1 one — and attaches it to the
+// controller. Version-1 state is upgraded here, once: CheckpointAndTruncate
+// writes what Load read as a format-2 checkpoint and deletes every segment
+// before the fresh one. Otherwise Recover finishes the compaction a crash
+// may have cut short after the latest checkpoint was written, the
+// upgrade's included. Call before serving traffic.
 func Recover(c *core.Controller, dir string, opts wal.Options) (*wal.Writer, error) {
-	if err := Load(c, dir); err != nil {
+	cp, v1, err := load(c, dir)
+	if err != nil {
 		return nil, err
 	}
 	attachWALObs(c, &opts)
@@ -241,6 +287,16 @@ func Recover(c *core.Controller, dir string, opts wal.Options) (*wal.Writer, err
 		return nil, err
 	}
 	c.AttachWAL(w)
+	if v1 {
+		_, err = CheckpointAndTruncate(c, w, dir)
+	} else if cp != nil {
+		err = compact(dir, cp.UpToSeq)
+	}
+	if err != nil {
+		c.DetachWAL()
+		w.Close()
+		return nil, err
+	}
 	return w, nil
 }
 

@@ -163,7 +163,8 @@ func FuzzCheckpointLoad(f *testing.F) {
 		s.Queue[1].DeliveryID = id
 		return s
 	}
-	// The captured cut; the cut as written while messages had a second
+	// The legacy seeds, each a checkpoint without a format field (version
+	// 1): the captured cut; the cut as written while messages had a second
 	// name, before delivery IDs existed (MsgID and next_id, no delivery
 	// ID); the cut whose queue lists its entry twice, which loads as one;
 	// and the cut with a second entry whose delivery ID is empty, bears a
@@ -171,10 +172,18 @@ func FuzzCheckpointLoad(f *testing.F) {
 	// sequence under another name.
 	f.Add(encode(*snap))
 	legacy := *snap
-	legacy.NextID = 1
 	legacy.Queue = []core.PendingMsg{snap.Queue[0]}
 	legacy.Queue[0].DeliveryID = ""
-	f.Add(bytes.Replace(encode(legacy), []byte(`"queue":[{`), []byte(`"queue":[{"MsgID":"a-msg-1",`), 1))
+	f.Add(bytes.Replace(encode(legacy), []byte(`"queue":[{`), []byte(`"next_id":1,"queue":[{"MsgID":"a-msg-1",`), 1))
+	// The captured cut as format 2 writes it, and under a future format,
+	// which LatestCheckpoint refuses.
+	for _, format := range []uint32{2, 3} {
+		seed, err := json.Marshal(persist.Checkpoint{Format: format, Snap: snap})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 	seq := deliver.Seq(snap.Queue[0].DeliveryID)
 	for _, id := range []string{
 		snap.Queue[0].DeliveryID,

@@ -21,10 +21,12 @@
 // with varints zigzag-encoded, every uvarint minimal, and nothing after the
 // last op. An op's data is opaque here: its owner (internal/core) encodes
 // and decodes it. Version-1 segments, whose payloads are JSON, are still
-// read; their entries come back with Format FormatJSON, so their owner
-// decodes their op data as JSON. The header alone chooses the decoder, and
-// Open starts a fresh version-2 segment rather than append to a version-1
-// one, so no segment mixes formats.
+// read so that old state can be upgraded: their entries come back with
+// Format FormatJSON, and internal/persist upgrades them to version 2
+// before replaying them, then deletes the segments once a checkpoint
+// covers them. The header alone chooses the decoder, and Open starts a
+// fresh version-2 segment rather than append to a version-1 one, so no
+// segment mixes formats.
 //
 // Durability policy is configurable (FsyncEveryCommit / FsyncInterval /
 // FsyncNone) so that fsync lag is an injectable simulator fault rather than a
@@ -54,6 +56,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"aire/internal/wire"
 )
 
 const (
@@ -145,18 +149,6 @@ type Entry struct {
 	// Format is the version of the segment the entry was read from, which
 	// says how its op data is encoded; Append ignores it.
 	Format uint32
-}
-
-// jsonEntry is a version-1 entry as its segment holds it.
-type jsonEntry struct {
-	Seq   uint64 `json:"seq"`
-	Kind  string `json:"kind"`
-	Clock int64  `json:"clock,omitempty"`
-	IDs   int64  `json:"ids,omitempty"`
-	Ops   []struct {
-		Kind string          `json:"kind"`
-		Data json.RawMessage `json:"data,omitempty"`
-	} `json:"ops,omitempty"`
 }
 
 // Options configures a Writer.
@@ -440,20 +432,23 @@ func readSegment(path string, prevSeq uint64, final bool, fn func(Entry) error) 
 	return off, prevSeq, false, version, nil
 }
 
-// decodeJSONEntry decodes a version-1 payload.
+// decodeJSONEntry decodes a version-1 payload: the entry's fields under
+// their lower-case names, each op's data as raw JSON.
 func decodeJSONEntry(payload []byte) (Entry, error) {
-	var j jsonEntry
-	if err := json.Unmarshal(payload, &j); err != nil {
-		return Entry{}, err
-	}
-	e := Entry{Seq: j.Seq, Kind: j.Kind, Clock: j.Clock, IDs: j.IDs, Format: FormatJSON}
-	if len(j.Ops) > 0 {
-		e.Ops = make([]Op, len(j.Ops))
-		for i, op := range j.Ops {
-			e.Ops[i] = Op{Kind: op.Kind, Data: op.Data}
+	var j struct {
+		Entry
+		Ops []struct {
+			Kind string
+			Data json.RawMessage
 		}
 	}
-	return e, nil
+	err := json.Unmarshal(payload, &j)
+	e := j.Entry
+	for _, op := range j.Ops {
+		e.Ops = append(e.Ops, Op{Kind: op.Kind, Data: op.Data})
+	}
+	e.Format = FormatJSON
+	return e, err
 }
 
 // rotateLocked opens a fresh segment whose name claims firstSeq.
@@ -573,9 +568,9 @@ func (w *Writer) AppendDeferred(kind string, clock, ids int64, ops []Op) (seq ui
 // encodeFrame returns e framed for the segment — the length and CRC header
 // followed by e's version-2 payload — built in one buffer.
 func encodeFrame(e *Entry) []byte {
-	size := frameSize + 4*binary.MaxVarintLen64 + strSize(len(e.Kind))
+	size := frameSize + 4*binary.MaxVarintLen64 + wire.StrSize(len(e.Kind))
 	for _, op := range e.Ops {
-		size += strSize(len(op.Kind)) + strSize(len(op.Data))
+		size += wire.StrSize(len(op.Kind)) + wire.StrSize(len(op.Data))
 	}
 	b := appendEntry(make([]byte, frameSize, size), e)
 	payload := b[frameSize:]
@@ -599,31 +594,16 @@ func DecodeEntry(payload []byte) (Entry, error) {
 
 func appendEntry(b []byte, e *Entry) []byte {
 	b = binary.AppendUvarint(b, e.Seq)
-	b = appendStr(b, e.Kind)
+	b = wire.AppendStr(b, e.Kind)
 	b = binary.AppendVarint(b, e.Clock)
 	b = binary.AppendVarint(b, e.IDs)
 	b = binary.AppendUvarint(b, uint64(len(e.Ops)))
 	for _, op := range e.Ops {
-		b = appendStr(b, op.Kind)
-		b = appendStr(b, op.Data)
+		b = wire.AppendStr(b, op.Kind)
+		b = wire.AppendStr(b, op.Data)
 	}
 	return b
 }
-
-func appendStr[S string | []byte](b []byte, s S) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for ; x >= 0x80; x >>= 7 {
-		n++
-	}
-	return n
-}
-
-func strSize(n int) int { return uvarintLen(uint64(n)) + n }
 
 // decodeEntry parses a version-2 payload into e and returns its seq; with
 // e nil it only checks the payload. Kinds are interned in kinds when it is
@@ -682,19 +662,13 @@ func (r *reader) uvarint(limit uint64) uint64 {
 	if r.err != nil {
 		return 0
 	}
-	x, k := binary.Uvarint(r.b[r.off:])
-	switch {
-	case k == 0:
-		r.err = errors.New("truncated")
-	case k < 0 || k != uvarintLen(x):
-		r.err = errors.New("malformed length")
-	case x > limit:
-		r.err = fmt.Errorf("value %d over its bound %d", x, limit)
-	default:
-		r.off += k
-		return x
+	x, k, err := wire.ReadUvarint(r.b[r.off:], limit)
+	if err != nil {
+		r.err = err
+		return 0
 	}
-	return 0
+	r.off += k
+	return x
 }
 
 func (r *reader) varint() int64 {

@@ -117,7 +117,7 @@ func EncodeFrameReply(resps []Response) []byte {
 	n := 1 + binary.MaxVarintLen64
 	for i := range resps {
 		r := &resps[i]
-		n += uvarintLen(uint64(r.Status)) + mapSize(r.Header) + strSize(len(r.Body))
+		n += uvarintLen(uint64(r.Status)) + mapSize(r.Header) + StrSize(len(r.Body))
 	}
 	b := make([]byte, 0, n)
 	b = append(b, frameVersion)
@@ -184,18 +184,19 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-func strSize(n int) int { return uvarintLen(uint64(n)) + n }
+// StrSize returns the bytes AppendStr takes for a string of length n.
+func StrSize(n int) int { return uvarintLen(uint64(n)) + n }
 
 func mapSize(m map[string]string) int {
 	n := uvarintLen(uint64(len(m)))
 	for k, v := range m {
-		n += strSize(len(k)) + strSize(len(v))
+		n += StrSize(len(k)) + StrSize(len(v))
 	}
 	return n
 }
 
 func carrierSize(r *Request) int {
-	return strSize(len(r.Method)) + strSize(len(r.Path)) + mapSize(r.Header) + mapSize(r.Form) + strSize(len(r.Body))
+	return StrSize(len(r.Method)) + StrSize(len(r.Path)) + mapSize(r.Header) + mapSize(r.Form) + StrSize(len(r.Body))
 }
 
 // AppendStr appends s as a uvarint length and its bytes.
@@ -273,7 +274,7 @@ func openFrame(b []byte, minBytes int) (*Decoder, int, error) {
 	if b[0] != frameVersion {
 		return nil, 0, fmt.Errorf("version byte %#x, want %#x", b[0], frameVersion)
 	}
-	n, k, err := readUvarint(b[1:], MaxFrameCarriers)
+	n, k, err := ReadUvarint(b[1:], MaxFrameCarriers)
 	left := len(b) - 1 - k
 	switch {
 	case err != nil:
@@ -286,9 +287,11 @@ func openFrame(b []byte, minBytes int) (*Decoder, int, error) {
 	return &Decoder{s: string(b), off: 1 + k}, int(n), nil
 }
 
-// readUvarint reads one minimally encoded uvarint no larger than limit
-// from the front of s and returns it with its length.
-func readUvarint[S string | []byte](s S, limit uint64) (uint64, int, error) {
+// ReadUvarint reads one minimally encoded uvarint no larger than limit
+// from the front of s and returns it with its length. It refuses a
+// truncated ("truncated") or non-minimal ("malformed length") encoding and
+// a value over limit.
+func ReadUvarint[S string | []byte](s S, limit uint64) (uint64, int, error) {
 	var x uint64
 	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
 		c := s[i]
@@ -324,7 +327,7 @@ func (d *Decoder) Uvarint(limit uint64) uint64 {
 	if d.err != nil {
 		return 0
 	}
-	x, k, err := readUvarint(d.s[d.off:], limit)
+	x, k, err := ReadUvarint(d.s[d.off:], limit)
 	if err != nil {
 		d.fail(err)
 		return 0
